@@ -1,0 +1,1621 @@
+//! The training loop: backbone × loss × sampler × optimizer × evaluation.
+
+use crate::config::{SamplingConfig, SyncMode, TrainConfig};
+use crate::engine::{Engine, HogwildView, Job, WorkerPool};
+use bsl_data::Dataset;
+use bsl_eval::{evaluate_artifact, EvalReport};
+use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
+use bsl_linalg::simd::{cosine_backward_block, normalize_gather_into, scores_block};
+use bsl_linalg::Matrix;
+use bsl_losses::{build as build_loss, RankingLoss, ScoreBatch};
+use bsl_models::{
+    build as build_backbone, Backbone, EvalScore, GradBuffer, Hyper, ModelArtifact, ShardGrad,
+    TrainScore,
+};
+use bsl_opt::sgd_step_row;
+use bsl_sampling::{
+    BatchIter, NegativeSampler, NoisySampler, PopularitySampler, TrainBatch, UniformSampler,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
+
+/// The cutoffs every training run evaluates (Fig 7's @5/@10/@15 plus the
+/// paper's headline @20).
+pub const EVAL_KS: [usize; 4] = [5, 10, 15, 20];
+
+/// Loss statistics of one epoch.
+#[derive(Clone, Copy, Debug)]
+pub struct EpochStats {
+    /// 0-based epoch index.
+    pub epoch: usize,
+    /// Mean main-loss value over batches.
+    pub loss: f64,
+    /// Mean auxiliary (self-supervised) loss over batches.
+    pub aux_loss: f64,
+}
+
+/// Result of a training run.
+pub struct TrainOutcome {
+    /// Final user embeddings at the best evaluation (raw, un-prepared —
+    /// experiment harnesses inspect these; retrieval goes through
+    /// [`artifact`](TrainOutcome::artifact)).
+    pub user_emb: Matrix,
+    /// Final item embeddings at the best evaluation.
+    pub item_emb: Matrix,
+    /// The backbone's test-time score function.
+    pub eval_score: EvalScore,
+    /// The frozen, servable export of the best epoch's embeddings:
+    /// normalization / distance augmentation already applied, so repeated
+    /// evaluations and serving never repay preparation. Save it with
+    /// [`ModelArtifact::save`], serve it with `bsl_serve::Recommender`.
+    pub artifact: ModelArtifact,
+    /// The best evaluation report (by NDCG@20).
+    pub best: EvalReport,
+    /// Epoch (0-based) of the best evaluation.
+    pub best_epoch: usize,
+    /// Per-epoch loss statistics.
+    pub history: Vec<EpochStats>,
+    /// `(epoch, NDCG@20)` at each evaluation point.
+    pub eval_history: Vec<(usize, f64)>,
+}
+
+impl TrainOutcome {
+    /// Re-evaluates the stored best model on `ds` at the cutoffs `ks` —
+    /// used by experiments that need metrics on a different split or at
+    /// different cutoffs than the training loop recorded. Ranks through
+    /// the pre-prepared [`artifact`](TrainOutcome::artifact), so repeated
+    /// calls pay no per-call normalization.
+    pub fn evaluate_on(&self, ds: &Dataset, ks: &[usize]) -> EvalReport {
+        evaluate_artifact(ds, &self.artifact, ks)
+    }
+}
+
+/// Trains a backbone with a ranking loss on a dataset.
+pub struct Trainer {
+    cfg: TrainConfig,
+    /// Persistent execution engine (compute worker pool + sampling shard
+    /// workers), created lazily on the first multi-threaded fit and then
+    /// reused for every batch, epoch, and subsequent fit of this trainer
+    /// — no per-batch or per-epoch thread spawning.
+    engine: OnceLock<Engine>,
+}
+
+/// Contiguous row ranges splitting `n` rows across at most `k` workers
+/// (fewer when `n < k`; never empty ranges).
+fn row_chunks(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
+    let k = k.min(n).max(1);
+    let chunk = n.div_ceil(k);
+    (0..n).step_by(chunk.max(1)).map(|s| s..(s + chunk).min(n)).collect()
+}
+
+/// One Hogwild read-modify-write: load `row` into `buf`, apply a plain-SGD
+/// update with coupled L2 on the local copy, store it back. Concurrent
+/// callers updating the same row may overwrite each other's increments —
+/// the approximation Hogwild accepts for lock-freedom.
+fn hogwild_apply(view: &HogwildView, row: u32, grad: &[f32], buf: &mut [f32], hp: Hyper) {
+    view.load_row(row as usize, buf);
+    sgd_step_row(buf, grad, hp.lr, hp.l2);
+    view.store_row(row as usize, buf);
+}
+
+/// Reusable step scratch: unit vectors, norms, scores and the in-batch
+/// similarity matrix, all as flat row-major buffers. Sizing is
+/// grow-only (every consumer slices the exact `[..b*…]` extent it needs),
+/// so after the first full-sized batch no step re-zeroes or reallocates —
+/// trailing partial batches and later epochs reuse the same storage.
+///
+/// `neg_hat`/`neg_norms` cache every negative's unit vector for the whole
+/// batch (`B·m·d` floats) so the gradient pass reuses them instead of
+/// re-normalizing — the blocked kernels then see contiguous item blocks.
+/// They are only sized on the cosine scoring path; distance-scored
+/// backbones (CML) never touch them.
+#[derive(Default)]
+struct StepScratch {
+    /// Unit user vectors, `B × d` flat.
+    user_hat: Vec<f32>,
+    user_norm: Vec<f32>,
+    /// Unit positive-item vectors, `B × d` flat.
+    pos_hat: Vec<f32>,
+    pos_norm: Vec<f32>,
+    pos_scores: Vec<f32>,
+    neg_scores: Vec<f32>,
+    /// Unit negative-item vectors, `B × m × d` flat (sampled path only).
+    neg_hat: Vec<f32>,
+    neg_norms: Vec<f32>,
+    /// `B × B` cosine similarities (in-batch path only).
+    sims: Vec<f32>,
+}
+
+/// Grows `v` to at least `n` elements (never shrinks).
+fn grow(v: &mut Vec<f32>, n: usize) {
+    if v.len() < n {
+        v.resize(n, 0.0);
+    }
+}
+
+impl StepScratch {
+    fn ensure_sampled(&mut self, b: usize, m: usize, d: usize, cache_negs: bool) {
+        grow(&mut self.user_hat, b * d);
+        grow(&mut self.user_norm, b);
+        grow(&mut self.pos_hat, b * d);
+        grow(&mut self.pos_norm, b);
+        grow(&mut self.pos_scores, b);
+        grow(&mut self.neg_scores, b * m);
+        if cache_negs {
+            grow(&mut self.neg_hat, b * m * d);
+            grow(&mut self.neg_norms, b * m);
+        }
+    }
+
+    fn ensure_in_batch(&mut self, b: usize, d: usize) {
+        grow(&mut self.user_hat, b * d);
+        grow(&mut self.user_norm, b);
+        grow(&mut self.pos_hat, b * d);
+        grow(&mut self.pos_norm, b);
+        grow(&mut self.pos_scores, b);
+        grow(&mut self.neg_scores, b * (b - 1));
+        grow(&mut self.sims, b * b);
+    }
+}
+
+/// Pass 1 of the pooled *sampled* step, shared verbatim by the exact
+/// ([`Trainer::step_sampled_par`]) and Hogwild paths: sizes the scratch,
+/// then scores row-sharded into disjoint scratch slices — each shard
+/// normalizes its negative blocks once (cached for pass 2) and scores
+/// them with blocked matvecs. The distance-scored path carves empty
+/// `nh`/`nn` slices; it never reads them. One pool job per chunk replaces
+/// the old scoped-thread spawn round.
+#[allow(clippy::too_many_arguments)] // the pass mirrors the step state
+fn pass1_sampled_scores(
+    pool: &WorkerPool,
+    chunks: &[std::ops::Range<usize>],
+    batch: &TrainBatch,
+    users: &Matrix,
+    items: &Matrix,
+    score_kind: TrainScore,
+    scratch: &mut StepScratch,
+    b: usize,
+    m: usize,
+    d: usize,
+) {
+    let cache_negs = score_kind == TrainScore::Cosine;
+    scratch.ensure_sampled(b, m, d, cache_negs);
+    let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+    let mut uh_rest = &mut scratch.user_hat[..b * d];
+    let mut un_rest = &mut scratch.user_norm[..b];
+    let mut ph_rest = &mut scratch.pos_hat[..b * d];
+    let mut pn_rest = &mut scratch.pos_norm[..b];
+    let mut ps_rest = &mut scratch.pos_scores[..b];
+    let mut ns_rest = &mut scratch.neg_scores[..b * m];
+    let mut nh_rest: &mut [f32] =
+        if cache_negs { &mut scratch.neg_hat[..b * m * d] } else { &mut [] };
+    let mut nn_rest: &mut [f32] =
+        if cache_negs { &mut scratch.neg_norms[..b * m] } else { &mut [] };
+    for range in chunks {
+        let rows = range.len();
+        let (uh, r) = std::mem::take(&mut uh_rest).split_at_mut(rows * d);
+        uh_rest = r;
+        let (un, r) = std::mem::take(&mut un_rest).split_at_mut(rows);
+        un_rest = r;
+        let (ph, r) = std::mem::take(&mut ph_rest).split_at_mut(rows * d);
+        ph_rest = r;
+        let (pn, r) = std::mem::take(&mut pn_rest).split_at_mut(rows);
+        pn_rest = r;
+        let (ps, r) = std::mem::take(&mut ps_rest).split_at_mut(rows);
+        ps_rest = r;
+        let (ns, r) = std::mem::take(&mut ns_rest).split_at_mut(rows * m);
+        ns_rest = r;
+        let (nh, r) =
+            std::mem::take(&mut nh_rest).split_at_mut(if cache_negs { rows * m * d } else { 0 });
+        nh_rest = r;
+        let (nn, r) =
+            std::mem::take(&mut nn_rest).split_at_mut(if cache_negs { rows * m } else { 0 });
+        nn_rest = r;
+        let range = range.clone();
+        jobs.push(Box::new(move || {
+            for (li, row) in range.enumerate() {
+                let u = batch.users[row] as usize;
+                let i = batch.pos[row] as usize;
+                match score_kind {
+                    TrainScore::Cosine => {
+                        un[li] = normalize_into(users.row(u), &mut uh[li * d..(li + 1) * d]);
+                        pn[li] = normalize_into(items.row(i), &mut ph[li * d..(li + 1) * d]);
+                        ps[li] = dot(&uh[li * d..(li + 1) * d], &ph[li * d..(li + 1) * d]);
+                        normalize_gather_into(
+                            items,
+                            batch.negs_of(row),
+                            &mut nh[li * m * d..(li + 1) * m * d],
+                            &mut nn[li * m..(li + 1) * m],
+                        );
+                        scores_block(
+                            &uh[li * d..(li + 1) * d],
+                            &nh[li * m * d..(li + 1) * m * d],
+                            &mut ns[li * m..(li + 1) * m],
+                        );
+                    }
+                    TrainScore::NegSqDist => {
+                        ps[li] = -sq_dist(users.row(u), items.row(i));
+                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                            ns[li * m + jj] = -sq_dist(users.row(u), items.row(j as usize));
+                        }
+                    }
+                }
+            }
+        }));
+    }
+    pool.run(jobs);
+}
+
+/// Pass 1 of the pooled *in-batch* step, shared verbatim by the exact
+/// ([`Trainer::step_in_batch_par`]) and Hogwild paths: sizes the scratch,
+/// gather-normalizes each row's user and positive item (row-sharded
+/// blocked gathers; `pos_hat`/`pos_norm` hold the item side), then fills
+/// the full `B × B` similarity matrix `S[a][c] = cos(user_a, item_c)` by
+/// row chunks — every worker reads all of the item block, one blocked
+/// matvec per user row.
+#[allow(clippy::too_many_arguments)] // the pass mirrors the step state
+fn pass1_in_batch_scores(
+    pool: &WorkerPool,
+    chunks: &[std::ops::Range<usize>],
+    batch: &TrainBatch,
+    users: &Matrix,
+    items: &Matrix,
+    scratch: &mut StepScratch,
+    b: usize,
+    d: usize,
+) {
+    scratch.ensure_in_batch(b, d);
+    {
+        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+        let mut uh_rest = &mut scratch.user_hat[..b * d];
+        let mut ih_rest = &mut scratch.pos_hat[..b * d];
+        let mut un_rest = &mut scratch.user_norm[..b];
+        let mut in_rest = &mut scratch.pos_norm[..b];
+        for range in chunks {
+            let rows = range.len();
+            let (uh, r) = std::mem::take(&mut uh_rest).split_at_mut(rows * d);
+            uh_rest = r;
+            let (ih, r) = std::mem::take(&mut ih_rest).split_at_mut(rows * d);
+            ih_rest = r;
+            let (un, r) = std::mem::take(&mut un_rest).split_at_mut(rows);
+            un_rest = r;
+            let (inorm, r) = std::mem::take(&mut in_rest).split_at_mut(rows);
+            in_rest = r;
+            let range = range.clone();
+            jobs.push(Box::new(move || {
+                normalize_gather_into(users, &batch.users[range.clone()], uh, un);
+                normalize_gather_into(items, &batch.pos[range], ih, inorm);
+            }));
+        }
+        pool.run(jobs);
+    }
+    {
+        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+        let user_hat = &scratch.user_hat;
+        let item_hat = &scratch.pos_hat[..b * d];
+        let mut s_rest = &mut scratch.sims[..b * b];
+        for range in chunks {
+            let (srows, r) = std::mem::take(&mut s_rest).split_at_mut(range.len() * b);
+            s_rest = r;
+            let range = range.clone();
+            jobs.push(Box::new(move || {
+                for (li, a) in range.enumerate() {
+                    scores_block(
+                        &user_hat[a * d..(a + 1) * d],
+                        item_hat,
+                        &mut srows[li * b..(li + 1) * b],
+                    );
+                }
+            }));
+        }
+        pool.run(jobs);
+    }
+}
+
+impl Trainer {
+    /// Creates a trainer for `cfg`. Worker threads (for
+    /// `cfg.threads != 1`) are spawned lazily on the first fit and reused
+    /// by every later fit of this trainer.
+    pub fn new(cfg: TrainConfig) -> Self {
+        Self { cfg, engine: OnceLock::new() }
+    }
+
+    /// The configuration this trainer runs.
+    pub fn config(&self) -> &TrainConfig {
+        &self.cfg
+    }
+
+    /// Builds the configured backbone and trains it on `ds`.
+    pub fn fit(&self, ds: &Arc<Dataset>) -> TrainOutcome {
+        let mut backbone = build_backbone(self.cfg.backbone, ds, self.cfg.dim, self.cfg.seed);
+        self.fit_backbone(ds, backbone.as_mut())
+    }
+
+    /// Trains a caller-provided backbone (for custom models or warm
+    /// starts).
+    pub fn fit_backbone(&self, ds: &Arc<Dataset>, backbone: &mut dyn Backbone) -> TrainOutcome {
+        let cfg = &self.cfg;
+        assert!(cfg.epochs > 0, "epochs must be positive");
+        assert!(cfg.eval_every > 0, "eval_every must be positive");
+        let loss = build_loss(cfg.loss);
+        let sampler: Arc<dyn NegativeSampler> = match cfg.sampling {
+            SamplingConfig::Uniform | SamplingConfig::InBatch => {
+                Arc::new(UniformSampler::new(ds.clone()))
+            }
+            SamplingConfig::Popularity { alpha } => {
+                Arc::new(PopularitySampler::new(ds.clone(), alpha))
+            }
+            SamplingConfig::Noisy { r_noise } => Arc::new(NoisySampler::new(ds.clone(), r_noise)),
+        };
+        let in_batch = cfg.sampling == SamplingConfig::InBatch;
+        // In-batch rows carry B−1 negatives each; the sampler's draws are
+        // discarded, so sample the minimum.
+        let m = if in_batch { 1 } else { cfg.negatives };
+
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xB5F0_0B5F);
+        // `threads == 1` must stay bit-identical to the historical serial
+        // trainer, so the persistent engine only exists when threads > 1.
+        let n_threads = cfg.resolved_threads();
+        let engine: Option<&Engine> = if n_threads > 1 {
+            Some(self.engine.get_or_init(|| Engine::new(n_threads)))
+        } else {
+            None
+        };
+        // Hogwild needs raw in-place-updatable parameters and cosine
+        // scoring; anything else falls back to the exact sharded path.
+        let hogwild = match cfg.sync {
+            SyncMode::Exact => false,
+            SyncMode::Hogwild => {
+                if n_threads <= 1 {
+                    false
+                } else if backbone.train_score() != TrainScore::Cosine
+                    || backbone.params_mut().is_none()
+                {
+                    eprintln!(
+                        "sync: Hogwild unsupported for backbone {} — \
+                         falling back to exact sharded updates",
+                        backbone.name()
+                    );
+                    false
+                } else {
+                    true
+                }
+            }
+        };
+        // Per-worker gradient shards are sized to the batch footprint
+        // (grow-only sparse row maps), never to the catalogue.
+        let mut shard_grads: Vec<ShardGrad> = if n_threads > 1 && !hogwild {
+            (0..n_threads).map(|_| ShardGrad::new(backbone.out_dim())).collect()
+        } else {
+            Vec::new()
+        };
+        // The merged accumulator the optimizer consumes — dense, but only
+        // the exact paths need it; Hogwild updates in place and gets an
+        // empty stand-in so nothing catalogue-sized is allocated.
+        let mut grads = if hogwild {
+            GradBuffer::new(0, 0, backbone.out_dim())
+        } else {
+            GradBuffer::new(ds.n_users, ds.n_items, backbone.out_dim())
+        };
+        let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
+        let mut scratch = StepScratch::default();
+
+        let mut history = Vec::new();
+        let mut eval_history = Vec::new();
+        let mut best_ndcg = f64::NEG_INFINITY;
+        let mut best: Option<(EvalReport, Matrix, Matrix, usize, ModelArtifact)> = None;
+        let mut stale = 0usize;
+
+        'training: for epoch in 0..cfg.epochs {
+            let mut loss_sum = 0.0f64;
+            let mut aux_sum = 0.0f64;
+            let mut n_batches = 0usize;
+            let epoch_seed = cfg.seed.wrapping_add(1 + epoch as u64);
+            // Persistent sampling shards (threads > 1) overlap negative
+            // drawing with the gradient work below without spawning any
+            // thread; threads == 1 is the serial BatchIter.
+            let batches: Box<dyn Iterator<Item = TrainBatch> + '_> = match engine {
+                Some(e) => {
+                    Box::new(e.samplers().start_epoch(ds, &sampler, cfg.batch_size, m, epoch_seed))
+                }
+                None => {
+                    Box::new(BatchIter::new(ds, sampler.as_ref(), cfg.batch_size, m, epoch_seed))
+                }
+            };
+            for batch in batches {
+                if in_batch && batch.len() < 2 {
+                    continue; // a single row has no in-batch negatives
+                }
+                backbone.forward(&mut rng);
+                let (l, aux) = match (in_batch, engine) {
+                    (true, Some(e)) if hogwild => self.step_in_batch_hogwild(
+                        backbone,
+                        loss.as_ref(),
+                        &batch,
+                        &mut scratch,
+                        hyper,
+                        e.pool(),
+                    ),
+                    (false, Some(e)) if hogwild => self.step_sampled_hogwild(
+                        backbone,
+                        loss.as_ref(),
+                        &batch,
+                        &mut scratch,
+                        hyper,
+                        e.pool(),
+                    ),
+                    (true, None) => self.step_in_batch(
+                        backbone,
+                        loss.as_ref(),
+                        &batch,
+                        &mut grads,
+                        &mut scratch,
+                        hyper,
+                        &mut rng,
+                    ),
+                    (true, Some(e)) => self.step_in_batch_par(
+                        backbone,
+                        loss.as_ref(),
+                        &batch,
+                        &mut grads,
+                        &mut shard_grads,
+                        &mut scratch,
+                        hyper,
+                        &mut rng,
+                        e.pool(),
+                    ),
+                    (false, None) => self.step_sampled(
+                        backbone,
+                        loss.as_ref(),
+                        &batch,
+                        &mut grads,
+                        &mut scratch,
+                        hyper,
+                        &mut rng,
+                    ),
+                    (false, Some(e)) => self.step_sampled_par(
+                        backbone,
+                        loss.as_ref(),
+                        &batch,
+                        &mut grads,
+                        &mut shard_grads,
+                        &mut scratch,
+                        hyper,
+                        &mut rng,
+                        e.pool(),
+                    ),
+                };
+                loss_sum += l;
+                aux_sum += aux;
+                n_batches += 1;
+            }
+            let denom = n_batches.max(1) as f64;
+            history.push(EpochStats { epoch, loss: loss_sum / denom, aux_loss: aux_sum / denom });
+
+            if (epoch + 1) % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
+                backbone.forward(&mut rng);
+                // Freeze the epoch's embeddings and rank through the
+                // artifact — the same prepared tables serving would use.
+                let artifact = backbone.export();
+                let report = evaluate_artifact(ds, &artifact, &EVAL_KS);
+                let ndcg = report.ndcg(20);
+                eval_history.push((epoch, ndcg));
+                if ndcg > best_ndcg {
+                    best_ndcg = ndcg;
+                    best = Some((
+                        report,
+                        backbone.user_factors().clone(),
+                        backbone.item_factors().clone(),
+                        epoch,
+                        artifact,
+                    ));
+                    stale = 0;
+                } else {
+                    stale += 1;
+                    if cfg.patience > 0 && stale >= cfg.patience {
+                        break 'training;
+                    }
+                }
+            }
+        }
+
+        let (best, user_emb, item_emb, best_epoch, artifact) =
+            best.expect("at least one evaluation ran (final epoch always evaluates)");
+        TrainOutcome {
+            user_emb,
+            item_emb,
+            eval_score: backbone.eval_score(),
+            artifact,
+            best,
+            best_epoch,
+            history,
+            eval_history,
+        }
+    }
+
+    /// One optimizer step with explicitly-sampled negatives.
+    ///
+    /// Pass 1 normalizes each row's negatives into a contiguous `m × d`
+    /// block (cached in `scratch` for pass 2, so every negative is
+    /// normalized exactly once) and scores it with one blocked matvec;
+    /// pass 2 chains the user-side gradient through one
+    /// [`cosine_backward_block`] per row.
+    #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
+    fn step_sampled(
+        &self,
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        grads: &mut GradBuffer,
+        scratch: &mut StepScratch,
+        hyper: Hyper,
+        rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let b = batch.len();
+        let m = batch.m;
+        let d = backbone.out_dim();
+        let score_kind = backbone.train_score();
+        let users = backbone.user_factors();
+        let items = backbone.item_factors();
+        scratch.ensure_sampled(b, m, d, score_kind == TrainScore::Cosine);
+
+        // Pass 1 — scores.
+        for row in 0..b {
+            let u = batch.users[row] as usize;
+            let i = batch.pos[row] as usize;
+            match score_kind {
+                TrainScore::Cosine => {
+                    scratch.user_norm[row] =
+                        normalize_into(users.row(u), &mut scratch.user_hat[row * d..(row + 1) * d]);
+                    scratch.pos_norm[row] =
+                        normalize_into(items.row(i), &mut scratch.pos_hat[row * d..(row + 1) * d]);
+                    scratch.pos_scores[row] = dot(
+                        &scratch.user_hat[row * d..(row + 1) * d],
+                        &scratch.pos_hat[row * d..(row + 1) * d],
+                    );
+                    normalize_gather_into(
+                        items,
+                        batch.negs_of(row),
+                        &mut scratch.neg_hat[row * m * d..(row + 1) * m * d],
+                        &mut scratch.neg_norms[row * m..(row + 1) * m],
+                    );
+                    scores_block(
+                        &scratch.user_hat[row * d..(row + 1) * d],
+                        &scratch.neg_hat[row * m * d..(row + 1) * m * d],
+                        &mut scratch.neg_scores[row * m..(row + 1) * m],
+                    );
+                }
+                TrainScore::NegSqDist => {
+                    scratch.pos_scores[row] = -sq_dist(users.row(u), items.row(i));
+                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                        scratch.neg_scores[row * m + jj] =
+                            -sq_dist(users.row(u), items.row(j as usize));
+                    }
+                }
+            }
+        }
+
+        let out = loss.compute(&ScoreBatch::new(
+            &scratch.pos_scores[..b],
+            &scratch.neg_scores[..b * m],
+            m,
+        ));
+
+        // Pass 2 — chain score gradients into embedding gradients.
+        for row in 0..b {
+            let u = batch.users[row];
+            let i = batch.pos[row];
+            match score_kind {
+                TrainScore::Cosine => {
+                    let uhat = &scratch.user_hat[row * d..(row + 1) * d];
+                    let ihat = &scratch.pos_hat[row * d..(row + 1) * d];
+                    let g = out.grad_pos[row];
+                    let s = scratch.pos_scores[row];
+                    cosine_backward_into(
+                        g,
+                        s,
+                        uhat,
+                        ihat,
+                        scratch.user_norm[row],
+                        grads.user_row_mut(u),
+                    );
+                    cosine_backward_into(
+                        g,
+                        s,
+                        ihat,
+                        uhat,
+                        scratch.pos_norm[row],
+                        grads.item_row_mut(i),
+                    );
+                    let gs = &out.grad_neg[row * m..(row + 1) * m];
+                    let ss = &scratch.neg_scores[row * m..(row + 1) * m];
+                    let nh = &scratch.neg_hat[row * m * d..(row + 1) * m * d];
+                    let nn = &scratch.neg_norms[row * m..(row + 1) * m];
+                    cosine_backward_block(
+                        gs,
+                        ss,
+                        uhat,
+                        scratch.user_norm[row],
+                        nh,
+                        grads.user_row_mut(u),
+                    );
+                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                        let g = gs[jj];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        cosine_backward_into(
+                            g,
+                            ss[jj],
+                            &nh[jj * d..(jj + 1) * d],
+                            uhat,
+                            nn[jj],
+                            grads.item_row_mut(j),
+                        );
+                    }
+                }
+                TrainScore::NegSqDist => {
+                    // s = −||u−i||² ⇒ ∂s/∂u = 2(i−u), ∂s/∂i = 2(u−i).
+                    let urow = users.row(u as usize);
+                    let apply = |g: f32, item: u32, grads: &mut GradBuffer| {
+                        if g == 0.0 {
+                            return;
+                        }
+                        let irow = items.row(item as usize);
+                        {
+                            let gu = grads.user_row_mut(u);
+                            axpy(2.0 * g, irow, gu);
+                            axpy(-2.0 * g, urow, gu);
+                        }
+                        {
+                            let gi = grads.item_row_mut(item);
+                            axpy(2.0 * g, urow, gi);
+                            axpy(-2.0 * g, irow, gi);
+                        }
+                    };
+                    apply(out.grad_pos[row], i, grads);
+                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                        apply(out.grad_neg[row * m + jj], j, grads);
+                    }
+                }
+            }
+        }
+
+        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
+        grads.clear();
+        (out.loss, aux)
+    }
+
+    /// The sharded counterpart of [`Trainer::step_sampled`]: pass-1
+    /// scoring and pass-2 gradient accumulation run as per-batch work
+    /// items on the persistent [`WorkerPool`] over contiguous row chunks,
+    /// one private batch-footprint [`ShardGrad`] per shard, merged in
+    /// shard order before the optimizer step. The math is identical to
+    /// the serial step; only the f32 reduction order of gradient rows
+    /// shared between shards differs, so results are deterministic for a
+    /// fixed `(seed, threads)` pair.
+    #[allow(clippy::too_many_arguments)] // mirrors step_sampled + the shard buffers
+    fn step_sampled_par(
+        &self,
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        grads: &mut GradBuffer,
+        shard_grads: &mut [ShardGrad],
+        scratch: &mut StepScratch,
+        hyper: Hyper,
+        rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) -> (f64, f64) {
+        let b = batch.len();
+        let m = batch.m;
+        let d = backbone.out_dim();
+        let score_kind = backbone.train_score();
+        let users = backbone.user_factors();
+        let items = backbone.item_factors();
+        let chunks = row_chunks(b, shard_grads.len());
+        pass1_sampled_scores(pool, &chunks, batch, users, items, score_kind, scratch, b, m, d);
+
+        let out = loss.compute(&ScoreBatch::new(
+            &scratch.pos_scores[..b],
+            &scratch.neg_scores[..b * m],
+            m,
+        ));
+
+        // Pass 2 — chain score gradients into per-shard embedding
+        // gradients (private batch-footprint buffers, no write
+        // contention); negative unit vectors come from the pass-1 cache.
+        {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            let out = &out;
+            let user_hat = &scratch.user_hat;
+            let user_norm = &scratch.user_norm;
+            let pos_hat = &scratch.pos_hat;
+            let pos_norm = &scratch.pos_norm;
+            let pos_scores = &scratch.pos_scores;
+            let neg_scores = &scratch.neg_scores;
+            let neg_hat = &scratch.neg_hat;
+            let neg_norms = &scratch.neg_norms;
+            for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
+                let range = range.clone();
+                jobs.push(Box::new(move || {
+                    for row in range {
+                        let u = batch.users[row];
+                        let i = batch.pos[row];
+                        match score_kind {
+                            TrainScore::Cosine => {
+                                let uhat = &user_hat[row * d..(row + 1) * d];
+                                let ihat = &pos_hat[row * d..(row + 1) * d];
+                                let g = out.grad_pos[row];
+                                let s = pos_scores[row];
+                                cosine_backward_into(
+                                    g,
+                                    s,
+                                    uhat,
+                                    ihat,
+                                    user_norm[row],
+                                    gbuf.user_row_mut(u),
+                                );
+                                cosine_backward_into(
+                                    g,
+                                    s,
+                                    ihat,
+                                    uhat,
+                                    pos_norm[row],
+                                    gbuf.item_row_mut(i),
+                                );
+                                let gs = &out.grad_neg[row * m..(row + 1) * m];
+                                let ss = &neg_scores[row * m..(row + 1) * m];
+                                let nh = &neg_hat[row * m * d..(row + 1) * m * d];
+                                let nn = &neg_norms[row * m..(row + 1) * m];
+                                cosine_backward_block(
+                                    gs,
+                                    ss,
+                                    uhat,
+                                    user_norm[row],
+                                    nh,
+                                    gbuf.user_row_mut(u),
+                                );
+                                for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                                    let g = gs[jj];
+                                    if g == 0.0 {
+                                        continue;
+                                    }
+                                    cosine_backward_into(
+                                        g,
+                                        ss[jj],
+                                        &nh[jj * d..(jj + 1) * d],
+                                        uhat,
+                                        nn[jj],
+                                        gbuf.item_row_mut(j),
+                                    );
+                                }
+                            }
+                            TrainScore::NegSqDist => {
+                                let urow = users.row(u as usize);
+                                let apply = |g: f32, item: u32, gbuf: &mut ShardGrad| {
+                                    if g == 0.0 {
+                                        return;
+                                    }
+                                    let irow = items.row(item as usize);
+                                    {
+                                        let gu = gbuf.user_row_mut(u);
+                                        axpy(2.0 * g, irow, gu);
+                                        axpy(-2.0 * g, urow, gu);
+                                    }
+                                    {
+                                        let gi = gbuf.item_row_mut(item);
+                                        axpy(2.0 * g, urow, gi);
+                                        axpy(-2.0 * g, irow, gi);
+                                    }
+                                };
+                                apply(out.grad_pos[row], i, gbuf);
+                                for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                                    apply(out.grad_neg[row * m + jj], j, gbuf);
+                                }
+                            }
+                        }
+                    }
+                }));
+            }
+            pool.run(jobs);
+        }
+
+        // Fixed shard merge order keeps runs deterministic per thread
+        // count.
+        for sg in shard_grads.iter_mut() {
+            sg.merge_into(grads);
+            sg.clear();
+        }
+        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
+        grads.clear();
+        (out.loss, aux)
+    }
+
+    /// One optimizer step with in-batch shared negatives: row `b`'s
+    /// negatives are the other rows' positive items (paper Table V).
+    ///
+    /// Normalization is one blocked gather per side, every similarity row
+    /// is one blocked matvec, and the user-side backward runs
+    /// [`cosine_backward_block`] on the two contiguous item-block halves
+    /// on either side of the diagonal.
+    #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
+    fn step_in_batch(
+        &self,
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        grads: &mut GradBuffer,
+        scratch: &mut StepScratch,
+        hyper: Hyper,
+        rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let b = batch.len();
+        let m = b - 1;
+        let d = backbone.out_dim();
+        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
+        let users = backbone.user_factors();
+        let items = backbone.item_factors();
+        scratch.ensure_in_batch(b, d);
+
+        // Normalize each row's user and positive item once (blocked
+        // gather; `pos_hat`/`pos_norm` hold the item side).
+        normalize_gather_into(
+            users,
+            &batch.users,
+            &mut scratch.user_hat[..b * d],
+            &mut scratch.user_norm[..b],
+        );
+        normalize_gather_into(
+            items,
+            &batch.pos,
+            &mut scratch.pos_hat[..b * d],
+            &mut scratch.pos_norm[..b],
+        );
+        // Full similarity matrix: S[a][c] = cos(user_a, item_c).
+        for a in 0..b {
+            scores_block(
+                &scratch.user_hat[a * d..(a + 1) * d],
+                &scratch.pos_hat[..b * d],
+                &mut scratch.sims[a * b..(a + 1) * b],
+            );
+        }
+        for a in 0..b {
+            scratch.pos_scores[a] = scratch.sims[a * b + a];
+            let mut jj = 0;
+            for c in 0..b {
+                if c != a {
+                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
+                    jj += 1;
+                }
+            }
+        }
+        let out = loss.compute(&ScoreBatch::new(
+            &scratch.pos_scores[..b],
+            &scratch.neg_scores[..b * m],
+            m,
+        ));
+
+        // Chain gradients back; the column item of slot (a, jj) is row c.
+        for a in 0..b {
+            let ua = &scratch.user_hat[a * d..(a + 1) * d];
+            let ia = &scratch.pos_hat[a * d..(a + 1) * d];
+            let g = out.grad_pos[a];
+            let s = scratch.pos_scores[a];
+            cosine_backward_into(
+                g,
+                s,
+                ua,
+                ia,
+                scratch.user_norm[a],
+                grads.user_row_mut(batch.users[a]),
+            );
+            cosine_backward_into(
+                g,
+                s,
+                ia,
+                ua,
+                scratch.pos_norm[a],
+                grads.item_row_mut(batch.pos[a]),
+            );
+            // Slots 0..a map to item rows 0..a and slots a.. to rows
+            // a+1..b — two contiguous halves around the diagonal.
+            let gs = &out.grad_neg[a * m..(a + 1) * m];
+            let ss = &scratch.neg_scores[a * m..(a + 1) * m];
+            cosine_backward_block(
+                &gs[..a],
+                &ss[..a],
+                ua,
+                scratch.user_norm[a],
+                &scratch.pos_hat[..a * d],
+                grads.user_row_mut(batch.users[a]),
+            );
+            cosine_backward_block(
+                &gs[a..],
+                &ss[a..],
+                ua,
+                scratch.user_norm[a],
+                &scratch.pos_hat[(a + 1) * d..b * d],
+                grads.user_row_mut(batch.users[a]),
+            );
+            let mut jj = 0;
+            for c in 0..b {
+                if c == a {
+                    continue;
+                }
+                let g = gs[jj];
+                let s = ss[jj];
+                jj += 1;
+                if g == 0.0 {
+                    continue;
+                }
+                cosine_backward_into(
+                    g,
+                    s,
+                    &scratch.pos_hat[c * d..(c + 1) * d],
+                    ua,
+                    scratch.pos_norm[c],
+                    grads.item_row_mut(batch.pos[c]),
+                );
+            }
+        }
+
+        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
+        grads.clear();
+        (out.loss, aux)
+    }
+
+    /// The sharded counterpart of [`Trainer::step_in_batch`]: the `B × B`
+    /// similarity matrix is computed by row chunks on the persistent
+    /// [`WorkerPool`], and the gradient pass accumulates into per-shard
+    /// batch-footprint buffers merged in shard order. A row's negatives
+    /// touch *other* rows' positive items, so shards write overlapping
+    /// item rows — private buffers plus the ordered merge keep that exact
+    /// and deterministic per thread count.
+    #[allow(clippy::too_many_arguments)] // mirrors step_in_batch + the shard buffers
+    fn step_in_batch_par(
+        &self,
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        grads: &mut GradBuffer,
+        shard_grads: &mut [ShardGrad],
+        scratch: &mut StepScratch,
+        hyper: Hyper,
+        rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) -> (f64, f64) {
+        let b = batch.len();
+        let m = b - 1;
+        let d = backbone.out_dim();
+        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
+        let users = backbone.user_factors();
+        let items = backbone.item_factors();
+        let chunks = row_chunks(b, shard_grads.len());
+        pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
+
+        for a in 0..b {
+            scratch.pos_scores[a] = scratch.sims[a * b + a];
+            let mut jj = 0;
+            for c in 0..b {
+                if c != a {
+                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
+                    jj += 1;
+                }
+            }
+        }
+        let out = loss.compute(&ScoreBatch::new(
+            &scratch.pos_scores[..b],
+            &scratch.neg_scores[..b * m],
+            m,
+        ));
+
+        // Gradient pass, row-sharded into private buffers; the column item
+        // of slot (a, jj) is row c, which may belong to another shard —
+        // hence per-shard accumulation instead of in-place writes.
+        {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            let out = &out;
+            let user_hat = &scratch.user_hat;
+            let item_hat = &scratch.pos_hat;
+            let user_norm = &scratch.user_norm;
+            let item_norm = &scratch.pos_norm;
+            let pos_scores = &scratch.pos_scores;
+            let neg_scores = &scratch.neg_scores;
+            for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
+                let range = range.clone();
+                jobs.push(Box::new(move || {
+                    for a in range {
+                        let ua = &user_hat[a * d..(a + 1) * d];
+                        let ia = &item_hat[a * d..(a + 1) * d];
+                        let g = out.grad_pos[a];
+                        let s = pos_scores[a];
+                        cosine_backward_into(
+                            g,
+                            s,
+                            ua,
+                            ia,
+                            user_norm[a],
+                            gbuf.user_row_mut(batch.users[a]),
+                        );
+                        cosine_backward_into(
+                            g,
+                            s,
+                            ia,
+                            ua,
+                            item_norm[a],
+                            gbuf.item_row_mut(batch.pos[a]),
+                        );
+                        // Two contiguous item-block halves around the
+                        // diagonal (slots 0..a ↔ rows 0..a, a.. ↔ a+1..b).
+                        let gs = &out.grad_neg[a * m..(a + 1) * m];
+                        let ss = &neg_scores[a * m..(a + 1) * m];
+                        cosine_backward_block(
+                            &gs[..a],
+                            &ss[..a],
+                            ua,
+                            user_norm[a],
+                            &item_hat[..a * d],
+                            gbuf.user_row_mut(batch.users[a]),
+                        );
+                        cosine_backward_block(
+                            &gs[a..],
+                            &ss[a..],
+                            ua,
+                            user_norm[a],
+                            &item_hat[(a + 1) * d..b * d],
+                            gbuf.user_row_mut(batch.users[a]),
+                        );
+                        let mut jj = 0;
+                        for c in 0..b {
+                            if c == a {
+                                continue;
+                            }
+                            let g = gs[jj];
+                            let s = ss[jj];
+                            jj += 1;
+                            if g == 0.0 {
+                                continue;
+                            }
+                            cosine_backward_into(
+                                g,
+                                s,
+                                &item_hat[c * d..(c + 1) * d],
+                                ua,
+                                item_norm[c],
+                                gbuf.item_row_mut(batch.pos[c]),
+                            );
+                        }
+                    }
+                }));
+            }
+            pool.run(jobs);
+        }
+
+        for sg in shard_grads.iter_mut() {
+            sg.merge_into(grads);
+            sg.clear();
+        }
+        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
+        grads.clear();
+        (out.loss, aux)
+    }
+
+    /// Hogwild version of the sampled step: pass 1 scores exactly like
+    /// [`Trainer::step_sampled_par`], then pass 2 workers chain gradients
+    /// from the cached unit vectors and apply plain-SGD updates **in
+    /// place** through a lock-free [`HogwildView`] — no gradient shards,
+    /// no merge, no Adam state. Racy and therefore non-reproducible;
+    /// `fit_backbone` only routes here for cosine-scored backbones whose
+    /// final embeddings are their parameters.
+    fn step_sampled_hogwild(
+        &self,
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        scratch: &mut StepScratch,
+        hyper: Hyper,
+        pool: &WorkerPool,
+    ) -> (f64, f64) {
+        let b = batch.len();
+        let m = batch.m;
+        let d = backbone.out_dim();
+        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "hogwild assumes cosine");
+        let chunks = row_chunks(b, pool.n_workers());
+
+        // Pass 1 — the exact path's sharded scoring, verbatim, over
+        // read-only embeddings (the batch barrier below means pass-2
+        // writes never race these reads).
+        {
+            let users = backbone.user_factors();
+            let items = backbone.item_factors();
+            pass1_sampled_scores(
+                pool,
+                &chunks,
+                batch,
+                users,
+                items,
+                TrainScore::Cosine,
+                scratch,
+                b,
+                m,
+                d,
+            );
+        }
+
+        let out = loss.compute(&ScoreBatch::new(
+            &scratch.pos_scores[..b],
+            &scratch.neg_scores[..b * m],
+            m,
+        ));
+
+        // Pass 2 — in-place lock-free SGD from the pass-1 unit-vector
+        // cache (embedding reads during the backward all come from
+        // scratch, so mid-pass updates never corrupt the chain rule; they
+        // only race other rows' updates, which is the Hogwild deal).
+        let (user_emb, item_emb) =
+            backbone.params_mut().expect("fit_backbone verified hogwild support");
+        let uview = HogwildView::new(user_emb);
+        let iview = HogwildView::new(item_emb);
+        {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            let out = &out;
+            let uview = &uview;
+            let iview = &iview;
+            let user_hat = &scratch.user_hat;
+            let user_norm = &scratch.user_norm;
+            let pos_hat = &scratch.pos_hat;
+            let pos_norm = &scratch.pos_norm;
+            let pos_scores = &scratch.pos_scores;
+            let neg_scores = &scratch.neg_scores;
+            let neg_hat = &scratch.neg_hat;
+            let neg_norms = &scratch.neg_norms;
+            for range in &chunks {
+                let range = range.clone();
+                jobs.push(Box::new(move || {
+                    let mut gbuf = vec![0.0f32; d];
+                    let mut prow = vec![0.0f32; d];
+                    for row in range {
+                        let u = batch.users[row];
+                        let i = batch.pos[row];
+                        let uhat = &user_hat[row * d..(row + 1) * d];
+                        let ihat = &pos_hat[row * d..(row + 1) * d];
+                        let g = out.grad_pos[row];
+                        let s = pos_scores[row];
+                        let gs = &out.grad_neg[row * m..(row + 1) * m];
+                        let ss = &neg_scores[row * m..(row + 1) * m];
+                        let nh = &neg_hat[row * m * d..(row + 1) * m * d];
+                        let nn = &neg_norms[row * m..(row + 1) * m];
+                        // User side: positive + whole negative block into
+                        // one local gradient row, then one apply.
+                        gbuf.fill(0.0);
+                        cosine_backward_into(g, s, uhat, ihat, user_norm[row], &mut gbuf);
+                        cosine_backward_block(gs, ss, uhat, user_norm[row], nh, &mut gbuf);
+                        hogwild_apply(uview, u, &gbuf, &mut prow, hyper);
+                        // Positive item.
+                        gbuf.fill(0.0);
+                        cosine_backward_into(g, s, ihat, uhat, pos_norm[row], &mut gbuf);
+                        hogwild_apply(iview, i, &gbuf, &mut prow, hyper);
+                        // Negative items.
+                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                            let gn = gs[jj];
+                            if gn == 0.0 {
+                                continue;
+                            }
+                            gbuf.fill(0.0);
+                            cosine_backward_into(
+                                gn,
+                                ss[jj],
+                                &nh[jj * d..(jj + 1) * d],
+                                uhat,
+                                nn[jj],
+                                &mut gbuf,
+                            );
+                            hogwild_apply(iview, j, &gbuf, &mut prow, hyper);
+                        }
+                    }
+                }));
+            }
+            pool.run(jobs);
+        }
+        (out.loss, 0.0)
+    }
+
+    /// Hogwild version of the in-batch step: pass 1 builds the `B × B`
+    /// similarity matrix exactly like [`Trainer::step_in_batch_par`], then
+    /// workers apply in-place SGD updates through a [`HogwildView`]. Item
+    /// rows receive one racy update per batch row that uses them as a
+    /// negative (instead of one merged update), which is the Hogwild
+    /// approximation at its most contended.
+    fn step_in_batch_hogwild(
+        &self,
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        scratch: &mut StepScratch,
+        hyper: Hyper,
+        pool: &WorkerPool,
+    ) -> (f64, f64) {
+        let b = batch.len();
+        let m = b - 1;
+        let d = backbone.out_dim();
+        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
+        let chunks = row_chunks(b, pool.n_workers());
+
+        // Pass 1 — the exact path's blocked gather-normalize + similarity
+        // rows, verbatim.
+        {
+            let users = backbone.user_factors();
+            let items = backbone.item_factors();
+            pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
+        }
+
+        for a in 0..b {
+            scratch.pos_scores[a] = scratch.sims[a * b + a];
+            let mut jj = 0;
+            for c in 0..b {
+                if c != a {
+                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
+                    jj += 1;
+                }
+            }
+        }
+        let out = loss.compute(&ScoreBatch::new(
+            &scratch.pos_scores[..b],
+            &scratch.neg_scores[..b * m],
+            m,
+        ));
+
+        // Pass 2 — in-place lock-free SGD from the cached unit vectors.
+        let (user_emb, item_emb) =
+            backbone.params_mut().expect("fit_backbone verified hogwild support");
+        let uview = HogwildView::new(user_emb);
+        let iview = HogwildView::new(item_emb);
+        {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            let out = &out;
+            let uview = &uview;
+            let iview = &iview;
+            let user_hat = &scratch.user_hat;
+            let item_hat = &scratch.pos_hat;
+            let user_norm = &scratch.user_norm;
+            let item_norm = &scratch.pos_norm;
+            let pos_scores = &scratch.pos_scores;
+            let neg_scores = &scratch.neg_scores;
+            for range in &chunks {
+                let range = range.clone();
+                jobs.push(Box::new(move || {
+                    let mut gbuf = vec![0.0f32; d];
+                    let mut prow = vec![0.0f32; d];
+                    for a in range {
+                        let ua = &user_hat[a * d..(a + 1) * d];
+                        let ia = &item_hat[a * d..(a + 1) * d];
+                        let g = out.grad_pos[a];
+                        let s = pos_scores[a];
+                        let gs = &out.grad_neg[a * m..(a + 1) * m];
+                        let ss = &neg_scores[a * m..(a + 1) * m];
+                        // User side: positive + the two contiguous item
+                        // halves around the diagonal, one apply.
+                        gbuf.fill(0.0);
+                        cosine_backward_into(g, s, ua, ia, user_norm[a], &mut gbuf);
+                        cosine_backward_block(
+                            &gs[..a],
+                            &ss[..a],
+                            ua,
+                            user_norm[a],
+                            &item_hat[..a * d],
+                            &mut gbuf,
+                        );
+                        cosine_backward_block(
+                            &gs[a..],
+                            &ss[a..],
+                            ua,
+                            user_norm[a],
+                            &item_hat[(a + 1) * d..b * d],
+                            &mut gbuf,
+                        );
+                        hogwild_apply(uview, batch.users[a], &gbuf, &mut prow, hyper);
+                        // Own positive item.
+                        gbuf.fill(0.0);
+                        cosine_backward_into(g, s, ia, ua, item_norm[a], &mut gbuf);
+                        hogwild_apply(iview, batch.pos[a], &gbuf, &mut prow, hyper);
+                        // Other rows' positives used as negatives here.
+                        let mut jj = 0;
+                        for c in 0..b {
+                            if c == a {
+                                continue;
+                            }
+                            let gn = gs[jj];
+                            let sn = ss[jj];
+                            jj += 1;
+                            if gn == 0.0 {
+                                continue;
+                            }
+                            gbuf.fill(0.0);
+                            cosine_backward_into(
+                                gn,
+                                sn,
+                                &item_hat[c * d..(c + 1) * d],
+                                ua,
+                                item_norm[c],
+                                &mut gbuf,
+                            );
+                            hogwild_apply(iview, batch.pos[c], &gbuf, &mut prow, hyper);
+                        }
+                    }
+                }));
+            }
+            pool.run(jobs);
+        }
+        (out.loss, 0.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsl_data::synth::{generate, SynthConfig};
+    use bsl_losses::LossConfig;
+    use bsl_models::BackboneConfig;
+
+    fn tiny() -> Arc<Dataset> {
+        Arc::new(generate(&SynthConfig::tiny(1)))
+    }
+
+    fn random_baseline(ds: &Arc<Dataset>) -> f64 {
+        // NDCG of untrained Xavier embeddings.
+        let mut rng = StdRng::seed_from_u64(999);
+        let u = Matrix::xavier_uniform(ds.n_users, 16, &mut rng);
+        let i = Matrix::xavier_uniform(ds.n_items, 16, &mut rng);
+        bsl_eval::evaluate(ds, &u, &i, EvalScore::Cosine, &[20]).ndcg(20)
+    }
+
+    #[test]
+    fn mf_sl_learns_signal() {
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 12, ..TrainConfig::smoke() };
+        let out = Trainer::new(cfg).fit(&ds);
+        let chance = random_baseline(&ds);
+        assert!(
+            out.best.ndcg(20) > chance * 2.0,
+            "trained NDCG {:.4} vs random {:.4}",
+            out.best.ndcg(20),
+            chance
+        );
+        assert_eq!(out.history.len() as i64, 12);
+    }
+
+    #[test]
+    fn mf_bsl_learns_signal() {
+        let ds = tiny();
+        // τ1 well above τ2: at this tiny scale the margins z_b spread over
+        // several units, so a too-small τ1 concentrates the row weights and
+        // slows early epochs (the same effect Fig 13 shows for tiny τ1/τ2).
+        let cfg = TrainConfig {
+            loss: LossConfig::Bsl { tau1: 0.5, tau2: 0.15 },
+            epochs: 12,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20) > random_baseline(&ds) * 2.0);
+    }
+
+    #[test]
+    fn lightgcn_bpr_learns_signal() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            backbone: BackboneConfig::LightGcn { layers: 2 },
+            loss: LossConfig::Bpr,
+            epochs: 10,
+            negatives: 4,
+            lr: 0.05,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20) > random_baseline(&ds) * 1.5);
+    }
+
+    #[test]
+    fn in_batch_sampling_learns_signal() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            sampling: SamplingConfig::InBatch,
+            batch_size: 64,
+            epochs: 10,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20) > random_baseline(&ds) * 1.5);
+    }
+
+    #[test]
+    fn cml_path_trains_and_evaluates() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            backbone: BackboneConfig::Cml,
+            loss: LossConfig::Hinge { margin: 0.5 },
+            epochs: 10,
+            lr: 0.05,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert_eq!(out.eval_score, bsl_models::EvalScore::NegSqDist);
+        assert!(out.best.ndcg(20).is_finite());
+        assert!(out.best.ndcg(20) > 0.0);
+    }
+
+    #[test]
+    fn deterministic_in_seed() {
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 3, ..TrainConfig::smoke() };
+        let a = Trainer::new(cfg).fit(&ds);
+        let b = Trainer::new(cfg).fit(&ds);
+        assert_eq!(a.best.ndcg(20), b.best.ndcg(20));
+        assert_eq!(a.user_emb.as_slice(), b.user_emb.as_slice());
+    }
+
+    #[test]
+    fn threads_one_replays_bit_for_bit() {
+        // `threads: 1` is the historical serial path; two runs (and the
+        // default config, which pins threads = 1) must agree bit-for-bit.
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 3, threads: 1, ..TrainConfig::smoke() };
+        let a = Trainer::new(cfg).fit(&ds);
+        let b = Trainer::new(cfg).fit(&ds);
+        let default_cfg = Trainer::new(TrainConfig { epochs: 3, ..TrainConfig::smoke() }).fit(&ds);
+        assert_eq!(a.user_emb.as_slice(), b.user_emb.as_slice());
+        assert_eq!(a.item_emb.as_slice(), b.item_emb.as_slice());
+        assert_eq!(a.user_emb.as_slice(), default_cfg.user_emb.as_slice());
+        assert_eq!(a.best.ndcg(20), default_cfg.best.ndcg(20));
+    }
+
+    #[test]
+    fn parallel_trainer_is_deterministic_per_thread_count() {
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 3, threads: 3, ..TrainConfig::smoke() };
+        let a = Trainer::new(cfg).fit(&ds);
+        let b = Trainer::new(cfg).fit(&ds);
+        assert_eq!(a.user_emb.as_slice(), b.user_emb.as_slice());
+        assert_eq!(a.best.ndcg(20), b.best.ndcg(20));
+    }
+
+    #[test]
+    fn sharded_step_matches_serial_math_on_identical_batches() {
+        // With a single batch per epoch, every batch index maps to shard 0,
+        // whose RNG stream continues the shuffle stream — i.e. the sampled
+        // negatives are *identical* to the serial iterator's. Any remaining
+        // difference is purely the sharded step's f32 reduction order.
+        let ds = tiny();
+        let one_batch = TrainConfig {
+            epochs: 3,
+            batch_size: 100_000, // the whole epoch in one batch
+            ..TrainConfig::smoke()
+        };
+        let serial = Trainer::new(TrainConfig { threads: 1, ..one_batch }).fit(&ds);
+        let sharded = Trainer::new(TrainConfig { threads: 4, ..one_batch }).fit(&ds);
+        for (epoch_s, epoch_p) in serial.history.iter().zip(sharded.history.iter()) {
+            assert!(
+                (epoch_s.loss - epoch_p.loss).abs() < 1e-4 * (1.0 + epoch_s.loss.abs()),
+                "epoch {} loss {} vs {}",
+                epoch_s.epoch,
+                epoch_s.loss,
+                epoch_p.loss
+            );
+        }
+        let max_diff = serial
+            .user_emb
+            .as_slice()
+            .iter()
+            .zip(sharded.user_emb.as_slice())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(max_diff < 1e-3, "embeddings drifted {max_diff} beyond f32 reduction noise");
+    }
+
+    #[test]
+    fn parallel_ndcg_within_tolerance_of_serial() {
+        // Different shard counts run different negative-sampling streams,
+        // so metrics move like a seed change — bounded, not bit-equal.
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 12, ..TrainConfig::smoke() };
+        let serial = Trainer::new(TrainConfig { threads: 1, ..cfg }).fit(&ds);
+        let parallel = Trainer::new(TrainConfig { threads: 4, ..cfg }).fit(&ds);
+        let chance = random_baseline(&ds);
+        assert!(parallel.best.ndcg(20) > chance * 2.0, "parallel run failed to learn");
+        let gap = (serial.best.ndcg(20) - parallel.best.ndcg(20)).abs();
+        assert!(
+            gap < 0.15,
+            "serial {:.4} vs parallel {:.4} NDCG@20 gap {gap:.4}",
+            serial.best.ndcg(20),
+            parallel.best.ndcg(20)
+        );
+    }
+
+    #[test]
+    fn parallel_in_batch_sampling_learns_signal() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            sampling: SamplingConfig::InBatch,
+            batch_size: 64,
+            epochs: 10,
+            threads: 3,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20) > random_baseline(&ds) * 1.5);
+    }
+
+    #[test]
+    fn parallel_cml_path_trains() {
+        // Exercises the NegSqDist branch of the sharded step.
+        let ds = tiny();
+        let cfg = TrainConfig {
+            backbone: BackboneConfig::Cml,
+            loss: LossConfig::Hinge { margin: 0.5 },
+            epochs: 6,
+            lr: 0.05,
+            threads: 2,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20).is_finite());
+        assert!(out.best.ndcg(20) > 0.0);
+    }
+
+    #[test]
+    fn auto_threads_runs() {
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 2, threads: 0, ..TrainConfig::smoke() };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20).is_finite());
+    }
+
+    #[test]
+    fn early_stopping_can_truncate() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            epochs: 40,
+            eval_every: 1,
+            patience: 2,
+            lr: 0.1, // aggressive LR so NDCG plateaus/oscillates early
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.history.len() <= 40);
+        assert!(!out.eval_history.is_empty());
+    }
+
+    #[test]
+    fn evaluate_on_matches_best_report() {
+        let ds = tiny();
+        let cfg = TrainConfig { epochs: 4, ..TrainConfig::smoke() };
+        let out = Trainer::new(cfg).fit(&ds);
+        let re = out.evaluate_on(&ds, &[20]);
+        assert!((re.ndcg(20) - out.best.ndcg(20)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn noisy_sampling_config_runs() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            sampling: SamplingConfig::Noisy { r_noise: 2.0 },
+            epochs: 3,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20).is_finite());
+    }
+
+    #[test]
+    fn popularity_sampling_config_runs() {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            sampling: SamplingConfig::Popularity { alpha: 1.0 },
+            epochs: 3,
+            ..TrainConfig::smoke()
+        };
+        let out = Trainer::new(cfg).fit(&ds);
+        assert!(out.best.ndcg(20).is_finite());
+    }
+}

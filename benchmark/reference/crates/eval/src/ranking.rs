@@ -1,0 +1,251 @@
+//! Full-catalogue ranking evaluation through the frozen artifact path.
+//!
+//! Evaluation is "serving plus ground truth": every user's catalogue is
+//! scored by [`ModelArtifact::score_catalogue_into`] — the same blocked
+//! kernel `bsl-serve` answers requests with — and the resulting top-k is
+//! compared against the test split. Raw embedding matrices are accepted
+//! via [`evaluate`], which freezes them into an ad-hoc artifact first, so
+//! there is exactly one scoring implementation in the workspace.
+
+use crate::metrics::{user_metrics, MetricSet};
+use bsl_data::Dataset;
+use bsl_linalg::topk::TopK;
+use bsl_models::{EvalScore, ModelArtifact};
+
+/// Evaluation report: one [`MetricSet`] per requested cutoff.
+#[derive(Clone, Debug)]
+pub struct EvalReport {
+    /// The cutoffs, in the order requested.
+    pub ks: Vec<usize>,
+    /// Mean metrics at each cutoff.
+    pub at: Vec<MetricSet>,
+}
+
+impl EvalReport {
+    /// The metrics at cutoff `k`.
+    ///
+    /// # Panics
+    /// Panics if `k` was not evaluated.
+    pub fn at_k(&self, k: usize) -> &MetricSet {
+        let idx = self
+            .ks
+            .iter()
+            .position(|&x| x == k)
+            .unwrap_or_else(|| panic!("cutoff {k} was not evaluated (have {:?})", self.ks));
+        &self.at[idx]
+    }
+
+    /// Shorthand for `Recall@k`.
+    pub fn recall(&self, k: usize) -> f64 {
+        self.at_k(k).recall
+    }
+
+    /// Shorthand for `NDCG@k`.
+    pub fn ndcg(&self, k: usize) -> f64 {
+        self.at_k(k).ndcg
+    }
+}
+
+impl std::fmt::Display for EvalReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (k, m) in self.ks.iter().zip(self.at.iter()) {
+            writeln!(
+                f,
+                "@{k:<3} recall {:.4}  ndcg {:.4}  precision {:.4}  hit {:.4}  map {:.4}",
+                m.recall, m.ndcg, m.precision, m.hit_rate, m.map
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Evaluates a frozen [`ModelArtifact`] on `ds`'s test split at each cutoff
+/// in `ks`, averaging over users with at least one test interaction.
+/// Training items are masked out of the ranking (the standard CF
+/// protocol). The artifact's tables are served as-is — no per-call
+/// normalization or augmentation is repaid here.
+///
+/// Work is distributed over scoped threads (one chunk of users each), with
+/// per-thread score and top-k scratch.
+///
+/// # Panics
+/// Panics if `ks` is empty or the artifact's shape disagrees with `ds`.
+pub fn evaluate_artifact(ds: &Dataset, artifact: &ModelArtifact, ks: &[usize]) -> EvalReport {
+    assert!(!ks.is_empty(), "need at least one cutoff");
+    assert_eq!(artifact.n_users(), ds.n_users, "artifact user rows != n_users");
+    assert_eq!(artifact.n_items(), ds.n_items, "artifact item rows != n_items");
+    let max_k = *ks.iter().max().expect("non-empty ks");
+
+    let users = ds.evaluable_users();
+    let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
+    let chunk = users.len().div_ceil(n_threads.max(1)).max(1);
+
+    let mut partials: Vec<Vec<MetricSet>> = Vec::new();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for block in users.chunks(chunk) {
+            handles.push(scope.spawn(move || {
+                let mut acc = vec![MetricSet::default(); ks.len()];
+                let mut scores: Vec<f32> = Vec::new();
+                let mut topk = TopK::new();
+                let mut ranked: Vec<u32> = Vec::new();
+                for &u in block {
+                    artifact.score_catalogue_into(u, &mut scores);
+                    let train = ds.train_items(u as usize);
+                    topk.select_masked_into(
+                        &scores,
+                        max_k,
+                        |i| train.binary_search(&(i as u32)).is_ok(),
+                        &mut ranked,
+                    );
+                    let relevant = ds.test_items(u as usize);
+                    for (slot, &k) in acc.iter_mut().zip(ks.iter()) {
+                        slot.accumulate(&user_metrics(&ranked, relevant, k));
+                    }
+                }
+                acc
+            }));
+        }
+        for h in handles {
+            partials.push(h.join().expect("evaluation worker panicked"));
+        }
+    });
+
+    let mut at = vec![MetricSet::default(); ks.len()];
+    for part in &partials {
+        for (slot, p) in at.iter_mut().zip(part.iter()) {
+            slot.merge(p);
+        }
+    }
+    for slot in &mut at {
+        slot.finalize();
+    }
+    EvalReport { ks: ks.to_vec(), at }
+}
+
+/// Evaluates raw embedding matrices under `score` by freezing them into an
+/// ad-hoc artifact (normalizing / augmenting once) and ranking through
+/// [`evaluate_artifact`]. Use this for embeddings that never pass through
+/// a [`Backbone`](bsl_models::Backbone), e.g. the ENMF/UltraGCN baselines;
+/// trained models should export an artifact instead and evaluate that.
+///
+/// # Panics
+/// Panics if `ks` is empty or embedding shapes disagree with the dataset.
+pub fn evaluate(
+    ds: &Dataset,
+    user_emb: &bsl_linalg::Matrix,
+    item_emb: &bsl_linalg::Matrix,
+    score: EvalScore,
+    ks: &[usize],
+) -> EvalReport {
+    assert_eq!(user_emb.rows(), ds.n_users, "user embedding rows != n_users");
+    assert_eq!(item_emb.rows(), ds.n_items, "item embedding rows != n_items");
+    let artifact = ModelArtifact::from_embeddings("adhoc", user_emb, item_emb, score);
+    evaluate_artifact(ds, &artifact, ks)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsl_data::synth::{generate, SynthConfig};
+    use bsl_linalg::Matrix;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A dataset where item embeddings are one-hot indicators of the test
+    /// items: the oracle ranking must achieve perfect recall.
+    #[test]
+    fn oracle_embeddings_score_perfectly() {
+        let ds = Dataset::from_pairs("oracle", 2, 4, &[(0, 0), (1, 1)], &[(0, 2), (1, 3)]);
+        // dim = n_items; user u's vector = indicator of its test item.
+        let mut users = Matrix::zeros(2, 4);
+        users.set(0, 2, 1.0);
+        users.set(1, 3, 1.0);
+        let items = Matrix::from_fn(4, 4, |r, c| if r == c { 1.0 } else { 0.0 });
+        let rep = evaluate(&ds, &users, &items, EvalScore::Dot, &[1, 2]);
+        assert!((rep.recall(1) - 1.0).abs() < 1e-12);
+        assert!((rep.ndcg(1) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn train_items_are_masked() {
+        // User 0 trains on item 0 whose score would dominate.
+        let ds = Dataset::from_pairs("mask", 1, 3, &[(0, 0)], &[(0, 1)]);
+        let users = Matrix::from_vec(1, 1, vec![1.0]);
+        // Item scores: item0 = 10, item1 = 2, item2 = 1.
+        let items = Matrix::from_vec(3, 1, vec![10.0, 2.0, 1.0]);
+        let rep = evaluate(&ds, &users, &items, EvalScore::Dot, &[1]);
+        assert!((rep.recall(1) - 1.0).abs() < 1e-12, "train item must be excluded");
+    }
+
+    #[test]
+    fn cosine_ignores_magnitude() {
+        let ds = Dataset::from_pairs("cos", 1, 2, &[], &[(0, 0)]);
+        let users = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
+        // Item 0 aligned but tiny; item 1 misaligned but huge.
+        let items = Matrix::from_vec(2, 2, vec![0.01, 0.0, 5.0, 8.0]);
+        let rep = evaluate(&ds, &users, &items, EvalScore::Cosine, &[1]);
+        assert!((rep.recall(1) - 1.0).abs() < 1e-12);
+        let rep_dot = evaluate(&ds, &users, &items, EvalScore::Dot, &[1]);
+        assert_eq!(rep_dot.recall(1), 0.0);
+    }
+
+    #[test]
+    fn negsqdist_ranks_by_proximity() {
+        // Item 1 is closest to the user; item 0 has the larger dot product.
+        let ds = Dataset::from_pairs("dist", 1, 2, &[], &[(0, 1)]);
+        let users = Matrix::from_vec(1, 1, vec![1.0]);
+        let items = Matrix::from_vec(2, 1, vec![5.0, 1.2]);
+        let rep = evaluate(&ds, &users, &items, EvalScore::NegSqDist, &[1]);
+        assert!((rep.recall(1) - 1.0).abs() < 1e-12);
+        let rep_dot = evaluate(&ds, &users, &items, EvalScore::Dot, &[1]);
+        assert_eq!(rep_dot.recall(1), 0.0);
+    }
+
+    #[test]
+    fn random_embeddings_score_near_chance() {
+        let ds = generate(&SynthConfig::tiny(3));
+        let mut rng = StdRng::seed_from_u64(0);
+        let users = Matrix::gaussian(ds.n_users, 8, 1.0, &mut rng);
+        let items = Matrix::gaussian(ds.n_items, 8, 1.0, &mut rng);
+        let rep = evaluate(&ds, &users, &items, EvalScore::Dot, &[10]);
+        // Chance recall@10 ≈ 10/n_items ≈ 0.2 for the tiny config; random
+        // embeddings must stay in the same ballpark, far below 1.
+        assert!(rep.recall(10) < 0.5, "recall {}", rep.recall(10));
+        assert!(rep.at_k(10).n_users > 0);
+    }
+
+    #[test]
+    fn parallel_eval_is_deterministic() {
+        let ds = generate(&SynthConfig::tiny(5));
+        let mut rng = StdRng::seed_from_u64(1);
+        let users = Matrix::gaussian(ds.n_users, 8, 1.0, &mut rng);
+        let items = Matrix::gaussian(ds.n_items, 8, 1.0, &mut rng);
+        let a = evaluate(&ds, &users, &items, EvalScore::Cosine, &[5, 20]);
+        let b = evaluate(&ds, &users, &items, EvalScore::Cosine, &[5, 20]);
+        assert_eq!(a.at_k(20), b.at_k(20));
+        assert_eq!(a.at_k(5), b.at_k(5));
+    }
+
+    #[test]
+    fn artifact_eval_equals_raw_embedding_eval() {
+        let ds = generate(&SynthConfig::tiny(7));
+        let mut rng = StdRng::seed_from_u64(4);
+        let users = Matrix::gaussian(ds.n_users, 8, 1.0, &mut rng);
+        let items = Matrix::gaussian(ds.n_items, 8, 1.0, &mut rng);
+        for score in [EvalScore::Dot, EvalScore::Cosine, EvalScore::NegSqDist] {
+            let art = ModelArtifact::from_embeddings("MF", &users, &items, score);
+            let via_art = evaluate_artifact(&ds, &art, &[10, 20]);
+            let via_raw = evaluate(&ds, &users, &items, score, &[10, 20]);
+            assert_eq!(via_art.at_k(20), via_raw.at_k(20), "{score:?}");
+            assert_eq!(via_art.at_k(10), via_raw.at_k(10), "{score:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was not evaluated")]
+    fn report_rejects_unknown_cutoff() {
+        let rep = EvalReport { ks: vec![10], at: vec![MetricSet::default()] };
+        let _ = rep.at_k(20);
+    }
+}

@@ -1,0 +1,1951 @@
+//! Runtime-dispatched SIMD kernels and their blocked (batch) forms.
+//!
+//! Three implementations of every hot kernel live here:
+//!
+//! * [`scalar`] — the original plain loops, kept verbatim as the bit-exact
+//!   reference. Forcing this level (`BSL_SIMD=scalar`) reproduces the
+//!   historical trainer output bit for bit.
+//! * `portable` — 8-lane unrolled loops with independent accumulators on
+//!   stable Rust (`chunks_exact(8)` + scalar tail). The compiler
+//!   auto-vectorizes these on any target; this is the fallback when no
+//!   intrinsic path applies.
+//! * `avx2` — AVX2 + FMA intrinsics (`x86_64` only), selected at runtime
+//!   via `is_x86_feature_detected!`.
+//!
+//! The level is resolved **once** (first kernel call) and cached; the
+//! `BSL_SIMD` environment variable (`scalar` | `portable` | `avx2`)
+//! overrides detection for debugging and determinism work, and
+//! [`force`] pins it programmatically (tests use this — each integration
+//! test binary is its own process, so a forced level cannot leak).
+//!
+//! On top of the element kernels sit *blocked* kernels
+//! ([`normalize_rows_into`], [`normalize_gather_into`], [`scores_block`],
+//! [`cosine_backward_block`], [`adam_update`], [`sgd_momentum_update`])
+//! that amortize dispatch and normalization over whole batches; the
+//! trainer, evaluator, SpMM and optimizers all route through them. At the [`SimdLevel::Scalar`] level every blocked kernel degrades
+//! to the exact per-element loop order of the pre-SIMD implementations, so
+//! forced-scalar runs stay bit-identical to the historical code; the SIMD
+//! levels reassociate float reductions and use FMA, which agrees with
+//! scalar within `1e-4` relative tolerance (property-tested below).
+
+use crate::Matrix;
+use std::sync::OnceLock;
+
+/// Which kernel implementation the process dispatches to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SimdLevel {
+    /// Original plain loops — the bit-exact reference implementation.
+    Scalar,
+    /// 8-lane unrolled, multi-accumulator stable-Rust loops.
+    Portable,
+    /// AVX2 + FMA intrinsics (`x86_64` with runtime feature detection).
+    Avx2Fma,
+}
+
+impl std::fmt::Display for SimdLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SimdLevel::Scalar => "scalar",
+            SimdLevel::Portable => "portable",
+            SimdLevel::Avx2Fma => "avx2+fma",
+        })
+    }
+}
+
+static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
+
+fn parse_level(s: &str) -> Option<SimdLevel> {
+    match s {
+        "scalar" => Some(SimdLevel::Scalar),
+        "portable" => Some(SimdLevel::Portable),
+        "avx2" => Some(SimdLevel::Avx2Fma),
+        _ => None,
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2_available() -> bool {
+    false
+}
+
+fn detect() -> SimdLevel {
+    if let Ok(v) = std::env::var("BSL_SIMD") {
+        match parse_level(&v) {
+            Some(SimdLevel::Avx2Fma) if !avx2_available() => {
+                eprintln!("BSL_SIMD=avx2 requested but AVX2+FMA not detected; using portable");
+                return SimdLevel::Portable;
+            }
+            Some(lv) => return lv,
+            None => eprintln!("BSL_SIMD={v} not recognized (scalar|portable|avx2); auto-detecting"),
+        }
+    }
+    if avx2_available() {
+        SimdLevel::Avx2Fma
+    } else {
+        SimdLevel::Portable
+    }
+}
+
+/// The dispatch level every kernel in this process uses (cached on first
+/// call; see the module docs for the `BSL_SIMD` override).
+#[inline]
+pub fn active() -> SimdLevel {
+    *LEVEL.get_or_init(detect)
+}
+
+/// Pins the dispatch level before first kernel use.
+///
+/// Returns `Err(current)` when a *different* level is already cached
+/// (kernels have run, or another caller forced first). Forcing
+/// [`SimdLevel::Avx2Fma`] on hardware without it is clamped to portable.
+pub fn force(level: SimdLevel) -> Result<(), SimdLevel> {
+    let level =
+        if level == SimdLevel::Avx2Fma && !avx2_available() { SimdLevel::Portable } else { level };
+    match LEVEL.set(level) {
+        Ok(()) => Ok(()),
+        Err(_) => {
+            let cur = active();
+            if cur == level {
+                Ok(())
+            } else {
+                Err(cur)
+            }
+        }
+    }
+}
+
+/// The bit-exact reference kernels (the pre-SIMD implementations,
+/// verbatim). Blocked kernels at [`SimdLevel::Scalar`] reduce to loops
+/// over these in the historical order.
+pub mod scalar {
+    /// Reference dot product (in-order accumulation).
+    #[inline]
+    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut acc = 0.0f32;
+        for (x, y) in a.iter().zip(b.iter()) {
+            acc += x * y;
+        }
+        acc
+    }
+
+    /// Reference `y += alpha * x`.
+    #[inline]
+    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+        debug_assert_eq!(x.len(), y.len());
+        for (yi, xi) in y.iter_mut().zip(x.iter()) {
+            *yi += alpha * xi;
+        }
+    }
+
+    /// Reference `y *= alpha`.
+    #[inline]
+    pub fn scale(alpha: f32, y: &mut [f32]) {
+        for yi in y.iter_mut() {
+            *yi *= alpha;
+        }
+    }
+
+    /// Reference squared Euclidean distance.
+    #[inline]
+    pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut acc = 0.0f32;
+        for (x, y) in a.iter().zip(b.iter()) {
+            let d = x - y;
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// Reference `out = x / max(||x||, eps)`, returning `||x||`.
+    #[inline]
+    pub fn normalize_into(x: &[f32], out: &mut [f32]) -> f32 {
+        let n = dot(x, x).max(0.0).sqrt();
+        let inv = 1.0 / n.max(1e-12);
+        for (o, xi) in out.iter_mut().zip(x.iter()) {
+            *o = xi * inv;
+        }
+        n
+    }
+
+    /// Reference cosine backward (see [`crate::kernels::cosine_backward_into`]).
+    #[inline]
+    pub fn cosine_backward_into(
+        g: f32,
+        s: f32,
+        a_hat: &[f32],
+        b_hat: &[f32],
+        a_norm: f32,
+        grad_a: &mut [f32],
+    ) {
+        let inv = 1.0 / a_norm.max(1e-12);
+        for ((ga, &bh), &ah) in grad_a.iter_mut().zip(b_hat.iter()).zip(a_hat.iter()) {
+            *ga += g * (bh - s * ah) * inv;
+        }
+    }
+
+    /// Reference fused Adam row update: first-moment EMA, second-moment
+    /// EMA, bias-corrected parameter step — three in-order passes exactly
+    /// matching the pre-SIMD `Adam::update_row`/`step_dense` loops.
+    #[allow(clippy::too_many_arguments)] // mirrors the Adam hyperparameter set
+    #[inline]
+    pub fn adam_update(
+        param: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        bc1: f32,
+        bc2: f32,
+        eps: f32,
+    ) {
+        for (mi, &gi) in m.iter_mut().zip(g.iter()) {
+            *mi = beta1 * *mi + (1.0 - beta1) * gi;
+        }
+        for (vi, &gi) in v.iter_mut().zip(g.iter()) {
+            *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+        }
+        for ((p, &mi), &vi) in param.iter_mut().zip(m.iter()).zip(v.iter()) {
+            let m_hat = mi / bc1;
+            let v_hat = vi / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    /// Reference fused momentum-SGD update: `v ← μ·v + g`, `p ← p − lr·v`
+    /// in one pass — exactly the pre-SIMD `Sgd::step_dense` loop.
+    #[inline]
+    pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
+        for ((p, vi), &gi) in param.iter_mut().zip(v.iter_mut()).zip(g.iter()) {
+            *vi = mu * *vi + gi;
+            *p -= lr * *vi;
+        }
+    }
+
+    /// Reference fused int8→f32 dequantize-dot: `scale · Σ q[j]·row[j]`,
+    /// widening each quantized value in the accumulation loop (no
+    /// materialized f32 row). The one scale multiply happens after the
+    /// reduction, so the quantization grid never re-rounds per element.
+    #[inline]
+    pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
+        debug_assert_eq!(q.len(), row.len());
+        let mut acc = 0.0f32;
+        for (x, &b) in q.iter().zip(row.iter()) {
+            acc += x * b as f32;
+        }
+        acc * scale
+    }
+}
+
+/// 8-lane unrolled stable-Rust kernels: independent per-lane accumulators
+/// over `chunks_exact(8)` with a scalar tail. Reduction order differs from
+/// [`scalar`] (pairwise lane fold), so results agree within float
+/// tolerance, not bitwise.
+mod portable {
+    #[inline]
+    fn fold8(lanes: [f32; 8]) -> f32 {
+        ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
+            + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]))
+    }
+
+    #[inline]
+    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut lanes = [0.0f32; 8];
+        let mut ac = a.chunks_exact(8);
+        let mut bc = b.chunks_exact(8);
+        for (ca, cb) in (&mut ac).zip(&mut bc) {
+            for k in 0..8 {
+                lanes[k] += ca[k] * cb[k];
+            }
+        }
+        let mut acc = fold8(lanes);
+        for (x, y) in ac.remainder().iter().zip(bc.remainder().iter()) {
+            acc += x * y;
+        }
+        acc
+    }
+
+    #[inline]
+    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+        debug_assert_eq!(x.len(), y.len());
+        let mut xc = x.chunks_exact(8);
+        let mut yc = y.chunks_exact_mut(8);
+        for (cx, cy) in (&mut xc).zip(&mut yc) {
+            for k in 0..8 {
+                cy[k] += alpha * cx[k];
+            }
+        }
+        for (xi, yi) in xc.remainder().iter().zip(yc.into_remainder().iter_mut()) {
+            *yi += alpha * xi;
+        }
+    }
+
+    #[inline]
+    pub fn scale(alpha: f32, y: &mut [f32]) {
+        for yi in y.iter_mut() {
+            *yi *= alpha;
+        }
+    }
+
+    #[inline]
+    pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut lanes = [0.0f32; 8];
+        let mut ac = a.chunks_exact(8);
+        let mut bc = b.chunks_exact(8);
+        for (ca, cb) in (&mut ac).zip(&mut bc) {
+            for k in 0..8 {
+                let d = ca[k] - cb[k];
+                lanes[k] += d * d;
+            }
+        }
+        let mut acc = fold8(lanes);
+        for (x, y) in ac.remainder().iter().zip(bc.remainder().iter()) {
+            let d = x - y;
+            acc += d * d;
+        }
+        acc
+    }
+
+    /// `out = x * inv` (the elementwise half of normalization).
+    #[inline]
+    pub fn scale_into(inv: f32, x: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(x.len(), out.len());
+        for (o, xi) in out.iter_mut().zip(x.iter()) {
+            *o = xi * inv;
+        }
+    }
+
+    #[inline]
+    pub fn normalize_into(x: &[f32], out: &mut [f32]) -> f32 {
+        let n = dot(x, x).max(0.0).sqrt();
+        let inv = 1.0 / n.max(1e-12);
+        scale_into(inv, x, out);
+        n
+    }
+
+    /// `grad_a += c1·b_hat − c2·a_hat` with `c1 = g/||a||`,
+    /// `c2 = g·s/||a||` hoisted out of the loop.
+    #[inline]
+    pub fn cosine_backward_into(
+        g: f32,
+        s: f32,
+        a_hat: &[f32],
+        b_hat: &[f32],
+        a_norm: f32,
+        grad_a: &mut [f32],
+    ) {
+        let inv = 1.0 / a_norm.max(1e-12);
+        let c1 = g * inv;
+        let c2 = g * s * inv;
+        let mut bc = b_hat.chunks_exact(8);
+        let mut ac = a_hat.chunks_exact(8);
+        let mut gc = grad_a.chunks_exact_mut(8);
+        for ((cb, ca), cg) in (&mut bc).zip(&mut ac).zip(&mut gc) {
+            for k in 0..8 {
+                cg[k] += c1 * cb[k] - c2 * ca[k];
+            }
+        }
+        for ((bh, ah), ga) in
+            bc.remainder().iter().zip(ac.remainder().iter()).zip(gc.into_remainder().iter_mut())
+        {
+            *ga += c1 * bh - c2 * ah;
+        }
+    }
+
+    /// Single-pass fused Adam row update (same math as
+    /// [`super::scalar::adam_update`], per-element fusion reassociates
+    /// nothing — only the SIMD lanes do).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn adam_update(
+        param: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        bc1: f32,
+        bc2: f32,
+        eps: f32,
+    ) {
+        for ((p, mi), (vi, &gi)) in
+            param.iter_mut().zip(m.iter_mut()).zip(v.iter_mut().zip(g.iter()))
+        {
+            *mi = beta1 * *mi + (1.0 - beta1) * gi;
+            *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+            let m_hat = *mi / bc1;
+            let v_hat = *vi / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    /// Fused momentum-SGD update (identical per-element ops to
+    /// [`super::scalar::sgd_momentum_update`]; the compiler vectorizes).
+    #[inline]
+    pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
+        super::scalar::sgd_momentum_update(param, v, g, lr, mu);
+    }
+
+    /// 8-lane unrolled int8→f32 dequantize-dot (per-lane widening, lane
+    /// fold, one trailing scale multiply).
+    #[inline]
+    pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
+        debug_assert_eq!(q.len(), row.len());
+        let mut lanes = [0.0f32; 8];
+        let mut qc = q.chunks_exact(8);
+        let mut rc = row.chunks_exact(8);
+        for (cq, cr) in (&mut qc).zip(&mut rc) {
+            for k in 0..8 {
+                lanes[k] += cq[k] * cr[k] as f32;
+            }
+        }
+        let mut acc = fold8(lanes);
+        for (x, &b) in qc.remainder().iter().zip(rc.remainder().iter()) {
+            acc += x * b as f32;
+        }
+        acc * scale
+    }
+}
+
+/// AVX2 + FMA intrinsic kernels.
+///
+/// # Safety
+/// Every `#[target_feature]` function here is only reachable through the
+/// dispatch tables after `is_x86_feature_detected!("avx2")` and `("fma")`
+/// both returned true (see [`detect`]/[`force`]), so the safe wrappers'
+/// `unsafe` blocks uphold the ISA precondition by construction.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // the one sanctioned unsafe island: raw SIMD intrinsics
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// Lane-activation masks for tail loads: `TAIL_MASKS[r]` activates the
+    /// first `r` lanes (sign bit set ⇒ lane loaded/stored by
+    /// `maskload`/`maskstore`, cleared ⇒ lane reads as 0.0 / is skipped).
+    const TAIL_MASKS: [[i32; 8]; 8] = [
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [-1, 0, 0, 0, 0, 0, 0, 0],
+        [-1, -1, 0, 0, 0, 0, 0, 0],
+        [-1, -1, -1, 0, 0, 0, 0, 0],
+        [-1, -1, -1, -1, 0, 0, 0, 0],
+        [-1, -1, -1, -1, -1, 0, 0, 0],
+        [-1, -1, -1, -1, -1, -1, 0, 0],
+        [-1, -1, -1, -1, -1, -1, -1, 0],
+    ];
+
+    /// The `__m256i` mask activating the first `rem < 8` lanes.
+    #[inline]
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tail_mask(rem: usize) -> __m256i {
+        // SAFETY: 32-byte load entirely inside TAIL_MASKS[rem], which exists
+        // for every rem < 8 (debug_asserted).
+        unsafe {
+            debug_assert!(rem < 8);
+            _mm256_loadu_si256(TAIL_MASKS[rem].as_ptr().cast())
+        }
+    }
+
+    /// Horizontal sum of an 8-lane register (pairwise).
+    #[inline]
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum(v: __m256) -> f32 {
+        // Register-only lane shuffles and adds (safe under target_feature);
+        // no memory access.
+        let hi = _mm256_extractf128_ps(v, 1);
+        let lo = _mm256_castps256_ps128(v);
+        let s = _mm_add_ps(lo, hi);
+        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+        let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0b01));
+        _mm_cvtss_f32(s)
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // a and b must be equal length (debug_asserted).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_impl(a: &[f32], b: &[f32]) -> f32 {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with full 8-lane loads for i + 8 <= n and masked loads
+        // (inactive lanes read as 0.0) for the tail — all inside a/b.
+        unsafe {
+            debug_assert_eq!(a.len(), b.len());
+            let n = a.len();
+            let (pa, pb) = (a.as_ptr(), b.as_ptr());
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut i = 0usize;
+            while i + 16 <= n {
+                acc0 =
+                    _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
+                acc1 = _mm256_fmadd_ps(
+                    _mm256_loadu_ps(pa.add(i + 8)),
+                    _mm256_loadu_ps(pb.add(i + 8)),
+                    acc1,
+                );
+                i += 16;
+            }
+            if i + 8 <= n {
+                acc0 =
+                    _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), acc0);
+                i += 8;
+            }
+            if i < n {
+                // Masked tail: inactive lanes load as 0.0 and contribute
+                // nothing — no per-element scalar loop at odd dims.
+                let mask = tail_mask(n - i);
+                acc1 = _mm256_fmadd_ps(
+                    _mm256_maskload_ps(pa.add(i), mask),
+                    _mm256_maskload_ps(pb.add(i), mask),
+                    acc1,
+                );
+            }
+            hsum(_mm256_add_ps(acc0, acc1))
+        }
+    }
+
+    #[inline]
+    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths are debug_asserted by the kernel.
+        unsafe { dot_impl(a, b) }
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // x and y must be equal length (debug_asserted).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn axpy_impl(alpha: f32, x: &[f32], y: &mut [f32]) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with full 8-lane access for i + 8 <= n and masked
+        // load/store of only the live lanes for the tail.
+        unsafe {
+            debug_assert_eq!(x.len(), y.len());
+            let n = x.len();
+            let (px, py) = (x.as_ptr(), y.as_mut_ptr());
+            let va = _mm256_set1_ps(alpha);
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let r = _mm256_fmadd_ps(va, _mm256_loadu_ps(px.add(i)), _mm256_loadu_ps(py.add(i)));
+                _mm256_storeu_ps(py.add(i), r);
+                i += 8;
+            }
+            if i < n {
+                // Masked tail: load/compute/store only the live lanes.
+                let mask = tail_mask(n - i);
+                let r = _mm256_fmadd_ps(
+                    va,
+                    _mm256_maskload_ps(px.add(i), mask),
+                    _mm256_maskload_ps(py.add(i), mask),
+                );
+                _mm256_maskstore_ps(py.add(i), mask, r);
+            }
+        }
+    }
+
+    #[inline]
+    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths are debug_asserted by the kernel.
+        unsafe { axpy_impl(alpha, x, y) }
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn scale_impl(alpha: f32, y: &mut [f32]) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n, and the scalar tail dereferences single
+        // in-bounds elements of y.
+        unsafe {
+            let n = y.len();
+            let py = y.as_mut_ptr();
+            let va = _mm256_set1_ps(alpha);
+            let mut i = 0usize;
+            while i + 8 <= n {
+                _mm256_storeu_ps(py.add(i), _mm256_mul_ps(va, _mm256_loadu_ps(py.add(i))));
+                i += 8;
+            }
+            while i < n {
+                *py.add(i) *= alpha;
+                i += 1;
+            }
+        }
+    }
+
+    #[inline]
+    pub fn scale(alpha: f32, y: &mut [f32]) {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); the kernel never reads past y.len().
+        unsafe { scale_impl(alpha, y) }
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // a and b must be equal length (debug_asserted).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sq_dist_impl(a: &[f32], b: &[f32]) -> f32 {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n, and the scalar tail dereferences single
+        // in-bounds elements of a/b (equal lengths debug_asserted).
+        unsafe {
+            debug_assert_eq!(a.len(), b.len());
+            let n = a.len();
+            let (pa, pb) = (a.as_ptr(), b.as_ptr());
+            let mut acc = _mm256_setzero_ps();
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
+                acc = _mm256_fmadd_ps(d, d, acc);
+                i += 8;
+            }
+            let mut out = hsum(acc);
+            while i < n {
+                let d = *pa.add(i) - *pb.add(i);
+                out = f32::mul_add(d, d, out);
+                i += 1;
+            }
+            out
+        }
+    }
+
+    #[inline]
+    pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths are debug_asserted by the kernel.
+        unsafe { sq_dist_impl(a, b) }
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // x and out must be equal length (debug_asserted).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn scale_into_impl(inv: f32, x: &[f32], out: &mut [f32]) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n, and the scalar tail dereferences single
+        // in-bounds elements of x/out (equal lengths debug_asserted).
+        unsafe {
+            debug_assert_eq!(x.len(), out.len());
+            let n = x.len();
+            let (px, po) = (x.as_ptr(), out.as_mut_ptr());
+            let vi = _mm256_set1_ps(inv);
+            let mut i = 0usize;
+            while i + 8 <= n {
+                _mm256_storeu_ps(po.add(i), _mm256_mul_ps(vi, _mm256_loadu_ps(px.add(i))));
+                i += 8;
+            }
+            while i < n {
+                *po.add(i) = *px.add(i) * inv;
+                i += 1;
+            }
+        }
+    }
+
+    #[inline]
+    pub fn normalize_into(x: &[f32], out: &mut [f32]) -> f32 {
+        let n = dot(x, x).max(0.0).sqrt();
+        let inv = 1.0 / n.max(1e-12);
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); x and out are equal length (debug_asserted by the kernel).
+        unsafe { scale_into_impl(inv, x, out) };
+        n
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // a_hat, b_hat and grad_a must be equal length.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn cosine_backward_impl(
+        c1: f32,
+        c2: f32,
+        a_hat: &[f32],
+        b_hat: &[f32],
+        grad_a: &mut [f32],
+    ) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n, and the scalar tail dereferences single
+        // in-bounds elements (equal lengths per caller contract).
+        unsafe {
+            let n = grad_a.len();
+            let (pa, pb, pg) = (a_hat.as_ptr(), b_hat.as_ptr(), grad_a.as_mut_ptr());
+            let vc1 = _mm256_set1_ps(c1);
+            let vc2 = _mm256_set1_ps(c2);
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let mut r =
+                    _mm256_fmadd_ps(vc1, _mm256_loadu_ps(pb.add(i)), _mm256_loadu_ps(pg.add(i)));
+                r = _mm256_fnmadd_ps(vc2, _mm256_loadu_ps(pa.add(i)), r);
+                _mm256_storeu_ps(pg.add(i), r);
+                i += 8;
+            }
+            while i < n {
+                *pg.add(i) += c1 * *pb.add(i) - c2 * *pa.add(i);
+                i += 1;
+            }
+        }
+    }
+
+    #[inline]
+    pub fn cosine_backward_into(
+        g: f32,
+        s: f32,
+        a_hat: &[f32],
+        b_hat: &[f32],
+        a_norm: f32,
+        grad_a: &mut [f32],
+    ) {
+        debug_assert_eq!(a_hat.len(), grad_a.len());
+        debug_assert_eq!(b_hat.len(), grad_a.len());
+        let inv = 1.0 / a_norm.max(1e-12);
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths asserted above.
+        unsafe { cosine_backward_impl(g * inv, g * s * inv, a_hat, b_hat, grad_a) }
+    }
+
+    /// Two simultaneous dots of one query against rows `r0`, `r1` —
+    /// shares the query loads across both item rows.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // Callers must pass r0/r1 at least as long as q.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot2_impl(q: &[f32], r0: &[f32], r1: &[f32]) -> (f32, f32) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with full 8-lane loads for i + 8 <= n and masked loads for
+        // the tail, so every active lane reads inside q/r0/r1.
+        unsafe {
+            let n = q.len();
+            let (pq, p0, p1) = (q.as_ptr(), r0.as_ptr(), r1.as_ptr());
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let vq = _mm256_loadu_ps(pq.add(i));
+                a0 = _mm256_fmadd_ps(vq, _mm256_loadu_ps(p0.add(i)), a0);
+                a1 = _mm256_fmadd_ps(vq, _mm256_loadu_ps(p1.add(i)), a1);
+                i += 8;
+            }
+            if i < n {
+                // Masked tail shared across both rows (odd-dim fix).
+                let mask = tail_mask(n - i);
+                let vq = _mm256_maskload_ps(pq.add(i), mask);
+                a0 = _mm256_fmadd_ps(vq, _mm256_maskload_ps(p0.add(i), mask), a0);
+                a1 = _mm256_fmadd_ps(vq, _mm256_maskload_ps(p1.add(i), mask), a1);
+            }
+            (hsum(a0), hsum(a1))
+        }
+    }
+
+    /// `out[j] = <q, block[j·d ..]>` for an `M × d` row block, two rows
+    /// per pass.
+    #[inline]
+    pub fn scores_block(q: &[f32], block: &[f32], out: &mut [f32]) {
+        let d = q.len();
+        let mut j = 0usize;
+        while j + 2 <= out.len() {
+            // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+            // docs); both row slices are exactly d = q.len() elements.
+            let (s0, s1) = unsafe {
+                dot2_impl(q, &block[j * d..(j + 1) * d], &block[(j + 1) * d..(j + 2) * d])
+            };
+            out[j] = s0;
+            out[j + 1] = s1;
+            j += 2;
+        }
+        if j < out.len() {
+            out[j] = dot(q, &block[j * d..(j + 1) * d]);
+        }
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // param, m, v and g must be equal length.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn adam_update_impl(
+        param: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        bc1: f32,
+        bc2: f32,
+        eps: f32,
+    ) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n, and the scalar tail dereferences single
+        // in-bounds elements of the four equal-length slices (caller contract).
+        unsafe {
+            let n = param.len();
+            let (pp, pm, pv, pg) = (param.as_mut_ptr(), m.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr());
+            let vb1 = _mm256_set1_ps(beta1);
+            let vb1c = _mm256_set1_ps(1.0 - beta1);
+            let vb2 = _mm256_set1_ps(beta2);
+            let vb2c = _mm256_set1_ps(1.0 - beta2);
+            let vbc1 = _mm256_set1_ps(bc1);
+            let vbc2 = _mm256_set1_ps(bc2);
+            let veps = _mm256_set1_ps(eps);
+            let vlr = _mm256_set1_ps(lr);
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let gv = _mm256_loadu_ps(pg.add(i));
+                let mv = _mm256_fmadd_ps(vb1, _mm256_loadu_ps(pm.add(i)), _mm256_mul_ps(vb1c, gv));
+                _mm256_storeu_ps(pm.add(i), mv);
+                let g2 = _mm256_mul_ps(gv, gv);
+                let vv = _mm256_fmadd_ps(vb2, _mm256_loadu_ps(pv.add(i)), _mm256_mul_ps(vb2c, g2));
+                _mm256_storeu_ps(pv.add(i), vv);
+                let m_hat = _mm256_div_ps(mv, vbc1);
+                let v_hat = _mm256_div_ps(vv, vbc2);
+                let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), veps);
+                let step = _mm256_div_ps(_mm256_mul_ps(vlr, m_hat), denom);
+                _mm256_storeu_ps(pp.add(i), _mm256_sub_ps(_mm256_loadu_ps(pp.add(i)), step));
+                i += 8;
+            }
+            while i < n {
+                let gi = *pg.add(i);
+                let mi = beta1 * *pm.add(i) + (1.0 - beta1) * gi;
+                *pm.add(i) = mi;
+                let vi = beta2 * *pv.add(i) + (1.0 - beta2) * gi * gi;
+                *pv.add(i) = vi;
+                *pp.add(i) -= lr * (mi / bc1) / ((vi / bc2).sqrt() + eps);
+                i += 1;
+            }
+        }
+    }
+
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn adam_update(
+        param: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        lr: f32,
+        beta1: f32,
+        beta2: f32,
+        bc1: f32,
+        bc2: f32,
+        eps: f32,
+    ) {
+        debug_assert_eq!(param.len(), g.len());
+        debug_assert_eq!(m.len(), g.len());
+        debug_assert_eq!(v.len(), g.len());
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths asserted above.
+        unsafe { adam_update_impl(param, m, v, g, lr, beta1, beta2, bc1, bc2, eps) }
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // param, v and g must be equal length.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn sgd_momentum_impl(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n, and the scalar tail dereferences single
+        // in-bounds elements of param/v/g (equal lengths per caller contract).
+        unsafe {
+            let n = param.len();
+            let (pp, pv, pg) = (param.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr());
+            let vmu = _mm256_set1_ps(mu);
+            let vlr = _mm256_set1_ps(lr);
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let vel =
+                    _mm256_fmadd_ps(vmu, _mm256_loadu_ps(pv.add(i)), _mm256_loadu_ps(pg.add(i)));
+                _mm256_storeu_ps(pv.add(i), vel);
+                _mm256_storeu_ps(pp.add(i), _mm256_fnmadd_ps(vlr, vel, _mm256_loadu_ps(pp.add(i))));
+                i += 8;
+            }
+            while i < n {
+                let vel = f32::mul_add(mu, *pv.add(i), *pg.add(i));
+                *pv.add(i) = vel;
+                *pp.add(i) = f32::mul_add(-lr, vel, *pp.add(i));
+                i += 1;
+            }
+        }
+    }
+
+    /// Fused momentum-SGD update: `v ← μ·v + g`, `p ← p − lr·v`.
+    #[inline]
+    pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
+        debug_assert_eq!(param.len(), g.len());
+        debug_assert_eq!(v.len(), g.len());
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths asserted above.
+        unsafe { sgd_momentum_impl(param, v, g, lr, mu) }
+    }
+
+    /// Widens 8 packed `i8` values (the low 8 bytes of `b`) to one f32
+    /// register: sign-extend to i32 lanes, then convert.
+    #[inline]
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn widen8(b: __m128i) -> __m256 {
+        // Register-only widening (safe under target_feature); no memory
+        // access.
+        _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b))
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // q and row must be equal length (debug_asserted).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dequant_dot_impl(q: &[f32], row: &[i8]) -> f32 {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offsets bounded by the loop conditions (16- and 8-byte i8 loads at
+        // i + 16 <= n / i + 8 <= n), with a scalar sub-8 tail.
+        unsafe {
+            debug_assert_eq!(q.len(), row.len());
+            let n = q.len();
+            let (pq, pr) = (q.as_ptr(), row.as_ptr());
+            let mut acc0 = _mm256_setzero_ps();
+            let mut acc1 = _mm256_setzero_ps();
+            let mut i = 0usize;
+            while i + 16 <= n {
+                // One 16-byte load covers two 8-lane dequant groups.
+                let b = _mm_loadu_si128(pr.add(i).cast());
+                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), widen8(b), acc0);
+                acc1 = _mm256_fmadd_ps(
+                    _mm256_loadu_ps(pq.add(i + 8)),
+                    widen8(_mm_srli_si128::<8>(b)),
+                    acc1,
+                );
+                i += 16;
+            }
+            if i + 8 <= n {
+                let b = _mm_loadl_epi64(pr.add(i).cast());
+                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), widen8(b), acc0);
+                i += 8;
+            }
+            let mut out = hsum(_mm256_add_ps(acc0, acc1));
+            while i < n {
+                // Sub-8 tail: i8 lanes have no maskload, so finish scalar.
+                out = f32::mul_add(*pq.add(i), *pr.add(i) as f32, out);
+                i += 1;
+            }
+            out
+        }
+    }
+
+    /// Fused int8→f32 dequantize-dot: `scale · Σ q[j]·row[j]` with the
+    /// widening done in-register (no materialized f32 row).
+    #[inline]
+    pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); equal lengths are debug_asserted by the kernel.
+        unsafe { dequant_dot_impl(q, row) * scale }
+    }
+
+    /// Two simultaneous dequant-dots of one query against quantized rows
+    /// `r0`, `r1` — shares the query loads across both rows, like
+    /// [`dot2_impl`] does for f32.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // Callers must pass r0/r1 at least as long as q.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dequant_dot2_impl(q: &[f32], r0: &[i8], r1: &[i8]) -> (f32, f32) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with i + 8 <= n (8-byte i8 loads widen the low 8 lanes),
+        // and the scalar tail dereferences single in-bounds elements.
+        unsafe {
+            let n = q.len();
+            let (pq, p0, p1) = (q.as_ptr(), r0.as_ptr(), r1.as_ptr());
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let vq = _mm256_loadu_ps(pq.add(i));
+                a0 = _mm256_fmadd_ps(vq, widen8(_mm_loadl_epi64(p0.add(i).cast())), a0);
+                a1 = _mm256_fmadd_ps(vq, widen8(_mm_loadl_epi64(p1.add(i).cast())), a1);
+                i += 8;
+            }
+            let (mut s0, mut s1) = (hsum(a0), hsum(a1));
+            while i < n {
+                let x = *pq.add(i);
+                s0 = f32::mul_add(x, *p0.add(i) as f32, s0);
+                s1 = f32::mul_add(x, *p1.add(i) as f32, s1);
+                i += 1;
+            }
+            (s0, s1)
+        }
+    }
+
+    /// `out[j] = scales[j] · <q, block_i8[j·d ..]>` for an `M × d`
+    /// quantized row block, two rows per pass.
+    #[inline]
+    pub fn scores_block_i8(q: &[f32], block: &[i8], scales: &[f32], out: &mut [f32]) {
+        let d = q.len();
+        let mut j = 0usize;
+        while j + 2 <= out.len() {
+            // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+            // docs); both row slices are exactly d = q.len() elements.
+            let (s0, s1) = unsafe {
+                dequant_dot2_impl(q, &block[j * d..(j + 1) * d], &block[(j + 1) * d..(j + 2) * d])
+            };
+            out[j] = s0 * scales[j];
+            out[j + 1] = s1 * scales[j + 1];
+            j += 2;
+        }
+        if j < out.len() {
+            out[j] = dequant_dot(q, &block[j * d..(j + 1) * d], scales[j]);
+        }
+    }
+
+    /// `out[j] = scales[ids[j]] · <q, table[ids[j]·d ..]>` for gathered
+    /// rows of an `n × d` quantized table — one target-feature region
+    /// covers the whole candidate list, so the per-row dispatch + call
+    /// overhead of looping [`dequant_dot`] from safe code disappears and
+    /// each row pair shares the query loads.
+    // SAFETY: to call, AVX2+FMA must be enabled; `out` must be at least
+    // `ids` long and every id must index a full row of `table`/`scales`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn scores_gather_i8_impl(
+        q: &[f32],
+        table: &[i8],
+        scales: &[f32],
+        ids: &[u32],
+        out: &mut [f32],
+    ) {
+        // SAFETY: the row slicing below is ordinary safe indexing (panics on
+        // a bad id rather than reading out of bounds); the only unsafe ops are
+        // the callee kernels, whose equal-length contracts hold because every
+        // row slice is exactly d = q.len() elements.
+        unsafe {
+            let d = q.len();
+            let mut j = 0usize;
+            while j + 2 <= ids.len() {
+                let (i0, i1) = (ids[j] as usize, ids[j + 1] as usize);
+                let (s0, s1) = dequant_dot2_impl(
+                    q,
+                    &table[i0 * d..(i0 + 1) * d],
+                    &table[i1 * d..(i1 + 1) * d],
+                );
+                out[j] = s0 * scales[i0];
+                out[j + 1] = s1 * scales[i1];
+                j += 2;
+            }
+            if j < ids.len() {
+                let i = ids[j] as usize;
+                out[j] = dequant_dot_impl(q, &table[i * d..(i + 1) * d]) * scales[i];
+            }
+        }
+    }
+
+    /// Safe wrapper for the gathered int8 scorer (AVX2+FMA verified by the
+    /// dispatch tables before this is reachable).
+    #[inline]
+    pub fn scores_gather_i8(q: &[f32], table: &[i8], scales: &[f32], ids: &[u32], out: &mut [f32]) {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); each gathered row slice has length d = q.len() by construction.
+        unsafe { scores_gather_i8_impl(q, table, scales, ids, out) }
+    }
+}
+
+// Non-x86 targets fall back to the portable kernels when the enum says
+// Avx2Fma (detect()/force() never hand that out off-x86, but the match
+// arms still need a body).
+#[cfg(target_arch = "x86_64")]
+use avx2 as accel;
+#[cfg(not(target_arch = "x86_64"))]
+use portable as accel;
+
+// ---------------------------------------------------------------------------
+// Dispatched element kernels (`*_with` takes an explicit level; the short
+// name reads the cached process level).
+// ---------------------------------------------------------------------------
+
+/// Dot product at an explicit dispatch level.
+#[inline]
+pub fn dot_with(lv: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
+    match lv {
+        SimdLevel::Scalar => scalar::dot(a, b),
+        SimdLevel::Portable => portable::dot(a, b),
+        SimdLevel::Avx2Fma => accel::dot(a, b),
+    }
+}
+
+/// Dot product at the process dispatch level.
+#[inline]
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    dot_with(active(), a, b)
+}
+
+/// `y += alpha * x` at an explicit dispatch level.
+#[inline]
+pub fn axpy_with(lv: SimdLevel, alpha: f32, x: &[f32], y: &mut [f32]) {
+    match lv {
+        SimdLevel::Scalar => scalar::axpy(alpha, x, y),
+        SimdLevel::Portable => portable::axpy(alpha, x, y),
+        SimdLevel::Avx2Fma => accel::axpy(alpha, x, y),
+    }
+}
+
+/// `y += alpha * x` at the process dispatch level.
+#[inline]
+pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+    axpy_with(active(), alpha, x, y)
+}
+
+/// `y *= alpha` at an explicit dispatch level.
+#[inline]
+pub fn scale_with(lv: SimdLevel, alpha: f32, y: &mut [f32]) {
+    match lv {
+        SimdLevel::Scalar => scalar::scale(alpha, y),
+        SimdLevel::Portable => portable::scale(alpha, y),
+        SimdLevel::Avx2Fma => accel::scale(alpha, y),
+    }
+}
+
+/// `y *= alpha` at the process dispatch level.
+#[inline]
+pub fn scale(alpha: f32, y: &mut [f32]) {
+    scale_with(active(), alpha, y)
+}
+
+/// Squared Euclidean distance at an explicit dispatch level.
+#[inline]
+pub fn sq_dist_with(lv: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
+    match lv {
+        SimdLevel::Scalar => scalar::sq_dist(a, b),
+        SimdLevel::Portable => portable::sq_dist(a, b),
+        SimdLevel::Avx2Fma => accel::sq_dist(a, b),
+    }
+}
+
+/// Squared Euclidean distance at the process dispatch level.
+#[inline]
+pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+    sq_dist_with(active(), a, b)
+}
+
+/// `out = x / max(||x||, eps)` at an explicit level, returning `||x||`.
+#[inline]
+pub fn normalize_into_with(lv: SimdLevel, x: &[f32], out: &mut [f32]) -> f32 {
+    match lv {
+        SimdLevel::Scalar => scalar::normalize_into(x, out),
+        SimdLevel::Portable => portable::normalize_into(x, out),
+        SimdLevel::Avx2Fma => accel::normalize_into(x, out),
+    }
+}
+
+/// `out = x / max(||x||, eps)` at the process level, returning `||x||`.
+#[inline]
+pub fn normalize_into(x: &[f32], out: &mut [f32]) -> f32 {
+    normalize_into_with(active(), x, out)
+}
+
+/// Cosine backward at an explicit dispatch level (see
+/// [`crate::kernels::cosine_backward_into`] for the math).
+#[inline]
+pub fn cosine_backward_into_with(
+    lv: SimdLevel,
+    g: f32,
+    s: f32,
+    a_hat: &[f32],
+    b_hat: &[f32],
+    a_norm: f32,
+    grad_a: &mut [f32],
+) {
+    match lv {
+        SimdLevel::Scalar => scalar::cosine_backward_into(g, s, a_hat, b_hat, a_norm, grad_a),
+        SimdLevel::Portable => portable::cosine_backward_into(g, s, a_hat, b_hat, a_norm, grad_a),
+        SimdLevel::Avx2Fma => accel::cosine_backward_into(g, s, a_hat, b_hat, a_norm, grad_a),
+    }
+}
+
+/// Cosine backward at the process dispatch level.
+#[inline]
+pub fn cosine_backward_into(
+    g: f32,
+    s: f32,
+    a_hat: &[f32],
+    b_hat: &[f32],
+    a_norm: f32,
+    grad_a: &mut [f32],
+) {
+    cosine_backward_into_with(active(), g, s, a_hat, b_hat, a_norm, grad_a)
+}
+
+/// Fused Adam row update at an explicit dispatch level: updates both
+/// moment rows in place and applies the bias-corrected step to `param`.
+/// At [`SimdLevel::Scalar`] this is bit-identical to the historical
+/// three-loop `Adam::update_row`.
+#[allow(clippy::too_many_arguments)] // mirrors the Adam hyperparameter set
+#[inline]
+pub fn adam_update_with(
+    lv: SimdLevel,
+    param: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    bc1: f32,
+    bc2: f32,
+    eps: f32,
+) {
+    match lv {
+        SimdLevel::Scalar => scalar::adam_update(param, m, v, g, lr, beta1, beta2, bc1, bc2, eps),
+        SimdLevel::Portable => {
+            portable::adam_update(param, m, v, g, lr, beta1, beta2, bc1, bc2, eps)
+        }
+        SimdLevel::Avx2Fma => accel::adam_update(param, m, v, g, lr, beta1, beta2, bc1, bc2, eps),
+    }
+}
+
+/// Fused Adam row update at the process dispatch level.
+#[allow(clippy::too_many_arguments)] // mirrors the Adam hyperparameter set
+#[inline]
+pub fn adam_update(
+    param: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    bc1: f32,
+    bc2: f32,
+    eps: f32,
+) {
+    adam_update_with(active(), param, m, v, g, lr, beta1, beta2, bc1, bc2, eps)
+}
+
+/// Fused momentum-SGD update at an explicit dispatch level:
+/// `v ← μ·v + g`, `p ← p − lr·v` in one pass. At
+/// [`SimdLevel::Scalar`] this is bit-identical to the historical fused
+/// `Sgd::step_dense` loop.
+#[inline]
+pub fn sgd_momentum_update_with(
+    lv: SimdLevel,
+    param: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    lr: f32,
+    mu: f32,
+) {
+    match lv {
+        SimdLevel::Scalar => scalar::sgd_momentum_update(param, v, g, lr, mu),
+        SimdLevel::Portable => portable::sgd_momentum_update(param, v, g, lr, mu),
+        SimdLevel::Avx2Fma => accel::sgd_momentum_update(param, v, g, lr, mu),
+    }
+}
+
+/// Fused momentum-SGD update at the process dispatch level.
+#[inline]
+pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
+    sgd_momentum_update_with(active(), param, v, g, lr, mu)
+}
+
+/// Fused int8→f32 dequantize-dot at an explicit dispatch level:
+/// `scale · Σ q[j]·row[j]`, widening the quantized row in the accumulation
+/// loop — quantized score tables are never materialized as f32.
+#[inline]
+pub fn dequant_dot_with(lv: SimdLevel, q: &[f32], row: &[i8], scale: f32) -> f32 {
+    match lv {
+        SimdLevel::Scalar => scalar::dequant_dot(q, row, scale),
+        SimdLevel::Portable => portable::dequant_dot(q, row, scale),
+        SimdLevel::Avx2Fma => accel::dequant_dot(q, row, scale),
+    }
+}
+
+/// Fused int8→f32 dequantize-dot at the process dispatch level.
+#[inline]
+pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
+    dequant_dot_with(active(), q, row, scale)
+}
+
+// ---------------------------------------------------------------------------
+// Blocked kernels: dispatch resolved once per call, loops run on the
+// level-specific implementations.
+// ---------------------------------------------------------------------------
+
+/// L2-normalizes every row of `src` into `dst`, writing the raw row norms
+/// into `norms`.
+///
+/// # Panics
+/// Panics if shapes disagree or `norms.len() != src.rows()`.
+pub fn normalize_rows_into(src: &Matrix, dst: &mut Matrix, norms: &mut [f32]) {
+    assert_eq!(src.shape(), dst.shape(), "normalize_rows_into shape mismatch");
+    assert_eq!(norms.len(), src.rows(), "normalize_rows_into norms length mismatch");
+    let lv = active();
+    for (r, n) in norms.iter_mut().enumerate() {
+        *n = normalize_into_with(lv, src.row(r), dst.row_mut(r));
+    }
+}
+
+/// How many gather rows ahead [`normalize_gather_into`] prefetches. Far
+/// enough to cover DRAM latency at catalogue scale (a ~250 ns miss vs
+/// ~30 ns of work per row at d = 64), near enough not to thrash L1.
+#[cfg(target_arch = "x86_64")]
+const GATHER_PREFETCH_AHEAD: usize = 8;
+
+/// Issues T0 prefetches for every cache line of `src.row(id)`.
+///
+/// Gathered negative rows are random accesses into a catalogue-scale item
+/// table; prefetching a few ids ahead overlaps their DRAM misses with the
+/// current row's normalize work. A prefetch is a pure hint (no memory is
+/// dereferenced, faulting addresses are ignored by the hardware), so this
+/// is safe for any in-bounds row.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // _mm_prefetch is an intrinsic hint; see above
+#[inline]
+fn prefetch_row(src: &Matrix, id: u32) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    let row = src.row(id as usize);
+    let bytes = std::mem::size_of_val(row);
+    let base = row.as_ptr().cast::<i8>();
+    let mut off = 0usize;
+    while off < bytes {
+        // SAFETY: `base + off` stays within the row's allocation.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(off)) };
+        off += 64;
+    }
+}
+
+/// Gathers rows `ids` of `src` and L2-normalizes each into the contiguous
+/// `ids.len() × d` block `dst`, writing raw norms into `norms`.
+///
+/// This is the batch form the trainer uses for negative-item blocks: one
+/// dispatch, no intermediate gather copy, and the upcoming rows are
+/// software-prefetched so catalogue-scale item tables don't stall the
+/// normalize loop on DRAM (see `normalize_gather_*` in the kernels bench).
+///
+/// # Panics
+/// Panics if `dst`/`norms` lengths disagree with `ids.len()` and
+/// `src.cols()`.
+pub fn normalize_gather_into(src: &Matrix, ids: &[u32], dst: &mut [f32], norms: &mut [f32]) {
+    let d = src.cols();
+    assert_eq!(dst.len(), ids.len() * d, "normalize_gather_into block size mismatch");
+    assert_eq!(norms.len(), ids.len(), "normalize_gather_into norms length mismatch");
+    let lv = active();
+    #[cfg(target_arch = "x86_64")]
+    for &id in ids.iter().take(GATHER_PREFETCH_AHEAD) {
+        prefetch_row(src, id);
+    }
+    for (j, ((&id, out), n)) in
+        ids.iter().zip(dst.chunks_exact_mut(d)).zip(norms.iter_mut()).enumerate()
+    {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(&ahead) = ids.get(j + GATHER_PREFETCH_AHEAD) {
+            prefetch_row(src, ahead);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = j;
+        *n = normalize_into_with(lv, src.row(id as usize), out);
+    }
+}
+
+/// Scores one query row against an `M × d` row block (a tall-skinny
+/// matvec): `out[j] = <q, block[j]>`.
+///
+/// The AVX2 path processes two block rows per pass, sharing the query
+/// loads; scalar dispatch reduces to the historical per-row dot loop.
+///
+/// # Panics
+/// Panics if `block.len() != out.len() * q.len()`.
+pub fn scores_block(q: &[f32], block: &[f32], out: &mut [f32]) {
+    let d = q.len();
+    assert_eq!(block.len(), out.len() * d, "scores_block shape mismatch");
+    match active() {
+        SimdLevel::Scalar => {
+            for (o, row) in out.iter_mut().zip(block.chunks_exact(d)) {
+                *o = scalar::dot(q, row);
+            }
+        }
+        SimdLevel::Portable => {
+            for (o, row) in out.iter_mut().zip(block.chunks_exact(d)) {
+                *o = portable::dot(q, row);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => avx2::scores_block(q, block, out),
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2Fma => {
+            for (o, row) in out.iter_mut().zip(block.chunks_exact(d)) {
+                *o = portable::dot(q, row);
+            }
+        }
+    }
+}
+
+/// Scores one query row against an `M × d` *quantized* row block:
+/// `out[j] = scales[j] · <q, block[j]>` — the int8 twin of
+/// [`scores_block`], and the full-scan hot path for int8 artifacts.
+///
+/// The AVX2 path widens two quantized rows per pass in-register, sharing
+/// the query loads; scalar dispatch reduces to a per-row
+/// [`scalar::dequant_dot`] loop.
+///
+/// # Panics
+/// Panics if `block.len() != out.len() * q.len()` or
+/// `scales.len() != out.len()`.
+pub fn scores_block_i8(q: &[f32], block: &[i8], scales: &[f32], out: &mut [f32]) {
+    let d = q.len();
+    assert_eq!(block.len(), out.len() * d, "scores_block_i8 shape mismatch");
+    assert_eq!(scales.len(), out.len(), "scores_block_i8 scales length mismatch");
+    match active() {
+        SimdLevel::Scalar => {
+            for ((o, row), &s) in out.iter_mut().zip(block.chunks_exact(d)).zip(scales.iter()) {
+                *o = scalar::dequant_dot(q, row, s);
+            }
+        }
+        SimdLevel::Portable => {
+            for ((o, row), &s) in out.iter_mut().zip(block.chunks_exact(d)).zip(scales.iter()) {
+                *o = portable::dequant_dot(q, row, s);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => avx2::scores_block_i8(q, block, scales, out),
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2Fma => {
+            for ((o, row), &s) in out.iter_mut().zip(block.chunks_exact(d)).zip(scales.iter()) {
+                *o = portable::dequant_dot(q, row, s);
+            }
+        }
+    }
+}
+
+/// Scores one query row against *gathered* rows of an `n × d` quantized
+/// table: `out[j] = scales[ids[j]] · <q, table_row(ids[j])>` — the IVF
+/// shortlist-rescoring hot path. Unlike looping [`dequant_dot`], the whole
+/// candidate list is scored inside one dispatch (and, on AVX2, one
+/// target-feature region with two rows per pass sharing the query loads).
+///
+/// # Panics
+/// Panics if `table.len() != scales.len() * q.len()`,
+/// `out.len() != ids.len()`, or any id indexes past the table.
+pub fn scores_gather_i8(q: &[f32], table: &[i8], scales: &[f32], ids: &[u32], out: &mut [f32]) {
+    let d = q.len();
+    assert_eq!(table.len(), scales.len() * d, "scores_gather_i8 table shape mismatch");
+    assert_eq!(out.len(), ids.len(), "scores_gather_i8 output length mismatch");
+    match active() {
+        SimdLevel::Scalar => {
+            for (o, &i) in out.iter_mut().zip(ids.iter()) {
+                let i = i as usize;
+                *o = scalar::dequant_dot(q, &table[i * d..(i + 1) * d], scales[i]);
+            }
+        }
+        SimdLevel::Portable => {
+            for (o, &i) in out.iter_mut().zip(ids.iter()) {
+                let i = i as usize;
+                *o = portable::dequant_dot(q, &table[i * d..(i + 1) * d], scales[i]);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => avx2::scores_gather_i8(q, table, scales, ids, out),
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2Fma => {
+            for (o, &i) in out.iter_mut().zip(ids.iter()) {
+                let i = i as usize;
+                *o = portable::dequant_dot(q, &table[i * d..(i + 1) * d], scales[i]);
+            }
+        }
+    }
+}
+
+/// Backward of a block of cosine scores with respect to the shared query
+/// vector: accumulates `Σ_j g_j · ∂cos(q, b_j)/∂q` into `grad_q`.
+///
+/// `block_hat` holds the `M` unit item rows contiguously; `gs`/`ss` are
+/// the per-row score gradients and scores. Scalar dispatch replays the
+/// historical per-negative `cosine_backward_into` sequence (including the
+/// `g == 0` skip) bit for bit; SIMD levels use the fused form
+/// `grad_q += (Σ_j g_j·b̂_j − (Σ_j g_j·s_j)·q̂) / ||q||`.
+///
+/// # Panics
+/// Panics if slice lengths disagree.
+pub fn cosine_backward_block(
+    gs: &[f32],
+    ss: &[f32],
+    q_hat: &[f32],
+    q_norm: f32,
+    block_hat: &[f32],
+    grad_q: &mut [f32],
+) {
+    let d = q_hat.len();
+    assert_eq!(gs.len(), ss.len(), "cosine_backward_block grad/score length mismatch");
+    assert_eq!(block_hat.len(), gs.len() * d, "cosine_backward_block block size mismatch");
+    assert_eq!(grad_q.len(), d, "cosine_backward_block output length mismatch");
+    let lv = active();
+    if lv == SimdLevel::Scalar {
+        for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(block_hat.chunks_exact(d)) {
+            if g == 0.0 {
+                continue;
+            }
+            scalar::cosine_backward_into(g, s, q_hat, row, q_norm, grad_q);
+        }
+        return;
+    }
+    let inv = 1.0 / q_norm.max(1e-12);
+    let mut coef = 0.0f32;
+    for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(block_hat.chunks_exact(d)) {
+        if g == 0.0 {
+            continue;
+        }
+        coef += g * s;
+        axpy_with(lv, g * inv, row, grad_q);
+    }
+    if coef != 0.0 {
+        axpy_with(lv, -coef * inv, q_hat, grad_q);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Levels to test on this machine (scalar is the reference).
+    fn simd_levels() -> Vec<SimdLevel> {
+        let mut lv = vec![SimdLevel::Portable];
+        if avx2_available() {
+            lv.push(SimdLevel::Avx2Fma);
+        }
+        lv
+    }
+
+    fn rel_close(a: f32, b: f32, tol: f32) -> bool {
+        (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+    }
+
+    fn vec_strategy(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
+        proptest::collection::vec(-3.0f32..3.0, 0..max_len)
+    }
+
+    #[test]
+    fn parse_level_accepts_known_names() {
+        assert_eq!(parse_level("scalar"), Some(SimdLevel::Scalar));
+        assert_eq!(parse_level("portable"), Some(SimdLevel::Portable));
+        assert_eq!(parse_level("avx2"), Some(SimdLevel::Avx2Fma));
+        assert_eq!(parse_level("bogus"), None);
+    }
+
+    #[test]
+    fn active_returns_a_level_and_is_stable() {
+        let a = active();
+        assert_eq!(a, active());
+        // force() of the already-cached level is a no-op Ok; a different
+        // level reports the cached one.
+        assert!(force(a).is_ok());
+    }
+
+    /// The `scalar` module must be bit-identical to the pre-SIMD kernel
+    /// bodies (inlined here, frozen at their pre-refactor form).
+    #[test]
+    fn scalar_is_bit_identical_to_legacy_loops() {
+        let a: Vec<f32> = (0..37).map(|i| (i as f32 * 0.7).sin() * 2.0).collect();
+        let b: Vec<f32> = (0..37).map(|i| (i as f32 * 1.3).cos() * 1.5).collect();
+
+        let legacy_dot = {
+            let mut acc = 0.0f32;
+            for (x, y) in a.iter().zip(b.iter()) {
+                acc += x * y;
+            }
+            acc
+        };
+        assert_eq!(scalar::dot(&a, &b).to_bits(), legacy_dot.to_bits());
+
+        let legacy_sq = {
+            let mut acc = 0.0f32;
+            for (x, y) in a.iter().zip(b.iter()) {
+                let d = x - y;
+                acc += d * d;
+            }
+            acc
+        };
+        assert_eq!(scalar::sq_dist(&a, &b).to_bits(), legacy_sq.to_bits());
+
+        let mut y1 = b.clone();
+        let mut y2 = b.clone();
+        scalar::axpy(0.37, &a, &mut y1);
+        for (yi, xi) in y2.iter_mut().zip(a.iter()) {
+            *yi += 0.37 * xi;
+        }
+        assert_eq!(
+            y1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            y2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+
+        let mut o1 = vec![0.0f32; a.len()];
+        let n1 = scalar::normalize_into(&a, &mut o1);
+        let legacy_norm = legacy_dot_self(&a).max(0.0).sqrt();
+        let mut o2 = vec![0.0f32; a.len()];
+        let inv = 1.0 / legacy_norm.max(1e-12);
+        for (o, xi) in o2.iter_mut().zip(a.iter()) {
+            *o = xi * inv;
+        }
+        assert_eq!(n1.to_bits(), legacy_norm.to_bits());
+        assert_eq!(
+            o1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            o2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+
+        let mut g1 = vec![0.1f32; a.len()];
+        let mut g2 = g1.clone();
+        scalar::cosine_backward_into(0.3, 0.4, &o1, &o2, legacy_norm, &mut g1);
+        let inv = 1.0 / legacy_norm.max(1e-12);
+        for ((ga, &bh), &ah) in g2.iter_mut().zip(o2.iter()).zip(o1.iter()) {
+            *ga += 0.3 * (bh - 0.4 * ah) * inv;
+        }
+        assert_eq!(
+            g1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            g2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    fn legacy_dot_self(a: &[f32]) -> f32 {
+        let mut acc = 0.0f32;
+        for x in a {
+            acc += x * x;
+        }
+        acc
+    }
+
+    proptest! {
+        /// Every SIMD level matches the scalar reference within 1e-4
+        /// relative tolerance across random lengths including
+        /// non-multiple-of-8 tails.
+        #[test]
+        fn prop_dot_matches_scalar(a in vec_strategy(130), b in vec_strategy(130)) {
+            let n = a.len().min(b.len());
+            let (a, b) = (&a[..n], &b[..n]);
+            let want = scalar::dot(a, b);
+            for lv in simd_levels() {
+                prop_assert!(rel_close(dot_with(lv, a, b), want, 1e-4), "{lv}");
+            }
+        }
+
+        #[test]
+        fn prop_sq_dist_matches_scalar(a in vec_strategy(130), b in vec_strategy(130)) {
+            let n = a.len().min(b.len());
+            let (a, b) = (&a[..n], &b[..n]);
+            let want = scalar::sq_dist(a, b);
+            for lv in simd_levels() {
+                prop_assert!(rel_close(sq_dist_with(lv, a, b), want, 1e-4), "{lv}");
+            }
+        }
+
+        #[test]
+        fn prop_axpy_matches_scalar(alpha in -2.0f32..2.0, x in vec_strategy(130), y0 in vec_strategy(130)) {
+            let n = x.len().min(y0.len());
+            let (x, y0) = (&x[..n], &y0[..n]);
+            let mut want = y0.to_vec();
+            scalar::axpy(alpha, x, &mut want);
+            for lv in simd_levels() {
+                let mut got = y0.to_vec();
+                axpy_with(lv, alpha, x, &mut got);
+                for (g, w) in got.iter().zip(want.iter()) {
+                    prop_assert!(rel_close(*g, *w, 1e-4), "{lv}: {g} vs {w}");
+                }
+            }
+        }
+
+        #[test]
+        fn prop_scale_matches_scalar(alpha in -2.0f32..2.0, y0 in vec_strategy(130)) {
+            let mut want = y0.clone();
+            scalar::scale(alpha, &mut want);
+            for lv in simd_levels() {
+                let mut got = y0.clone();
+                scale_with(lv, alpha, &mut got);
+                for (g, w) in got.iter().zip(want.iter()) {
+                    prop_assert!(rel_close(*g, *w, 1e-4), "{lv}");
+                }
+            }
+        }
+
+        #[test]
+        fn prop_normalize_matches_scalar(x in vec_strategy(130)) {
+            let mut want = vec![0.0f32; x.len()];
+            let wn = scalar::normalize_into(&x, &mut want);
+            for lv in simd_levels() {
+                let mut got = vec![0.0f32; x.len()];
+                let gn = normalize_into_with(lv, &x, &mut got);
+                prop_assert!(rel_close(gn, wn, 1e-4), "{lv} norm");
+                for (g, w) in got.iter().zip(want.iter()) {
+                    prop_assert!(rel_close(*g, *w, 1e-4), "{lv}");
+                }
+            }
+        }
+
+        #[test]
+        fn prop_cosine_backward_matches_scalar(
+            g in -2.0f32..2.0,
+            s in -1.0f32..1.0,
+            a in vec_strategy(130),
+            b in vec_strategy(130),
+        ) {
+            let n = a.len().min(b.len());
+            let (a, b) = (&a[..n], &b[..n]);
+            let norm = 0.8f32;
+            let mut want = vec![0.05f32; n];
+            scalar::cosine_backward_into(g, s, a, b, norm, &mut want);
+            for lv in simd_levels() {
+                let mut got = vec![0.05f32; n];
+                cosine_backward_into_with(lv, g, s, a, b, norm, &mut got);
+                for (x, w) in got.iter().zip(want.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv}");
+                }
+            }
+        }
+
+        #[test]
+        fn prop_adam_update_matches_scalar(
+            p0 in vec_strategy(70),
+            seed in 0u64..1000,
+        ) {
+            let n = p0.len();
+            let g: Vec<f32> = (0..n).map(|i| ((i as u64 * 31 + seed) % 17) as f32 * 0.1 - 0.8).collect();
+            let m0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin() * 0.3).collect();
+            let v0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.07).cos().abs() * 0.2).collect();
+            let (mut pw, mut mw, mut vw) = (p0.clone(), m0.clone(), v0.clone());
+            scalar::adam_update(&mut pw, &mut mw, &mut vw, &g, 0.01, 0.9, 0.999, 0.19, 0.002, 1e-8);
+            for lv in simd_levels() {
+                let (mut pg, mut mg, mut vg) = (p0.clone(), m0.clone(), v0.clone());
+                adam_update_with(lv, &mut pg, &mut mg, &mut vg, &g, 0.01, 0.9, 0.999, 0.19, 0.002, 1e-8);
+                for (x, w) in pg.iter().zip(pw.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv}");
+                }
+                for (x, w) in mg.iter().zip(mw.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv} m");
+                }
+                for (x, w) in vg.iter().zip(vw.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv} v");
+                }
+            }
+        }
+
+        /// Blocked kernels agree with per-element scalar loops across
+        /// random block shapes (including d not a multiple of 8 and odd M).
+        #[test]
+        fn prop_scores_block_matches_scalar(d in 1usize..40, m in 0usize..9, seed in 0u64..100) {
+            let q: Vec<f32> = (0..d).map(|i| ((i as u64 + seed) % 13) as f32 * 0.2 - 1.0).collect();
+            let block: Vec<f32> = (0..m * d).map(|i| ((i as u64 * 7 + seed) % 11) as f32 * 0.3 - 1.4).collect();
+            let mut want = vec![0.0f32; m];
+            for (o, row) in want.iter_mut().zip(block.chunks_exact(d)) {
+                *o = scalar::dot(&q, row);
+            }
+            let mut got = vec![0.0f32; m];
+            scores_block(&q, &block, &mut got);
+            for (x, w) in got.iter().zip(want.iter()) {
+                prop_assert!(rel_close(*x, *w, 1e-4));
+            }
+        }
+
+        #[test]
+        fn prop_cosine_backward_block_matches_scalar(d in 1usize..40, m in 0usize..9, seed in 0u64..100) {
+            let q: Vec<f32> = (0..d).map(|i| ((i as u64 + seed) % 13) as f32 * 0.2 - 1.0).collect();
+            let block: Vec<f32> = (0..m * d).map(|i| ((i as u64 * 7 + seed) % 11) as f32 * 0.3 - 1.4).collect();
+            // Include zero gradients to exercise the skip path.
+            let gs: Vec<f32> = (0..m).map(|j| if j % 3 == 0 { 0.0 } else { 0.1 * j as f32 - 0.2 }).collect();
+            let ss: Vec<f32> = (0..m).map(|j| 0.05 * j as f32 - 0.1).collect();
+            let qn = 0.9f32;
+            let mut want = vec![0.02f32; d];
+            for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(block.chunks_exact(d)) {
+                if g == 0.0 { continue; }
+                scalar::cosine_backward_into(g, s, &q, row, qn, &mut want);
+            }
+            let mut got = vec![0.02f32; d];
+            cosine_backward_block(&gs, &ss, &q, qn, &block, &mut got);
+            for (x, w) in got.iter().zip(want.iter()) {
+                prop_assert!(rel_close(*x, *w, 1e-4));
+            }
+        }
+
+        /// Every dispatch level's fused dequant-dot matches the scalar
+        /// reference within tolerance, and the whole int8 pipeline
+        /// (quantized row × f32 query) matches the plain f32 dot of the
+        /// dequantized row — across non-multiple-of-8 tails.
+        #[test]
+        fn prop_dequant_dot_matches_scalar_and_f32(
+            q in vec_strategy(130),
+            bytes in proptest::collection::vec(-127i8..=127, 0..130),
+            scale in 0.0f32..0.1,
+        ) {
+            let n = q.len().min(bytes.len());
+            let (q, row) = (&q[..n], &bytes[..n]);
+            let want = scalar::dequant_dot(q, row, scale);
+            for lv in simd_levels() {
+                prop_assert!(rel_close(dequant_dot_with(lv, q, row, scale), want, 1e-4), "{lv}");
+            }
+            // The fused kernel is the dot of the dequantized row.
+            let deq: Vec<f32> = row.iter().map(|&b| b as f32 * scale).collect();
+            let via_f32 = scalar::dot(q, &deq);
+            prop_assert!(rel_close(want, via_f32, 1e-4), "fused {want} vs dequantized {via_f32}");
+        }
+
+        /// Blocked int8 scoring agrees with per-row scalar dequant-dots
+        /// across random block shapes (odd d, odd M — the two-row AVX2
+        /// microkernel's single-row remainder path included).
+        #[test]
+        fn prop_scores_block_i8_matches_scalar(d in 1usize..40, m in 0usize..9, seed in 0u64..100) {
+            let q: Vec<f32> = (0..d).map(|i| ((i as u64 + seed) % 13) as f32 * 0.2 - 1.0).collect();
+            let block: Vec<i8> = (0..m * d)
+                .map(|i| (((i as u64 * 7 + seed) % 255) as i64 - 127) as i8)
+                .collect();
+            let scales: Vec<f32> = (0..m).map(|j| 0.002 + 0.001 * j as f32).collect();
+            let mut want = vec![0.0f32; m];
+            for ((o, row), &s) in want.iter_mut().zip(block.chunks_exact(d)).zip(scales.iter()) {
+                *o = scalar::dequant_dot(&q, row, s);
+            }
+            let mut got = vec![0.0f32; m];
+            scores_block_i8(&q, &block, &scales, &mut got);
+            for (x, w) in got.iter().zip(want.iter()) {
+                prop_assert!(rel_close(*x, *w, 1e-4));
+            }
+        }
+
+        /// Gathered int8 scoring agrees with per-row scalar dequant-dots
+        /// for arbitrary (repeating, unsorted) id lists — odd candidate
+        /// counts exercise the AVX2 single-row remainder.
+        #[test]
+        fn prop_scores_gather_i8_matches_scalar(
+            d in 1usize..40,
+            n in 1usize..9,
+            picks in proptest::collection::vec(0usize..9, 0..20),
+            seed in 0u64..100,
+        ) {
+            let q: Vec<f32> = (0..d).map(|i| ((i as u64 + seed) % 13) as f32 * 0.2 - 1.0).collect();
+            let table: Vec<i8> = (0..n * d)
+                .map(|i| (((i as u64 * 11 + seed) % 255) as i64 - 127) as i8)
+                .collect();
+            let scales: Vec<f32> = (0..n).map(|j| 0.002 + 0.001 * j as f32).collect();
+            let ids: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
+            let mut want = vec![0.0f32; ids.len()];
+            for (o, &i) in want.iter_mut().zip(ids.iter()) {
+                let i = i as usize;
+                *o = scalar::dequant_dot(&q, &table[i * d..(i + 1) * d], scales[i]);
+            }
+            let mut got = vec![0.0f32; ids.len()];
+            scores_gather_i8(&q, &table, &scales, &ids, &mut got);
+            for (x, w) in got.iter().zip(want.iter()) {
+                prop_assert!(rel_close(*x, *w, 1e-4));
+            }
+        }
+
+        #[test]
+        fn prop_sgd_momentum_matches_scalar(
+            p0 in vec_strategy(70),
+            lr in 0.001f32..0.5,
+            mu in 0.0f32..0.99,
+        ) {
+            let n = p0.len();
+            let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
+            let v0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).cos() * 0.5).collect();
+            let (mut pw, mut vw) = (p0.clone(), v0.clone());
+            scalar::sgd_momentum_update(&mut pw, &mut vw, &g, lr, mu);
+            for lv in simd_levels() {
+                let (mut pg, mut vg) = (p0.clone(), v0.clone());
+                sgd_momentum_update_with(lv, &mut pg, &mut vg, &g, lr, mu);
+                for (x, w) in pg.iter().zip(pw.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv}");
+                }
+                for (x, w) in vg.iter().zip(vw.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv} v");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Odd dims straddling the 8-lane boundary (d = 13/15) exercise
+        /// the AVX2 masked tail loads in `dot`, `axpy` and the two-row
+        /// `scores_block` microkernel: every level must agree with scalar.
+        #[test]
+        fn prop_masked_tails_at_d13_d15(seed in 0u64..300) {
+            for d in [13usize, 15] {
+                let a: Vec<f32> = (0..d)
+                    .map(|i| (((i as u64 * 31 + seed * 7) % 23) as f32) * 0.21 - 2.3)
+                    .collect();
+                let b: Vec<f32> = (0..d)
+                    .map(|i| (((i as u64 * 17 + seed * 13) % 19) as f32) * 0.27 - 2.5)
+                    .collect();
+                let want_dot = scalar::dot(&a, &b);
+                let mut want_axpy = b.clone();
+                scalar::axpy(0.37, &a, &mut want_axpy);
+                for lv in simd_levels() {
+                    prop_assert!(rel_close(dot_with(lv, &a, &b), want_dot, 1e-4), "{lv} dot d={d}");
+                    let mut got = b.clone();
+                    axpy_with(lv, 0.37, &a, &mut got);
+                    for (g, w) in got.iter().zip(want_axpy.iter()) {
+                        prop_assert!(rel_close(*g, *w, 1e-4), "{lv} axpy d={d}: {g} vs {w}");
+                    }
+                }
+                // scores_block runs the dispatched level (covers the AVX2
+                // dot2 microkernel's masked tail when available): odd M so
+                // both the paired and the single-row paths run.
+                let m = 5usize;
+                let block: Vec<f32> = (0..m * d)
+                    .map(|i| (((i as u64 * 11 + seed) % 29) as f32) * 0.17 - 2.4)
+                    .collect();
+                let mut want = vec![0.0f32; m];
+                for (o, row) in want.iter_mut().zip(block.chunks_exact(d)) {
+                    *o = scalar::dot(&a, row);
+                }
+                let mut got = vec![0.0f32; m];
+                scores_block(&a, &block, &mut got);
+                for (x, w) in got.iter().zip(want.iter()) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "scores_block d={d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn normalize_rows_and_gather_agree() {
+        let src = Matrix::from_fn(5, 11, |r, c| ((r * 13 + c * 7) % 9) as f32 * 0.4 - 1.2);
+        let mut dst = Matrix::zeros(5, 11);
+        let mut norms = vec![0.0f32; 5];
+        normalize_rows_into(&src, &mut dst, &mut norms);
+        for (r, &got_n) in norms.iter().enumerate() {
+            let mut want = vec![0.0f32; 11];
+            let wn = scalar::normalize_into(src.row(r), &mut want);
+            assert!(rel_close(got_n, wn, 1e-4));
+            for (x, w) in dst.row(r).iter().zip(want.iter()) {
+                assert!(rel_close(*x, *w, 1e-4));
+            }
+        }
+        // Gather with a permutation.
+        let ids = [4u32, 0, 2];
+        let mut block = vec![0.0f32; 3 * 11];
+        let mut bnorms = vec![0.0f32; 3];
+        normalize_gather_into(&src, &ids, &mut block, &mut bnorms);
+        for (j, &id) in ids.iter().enumerate() {
+            assert!(rel_close(bnorms[j], norms[id as usize], 1e-4));
+            for (x, w) in block[j * 11..(j + 1) * 11].iter().zip(dst.row(id as usize)) {
+                assert!(rel_close(*x, *w, 1e-4));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_slices_are_fine_at_every_level() {
+        for lv in simd_levels().into_iter().chain([SimdLevel::Scalar]) {
+            assert_eq!(dot_with(lv, &[], &[]), 0.0);
+            assert_eq!(sq_dist_with(lv, &[], &[]), 0.0);
+            let mut y: [f32; 0] = [];
+            axpy_with(lv, 1.0, &[], &mut y);
+            scale_with(lv, 2.0, &mut y);
+        }
+        let mut out: [f32; 0] = [];
+        scores_block(&[1.0, 2.0], &[], &mut out);
+        cosine_backward_block(&[], &[], &[1.0], 1.0, &[], &mut [0.0]);
+    }
+}

@@ -1,0 +1,189 @@
+//! Softmax loss (SL) — paper Eq. 4/5.
+//!
+//! Implemented in the decomposed Eq.-5 form
+//!
+//! ```text
+//! L = mean_b [ −p_b  +  τ · logmeanexp_j(n_bj / τ) ]
+//! ```
+//!
+//! i.e. the positive part is the plain expectation and the negative part is
+//! the Log-Expectation-Exp structure whose DRO interpretation Section III
+//! of the paper establishes. We keep the *unscaled* Eq.-5 normalization
+//! (no global `1/τ` factor) so that [`crate::Bsl`] with `τ1 → ∞`
+//! reproduces SL *exactly*, gradients included; the common InfoNCE-style
+//! `1/τ` rescaling only changes the effective learning rate.
+
+use crate::{LossOutput, RankingLoss, ScoreBatch};
+use bsl_linalg::stats::{logsumexp, softmax_into};
+
+/// The Softmax loss with temperature `τ` (paper Eq. 5).
+///
+/// Gradients: `∂L/∂p_b = −1/B` and `∂L/∂n_bj = q_bj / B` where
+/// `q_bj = softmax_j(n_bj/τ)` — the worst-case DRO weights of Lemma 1.
+#[derive(Clone, Copy, Debug)]
+pub struct SoftmaxLoss {
+    tau: f32,
+}
+
+impl SoftmaxLoss {
+    /// Creates SL with temperature `tau`.
+    ///
+    /// # Panics
+    /// Panics if `tau <= 0`.
+    pub fn new(tau: f32) -> Self {
+        assert!(tau > 0.0, "temperature must be positive, got {tau}");
+        Self { tau }
+    }
+
+    /// The temperature τ.
+    #[inline]
+    pub fn tau(&self) -> f32 {
+        self.tau
+    }
+
+    /// The DRO worst-case weights `q_bj = softmax_j(n_bj/τ)` for row `b` of
+    /// `batch`, written into `out` (length `m`). Exposed for the Fig-4b
+    /// analysis.
+    pub fn worst_case_row(&self, batch: &ScoreBatch<'_>, b: usize, out: &mut [f32]) {
+        softmax_into(batch.negs_of(b), self.tau, out);
+    }
+}
+
+impl RankingLoss for SoftmaxLoss {
+    fn name(&self) -> &'static str {
+        "SL"
+    }
+
+    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
+        let b_count = batch.len() as f64;
+        let inv_b = 1.0 / b_count;
+        let tau = self.tau as f64;
+        let m = batch.m as f64;
+
+        let mut loss = 0.0f64;
+        let mut grad_pos = Vec::with_capacity(batch.len());
+        let mut grad_neg = vec![0.0f32; batch.neg.len()];
+        for (row, &p) in batch.pos.iter().enumerate() {
+            let negs = batch.negs_of(row);
+            // τ · logmeanexp(n/τ) computed stably via scaled inputs.
+            let scaled: Vec<f32> = negs.iter().map(|&n| n / self.tau).collect();
+            let lme = logsumexp(&scaled) - m.ln();
+            loss += inv_b * (-(p as f64) + tau * lme);
+            grad_pos.push(-(inv_b as f32));
+            let out = &mut grad_neg[row * batch.m..(row + 1) * batch.m];
+            softmax_into(negs, self.tau, out);
+            for g in out.iter_mut() {
+                *g *= inv_b as f32;
+            }
+        }
+        LossOutput { loss, grad_pos, grad_neg }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fd::{assert_grads_match, synthetic_scores};
+    use proptest::prelude::*;
+
+    #[test]
+    fn gradcheck_various_taus() {
+        let (pos, neg) = synthetic_scores(6, 5, 3);
+        for tau in [0.07f32, 0.1, 0.2, 1.0] {
+            assert_grads_match(&SoftmaxLoss::new(tau), &pos, &neg, 5, 2e-3);
+        }
+    }
+
+    #[test]
+    fn negative_gradients_are_softmax_weights() {
+        let pos = [0.5f32];
+        let neg = [0.1f32, 0.4, -0.2];
+        let out = SoftmaxLoss::new(0.1).compute(&ScoreBatch::new(&pos, &neg, 3));
+        let sum: f32 = out.grad_neg.iter().sum();
+        // Row weights sum to 1/B = 1.
+        assert!((sum - 1.0).abs() < 1e-5);
+        // The hardest (highest-scoring) negative carries the most weight.
+        let max_idx =
+            out.grad_neg.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i);
+        assert_eq!(max_idx, Some(1));
+    }
+
+    #[test]
+    fn lower_tau_sharpens_weights() {
+        let pos = [0.0f32];
+        let neg = [0.1f32, 0.4, -0.2];
+        let sharp = SoftmaxLoss::new(0.05).compute(&ScoreBatch::new(&pos, &neg, 3));
+        let soft = SoftmaxLoss::new(0.5).compute(&ScoreBatch::new(&pos, &neg, 3));
+        assert!(sharp.grad_neg[1] > soft.grad_neg[1]);
+    }
+
+    #[test]
+    fn loss_decreases_when_positive_rises() {
+        let neg = [0.1f32, 0.2];
+        let low = SoftmaxLoss::new(0.1).compute(&ScoreBatch::new(&[0.0], &neg, 2)).loss;
+        let high = SoftmaxLoss::new(0.1).compute(&ScoreBatch::new(&[0.8], &neg, 2)).loss;
+        assert!(high < low);
+    }
+
+    #[test]
+    fn worst_case_row_matches_grad_direction() {
+        let (pos, neg) = synthetic_scores(3, 4, 9);
+        let sl = SoftmaxLoss::new(0.1);
+        let batch = ScoreBatch::new(&pos, &neg, 4);
+        let out = sl.compute(&batch);
+        let mut w = [0.0f32; 4];
+        sl.worst_case_row(&batch, 1, &mut w);
+        for (j, &wj) in w.iter().enumerate() {
+            // grad_neg = w / B with B = 3.
+            assert!((out.grad_neg[4 + j] - wj / 3.0).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "temperature must be positive")]
+    fn rejects_nonpositive_tau() {
+        let _ = SoftmaxLoss::new(0.0);
+    }
+
+    proptest! {
+        /// SL is invariant to shifting *all* scores of a row by a constant
+        /// in its gradient structure: the negative-side weights stay a
+        /// probability distribution.
+        #[test]
+        fn prop_neg_weights_sum_to_inv_b(
+            b in 1usize..6,
+            m in 1usize..8,
+            seed in 0u64..500,
+            tau in 0.05f32..1.0,
+        ) {
+            let (pos, neg) = synthetic_scores(b, m, seed);
+            let out = SoftmaxLoss::new(tau).compute(&ScoreBatch::new(&pos, &neg, m));
+            for row in 0..b {
+                let s: f64 = out.grad_neg[row * m..(row + 1) * m]
+                    .iter()
+                    .map(|&g| g as f64)
+                    .sum();
+                prop_assert!((s - 1.0 / b as f64).abs() < 1e-5);
+            }
+        }
+
+        /// Eq. 5's negative part upper-bounds the mean (Jensen) so SL ≥ the
+        /// "no-variance" pointwise surrogate on identical scores.
+        #[test]
+        fn prop_sl_dominates_mean_surrogate(
+            b in 1usize..5,
+            m in 2usize..8,
+            seed in 0u64..200,
+        ) {
+            let (pos, neg) = synthetic_scores(b, m, seed);
+            let sl = SoftmaxLoss::new(0.2).compute(&ScoreBatch::new(&pos, &neg, m)).loss;
+            let mut surrogate = 0.0f64;
+            for row in 0..b {
+                let negs = &neg[row * m..(row + 1) * m];
+                let mean: f64 = negs.iter().map(|&x| x as f64).sum::<f64>() / m as f64;
+                surrogate += (-(pos[row] as f64) + mean) / b as f64;
+            }
+            prop_assert!(sl >= surrogate - 1e-6);
+        }
+    }
+}

@@ -1,0 +1,979 @@
+//! The frozen train→serve boundary: [`ModelArtifact`].
+//!
+//! Training produces parameters; retrieval needs *prepared score tables*.
+//! An artifact freezes a backbone's final embeddings into the form the
+//! serving dot product wants — rows pre-normalized for cosine backbones,
+//! the CML distance augmentation pre-baked — so that evaluation and
+//! serving never repay per-query preparation and **always score with one
+//! blocked kernel** ([`scores_block`], or its fused int8 twin
+//! [`scores_block_i8`] for quantized tables). `bsl-eval` ranks through the
+//! same tables, which is what makes "metrics offline" and "scores online"
+//! bit-identical.
+//!
+//! Artifacts round-trip through a compact self-describing binary format
+//! (manual little-endian codec, no external dependencies). Format **v1**
+//! is the original f32-only layout and is still written for plain f32
+//! artifacts without an index — old files stay byte-for-byte valid:
+//!
+//! ```text
+//! offset  size  field                         (format v1)
+//!      0     4  magic  b"BSLA"
+//!      4     4  format version (u32 = 1)
+//!      8     8  FNV-1a 64 checksum of every byte from offset 16 on
+//!     16     1  similarity code (0 = dot, 1 = cosine, 2 = -||u-i||²)
+//!     17     1  backbone label length L
+//!     18     2  reserved (zero)
+//!     20     8  n_users (u64)
+//!     28     8  n_items (u64)
+//!     36     8  dim (u64) — the *prepared* width (CML stores d+1)
+//!     44     L  backbone label (UTF-8)
+//!   44+L     …  user table  (n_users·dim little-endian f32)
+//!      …     …  item table  (n_items·dim little-endian f32)
+//! ```
+//!
+//! Format **v2** carries int8-quantized tables and/or an IVF index. The
+//! first 18 bytes match v1; byte 18 becomes a flags field (bit 0 = int8
+//! tables, bit 1 = IVF index present, all other bits must be zero) and
+//! the fixed header grows to 52 bytes:
+//!
+//! ```text
+//! offset  size  field                         (format v2)
+//!      0    18  as v1 (version = 2)
+//!     18     1  flags (bit0 int8, bit1 index)
+//!     19     1  reserved (zero)
+//!     20    24  n_users / n_items / dim (u64 each, as v1)
+//!     44     8  nlist (u64; 0 iff the index flag is clear)
+//!     52     L  backbone label (UTF-8)
+//!   52+L     …  tables:
+//!                f32:  user table, item table      (f32 rows, as v1)
+//!                int8: user table (f32 rows, as v1), then
+//!                      item scales (n_items f32), item rows (n_items·dim i8)
+//!      …     …  index (only with bit1):
+//!                list_offsets ((nlist+1) u64), list_items (n_items u32),
+//!                centroids (nlist·dim f32)
+//! ```
+//!
+//! `f32 → to_le_bytes → from_le_bytes` is lossless, so a loaded artifact
+//! reproduces the saved one bit for bit; the checksum covers the header
+//! fields and every payload section. The decoder validates in a fixed
+//! order — magic, version, fixed header fields, checked-arithmetic total
+//! size against the actual byte count, checksum, then semantic invariants
+//! (similarity code, finite non-negative scales, inverted-list partition
+//! via [`IvfIndex::from_parts`]) — so no allocation is ever sized by an
+//! unverified header field.
+//!
+//! [`scores_block_i8`]: bsl_linalg::simd::scores_block_i8
+
+use crate::backbone::EvalScore;
+use crate::cml::euclidean_rank_embeddings;
+use crate::ivf::IvfIndex;
+use crate::quant::QuantizedTable;
+use bsl_linalg::kernels::dot;
+use bsl_linalg::simd::{normalize_rows_into, scores_block};
+use bsl_linalg::Matrix;
+use std::io::Write;
+use std::path::Path;
+
+/// Artifact format magic bytes.
+const MAGIC: [u8; 4] = *b"BSLA";
+/// Current artifact format version (v1 is still read *and written* for
+/// plain f32 artifacts without an index).
+pub const FORMAT_VERSION: u32 = 2;
+/// Fixed v1 header length (everything before the variable-length label).
+const HEADER_LEN_V1: usize = 44;
+/// Fixed v2 header length.
+const HEADER_LEN_V2: usize = 52;
+/// Offset of the first checksummed byte (just past the checksum field).
+const CHECKSUM_START: usize = 16;
+/// v2 flags bit: tables are int8-quantized.
+const FLAG_INT8: u8 = 1 << 0;
+/// v2 flags bit: an IVF index section follows the tables.
+const FLAG_INDEX: u8 = 1 << 1;
+
+/// Errors from decoding or file I/O on an artifact.
+#[derive(Debug)]
+pub enum ArtifactError {
+    /// Underlying file I/O failed.
+    Io(std::io::Error),
+    /// The file does not start with the `BSLA` magic.
+    BadMagic,
+    /// The format version is newer than this build understands.
+    UnsupportedVersion(u32),
+    /// The byte stream is shorter than its header promises.
+    Truncated {
+        /// Bytes the header declares.
+        expected: usize,
+        /// Bytes actually present.
+        got: usize,
+    },
+    /// The stored checksum does not match the content.
+    ChecksumMismatch,
+    /// A header field or payload section is internally inconsistent.
+    Malformed(&'static str),
+}
+
+impl std::fmt::Display for ArtifactError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArtifactError::Io(e) => write!(f, "artifact I/O error: {e}"),
+            ArtifactError::BadMagic => write!(f, "not a BSL artifact (bad magic)"),
+            ArtifactError::UnsupportedVersion(v) => {
+                write!(
+                    f,
+                    "unsupported artifact format version {v} (this build reads ≤ {FORMAT_VERSION})"
+                )
+            }
+            ArtifactError::Truncated { expected, got } => {
+                write!(f, "truncated artifact: header promises {expected} bytes, file has {got}")
+            }
+            ArtifactError::ChecksumMismatch => {
+                write!(f, "artifact checksum mismatch (corrupted file)")
+            }
+            ArtifactError::Malformed(what) => write!(f, "malformed artifact: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for ArtifactError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ArtifactError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<std::io::Error> for ArtifactError {
+    fn from(e: std::io::Error) -> Self {
+        ArtifactError::Io(e)
+    }
+}
+
+/// FNV-1a 64-bit over `bytes`, continuing from `state` (seed with
+/// [`fnv1a64_init`]).
+fn fnv1a64(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= b as u64;
+        state = state.wrapping_mul(0x100_0000_01b3);
+    }
+    state
+}
+
+/// FNV-1a 64 offset basis.
+fn fnv1a64_init() -> u64 {
+    0xcbf2_9ce4_8422_2325
+}
+
+fn similarity_code(s: EvalScore) -> u8 {
+    match s {
+        EvalScore::Dot => 0,
+        EvalScore::Cosine => 1,
+        EvalScore::NegSqDist => 2,
+    }
+}
+
+fn similarity_from_code(c: u8) -> Option<EvalScore> {
+    match c {
+        0 => Some(EvalScore::Dot),
+        1 => Some(EvalScore::Cosine),
+        2 => Some(EvalScore::NegSqDist),
+        _ => None,
+    }
+}
+
+/// The numeric precision an artifact's score tables are stored at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Precision {
+    /// Full-precision f32 rows (format v1, or v2 with the int8 flag clear).
+    F32,
+    /// Asymmetric quantization (format v2): the catalogue-dominant item
+    /// table is per-row-scaled int8 and queries stay f32 user rows, scored
+    /// through the fused dequant-dot kernels — ~4× smaller item table,
+    /// NDCG-neutral to ≤ 1e-3.
+    Int8,
+}
+
+/// The prepared score tables at either precision. Int8 is *asymmetric*:
+/// only the item table is quantized — the fused kernels take an f32 query
+/// against int8 rows, so keeping queries full-precision costs nothing at
+/// serve time and halves the quantization noise per score.
+#[derive(Clone, Debug)]
+enum Tables {
+    F32 { users: Matrix, items: Matrix },
+    Int8 { users: Matrix, items: QuantizedTable },
+}
+
+/// A frozen, self-describing snapshot of a trained model, ready to serve.
+///
+/// The stored tables are *prepared*: cosine backbones are row-normalized
+/// and CML's distance ranking is converted to an equivalent inner product
+/// by the `(2u, -1) · (i, ||i||²)` augmentation, so every retrieval —
+/// `bsl-eval`'s full ranking, `bsl-serve`'s `recommend`, the IVF probe —
+/// is a plain blocked dot product over these rows. The original
+/// similarity convention is kept as metadata in [`similarity`].
+///
+/// Two orthogonal extras ride on the same artifact:
+///
+/// * [`quantize`](Self::quantize) rewrites both tables as per-row int8
+///   ([`QuantizedTable`]), scored through the fused dequant-dot kernels;
+/// * [`build_ivf`](Self::build_ivf) attaches an [`IvfIndex`] over the
+///   prepared item table for sub-linear shortlist retrieval in
+///   `bsl-serve`.
+///
+/// Both survive the save/load round trip (format v2).
+///
+/// [`similarity`]: ModelArtifact::similarity
+#[derive(Clone, Debug)]
+pub struct ModelArtifact {
+    backbone: String,
+    similarity: EvalScore,
+    tables: Tables,
+    index: Option<IvfIndex>,
+}
+
+impl ModelArtifact {
+    /// Freezes raw final embeddings under `score` into a servable
+    /// artifact, applying the score-specific preparation (normalization /
+    /// distance augmentation) exactly once.
+    ///
+    /// The artifact *owns* its tables (that is what makes it saveable and
+    /// independent of the model's lifetime), so freezing copies them —
+    /// for [`EvalScore::Dot`] a plain clone. At catalogue scale that copy
+    /// is small next to one full ranking pass; callers that only ever
+    /// score raw tables in place can keep using the matrices directly.
+    ///
+    /// # Panics
+    /// Panics if the embedding widths disagree.
+    pub fn from_embeddings(
+        backbone: impl Into<String>,
+        user_emb: &Matrix,
+        item_emb: &Matrix,
+        score: EvalScore,
+    ) -> Self {
+        assert_eq!(user_emb.cols(), item_emb.cols(), "embedding width mismatch");
+        let (users, items) = match score {
+            EvalScore::Dot => (user_emb.clone(), item_emb.clone()),
+            EvalScore::Cosine => {
+                let mut norms = vec![0.0f32; user_emb.rows().max(item_emb.rows())];
+                let mut u = Matrix::zeros(user_emb.rows(), user_emb.cols());
+                normalize_rows_into(user_emb, &mut u, &mut norms[..user_emb.rows()]);
+                let mut i = Matrix::zeros(item_emb.rows(), item_emb.cols());
+                normalize_rows_into(item_emb, &mut i, &mut norms[..item_emb.rows()]);
+                (u, i)
+            }
+            EvalScore::NegSqDist => euclidean_rank_embeddings(user_emb, item_emb),
+        };
+        Self {
+            backbone: backbone.into(),
+            similarity: score,
+            tables: Tables::F32 { users, items },
+            index: None,
+        }
+    }
+
+    /// Rebuilds an artifact from already-prepared tables (also useful for
+    /// tests that craft tables by hand).
+    ///
+    /// # Panics
+    /// Panics if the table widths disagree.
+    pub fn from_prepared(
+        backbone: impl Into<String>,
+        similarity: EvalScore,
+        users: Matrix,
+        items: Matrix,
+    ) -> Self {
+        assert_eq!(users.cols(), items.cols(), "prepared table width mismatch");
+        Self {
+            backbone: backbone.into(),
+            similarity,
+            tables: Tables::F32 { users, items },
+            index: None,
+        }
+    }
+
+    /// The backbone label this artifact was exported from (`"MF"`, …).
+    pub fn backbone(&self) -> &str {
+        &self.backbone
+    }
+
+    /// The similarity convention the tables were prepared under.
+    pub fn similarity(&self) -> EvalScore {
+        self.similarity
+    }
+
+    /// The precision the score tables are stored at.
+    pub fn precision(&self) -> Precision {
+        match self.tables {
+            Tables::F32 { .. } => Precision::F32,
+            Tables::Int8 { .. } => Precision::Int8,
+        }
+    }
+
+    /// The attached IVF index, if one was built or loaded.
+    pub fn index(&self) -> Option<&IvfIndex> {
+        self.index.as_ref()
+    }
+
+    /// Number of users.
+    pub fn n_users(&self) -> usize {
+        match &self.tables {
+            Tables::F32 { users, .. } | Tables::Int8 { users, .. } => users.rows(),
+        }
+    }
+
+    /// Number of items.
+    pub fn n_items(&self) -> usize {
+        match &self.tables {
+            Tables::F32 { items, .. } => items.rows(),
+            Tables::Int8 { items, .. } => items.rows(),
+        }
+    }
+
+    /// Width of the prepared tables (CML artifacts store `d + 1`).
+    pub fn dim(&self) -> usize {
+        match &self.tables {
+            Tables::F32 { users, .. } | Tables::Int8 { users, .. } => users.cols(),
+        }
+    }
+
+    /// The prepared f32 user table (queries stay f32 at both precisions).
+    pub fn users(&self) -> &Matrix {
+        match &self.tables {
+            Tables::F32 { users, .. } | Tables::Int8 { users, .. } => users,
+        }
+    }
+
+    /// The prepared f32 item table.
+    ///
+    /// # Panics
+    /// Panics on an int8 artifact — use [`precision`](Self::precision) to
+    /// branch, or [`items_i8`](Self::items_i8) / the `score_*` dispatchers
+    /// that handle both precisions.
+    pub fn items(&self) -> &Matrix {
+        match &self.tables {
+            Tables::F32 { items, .. } => items,
+            Tables::Int8 { .. } => panic!("items(): artifact is int8-quantized"),
+        }
+    }
+
+    /// The f32 item table, if this artifact stores one.
+    pub fn items_f32(&self) -> Option<&Matrix> {
+        match &self.tables {
+            Tables::F32 { items, .. } => Some(items),
+            Tables::Int8 { .. } => None,
+        }
+    }
+
+    /// The quantized item table, if this artifact stores one.
+    pub fn items_i8(&self) -> Option<&QuantizedTable> {
+        match &self.tables {
+            Tables::F32 { .. } => None,
+            Tables::Int8 { items, .. } => Some(items),
+        }
+    }
+
+    /// Writes user `user`'s prepared f32 row into `out` (resized to
+    /// `dim`). This is the query vector every retrieval path (exact, IVF
+    /// probe, int8 rescore) scores with — queries are f32 at both
+    /// precisions.
+    ///
+    /// # Panics
+    /// Panics if `user` is out of range.
+    pub fn query_into(&self, user: u32, out: &mut Vec<f32>) {
+        out.resize(self.dim(), 0.0);
+        out.copy_from_slice(self.users().row(user as usize));
+    }
+
+    /// Scores a prepared f32 query vector against the full catalogue into
+    /// `out` (resized to `n_items`) — the precision-dispatched blocked
+    /// kernel behind [`score_catalogue_into`](Self::score_catalogue_into).
+    ///
+    /// # Panics
+    /// Panics if `q.len() != dim`.
+    pub fn score_catalogue_query_into(&self, q: &[f32], out: &mut Vec<f32>) {
+        match &self.tables {
+            Tables::F32 { items, .. } => {
+                out.resize(items.rows(), 0.0);
+                scores_block(q, items.as_slice(), out);
+            }
+            Tables::Int8 { items, .. } => items.scores_into(q, out),
+        }
+    }
+
+    /// Scores the full item catalogue for `user` into `out` (resized to
+    /// `n_items`) with one blocked tall-skinny matvec — the single scoring
+    /// implementation shared by training-loop eval, offline eval, and
+    /// serving. Int8 artifacts score the f32 user row against the
+    /// quantized items with the fused int8 kernel. Allocation-free either
+    /// way.
+    ///
+    /// # Panics
+    /// Panics if `user` is out of range.
+    pub fn score_catalogue_into(&self, user: u32, out: &mut Vec<f32>) {
+        match &self.tables {
+            Tables::F32 { users, items } => {
+                out.resize(items.rows(), 0.0);
+                scores_block(users.row(user as usize), items.as_slice(), out);
+            }
+            Tables::Int8 { users, items } => {
+                items.scores_into(users.row(user as usize), out);
+            }
+        }
+    }
+
+    /// Scores an explicit candidate list for `user` into `out` (resized to
+    /// `items.len()`).
+    ///
+    /// For [`EvalScore::NegSqDist`] artifacts the values are the
+    /// rank-equivalent augmented inner products, not raw distances —
+    /// consistent with [`score_catalogue_into`](Self::score_catalogue_into).
+    ///
+    /// # Panics
+    /// Panics if `user` or any item id is out of range.
+    pub fn score_items_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+        let q = self.users().row(user as usize);
+        self.score_items_query_into(q, items, out);
+    }
+
+    /// Scores an explicit candidate list against a prepared f32 query
+    /// vector into `out` (cleared first) — the precision-dispatched
+    /// shortlist rescorer behind the IVF serving path; callers hold the
+    /// query from [`query_into`](Self::query_into) so the hot loop never
+    /// allocates.
+    ///
+    /// # Panics
+    /// Panics if `q.len() != dim` or any item id is out of range.
+    pub fn score_items_query_into(&self, q: &[f32], items: &[u32], out: &mut Vec<f32>) {
+        assert_eq!(q.len(), self.dim(), "query width mismatch");
+        out.clear();
+        match &self.tables {
+            Tables::F32 { items: table, .. } => {
+                out.extend(items.iter().map(|&i| dot(q, table.row(i as usize))));
+            }
+            Tables::Int8 { items: table, .. } => {
+                table.scores_gather_into(q, items, out);
+            }
+        }
+    }
+
+    /// Returns an int8-quantized copy of this artifact: the item table
+    /// becomes per-row int8 (~4× smaller); the user table stays f32, so
+    /// queries keep full precision (asymmetric quantization). The attached
+    /// index, if any, is kept — it was built over the same prepared
+    /// geometry and quantization moves each item row by at most `scale/2`
+    /// per coordinate. Quantizing an already-int8 artifact is a plain
+    /// clone.
+    pub fn quantize(&self) -> Self {
+        let tables = match &self.tables {
+            Tables::F32 { users, items } => {
+                Tables::Int8 { users: users.clone(), items: QuantizedTable::from_matrix(items) }
+            }
+            int8 @ Tables::Int8 { .. } => int8.clone(),
+        };
+        Self {
+            backbone: self.backbone.clone(),
+            similarity: self.similarity,
+            tables,
+            index: self.index.clone(),
+        }
+    }
+
+    /// Builds (or rebuilds) an IVF-flat index with `nlist` lists over the
+    /// prepared item table. Int8 artifacts are dequantized for the build —
+    /// the index stores f32 centroids either way.
+    ///
+    /// # Panics
+    /// Panics if the catalogue is empty or `nlist` is out of `1..=n_items`.
+    pub fn build_ivf(&mut self, nlist: usize) {
+        let index = match &self.tables {
+            Tables::F32 { items, .. } => IvfIndex::build(items, nlist),
+            Tables::Int8 { items, .. } => IvfIndex::build(&items.dequantize(), nlist),
+        };
+        self.index = Some(index);
+    }
+
+    /// Builds an IVF index with the default `√n_items` list count.
+    pub fn build_default_ivf(&mut self) {
+        self.build_ivf(IvfIndex::default_nlist(self.n_items()));
+    }
+
+    /// Drops the attached index (the artifact serves exactly again).
+    pub fn clear_index(&mut self) {
+        self.index = None;
+    }
+
+    /// Encodes the artifact into the documented binary format: v1 for a
+    /// plain f32 artifact with no index (bit-compatible with every v1
+    /// reader), v2 otherwise.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let label = self.backbone.as_bytes();
+        assert!(label.len() <= u8::MAX as usize, "backbone label too long for the format");
+        let v2 = matches!(self.tables, Tables::Int8 { .. }) || self.index.is_some();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&(if v2 { 2u32 } else { 1u32 }).to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes()); // checksum placeholder
+        buf.push(similarity_code(self.similarity));
+        buf.push(label.len() as u8);
+        if v2 {
+            let mut flags = 0u8;
+            if matches!(self.tables, Tables::Int8 { .. }) {
+                flags |= FLAG_INT8;
+            }
+            if self.index.is_some() {
+                flags |= FLAG_INDEX;
+            }
+            buf.push(flags);
+            buf.push(0); // reserved
+        } else {
+            buf.extend_from_slice(&0u16.to_le_bytes()); // v1 reserved
+        }
+        buf.extend_from_slice(&(self.n_users() as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.n_items() as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.dim() as u64).to_le_bytes());
+        if v2 {
+            let nlist = self.index.as_ref().map_or(0, |ix| ix.nlist());
+            buf.extend_from_slice(&(nlist as u64).to_le_bytes());
+        }
+        buf.extend_from_slice(label);
+        match &self.tables {
+            Tables::F32 { users, items } => {
+                for &v in users.as_slice().iter().chain(items.as_slice().iter()) {
+                    buf.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            Tables::Int8 { users, items } => {
+                for &v in users.as_slice() {
+                    buf.extend_from_slice(&v.to_le_bytes());
+                }
+                for &s in items.scales() {
+                    buf.extend_from_slice(&s.to_le_bytes());
+                }
+                buf.extend(items.data().iter().map(|&b| b as u8));
+            }
+        }
+        if let Some(ix) = &self.index {
+            for &o in ix.list_offsets() {
+                buf.extend_from_slice(&(o as u64).to_le_bytes());
+            }
+            for &i in ix.list_items() {
+                buf.extend_from_slice(&i.to_le_bytes());
+            }
+            for &v in ix.centroids().as_slice() {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let sum = fnv1a64(fnv1a64_init(), &buf[CHECKSUM_START..]);
+        buf[8..16].copy_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    /// Decodes an artifact from [`to_bytes`](Self::to_bytes) output,
+    /// verifying magic, version, declared sizes (with checked arithmetic,
+    /// before any allocation sized by a header field), the checksum, and
+    /// every semantic invariant of the payload.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        if bytes.len() < HEADER_LEN_V1 {
+            return Err(ArtifactError::Truncated { expected: HEADER_LEN_V1, got: bytes.len() });
+        }
+        if bytes[0..4] != MAGIC {
+            return Err(ArtifactError::BadMagic);
+        }
+        let take_u64 =
+            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version == 0 || version > FORMAT_VERSION {
+            return Err(ArtifactError::UnsupportedVersion(version));
+        }
+        let header_len = if version == 1 { HEADER_LEN_V1 } else { HEADER_LEN_V2 };
+        if bytes.len() < header_len {
+            return Err(ArtifactError::Truncated { expected: header_len, got: bytes.len() });
+        }
+        let stored_sum = take_u64(8);
+        let similarity_byte = bytes[16];
+        let label_len = bytes[17] as usize;
+        let flags = if version == 1 {
+            if bytes[18..20] != [0, 0] {
+                return Err(ArtifactError::Malformed("nonzero reserved bytes"));
+            }
+            0u8
+        } else {
+            let flags = bytes[18];
+            if flags & !(FLAG_INT8 | FLAG_INDEX) != 0 {
+                return Err(ArtifactError::Malformed("unknown flag bits"));
+            }
+            if bytes[19] != 0 {
+                return Err(ArtifactError::Malformed("nonzero reserved bytes"));
+            }
+            flags
+        };
+        let int8 = flags & FLAG_INT8 != 0;
+        let has_index = flags & FLAG_INDEX != 0;
+        let n_users = usize::try_from(take_u64(20))
+            .map_err(|_| ArtifactError::Malformed("n_users overflows usize"))?;
+        let n_items = usize::try_from(take_u64(28))
+            .map_err(|_| ArtifactError::Malformed("n_items overflows usize"))?;
+        let dim = usize::try_from(take_u64(36))
+            .map_err(|_| ArtifactError::Malformed("dim overflows usize"))?;
+        if dim == 0 {
+            return Err(ArtifactError::Malformed("zero-width tables"));
+        }
+        let nlist = if version == 1 {
+            0
+        } else {
+            usize::try_from(take_u64(44))
+                .map_err(|_| ArtifactError::Malformed("nlist overflows usize"))?
+        };
+        if has_index {
+            if nlist == 0 || nlist > n_items {
+                return Err(ArtifactError::Malformed("nlist out of 1..=n_items"));
+            }
+        } else if nlist != 0 {
+            return Err(ArtifactError::Malformed("nonzero nlist without index flag"));
+        }
+        // Total size, fully checked before any alloc-by-header.
+        let user_elems = n_users
+            .checked_mul(dim)
+            .ok_or(ArtifactError::Malformed("table size overflows usize"))?;
+        let item_elems = n_items
+            .checked_mul(dim)
+            .ok_or(ArtifactError::Malformed("table size overflows usize"))?;
+        let tables_bytes = if int8 {
+            // f32 user table + item scales (4 bytes/row) + item rows
+            // (1 byte/elem).
+            user_elems
+                .checked_mul(4)
+                .and_then(|u| n_items.checked_mul(4)?.checked_add(u))
+                .and_then(|b| b.checked_add(item_elems))
+        } else {
+            user_elems.checked_add(item_elems).and_then(|e| e.checked_mul(4))
+        }
+        .ok_or(ArtifactError::Malformed("table size overflows usize"))?;
+        let index_bytes = if has_index {
+            let offsets = nlist
+                .checked_add(1)
+                .and_then(|n| n.checked_mul(8))
+                .ok_or(ArtifactError::Malformed("index size overflows usize"))?;
+            let items = n_items
+                .checked_mul(4)
+                .ok_or(ArtifactError::Malformed("index size overflows usize"))?;
+            let centroids = nlist
+                .checked_mul(dim)
+                .and_then(|e| e.checked_mul(4))
+                .ok_or(ArtifactError::Malformed("index size overflows usize"))?;
+            offsets
+                .checked_add(items)
+                .and_then(|b| b.checked_add(centroids))
+                .ok_or(ArtifactError::Malformed("index size overflows usize"))?
+        } else {
+            0
+        };
+        let total = header_len
+            .checked_add(label_len)
+            .and_then(|h| h.checked_add(tables_bytes))
+            .and_then(|h| h.checked_add(index_bytes))
+            .ok_or(ArtifactError::Malformed("total size overflows usize"))?;
+        if bytes.len() < total {
+            return Err(ArtifactError::Truncated { expected: total, got: bytes.len() });
+        }
+        if bytes.len() > total {
+            return Err(ArtifactError::Malformed("trailing bytes after payload"));
+        }
+        if fnv1a64(fnv1a64_init(), &bytes[CHECKSUM_START..]) != stored_sum {
+            return Err(ArtifactError::ChecksumMismatch);
+        }
+        // Bytes are authentic from here on; semantic checks follow.
+        let similarity = similarity_from_code(similarity_byte)
+            .ok_or(ArtifactError::Malformed("unknown similarity code"))?;
+        let backbone = std::str::from_utf8(&bytes[header_len..header_len + label_len])
+            .map_err(|_| ArtifactError::Malformed("backbone label is not UTF-8"))?
+            .to_string();
+        let mut at = header_len + label_len;
+        let read_f32s = |at: &mut usize, count: usize| {
+            let mut data = Vec::with_capacity(count);
+            for chunk in bytes[*at..*at + count * 4].chunks_exact(4) {
+                data.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
+            }
+            *at += count * 4;
+            data
+        };
+        let tables = if int8 {
+            let users = Matrix::from_vec(n_users, dim, read_f32s(&mut at, user_elems));
+            let scales = read_f32s(&mut at, n_items);
+            if scales.iter().any(|s| !s.is_finite() || *s < 0.0) {
+                return Err(ArtifactError::Malformed("quantization scale out of range"));
+            }
+            let data: Vec<i8> = bytes[at..at + item_elems].iter().map(|&b| b as i8).collect();
+            at += item_elems;
+            let items = QuantizedTable::from_parts(n_items, dim, data, scales);
+            Tables::Int8 { users, items }
+        } else {
+            let users = Matrix::from_vec(n_users, dim, read_f32s(&mut at, user_elems));
+            let items = Matrix::from_vec(n_items, dim, read_f32s(&mut at, item_elems));
+            Tables::F32 { users, items }
+        };
+        let index = if has_index {
+            let mut offsets = Vec::with_capacity(nlist + 1);
+            for chunk in bytes[at..at + (nlist + 1) * 8].chunks_exact(8) {
+                let o = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+                offsets.push(
+                    usize::try_from(o)
+                        .map_err(|_| ArtifactError::Malformed("list offset overflows usize"))?,
+                );
+            }
+            at += (nlist + 1) * 8;
+            let mut list_items = Vec::with_capacity(n_items);
+            for chunk in bytes[at..at + n_items * 4].chunks_exact(4) {
+                list_items.push(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
+            }
+            at += n_items * 4;
+            let centroids = Matrix::from_vec(nlist, dim, read_f32s(&mut at, nlist * dim));
+            Some(
+                IvfIndex::from_parts(centroids, offsets, list_items)
+                    .map_err(ArtifactError::Malformed)?,
+            )
+        } else {
+            None
+        };
+        Ok(Self { backbone, similarity, tables, index })
+    }
+
+    /// Writes the artifact to `path` (atomic enough for our purposes: a
+    /// single buffered write of the encoded stream).
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
+        let bytes = self.to_bytes();
+        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
+        f.write_all(&bytes)?;
+        f.flush()?;
+        Ok(())
+    }
+
+    /// Reads an artifact from `path`, verifying the header and checksum.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
+        Self::from_bytes(&std::fs::read(path)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn toy(score: EvalScore) -> ModelArtifact {
+        let mut rng = StdRng::seed_from_u64(9);
+        let u = Matrix::gaussian(5, 7, 1.0, &mut rng);
+        let i = Matrix::gaussian(11, 7, 1.0, &mut rng);
+        ModelArtifact::from_embeddings("MF", &u, &i, score)
+    }
+
+    #[test]
+    fn bytes_round_trip_is_bit_identical() {
+        for score in [EvalScore::Dot, EvalScore::Cosine, EvalScore::NegSqDist] {
+            let art = toy(score);
+            let back = ModelArtifact::from_bytes(&art.to_bytes()).expect("decode");
+            assert_eq!(back.backbone(), art.backbone());
+            assert_eq!(back.similarity(), art.similarity());
+            assert_eq!(back.users().as_slice(), art.users().as_slice());
+            assert_eq!(back.items().as_slice(), art.items().as_slice());
+        }
+    }
+
+    #[test]
+    fn plain_f32_artifacts_still_write_format_v1() {
+        let bytes = toy(EvalScore::Dot).to_bytes();
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 1);
+    }
+
+    #[test]
+    fn quantized_round_trip_is_bit_identical() {
+        let art = toy(EvalScore::Cosine).quantize();
+        assert_eq!(art.precision(), Precision::Int8);
+        let bytes = art.to_bytes();
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
+        let back = ModelArtifact::from_bytes(&bytes).expect("decode");
+        assert_eq!(back.precision(), Precision::Int8);
+        assert_eq!(back.items_i8().unwrap(), art.items_i8().unwrap());
+        assert_eq!(back.users().as_slice(), art.users().as_slice());
+        assert!(back.index().is_none());
+    }
+
+    #[test]
+    fn indexed_round_trip_preserves_the_index() {
+        for quantized in [false, true] {
+            let mut art = toy(EvalScore::Dot);
+            if quantized {
+                art = art.quantize();
+            }
+            art.build_ivf(3);
+            let back = ModelArtifact::from_bytes(&art.to_bytes()).expect("decode");
+            assert_eq!(back.index().expect("index survives"), art.index().unwrap());
+            assert_eq!(back.precision(), art.precision());
+        }
+    }
+
+    #[test]
+    fn quantize_keeps_scores_close() {
+        let art = toy(EvalScore::Cosine);
+        let q8 = art.quantize();
+        let (mut exact, mut approx) = (Vec::new(), Vec::new());
+        for u in 0..art.n_users() as u32 {
+            art.score_catalogue_into(u, &mut exact);
+            q8.score_catalogue_into(u, &mut approx);
+            for (a, b) in exact.iter().zip(approx.iter()) {
+                // Unit-norm rows, d=7: quantization noise ≲ d·(scale/2) ≈ 0.03.
+                assert!((a - b).abs() < 0.05, "user {u}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn score_items_matches_catalogue_at_both_precisions() {
+        for art in [toy(EvalScore::Cosine), toy(EvalScore::Cosine).quantize()] {
+            let mut all = Vec::new();
+            art.score_catalogue_into(3, &mut all);
+            let ids: Vec<u32> = (0..art.n_items() as u32).collect();
+            let mut listed = Vec::new();
+            art.score_items_into(3, &ids, &mut listed);
+            for (a, b) in all.iter().zip(listed.iter()) {
+                assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn query_into_returns_the_scoring_row() {
+        let art = toy(EvalScore::Dot);
+        let mut q = Vec::new();
+        art.query_into(2, &mut q);
+        assert_eq!(q.as_slice(), art.users().row(2));
+        let q8 = art.quantize();
+        q8.query_into(2, &mut q);
+        let mut scores_via_q = Vec::new();
+        q8.score_catalogue_query_into(&q, &mut scores_via_q);
+        let mut scores_direct = Vec::new();
+        q8.score_catalogue_into(2, &mut scores_direct);
+        assert_eq!(scores_via_q, scores_direct);
+    }
+
+    #[test]
+    fn cosine_tables_are_prenormalized() {
+        let art = toy(EvalScore::Cosine);
+        for r in 0..art.n_items() {
+            let n = dot(art.items().row(r), art.items().row(r)).sqrt();
+            assert!((n - 1.0).abs() < 1e-5, "row {r} norm {n}");
+        }
+    }
+
+    #[test]
+    fn negsqdist_bakes_the_augmentation() {
+        let art = toy(EvalScore::NegSqDist);
+        assert_eq!(art.dim(), 8, "CML artifacts store d + 1");
+        // Augmented dot ranks like negative distance: last user column is -1.
+        assert!(art.users().row(0)[7] == -1.0);
+    }
+
+    #[test]
+    fn score_catalogue_matches_score_items() {
+        let art = toy(EvalScore::Cosine);
+        let mut all = Vec::new();
+        art.score_catalogue_into(3, &mut all);
+        assert_eq!(all.len(), art.n_items());
+        let ids: Vec<u32> = (0..art.n_items() as u32).collect();
+        let mut listed = Vec::new();
+        art.score_items_into(3, &ids, &mut listed);
+        for (a, b) in all.iter().zip(listed.iter()) {
+            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn rejects_bad_magic() {
+        let mut bytes = toy(EvalScore::Dot).to_bytes();
+        bytes[0] = b'X';
+        assert!(matches!(ModelArtifact::from_bytes(&bytes), Err(ArtifactError::BadMagic)));
+    }
+
+    #[test]
+    fn rejects_future_version() {
+        let mut bytes = toy(EvalScore::Dot).to_bytes();
+        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
+        assert!(matches!(
+            ModelArtifact::from_bytes(&bytes),
+            Err(ArtifactError::UnsupportedVersion(99))
+        ));
+    }
+
+    #[test]
+    fn rejects_flipped_payload_byte() {
+        for art in [toy(EvalScore::Dot), toy(EvalScore::Dot).quantize()] {
+            let mut bytes = art.to_bytes();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x40;
+            assert!(matches!(
+                ModelArtifact::from_bytes(&bytes),
+                Err(ArtifactError::ChecksumMismatch)
+            ));
+        }
+    }
+
+    #[test]
+    fn rejects_corrupted_header_field() {
+        let mut bytes = toy(EvalScore::Dot).to_bytes();
+        // Inflate n_users: either the length check or the checksum must trip.
+        bytes[20] ^= 0x01;
+        assert!(ModelArtifact::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn rejects_truncation() {
+        let bytes = toy(EvalScore::Dot).to_bytes();
+        for cut in [bytes.len() - 1, bytes.len() / 2, HEADER_LEN_V1 - 1, 3] {
+            assert!(
+                matches!(
+                    ModelArtifact::from_bytes(&bytes[..cut]),
+                    Err(ArtifactError::Truncated { .. })
+                ),
+                "cut at {cut} must be rejected as truncated"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_garbage() {
+        let mut bytes = toy(EvalScore::Dot).to_bytes();
+        bytes.push(0);
+        assert!(matches!(
+            ModelArtifact::from_bytes(&bytes),
+            Err(ArtifactError::Malformed("trailing bytes after payload"))
+        ));
+    }
+
+    #[test]
+    fn rejects_unknown_similarity() {
+        let mut bytes = toy(EvalScore::Dot).to_bytes();
+        bytes[16] = 7;
+        // Re-stamp the checksum so the similarity check itself is reached.
+        let sum = fnv1a64(fnv1a64_init(), &bytes[CHECKSUM_START..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            ModelArtifact::from_bytes(&bytes),
+            Err(ArtifactError::Malformed("unknown similarity code"))
+        ));
+    }
+
+    #[test]
+    fn save_load_round_trips_through_disk() {
+        let mut art = toy(EvalScore::Cosine);
+        art.build_default_ivf();
+        let art = art.quantize();
+        let dir = std::env::temp_dir().join("bsl-artifact-unit");
+        std::fs::create_dir_all(&dir).expect("tempdir");
+        let path = dir.join("toy.bsla");
+        art.save(&path).expect("save");
+        let back = ModelArtifact::load(&path).expect("load");
+        assert_eq!(back.items_i8().unwrap(), art.items_i8().unwrap());
+        assert_eq!(back.index().unwrap(), art.index().unwrap());
+        std::fs::remove_file(&path).ok();
+    }
+}

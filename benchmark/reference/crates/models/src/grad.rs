@@ -1,0 +1,209 @@
+//! Accumulator for gradients w.r.t. final embeddings.
+
+use bsl_linalg::Matrix;
+
+/// Dense per-node gradient buffer with touched-row bookkeeping.
+///
+/// The trainer accumulates `∂L/∂(final embedding)` rows for the users and
+/// items a batch touches; [`GradBuffer::clear`] then zeroes *only* those
+/// rows, keeping per-batch cost proportional to the batch, not the
+/// catalogue.
+#[derive(Clone, Debug)]
+pub struct GradBuffer {
+    users: Matrix,
+    items: Matrix,
+    user_touched: Vec<bool>,
+    item_touched: Vec<bool>,
+    user_list: Vec<u32>,
+    item_list: Vec<u32>,
+}
+
+impl GradBuffer {
+    /// A zeroed buffer for `n_users`/`n_items` nodes of dimension `dim`.
+    pub fn new(n_users: usize, n_items: usize, dim: usize) -> Self {
+        Self {
+            users: Matrix::zeros(n_users, dim),
+            items: Matrix::zeros(n_items, dim),
+            user_touched: vec![false; n_users],
+            item_touched: vec![false; n_items],
+            user_list: Vec::new(),
+            item_list: Vec::new(),
+        }
+    }
+
+    /// Gradient dimensionality.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.users.cols()
+    }
+
+    /// Mutable gradient row of user `u`, marking it touched.
+    #[inline]
+    pub fn user_row_mut(&mut self, u: u32) -> &mut [f32] {
+        let ui = u as usize;
+        if !self.user_touched[ui] {
+            self.user_touched[ui] = true;
+            self.user_list.push(u);
+        }
+        self.users.row_mut(ui)
+    }
+
+    /// Mutable gradient row of item `i`, marking it touched.
+    #[inline]
+    pub fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
+        let ii = i as usize;
+        if !self.item_touched[ii] {
+            self.item_touched[ii] = true;
+            self.item_list.push(i);
+        }
+        self.items.row_mut(ii)
+    }
+
+    /// The dense user-gradient matrix (zeros outside touched rows).
+    #[inline]
+    pub fn users(&self) -> &Matrix {
+        &self.users
+    }
+
+    /// The dense item-gradient matrix (zeros outside touched rows).
+    #[inline]
+    pub fn items(&self) -> &Matrix {
+        &self.items
+    }
+
+    /// Users with a non-trivially-zero gradient row (no duplicates).
+    #[inline]
+    pub fn touched_users(&self) -> &[u32] {
+        &self.user_list
+    }
+
+    /// Items with a non-trivially-zero gradient row (no duplicates).
+    #[inline]
+    pub fn touched_items(&self) -> &[u32] {
+        &self.item_list
+    }
+
+    /// Whether nothing has been accumulated since the last clear.
+    pub fn is_empty(&self) -> bool {
+        self.user_list.is_empty() && self.item_list.is_empty()
+    }
+
+    /// Adds every touched row of `other` into this buffer (marking the
+    /// rows touched here too).
+    ///
+    /// This is the reduction step of the sharded trainer: each worker
+    /// accumulates into a private buffer and the shards are merged in a
+    /// fixed order, so results are exact up to f32 addition order and
+    /// deterministic for a given shard count.
+    ///
+    /// # Panics
+    /// Panics if the two buffers have different shapes.
+    pub fn merge_from(&mut self, other: &GradBuffer) {
+        assert_eq!(self.users.shape(), other.users.shape(), "user grad shapes differ");
+        assert_eq!(self.items.shape(), other.items.shape(), "item grad shapes differ");
+        for &u in other.touched_users() {
+            let src = other.users.row(u as usize);
+            for (dst, &s) in self.user_row_mut(u).iter_mut().zip(src.iter()) {
+                *dst += s;
+            }
+        }
+        for &i in other.touched_items() {
+            let src = other.items.row(i as usize);
+            for (dst, &s) in self.item_row_mut(i).iter_mut().zip(src.iter()) {
+                *dst += s;
+            }
+        }
+    }
+
+    /// Zeroes the touched rows and resets the bookkeeping.
+    pub fn clear(&mut self) {
+        for &u in &self.user_list {
+            self.users.row_mut(u as usize).fill(0.0);
+            self.user_touched[u as usize] = false;
+        }
+        for &i in &self.item_list {
+            self.items.row_mut(i as usize).fill(0.0);
+            self.item_touched[i as usize] = false;
+        }
+        self.user_list.clear();
+        self.item_list.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accumulates_and_tracks_touched() {
+        let mut g = GradBuffer::new(3, 4, 2);
+        g.user_row_mut(1)[0] += 1.0;
+        g.user_row_mut(1)[1] += 2.0;
+        g.item_row_mut(3)[0] += -0.5;
+        assert_eq!(g.touched_users(), &[1]);
+        assert_eq!(g.touched_items(), &[3]);
+        assert_eq!(g.users().row(1), &[1.0, 2.0]);
+        assert_eq!(g.items().row(3), &[-0.5, 0.0]);
+        assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn clear_zeroes_only_touched_rows() {
+        let mut g = GradBuffer::new(2, 2, 2);
+        g.user_row_mut(0)[0] = 5.0;
+        g.clear();
+        assert!(g.is_empty());
+        assert_eq!(g.users().row(0), &[0.0, 0.0]);
+        assert!(g.touched_users().is_empty());
+        // Reuse after clear works.
+        g.user_row_mut(0)[1] = 3.0;
+        assert_eq!(g.users().row(0), &[0.0, 3.0]);
+        assert_eq!(g.touched_users(), &[0]);
+    }
+
+    #[test]
+    fn merge_from_adds_rows_and_marks_touched() {
+        let mut a = GradBuffer::new(3, 3, 2);
+        a.user_row_mut(0)[0] = 1.0;
+        a.item_row_mut(2)[1] = 4.0;
+        let mut b = GradBuffer::new(3, 3, 2);
+        b.user_row_mut(0)[0] = 2.0; // overlaps a's touched row
+        b.user_row_mut(1)[1] = 3.0; // new row
+        b.item_row_mut(2)[1] = -1.0;
+        a.merge_from(&b);
+        assert_eq!(a.users().row(0), &[3.0, 0.0]);
+        assert_eq!(a.users().row(1), &[0.0, 3.0]);
+        assert_eq!(a.items().row(2), &[0.0, 3.0]);
+        let mut tu = a.touched_users().to_vec();
+        tu.sort_unstable();
+        assert_eq!(tu, vec![0, 1]);
+        // b is untouched by the merge.
+        assert_eq!(b.users().row(0), &[2.0, 0.0]);
+    }
+
+    #[test]
+    fn merge_order_of_disjoint_shards_is_exact() {
+        // Shard buffers touching disjoint rows merge to the same result in
+        // any order (the trainer still fixes the order for determinism).
+        let mut main1 = GradBuffer::new(2, 1, 1);
+        let mut main2 = GradBuffer::new(2, 1, 1);
+        let mut s0 = GradBuffer::new(2, 1, 1);
+        s0.user_row_mut(0)[0] = 0.25;
+        let mut s1 = GradBuffer::new(2, 1, 1);
+        s1.user_row_mut(1)[0] = 0.5;
+        main1.merge_from(&s0);
+        main1.merge_from(&s1);
+        main2.merge_from(&s1);
+        main2.merge_from(&s0);
+        assert_eq!(main1.users().as_slice(), main2.users().as_slice());
+    }
+
+    #[test]
+    fn repeated_touch_registers_once() {
+        let mut g = GradBuffer::new(2, 2, 1);
+        g.user_row_mut(1)[0] += 1.0;
+        g.user_row_mut(1)[0] += 1.0;
+        assert_eq!(g.touched_users(), &[1]);
+        assert_eq!(g.users().row(1), &[2.0]);
+    }
+}

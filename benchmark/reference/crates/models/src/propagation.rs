@@ -1,0 +1,335 @@
+//! Shared graph-propagation machinery for the GCN family.
+//!
+//! LightGCN's layer-mean propagation is a *symmetric* linear operator on
+//! the stacked embedding vector, so its exact backward pass is the operator
+//! itself — [`Propagator::backward`] simply reuses the forward map, and the
+//! `adjointness` test below verifies `<F(x), y> = <x, F(y)>` numerically.
+
+use bsl_linalg::simd::scores_block;
+use bsl_linalg::stats::softmax_into;
+use bsl_linalg::Matrix;
+use bsl_sparse::NormAdj;
+
+/// K-layer LightGCN propagation with layer-mean readout.
+#[derive(Clone, Debug)]
+pub struct Propagator {
+    adj: NormAdj,
+    layers: usize,
+}
+
+impl Propagator {
+    /// Wraps a normalized adjacency with a layer count.
+    ///
+    /// # Panics
+    /// Panics if `layers == 0` (use the embeddings directly then).
+    pub fn new(adj: NormAdj, layers: usize) -> Self {
+        assert!(layers > 0, "propagation needs at least one layer");
+        Self { adj, layers }
+    }
+
+    /// Number of propagation layers `K`.
+    #[inline]
+    pub fn layers(&self) -> usize {
+        self.layers
+    }
+
+    /// The underlying normalized adjacency.
+    #[inline]
+    pub fn adj(&self) -> &NormAdj {
+        &self.adj
+    }
+
+    /// One propagation hop `Â·[u; i]`.
+    pub fn hop(&self, u: &Matrix, i: &Matrix) -> (Matrix, Matrix) {
+        self.adj.propagate(u, i)
+    }
+
+    /// Full forward: `final = (1/(K+1)) Σ_{k=0..K} Â^k [u0; i0]`.
+    pub fn forward(&self, u0: &Matrix, i0: &Matrix) -> (Matrix, Matrix) {
+        let coef = 1.0 / (self.layers + 1) as f32;
+        let mut cur_u = u0.clone();
+        let mut cur_i = i0.clone();
+        let mut out_u = u0.clone();
+        let mut out_i = i0.clone();
+        for _ in 0..self.layers {
+            let (nu, ni) = self.adj.propagate(&cur_u, &cur_i);
+            cur_u = nu;
+            cur_i = ni;
+            out_u.add_assign(&cur_u);
+            out_i.add_assign(&cur_i);
+        }
+        out_u.scale(coef);
+        out_i.scale(coef);
+        (out_u, out_i)
+    }
+
+    /// Exact backward of [`Self::forward`]: the operator is symmetric, so
+    /// `∂L/∂[u0; i0] = forward(∂L/∂final)`.
+    pub fn backward(&self, grad_u: &Matrix, grad_i: &Matrix) -> (Matrix, Matrix) {
+        self.forward(grad_u, grad_i)
+    }
+}
+
+/// In-batch InfoNCE between two embedding views, restricted to `nodes`
+/// (row indices into both views).
+///
+/// ```text
+/// L = −(1/B) Σ_a [ s_aa/τ − log Σ_b exp(s_ab/τ) ],   s_ab = cos(z1_a, z2_b)
+/// ```
+///
+/// Gradients w.r.t. the *raw* (unnormalized) view rows are **accumulated**
+/// into `g1`/`g2` scaled by `weight`. Returns the loss value (times
+/// `weight`).
+///
+/// Cost is `O(B²·d)` — callers subsample `nodes` (SGL caps the auxiliary
+/// batch) to keep this tractable.
+///
+/// # Panics
+/// Panics if `tau <= 0`, `nodes` is empty, or shapes disagree.
+pub fn info_nce_grad(
+    z1: &Matrix,
+    z2: &Matrix,
+    nodes: &[u32],
+    tau: f32,
+    weight: f32,
+    g1: &mut Matrix,
+    g2: &mut Matrix,
+) -> f64 {
+    assert!(tau > 0.0, "temperature must be positive, got {tau}");
+    assert!(!nodes.is_empty(), "empty node set");
+    assert_eq!(z1.shape(), z2.shape(), "view shape mismatch");
+    assert_eq!(z1.shape(), g1.shape(), "gradient shape mismatch");
+    assert_eq!(z2.shape(), g2.shape(), "gradient shape mismatch");
+    let b = nodes.len();
+    let d = z1.cols();
+
+    // Gather normalized rows and their norms (blocked gather kernels).
+    let mut h1 = Matrix::zeros(b, d);
+    let mut h2 = Matrix::zeros(b, d);
+    let mut n1 = vec![0.0f32; b];
+    let mut n2 = vec![0.0f32; b];
+    bsl_linalg::simd::normalize_gather_into(z1, nodes, h1.as_mut_slice(), &mut n1);
+    bsl_linalg::simd::normalize_gather_into(z2, nodes, h2.as_mut_slice(), &mut n2);
+
+    // Similarity matrix (one blocked matvec per row) and row softmax.
+    let mut sims = Matrix::zeros(b, b);
+    for a in 0..b {
+        scores_block(h1.row(a), h2.as_slice(), sims.row_mut(a));
+    }
+    let mut loss = 0.0f64;
+    let inv_b = 1.0 / b as f64;
+    let mut probs = vec![0.0f32; b];
+    for a in 0..b {
+        let row = sims.row(a).to_vec();
+        let lse = softmax_into(&row, tau, &mut probs);
+        loss += inv_b * (lse - (row[a] / tau) as f64);
+        // dL/ds_ab = (1/(Bτ))(p_ab − δ_ab), times the external weight.
+        let coef = (weight as f64 * inv_b / tau as f64) as f32;
+        for bb in 0..b {
+            let g_ab = coef * (probs[bb] - if a == bb { 1.0 } else { 0.0 });
+            if g_ab == 0.0 {
+                continue;
+            }
+            let s_ab = row[bb];
+            // Chain through both cosine normalizations.
+            let (h1a, h2b) = (h1.row(a).to_vec(), h2.row(bb).to_vec());
+            bsl_linalg::kernels::cosine_backward_into(
+                g_ab,
+                s_ab,
+                &h1a,
+                &h2b,
+                n1[a],
+                g1.row_mut(nodes[a] as usize),
+            );
+            bsl_linalg::kernels::cosine_backward_into(
+                g_ab,
+                s_ab,
+                &h2b,
+                &h1a,
+                n2[bb],
+                g2.row_mut(nodes[bb] as usize),
+            );
+        }
+    }
+    loss * weight as f64
+}
+
+/// Deduplicates `nodes` (keeping first occurrences) and truncates to `cap`
+/// — contrastive auxiliaries run on a bounded node subset because InfoNCE
+/// is `O(B²·d)`.
+pub fn dedup_cap(nodes: &[u32], cap: usize) -> Vec<u32> {
+    let mut seen = std::collections::HashSet::with_capacity(nodes.len());
+    let mut out = Vec::with_capacity(cap.min(nodes.len()));
+    for &n in nodes {
+        if seen.insert(n) {
+            out.push(n);
+            if out.len() == cap {
+                break;
+            }
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn dedup_cap_keeps_order_and_caps() {
+        assert_eq!(dedup_cap(&[3, 1, 3, 2, 1, 4], 3), vec![3, 1, 2]);
+        assert_eq!(dedup_cap(&[5, 5], 10), vec![5]);
+        assert!(dedup_cap(&[], 4).is_empty());
+    }
+
+    fn toy_adj() -> NormAdj {
+        NormAdj::from_interactions(3, 2, &[(0, 0), (0, 1), (1, 0), (2, 1)])
+    }
+
+    #[test]
+    fn forward_layer_mean_hand_check_one_layer() {
+        let adj = toy_adj();
+        let prop = Propagator::new(adj.clone(), 1);
+        let u0 = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
+        let i0 = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32);
+        let (fu, fi) = prop.forward(&u0, &i0);
+        let (pu, pi) = adj.propagate(&u0, &i0);
+        for r in 0..3 {
+            for c in 0..2 {
+                let want = 0.5 * (u0.get(r, c) + pu.get(r, c));
+                assert!((fu.get(r, c) - want).abs() < 1e-6);
+            }
+        }
+        for r in 0..2 {
+            for c in 0..2 {
+                let want = 0.5 * (i0.get(r, c) + pi.get(r, c));
+                assert!((fi.get(r, c) - want).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// The backward pass is exact iff the forward map is self-adjoint:
+    /// `<F(x), y> = <x, F(y)>` for random `x`, `y`.
+    #[test]
+    fn adjointness() {
+        let prop = Propagator::new(toy_adj(), 3);
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..5 {
+            let xu = Matrix::gaussian(3, 4, 1.0, &mut rng);
+            let xi = Matrix::gaussian(2, 4, 1.0, &mut rng);
+            let yu = Matrix::gaussian(3, 4, 1.0, &mut rng);
+            let yi = Matrix::gaussian(2, 4, 1.0, &mut rng);
+            let (fxu, fxi) = prop.forward(&xu, &xi);
+            let (fyu, fyi) = prop.backward(&yu, &yi);
+            let lhs: f64 = fxu
+                .as_slice()
+                .iter()
+                .zip(yu.as_slice())
+                .chain(fxi.as_slice().iter().zip(yi.as_slice()))
+                .map(|(&a, &b)| a as f64 * b as f64)
+                .sum();
+            let rhs: f64 = xu
+                .as_slice()
+                .iter()
+                .zip(fyu.as_slice())
+                .chain(xi.as_slice().iter().zip(fyi.as_slice()))
+                .map(|(&a, &b)| a as f64 * b as f64)
+                .sum();
+            assert!((lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
+        }
+    }
+
+    #[test]
+    fn identical_views_minimize_info_nce() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let z = Matrix::gaussian(6, 4, 1.0, &mut rng);
+        let nodes: Vec<u32> = (0..6).collect();
+        let mut g1 = Matrix::zeros(6, 4);
+        let mut g2 = Matrix::zeros(6, 4);
+        let aligned = info_nce_grad(&z, &z, &nodes, 0.2, 1.0, &mut g1, &mut g2);
+        let other = Matrix::gaussian(6, 4, 1.0, &mut rng);
+        g1.fill(0.0);
+        g2.fill(0.0);
+        let misaligned = info_nce_grad(&z, &other, &nodes, 0.2, 1.0, &mut g1, &mut g2);
+        assert!(aligned < misaligned, "{aligned} vs {misaligned}");
+    }
+
+    /// Central finite-difference check of the InfoNCE gradients through the
+    /// cosine normalization.
+    #[test]
+    fn info_nce_gradcheck() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let z1 = Matrix::gaussian(4, 3, 1.0, &mut rng);
+        let z2 = Matrix::gaussian(4, 3, 1.0, &mut rng);
+        let nodes: Vec<u32> = vec![0, 2, 3];
+        let tau = 0.3;
+        let mut g1 = Matrix::zeros(4, 3);
+        let mut g2 = Matrix::zeros(4, 3);
+        let _ = info_nce_grad(&z1, &z2, &nodes, tau, 1.0, &mut g1, &mut g2);
+
+        let h = 1e-3f32;
+        let loss_of = |z1: &Matrix, z2: &Matrix| {
+            let mut d1 = Matrix::zeros(4, 3);
+            let mut d2 = Matrix::zeros(4, 3);
+            info_nce_grad(z1, z2, &nodes, tau, 1.0, &mut d1, &mut d2)
+        };
+        for &node in &nodes {
+            for c in 0..3 {
+                let mut zp = z1.clone();
+                let mut zm = z1.clone();
+                zp.set(node as usize, c, zp.get(node as usize, c) + h);
+                zm.set(node as usize, c, zm.get(node as usize, c) - h);
+                let num = (loss_of(&zp, &z2) - loss_of(&zm, &z2)) / (2.0 * h as f64);
+                let ana = g1.get(node as usize, c) as f64;
+                assert!(
+                    (ana - num).abs() < 2e-3 * (1.0 + num.abs()),
+                    "z1[{node},{c}]: analytic {ana} vs numeric {num}"
+                );
+                let mut zp = z2.clone();
+                let mut zm = z2.clone();
+                zp.set(node as usize, c, zp.get(node as usize, c) + h);
+                zm.set(node as usize, c, zm.get(node as usize, c) - h);
+                let num = (loss_of(&z1, &zp) - loss_of(&z1, &zm)) / (2.0 * h as f64);
+                let ana = g2.get(node as usize, c) as f64;
+                assert!(
+                    (ana - num).abs() < 2e-3 * (1.0 + num.abs()),
+                    "z2[{node},{c}]: analytic {ana} vs numeric {num}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn untouched_rows_get_no_gradient() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let z1 = Matrix::gaussian(5, 3, 1.0, &mut rng);
+        let z2 = Matrix::gaussian(5, 3, 1.0, &mut rng);
+        let mut g1 = Matrix::zeros(5, 3);
+        let mut g2 = Matrix::zeros(5, 3);
+        let _ = info_nce_grad(&z1, &z2, &[1, 3], 0.2, 1.0, &mut g1, &mut g2);
+        for r in [0usize, 2, 4] {
+            assert!(g1.row(r).iter().all(|&x| x == 0.0));
+            assert!(g2.row(r).iter().all(|&x| x == 0.0));
+        }
+    }
+
+    #[test]
+    fn weight_scales_loss_and_grads() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let z1 = Matrix::gaussian(4, 3, 1.0, &mut rng);
+        let z2 = Matrix::gaussian(4, 3, 1.0, &mut rng);
+        let nodes = vec![0, 1, 2, 3];
+        let mut a1 = Matrix::zeros(4, 3);
+        let mut a2 = Matrix::zeros(4, 3);
+        let l1 = info_nce_grad(&z1, &z2, &nodes, 0.2, 1.0, &mut a1, &mut a2);
+        let mut b1 = Matrix::zeros(4, 3);
+        let mut b2 = Matrix::zeros(4, 3);
+        let l2 = info_nce_grad(&z1, &z2, &nodes, 0.2, 2.0, &mut b1, &mut b2);
+        assert!((l2 - 2.0 * l1).abs() < 1e-9);
+        for (x, y) in a1.as_slice().iter().zip(b1.as_slice()) {
+            assert!((2.0 * x - y).abs() < 1e-6);
+        }
+    }
+}

@@ -1,0 +1,257 @@
+//! Adam (Kingma & Ba) with dense and lazy-row update paths.
+//!
+//! Both paths route through the fused [`bsl_linalg::simd::adam_update`]
+//! kernel (runtime-dispatched scalar / unrolled / AVX2+FMA): the moment
+//! EMAs and the bias-corrected parameter step run as one kernel call per
+//! row (lazy path) or per matrix (dense path). Scalar dispatch is
+//! bit-identical to the historical three-loop implementation.
+
+use bsl_linalg::simd;
+use bsl_linalg::Matrix;
+
+/// Adam state for one parameter matrix.
+#[derive(Clone, Debug)]
+pub struct Adam {
+    m: Matrix,
+    v: Matrix,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    t: u64,
+    /// Reusable dedup scratch for [`Adam::step_rows`], lazily sized to the
+    /// row count once and reset per call in O(touched rows).
+    seen: Vec<bool>,
+}
+
+impl Adam {
+    /// Fresh state for a `rows × cols` parameter with the standard
+    /// hyperparameters (β1 = 0.9, β2 = 0.999, ε = 1e-8) the paper's
+    /// baselines all use.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        Self::with_betas(rows, cols, 0.9, 0.999, 1e-8)
+    }
+
+    /// Fresh state with explicit moment decays.
+    ///
+    /// # Panics
+    /// Panics unless `0 <= beta < 1` for both betas and `eps > 0`.
+    pub fn with_betas(rows: usize, cols: usize, beta1: f32, beta2: f32, eps: f32) -> Self {
+        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0,1), got {beta1}");
+        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0,1), got {beta2}");
+        assert!(eps > 0.0, "eps must be positive");
+        Self {
+            m: Matrix::zeros(rows, cols),
+            v: Matrix::zeros(rows, cols),
+            beta1,
+            beta2,
+            eps,
+            t: 0,
+            seen: Vec::new(),
+        }
+    }
+
+    /// Number of steps taken so far.
+    #[inline]
+    pub fn steps(&self) -> u64 {
+        self.t
+    }
+
+    /// Advances the global step counter; call exactly once per optimizer
+    /// step before [`Self::update_row`] / the dense path handles this
+    /// itself in [`Self::step_dense`].
+    pub fn begin_step(&mut self) {
+        self.t += 1;
+    }
+
+    #[inline]
+    fn bias_corrections(&self) -> (f32, f32) {
+        let t = self.t.max(1) as i32;
+        let bc1 = 1.0 - self.beta1.powi(t);
+        let bc2 = 1.0 - self.beta2.powi(t);
+        (bc1, bc2)
+    }
+
+    /// Lazy per-row update: applies one Adam update to `param` row
+    /// `row` with gradient `grad`. Must be preceded by [`Self::begin_step`]
+    /// once per batch. Rows not visited keep stale moments (lazy Adam).
+    ///
+    /// # Panics
+    /// Panics if dimensions disagree (debug builds check per element).
+    pub fn update_row(&mut self, param: &mut [f32], row: usize, grad: &[f32], lr: f32) {
+        debug_assert_eq!(param.len(), grad.len());
+        let (bc1, bc2) = self.bias_corrections();
+        simd::adam_update(
+            param,
+            self.m.row_mut(row),
+            self.v.row_mut(row),
+            grad,
+            lr,
+            self.beta1,
+            self.beta2,
+            bc1,
+            bc2,
+            self.eps,
+        );
+    }
+
+    /// Dense update of a whole parameter matrix. Advances the step counter
+    /// itself.
+    ///
+    /// # Panics
+    /// Panics if shapes disagree.
+    pub fn step_dense(&mut self, param: &mut Matrix, grad: &Matrix, lr: f32) {
+        assert_eq!(param.shape(), grad.shape(), "adam gradient shape mismatch");
+        assert_eq!(param.shape(), self.m.shape(), "adam state shape mismatch");
+        self.begin_step();
+        let (bc1, bc2) = self.bias_corrections();
+        simd::adam_update(
+            param.as_mut_slice(),
+            self.m.as_mut_slice(),
+            self.v.as_mut_slice(),
+            grad.as_slice(),
+            lr,
+            self.beta1,
+            self.beta2,
+            bc1,
+            bc2,
+            self.eps,
+        );
+    }
+
+    /// Lazy update over an explicit list of touched rows: one
+    /// [`Self::begin_step`] followed by [`Self::update_row`] per distinct
+    /// row. Duplicate rows in `rows` are skipped after their first visit
+    /// (the gradient buffer already accumulates duplicates).
+    pub fn step_rows(&mut self, param: &mut Matrix, grad: &Matrix, rows: &[u32], lr: f32) {
+        assert_eq!(param.shape(), grad.shape(), "adam gradient shape mismatch");
+        self.begin_step();
+        // Dedup via the persistent `seen` scratch: one lazy allocation per
+        // optimizer, reset below in O(touched) — per-call cost scales with
+        // the batch footprint, not the parameter row count.
+        if self.seen.len() < param.rows() {
+            self.seen.resize(param.rows(), false);
+        }
+        // Split borrow via one reused row copy (rows are short: d ≤ 512).
+        let mut g = vec![0.0f32; param.cols()];
+        for &r in rows {
+            let r = r as usize;
+            if self.seen[r] {
+                continue;
+            }
+            self.seen[r] = true;
+            g.copy_from_slice(grad.row(r));
+            self.update_row(param.row_mut(r), r, &g, lr);
+        }
+        for &r in rows {
+            self.seen[r as usize] = false;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One dense Adam step from zero state has magnitude ≈ lr in every
+    /// coordinate with a non-zero gradient (the classic Adam property).
+    #[test]
+    fn first_step_has_lr_magnitude() {
+        let mut p = Matrix::from_vec(1, 3, vec![0.0, 0.0, 0.0]);
+        let g = Matrix::from_vec(1, 3, vec![10.0, -0.3, 1e-4]);
+        let mut adam = Adam::new(1, 3);
+        adam.step_dense(&mut p, &g, 0.01);
+        for (i, &x) in p.as_slice().iter().enumerate() {
+            let sign = if g.as_slice()[i] > 0.0 { -1.0 } else { 1.0 };
+            assert!((x - sign * 0.01).abs() < 1e-3, "coord {i}: {x}");
+        }
+    }
+
+    #[test]
+    fn zero_gradient_leaves_param_unchanged() {
+        let mut p = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
+        let g = Matrix::zeros(1, 2);
+        let mut adam = Adam::new(1, 2);
+        adam.step_dense(&mut p, &g, 0.1);
+        assert_eq!(p.as_slice(), &[1.0, -2.0]);
+    }
+
+    #[test]
+    fn converges_on_quadratic() {
+        // minimize f(x) = ||x - target||^2 with Adam.
+        let target = [3.0f32, -1.5, 0.25];
+        let mut p = Matrix::zeros(1, 3);
+        let mut adam = Adam::new(1, 3);
+        for _ in 0..2000 {
+            let g = Matrix::from_vec(
+                1,
+                3,
+                p.as_slice().iter().zip(target.iter()).map(|(&x, &t)| 2.0 * (x - t)).collect(),
+            );
+            adam.step_dense(&mut p, &g, 0.05);
+        }
+        for (x, t) in p.as_slice().iter().zip(target.iter()) {
+            assert!((x - t).abs() < 1e-2, "{x} vs {t}");
+        }
+    }
+
+    #[test]
+    fn lazy_rows_only_touch_listed_rows() {
+        let mut p = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
+        let before = p.clone();
+        let mut grad = Matrix::zeros(4, 2);
+        grad.row_mut(1).copy_from_slice(&[1.0, 1.0]);
+        grad.row_mut(3).copy_from_slice(&[-1.0, 2.0]);
+        let mut adam = Adam::new(4, 2);
+        adam.step_rows(&mut p, &grad, &[1, 3, 1], 0.1);
+        assert_eq!(p.row(0), before.row(0));
+        assert_eq!(p.row(2), before.row(2));
+        assert_ne!(p.row(1), before.row(1));
+        assert_ne!(p.row(3), before.row(3));
+    }
+
+    #[test]
+    fn duplicate_rows_update_once() {
+        let mut p1 = Matrix::zeros(2, 2);
+        let mut p2 = Matrix::zeros(2, 2);
+        let mut grad = Matrix::zeros(2, 2);
+        grad.row_mut(0).copy_from_slice(&[1.0, -1.0]);
+        let mut a1 = Adam::new(2, 2);
+        let mut a2 = Adam::new(2, 2);
+        a1.step_rows(&mut p1, &grad, &[0, 0, 0], 0.1);
+        a2.step_rows(&mut p2, &grad, &[0], 0.1);
+        assert_eq!(p1.as_slice(), p2.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn dense_step_rejects_shape_mismatch() {
+        let mut p = Matrix::zeros(2, 2);
+        let g = Matrix::zeros(2, 3);
+        Adam::new(2, 2).step_dense(&mut p, &g, 0.1);
+    }
+
+    proptest! {
+        /// Adam step magnitude is bounded by ~lr regardless of gradient
+        /// scale (scale invariance of the update).
+        #[test]
+        fn prop_step_bounded_by_lr(g0 in -1e4f32..1e4, g1 in -1e4f32..1e4) {
+            let mut p = Matrix::zeros(1, 2);
+            let g = Matrix::from_vec(1, 2, vec![g0, g1]);
+            let mut adam = Adam::new(1, 2);
+            adam.step_dense(&mut p, &g, 0.01);
+            for &x in p.as_slice() {
+                prop_assert!(x.abs() <= 0.0101);
+            }
+        }
+
+        #[test]
+        fn prop_descends_opposite_gradient_sign(g in 0.01f32..100.0) {
+            let mut p = Matrix::zeros(1, 1);
+            let grad = Matrix::from_vec(1, 1, vec![g]);
+            let mut adam = Adam::new(1, 1);
+            adam.step_dense(&mut p, &grad, 0.05);
+            prop_assert!(p.get(0, 0) < 0.0);
+        }
+    }
+}

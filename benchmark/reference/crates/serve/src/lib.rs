@@ -1,0 +1,82 @@
+//! Retrieval serving over frozen [`ModelArtifact`]s — from a single
+//! in-process recommender up to a traffic-facing TCP engine with
+//! micro-batching and zero-downtime artifact hot swap.
+//!
+//! Training (`bsl-core`) ends at `Backbone::export() → ModelArtifact`;
+//! this crate is everything after that boundary. It is layered so each
+//! piece is usable on its own:
+//!
+//! 1. **[`ServeState`]** (`state`) — an *immutable* artifact + seen-mask
+//!    snapshot. Every method takes `&self`; per-call knobs ride in a
+//!    [`RecommendRequest`] (`user`, `k`, [`ServeOptions`]) and scratch
+//!    buffers are caller-owned ([`ServeScratch`]), so one state serves
+//!    any number of threads with zero shared mutability. Batched calls
+//!    ([`ServeState::recommend_batch_into`]) stream each tile of the item
+//!    table past *all* exact-mode queries in the batch while it is cache
+//!    resident — the multi-query analogue of the blocked scoring pass,
+//!    and bit-identical to serial calls.
+//! 2. **[`Recommender`]** (`recommender`) — the original convenience
+//!    wrapper, now a thin shim over `ServeState` + owned scratch. Its
+//!    API (including `set_nprobe`/`set_exact`, now deprecated in favour
+//!    of [`ServeOptions`]) is unchanged.
+//! 3. **[`SwapSlot`]/[`ArtifactSlot`]** (`swap`) — lock-free-reader hot
+//!    swap: publish a new artifact generation atomically; in-flight
+//!    requests finish on the generation they loaded, which drops with
+//!    its last holder. [`Registry`] (`registry`) names one slot per
+//!    tenant.
+//! 4. **[`ServeEngine`]** (`engine`) — the micro-batching scheduler:
+//!    a bounded queue plus worker threads that coalesce concurrent
+//!    requests into one batched scoring pass per artifact generation.
+//! 5. **[`TcpFrontend`]/[`ServeClient`]** (`protocol`) — a framed,
+//!    length-prefixed TCP wire protocol (`recommend` / `score_items` /
+//!    `swap_artifact` / `stats` / `shutdown`) over `std::net`.
+//!
+//! Scoring everywhere is the same blocked kernel `bsl-eval` ranks with
+//! ([`ModelArtifact::score_catalogue_into`]), so offline metrics and
+//! online scores come from one implementation. Artifacts carrying an IVF
+//! index (built with [`ModelArtifact::build_ivf`] or loaded from a
+//! format-v2 file) are served sub-linearly via an `nprobe` shortlist —
+//! seen-item filtering and tie-breaking unchanged, and `nprobe = nlist`
+//! bit-identical to the exact path; [`ServeOptions`] overrides the mode
+//! per request.
+//!
+//! ```no_run
+//! use bsl_models::ModelArtifact;
+//! use bsl_serve::{RecommendRequest, ServeScratch, ServeState};
+//!
+//! let artifact = ModelArtifact::load("model.bsla").expect("artifact");
+//! let state = ServeState::new(artifact);
+//! let mut scratch = ServeScratch::new();
+//! let resp = state.respond(&RecommendRequest::new(42, 10), &mut scratch).unwrap();
+//! for r in &resp.recs {
+//!     println!("item {}  score {:.4}", r.item, r.score);
+//! }
+//! ```
+//!
+//! Steady-state serving is allocation-free: the catalogue score buffer,
+//! the bounded top-k heap, the probe scratch, and the id/candidate
+//! buffers all live in [`ServeScratch`] (or the `Recommender`) and are
+//! reused across calls; the `_into` variants don't allocate at all once
+//! warm.
+
+// On the bsl-audit unsafe allowlist (audit/policy.toml): unsafe fns must
+// still spell out every unsafe operation in an explicit `unsafe {}` block.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(missing_docs)]
+
+pub mod engine;
+pub mod protocol;
+pub mod recommender;
+pub mod registry;
+pub mod state;
+pub mod swap;
+
+pub use bsl_models::{ArtifactError, EvalScore, ModelArtifact, Precision};
+pub use engine::{BatchPolicy, ServeEngine, StatsSnapshot};
+pub use protocol::{ClientError, ProtocolError, Request, Response, ServeClient, TcpFrontend};
+pub use recommender::{Rec, Recommender, Retrieval};
+pub use registry::{Registry, TenantInfo};
+pub use state::{
+    RecommendRequest, RecommendResponse, ServeError, ServeOptions, ServeScratch, ServeState,
+};
+pub use swap::{ArtifactSlot, SwapSlot};

@@ -1,0 +1,796 @@
+//! The framed TCP front end: a tiny length-prefixed wire protocol over
+//! `std::net` (the offline-vendor constraint rules out HTTP stacks) plus
+//! the blocking [`ServeClient`] the load generator and the `repro --swap`
+//! CLI drive it with.
+//!
+//! # Wire format
+//!
+//! Every message is one **frame**: a `u32` little-endian payload length
+//! followed by the payload. Payloads start with an op byte:
+//!
+//! | op   | direction | body |
+//! |------|-----------|------|
+//! | 0x01 | request   | `recommend` — tenant str, user u32, k u16, flags u8 (bit0 exact, bit1 no seen-filter), nprobe u32 (0 = auto) |
+//! | 0x02 | request   | `score_items` — tenant str, user u32, n u32, n × item u32 |
+//! | 0x03 | request   | `swap_artifact` — tenant str, artifact path str |
+//! | 0x04 | request   | `stats` — empty |
+//! | 0x05 | request   | `shutdown` — empty |
+//! | 0x81 | response  | `recs` — version u64, n u16, n × (item u32, score f32) |
+//! | 0x82 | response  | `scores` — version u64, n u32, n × f32 |
+//! | 0x83 | response  | `swapped` — version u64 |
+//! | 0x84 | response  | `stats` — UTF-8 text |
+//! | 0x85 | response  | `shutdown acknowledged` — empty |
+//! | 0xFF | response  | `error` — UTF-8 message |
+//!
+//! Integers and floats are little-endian; strings are `u16` length +
+//! UTF-8 bytes. Frames are capped at [`MAX_FRAME`] so a corrupt length
+//! can't allocate unboundedly. Malformed payloads decode to a
+//! [`ProtocolError`], answered with an error frame — a bad client cannot
+//! take the server down.
+//!
+//! `swap_artifact` names a path the **server** loads (the deploy flow:
+//! `repro --save` writes the artifact, `repro --swap` tells the running
+//! server to pick it up). The new generation adopts the current one's
+//! seen-mask when shapes match, so filtering survives hot deploys.
+
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+
+use crate::engine::ServeEngine;
+use crate::recommender::Rec;
+use crate::state::{RecommendRequest, RecommendResponse, ServeOptions, ServeState};
+use bsl_models::ModelArtifact;
+
+/// Upper bound on a frame payload (16 MiB): large enough for any real
+/// response, small enough that a corrupt length prefix cannot OOM the
+/// peer.
+pub const MAX_FRAME: usize = 16 << 20;
+
+/// A request frame, decoded.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Request {
+    /// Top-k retrieval for one user of one tenant.
+    Recommend {
+        /// Target tenant.
+        tenant: String,
+        /// The request (user, k, per-request options).
+        req: RecommendRequest,
+    },
+    /// Score an explicit candidate list.
+    ScoreItems {
+        /// Target tenant.
+        tenant: String,
+        /// The user to score for.
+        user: u32,
+        /// The candidate items.
+        items: Vec<u32>,
+    },
+    /// Hot-swap the tenant's artifact to the one at `path` (server-side
+    /// file system).
+    SwapArtifact {
+        /// Target tenant.
+        tenant: String,
+        /// Artifact path on the server.
+        path: String,
+    },
+    /// Engine stats, as text.
+    Stats,
+    /// Stop the server (acknowledged before the listener closes).
+    Shutdown,
+}
+
+/// A response frame, decoded.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Response {
+    /// Recommendations plus the artifact generation that served them.
+    Recs {
+        /// Serving-state version.
+        version: u64,
+        /// Top-k items, best first.
+        recs: Vec<Rec>,
+    },
+    /// Candidate scores plus the serving generation.
+    Scores {
+        /// Serving-state version.
+        version: u64,
+        /// One score per requested item, in request order.
+        scores: Vec<f32>,
+    },
+    /// Swap succeeded; the new generation's version.
+    Swapped {
+        /// The version now being served.
+        version: u64,
+    },
+    /// Stats text.
+    Stats(String),
+    /// Shutdown acknowledged.
+    ShutdownOk,
+    /// The request failed; human-readable reason.
+    Error(String),
+}
+
+/// A malformed frame or payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ProtocolError {
+    /// The payload ended before its fields did.
+    Truncated,
+    /// Unknown op byte.
+    BadOp(u8),
+    /// A string field was not UTF-8.
+    BadUtf8,
+    /// Frame length exceeds [`MAX_FRAME`].
+    Oversize(usize),
+    /// Bytes left over after the last field.
+    TrailingBytes,
+}
+
+impl std::fmt::Display for ProtocolError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Truncated => write!(f, "truncated payload"),
+            Self::BadOp(op) => write!(f, "unknown op 0x{op:02x}"),
+            Self::BadUtf8 => write!(f, "string field is not UTF-8"),
+            Self::Oversize(n) => write!(f, "frame of {n} bytes exceeds the {MAX_FRAME} cap"),
+            Self::TrailingBytes => write!(f, "trailing bytes after payload"),
+        }
+    }
+}
+
+impl std::error::Error for ProtocolError {}
+
+// ---- encoding ----------------------------------------------------------
+
+fn push_str(buf: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    debug_assert!(bytes.len() <= u16::MAX as usize, "string field too long");
+    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    buf.extend_from_slice(bytes);
+}
+
+/// Request option flags: bit 0 = force exact, bit 1 = disable
+/// seen-filtering.
+fn opts_flags(opts: &ServeOptions) -> u8 {
+    (opts.exact as u8) | ((!opts.filter_seen as u8) << 1)
+}
+
+/// Encodes `req` as a payload (no length prefix).
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut buf = Vec::new();
+    match req {
+        Request::Recommend { tenant, req } => {
+            buf.push(0x01);
+            push_str(&mut buf, tenant);
+            buf.extend_from_slice(&req.user.to_le_bytes());
+            buf.extend_from_slice(&(req.k.min(u16::MAX as usize) as u16).to_le_bytes());
+            buf.push(opts_flags(&req.opts));
+            let nprobe = req.opts.nprobe.unwrap_or(0).min(u32::MAX as usize) as u32;
+            buf.extend_from_slice(&nprobe.to_le_bytes());
+        }
+        Request::ScoreItems { tenant, user, items } => {
+            buf.push(0x02);
+            push_str(&mut buf, tenant);
+            buf.extend_from_slice(&user.to_le_bytes());
+            buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            for i in items {
+                buf.extend_from_slice(&i.to_le_bytes());
+            }
+        }
+        Request::SwapArtifact { tenant, path } => {
+            buf.push(0x03);
+            push_str(&mut buf, tenant);
+            push_str(&mut buf, path);
+        }
+        Request::Stats => buf.push(0x04),
+        Request::Shutdown => buf.push(0x05),
+    }
+    buf
+}
+
+/// Encodes `resp` as a payload (no length prefix).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut buf = Vec::new();
+    match resp {
+        Response::Recs { version, recs } => {
+            buf.push(0x81);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&(recs.len().min(u16::MAX as usize) as u16).to_le_bytes());
+            for r in recs {
+                buf.extend_from_slice(&r.item.to_le_bytes());
+                buf.extend_from_slice(&r.score.to_le_bytes());
+            }
+        }
+        Response::Scores { version, scores } => {
+            buf.push(0x82);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
+            for s in scores {
+                buf.extend_from_slice(&s.to_le_bytes());
+            }
+        }
+        Response::Swapped { version } => {
+            buf.push(0x83);
+            buf.extend_from_slice(&version.to_le_bytes());
+        }
+        Response::Stats(text) => {
+            buf.push(0x84);
+            buf.extend_from_slice(text.as_bytes());
+        }
+        Response::ShutdownOk => buf.push(0x85),
+        Response::Error(msg) => {
+            buf.push(0xFF);
+            buf.extend_from_slice(msg.as_bytes());
+        }
+    }
+    buf
+}
+
+// ---- decoding ----------------------------------------------------------
+
+/// A little-endian payload reader.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
+        let end = self.pos.checked_add(n).ok_or(ProtocolError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(ProtocolError::Truncated)?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn u8(&mut self) -> Result<u8, ProtocolError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, ProtocolError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    }
+
+    fn u32(&mut self) -> Result<u32, ProtocolError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64, ProtocolError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    fn f32(&mut self) -> Result<f32, ProtocolError> {
+        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn str(&mut self) -> Result<String, ProtocolError> {
+        let n = self.u16()? as usize;
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
+    }
+
+    fn rest_utf8(&mut self) -> Result<String, ProtocolError> {
+        let bytes = self.take(self.buf.len() - self.pos)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
+    }
+
+    fn finish(self) -> Result<(), ProtocolError> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(ProtocolError::TrailingBytes)
+        }
+    }
+}
+
+/// Decodes a request payload.
+pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
+    let mut c = Cursor::new(payload);
+    let req = match c.u8()? {
+        0x01 => {
+            let tenant = c.str()?;
+            let user = c.u32()?;
+            let k = c.u16()? as usize;
+            let flags = c.u8()?;
+            let nprobe = c.u32()?;
+            let opts = ServeOptions {
+                exact: flags & 1 != 0,
+                filter_seen: flags & 2 == 0,
+                nprobe: (nprobe > 0).then_some(nprobe as usize),
+            };
+            Request::Recommend { tenant, req: RecommendRequest { user, k, opts } }
+        }
+        0x02 => {
+            let tenant = c.str()?;
+            let user = c.u32()?;
+            let n = c.u32()? as usize;
+            let mut items = Vec::with_capacity(n.min(MAX_FRAME / 4));
+            for _ in 0..n {
+                items.push(c.u32()?);
+            }
+            Request::ScoreItems { tenant, user, items }
+        }
+        0x03 => Request::SwapArtifact { tenant: c.str()?, path: c.str()? },
+        0x04 => Request::Stats,
+        0x05 => Request::Shutdown,
+        op => return Err(ProtocolError::BadOp(op)),
+    };
+    c.finish()?;
+    Ok(req)
+}
+
+/// Decodes a response payload.
+pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
+    let mut c = Cursor::new(payload);
+    let resp = match c.u8()? {
+        0x81 => {
+            let version = c.u64()?;
+            let n = c.u16()? as usize;
+            let mut recs = Vec::with_capacity(n);
+            for _ in 0..n {
+                recs.push(Rec { item: c.u32()?, score: c.f32()? });
+            }
+            Response::Recs { version, recs }
+        }
+        0x82 => {
+            let version = c.u64()?;
+            let n = c.u32()? as usize;
+            let mut scores = Vec::with_capacity(n.min(MAX_FRAME / 4));
+            for _ in 0..n {
+                scores.push(c.f32()?);
+            }
+            Response::Scores { version, scores }
+        }
+        0x83 => Response::Swapped { version: c.u64()? },
+        0x84 => Response::Stats(c.rest_utf8()?),
+        0x85 => Response::ShutdownOk,
+        0xFF => Response::Error(c.rest_utf8()?),
+        op => return Err(ProtocolError::BadOp(op)),
+    };
+    c.finish()?;
+    Ok(resp)
+}
+
+// ---- framing -----------------------------------------------------------
+
+/// Writes one frame (length prefix + payload).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.flush()
+}
+
+/// Reads one frame's payload. `Ok(None)` on a clean EOF at a frame
+/// boundary; oversize lengths become `InvalidData` without allocating.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut len = [0u8; 4];
+    match r.read_exact(&mut len) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, ProtocolError::Oversize(len)));
+    }
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)?;
+    Ok(Some(payload))
+}
+
+// ---- server ------------------------------------------------------------
+
+/// Answers one decoded request against the engine. `shutdown` is flipped
+/// on a [`Request::Shutdown`] (the caller tears the listener down after
+/// acknowledging).
+fn handle(engine: &ServeEngine, req: Request, shutdown: &AtomicBool) -> Response {
+    match req {
+        Request::Recommend { tenant, req } => match engine.recommend(&tenant, req) {
+            Ok(RecommendResponse { version, recs, .. }) => Response::Recs { version, recs },
+            Err(e) => Response::Error(e.to_string()),
+        },
+        Request::ScoreItems { tenant, user, items } => {
+            match engine.score_items(&tenant, user, &items) {
+                Ok((version, scores)) => Response::Scores { version, scores },
+                Err(e) => Response::Error(e.to_string()),
+            }
+        }
+        Request::SwapArtifact { tenant, path } => {
+            let artifact = match ModelArtifact::load(&path) {
+                Ok(a) => a,
+                Err(e) => return Response::Error(format!("loading {path}: {e}")),
+            };
+            // Keep filtering across deploys: adopt the serving
+            // generation's seen-mask when the new artifact's shape
+            // still matches it.
+            let state = match engine.registry().get(&tenant) {
+                Ok(slot) => ServeState::with_seen_from(artifact, &slot.load()),
+                Err(e) => return Response::Error(e.to_string()),
+            };
+            match engine.swap(&tenant, state) {
+                Ok(version) => Response::Swapped { version },
+                Err(e) => Response::Error(e.to_string()),
+            }
+        }
+        Request::Stats => Response::Stats(engine.stats().to_string()),
+        Request::Shutdown => {
+            // ORDERING: SeqCst — set-once shutdown latch; total order
+            // keeps the flag, the ShutdownOk reply, and the accept-loop
+            // poke from being reordered against each other.
+            shutdown.store(true, SeqCst);
+            Response::ShutdownOk
+        }
+    }
+}
+
+/// The TCP front end: an accept loop handing each connection to its own
+/// thread, all speaking the framed protocol against one shared
+/// [`ServeEngine`].
+///
+/// Stop it with [`TcpFrontend::stop`] (or remotely with a `shutdown`
+/// frame): the listener closes, open connections are shut down, and
+/// every thread is joined — in-flight requests get their responses
+/// first.
+pub struct TcpFrontend {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+    conns: Arc<Mutex<Vec<TcpStream>>>,
+    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+}
+
+impl TcpFrontend {
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
+    /// starts accepting connections against `engine`.
+    pub fn start(engine: Arc<ServeEngine>, addr: &str) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let accept = {
+            let shutdown = Arc::clone(&shutdown);
+            let conns = Arc::clone(&conns);
+            let threads = Arc::clone(&threads);
+            std::thread::Builder::new().name("bsl-serve-accept".into()).spawn(move || {
+                for stream in listener.incoming() {
+                    // ORDERING: SeqCst — shutdown-latch read; `stop`'s
+                    // store is totally ordered before the poke connection
+                    // that unblocks this accept, so the flag is visible
+                    // here by then.
+                    if shutdown.load(SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    if let Ok(clone) = stream.try_clone() {
+                        conns.lock().expect("conn registry").push(clone);
+                    }
+                    let engine = Arc::clone(&engine);
+                    let shutdown = Arc::clone(&shutdown);
+                    let handle = std::thread::Builder::new()
+                        .name("bsl-serve-conn".into())
+                        .spawn(move || connection_loop(stream, &engine, &shutdown))
+                        .expect("spawning connection thread");
+                    threads.lock().expect("conn threads").push(handle);
+                }
+            })?
+        };
+        Ok(Self { addr, shutdown, accept: Some(accept), conns, threads })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Whether a shutdown (local or via a `shutdown` frame) has been
+    /// requested.
+    pub fn shutdown_requested(&self) -> bool {
+        // ORDERING: SeqCst — shutdown-latch read (see `stop`).
+        self.shutdown.load(SeqCst)
+    }
+
+    /// Blocks until a `shutdown` frame arrives, polling `period`.
+    pub fn wait_for_shutdown(&self, period: std::time::Duration) {
+        while !self.shutdown_requested() {
+            std::thread::sleep(period);
+        }
+    }
+
+    /// Stops accepting, closes open connections, and joins every thread
+    /// (idempotent; also runs on drop). In-flight requests are answered
+    /// before their connections close.
+    pub fn stop(&mut self) {
+        // ORDERING: SeqCst — set-once shutdown latch: every reader
+        // (accept loop, connection loops, shutdown_requested) observes it
+        // in the single total order, so none can run past a completed
+        // stop(). Uncontended after startup, so the strength is free.
+        self.shutdown.store(true, SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        for conn in self.conns.lock().expect("conn registry").drain(..) {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
+        let handles: Vec<_> = self.threads.lock().expect("conn threads").drain(..).collect();
+        for h in handles {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for TcpFrontend {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// One connection: read frames, answer them, until EOF / error /
+/// shutdown.
+fn connection_loop(mut stream: TcpStream, engine: &ServeEngine, shutdown: &AtomicBool) {
+    let _ = stream.set_nodelay(true);
+    loop {
+        let payload = match read_frame(&mut stream) {
+            Ok(Some(p)) => p,
+            Ok(None) | Err(_) => return, // EOF or torn-down socket
+        };
+        let resp = match decode_request(&payload) {
+            Ok(req) => handle(engine, req, shutdown),
+            Err(e) => Response::Error(format!("bad request: {e}")),
+        };
+        let was_shutdown = matches!(resp, Response::ShutdownOk);
+        if write_frame(&mut stream, &encode_response(&resp)).is_err() {
+            return;
+        }
+        // ORDERING: SeqCst — shutdown-latch read (see `stop`).
+        if was_shutdown || shutdown.load(SeqCst) {
+            // Poke the accept loop so it observes the flag and exits.
+            return;
+        }
+    }
+}
+
+// ---- client ------------------------------------------------------------
+
+/// A client-side failure: transport, framing, or a server-reported error.
+#[derive(Debug)]
+pub enum ClientError {
+    /// Transport failure.
+    Io(io::Error),
+    /// The server sent a malformed or unexpected frame.
+    Protocol(ProtocolError),
+    /// The server answered with an error frame.
+    Server(String),
+}
+
+impl std::fmt::Display for ClientError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Io(e) => write!(f, "io: {e}"),
+            Self::Protocol(e) => write!(f, "protocol: {e}"),
+            Self::Server(msg) => write!(f, "server error: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for ClientError {}
+
+impl From<io::Error> for ClientError {
+    fn from(e: io::Error) -> Self {
+        Self::Io(e)
+    }
+}
+
+impl From<ProtocolError> for ClientError {
+    fn from(e: ProtocolError) -> Self {
+        Self::Protocol(e)
+    }
+}
+
+/// A blocking protocol client over one TCP connection (one request in
+/// flight at a time; open several clients for concurrency — that is
+/// exactly what the load generator does).
+pub struct ServeClient {
+    stream: TcpStream,
+}
+
+impl ServeClient {
+    /// Connects to a [`TcpFrontend`].
+    pub fn connect(addr: impl std::net::ToSocketAddrs) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Self { stream })
+    }
+
+    /// One request/response round trip.
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+        write_frame(&mut self.stream, &encode_request(req))?;
+        let payload = read_frame(&mut self.stream)?
+            .ok_or_else(|| ClientError::Io(io::ErrorKind::UnexpectedEof.into()))?;
+        match decode_response(&payload)? {
+            Response::Error(msg) => Err(ClientError::Server(msg)),
+            resp => Ok(resp),
+        }
+    }
+
+    /// Top-k retrieval for `req.user` on `tenant`.
+    pub fn recommend(
+        &mut self,
+        tenant: &str,
+        req: RecommendRequest,
+    ) -> Result<RecommendResponse, ClientError> {
+        let user = req.user;
+        match self.call(&Request::Recommend { tenant: to_owned(tenant), req })? {
+            Response::Recs { version, recs } => Ok(RecommendResponse { user, version, recs }),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Scores `items` for `user` on `tenant`; returns `(version, scores)`.
+    pub fn score_items(
+        &mut self,
+        tenant: &str,
+        user: u32,
+        items: &[u32],
+    ) -> Result<(u64, Vec<f32>), ClientError> {
+        let req = Request::ScoreItems { tenant: to_owned(tenant), user, items: items.to_vec() };
+        match self.call(&req)? {
+            Response::Scores { version, scores } => Ok((version, scores)),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Tells the server to hot-swap `tenant` to the artifact at `path`
+    /// (a path on the **server's** file system); returns the new version.
+    pub fn swap_artifact(&mut self, tenant: &str, path: &str) -> Result<u64, ClientError> {
+        let req = Request::SwapArtifact { tenant: to_owned(tenant), path: to_owned(path) };
+        match self.call(&req)? {
+            Response::Swapped { version } => Ok(version),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// The engine's stats text.
+    pub fn stats(&mut self) -> Result<String, ClientError> {
+        match self.call(&Request::Stats)? {
+            Response::Stats(text) => Ok(text),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Asks the server to shut down (acknowledged before it does).
+    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
+        match self.call(&Request::Shutdown)? {
+            Response::ShutdownOk => Ok(()),
+            other => Err(unexpected(other)),
+        }
+    }
+}
+
+fn to_owned(s: &str) -> String {
+    s.to_string()
+}
+
+fn unexpected(resp: Response) -> ClientError {
+    ClientError::Protocol(match resp {
+        Response::Recs { .. } => ProtocolError::BadOp(0x81),
+        Response::Scores { .. } => ProtocolError::BadOp(0x82),
+        Response::Swapped { .. } => ProtocolError::BadOp(0x83),
+        Response::Stats(_) => ProtocolError::BadOp(0x84),
+        Response::ShutdownOk => ProtocolError::BadOp(0x85),
+        Response::Error(_) => ProtocolError::BadOp(0xFF),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn round_trip_request(req: Request) {
+        let enc = encode_request(&req);
+        assert_eq!(decode_request(&enc).expect("decode"), req);
+    }
+
+    fn round_trip_response(resp: Response) {
+        let enc = encode_response(&resp);
+        assert_eq!(decode_response(&enc).expect("decode"), resp);
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        round_trip_request(Request::Recommend {
+            tenant: "yelp".into(),
+            req: RecommendRequest::new(42, 10),
+        });
+        round_trip_request(Request::Recommend {
+            tenant: "".into(),
+            req: RecommendRequest {
+                user: u32::MAX,
+                k: 65535,
+                opts: ServeOptions { nprobe: Some(7), exact: true, filter_seen: false },
+            },
+        });
+        round_trip_request(Request::ScoreItems {
+            tenant: "t".into(),
+            user: 3,
+            items: vec![1, 2, u32::MAX],
+        });
+        round_trip_request(Request::ScoreItems { tenant: "t".into(), user: 0, items: vec![] });
+        round_trip_request(Request::SwapArtifact {
+            tenant: "default".into(),
+            path: "/tmp/model.bsla".into(),
+        });
+        round_trip_request(Request::Stats);
+        round_trip_request(Request::Shutdown);
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        round_trip_response(Response::Recs {
+            version: 9,
+            recs: vec![Rec { item: 5, score: -1.25 }, Rec { item: 0, score: f32::MAX }],
+        });
+        round_trip_response(Response::Recs { version: 0, recs: vec![] });
+        round_trip_response(Response::Scores { version: 3, scores: vec![0.0, -0.5, 1e9] });
+        round_trip_response(Response::Swapped { version: u64::MAX });
+        round_trip_response(Response::Stats("requests=5\ntenant a version=2\n".into()));
+        round_trip_response(Response::ShutdownOk);
+        round_trip_response(Response::Error("unknown tenant \"x\"".into()));
+    }
+
+    #[test]
+    fn malformed_payloads_are_rejected_not_panics() {
+        assert_eq!(decode_request(&[]), Err(ProtocolError::Truncated));
+        assert_eq!(decode_request(&[0x42]), Err(ProtocolError::BadOp(0x42)));
+        // Recommend cut off mid-fields.
+        let mut enc = encode_request(&Request::Recommend {
+            tenant: "abc".into(),
+            req: RecommendRequest::new(1, 5),
+        });
+        enc.truncate(enc.len() - 3);
+        assert_eq!(decode_request(&enc), Err(ProtocolError::Truncated));
+        // Trailing garbage.
+        let mut enc = encode_request(&Request::Stats);
+        enc.push(0);
+        assert_eq!(decode_request(&enc), Err(ProtocolError::TrailingBytes));
+        // Bad UTF-8 tenant.
+        let enc = vec![0x03, 2, 0, 0xFF, 0xFE, 0, 0];
+        assert_eq!(decode_request(&enc), Err(ProtocolError::BadUtf8));
+        // ScoreItems claiming more items than the payload carries.
+        let mut enc = Vec::new();
+        enc.push(0x02);
+        push_str(&mut enc, "t");
+        enc.extend_from_slice(&0u32.to_le_bytes());
+        enc.extend_from_slice(&1_000_000u32.to_le_bytes());
+        assert_eq!(decode_request(&enc), Err(ProtocolError::Truncated));
+    }
+
+    #[test]
+    fn frames_round_trip_and_cap_length() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, b"").unwrap();
+        let mut r = io::Cursor::new(buf);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF at a frame boundary");
+
+        let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
+        let mut r = io::Cursor::new(huge.to_vec());
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // A frame that promises more bytes than arrive is an error, not a
+        // hang or a short read.
+        let mut partial = 10u32.to_le_bytes().to_vec();
+        partial.extend_from_slice(b"abc");
+        let mut r = io::Cursor::new(partial);
+        assert!(read_frame(&mut r).is_err());
+    }
+}

@@ -1,0 +1,663 @@
+//! The redesigned serving API: a shared, immutable [`ServeState`] scored
+//! through caller-owned [`ServeScratch`], driven by per-request
+//! [`RecommendRequest`]/[`ServeOptions`] values instead of mutable
+//! recommender configuration.
+//!
+//! PR 5/6's [`Recommender`](crate::Recommender) bundled the frozen
+//! artifact, the seen-mask, *and* the per-call scratch into one object
+//! whose `recommend*` methods took `&mut self` — fine as a library, a
+//! dead end for a server where many request threads share one loaded
+//! model. This module splits that god-object along its natural seam:
+//!
+//! * [`ServeState`] — everything immutable after load: the
+//!   [`ModelArtifact`], its optional IVF index, the per-user seen-item
+//!   mask, and a version stamp. Every scoring method takes `&self`, so
+//!   one `Arc<ServeState>` can serve from any number of threads.
+//! * [`ServeScratch`] — the reusable per-call buffers (query row,
+//!   catalogue scores, top-k heap, probe scratch). One per thread;
+//!   steady-state serving allocates nothing.
+//! * [`ServeOptions`] — the knobs that used to be recommender state
+//!   (`set_nprobe`/`set_exact`), now carried by each request.
+//!
+//! The batched entry point [`ServeState::recommend_batch_into`] is the
+//! micro-batcher's workhorse: exact-path requests in the batch are scored
+//! in one **tiled multi-query pass** over the item table (each tile of
+//! item rows stays cache-resident while every query in the batch scores
+//! it), which is the paper's amortize-one-blocked-pass insight applied to
+//! serving. Per-request results are bit-identical to serial
+//! [`ServeState::recommend_into`] calls — tiling never splits a row's
+//! accumulation, it only reorders *which row* is scored when.
+
+use crate::recommender::{Rec, Retrieval};
+use bsl_data::Dataset;
+use bsl_linalg::simd::scores_block;
+use bsl_linalg::topk::{select_scored_into, TopK};
+use bsl_models::{ivf::ProbeScratch, ModelArtifact};
+
+/// Per-request serving knobs (the state that used to live on the
+/// recommender as `set_nprobe`/`set_exact`).
+///
+/// `Default` reproduces the automatic PR 6 behaviour: serve through the
+/// artifact's IVF index at its default `nprobe` when one is attached,
+/// exactly otherwise, with seen-item filtering on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ServeOptions {
+    /// Probe width override for IVF retrieval. `None` uses the index's
+    /// default; values `≥ nlist` (and any value on an index-less
+    /// artifact) serve exactly. Ignored when [`exact`](Self::exact) is
+    /// set.
+    pub nprobe: Option<usize>,
+    /// Force the exact full-catalogue scan even on indexed artifacts.
+    pub exact: bool,
+    /// Filter the user's seen items (the training interactions baked into
+    /// the state) out of the response — the standard deployment protocol.
+    /// Disable to rank the full catalogue.
+    pub filter_seen: bool,
+}
+
+impl Default for ServeOptions {
+    fn default() -> Self {
+        Self { nprobe: None, exact: false, filter_seen: true }
+    }
+}
+
+impl ServeOptions {
+    /// Exact-scan options (with seen-filtering).
+    pub fn exact() -> Self {
+        Self { exact: true, ..Self::default() }
+    }
+
+    /// IVF options probing `nprobe` lists (clamped to at least 1).
+    pub fn with_nprobe(nprobe: usize) -> Self {
+        Self { nprobe: Some(nprobe.max(1)), ..Self::default() }
+    }
+}
+
+/// One retrieval request: a user, how many items, and the per-request
+/// [`ServeOptions`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecommendRequest {
+    /// The user to recommend for.
+    pub user: u32,
+    /// How many items to return (truncated to the eligible catalogue).
+    pub k: usize,
+    /// Retrieval knobs for this request.
+    pub opts: ServeOptions,
+}
+
+impl RecommendRequest {
+    /// A request with default options.
+    pub fn new(user: u32, k: usize) -> Self {
+        Self { user, k, opts: ServeOptions::default() }
+    }
+}
+
+/// One answered request: the recommendations plus the version of the
+/// [`ServeState`] that produced them (so hot-swap consumers can tell
+/// which artifact generation they were served from).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RecommendResponse {
+    /// The user the response is for.
+    pub user: u32,
+    /// The serving-state version that answered (see
+    /// [`ServeState::version`]).
+    pub version: u64,
+    /// Top-k recommendations, best first.
+    pub recs: Vec<Rec>,
+}
+
+/// A request that cannot be answered. Serving must not take the process
+/// down on bad input, so the request-level entry points validate and
+/// return this instead of panicking.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ServeError {
+    /// The request named a user the artifact has no row for.
+    UserOutOfRange {
+        /// The offending user id.
+        user: u32,
+        /// The artifact's user count.
+        n_users: usize,
+    },
+    /// The request named an item the artifact has no row for.
+    ItemOutOfRange {
+        /// The offending item id.
+        item: u32,
+        /// The artifact's item count.
+        n_items: usize,
+    },
+    /// The named tenant has no registered artifact slot.
+    UnknownTenant(String),
+    /// The engine is shutting down and no longer accepts requests.
+    Closed,
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::UserOutOfRange { user, n_users } => {
+                write!(f, "user {user} out of range (artifact has {n_users} users)")
+            }
+            Self::ItemOutOfRange { item, n_items } => {
+                write!(f, "item {item} out of range (artifact has {n_items} items)")
+            }
+            Self::UnknownTenant(t) => write!(f, "unknown tenant {t:?}"),
+            Self::Closed => write!(f, "serving engine is shut down"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+/// Reusable per-call scoring buffers. One per thread (or per
+/// [`Recommender`](crate::Recommender)); every [`ServeState`] scoring
+/// method is allocation-free once its scratch is warm.
+#[derive(Default)]
+pub struct ServeScratch {
+    /// The prepared f32 query row.
+    qbuf: Vec<f32>,
+    /// Full-catalogue scores (exact path).
+    scores: Vec<f32>,
+    /// Bounded top-k selector.
+    topk: TopK,
+    /// Selected item ids (exact path).
+    ids: Vec<u32>,
+    /// IVF probe scratch.
+    probe: ProbeScratch,
+    /// Gathered IVF candidates.
+    candidates: Vec<u32>,
+    /// Exact rescores of the candidates.
+    cand_scores: Vec<f32>,
+    /// Selected `(item, score)` pairs (IVF path).
+    pairs: Vec<(u32, f32)>,
+    /// Batched exact path: request indices taking the tiled pass.
+    batch_exact: Vec<usize>,
+    /// Batched exact path: the `B × n_items` score block.
+    batch_scores: Vec<f32>,
+}
+
+impl ServeScratch {
+    /// A fresh (cold) scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Item-row tile size of the batched exact pass: `64 rows × d=64 × 4 B`
+/// = 16 KiB per tile — comfortably L1-resident at typical widths, so the
+/// tile is streamed from memory once and then rescored from cache by
+/// every query in the batch.
+const EXACT_TILE_ROWS: usize = 64;
+
+/// Everything serving needs that is immutable after load: the frozen
+/// artifact (plus optional IVF index), the per-user seen-item mask, and a
+/// version stamp for hot-swap bookkeeping.
+///
+/// All scoring methods take `&self` and caller scratch, so a single
+/// `Arc<ServeState>` is shared freely across request threads; the
+/// concurrency smoke test pins down that parallel calls are bit-identical
+/// to serial ones.
+pub struct ServeState {
+    artifact: ModelArtifact,
+    version: u64,
+    /// CSR mask of already-seen items: `seen_items[seen_indptr[u] ..
+    /// seen_indptr[u + 1]]` are the (sorted) item ids to exclude for `u`.
+    /// All-zero indptr = no filtering.
+    seen_indptr: Vec<usize>,
+    seen_items: Vec<u32>,
+}
+
+impl ServeState {
+    /// A state with **no** seen-item filtering (every catalogue item
+    /// eligible), at version 0.
+    pub fn new(artifact: ModelArtifact) -> Self {
+        let n = artifact.n_users();
+        Self { artifact, version: 0, seen_indptr: vec![0; n + 1], seen_items: Vec::new() }
+    }
+
+    /// A state that filters each user's *training* interactions out of
+    /// their recommendations — the mask `bsl-eval` applies. The mask is
+    /// copied out of `ds`, so the dataset need not outlive the state.
+    ///
+    /// # Panics
+    /// Panics if `ds`'s shape disagrees with the artifact.
+    pub fn with_seen(artifact: ModelArtifact, ds: &Dataset) -> Self {
+        assert_eq!(artifact.n_users(), ds.n_users, "artifact user rows != dataset users");
+        assert_eq!(artifact.n_items(), ds.n_items, "artifact item rows != dataset items");
+        let mut indptr = Vec::with_capacity(ds.n_users + 1);
+        let mut items = Vec::with_capacity(ds.train.nnz());
+        indptr.push(0usize);
+        for u in 0..ds.n_users {
+            items.extend_from_slice(ds.train_items(u));
+            indptr.push(items.len());
+        }
+        let mut state = Self::new(artifact);
+        state.seen_indptr = indptr;
+        state.seen_items = items;
+        state
+    }
+
+    /// A state serving `artifact` that adopts `prev`'s seen-mask when the
+    /// shapes still match (the hot-deploy path: a retrained artifact for
+    /// the same dataset keeps filtering without re-reading the dataset).
+    /// On a shape change the mask is dropped and filtering is off, as
+    /// with [`new`](Self::new).
+    pub fn with_seen_from(artifact: ModelArtifact, prev: &ServeState) -> Self {
+        let mut state = Self::new(artifact);
+        if state.n_users() == prev.n_users() && state.n_items() == prev.n_items() {
+            state.seen_indptr.clone_from(&prev.seen_indptr);
+            state.seen_items.clone_from(&prev.seen_items);
+        }
+        state
+    }
+
+    /// The same state stamped with `version` (builder-style; used by the
+    /// hot-swap slot to number artifact generations).
+    pub fn with_version(mut self, version: u64) -> Self {
+        self.version = version;
+        self
+    }
+
+    /// The version stamp ([`ArtifactSlot`](crate::ArtifactSlot) numbers
+    /// swapped-in generations monotonically; hand-built states default
+    /// to 0).
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The artifact being served.
+    pub fn artifact(&self) -> &ModelArtifact {
+        &self.artifact
+    }
+
+    /// Number of user rows the state can answer for.
+    pub fn n_users(&self) -> usize {
+        self.artifact.n_users()
+    }
+
+    /// Number of catalogue items.
+    pub fn n_items(&self) -> usize {
+        self.artifact.n_items()
+    }
+
+    /// The (sorted) item ids filtered out for `user`.
+    ///
+    /// # Panics
+    /// Panics if `user` is out of range.
+    pub fn seen(&self, user: u32) -> &[u32] {
+        let u = user as usize;
+        &self.seen_items[self.seen_indptr[u]..self.seen_indptr[u + 1]]
+    }
+
+    /// The retrieval mode `opts` resolves to on this state's artifact:
+    /// `Some(nprobe)` for a genuine IVF shortlist probe, `None` for the
+    /// exact full scan (no index, forced exact, or `nprobe ≥ nlist`,
+    /// which routes through the exact kernel to stay bit-identical).
+    pub fn resolve(&self, opts: &ServeOptions) -> Option<usize> {
+        if opts.exact {
+            return None;
+        }
+        let ix = self.artifact.index()?;
+        let nprobe = opts.nprobe.unwrap_or_else(|| ix.default_nprobe()).max(1);
+        (nprobe < ix.nlist()).then_some(nprobe)
+    }
+
+    /// The [`Retrieval`] mode `opts` resolves to (the compat-facing view
+    /// of [`resolve`](Self::resolve)).
+    pub fn retrieval(&self, opts: &ServeOptions) -> Retrieval {
+        match self.resolve(opts) {
+            Some(nprobe) => Retrieval::Ivf { nprobe },
+            None => Retrieval::Exact,
+        }
+    }
+
+    /// Validates that `req` is answerable on this state.
+    pub fn check(&self, req: &RecommendRequest) -> Result<(), ServeError> {
+        let n_users = self.n_users();
+        if (req.user as usize) < n_users {
+            Ok(())
+        } else {
+            Err(ServeError::UserOutOfRange { user: req.user, n_users })
+        }
+    }
+
+    /// Top-`k` eligible items for one request, best first, written into
+    /// `out` (cleared first). Allocation-free once `scratch` is warm.
+    ///
+    /// # Panics
+    /// Panics if the user is out of range — use [`check`](Self::check)
+    /// (or the validated [`respond`](Self::respond)) on untrusted input.
+    pub fn recommend_into(
+        &self,
+        req: &RecommendRequest,
+        scratch: &mut ServeScratch,
+        out: &mut Vec<Rec>,
+    ) {
+        match self.resolve(&req.opts) {
+            Some(nprobe) => self.recommend_ivf_into(req, nprobe, scratch, out),
+            None => self.recommend_exact_into(req, scratch, out),
+        }
+    }
+
+    /// Answers one request as a versioned [`RecommendResponse`],
+    /// validating instead of panicking. Allocates the response `Vec` only.
+    pub fn respond(
+        &self,
+        req: &RecommendRequest,
+        scratch: &mut ServeScratch,
+    ) -> Result<RecommendResponse, ServeError> {
+        self.check(req)?;
+        let mut recs = Vec::with_capacity(req.k.min(self.n_items()));
+        self.recommend_into(req, scratch, &mut recs);
+        Ok(RecommendResponse { user: req.user, version: self.version, recs })
+    }
+
+    /// The exact path: one blocked matvec over the whole item table.
+    fn recommend_exact_into(
+        &self,
+        req: &RecommendRequest,
+        scratch: &mut ServeScratch,
+        out: &mut Vec<Rec>,
+    ) {
+        self.artifact.query_into(req.user, &mut scratch.qbuf);
+        self.artifact.score_catalogue_query_into(&scratch.qbuf, &mut scratch.scores);
+        let seen = self.mask_for(req);
+        scratch.topk.select_masked_into(
+            &scratch.scores,
+            req.k,
+            |i| seen.binary_search(&(i as u32)).is_ok(),
+            &mut scratch.ids,
+        );
+        out.clear();
+        out.extend(scratch.ids.iter().map(|&i| Rec { item: i, score: scratch.scores[i as usize] }));
+    }
+
+    /// The IVF path: probe `nprobe` lists, rescore the shortlist exactly.
+    fn recommend_ivf_into(
+        &self,
+        req: &RecommendRequest,
+        nprobe: usize,
+        scratch: &mut ServeScratch,
+        out: &mut Vec<Rec>,
+    ) {
+        self.artifact.query_into(req.user, &mut scratch.qbuf);
+        let index = self.artifact.index().expect("IVF retrieval requires an index");
+        index.probe_into(&scratch.qbuf, nprobe, &mut scratch.probe, &mut scratch.candidates);
+        self.artifact.score_items_query_into(
+            &scratch.qbuf,
+            &scratch.candidates,
+            &mut scratch.cand_scores,
+        );
+        let seen = self.mask_for(req);
+        let candidates = &scratch.candidates;
+        select_scored_into(
+            &scratch.cand_scores,
+            candidates,
+            req.k,
+            |p| seen.binary_search(&candidates[p]).is_ok(),
+            &mut scratch.pairs,
+        );
+        out.clear();
+        out.extend(scratch.pairs.iter().map(|&(item, score)| Rec { item, score }));
+    }
+
+    /// The seen-slice `req` filters with (empty when filtering is off).
+    fn mask_for(&self, req: &RecommendRequest) -> &[u32] {
+        if req.opts.filter_seen {
+            self.seen(req.user)
+        } else {
+            &[]
+        }
+    }
+
+    /// Answers a whole batch of requests, one inner list per request in
+    /// request order, reusing `out`'s inner allocations.
+    ///
+    /// This is the micro-batcher's workhorse: all requests of the batch
+    /// that resolve to the **exact** path over an f32 table are scored in
+    /// one tiled multi-query pass over the item table — each
+    /// `EXACT_TILE_ROWS`-row tile is streamed from memory once and then
+    /// scored against every query in the batch while cache-resident,
+    /// which is where coalescing concurrent requests wins over
+    /// dispatching them one by one (the same blocked-pass amortization
+    /// the trainer exploits). IVF / int8 requests are answered
+    /// per-request with the shared scratch.
+    ///
+    /// Results are bit-identical to serial
+    /// [`recommend_into`](Self::recommend_into) calls: tiling reorders
+    /// which *row* is
+    /// scored when, never how a row's dot product accumulates.
+    ///
+    /// # Panics
+    /// Panics if any user is out of range — validate untrusted requests
+    /// with [`check`](Self::check) first (the engine does).
+    pub fn recommend_batch_into(
+        &self,
+        reqs: &[RecommendRequest],
+        scratch: &mut ServeScratch,
+        out: &mut Vec<Vec<Rec>>,
+    ) {
+        out.truncate(reqs.len());
+        // Vec::new below is the empty-vec constructor (capacity 0, no heap
+        // touch); steady-state callers pass warm out vecs whose spare
+        // capacity truncate + resize_with preserve.
+        // bsl-audit: allow(hot-path-alloc) -- empty-vec ctor, no allocation
+        out.resize_with(reqs.len(), Vec::new);
+
+        // Split the batch: exact-path requests over an f32 table take the
+        // tiled pass, everything else (IVF shortlists, int8 tables with
+        // their own fused kernel) answers per-request.
+        scratch.batch_exact.clear();
+        for (r, req) in reqs.iter().enumerate() {
+            if self.resolve(&req.opts).is_none() && self.artifact.items_f32().is_some() {
+                scratch.batch_exact.push(r);
+            } else {
+                let (req, slot) = (&reqs[r], &mut out[r]);
+                self.recommend_into(req, scratch, slot);
+            }
+        }
+        if scratch.batch_exact.is_empty() {
+            return;
+        }
+
+        let items = self.artifact.items_f32().expect("exact batch path requires f32 items");
+        let (n, d) = (items.rows(), items.cols());
+        let nq = scratch.batch_exact.len();
+        scratch.batch_scores.resize(nq * n, 0.0);
+        // One tile of item rows scored by every query before moving on.
+        let table = items.as_slice();
+        let mut tile_start = 0usize;
+        while tile_start < n {
+            let tile_rows = EXACT_TILE_ROWS.min(n - tile_start);
+            let tile = &table[tile_start * d..(tile_start + tile_rows) * d];
+            for (qi, &r) in scratch.batch_exact.iter().enumerate() {
+                let q = self.artifact.users().row(reqs[r].user as usize);
+                let row = &mut scratch.batch_scores[qi * n + tile_start..][..tile_rows];
+                scores_block(q, tile, row);
+            }
+            tile_start += tile_rows;
+        }
+        for (qi, &r) in scratch.batch_exact.iter().enumerate() {
+            let req = &reqs[r];
+            let scores = &scratch.batch_scores[qi * n..(qi + 1) * n];
+            let seen = self.mask_for(req);
+            scratch.topk.select_masked_into(
+                scores,
+                req.k,
+                |i| seen.binary_search(&(i as u32)).is_ok(),
+                &mut scratch.ids,
+            );
+            let slot = &mut out[r];
+            slot.clear();
+            slot.extend(scratch.ids.iter().map(|&i| Rec { item: i, score: scores[i as usize] }));
+        }
+    }
+
+    /// Scores an explicit candidate list for `user` into `out` (no
+    /// seen-filtering — callers asking about specific items get answers
+    /// about those items). Validates ids instead of panicking.
+    pub fn score_items_into(
+        &self,
+        user: u32,
+        items: &[u32],
+        out: &mut Vec<f32>,
+    ) -> Result<(), ServeError> {
+        let n_users = self.n_users();
+        if user as usize >= n_users {
+            return Err(ServeError::UserOutOfRange { user, n_users });
+        }
+        let n_items = self.n_items();
+        if let Some(&bad) = items.iter().find(|&&i| i as usize >= n_items) {
+            return Err(ServeError::ItemOutOfRange { item: bad, n_items });
+        }
+        self.artifact.score_items_into(user, items, out);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsl_linalg::Matrix;
+    use bsl_models::EvalScore;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn art(n_users: usize, n_items: usize, d: usize, seed: u64) -> ModelArtifact {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let users = Matrix::gaussian(n_users, d, 1.0, &mut rng);
+        let items = Matrix::gaussian(n_items, d, 1.0, &mut rng);
+        ModelArtifact::from_embeddings("MF", &users, &items, EvalScore::Dot)
+    }
+
+    #[test]
+    fn options_resolve_like_pr6_modes() {
+        let state = ServeState::new(art(4, 50, 8, 1));
+        // No index: everything is exact.
+        assert_eq!(state.resolve(&ServeOptions::default()), None);
+        assert_eq!(state.resolve(&ServeOptions::with_nprobe(2)), None);
+
+        let mut indexed = art(4, 300, 8, 1);
+        indexed.build_ivf(8);
+        let state = ServeState::new(indexed);
+        let default_np = state.artifact().index().unwrap().default_nprobe();
+        assert_eq!(state.resolve(&ServeOptions::default()), Some(default_np));
+        assert_eq!(state.resolve(&ServeOptions::with_nprobe(3)), Some(3));
+        assert_eq!(state.resolve(&ServeOptions::exact()), None);
+        // nprobe ≥ nlist routes through the exact kernel.
+        assert_eq!(state.resolve(&ServeOptions::with_nprobe(8)), None);
+        assert_eq!(state.resolve(&ServeOptions::with_nprobe(999)), None);
+    }
+
+    #[test]
+    fn batched_exact_is_bit_identical_to_serial() {
+        let state = ServeState::new(art(40, 700, 16, 7));
+        let mut scratch = ServeScratch::new();
+        let reqs: Vec<RecommendRequest> =
+            (0..17u32).map(|u| RecommendRequest::new(u * 2 % 40, 10)).collect();
+        let mut batched = Vec::new();
+        state.recommend_batch_into(&reqs, &mut scratch, &mut batched);
+        for (req, got) in reqs.iter().zip(&batched) {
+            let mut serial = Vec::new();
+            state.recommend_into(req, &mut scratch, &mut serial);
+            assert_eq!(*got, serial, "user {}", req.user);
+        }
+    }
+
+    #[test]
+    fn batched_mixed_modes_match_serial() {
+        let mut indexed = art(30, 600, 8, 9);
+        indexed.build_ivf(10);
+        let state = ServeState::new(indexed);
+        let mut scratch = ServeScratch::new();
+        // Alternate exact / default-IVF / explicit-nprobe requests.
+        let reqs: Vec<RecommendRequest> = (0..12u32)
+            .map(|u| {
+                let opts = match u % 3 {
+                    0 => ServeOptions::exact(),
+                    1 => ServeOptions::default(),
+                    _ => ServeOptions::with_nprobe(2),
+                };
+                RecommendRequest { user: u, k: 8, opts }
+            })
+            .collect();
+        let mut batched = Vec::new();
+        state.recommend_batch_into(&reqs, &mut scratch, &mut batched);
+        for (req, got) in reqs.iter().zip(&batched) {
+            let mut serial = Vec::new();
+            state.recommend_into(req, &mut scratch, &mut serial);
+            assert_eq!(*got, serial, "user {} opts {:?}", req.user, req.opts);
+        }
+    }
+
+    #[test]
+    fn batch_reuses_output_allocations() {
+        let state = ServeState::new(art(10, 200, 8, 3));
+        let mut scratch = ServeScratch::new();
+        let reqs: Vec<RecommendRequest> = (0..6u32).map(|u| RecommendRequest::new(u, 5)).collect();
+        let mut out = Vec::new();
+        state.recommend_batch_into(&reqs, &mut scratch, &mut out);
+        let caps: Vec<usize> = out.iter().map(Vec::capacity).collect();
+        let ptrs: Vec<*const Rec> = out.iter().map(|v| v.as_ptr()).collect();
+        state.recommend_batch_into(&reqs, &mut scratch, &mut out);
+        assert_eq!(caps, out.iter().map(Vec::capacity).collect::<Vec<_>>());
+        assert_eq!(ptrs, out.iter().map(|v| v.as_ptr()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn filter_seen_off_serves_the_full_catalogue() {
+        let pairs: Vec<(u32, u32)> = (0..20).map(|i| (i % 5, i)).collect();
+        let ds = Dataset::from_pairs("f", 5, 50, &pairs, &[]);
+        let state = ServeState::with_seen(art(5, 50, 8, 4), &ds);
+        let mut scratch = ServeScratch::new();
+        let mut filtered = Vec::new();
+        state.recommend_into(&RecommendRequest::new(0, 50), &mut scratch, &mut filtered);
+        assert_eq!(filtered.len(), 50 - state.seen(0).len());
+        let mut unfiltered = Vec::new();
+        let req = RecommendRequest {
+            user: 0,
+            k: 50,
+            opts: ServeOptions { filter_seen: false, ..Default::default() },
+        };
+        state.recommend_into(&req, &mut scratch, &mut unfiltered);
+        assert_eq!(unfiltered.len(), 50);
+    }
+
+    #[test]
+    fn respond_validates_instead_of_panicking() {
+        let state = ServeState::new(art(3, 20, 4, 5)).with_version(9);
+        let mut scratch = ServeScratch::new();
+        let ok = state.respond(&RecommendRequest::new(2, 5), &mut scratch).unwrap();
+        assert_eq!(ok.version, 9);
+        assert_eq!(ok.user, 2);
+        assert_eq!(ok.recs.len(), 5);
+        let err = state.respond(&RecommendRequest::new(3, 5), &mut scratch).unwrap_err();
+        assert_eq!(err, ServeError::UserOutOfRange { user: 3, n_users: 3 });
+    }
+
+    #[test]
+    fn score_items_validates_ids() {
+        let state = ServeState::new(art(3, 20, 4, 6));
+        let mut out = Vec::new();
+        state.score_items_into(1, &[0, 19], &mut out).unwrap();
+        assert_eq!(out.len(), 2);
+        let err = state.score_items_into(1, &[0, 20], &mut out).unwrap_err();
+        assert_eq!(err, ServeError::ItemOutOfRange { item: 20, n_items: 20 });
+        let err = state.score_items_into(9, &[0], &mut out).unwrap_err();
+        assert_eq!(err, ServeError::UserOutOfRange { user: 9, n_users: 3 });
+    }
+
+    #[test]
+    fn int8_artifacts_batch_through_the_fused_kernel() {
+        let q = art(12, 300, 8, 8).quantize();
+        let state = ServeState::new(q);
+        let mut scratch = ServeScratch::new();
+        let reqs: Vec<RecommendRequest> = (0..12u32).map(|u| RecommendRequest::new(u, 7)).collect();
+        let mut batched = Vec::new();
+        state.recommend_batch_into(&reqs, &mut scratch, &mut batched);
+        for (req, got) in reqs.iter().zip(&batched) {
+            let mut serial = Vec::new();
+            state.recommend_into(req, &mut scratch, &mut serial);
+            assert_eq!(*got, serial);
+        }
+    }
+}

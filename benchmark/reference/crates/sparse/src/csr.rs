@@ -1,0 +1,400 @@
+//! Compressed sparse row matrix.
+
+use bsl_linalg::{LinOp, Matrix};
+
+/// A CSR (compressed sparse row) matrix of `f32` values.
+///
+/// `indptr` has `rows + 1` entries; row `r`'s column indices live in
+/// `indices[indptr[r]..indptr[r+1]]` (sorted ascending, unique) with the
+/// matching `values`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Csr {
+    rows: usize,
+    cols: usize,
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl Csr {
+    /// Builds a CSR matrix from COO triplets. Duplicate coordinates are
+    /// summed; column indices end up sorted within each row.
+    ///
+    /// # Panics
+    /// Panics if any coordinate is out of bounds.
+    pub fn from_coo(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> Self {
+        for &(r, c, _) in triplets {
+            assert!(
+                (r as usize) < rows && (c as usize) < cols,
+                "entry ({r},{c}) out of bounds for {rows}x{cols}"
+            );
+        }
+        let mut sorted: Vec<(u32, u32, f32)> = triplets.to_vec();
+        sorted.sort_unstable_by_key(|t| (t.0, t.1));
+
+        let mut indptr = vec![0usize; rows + 1];
+        let mut indices = Vec::with_capacity(sorted.len());
+        let mut values: Vec<f32> = Vec::with_capacity(sorted.len());
+        let mut last: Option<(u32, u32)> = None;
+        for &(r, c, v) in &sorted {
+            if last == Some((r, c)) {
+                *values.last_mut().expect("values non-empty alongside indices") += v;
+                continue;
+            }
+            indices.push(c);
+            values.push(v);
+            indptr[r as usize + 1] += 1;
+            last = Some((r, c));
+        }
+        for r in 0..rows {
+            indptr[r + 1] += indptr[r];
+        }
+        Self { rows, cols, indptr, indices, values }
+    }
+
+    /// An all-zero matrix.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self { rows, cols, indptr: vec![0; rows + 1], indices: Vec::new(), values: Vec::new() }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of stored (structural) non-zeros.
+    #[inline]
+    pub fn nnz(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Column indices of row `r` (sorted ascending).
+    #[inline]
+    pub fn row_indices(&self, r: usize) -> &[u32] {
+        &self.indices[self.indptr[r]..self.indptr[r + 1]]
+    }
+
+    /// Values of row `r`, parallel to [`Self::row_indices`].
+    #[inline]
+    pub fn row_values(&self, r: usize) -> &[f32] {
+        &self.values[self.indptr[r]..self.indptr[r + 1]]
+    }
+
+    /// Mutable values of row `r`.
+    #[inline]
+    pub fn row_values_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.values[self.indptr[r]..self.indptr[r + 1]]
+    }
+
+    /// Number of stored entries in row `r`.
+    #[inline]
+    pub fn row_nnz(&self, r: usize) -> usize {
+        self.indptr[r + 1] - self.indptr[r]
+    }
+
+    /// Whether entry `(r, c)` is structurally present (binary search).
+    pub fn contains(&self, r: usize, c: u32) -> bool {
+        self.row_indices(r).binary_search(&c).is_ok()
+    }
+
+    /// Value at `(r, c)`, or `0.0` when absent.
+    pub fn get(&self, r: usize, c: u32) -> f32 {
+        match self.row_indices(r).binary_search(&c) {
+            Ok(pos) => self.row_values(r)[pos],
+            Err(_) => 0.0,
+        }
+    }
+
+    /// Iterates `(row, col, value)` over all stored entries.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
+        (0..self.rows).flat_map(move |r| {
+            self.row_indices(r)
+                .iter()
+                .zip(self.row_values(r).iter())
+                .map(move |(&c, &v)| (r as u32, c, v))
+        })
+    }
+
+    /// Transpose as a new CSR matrix (counting sort over columns, O(nnz)).
+    pub fn transpose(&self) -> Csr {
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        let mut next = indptr.clone();
+        for r in 0..self.rows {
+            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
+                let pos = next[c as usize];
+                indices[pos] = r as u32;
+                values[pos] = v;
+                next[c as usize] += 1;
+            }
+        }
+        Csr { rows: self.cols, cols: self.rows, indptr, indices, values }
+    }
+
+    /// Sparse × dense product `self · x` into a fresh `rows × x.cols()`
+    /// dense matrix.
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != self.cols()`.
+    pub fn spmm(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.rows(), self.cols, "spmm dimension mismatch");
+        let mut out = Matrix::zeros(self.rows, x.cols());
+        self.spmm_into(x, &mut out);
+        out
+    }
+
+    /// Sparse × dense product written into an existing buffer
+    /// (overwritten, not accumulated).
+    ///
+    /// Each output row is an `axpy` chain over the row's stored entries —
+    /// the dense-row accumulation rides the dispatched SIMD kernels in
+    /// `bsl_linalg::kernels` (this is the inner loop of every LightGCN
+    /// propagation hop).
+    pub fn spmm_into(&self, x: &Matrix, out: &mut Matrix) {
+        assert_eq!(x.rows(), self.cols, "spmm dimension mismatch");
+        assert_eq!(out.shape(), (self.rows, x.cols()), "spmm output shape mismatch");
+        out.fill(0.0);
+        for r in 0..self.rows {
+            let start = self.indptr[r];
+            let end = self.indptr[r + 1];
+            let o = out.row_mut(r);
+            for k in start..end {
+                bsl_linalg::kernels::axpy(self.values[k], x.row(self.indices[k] as usize), o);
+            }
+        }
+    }
+
+    /// Row sums (the weighted out-degree of each row node).
+    pub fn row_sums(&self) -> Vec<f64> {
+        (0..self.rows).map(|r| self.row_values(r).iter().map(|&v| v as f64).sum()).collect()
+    }
+
+    /// Per-row structural degree (entry counts).
+    pub fn row_degrees(&self) -> Vec<usize> {
+        (0..self.rows).map(|r| self.row_nnz(r)).collect()
+    }
+
+    /// Per-column structural degree.
+    pub fn col_degrees(&self) -> Vec<usize> {
+        let mut d = vec![0usize; self.cols];
+        for &c in &self.indices {
+            d[c as usize] += 1;
+        }
+        d
+    }
+
+    /// Scales row `r`'s values by `alpha_r` and (conceptually) column `c`'s
+    /// values by `beta_c`: `values[r][c] *= alpha[r] * beta[c]`.
+    /// Used by degree normalization.
+    pub fn scale_rows_cols(&mut self, alpha: &[f32], beta: &[f32]) {
+        assert_eq!(alpha.len(), self.rows);
+        assert_eq!(beta.len(), self.cols);
+        for (r, &a) in alpha.iter().enumerate() {
+            let start = self.indptr[r];
+            let end = self.indptr[r + 1];
+            for k in start..end {
+                self.values[k] *= a * beta[self.indices[k] as usize];
+            }
+        }
+    }
+
+    /// Converts to a dense matrix (test/diagnostic use).
+    pub fn to_dense(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for (r, c, v) in self.iter() {
+            out.set(r as usize, c as usize, v);
+        }
+        out
+    }
+}
+
+impl LinOp for Csr {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+    fn cols(&self) -> usize {
+        self.cols
+    }
+    fn apply(&self, x: &Matrix) -> Matrix {
+        self.spmm(x)
+    }
+    fn apply_t(&self, x: &Matrix) -> Matrix {
+        // Aᵀx without materializing the transpose: scatter rows of x.
+        assert_eq!(x.rows(), self.rows, "apply_t dimension mismatch");
+        let mut out = Matrix::zeros(self.cols, x.cols());
+        for r in 0..self.rows {
+            let start = self.indptr[r];
+            let end = self.indptr[r + 1];
+            for k in start..end {
+                let c = self.indices[k] as usize;
+                // out[c] += v * x[r]
+                bsl_linalg::kernels::axpy(self.values[k], x.row(r), out.row_mut(c));
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn small() -> Csr {
+        // [[1, 0, 2],
+        //  [0, 3, 0]]
+        Csr::from_coo(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)])
+    }
+
+    #[test]
+    fn from_coo_layout() {
+        let m = small();
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.row_indices(0), &[0, 2]);
+        assert_eq!(m.row_values(0), &[1.0, 2.0]);
+        assert_eq!(m.row_indices(1), &[1]);
+        assert_eq!(m.get(0, 2), 2.0);
+        assert_eq!(m.get(1, 0), 0.0);
+        assert!(m.contains(1, 1));
+        assert!(!m.contains(1, 2));
+    }
+
+    #[test]
+    fn from_coo_sums_duplicates() {
+        let m = Csr::from_coo(1, 2, &[(0, 1, 1.0), (0, 1, 2.5), (0, 0, 1.0)]);
+        assert_eq!(m.nnz(), 2);
+        assert_eq!(m.get(0, 1), 3.5);
+    }
+
+    #[test]
+    fn from_coo_unsorted_input() {
+        let m = Csr::from_coo(3, 3, &[(2, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (0, 0, 4.0)]);
+        assert_eq!(m.row_indices(0), &[0, 2]);
+        assert_eq!(m.get(2, 0), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_coo_bounds_check() {
+        let _ = Csr::from_coo(2, 2, &[(2, 0, 1.0)]);
+    }
+
+    #[test]
+    fn transpose_dense_agreement() {
+        let m = small();
+        let t = m.transpose();
+        assert_eq!(t.to_dense(), m.to_dense().transpose());
+    }
+
+    #[test]
+    fn spmm_matches_dense() {
+        let m = small();
+        let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 + 1.0);
+        let got = m.spmm(&x);
+        let want = m.to_dense().matmul(&x);
+        assert_eq!(got.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn linop_apply_t_matches_transpose_spmm() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut trips = Vec::new();
+        for _ in 0..40 {
+            trips.push((
+                rng.gen_range(0..8u32),
+                rng.gen_range(0..6u32),
+                rng.gen_range(-1.0..1.0f32),
+            ));
+        }
+        let m = Csr::from_coo(8, 6, &trips);
+        let x = Matrix::gaussian(8, 3, 1.0, &mut rng);
+        let got = m.apply_t(&x);
+        let want = m.transpose().spmm(&x);
+        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+            assert!((a - b).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn degrees_and_sums() {
+        let m = small();
+        assert_eq!(m.row_degrees(), vec![2, 1]);
+        assert_eq!(m.col_degrees(), vec![1, 1, 1]);
+        assert_eq!(m.row_sums(), vec![3.0, 3.0]);
+    }
+
+    #[test]
+    fn scale_rows_cols_applies_product() {
+        let mut m = small();
+        m.scale_rows_cols(&[2.0, 10.0], &[1.0, 0.5, 3.0]);
+        assert_eq!(m.get(0, 0), 2.0); // 1 * 2 * 1
+        assert_eq!(m.get(0, 2), 12.0); // 2 * 2 * 3
+        assert_eq!(m.get(1, 1), 15.0); // 3 * 10 * 0.5
+    }
+
+    #[test]
+    fn zeros_has_no_entries() {
+        let m = Csr::zeros(4, 5);
+        assert_eq!(m.nnz(), 0);
+        assert_eq!(m.spmm(&Matrix::zeros(5, 2)).as_slice(), Matrix::zeros(4, 2).as_slice());
+    }
+
+    fn arb_csr() -> impl Strategy<Value = Csr> {
+        (1usize..8, 1usize..8, proptest::collection::vec((0u32..8, 0u32..8, -2.0f32..2.0), 0..30))
+            .prop_map(|(rows, cols, trips)| {
+                let trips: Vec<_> = trips
+                    .into_iter()
+                    .map(|(r, c, v)| (r % rows as u32, c % cols as u32, v))
+                    .collect();
+                Csr::from_coo(rows, cols, &trips)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_transpose_involution(m in arb_csr()) {
+            prop_assert_eq!(m.transpose().transpose().to_dense(), m.to_dense());
+        }
+
+        #[test]
+        fn prop_spmm_linearity(m in arb_csr(), seed in 0u64..100) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = Matrix::gaussian(m.cols(), 2, 1.0, &mut rng);
+            let y = Matrix::gaussian(m.cols(), 2, 1.0, &mut rng);
+            let mut xy = x.clone();
+            xy.add_assign(&y);
+            let lhs = m.spmm(&xy);
+            let mut rhs = m.spmm(&x);
+            rhs.add_assign(&m.spmm(&y));
+            for (a, b) in lhs.as_slice().iter().zip(rhs.as_slice()) {
+                prop_assert!((a - b).abs() < 1e-3);
+            }
+        }
+
+        #[test]
+        fn prop_indices_sorted_unique(m in arb_csr()) {
+            for r in 0..m.rows() {
+                let idx = m.row_indices(r);
+                for w in idx.windows(2) {
+                    prop_assert!(w[0] < w[1]);
+                }
+            }
+        }
+    }
+}
