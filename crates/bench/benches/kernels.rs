@@ -3,15 +3,15 @@
 //! The `*_scalar` variants pin [`SimdLevel::Scalar`] explicitly, so one
 //! bench run records the dispatched-vs-reference speedup in place; the
 //! blocked benches (`scores_block_*`, `normalize_rows_*`,
-//! `cosine_backward_block_*`) cover the batch kernels the trainer and
-//! evaluator hot paths run on. SpMM before/after lives in the
+//! `cosine_backward_block_*` and their `*_gather_*` twins) cover the
+//! batch kernels the trainer and evaluator hot paths run on. SpMM before/after lives in the
 //! `propagation` bench (`spmm_yelp_d64`) — compare the committed
 //! BENCHMARKS.md across PRs for that one.
 
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into};
 use bsl_linalg::simd::{
-    self, cosine_backward_block, normalize_gather_into, normalize_rows_into, scores_block,
-    SimdLevel,
+    self, cosine_backward_block, cosine_backward_gather, normalize_gather_into,
+    normalize_rows_into, scores_block, scores_gather, SimdLevel,
 };
 use bsl_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -92,6 +92,36 @@ fn bench_kernels(c: &mut Criterion) {
                 black_box(&a),
                 black_box(1.1),
                 black_box(&block),
+                black_box(&mut grad),
+            )
+        })
+    });
+    // The gathered twins on the sampled step's shape: 64 slots (with
+    // repeats) into a 2,500-row table of unit vectors.
+    let table: Vec<f32> = (0..2500 * d).map(|i| (i as f32 * 0.173).sin()).collect();
+    let slots: Vec<u32> = (0..m as u32).map(|j| j.wrapping_mul(2_654_435_761) % 2500).collect();
+    c.bench_function("scores_gather_d64_m64", |bench| {
+        bench.iter(|| {
+            scores_gather(
+                black_box(&a),
+                black_box(&table),
+                black_box(&slots),
+                black_box(&mut scores),
+            )
+        })
+    });
+    c.bench_function("cosine_backward_gather_d64_m64", |bench| {
+        let gs: Vec<f32> = (0..m).map(|j| 0.01 * j as f32 - 0.3).collect();
+        let ss: Vec<f32> = (0..m).map(|j| 0.013 * j as f32 - 0.4).collect();
+        let mut grad = vec![0.0f32; d];
+        bench.iter(|| {
+            cosine_backward_gather(
+                black_box(&gs),
+                black_box(&ss),
+                black_box(&a),
+                black_box(1.1),
+                black_box(&table),
+                black_box(&slots),
                 black_box(&mut grad),
             )
         })

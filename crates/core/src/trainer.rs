@@ -5,7 +5,10 @@ use crate::engine::{Engine, HogwildView, Job, WorkerPool};
 use bsl_data::Dataset;
 use bsl_eval::{evaluate_artifact, EvalReport};
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
-use bsl_linalg::simd::{cosine_backward_block, normalize_gather_into, scores_block};
+use bsl_linalg::simd::{
+    cosine_backward_block, cosine_backward_gather, normalize_gather_into, scores_block,
+    scores_gather,
+};
 use bsl_linalg::Matrix;
 use bsl_losses::{build as build_loss, RankingLoss, ScoreBatch};
 use bsl_models::{
@@ -101,15 +104,18 @@ fn hogwild_apply(view: &HogwildView, row: u32, grad: &[f32], buf: &mut [f32], hp
 
 /// Reusable step scratch: unit vectors, norms, scores and the in-batch
 /// similarity matrix, all as flat row-major buffers. Sizing is
-/// grow-only (every consumer slices the exact `[..b*…]` extent it needs),
-/// so after the first full-sized batch no step re-zeroes or reallocates —
+/// grow-only (every consumer slices the exact extent it needs), so after
+/// the first full-sized batch no step re-zeroes or reallocates —
 /// trailing partial batches and later epochs reuse the same storage.
 ///
-/// `neg_hat`/`neg_norms` cache every negative's unit vector for the whole
-/// batch (`B·m·d` floats) so the gradient pass reuses them instead of
-/// re-normalizing — the blocked kernels then see contiguous item blocks.
-/// They are only sized on the cosine scoring path; distance-scored
-/// backbones (CML) never touch them.
+/// The sampled cosine path keeps one unit vector per *distinct* negative
+/// of the step, not per occurrence: `uniq` lists the step's distinct
+/// negative ids in first-seen order, `neg_hat`/`neg_norms` hold their unit
+/// rows and raw norms (at most `min(B·m, n_items)` rows), and `neg_slot`
+/// maps each of the `B·m` occurrences to its row. Scoring and backward
+/// read the table through `neg_slot`, so an item drawn many times in a
+/// step is normalized once. Distance-scored backbones (CML) never touch
+/// any of it.
 #[derive(Default)]
 struct StepScratch {
     /// Unit user vectors, `B × d` flat.
@@ -120,11 +126,22 @@ struct StepScratch {
     pos_norm: Vec<f32>,
     pos_scores: Vec<f32>,
     neg_scores: Vec<f32>,
-    /// Unit negative-item vectors, `B × m × d` flat (sampled path only).
+    /// Unit vectors of the step's distinct negatives, `uniq.len() × d`
+    /// flat (sampled cosine path only).
     neg_hat: Vec<f32>,
     neg_norms: Vec<f32>,
+    /// The step's distinct negative ids, first-seen order.
+    uniq: Vec<u32>,
+    /// Row of `neg_hat` for each of the `B·m` negative occurrences.
+    neg_slot: Vec<u32>,
+    /// Item id → row of `neg_hat`, `u32::MAX` = not drawn this step.
+    /// Catalogue-sized like [`GradBuffer`]; all-`MAX` between steps.
+    slot_of_item: Vec<u32>,
     /// `B × B` cosine similarities (in-batch path only).
     sims: Vec<f32>,
+    /// One gradient row and one parameter row per worker, `2·d` each
+    /// (Hogwild paths only).
+    hogwild_rows: Vec<f32>,
 }
 
 /// Grows `v` to at least `n` elements (never shrinks).
@@ -135,17 +152,17 @@ fn grow(v: &mut Vec<f32>, n: usize) {
 }
 
 impl StepScratch {
-    fn ensure_sampled(&mut self, b: usize, m: usize, d: usize, cache_negs: bool) {
+    /// Sizes the sampled-path buffers; `table_rows` bounds the step's
+    /// distinct negatives (0 on the distance-scored path).
+    fn ensure_sampled(&mut self, b: usize, m: usize, d: usize, table_rows: usize) {
         grow(&mut self.user_hat, b * d);
         grow(&mut self.user_norm, b);
         grow(&mut self.pos_hat, b * d);
         grow(&mut self.pos_norm, b);
         grow(&mut self.pos_scores, b);
         grow(&mut self.neg_scores, b * m);
-        if cache_negs {
-            grow(&mut self.neg_hat, b * m * d);
-            grow(&mut self.neg_norms, b * m);
-        }
+        grow(&mut self.neg_hat, table_rows * d);
+        grow(&mut self.neg_norms, table_rows);
     }
 
     fn ensure_in_batch(&mut self, b: usize, d: usize) {
@@ -157,19 +174,79 @@ impl StepScratch {
         grow(&mut self.neg_scores, b * (b - 1));
         grow(&mut self.sims, b * b);
     }
+
+    /// Pass 0, indexing half: fills `uniq` with the distinct ids of `negs`
+    /// in first-seen order and `neg_slot[k]` with the position of
+    /// `negs[k]` in it. `slot_of_item` is reset by walking `uniq`, so the
+    /// cost is `O(negs.len())`, never `O(n_items)`.
+    fn index_negatives(&mut self, negs: &[u32], n_items: usize) {
+        if self.slot_of_item.len() < n_items {
+            self.slot_of_item.resize(n_items, u32::MAX);
+        }
+        if self.neg_slot.len() < negs.len() {
+            self.neg_slot.resize(negs.len(), 0);
+        }
+        self.uniq.clear();
+        self.uniq.reserve(negs.len().min(n_items));
+        for (slot, &id) in self.neg_slot.iter_mut().zip(negs) {
+            let seen = &mut self.slot_of_item[id as usize];
+            if *seen == u32::MAX {
+                *seen = self.uniq.len() as u32;
+                self.uniq.push(id);
+            }
+            *slot = *seen;
+        }
+        for &id in &self.uniq {
+            self.slot_of_item[id as usize] = u32::MAX;
+        }
+    }
 }
 
-/// Pass 1 of the pooled *sampled* step, shared verbatim by the exact
-/// ([`Trainer::step_sampled_par`]) and Hogwild paths: sizes the scratch,
-/// then scores row-sharded into disjoint scratch slices — each shard
-/// normalizes its negative blocks once (cached for pass 2) and scores
-/// them with blocked matvecs. The distance-scored path carves empty
-/// `nh`/`nn` slices; it never reads them. One pool job per chunk replaces
-/// the old scoped-thread spawn round.
+/// Splits the first `n` elements off the front of `*rest`.
+fn take_front<'a>(rest: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    front
+}
+
+/// The pass-1 outputs of a contiguous run of batch rows.
+struct ScoreRows<'a> {
+    user_hat: &'a mut [f32],
+    user_norm: &'a mut [f32],
+    pos_hat: &'a mut [f32],
+    pos_norm: &'a mut [f32],
+    pos_scores: &'a mut [f32],
+    neg_scores: &'a mut [f32],
+}
+
+impl<'a> ScoreRows<'a> {
+    /// Splits the first `rows` rows off the front.
+    fn take_rows(&mut self, rows: usize, m: usize, d: usize) -> ScoreRows<'a> {
+        ScoreRows {
+            user_hat: take_front(&mut self.user_hat, rows * d),
+            user_norm: take_front(&mut self.user_norm, rows),
+            pos_hat: take_front(&mut self.pos_hat, rows * d),
+            pos_norm: take_front(&mut self.pos_norm, rows),
+            pos_scores: take_front(&mut self.pos_scores, rows),
+            neg_scores: take_front(&mut self.neg_scores, rows * m),
+        }
+    }
+}
+
+/// Passes 0 and 1 of the *sampled* step, shared by all three sampled
+/// paths ([`Trainer::step_sampled`] passes no pool and runs everything
+/// inline as one chunk; the exact and Hogwild pooled steps pass their row
+/// chunks).
+///
+/// Pass 0 (cosine only) indexes the step's negatives on the calling
+/// thread and gather-normalizes each *distinct* one once into
+/// `scratch.neg_hat` — with a pool, as one extra round of row chunks over
+/// the distinct ids. Pass 1 normalizes each row's user and positive and
+/// scores the row against its negatives' table rows with one
+/// [`scores_gather`], row-sharded into disjoint scratch slices.
 #[allow(clippy::too_many_arguments)] // the pass mirrors the step state
 fn pass1_sampled_scores(
-    pool: &WorkerPool,
-    chunks: &[std::ops::Range<usize>],
+    pool: Option<(&WorkerPool, &[std::ops::Range<usize>])>,
     batch: &TrainBatch,
     users: &Matrix,
     items: &Matrix,
@@ -179,72 +256,76 @@ fn pass1_sampled_scores(
     m: usize,
     d: usize,
 ) {
-    let cache_negs = score_kind == TrainScore::Cosine;
-    scratch.ensure_sampled(b, m, d, cache_negs);
-    let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-    let mut uh_rest = &mut scratch.user_hat[..b * d];
-    let mut un_rest = &mut scratch.user_norm[..b];
-    let mut ph_rest = &mut scratch.pos_hat[..b * d];
-    let mut pn_rest = &mut scratch.pos_norm[..b];
-    let mut ps_rest = &mut scratch.pos_scores[..b];
-    let mut ns_rest = &mut scratch.neg_scores[..b * m];
-    let mut nh_rest: &mut [f32] =
-        if cache_negs { &mut scratch.neg_hat[..b * m * d] } else { &mut [] };
-    let mut nn_rest: &mut [f32] =
-        if cache_negs { &mut scratch.neg_norms[..b * m] } else { &mut [] };
-    for range in chunks {
-        let rows = range.len();
-        let (uh, r) = std::mem::take(&mut uh_rest).split_at_mut(rows * d);
-        uh_rest = r;
-        let (un, r) = std::mem::take(&mut un_rest).split_at_mut(rows);
-        un_rest = r;
-        let (ph, r) = std::mem::take(&mut ph_rest).split_at_mut(rows * d);
-        ph_rest = r;
-        let (pn, r) = std::mem::take(&mut pn_rest).split_at_mut(rows);
-        pn_rest = r;
-        let (ps, r) = std::mem::take(&mut ps_rest).split_at_mut(rows);
-        ps_rest = r;
-        let (ns, r) = std::mem::take(&mut ns_rest).split_at_mut(rows * m);
-        ns_rest = r;
-        let (nh, r) =
-            std::mem::take(&mut nh_rest).split_at_mut(if cache_negs { rows * m * d } else { 0 });
-        nh_rest = r;
-        let (nn, r) =
-            std::mem::take(&mut nn_rest).split_at_mut(if cache_negs { rows * m } else { 0 });
-        nn_rest = r;
-        let range = range.clone();
-        jobs.push(Box::new(move || {
-            for (li, row) in range.enumerate() {
-                let u = batch.users[row] as usize;
-                let i = batch.pos[row] as usize;
-                match score_kind {
-                    TrainScore::Cosine => {
-                        un[li] = normalize_into(users.row(u), &mut uh[li * d..(li + 1) * d]);
-                        pn[li] = normalize_into(items.row(i), &mut ph[li * d..(li + 1) * d]);
-                        ps[li] = dot(&uh[li * d..(li + 1) * d], &ph[li * d..(li + 1) * d]);
-                        normalize_gather_into(
-                            items,
-                            batch.negs_of(row),
-                            &mut nh[li * m * d..(li + 1) * m * d],
-                            &mut nn[li * m..(li + 1) * m],
-                        );
-                        scores_block(
-                            &uh[li * d..(li + 1) * d],
-                            &nh[li * m * d..(li + 1) * m * d],
-                            &mut ns[li * m..(li + 1) * m],
-                        );
-                    }
-                    TrainScore::NegSqDist => {
-                        ps[li] = -sq_dist(users.row(u), items.row(i));
-                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                            ns[li * m + jj] = -sq_dist(users.row(u), items.row(j as usize));
-                        }
+    // The distance-scored path keeps no unit vectors: an empty index.
+    let (negs, n_items) = match score_kind {
+        TrainScore::Cosine => (&batch.negs[..b * m], items.rows()),
+        TrainScore::NegSqDist => (&[][..], 0),
+    };
+    scratch.ensure_sampled(b, m, d, negs.len().min(n_items));
+    scratch.index_negatives(negs, n_items);
+    let n = scratch.uniq.len();
+    let uniq = &scratch.uniq[..];
+    let mut table = &mut scratch.neg_hat[..n * d];
+    let mut norms = &mut scratch.neg_norms[..n];
+    match pool {
+        None => normalize_gather_into(items, uniq, table, norms),
+        Some((pool, _)) => {
+            let mut jobs: Vec<Job> = Vec::new();
+            for range in row_chunks(n, pool.n_workers()) {
+                let hat = take_front(&mut table, range.len() * d);
+                let nn = take_front(&mut norms, range.len());
+                let ids = &uniq[range];
+                jobs.push(Box::new(move || normalize_gather_into(items, ids, hat, nn)));
+            }
+            pool.run(jobs);
+        }
+    }
+
+    let table = &scratch.neg_hat[..n * d];
+    let slots = &scratch.neg_slot[..];
+    let score_rows = |range: std::ops::Range<usize>, out: ScoreRows| {
+        for (li, row) in range.enumerate() {
+            let u = batch.users[row] as usize;
+            let i = batch.pos[row] as usize;
+            let ns = &mut out.neg_scores[li * m..(li + 1) * m];
+            match score_kind {
+                TrainScore::Cosine => {
+                    let uh = &mut out.user_hat[li * d..(li + 1) * d];
+                    let ph = &mut out.pos_hat[li * d..(li + 1) * d];
+                    out.user_norm[li] = normalize_into(users.row(u), uh);
+                    out.pos_norm[li] = normalize_into(items.row(i), ph);
+                    out.pos_scores[li] = dot(uh, ph);
+                    scores_gather(uh, table, &slots[row * m..(row + 1) * m], ns);
+                }
+                TrainScore::NegSqDist => {
+                    out.pos_scores[li] = -sq_dist(users.row(u), items.row(i));
+                    for (s, &j) in ns.iter_mut().zip(batch.negs_of(row)) {
+                        *s = -sq_dist(users.row(u), items.row(j as usize));
                     }
                 }
             }
-        }));
+        }
+    };
+    let mut rest = ScoreRows {
+        user_hat: &mut scratch.user_hat[..b * d],
+        user_norm: &mut scratch.user_norm[..b],
+        pos_hat: &mut scratch.pos_hat[..b * d],
+        pos_norm: &mut scratch.pos_norm[..b],
+        pos_scores: &mut scratch.pos_scores[..b],
+        neg_scores: &mut scratch.neg_scores[..b * m],
+    };
+    match pool {
+        None => score_rows(0..b, rest),
+        Some((pool, chunks)) => {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            for range in chunks {
+                let out = rest.take_rows(range.len(), m, d);
+                let range = range.clone();
+                jobs.push(Box::new(move || score_rows(range, out)));
+            }
+            pool.run(jobs);
+        }
     }
-    pool.run(jobs);
 }
 
 /// Pass 1 of the pooled *in-batch* step, shared verbatim by the exact
@@ -536,11 +617,11 @@ impl Trainer {
 
     /// One optimizer step with explicitly-sampled negatives.
     ///
-    /// Pass 1 normalizes each row's negatives into a contiguous `m × d`
-    /// block (cached in `scratch` for pass 2, so every negative is
-    /// normalized exactly once) and scores it with one blocked matvec;
-    /// pass 2 chains the user-side gradient through one
-    /// [`cosine_backward_block`] per row.
+    /// Passes 0–1 ([`pass1_sampled_scores`], inline) normalize each
+    /// distinct negative of the step once into the scratch table and
+    /// score every row against its negatives' table rows; pass 2 chains
+    /// the user-side gradient through one [`cosine_backward_gather`] per
+    /// row and the item side per occurrence, reading the same table.
     #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
     fn step_sampled(
         &self,
@@ -558,43 +639,7 @@ impl Trainer {
         let score_kind = backbone.train_score();
         let users = backbone.user_factors();
         let items = backbone.item_factors();
-        scratch.ensure_sampled(b, m, d, score_kind == TrainScore::Cosine);
-
-        // Pass 1 — scores.
-        for row in 0..b {
-            let u = batch.users[row] as usize;
-            let i = batch.pos[row] as usize;
-            match score_kind {
-                TrainScore::Cosine => {
-                    scratch.user_norm[row] =
-                        normalize_into(users.row(u), &mut scratch.user_hat[row * d..(row + 1) * d]);
-                    scratch.pos_norm[row] =
-                        normalize_into(items.row(i), &mut scratch.pos_hat[row * d..(row + 1) * d]);
-                    scratch.pos_scores[row] = dot(
-                        &scratch.user_hat[row * d..(row + 1) * d],
-                        &scratch.pos_hat[row * d..(row + 1) * d],
-                    );
-                    normalize_gather_into(
-                        items,
-                        batch.negs_of(row),
-                        &mut scratch.neg_hat[row * m * d..(row + 1) * m * d],
-                        &mut scratch.neg_norms[row * m..(row + 1) * m],
-                    );
-                    scores_block(
-                        &scratch.user_hat[row * d..(row + 1) * d],
-                        &scratch.neg_hat[row * m * d..(row + 1) * m * d],
-                        &mut scratch.neg_scores[row * m..(row + 1) * m],
-                    );
-                }
-                TrainScore::NegSqDist => {
-                    scratch.pos_scores[row] = -sq_dist(users.row(u), items.row(i));
-                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                        scratch.neg_scores[row * m + jj] =
-                            -sq_dist(users.row(u), items.row(j as usize));
-                    }
-                }
-            }
-        }
+        pass1_sampled_scores(None, batch, users, items, score_kind, scratch, b, m, d);
 
         let out = loss.compute(&ScoreBatch::new(
             &scratch.pos_scores[..b],
@@ -630,14 +675,14 @@ impl Trainer {
                     );
                     let gs = &out.grad_neg[row * m..(row + 1) * m];
                     let ss = &scratch.neg_scores[row * m..(row + 1) * m];
-                    let nh = &scratch.neg_hat[row * m * d..(row + 1) * m * d];
-                    let nn = &scratch.neg_norms[row * m..(row + 1) * m];
-                    cosine_backward_block(
+                    let slots = &scratch.neg_slot[row * m..(row + 1) * m];
+                    cosine_backward_gather(
                         gs,
                         ss,
                         uhat,
                         scratch.user_norm[row],
-                        nh,
+                        &scratch.neg_hat,
+                        slots,
                         grads.user_row_mut(u),
                     );
                     for (jj, &j) in batch.negs_of(row).iter().enumerate() {
@@ -645,12 +690,13 @@ impl Trainer {
                         if g == 0.0 {
                             continue;
                         }
+                        let slot = slots[jj] as usize;
                         cosine_backward_into(
                             g,
                             ss[jj],
-                            &nh[jj * d..(jj + 1) * d],
+                            &scratch.neg_hat[slot * d..(slot + 1) * d],
                             uhat,
-                            nn[jj],
+                            scratch.neg_norms[slot],
                             grads.item_row_mut(j),
                         );
                     }
@@ -715,7 +761,8 @@ impl Trainer {
         let users = backbone.user_factors();
         let items = backbone.item_factors();
         let chunks = row_chunks(b, shard_grads.len());
-        pass1_sampled_scores(pool, &chunks, batch, users, items, score_kind, scratch, b, m, d);
+        let pooled = Some((pool, &chunks[..]));
+        pass1_sampled_scores(pooled, batch, users, items, score_kind, scratch, b, m, d);
 
         let out = loss.compute(&ScoreBatch::new(
             &scratch.pos_scores[..b],
@@ -725,7 +772,7 @@ impl Trainer {
 
         // Pass 2 — chain score gradients into per-shard embedding
         // gradients (private batch-footprint buffers, no write
-        // contention); negative unit vectors come from the pass-1 cache.
+        // contention); negative unit vectors come from the pass-0 table.
         {
             let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
             let out = &out;
@@ -737,6 +784,7 @@ impl Trainer {
             let neg_scores = &scratch.neg_scores;
             let neg_hat = &scratch.neg_hat;
             let neg_norms = &scratch.neg_norms;
+            let neg_slot = &scratch.neg_slot;
             for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
                 let range = range.clone();
                 jobs.push(Box::new(move || {
@@ -767,14 +815,14 @@ impl Trainer {
                                 );
                                 let gs = &out.grad_neg[row * m..(row + 1) * m];
                                 let ss = &neg_scores[row * m..(row + 1) * m];
-                                let nh = &neg_hat[row * m * d..(row + 1) * m * d];
-                                let nn = &neg_norms[row * m..(row + 1) * m];
-                                cosine_backward_block(
+                                let slots = &neg_slot[row * m..(row + 1) * m];
+                                cosine_backward_gather(
                                     gs,
                                     ss,
                                     uhat,
                                     user_norm[row],
-                                    nh,
+                                    neg_hat,
+                                    slots,
                                     gbuf.user_row_mut(u),
                                 );
                                 for (jj, &j) in batch.negs_of(row).iter().enumerate() {
@@ -782,12 +830,13 @@ impl Trainer {
                                     if g == 0.0 {
                                         continue;
                                     }
+                                    let slot = slots[jj] as usize;
                                     cosine_backward_into(
                                         g,
                                         ss[jj],
-                                        &nh[jj * d..(jj + 1) * d],
+                                        &neg_hat[slot * d..(slot + 1) * d],
                                         uhat,
-                                        nn[jj],
+                                        neg_norms[slot],
                                         gbuf.item_row_mut(j),
                                     );
                                 }
@@ -1102,9 +1151,9 @@ impl Trainer {
         (out.loss, aux)
     }
 
-    /// Hogwild version of the sampled step: pass 1 scores exactly like
+    /// Hogwild version of the sampled step: passes 0–1 score exactly like
     /// [`Trainer::step_sampled_par`], then pass 2 workers chain gradients
-    /// from the cached unit vectors and apply plain-SGD updates **in
+    /// from the unit-vector table and apply plain-SGD updates **in
     /// place** through a lock-free [`HogwildView`] — no gradient shards,
     /// no merge, no Adam state. Racy and therefore non-reproducible;
     /// `fit_backbone` only routes here for cosine-scored backbones whose
@@ -1124,25 +1173,17 @@ impl Trainer {
         debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "hogwild assumes cosine");
         let chunks = row_chunks(b, pool.n_workers());
 
-        // Pass 1 — the exact path's sharded scoring, verbatim, over
+        // Passes 0–1 — the exact path's sharded scoring, verbatim, over
         // read-only embeddings (the batch barrier below means pass-2
         // writes never race these reads).
         {
             let users = backbone.user_factors();
             let items = backbone.item_factors();
-            pass1_sampled_scores(
-                pool,
-                &chunks,
-                batch,
-                users,
-                items,
-                TrainScore::Cosine,
-                scratch,
-                b,
-                m,
-                d,
-            );
+            let pooled = Some((pool, &chunks[..]));
+            let cosine = TrainScore::Cosine;
+            pass1_sampled_scores(pooled, batch, users, items, cosine, scratch, b, m, d);
         }
+        grow(&mut scratch.hogwild_rows, chunks.len() * 2 * d);
 
         let out = loss.compute(&ScoreBatch::new(
             &scratch.pos_scores[..b],
@@ -1150,8 +1191,8 @@ impl Trainer {
             m,
         ));
 
-        // Pass 2 — in-place lock-free SGD from the pass-1 unit-vector
-        // cache (embedding reads during the backward all come from
+        // Pass 2 — in-place lock-free SGD from the pass-0 unit-vector
+        // table (embedding reads during the backward all come from
         // scratch, so mid-pass updates never corrupt the chain rule; they
         // only race other rows' updates, which is the Hogwild deal).
         let (user_emb, item_emb) =
@@ -1171,11 +1212,12 @@ impl Trainer {
             let neg_scores = &scratch.neg_scores;
             let neg_hat = &scratch.neg_hat;
             let neg_norms = &scratch.neg_norms;
+            let neg_slot = &scratch.neg_slot;
+            let mut rows_rest = &mut scratch.hogwild_rows[..];
             for range in &chunks {
                 let range = range.clone();
+                let (gbuf, prow) = take_front(&mut rows_rest, 2 * d).split_at_mut(d);
                 jobs.push(Box::new(move || {
-                    let mut gbuf = vec![0.0f32; d];
-                    let mut prow = vec![0.0f32; d];
                     for row in range {
                         let u = batch.users[row];
                         let i = batch.pos[row];
@@ -1185,34 +1227,34 @@ impl Trainer {
                         let s = pos_scores[row];
                         let gs = &out.grad_neg[row * m..(row + 1) * m];
                         let ss = &neg_scores[row * m..(row + 1) * m];
-                        let nh = &neg_hat[row * m * d..(row + 1) * m * d];
-                        let nn = &neg_norms[row * m..(row + 1) * m];
-                        // User side: positive + whole negative block into
-                        // one local gradient row, then one apply.
+                        let slots = &neg_slot[row * m..(row + 1) * m];
+                        // User side: positive + all negatives into one
+                        // local gradient row, then one apply.
                         gbuf.fill(0.0);
-                        cosine_backward_into(g, s, uhat, ihat, user_norm[row], &mut gbuf);
-                        cosine_backward_block(gs, ss, uhat, user_norm[row], nh, &mut gbuf);
-                        hogwild_apply(uview, u, &gbuf, &mut prow, hyper);
+                        cosine_backward_into(g, s, uhat, ihat, user_norm[row], gbuf);
+                        cosine_backward_gather(gs, ss, uhat, user_norm[row], neg_hat, slots, gbuf);
+                        hogwild_apply(uview, u, gbuf, prow, hyper);
                         // Positive item.
                         gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ihat, uhat, pos_norm[row], &mut gbuf);
-                        hogwild_apply(iview, i, &gbuf, &mut prow, hyper);
+                        cosine_backward_into(g, s, ihat, uhat, pos_norm[row], gbuf);
+                        hogwild_apply(iview, i, gbuf, prow, hyper);
                         // Negative items.
                         for (jj, &j) in batch.negs_of(row).iter().enumerate() {
                             let gn = gs[jj];
                             if gn == 0.0 {
                                 continue;
                             }
+                            let slot = slots[jj] as usize;
                             gbuf.fill(0.0);
                             cosine_backward_into(
                                 gn,
                                 ss[jj],
-                                &nh[jj * d..(jj + 1) * d],
+                                &neg_hat[slot * d..(slot + 1) * d],
                                 uhat,
-                                nn[jj],
-                                &mut gbuf,
+                                neg_norms[slot],
+                                gbuf,
                             );
-                            hogwild_apply(iview, j, &gbuf, &mut prow, hyper);
+                            hogwild_apply(iview, j, gbuf, prow, hyper);
                         }
                     }
                 }));
@@ -1250,6 +1292,7 @@ impl Trainer {
             let items = backbone.item_factors();
             pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
         }
+        grow(&mut scratch.hogwild_rows, chunks.len() * 2 * d);
 
         for a in 0..b {
             scratch.pos_scores[a] = scratch.sims[a * b + a];
@@ -1283,11 +1326,11 @@ impl Trainer {
             let item_norm = &scratch.pos_norm;
             let pos_scores = &scratch.pos_scores;
             let neg_scores = &scratch.neg_scores;
+            let mut rows_rest = &mut scratch.hogwild_rows[..];
             for range in &chunks {
                 let range = range.clone();
+                let (gbuf, prow) = take_front(&mut rows_rest, 2 * d).split_at_mut(d);
                 jobs.push(Box::new(move || {
-                    let mut gbuf = vec![0.0f32; d];
-                    let mut prow = vec![0.0f32; d];
                     for a in range {
                         let ua = &user_hat[a * d..(a + 1) * d];
                         let ia = &item_hat[a * d..(a + 1) * d];
@@ -1298,14 +1341,14 @@ impl Trainer {
                         // User side: positive + the two contiguous item
                         // halves around the diagonal, one apply.
                         gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ua, ia, user_norm[a], &mut gbuf);
+                        cosine_backward_into(g, s, ua, ia, user_norm[a], gbuf);
                         cosine_backward_block(
                             &gs[..a],
                             &ss[..a],
                             ua,
                             user_norm[a],
                             &item_hat[..a * d],
-                            &mut gbuf,
+                            gbuf,
                         );
                         cosine_backward_block(
                             &gs[a..],
@@ -1313,13 +1356,13 @@ impl Trainer {
                             ua,
                             user_norm[a],
                             &item_hat[(a + 1) * d..b * d],
-                            &mut gbuf,
+                            gbuf,
                         );
-                        hogwild_apply(uview, batch.users[a], &gbuf, &mut prow, hyper);
+                        hogwild_apply(uview, batch.users[a], gbuf, prow, hyper);
                         // Own positive item.
                         gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ia, ua, item_norm[a], &mut gbuf);
-                        hogwild_apply(iview, batch.pos[a], &gbuf, &mut prow, hyper);
+                        cosine_backward_into(g, s, ia, ua, item_norm[a], gbuf);
+                        hogwild_apply(iview, batch.pos[a], gbuf, prow, hyper);
                         // Other rows' positives used as negatives here.
                         let mut jj = 0;
                         for c in 0..b {
@@ -1339,9 +1382,9 @@ impl Trainer {
                                 &item_hat[c * d..(c + 1) * d],
                                 ua,
                                 item_norm[c],
-                                &mut gbuf,
+                                gbuf,
                             );
-                            hogwild_apply(iview, batch.pos[c], &gbuf, &mut prow, hyper);
+                            hogwild_apply(iview, batch.pos[c], gbuf, prow, hyper);
                         }
                     }
                 }));
@@ -1468,6 +1511,156 @@ mod tests {
         assert_eq!(a.item_emb.as_slice(), b.item_emb.as_slice());
         assert_eq!(a.user_emb.as_slice(), default_cfg.user_emb.as_slice());
         assert_eq!(a.best.ndcg(20), default_cfg.best.ndcg(20));
+    }
+
+    /// The per-occurrence sampled step the distinct-row table replaced,
+    /// rebuilt from the public block kernels: every occurrence of a
+    /// negative is normalized into its own row of a `B·m·d` block.
+    /// Returns how many `grad_neg` entries were exactly 0.
+    fn oracle_step_sampled(
+        backbone: &mut dyn Backbone,
+        loss: &dyn RankingLoss,
+        batch: &TrainBatch,
+        hyper: Hyper,
+        rng: &mut StdRng,
+    ) -> usize {
+        let (b, m, d) = (batch.len(), batch.m, backbone.out_dim());
+        let users = backbone.user_factors();
+        let items = backbone.item_factors();
+        let mut grads = GradBuffer::new(users.rows(), items.rows(), d);
+        let (mut uh, mut ph, mut nh) = (vec![0.0; b * d], vec![0.0; b * d], vec![0.0; b * m * d]);
+        let (mut un, mut pn, mut nn) = (vec![0.0; b], vec![0.0; b], vec![0.0; b * m]);
+        let (mut ps, mut ns) = (vec![0.0; b], vec![0.0; b * m]);
+        for row in 0..b {
+            let (r, rm) = (row * d..(row + 1) * d, row * m..(row + 1) * m);
+            un[row] = normalize_into(users.row(batch.users[row] as usize), &mut uh[r.clone()]);
+            pn[row] = normalize_into(items.row(batch.pos[row] as usize), &mut ph[r.clone()]);
+            ps[row] = dot(&uh[r.clone()], &ph[r.clone()]);
+            let block = &mut nh[row * m * d..(row + 1) * m * d];
+            normalize_gather_into(items, batch.negs_of(row), block, &mut nn[rm.clone()]);
+            scores_block(&uh[r], block, &mut ns[rm]);
+        }
+        let out = loss.compute(&ScoreBatch::new(&ps, &ns, m));
+        for row in 0..b {
+            let (u, i) = (batch.users[row], batch.pos[row]);
+            let (uhat, ihat) = (&uh[row * d..(row + 1) * d], &ph[row * d..(row + 1) * d]);
+            let (g, s) = (out.grad_pos[row], ps[row]);
+            cosine_backward_into(g, s, uhat, ihat, un[row], grads.user_row_mut(u));
+            cosine_backward_into(g, s, ihat, uhat, pn[row], grads.item_row_mut(i));
+            let (gs, ss) = (&out.grad_neg[row * m..(row + 1) * m], &ns[row * m..(row + 1) * m]);
+            let block = &nh[row * m * d..(row + 1) * m * d];
+            cosine_backward_block(gs, ss, uhat, un[row], block, grads.user_row_mut(u));
+            for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+                if gs[jj] == 0.0 {
+                    continue;
+                }
+                let nhat = &block[jj * d..(jj + 1) * d];
+                let sink = grads.item_row_mut(j);
+                cosine_backward_into(gs[jj], ss[jj], nhat, uhat, nn[row * m + jj], sink);
+            }
+        }
+        backbone.step(&grads, &batch.users, &batch.pos, hyper, rng);
+        out.grad_neg.iter().filter(|&&g| g == 0.0).count()
+    }
+
+    #[test]
+    fn table_step_replays_the_per_occurrence_step_bit_for_bit() {
+        let ds = tiny();
+        let (b, m) = (4usize, 5usize);
+        let users: Vec<u32> = vec![3, 9, 3, 20];
+        let pos: Vec<u32> = vec![1, 7, 12, 7];
+        let same_id = vec![7u32; b * m];
+        let all_distinct: Vec<u32> = (0..(b * m) as u32).map(|k| (k * 7 + 2) % 50).collect();
+        let mixed: Vec<u32> = (0..(b * m) as u32).map(|k| (k * k + 3) % 11).collect();
+        // (negatives, τ2, whether some grad_neg must underflow to exactly 0)
+        let cases = [
+            (same_id, 0.2f32, false),
+            (all_distinct.clone(), 0.2, false),
+            (mixed.clone(), 0.2, false),
+            (all_distinct, 0.001, true),
+            (mixed, 0.001, true),
+        ];
+        for (negs, tau2, want_zeros) in cases {
+            let cfg = TrainConfig {
+                loss: LossConfig::Bsl { tau1: 0.3, tau2 },
+                l2: 1e-3, // a touched row moves even under a zero gradient
+                ..TrainConfig::smoke()
+            };
+            let batch = TrainBatch { users: users.clone(), pos: pos.clone(), negs, m };
+            let loss = build_loss(cfg.loss);
+            let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
+            let mut table = build_backbone(cfg.backbone, &ds, cfg.dim, 5);
+            let mut oracle = build_backbone(cfg.backbone, &ds, cfg.dim, 5);
+            let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
+            let mut scratch = StepScratch::default();
+            let trainer = Trainer::new(cfg);
+            let mut zeros = 0;
+            // Two steps: the second runs on a reused scratch and index.
+            for step in 0..2 {
+                let mut rng = StdRng::seed_from_u64(step);
+                let table = table.as_mut();
+                trainer.step_sampled(
+                    table,
+                    loss.as_ref(),
+                    &batch,
+                    &mut grads,
+                    &mut scratch,
+                    hyper,
+                    &mut rng,
+                );
+                let mut rng = StdRng::seed_from_u64(step);
+                zeros +=
+                    oracle_step_sampled(oracle.as_mut(), loss.as_ref(), &batch, hyper, &mut rng);
+            }
+            assert_eq!(want_zeros, zeros > 0, "τ2 = {tau2}: {zeros} zero grad_neg entries");
+            assert!(zeros < 2 * b * m, "every negative gradient vanished");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(table.user_factors()), bits(oracle.user_factors()), "users, τ2 {tau2}");
+            assert_eq!(bits(table.item_factors()), bits(oracle.item_factors()), "items, τ2 {tau2}");
+        }
+    }
+
+    #[test]
+    fn negative_table_is_bounded_and_stops_growing_after_the_first_full_batch() {
+        let ds = tiny();
+        // Below and above the catalogue size (50 items): B·m = 32 and 512.
+        for (batch_size, m) in [(8usize, 4usize), (32, 16)] {
+            let cfg = TrainConfig { batch_size, negatives: m, ..TrainConfig::smoke() };
+            let bound = (batch_size * m).min(ds.n_items) * cfg.dim;
+            let loss = build_loss(cfg.loss);
+            let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
+            let mut backbone = build_backbone(cfg.backbone, &ds, cfg.dim, cfg.seed);
+            let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
+            let mut scratch = StepScratch::default();
+            let mut rng = StdRng::seed_from_u64(1);
+            let trainer = Trainer::new(cfg);
+            let sampler = UniformSampler::new(ds.clone());
+            let mut after_first: Option<[usize; 5]> = None;
+            // Each epoch ends in a partial batch; the first batch is full.
+            for epoch in 0..2 {
+                for batch in BatchIter::new(&ds, &sampler, batch_size, m, epoch) {
+                    trainer.step_sampled(
+                        backbone.as_mut(),
+                        loss.as_ref(),
+                        &batch,
+                        &mut grads,
+                        &mut scratch,
+                        hyper,
+                        &mut rng,
+                    );
+                    assert!(scratch.slot_of_item.iter().all(|&s| s == u32::MAX));
+                    let sizes = [
+                        scratch.neg_hat.capacity(),
+                        scratch.neg_norms.capacity(),
+                        scratch.uniq.capacity(),
+                        scratch.neg_slot.capacity(),
+                        scratch.slot_of_item.capacity(),
+                    ];
+                    assert_eq!(*after_first.get_or_insert(sizes), sizes, "scratch grew");
+                    assert_eq!(scratch.neg_hat.len(), bound);
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,10 +79,53 @@ impl MetricSet {
     }
 }
 
-/// `1/log2(rank + 2)` — the DCG discount of 0-based `rank`.
+/// Correctly rounded `1/log2(rank + 2)` for ranks `0..32`: every cutoff
+/// the experiments use reads its discounts from here, so NDCG does not
+/// depend on the host's `log2` (libm results differ by an ULP between
+/// hosts, which showed up in bit-pinned NDCG fingerprints).
+const DCG_DISCOUNT: [f64; 32] = [
+    1.0,
+    0.6309297535714574,
+    0.5,
+    0.43067655807339306,
+    0.3868528072345416,
+    0.3562071871080222,
+    0.3333333333333333,
+    0.3154648767857287,
+    std::f64::consts::LOG10_2, // 1/log2(10)
+    0.2890648263178879,
+    0.27894294565112987,
+    0.27023815442731974,
+    0.26264953503719357,
+    0.2559580248098155,
+    0.25,
+    0.24465054211822604,
+    0.23981246656813143,
+    0.23540891336663824,
+    0.23137821315975918,
+    0.227670248696953,
+    0.22424382421757544,
+    0.22106472945750374,
+    0.21810429198553155,
+    0.21533827903669653,
+    0.21274605355336315,
+    0.21030991785715247,
+    0.20801459767650946,
+    0.20584683246043445,
+    0.2037950470905062,
+    0.20184908658209985,
+    0.2,
+    0.19823986317056053,
+];
+
+/// `1/log2(rank + 2)` — the DCG discount of 0-based `rank` (tabulated for
+/// `rank < 32`, host `log2` beyond).
 #[inline]
 pub fn dcg_discount(rank: usize) -> f64 {
-    1.0 / ((rank + 2) as f64).log2()
+    match DCG_DISCOUNT.get(rank) {
+        Some(&d) => d,
+        None => 1.0 / ((rank + 2) as f64).log2(),
+    }
 }
 
 /// Ideal DCG for `n_rel` relevant items at cutoff `k`.
@@ -138,6 +181,20 @@ mod tests {
         assert!((m.precision - 1.0).abs() < 1e-12);
         assert_eq!(m.hit_rate, 1.0);
         assert!((m.map - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn discount_table_matches_log2_and_continues_past_it() {
+        for rank in 0..DCG_DISCOUNT.len() + 8 {
+            let want = 1.0 / ((rank + 2) as f64).log2();
+            assert!((dcg_discount(rank) - want).abs() <= 1e-15, "rank {rank}");
+        }
+        // Exact powers of two are exact in any libm.
+        assert_eq!(dcg_discount(0), 1.0);
+        assert_eq!(dcg_discount(2), 0.5);
+        assert_eq!(dcg_discount(14), 0.25);
+        assert_eq!(dcg_discount(30), 0.2);
+        assert_eq!(dcg_discount(8).to_bits(), 0x3fd3_4413_509f_79ff, "LOG10_2 is 1/log2(10)");
     }
 
     #[test]

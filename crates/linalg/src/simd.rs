@@ -20,7 +20,8 @@
 //!
 //! On top of the element kernels sit *blocked* kernels
 //! ([`normalize_rows_into`], [`normalize_gather_into`], [`scores_block`],
-//! [`cosine_backward_block`], [`adam_update`], [`sgd_momentum_update`])
+//! [`cosine_backward_block`], their gathered twins [`scores_gather`] and
+//! [`cosine_backward_gather`], [`adam_update`], [`sgd_momentum_update`])
 //! that amortize dispatch and normalization over whole batches; the
 //! trainer, evaluator, SpMM and optimizers all route through them. At the [`SimdLevel::Scalar`] level every blocked kernel degrades
 //! to the exact per-element loop order of the pre-SIMD implementations, so
@@ -770,6 +771,28 @@ mod avx2 {
         }
     }
 
+    /// `out[j] = <q, table[ids[j]·d ..]>` for gathered rows of an `n × d`
+    /// table, pairing `(j, j+1)` exactly as [`scores_block`] does so a
+    /// gathered score has the bits of the block score of the same row.
+    #[inline]
+    pub fn scores_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+        let d = q.len();
+        let row = |id: u32| &table[id as usize * d..(id as usize + 1) * d];
+        let mut j = 0usize;
+        while j + 2 <= out.len() {
+            // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+            // docs); both row slices are exactly d = q.len() elements (safe
+            // slicing panics on an id past the table).
+            let (s0, s1) = unsafe { dot2_impl(q, row(ids[j]), row(ids[j + 1])) };
+            out[j] = s0;
+            out[j + 1] = s1;
+            j += 2;
+        }
+        if j < out.len() {
+            out[j] = dot(q, row(ids[j]));
+        }
+    }
+
     // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
     // verified, which the dispatch tables do before routing here.
     // param, m, v and g must be equal length.
@@ -1461,6 +1484,72 @@ pub fn scores_gather_i8(q: &[f32], table: &[i8], scales: &[f32], ids: &[u32], ou
     }
 }
 
+/// Scores one query row against *gathered* rows of an `n × d` f32 table:
+/// `out[j] = <q, table_row(ids[j])>` — the f32 twin of
+/// [`scores_gather_i8`], and how the sampled trainer step scores a batch
+/// row against its negatives' slots in the per-step unit-vector table.
+///
+/// Rows are paired `(j, j+1)` exactly as [`scores_block`] pairs them, so
+/// at every dispatch level each score is bit-identical to what
+/// [`scores_block`] returns on the same rows copied out contiguously.
+///
+/// # Panics
+/// Panics if `out.len() != ids.len()` or any id indexes past the table.
+pub fn scores_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+    let d = q.len();
+    assert_eq!(out.len(), ids.len(), "scores_gather output length mismatch");
+    let row = |id: u32| &table[id as usize * d..(id as usize + 1) * d];
+    match active() {
+        SimdLevel::Scalar => {
+            for (o, &id) in out.iter_mut().zip(ids.iter()) {
+                *o = scalar::dot(q, row(id));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => avx2::scores_gather(q, table, ids, out),
+        _ => {
+            for (o, &id) in out.iter_mut().zip(ids.iter()) {
+                *o = portable::dot(q, row(id));
+            }
+        }
+    }
+}
+
+/// The shared body of [`cosine_backward_block`] and
+/// [`cosine_backward_gather`]: one unit item row per `(g, s)` pair, in
+/// order, from whatever `rows` yields.
+fn cosine_backward_rows<'a>(
+    gs: &[f32],
+    ss: &[f32],
+    q_hat: &[f32],
+    q_norm: f32,
+    rows: impl Iterator<Item = &'a [f32]>,
+    grad_q: &mut [f32],
+) {
+    let lv = active();
+    if lv == SimdLevel::Scalar {
+        for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(rows) {
+            if g == 0.0 {
+                continue;
+            }
+            scalar::cosine_backward_into(g, s, q_hat, row, q_norm, grad_q);
+        }
+        return;
+    }
+    let inv = 1.0 / q_norm.max(1e-12);
+    let mut coef = 0.0f32;
+    for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(rows) {
+        if g == 0.0 {
+            continue;
+        }
+        coef += g * s;
+        axpy_with(lv, g * inv, row, grad_q);
+    }
+    if coef != 0.0 {
+        axpy_with(lv, -coef * inv, q_hat, grad_q);
+    }
+}
+
 /// Backward of a block of cosine scores with respect to the shared query
 /// vector: accumulates `Σ_j g_j · ∂cos(q, b_j)/∂q` into `grad_q`.
 ///
@@ -1484,28 +1573,31 @@ pub fn cosine_backward_block(
     assert_eq!(gs.len(), ss.len(), "cosine_backward_block grad/score length mismatch");
     assert_eq!(block_hat.len(), gs.len() * d, "cosine_backward_block block size mismatch");
     assert_eq!(grad_q.len(), d, "cosine_backward_block output length mismatch");
-    let lv = active();
-    if lv == SimdLevel::Scalar {
-        for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(block_hat.chunks_exact(d)) {
-            if g == 0.0 {
-                continue;
-            }
-            scalar::cosine_backward_into(g, s, q_hat, row, q_norm, grad_q);
-        }
-        return;
-    }
-    let inv = 1.0 / q_norm.max(1e-12);
-    let mut coef = 0.0f32;
-    for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(block_hat.chunks_exact(d)) {
-        if g == 0.0 {
-            continue;
-        }
-        coef += g * s;
-        axpy_with(lv, g * inv, row, grad_q);
-    }
-    if coef != 0.0 {
-        axpy_with(lv, -coef * inv, q_hat, grad_q);
-    }
+    cosine_backward_rows(gs, ss, q_hat, q_norm, block_hat.chunks_exact(d), grad_q);
+}
+
+/// [`cosine_backward_block`] over *gathered* rows of an `n × d` table of
+/// unit vectors: row `j` of the block is `table_hat` row `ids[j]`. Same
+/// operations in the same order at every dispatch level, so the result is
+/// bit-identical to the block form on the copied-out rows.
+///
+/// # Panics
+/// Panics if slice lengths disagree or any id indexes past the table.
+pub fn cosine_backward_gather(
+    gs: &[f32],
+    ss: &[f32],
+    q_hat: &[f32],
+    q_norm: f32,
+    table_hat: &[f32],
+    ids: &[u32],
+    grad_q: &mut [f32],
+) {
+    let d = q_hat.len();
+    assert_eq!(gs.len(), ss.len(), "cosine_backward_gather grad/score length mismatch");
+    assert_eq!(ids.len(), gs.len(), "cosine_backward_gather id count mismatch");
+    assert_eq!(grad_q.len(), d, "cosine_backward_gather output length mismatch");
+    let rows = ids.iter().map(|&id| &table_hat[id as usize * d..(id as usize + 1) * d]);
+    cosine_backward_rows(gs, ss, q_hat, q_norm, rows, grad_q);
 }
 
 #[cfg(test)]

@@ -66,10 +66,11 @@ impl Bsl {
     /// for a batch. Exposed for the positive-denoising diagnostics.
     pub fn row_weights(&self, batch: &ScoreBatch<'_>) -> (Vec<f32>, Vec<f32>) {
         let m_ln = (batch.m as f64).ln();
+        let mut scaled = Vec::with_capacity(batch.m);
         let z: Vec<f32> = (0..batch.len())
             .map(|row| {
-                let negs = batch.negs_of(row);
-                let scaled: Vec<f32> = negs.iter().map(|&n| n / self.tau2).collect();
+                scaled.clear();
+                scaled.extend(batch.negs_of(row).iter().map(|&n| n / self.tau2));
                 let lme = logsumexp(&scaled) - m_ln;
                 (batch.pos[row] as f64 - self.tau2 as f64 * lme) as f32
             })

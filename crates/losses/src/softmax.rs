@@ -63,10 +63,12 @@ impl RankingLoss for SoftmaxLoss {
         let mut loss = 0.0f64;
         let mut grad_pos = Vec::with_capacity(batch.len());
         let mut grad_neg = vec![0.0f32; batch.neg.len()];
+        let mut scaled = Vec::with_capacity(batch.m);
         for (row, &p) in batch.pos.iter().enumerate() {
             let negs = batch.negs_of(row);
             // τ · logmeanexp(n/τ) computed stably via scaled inputs.
-            let scaled: Vec<f32> = negs.iter().map(|&n| n / self.tau).collect();
+            scaled.clear();
+            scaled.extend(negs.iter().map(|&n| n / self.tau));
             let lme = logsumexp(&scaled) - m.ln();
             loss += inv_b * (-(p as f64) + tau * lme);
             grad_pos.push(-(inv_b as f32));
