@@ -1,15 +1,14 @@
 //! The reproduction driver:
-//! `repro <experiment> [--scale quick|full] [--threads N] [--sync exact|hogwild]`
+//! `repro <experiment> [--scale quick|full] [--threads N]`
 //! `repro --save <path> | --serve <path>`.
 //!
 //! One subcommand per table/figure of the paper's evaluation section (see
 //! DESIGN.md §6 for the experiment index). `all` runs everything in order.
 //! `--threads` feeds [`TrainConfig::threads`](bsl_core::TrainConfig) for
 //! every experiment (`0` = one worker per core; default `1` keeps outputs
-//! bit-reproducible across machines). `--sync hogwild` switches the
-//! multi-threaded trainer to lock-free in-place updates
-//! ([`SyncMode::Hogwild`](bsl_core::SyncMode)) — faster on contended
-//! machines, not reproducible; only meaningful with `--threads != 1`.
+//! bit-reproducible across machines). An option or experiment name the
+//! driver does not know is rejected (usage, exit code 2) before anything
+//! runs.
 //!
 //! `--save <path>` trains MF + BSL and writes the exported
 //! `ModelArtifact` to disk; `--serve <path>` loads it back and prints
@@ -35,9 +34,7 @@ const EXPERIMENTS: &[&str] = &[
 ];
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro <experiment|all> [--scale quick|full] [--threads N] [--sync exact|hogwild]"
-    );
+    eprintln!("usage: repro <experiment|all> [--scale quick|full] [--threads N]");
     eprintln!("       repro --save <artifact-path> [--ann]");
     eprintln!("           train MF+BSL, export + save the artifact; --ann additionally");
     eprintln!("           quantizes the item table to int8 and attaches an IVF index (format v2)");
@@ -77,7 +74,7 @@ fn dispatch(name: &str, scale: Scale) {
         "table3" => table3::run_exp(scale),
         "table4" => table4::run_exp(scale),
         "table5" => table5::run_exp(scale),
-        _ => usage(),
+        other => unreachable!("`{other}` passed the name check in main"),
     }
     eprintln!("[{name} done in {:.1}s]", start.elapsed().as_secs_f64());
 }
@@ -121,17 +118,19 @@ fn main() {
                 let n: usize = v.parse().unwrap_or_else(|_| usage());
                 common::set_default_threads(n);
             }
-            "--sync" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let sync = match v.to_ascii_lowercase().as_str() {
-                    "exact" => bsl_core::SyncMode::Exact,
-                    "hogwild" => bsl_core::SyncMode::Hogwild,
-                    _ => usage(),
-                };
-                common::set_default_sync(sync);
+            other if other.starts_with("--") => {
+                eprintln!("unknown option `{other}`");
+                usage();
             }
             other => names.push(other.to_string()),
         }
+    }
+    // Checked here, not in `dispatch`: a typo must not cost the one-shot
+    // operations and every experiment named before it.
+    let known = |n: &str| n == "all" || n == "fig11" || EXPERIMENTS.contains(&n);
+    if let Some(bad) = names.iter().find(|n| !known(n)) {
+        eprintln!("unknown experiment `{bad}`");
+        usage();
     }
     if ann && save_path.is_none() {
         eprintln!("--ann only applies to --save");

@@ -3,17 +3,13 @@
 use bsl_core::prelude::*;
 use bsl_core::SamplingConfig;
 use bsl_data::synth::SynthConfig;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Worker-thread default applied by [`base_cfg`]; `1` keeps experiment
 /// outputs bit-reproducible across machines, the `repro` binary's
 /// `--threads` flag overrides it (0 = one per core).
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Hogwild default applied by [`base_cfg`] (`false` = exact sharded
-/// updates); the `repro` binary's `--sync` flag overrides it.
-static DEFAULT_HOGWILD: AtomicBool = AtomicBool::new(false);
 
 /// Sets the thread count [`base_cfg`] hands to every experiment config.
 /// Note that `threads != 1` changes sampling streams, so figures/tables
@@ -31,27 +27,6 @@ pub fn set_default_threads(threads: usize) {
 // ORDERING: Relaxed — see `set_default_threads`.
 pub fn default_threads() -> usize {
     DEFAULT_THREADS.load(Ordering::Relaxed)
-}
-
-/// Sets the gradient-sync mode [`base_cfg`] hands to every experiment
-/// config. [`SyncMode::Hogwild`] trades reproducibility for lock-free
-/// in-place updates (metrics within run-to-run noise of exact; see the
-/// README's execution-modes table) and only engages with `threads > 1`
-/// on backbones that support it.
-// ORDERING: Relaxed — single-flag CLI default, written before experiment
-// threads spawn (see `set_default_threads`).
-pub fn set_default_sync(sync: SyncMode) {
-    DEFAULT_HOGWILD.store(sync == SyncMode::Hogwild, Ordering::Relaxed);
-}
-
-/// The sync mode experiments currently run with (see [`set_default_sync`]).
-pub fn default_sync() -> SyncMode {
-    // ORDERING: Relaxed — see `set_default_threads`.
-    if DEFAULT_HOGWILD.load(Ordering::Relaxed) {
-        SyncMode::Hogwild
-    } else {
-        SyncMode::Exact
-    }
 }
 
 /// Experiment scale.
@@ -173,7 +148,6 @@ pub fn base_cfg(scale: Scale) -> TrainConfig {
         patience: 4,
         seed: 0,
         threads: default_threads(),
-        sync: default_sync(),
     }
 }
 
@@ -290,14 +264,6 @@ mod tests {
         assert_eq!(base_cfg(Scale::Quick).threads, 4);
         set_default_threads(before);
         assert_eq!(base_cfg(Scale::Quick).threads, before);
-    }
-
-    #[test]
-    fn sync_override_flows_into_base_cfg() {
-        set_default_sync(SyncMode::Hogwild);
-        assert_eq!(base_cfg(Scale::Quick).sync, SyncMode::Hogwild);
-        set_default_sync(SyncMode::Exact);
-        assert_eq!(base_cfg(Scale::Quick).sync, SyncMode::Exact);
     }
 
     #[test]

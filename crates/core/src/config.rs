@@ -25,26 +25,6 @@ pub enum SamplingConfig {
     InBatch,
 }
 
-/// Gradient-synchronization mode of the multi-threaded trainer step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SyncMode {
-    /// Each worker accumulates into a private batch-footprint gradient
-    /// shard; shards merge in a fixed order before one optimizer step.
-    /// Deterministic per `(seed, threads)` and bit-identical to the
-    /// serial trainer at `threads = 1`.
-    Exact,
-    /// Hogwild-style (Niu et al., 2011): workers apply plain-SGD updates
-    /// directly to the shared embedding rows with lock-free relaxed
-    /// atomics — no merge, no optimizer state. Races may drop individual
-    /// row increments, so runs are **not** reproducible; metrics land
-    /// within run-to-run noise of the exact path (asserted in
-    /// `tests/pool.rs`). Only backbones whose final embeddings are their
-    /// parameters (plain MF, cosine scoring) support it; anything else
-    /// falls back to [`SyncMode::Exact`] with a warning. Ignored at
-    /// `threads = 1`.
-    Hogwild,
-}
-
 /// Full training configuration; serializable so experiment harnesses can
 /// log the exact setup alongside results.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -85,8 +65,7 @@ pub struct TrainConfig {
     ///   step's score/gradient passes are fed as per-batch jobs to the
     ///   same number of pooled compute workers (spawned once per
     ///   `Trainer`), merging per-shard batch-footprint gradient buffers
-    ///   in a fixed order before the optimizer step — unless
-    ///   [`TrainConfig::sync`] selects Hogwild in-place updates.
+    ///   in a fixed order before the optimizer step.
     ///
     /// **Determinism semantics:** results are deterministic per
     /// `(seed, threads)` — re-running the same config replays the run
@@ -96,9 +75,6 @@ pub struct TrainConfig {
     /// Treat a change of `threads` like a change of `seed`: metrics stay
     /// within run-to-run noise, individual bits do not.
     pub threads: usize,
-    /// How multi-threaded workers synchronize gradients (see
-    /// [`SyncMode`]); irrelevant when the effective thread count is 1.
-    pub sync: SyncMode,
 }
 
 impl TrainConfig {
@@ -118,7 +94,6 @@ impl TrainConfig {
             patience: 4,
             seed: 0,
             threads: 1,
-            sync: SyncMode::Exact,
         }
     }
 
@@ -138,7 +113,6 @@ impl TrainConfig {
             patience: 0,
             seed: 0,
             threads: 1,
-            sync: SyncMode::Exact,
         }
     }
 

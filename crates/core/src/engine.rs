@@ -15,18 +15,9 @@
 //! [`SamplerPool`], so neither the per-batch
 //! step passes nor the per-epoch negative sampling spawn any threads after
 //! trainer start-up.
-//!
-//! [`HogwildView`] is the engine's support for the approximate
-//! [`SyncMode::Hogwild`](crate::config::SyncMode) trainer: a racy,
-//! lock-free view of an embedding matrix whose rows workers read and
-//! write through relaxed per-element atomics (so concurrent updates may
-//! lose increments — the Hogwild bargain — but never tear or invoke
-//! undefined behaviour).
 
-use bsl_linalg::Matrix;
 use bsl_sampling::SamplerPool;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -178,77 +169,10 @@ impl Engine {
     }
 }
 
-/// A lock-free shared view of an embedding matrix for Hogwild updates.
-///
-/// Every element is accessed as a relaxed [`AtomicU32`] holding the f32's
-/// bits, so concurrent row updates from multiple workers are race-*ful*
-/// (read-modify-write sequences can lose each other's increments — the
-/// approximation Hogwild accepts by design) but individual elements never
-/// tear and the program stays well-defined. The exclusive `&mut Matrix`
-/// taken at construction guarantees no plain `f32` access can alias the
-/// view while it lives.
-pub struct HogwildView<'a> {
-    cells: &'a [AtomicU32],
-    cols: usize,
-}
-
-impl<'a> HogwildView<'a> {
-    /// Wraps `m` in an atomic view for the view's lifetime.
-    #[allow(unsafe_code)] // f32 → AtomicU32 reinterpretation; see SAFETY
-    pub fn new(m: &'a mut Matrix) -> Self {
-        let cols = m.cols();
-        let data = m.as_mut_slice();
-        // SAFETY: `AtomicU32` has the same size and alignment as `f32`
-        // (4/4), every bit pattern is valid for both, and the `&mut`
-        // borrow makes this the only live reference to the buffer for
-        // `'a`, so reinterpreting the element type is sound.
-        let cells = unsafe {
-            std::slice::from_raw_parts(data.as_mut_ptr().cast::<AtomicU32>(), data.len())
-        };
-        Self { cells, cols }
-    }
-
-    /// Row width of the underlying matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Copies row `r` into `out` with relaxed loads.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.cols()` or `r` is out of bounds.
-    // ORDERING: Relaxed by design — hogwild readers tolerate torn row
-    // views (each u32 cell is individually atomic, no cross-cell order is
-    // claimed); the stale/mixed values this admits are exactly the
-    // asynchrony the Hogwild! convergence argument prices in.
-    pub fn load_row(&self, r: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols, "row buffer width mismatch");
-        let row = &self.cells[r * self.cols..(r + 1) * self.cols];
-        for (o, cell) in out.iter_mut().zip(row) {
-            *o = f32::from_bits(cell.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Stores `vals` into row `r` with relaxed stores.
-    ///
-    /// # Panics
-    /// Panics if `vals.len() != self.cols()` or `r` is out of bounds.
-    // ORDERING: Relaxed by design — see `load_row`; publication of the
-    // final values happens at the pool join (a synchronizing edge), not
-    // through these stores.
-    pub fn store_row(&self, r: usize, vals: &[f32]) {
-        assert_eq!(vals.len(), self.cols, "row buffer width mismatch");
-        let row = &self.cells[r * self.cols..(r + 1) * self.cols];
-        for (cell, &v) in row.iter().zip(vals) {
-            cell.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn pool_runs_borrowed_jobs_to_completion() {
@@ -309,45 +233,5 @@ mod tests {
             done.fetch_add(1, Ordering::Relaxed);
         })]);
         assert_eq!(done.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn hogwild_view_round_trips_rows() {
-        let mut m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
-        {
-            let view = HogwildView::new(&mut m);
-            let mut buf = vec![0.0f32; 4];
-            view.load_row(1, &mut buf);
-            assert_eq!(buf, vec![4.0, 5.0, 6.0, 7.0]);
-            for v in buf.iter_mut() {
-                *v *= 2.0;
-            }
-            view.store_row(1, &buf);
-        }
-        assert_eq!(m.row(1), &[8.0, 10.0, 12.0, 14.0]);
-        assert_eq!(m.row(0), &[0.0, 1.0, 2.0, 3.0], "other rows untouched");
-    }
-
-    #[test]
-    fn hogwild_view_is_shareable_across_pool_jobs() {
-        let pool = WorkerPool::new(4);
-        let mut m = Matrix::zeros(4, 8);
-        let view = HogwildView::new(&mut m);
-        let mut jobs: Vec<Job> = Vec::new();
-        for k in 0..4usize {
-            let view = &view;
-            jobs.push(Box::new(move || {
-                let mut buf = vec![0.0f32; 8];
-                view.load_row(k, &mut buf);
-                for v in buf.iter_mut() {
-                    *v += (k + 1) as f32;
-                }
-                view.store_row(k, &buf);
-            }));
-        }
-        pool.run(jobs);
-        for r in 0..4 {
-            assert!(m.row(r).iter().all(|&v| v == (r + 1) as f32));
-        }
     }
 }

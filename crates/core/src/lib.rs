@@ -38,12 +38,12 @@ pub mod config;
 pub mod engine;
 pub mod trainer;
 
-pub use config::{SamplingConfig, SyncMode, TrainConfig};
+pub use config::{SamplingConfig, TrainConfig};
 pub use trainer::{EpochStats, TrainOutcome, Trainer};
 
 /// One-stop imports for examples and experiment harnesses.
 pub mod prelude {
-    pub use crate::config::{SamplingConfig, SyncMode, TrainConfig};
+    pub use crate::config::{SamplingConfig, TrainConfig};
     pub use crate::trainer::{EpochStats, TrainOutcome, Trainer};
     pub use bsl_data::synth::{generate, SynthConfig};
     pub use bsl_data::Dataset;

@@ -1,7 +1,7 @@
 //! The training loop: backbone × loss × sampler × optimizer × evaluation.
 
-use crate::config::{SamplingConfig, SyncMode, TrainConfig};
-use crate::engine::{Engine, HogwildView, Job, WorkerPool};
+use crate::config::{SamplingConfig, TrainConfig};
+use crate::engine::{Engine, Job, WorkerPool};
 use bsl_data::Dataset;
 use bsl_eval::{evaluate_artifact, EvalReport};
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
@@ -10,17 +10,17 @@ use bsl_linalg::simd::{
     scores_gather,
 };
 use bsl_linalg::Matrix;
-use bsl_losses::{build as build_loss, RankingLoss, ScoreBatch};
+use bsl_losses::{build as build_loss, LossOutput, RankingLoss, ScoreBatch};
 use bsl_models::{
-    build as build_backbone, Backbone, EvalScore, GradBuffer, Hyper, ModelArtifact, ShardGrad,
-    TrainScore,
+    build as build_backbone, Backbone, EvalScore, GradBuffer, GradSink, Hyper, ModelArtifact,
+    ShardGrad, TrainScore,
 };
-use bsl_opt::sgd_step_row;
 use bsl_sampling::{
     BatchIter, NegativeSampler, NoisySampler, PopularitySampler, TrainBatch, UniformSampler,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The cutoffs every training run evaluates (Fig 7's @5/@10/@15 plus the
@@ -51,7 +51,7 @@ pub struct TrainOutcome {
     /// The frozen, servable export of the best epoch's embeddings:
     /// normalization / distance augmentation already applied, so repeated
     /// evaluations and serving never repay preparation. Save it with
-    /// [`ModelArtifact::save`], serve it with `bsl_serve::Recommender`.
+    /// [`ModelArtifact::save`], serve it with `bsl_serve::ServeState`.
     pub artifact: ModelArtifact,
     /// The best evaluation report (by NDCG@20).
     pub best: EvalReport,
@@ -86,20 +86,10 @@ pub struct Trainer {
 
 /// Contiguous row ranges splitting `n` rows across at most `k` workers
 /// (fewer when `n < k`; never empty ranges).
-fn row_chunks(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
+fn row_chunks(n: usize, k: usize) -> Vec<Range<usize>> {
     let k = k.min(n).max(1);
     let chunk = n.div_ceil(k);
     (0..n).step_by(chunk.max(1)).map(|s| s..(s + chunk).min(n)).collect()
-}
-
-/// One Hogwild read-modify-write: load `row` into `buf`, apply a plain-SGD
-/// update with coupled L2 on the local copy, store it back. Concurrent
-/// callers updating the same row may overwrite each other's increments —
-/// the approximation Hogwild accepts for lock-freedom.
-fn hogwild_apply(view: &HogwildView, row: u32, grad: &[f32], buf: &mut [f32], hp: Hyper) {
-    view.load_row(row as usize, buf);
-    sgd_step_row(buf, grad, hp.lr, hp.l2);
-    view.store_row(row as usize, buf);
 }
 
 /// Reusable step scratch: unit vectors, norms, scores and the in-batch
@@ -139,9 +129,6 @@ struct StepScratch {
     slot_of_item: Vec<u32>,
     /// `B × B` cosine similarities (in-batch path only).
     sims: Vec<f32>,
-    /// One gradient row and one parameter row per worker, `2·d` each
-    /// (Hogwild paths only).
-    hogwild_rows: Vec<f32>,
 }
 
 /// Grows `v` to at least `n` elements (never shrinks).
@@ -233,10 +220,11 @@ impl<'a> ScoreRows<'a> {
     }
 }
 
-/// Passes 0 and 1 of the *sampled* step, shared by all three sampled
-/// paths ([`Trainer::step_sampled`] passes no pool and runs everything
-/// inline as one chunk; the exact and Hogwild pooled steps pass their row
-/// chunks).
+/// The pool and the batch's row chunks of a pooled step; `None` runs the
+/// pass inline on the calling thread as the one chunk `0..b`.
+type Pooled<'a> = Option<(&'a WorkerPool, &'a [Range<usize>])>;
+
+/// Passes 0 and 1 of a step with *sampled* negatives.
 ///
 /// Pass 0 (cosine only) indexes the step's negatives on the calling
 /// thread and gather-normalizes each *distinct* one once into
@@ -246,7 +234,7 @@ impl<'a> ScoreRows<'a> {
 /// [`scores_gather`], row-sharded into disjoint scratch slices.
 #[allow(clippy::too_many_arguments)] // the pass mirrors the step state
 fn pass1_sampled_scores(
-    pool: Option<(&WorkerPool, &[std::ops::Range<usize>])>,
+    pool: Pooled,
     batch: &TrainBatch,
     users: &Matrix,
     items: &Matrix,
@@ -283,7 +271,7 @@ fn pass1_sampled_scores(
 
     let table = &scratch.neg_hat[..n * d];
     let slots = &scratch.neg_slot[..];
-    let score_rows = |range: std::ops::Range<usize>, out: ScoreRows| {
+    let score_rows = |range: Range<usize>, out: ScoreRows| {
         for (li, row) in range.enumerate() {
             let u = batch.users[row] as usize;
             let i = batch.pos[row] as usize;
@@ -328,17 +316,18 @@ fn pass1_sampled_scores(
     }
 }
 
-/// Pass 1 of the pooled *in-batch* step, shared verbatim by the exact
-/// ([`Trainer::step_in_batch_par`]) and Hogwild paths: sizes the scratch,
-/// gather-normalizes each row's user and positive item (row-sharded
-/// blocked gathers; `pos_hat`/`pos_norm` hold the item side), then fills
-/// the full `B × B` similarity matrix `S[a][c] = cos(user_a, item_c)` by
-/// row chunks — every worker reads all of the item block, one blocked
-/// matvec per user row.
-#[allow(clippy::too_many_arguments)] // the pass mirrors the step state
+/// Pass 1 of a step with *in-batch* negatives: row `a`'s negatives are the
+/// other rows' positive items (paper Table V).
+///
+/// Round 1 gather-normalizes each row's user and positive item (one
+/// blocked gather per side and chunk; `pos_hat`/`pos_norm` hold the item
+/// side). Round 2 fills the `B × B` similarity matrix
+/// `S[a][c] = cos(user_a, item_c)`, one blocked matvec per user row over
+/// the whole item block — hence the barrier between the rounds — and
+/// splits each row into its diagonal (the positive score) and the `B − 1`
+/// entries around it (the negative scores, in item-row order).
 fn pass1_in_batch_scores(
-    pool: &WorkerPool,
-    chunks: &[std::ops::Range<usize>],
+    pool: Pooled,
     batch: &TrainBatch,
     users: &Matrix,
     items: &Matrix,
@@ -346,51 +335,61 @@ fn pass1_in_batch_scores(
     b: usize,
     d: usize,
 ) {
+    let m = b - 1;
     scratch.ensure_in_batch(b, d);
-    {
-        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-        let mut uh_rest = &mut scratch.user_hat[..b * d];
-        let mut ih_rest = &mut scratch.pos_hat[..b * d];
-        let mut un_rest = &mut scratch.user_norm[..b];
-        let mut in_rest = &mut scratch.pos_norm[..b];
-        for range in chunks {
-            let rows = range.len();
-            let (uh, r) = std::mem::take(&mut uh_rest).split_at_mut(rows * d);
-            uh_rest = r;
-            let (ih, r) = std::mem::take(&mut ih_rest).split_at_mut(rows * d);
-            ih_rest = r;
-            let (un, r) = std::mem::take(&mut un_rest).split_at_mut(rows);
-            un_rest = r;
-            let (inorm, r) = std::mem::take(&mut in_rest).split_at_mut(rows);
-            in_rest = r;
-            let range = range.clone();
-            jobs.push(Box::new(move || {
-                normalize_gather_into(users, &batch.users[range.clone()], uh, un);
-                normalize_gather_into(items, &batch.pos[range], ih, inorm);
-            }));
+    let mut uh = &mut scratch.user_hat[..b * d];
+    let mut un = &mut scratch.user_norm[..b];
+    let mut ih = &mut scratch.pos_hat[..b * d];
+    let mut inorm = &mut scratch.pos_norm[..b];
+    match pool {
+        None => {
+            normalize_gather_into(users, &batch.users, uh, un);
+            normalize_gather_into(items, &batch.pos, ih, inorm);
         }
-        pool.run(jobs);
+        Some((pool, chunks)) => {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            for range in chunks {
+                let rows = range.len();
+                let (uh, un) = (take_front(&mut uh, rows * d), take_front(&mut un, rows));
+                let (ih, inorm) = (take_front(&mut ih, rows * d), take_front(&mut inorm, rows));
+                let range = range.clone();
+                jobs.push(Box::new(move || {
+                    normalize_gather_into(users, &batch.users[range.clone()], uh, un);
+                    normalize_gather_into(items, &batch.pos[range], ih, inorm);
+                }));
+            }
+            pool.run(jobs);
+        }
     }
-    {
-        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-        let user_hat = &scratch.user_hat;
-        let item_hat = &scratch.pos_hat[..b * d];
-        let mut s_rest = &mut scratch.sims[..b * b];
-        for range in chunks {
-            let (srows, r) = std::mem::take(&mut s_rest).split_at_mut(range.len() * b);
-            s_rest = r;
-            let range = range.clone();
-            jobs.push(Box::new(move || {
-                for (li, a) in range.enumerate() {
-                    scores_block(
-                        &user_hat[a * d..(a + 1) * d],
-                        item_hat,
-                        &mut srows[li * b..(li + 1) * b],
-                    );
-                }
-            }));
+
+    let user_hat = &scratch.user_hat[..b * d];
+    let item_hat = &scratch.pos_hat[..b * d];
+    let score_rows = |range: Range<usize>, sims: &mut [f32], pos: &mut [f32], neg: &mut [f32]| {
+        for (li, a) in range.enumerate() {
+            let srow = &mut sims[li * b..(li + 1) * b];
+            scores_block(&user_hat[a * d..(a + 1) * d], item_hat, srow);
+            pos[li] = srow[a];
+            let ns = &mut neg[li * m..(li + 1) * m];
+            ns[..a].copy_from_slice(&srow[..a]);
+            ns[a..].copy_from_slice(&srow[a + 1..]);
         }
-        pool.run(jobs);
+    };
+    let mut sims = &mut scratch.sims[..b * b];
+    let mut pos = &mut scratch.pos_scores[..b];
+    let mut neg = &mut scratch.neg_scores[..b * m];
+    match pool {
+        None => score_rows(0..b, sims, pos, neg),
+        Some((pool, chunks)) => {
+            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+            for range in chunks {
+                let rows = range.len();
+                let sims = take_front(&mut sims, rows * b);
+                let (pos, neg) = (take_front(&mut pos, rows), take_front(&mut neg, rows * m));
+                let range = range.clone();
+                jobs.push(Box::new(move || score_rows(range, sims, pos, neg)));
+            }
+            pool.run(jobs);
+        }
     }
 }
 
@@ -415,6 +414,13 @@ impl Trainer {
 
     /// Trains a caller-provided backbone (for custom models or warm
     /// starts).
+    ///
+    /// # Panics
+    /// Panics if `epochs` or `eval_every` is 0, or if
+    /// [`SamplingConfig::InBatch`] is combined with a backbone whose
+    /// training score is not cosine (CML): the in-batch similarity block
+    /// would train a different objective than the one the model is
+    /// projected, exported and evaluated under.
     pub fn fit_backbone(&self, ds: &Arc<Dataset>, backbone: &mut dyn Backbone) -> TrainOutcome {
         let cfg = &self.cfg;
         assert!(cfg.epochs > 0, "epochs must be positive");
@@ -430,6 +436,13 @@ impl Trainer {
             SamplingConfig::Noisy { r_noise } => Arc::new(NoisySampler::new(ds.clone(), r_noise)),
         };
         let in_batch = cfg.sampling == SamplingConfig::InBatch;
+        // The in-batch passes score, and chain gradients through, cosine
+        // similarities only.
+        assert!(
+            !in_batch || backbone.train_score() == TrainScore::Cosine,
+            "in-batch sampling needs a cosine-scored backbone, got {}",
+            backbone.name()
+        );
         // In-batch rows carry B−1 negatives each; the sampler's draws are
         // discarded, so sample the minimum.
         let m = if in_batch { 1 } else { cfg.negatives };
@@ -443,42 +456,15 @@ impl Trainer {
         } else {
             None
         };
-        // Hogwild needs raw in-place-updatable parameters and cosine
-        // scoring; anything else falls back to the exact sharded path.
-        let hogwild = match cfg.sync {
-            SyncMode::Exact => false,
-            SyncMode::Hogwild => {
-                if n_threads <= 1 {
-                    false
-                } else if backbone.train_score() != TrainScore::Cosine
-                    || backbone.params_mut().is_none()
-                {
-                    eprintln!(
-                        "sync: Hogwild unsupported for backbone {} — \
-                         falling back to exact sharded updates",
-                        backbone.name()
-                    );
-                    false
-                } else {
-                    true
-                }
-            }
-        };
         // Per-worker gradient shards are sized to the batch footprint
         // (grow-only sparse row maps), never to the catalogue.
-        let mut shard_grads: Vec<ShardGrad> = if n_threads > 1 && !hogwild {
+        let mut shard_grads: Vec<ShardGrad> = if n_threads > 1 {
             (0..n_threads).map(|_| ShardGrad::new(backbone.out_dim())).collect()
         } else {
             Vec::new()
         };
-        // The merged accumulator the optimizer consumes — dense, but only
-        // the exact paths need it; Hogwild updates in place and gets an
-        // empty stand-in so nothing catalogue-sized is allocated.
-        let mut grads = if hogwild {
-            GradBuffer::new(0, 0, backbone.out_dim())
-        } else {
-            GradBuffer::new(ds.n_users, ds.n_items, backbone.out_dim())
-        };
+        // The dense accumulator the optimizer consumes.
+        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, backbone.out_dim());
         let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
         let mut scratch = StepScratch::default();
 
@@ -509,64 +495,17 @@ impl Trainer {
                     continue; // a single row has no in-batch negatives
                 }
                 backbone.forward(&mut rng);
-                let (l, aux) = match (in_batch, engine) {
-                    (true, Some(e)) if hogwild => self.step_in_batch_hogwild(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut scratch,
-                        hyper,
-                        e.pool(),
-                    ),
-                    (false, Some(e)) if hogwild => self.step_sampled_hogwild(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut scratch,
-                        hyper,
-                        e.pool(),
-                    ),
-                    (true, None) => self.step_in_batch(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                    ),
-                    (true, Some(e)) => self.step_in_batch_par(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut shard_grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                        e.pool(),
-                    ),
-                    (false, None) => self.step_sampled(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                    ),
-                    (false, Some(e)) => self.step_sampled_par(
-                        backbone,
-                        loss.as_ref(),
-                        &batch,
-                        &mut grads,
-                        &mut shard_grads,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                        e.pool(),
-                    ),
-                };
+                let (l, aux) = self.step(
+                    backbone,
+                    loss.as_ref(),
+                    &batch,
+                    &mut grads,
+                    &mut shard_grads,
+                    &mut scratch,
+                    hyper,
+                    &mut rng,
+                    engine.map(Engine::pool),
+                );
                 loss_sum += l;
                 aux_sum += aux;
                 n_batches += 1;
@@ -615,31 +554,49 @@ impl Trainer {
         }
     }
 
-    /// One optimizer step with explicitly-sampled negatives.
+    /// One optimizer step on `batch`.
     ///
-    /// Passes 0–1 ([`pass1_sampled_scores`], inline) normalize each
-    /// distinct negative of the step once into the scratch table and
-    /// score every row against its negatives' table rows; pass 2 chains
-    /// the user-side gradient through one [`cosine_backward_gather`] per
-    /// row and the item side per occurrence, reading the same table.
+    /// Pass 1 fills the scratch with unit vectors and scores, from sampled
+    /// negatives ([`pass1_sampled_scores`]) or in-batch ones
+    /// ([`pass1_in_batch_scores`]) by `cfg.sampling`; the loss turns scores
+    /// into score gradients; pass 2 ([`Backward::backward_rows`]) chains
+    /// them into embedding-gradient rows; the backbone steps on `grads`.
+    ///
+    /// Without a pool everything runs inline on the calling thread and
+    /// pass 2 writes straight into the dense `grads` — allocation-free and
+    /// bit-identical to the historical serial trainer. With a pool, passes
+    /// 1 and 2 run as jobs over contiguous row chunks, pass 2 into one
+    /// private batch-footprint [`ShardGrad`] per chunk, merged into
+    /// `grads` in shard order: the same arithmetic, only the f32 reduction
+    /// order of gradient rows shared between shards follows the shard
+    /// layout, so results are deterministic per `(seed, threads)`.
     #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
-    fn step_sampled(
+    fn step(
         &self,
         backbone: &mut dyn Backbone,
         loss: &dyn RankingLoss,
         batch: &TrainBatch,
         grads: &mut GradBuffer,
+        shard_grads: &mut [ShardGrad],
         scratch: &mut StepScratch,
         hyper: Hyper,
         rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
     ) -> (f64, f64) {
         let b = batch.len();
-        let m = batch.m;
         let d = backbone.out_dim();
         let score_kind = backbone.train_score();
         let users = backbone.user_factors();
         let items = backbone.item_factors();
-        pass1_sampled_scores(None, batch, users, items, score_kind, scratch, b, m, d);
+        let in_batch = self.cfg.sampling == SamplingConfig::InBatch;
+        let m = if in_batch { b - 1 } else { batch.m };
+        let chunks = pool.map(|_| row_chunks(b, shard_grads.len()));
+        let pooled = pool.zip(chunks.as_deref());
+        if in_batch {
+            pass1_in_batch_scores(pooled, batch, users, items, scratch, b, d);
+        } else {
+            pass1_sampled_scores(pooled, batch, users, items, score_kind, scratch, b, m, d);
+        }
 
         let out = loss.compute(&ScoreBatch::new(
             &scratch.pos_scores[..b],
@@ -647,751 +604,150 @@ impl Trainer {
             m,
         ));
 
-        // Pass 2 — chain score gradients into embedding gradients.
-        for row in 0..b {
+        let scratch = &*scratch;
+        let pass2 =
+            Backward { batch, users, items, score_kind, in_batch, m, d, scratch, out: &out };
+        match pooled {
+            None => pass2.backward_rows(0..b, grads),
+            Some((pool, chunks)) => {
+                pass2.run_sharded(pool, chunks, shard_grads);
+                // Fixed shard merge order keeps runs deterministic per
+                // thread count.
+                for sg in shard_grads.iter_mut() {
+                    sg.merge_into(grads);
+                    sg.clear();
+                }
+            }
+        }
+
+        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
+        grads.clear();
+        (out.loss, aux)
+    }
+}
+
+/// Pass 2 of a step — chaining score gradients into embedding gradients —
+/// as a read-only view of the step state after pass 1 and the loss.
+struct Backward<'a> {
+    batch: &'a TrainBatch,
+    /// Raw embeddings; only the distance-scored arm reads them.
+    users: &'a Matrix,
+    items: &'a Matrix,
+    score_kind: TrainScore,
+    /// Whether row `a`'s negatives are the other rows' positives.
+    in_batch: bool,
+    /// Negatives per row (`B − 1` in-batch).
+    m: usize,
+    d: usize,
+    scratch: &'a StepScratch,
+    out: &'a LossOutput,
+}
+
+impl Backward<'_> {
+    /// Accumulates the gradient rows of batch rows `rows` into `sink`.
+    ///
+    /// Per row: the positive pair (user side, then item side), the
+    /// user-side negatives in one fused kernel call, then the item side
+    /// per negative occurrence. A negative whose score gradient is exactly
+    /// 0 is skipped *before* its row is asked for — asking touches the
+    /// row, and a touched row gets an optimizer (L2, Adam moment) update.
+    fn backward_rows<S: GradSink>(&self, rows: Range<usize>, sink: &mut S) {
+        let Self { batch, in_batch, m, d, scratch, out, .. } = *self;
+        let b = batch.len();
+        let user_hat = &scratch.user_hat[..b * d];
+        let pos_hat = &scratch.pos_hat[..b * d];
+        let neg_slot = &scratch.neg_slot[..];
+        // Where the negatives live: their item ids, unit rows and raw
+        // norms. In-batch they are the batch's own positives.
+        let (ids, table, norms) = if in_batch {
+            (&batch.pos[..], pos_hat, &scratch.pos_norm[..])
+        } else {
+            (&batch.negs[..], &scratch.neg_hat[..], &scratch.neg_norms[..])
+        };
+        for row in rows {
             let u = batch.users[row];
             let i = batch.pos[row];
-            match score_kind {
+            let gs = &out.grad_neg[row * m..(row + 1) * m];
+            match self.score_kind {
                 TrainScore::Cosine => {
-                    let uhat = &scratch.user_hat[row * d..(row + 1) * d];
-                    let ihat = &scratch.pos_hat[row * d..(row + 1) * d];
+                    let uhat = &user_hat[row * d..(row + 1) * d];
+                    let ihat = &pos_hat[row * d..(row + 1) * d];
+                    let unorm = scratch.user_norm[row];
                     let g = out.grad_pos[row];
                     let s = scratch.pos_scores[row];
-                    cosine_backward_into(
-                        g,
-                        s,
-                        uhat,
-                        ihat,
-                        scratch.user_norm[row],
-                        grads.user_row_mut(u),
-                    );
+                    cosine_backward_into(g, s, uhat, ihat, unorm, sink.user_row_mut(u));
                     cosine_backward_into(
                         g,
                         s,
                         ihat,
                         uhat,
                         scratch.pos_norm[row],
-                        grads.item_row_mut(i),
+                        sink.item_row_mut(i),
                     );
-                    let gs = &out.grad_neg[row * m..(row + 1) * m];
                     let ss = &scratch.neg_scores[row * m..(row + 1) * m];
-                    let slots = &scratch.neg_slot[row * m..(row + 1) * m];
-                    cosine_backward_gather(
-                        gs,
-                        ss,
-                        uhat,
-                        scratch.user_norm[row],
-                        &scratch.neg_hat,
-                        slots,
-                        grads.user_row_mut(u),
-                    );
-                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                        let g = gs[jj];
+                    let gu = sink.user_row_mut(u);
+                    if in_batch {
+                        // Occurrences 0..row are item rows 0..row and the
+                        // rest rows row+1..b: two contiguous halves of the
+                        // item block around the diagonal.
+                        let (gs_lo, gs_hi) = gs.split_at(row);
+                        let (ss_lo, ss_hi) = ss.split_at(row);
+                        let (lo, hi) = (&pos_hat[..row * d], &pos_hat[(row + 1) * d..]);
+                        cosine_backward_block(gs_lo, ss_lo, uhat, unorm, lo, gu);
+                        cosine_backward_block(gs_hi, ss_hi, uhat, unorm, hi, gu);
+                    } else {
+                        let slots = &neg_slot[row * m..(row + 1) * m];
+                        cosine_backward_gather(gs, ss, uhat, unorm, table, slots, gu);
+                    }
+                    for (jj, (&g, &s)) in gs.iter().zip(ss).enumerate() {
                         if g == 0.0 {
                             continue;
                         }
-                        let slot = slots[jj] as usize;
-                        cosine_backward_into(
-                            g,
-                            ss[jj],
-                            &scratch.neg_hat[slot * d..(slot + 1) * d],
-                            uhat,
-                            scratch.neg_norms[slot],
-                            grads.item_row_mut(j),
-                        );
+                        // Occurrence `jj` → (index of its id, its table row).
+                        let (k, r) = if in_batch {
+                            let c = jj + usize::from(jj >= row);
+                            (c, c)
+                        } else {
+                            (row * m + jj, neg_slot[row * m + jj] as usize)
+                        };
+                        let nhat = &table[r * d..(r + 1) * d];
+                        cosine_backward_into(g, s, nhat, uhat, norms[r], sink.item_row_mut(ids[k]));
                     }
                 }
                 TrainScore::NegSqDist => {
                     // s = −||u−i||² ⇒ ∂s/∂u = 2(i−u), ∂s/∂i = 2(u−i).
-                    let urow = users.row(u as usize);
-                    let apply = |g: f32, item: u32, grads: &mut GradBuffer| {
+                    let urow = self.users.row(u as usize);
+                    let mut apply = |g: f32, item: u32| {
                         if g == 0.0 {
                             return;
                         }
-                        let irow = items.row(item as usize);
-                        {
-                            let gu = grads.user_row_mut(u);
-                            axpy(2.0 * g, irow, gu);
-                            axpy(-2.0 * g, urow, gu);
-                        }
-                        {
-                            let gi = grads.item_row_mut(item);
-                            axpy(2.0 * g, urow, gi);
-                            axpy(-2.0 * g, irow, gi);
-                        }
+                        let irow = self.items.row(item as usize);
+                        let gu = sink.user_row_mut(u);
+                        axpy(2.0 * g, irow, gu);
+                        axpy(-2.0 * g, urow, gu);
+                        let gi = sink.item_row_mut(item);
+                        axpy(2.0 * g, urow, gi);
+                        axpy(-2.0 * g, irow, gi);
                     };
-                    apply(out.grad_pos[row], i, grads);
-                    for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                        apply(out.grad_neg[row * m + jj], j, grads);
+                    apply(out.grad_pos[row], i);
+                    for (&g, &j) in gs.iter().zip(batch.negs_of(row)) {
+                        apply(g, j);
                     }
                 }
             }
         }
-
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
     }
 
-    /// The sharded counterpart of [`Trainer::step_sampled`]: pass-1
-    /// scoring and pass-2 gradient accumulation run as per-batch work
-    /// items on the persistent [`WorkerPool`] over contiguous row chunks,
-    /// one private batch-footprint [`ShardGrad`] per shard, merged in
-    /// shard order before the optimizer step. The math is identical to
-    /// the serial step; only the f32 reduction order of gradient rows
-    /// shared between shards differs, so results are deterministic for a
-    /// fixed `(seed, threads)` pair.
-    #[allow(clippy::too_many_arguments)] // mirrors step_sampled + the shard buffers
-    fn step_sampled_par(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        shard_grads: &mut [ShardGrad],
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        rng: &mut StdRng,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = batch.m;
-        let d = backbone.out_dim();
-        let score_kind = backbone.train_score();
-        let users = backbone.user_factors();
-        let items = backbone.item_factors();
-        let chunks = row_chunks(b, shard_grads.len());
-        let pooled = Some((pool, &chunks[..]));
-        pass1_sampled_scores(pooled, batch, users, items, score_kind, scratch, b, m, d);
-
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Pass 2 — chain score gradients into per-shard embedding
-        // gradients (private batch-footprint buffers, no write
-        // contention); negative unit vectors come from the pass-0 table.
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let user_hat = &scratch.user_hat;
-            let user_norm = &scratch.user_norm;
-            let pos_hat = &scratch.pos_hat;
-            let pos_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            let neg_hat = &scratch.neg_hat;
-            let neg_norms = &scratch.neg_norms;
-            let neg_slot = &scratch.neg_slot;
-            for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    for row in range {
-                        let u = batch.users[row];
-                        let i = batch.pos[row];
-                        match score_kind {
-                            TrainScore::Cosine => {
-                                let uhat = &user_hat[row * d..(row + 1) * d];
-                                let ihat = &pos_hat[row * d..(row + 1) * d];
-                                let g = out.grad_pos[row];
-                                let s = pos_scores[row];
-                                cosine_backward_into(
-                                    g,
-                                    s,
-                                    uhat,
-                                    ihat,
-                                    user_norm[row],
-                                    gbuf.user_row_mut(u),
-                                );
-                                cosine_backward_into(
-                                    g,
-                                    s,
-                                    ihat,
-                                    uhat,
-                                    pos_norm[row],
-                                    gbuf.item_row_mut(i),
-                                );
-                                let gs = &out.grad_neg[row * m..(row + 1) * m];
-                                let ss = &neg_scores[row * m..(row + 1) * m];
-                                let slots = &neg_slot[row * m..(row + 1) * m];
-                                cosine_backward_gather(
-                                    gs,
-                                    ss,
-                                    uhat,
-                                    user_norm[row],
-                                    neg_hat,
-                                    slots,
-                                    gbuf.user_row_mut(u),
-                                );
-                                for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                                    let g = gs[jj];
-                                    if g == 0.0 {
-                                        continue;
-                                    }
-                                    let slot = slots[jj] as usize;
-                                    cosine_backward_into(
-                                        g,
-                                        ss[jj],
-                                        &neg_hat[slot * d..(slot + 1) * d],
-                                        uhat,
-                                        neg_norms[slot],
-                                        gbuf.item_row_mut(j),
-                                    );
-                                }
-                            }
-                            TrainScore::NegSqDist => {
-                                let urow = users.row(u as usize);
-                                let apply = |g: f32, item: u32, gbuf: &mut ShardGrad| {
-                                    if g == 0.0 {
-                                        return;
-                                    }
-                                    let irow = items.row(item as usize);
-                                    {
-                                        let gu = gbuf.user_row_mut(u);
-                                        axpy(2.0 * g, irow, gu);
-                                        axpy(-2.0 * g, urow, gu);
-                                    }
-                                    {
-                                        let gi = gbuf.item_row_mut(item);
-                                        axpy(2.0 * g, urow, gi);
-                                        axpy(-2.0 * g, irow, gi);
-                                    }
-                                };
-                                apply(out.grad_pos[row], i, gbuf);
-                                for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                                    apply(out.grad_neg[row * m + jj], j, gbuf);
-                                }
-                            }
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
+    /// The pooled form of pass 2: one [`Backward::backward_rows`] job per
+    /// row chunk, each into its own shard (private buffers, no write
+    /// contention; the caller merges them).
+    fn run_sharded(&self, pool: &WorkerPool, chunks: &[Range<usize>], shards: &mut [ShardGrad]) {
+        let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
+        for (range, shard) in chunks.iter().zip(shards.iter_mut()) {
+            let range = range.clone();
+            jobs.push(Box::new(move || self.backward_rows(range, shard)));
         }
-
-        // Fixed shard merge order keeps runs deterministic per thread
-        // count.
-        for sg in shard_grads.iter_mut() {
-            sg.merge_into(grads);
-            sg.clear();
-        }
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
-    }
-
-    /// One optimizer step with in-batch shared negatives: row `b`'s
-    /// negatives are the other rows' positive items (paper Table V).
-    ///
-    /// Normalization is one blocked gather per side, every similarity row
-    /// is one blocked matvec, and the user-side backward runs
-    /// [`cosine_backward_block`] on the two contiguous item-block halves
-    /// on either side of the diagonal.
-    #[allow(clippy::too_many_arguments)] // the step signature mirrors the trainer state
-    fn step_in_batch(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        rng: &mut StdRng,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = b - 1;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
-        let users = backbone.user_factors();
-        let items = backbone.item_factors();
-        scratch.ensure_in_batch(b, d);
-
-        // Normalize each row's user and positive item once (blocked
-        // gather; `pos_hat`/`pos_norm` hold the item side).
-        normalize_gather_into(
-            users,
-            &batch.users,
-            &mut scratch.user_hat[..b * d],
-            &mut scratch.user_norm[..b],
-        );
-        normalize_gather_into(
-            items,
-            &batch.pos,
-            &mut scratch.pos_hat[..b * d],
-            &mut scratch.pos_norm[..b],
-        );
-        // Full similarity matrix: S[a][c] = cos(user_a, item_c).
-        for a in 0..b {
-            scores_block(
-                &scratch.user_hat[a * d..(a + 1) * d],
-                &scratch.pos_hat[..b * d],
-                &mut scratch.sims[a * b..(a + 1) * b],
-            );
-        }
-        for a in 0..b {
-            scratch.pos_scores[a] = scratch.sims[a * b + a];
-            let mut jj = 0;
-            for c in 0..b {
-                if c != a {
-                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
-                    jj += 1;
-                }
-            }
-        }
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Chain gradients back; the column item of slot (a, jj) is row c.
-        for a in 0..b {
-            let ua = &scratch.user_hat[a * d..(a + 1) * d];
-            let ia = &scratch.pos_hat[a * d..(a + 1) * d];
-            let g = out.grad_pos[a];
-            let s = scratch.pos_scores[a];
-            cosine_backward_into(
-                g,
-                s,
-                ua,
-                ia,
-                scratch.user_norm[a],
-                grads.user_row_mut(batch.users[a]),
-            );
-            cosine_backward_into(
-                g,
-                s,
-                ia,
-                ua,
-                scratch.pos_norm[a],
-                grads.item_row_mut(batch.pos[a]),
-            );
-            // Slots 0..a map to item rows 0..a and slots a.. to rows
-            // a+1..b — two contiguous halves around the diagonal.
-            let gs = &out.grad_neg[a * m..(a + 1) * m];
-            let ss = &scratch.neg_scores[a * m..(a + 1) * m];
-            cosine_backward_block(
-                &gs[..a],
-                &ss[..a],
-                ua,
-                scratch.user_norm[a],
-                &scratch.pos_hat[..a * d],
-                grads.user_row_mut(batch.users[a]),
-            );
-            cosine_backward_block(
-                &gs[a..],
-                &ss[a..],
-                ua,
-                scratch.user_norm[a],
-                &scratch.pos_hat[(a + 1) * d..b * d],
-                grads.user_row_mut(batch.users[a]),
-            );
-            let mut jj = 0;
-            for c in 0..b {
-                if c == a {
-                    continue;
-                }
-                let g = gs[jj];
-                let s = ss[jj];
-                jj += 1;
-                if g == 0.0 {
-                    continue;
-                }
-                cosine_backward_into(
-                    g,
-                    s,
-                    &scratch.pos_hat[c * d..(c + 1) * d],
-                    ua,
-                    scratch.pos_norm[c],
-                    grads.item_row_mut(batch.pos[c]),
-                );
-            }
-        }
-
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
-    }
-
-    /// The sharded counterpart of [`Trainer::step_in_batch`]: the `B × B`
-    /// similarity matrix is computed by row chunks on the persistent
-    /// [`WorkerPool`], and the gradient pass accumulates into per-shard
-    /// batch-footprint buffers merged in shard order. A row's negatives
-    /// touch *other* rows' positive items, so shards write overlapping
-    /// item rows — private buffers plus the ordered merge keep that exact
-    /// and deterministic per thread count.
-    #[allow(clippy::too_many_arguments)] // mirrors step_in_batch + the shard buffers
-    fn step_in_batch_par(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        grads: &mut GradBuffer,
-        shard_grads: &mut [ShardGrad],
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        rng: &mut StdRng,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = b - 1;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
-        let users = backbone.user_factors();
-        let items = backbone.item_factors();
-        let chunks = row_chunks(b, shard_grads.len());
-        pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
-
-        for a in 0..b {
-            scratch.pos_scores[a] = scratch.sims[a * b + a];
-            let mut jj = 0;
-            for c in 0..b {
-                if c != a {
-                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
-                    jj += 1;
-                }
-            }
-        }
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Gradient pass, row-sharded into private buffers; the column item
-        // of slot (a, jj) is row c, which may belong to another shard —
-        // hence per-shard accumulation instead of in-place writes.
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let user_hat = &scratch.user_hat;
-            let item_hat = &scratch.pos_hat;
-            let user_norm = &scratch.user_norm;
-            let item_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            for (range, gbuf) in chunks.iter().zip(shard_grads.iter_mut()) {
-                let range = range.clone();
-                jobs.push(Box::new(move || {
-                    for a in range {
-                        let ua = &user_hat[a * d..(a + 1) * d];
-                        let ia = &item_hat[a * d..(a + 1) * d];
-                        let g = out.grad_pos[a];
-                        let s = pos_scores[a];
-                        cosine_backward_into(
-                            g,
-                            s,
-                            ua,
-                            ia,
-                            user_norm[a],
-                            gbuf.user_row_mut(batch.users[a]),
-                        );
-                        cosine_backward_into(
-                            g,
-                            s,
-                            ia,
-                            ua,
-                            item_norm[a],
-                            gbuf.item_row_mut(batch.pos[a]),
-                        );
-                        // Two contiguous item-block halves around the
-                        // diagonal (slots 0..a ↔ rows 0..a, a.. ↔ a+1..b).
-                        let gs = &out.grad_neg[a * m..(a + 1) * m];
-                        let ss = &neg_scores[a * m..(a + 1) * m];
-                        cosine_backward_block(
-                            &gs[..a],
-                            &ss[..a],
-                            ua,
-                            user_norm[a],
-                            &item_hat[..a * d],
-                            gbuf.user_row_mut(batch.users[a]),
-                        );
-                        cosine_backward_block(
-                            &gs[a..],
-                            &ss[a..],
-                            ua,
-                            user_norm[a],
-                            &item_hat[(a + 1) * d..b * d],
-                            gbuf.user_row_mut(batch.users[a]),
-                        );
-                        let mut jj = 0;
-                        for c in 0..b {
-                            if c == a {
-                                continue;
-                            }
-                            let g = gs[jj];
-                            let s = ss[jj];
-                            jj += 1;
-                            if g == 0.0 {
-                                continue;
-                            }
-                            cosine_backward_into(
-                                g,
-                                s,
-                                &item_hat[c * d..(c + 1) * d],
-                                ua,
-                                item_norm[c],
-                                gbuf.item_row_mut(batch.pos[c]),
-                            );
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-
-        for sg in shard_grads.iter_mut() {
-            sg.merge_into(grads);
-            sg.clear();
-        }
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
-        grads.clear();
-        (out.loss, aux)
-    }
-
-    /// Hogwild version of the sampled step: passes 0–1 score exactly like
-    /// [`Trainer::step_sampled_par`], then pass 2 workers chain gradients
-    /// from the unit-vector table and apply plain-SGD updates **in
-    /// place** through a lock-free [`HogwildView`] — no gradient shards,
-    /// no merge, no Adam state. Racy and therefore non-reproducible;
-    /// `fit_backbone` only routes here for cosine-scored backbones whose
-    /// final embeddings are their parameters.
-    fn step_sampled_hogwild(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = batch.m;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "hogwild assumes cosine");
-        let chunks = row_chunks(b, pool.n_workers());
-
-        // Passes 0–1 — the exact path's sharded scoring, verbatim, over
-        // read-only embeddings (the batch barrier below means pass-2
-        // writes never race these reads).
-        {
-            let users = backbone.user_factors();
-            let items = backbone.item_factors();
-            let pooled = Some((pool, &chunks[..]));
-            let cosine = TrainScore::Cosine;
-            pass1_sampled_scores(pooled, batch, users, items, cosine, scratch, b, m, d);
-        }
-        grow(&mut scratch.hogwild_rows, chunks.len() * 2 * d);
-
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Pass 2 — in-place lock-free SGD from the pass-0 unit-vector
-        // table (embedding reads during the backward all come from
-        // scratch, so mid-pass updates never corrupt the chain rule; they
-        // only race other rows' updates, which is the Hogwild deal).
-        let (user_emb, item_emb) =
-            backbone.params_mut().expect("fit_backbone verified hogwild support");
-        let uview = HogwildView::new(user_emb);
-        let iview = HogwildView::new(item_emb);
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let uview = &uview;
-            let iview = &iview;
-            let user_hat = &scratch.user_hat;
-            let user_norm = &scratch.user_norm;
-            let pos_hat = &scratch.pos_hat;
-            let pos_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            let neg_hat = &scratch.neg_hat;
-            let neg_norms = &scratch.neg_norms;
-            let neg_slot = &scratch.neg_slot;
-            let mut rows_rest = &mut scratch.hogwild_rows[..];
-            for range in &chunks {
-                let range = range.clone();
-                let (gbuf, prow) = take_front(&mut rows_rest, 2 * d).split_at_mut(d);
-                jobs.push(Box::new(move || {
-                    for row in range {
-                        let u = batch.users[row];
-                        let i = batch.pos[row];
-                        let uhat = &user_hat[row * d..(row + 1) * d];
-                        let ihat = &pos_hat[row * d..(row + 1) * d];
-                        let g = out.grad_pos[row];
-                        let s = pos_scores[row];
-                        let gs = &out.grad_neg[row * m..(row + 1) * m];
-                        let ss = &neg_scores[row * m..(row + 1) * m];
-                        let slots = &neg_slot[row * m..(row + 1) * m];
-                        // User side: positive + all negatives into one
-                        // local gradient row, then one apply.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, uhat, ihat, user_norm[row], gbuf);
-                        cosine_backward_gather(gs, ss, uhat, user_norm[row], neg_hat, slots, gbuf);
-                        hogwild_apply(uview, u, gbuf, prow, hyper);
-                        // Positive item.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ihat, uhat, pos_norm[row], gbuf);
-                        hogwild_apply(iview, i, gbuf, prow, hyper);
-                        // Negative items.
-                        for (jj, &j) in batch.negs_of(row).iter().enumerate() {
-                            let gn = gs[jj];
-                            if gn == 0.0 {
-                                continue;
-                            }
-                            let slot = slots[jj] as usize;
-                            gbuf.fill(0.0);
-                            cosine_backward_into(
-                                gn,
-                                ss[jj],
-                                &neg_hat[slot * d..(slot + 1) * d],
-                                uhat,
-                                neg_norms[slot],
-                                gbuf,
-                            );
-                            hogwild_apply(iview, j, gbuf, prow, hyper);
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-        (out.loss, 0.0)
-    }
-
-    /// Hogwild version of the in-batch step: pass 1 builds the `B × B`
-    /// similarity matrix exactly like [`Trainer::step_in_batch_par`], then
-    /// workers apply in-place SGD updates through a [`HogwildView`]. Item
-    /// rows receive one racy update per batch row that uses them as a
-    /// negative (instead of one merged update), which is the Hogwild
-    /// approximation at its most contended.
-    fn step_in_batch_hogwild(
-        &self,
-        backbone: &mut dyn Backbone,
-        loss: &dyn RankingLoss,
-        batch: &TrainBatch,
-        scratch: &mut StepScratch,
-        hyper: Hyper,
-        pool: &WorkerPool,
-    ) -> (f64, f64) {
-        let b = batch.len();
-        let m = b - 1;
-        let d = backbone.out_dim();
-        debug_assert_eq!(backbone.train_score(), TrainScore::Cosine, "in-batch assumes cosine");
-        let chunks = row_chunks(b, pool.n_workers());
-
-        // Pass 1 — the exact path's blocked gather-normalize + similarity
-        // rows, verbatim.
-        {
-            let users = backbone.user_factors();
-            let items = backbone.item_factors();
-            pass1_in_batch_scores(pool, &chunks, batch, users, items, scratch, b, d);
-        }
-        grow(&mut scratch.hogwild_rows, chunks.len() * 2 * d);
-
-        for a in 0..b {
-            scratch.pos_scores[a] = scratch.sims[a * b + a];
-            let mut jj = 0;
-            for c in 0..b {
-                if c != a {
-                    scratch.neg_scores[a * m + jj] = scratch.sims[a * b + c];
-                    jj += 1;
-                }
-            }
-        }
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
-
-        // Pass 2 — in-place lock-free SGD from the cached unit vectors.
-        let (user_emb, item_emb) =
-            backbone.params_mut().expect("fit_backbone verified hogwild support");
-        let uview = HogwildView::new(user_emb);
-        let iview = HogwildView::new(item_emb);
-        {
-            let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
-            let out = &out;
-            let uview = &uview;
-            let iview = &iview;
-            let user_hat = &scratch.user_hat;
-            let item_hat = &scratch.pos_hat;
-            let user_norm = &scratch.user_norm;
-            let item_norm = &scratch.pos_norm;
-            let pos_scores = &scratch.pos_scores;
-            let neg_scores = &scratch.neg_scores;
-            let mut rows_rest = &mut scratch.hogwild_rows[..];
-            for range in &chunks {
-                let range = range.clone();
-                let (gbuf, prow) = take_front(&mut rows_rest, 2 * d).split_at_mut(d);
-                jobs.push(Box::new(move || {
-                    for a in range {
-                        let ua = &user_hat[a * d..(a + 1) * d];
-                        let ia = &item_hat[a * d..(a + 1) * d];
-                        let g = out.grad_pos[a];
-                        let s = pos_scores[a];
-                        let gs = &out.grad_neg[a * m..(a + 1) * m];
-                        let ss = &neg_scores[a * m..(a + 1) * m];
-                        // User side: positive + the two contiguous item
-                        // halves around the diagonal, one apply.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ua, ia, user_norm[a], gbuf);
-                        cosine_backward_block(
-                            &gs[..a],
-                            &ss[..a],
-                            ua,
-                            user_norm[a],
-                            &item_hat[..a * d],
-                            gbuf,
-                        );
-                        cosine_backward_block(
-                            &gs[a..],
-                            &ss[a..],
-                            ua,
-                            user_norm[a],
-                            &item_hat[(a + 1) * d..b * d],
-                            gbuf,
-                        );
-                        hogwild_apply(uview, batch.users[a], gbuf, prow, hyper);
-                        // Own positive item.
-                        gbuf.fill(0.0);
-                        cosine_backward_into(g, s, ia, ua, item_norm[a], gbuf);
-                        hogwild_apply(iview, batch.pos[a], gbuf, prow, hyper);
-                        // Other rows' positives used as negatives here.
-                        let mut jj = 0;
-                        for c in 0..b {
-                            if c == a {
-                                continue;
-                            }
-                            let gn = gs[jj];
-                            let sn = ss[jj];
-                            jj += 1;
-                            if gn == 0.0 {
-                                continue;
-                            }
-                            gbuf.fill(0.0);
-                            cosine_backward_into(
-                                gn,
-                                sn,
-                                &item_hat[c * d..(c + 1) * d],
-                                ua,
-                                item_norm[c],
-                                gbuf,
-                            );
-                            hogwild_apply(iview, batch.pos[c], gbuf, prow, hyper);
-                        }
-                    }
-                }));
-            }
-            pool.run(jobs);
-        }
-        (out.loss, 0.0)
+        pool.run(jobs);
     }
 }
 
@@ -1404,6 +760,10 @@ mod tests {
 
     fn tiny() -> Arc<Dataset> {
         Arc::new(generate(&SynthConfig::tiny(1)))
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     fn random_baseline(ds: &Arc<Dataset>) -> f64 {
@@ -1599,14 +959,16 @@ mod tests {
             for step in 0..2 {
                 let mut rng = StdRng::seed_from_u64(step);
                 let table = table.as_mut();
-                trainer.step_sampled(
+                trainer.step(
                     table,
                     loss.as_ref(),
                     &batch,
                     &mut grads,
+                    &mut [],
                     &mut scratch,
                     hyper,
                     &mut rng,
+                    None,
                 );
                 let mut rng = StdRng::seed_from_u64(step);
                 zeros +=
@@ -1614,7 +976,6 @@ mod tests {
             }
             assert_eq!(want_zeros, zeros > 0, "τ2 = {tau2}: {zeros} zero grad_neg entries");
             assert!(zeros < 2 * b * m, "every negative gradient vanished");
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(table.user_factors()), bits(oracle.user_factors()), "users, τ2 {tau2}");
             assert_eq!(bits(table.item_factors()), bits(oracle.item_factors()), "items, τ2 {tau2}");
         }
@@ -1639,14 +1000,16 @@ mod tests {
             // Each epoch ends in a partial batch; the first batch is full.
             for epoch in 0..2 {
                 for batch in BatchIter::new(&ds, &sampler, batch_size, m, epoch) {
-                    trainer.step_sampled(
+                    trainer.step(
                         backbone.as_mut(),
                         loss.as_ref(),
                         &batch,
                         &mut grads,
+                        &mut [],
                         &mut scratch,
                         hyper,
                         &mut rng,
+                        None,
                     );
                     assert!(scratch.slot_of_item.iter().all(|&s| s == u32::MAX));
                     let sizes = [
@@ -1661,6 +1024,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pooled_step_with_one_chunk_replays_the_inline_step_bit_for_bit() {
+        // "Serial is the one-chunk case": a one-worker pool with one shard
+        // runs the same rows in the same order as the inline arm, through
+        // a `ShardGrad` and a merge instead of straight into `grads`.
+        let ds = tiny();
+        let bsl = LossConfig::Bsl { tau1: 0.3, tau2: 0.15 };
+        let base = TrainConfig { l2: 1e-3, ..TrainConfig::smoke() }; // a wrongly touched row moves
+        let cases = [
+            TrainConfig { loss: bsl, ..base },
+            TrainConfig { sampling: SamplingConfig::InBatch, batch_size: 64, ..base },
+            TrainConfig {
+                backbone: BackboneConfig::Cml,
+                loss: LossConfig::Hinge { margin: 0.5 },
+                ..base
+            },
+        ];
+        let pool = WorkerPool::new(1);
+        for cfg in cases {
+            let label = format!("{} {:?}", cfg.label(), cfg.sampling);
+            let m = if cfg.sampling == SamplingConfig::InBatch { 1 } else { cfg.negatives };
+            let sampler = UniformSampler::new(ds.clone());
+            let batches: Vec<TrainBatch> =
+                BatchIter::new(&ds, &sampler, cfg.batch_size, m, 3).collect();
+            assert!(batches.len() >= 2, "{label}: the second step reuses scratch and shard");
+            // Per-step loss bits, then user and item embedding bits.
+            let run = |pool: Option<&WorkerPool>| {
+                let loss = build_loss(cfg.loss);
+                let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
+                let mut backbone = build_backbone(cfg.backbone, &ds, cfg.dim, cfg.seed);
+                let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
+                let mut shards = [ShardGrad::new(cfg.dim)];
+                let mut scratch = StepScratch::default();
+                let mut rng = StdRng::seed_from_u64(7);
+                let trainer = Trainer::new(cfg);
+                let mut losses = Vec::new();
+                for batch in &batches {
+                    backbone.forward(&mut rng);
+                    let (l, _) = trainer.step(
+                        backbone.as_mut(),
+                        loss.as_ref(),
+                        batch,
+                        &mut grads,
+                        &mut shards,
+                        &mut scratch,
+                        hyper,
+                        &mut rng,
+                        pool,
+                    );
+                    losses.push(l.to_bits());
+                }
+                (losses, bits(backbone.user_factors()), bits(backbone.item_factors()))
+            };
+            let (inline, pooled) = (run(None), run(Some(&pool)));
+            assert_eq!(inline.0, pooled.0, "{label}: per-step loss");
+            assert_eq!(inline.1, pooled.1, "{label}: users");
+            assert_eq!(inline.2, pooled.2, "{label}: items");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "in-batch sampling needs a cosine-scored backbone, got CML")]
+    fn in_batch_sampling_rejects_a_distance_scored_backbone() {
+        let cfg = TrainConfig {
+            backbone: BackboneConfig::Cml,
+            loss: LossConfig::Hinge { margin: 0.5 },
+            sampling: SamplingConfig::InBatch,
+            ..TrainConfig::smoke()
+        };
+        Trainer::new(cfg).fit(&tiny());
     }
 
     #[test]

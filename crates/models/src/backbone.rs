@@ -81,17 +81,6 @@ pub trait Backbone: Send {
         TrainScore::Cosine
     }
 
-    /// Raw `(user, item)` parameter matrices for **in-place** updates —
-    /// `Some` only when the final embeddings *are* the parameters (the
-    /// backward pass is the identity and no post-step projection is
-    /// required), as for plain [`Mf`](crate::Mf). The Hogwild trainer
-    /// uses this to apply lock-free SGD updates directly; backbones with
-    /// a real backward pass (GCNs) or a projection step (CML) return
-    /// `None` and fall back to the exact sharded path.
-    fn params_mut(&mut self) -> Option<(&mut Matrix, &mut Matrix)> {
-        None
-    }
-
     /// The test-time score function.
     fn eval_score(&self) -> EvalScore;
 

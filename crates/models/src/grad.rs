@@ -130,6 +130,32 @@ impl GradBuffer {
     }
 }
 
+/// Where the trainer's backward pass writes embedding-gradient rows.
+///
+/// The pass is written once against this trait and runs unchanged into
+/// the dense [`GradBuffer`] (serial step) or a worker's batch-footprint
+/// [`ShardGrad`](crate::ShardGrad) (pooled step). Asking for a row marks
+/// it *touched*: the optimizer updates exactly the touched rows, so a
+/// caller must not ask for a row it has nothing to add to.
+pub trait GradSink {
+    /// Mutable gradient row of user `u`, marking it touched.
+    fn user_row_mut(&mut self, u: u32) -> &mut [f32];
+    /// Mutable gradient row of item `i`, marking it touched.
+    fn item_row_mut(&mut self, i: u32) -> &mut [f32];
+}
+
+impl GradSink for GradBuffer {
+    #[inline]
+    fn user_row_mut(&mut self, u: u32) -> &mut [f32] {
+        GradBuffer::user_row_mut(self, u)
+    }
+
+    #[inline]
+    fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
+        GradBuffer::item_row_mut(self, i)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

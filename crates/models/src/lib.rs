@@ -48,7 +48,7 @@ pub mod ultragcn;
 
 pub use artifact::{ArtifactError, ModelArtifact, Precision};
 pub use backbone::{build, Backbone, BackboneConfig, EvalScore, Hyper, TrainScore};
-pub use grad::GradBuffer;
+pub use grad::{GradBuffer, GradSink};
 pub use ivf::{IvfIndex, ProbeScratch};
 pub use lightgcl::LightGcl;
 pub use lightgcn::LightGcn;

@@ -132,16 +132,6 @@ impl Backbone for Mf {
         }
     }
 
-    fn params_mut(&mut self) -> Option<(&mut Matrix, &mut Matrix)> {
-        if self.cml {
-            // CML projects updated rows back into the unit ball after each
-            // step; raw in-place updates would skip that invariant.
-            None
-        } else {
-            Some((&mut self.user_emb, &mut self.item_emb))
-        }
-    }
-
     fn eval_score(&self) -> EvalScore {
         if self.cml {
             EvalScore::NegSqDist

@@ -15,7 +15,7 @@
 //! [`ShardGrad::rows_capacity`] is bounded by the largest set of distinct
 //! rows any single batch touched on that shard.
 
-use crate::grad::GradBuffer;
+use crate::grad::{GradBuffer, GradSink};
 
 /// Multiply-shift hash of a row id into a table of size `mask + 1`.
 #[inline]
@@ -208,6 +208,18 @@ impl ShardGrad {
     /// distinct rows any batch touched, *not* a function of the catalogue.
     pub fn rows_capacity(&self) -> usize {
         self.users.rows_capacity() + self.items.rows_capacity()
+    }
+}
+
+impl GradSink for ShardGrad {
+    #[inline]
+    fn user_row_mut(&mut self, u: u32) -> &mut [f32] {
+        ShardGrad::user_row_mut(self, u)
+    }
+
+    #[inline]
+    fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
+        ShardGrad::item_row_mut(self, i)
     }
 }
 

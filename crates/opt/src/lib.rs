@@ -19,4 +19,4 @@ pub mod sgd;
 
 pub use adam::Adam;
 pub use schedule::LrSchedule;
-pub use sgd::{sgd_step_row, Sgd};
+pub use sgd::Sgd;

@@ -4,24 +4,8 @@
 //! [`bsl_linalg::simd::sgd_momentum_update`] kernel.
 
 use bsl_linalg::kernels::axpy;
-use bsl_linalg::simd::{scale, sgd_momentum_update};
+use bsl_linalg::simd::sgd_momentum_update;
 use bsl_linalg::Matrix;
-
-/// One plain-SGD update of a single row with coupled L2:
-/// `p ← (1 − lr·l2)·p − lr·g`, as two dispatched SIMD kernel calls
-/// (`scale` + `axpy`).
-///
-/// This is the sparse-row apply the Hogwild trainer runs on each touched
-/// embedding row (on a local copy of the row, between the lock-free load
-/// and store); it is also usable as a momentum-free alternative to
-/// [`Adam::step_rows`](crate::Adam::step_rows) over any explicit row set.
-pub fn sgd_step_row(param: &mut [f32], grad: &[f32], lr: f32, l2: f32) {
-    debug_assert_eq!(param.len(), grad.len());
-    if l2 != 0.0 {
-        scale(1.0 - lr * l2, param);
-    }
-    axpy(-lr, grad, param);
-}
 
 /// SGD with optional classical momentum.
 #[derive(Clone, Debug)]
@@ -116,18 +100,5 @@ mod tests {
     #[should_panic(expected = "momentum must be in")]
     fn rejects_bad_momentum() {
         let _ = Sgd::with_momentum(1, 1, 1.0);
-    }
-
-    #[test]
-    fn step_row_descends_and_applies_coupled_l2() {
-        let mut p = vec![1.0f32, -2.0];
-        sgd_step_row(&mut p, &[0.5, -0.5], 0.1, 0.0);
-        for (got, want) in p.iter().zip([0.95f32, -1.95]) {
-            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-        }
-        // With l2: p ← (1 − lr·l2)·p − lr·g.
-        let mut p = vec![1.0f32];
-        sgd_step_row(&mut p, &[0.0], 0.1, 0.5);
-        assert!((p[0] - 0.95).abs() < 1e-6, "{}", p[0]);
     }
 }

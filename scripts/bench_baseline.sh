@@ -73,10 +73,8 @@ serving=$(grep -m1 -oE 'serving config: .*' "$bench_log" | cut -d' ' -f3- || tru
     echo ">= 2x on a >= 4-core machine. On fewer cores the threadsN lines"
     echo "measure coordination overhead instead of speedup. Each threadsN"
     echo "target reuses one Trainer, so the measured epochs pay zero"
-    echo "thread spawns (the engine spawns once, before timing); the"
-    echo "\`training_hogwild\` group compares exact-sharded vs hogwild"
-    echo "in-place sync at the same thread counts. Per-worker gradient"
-    echo "scratch is a batch-footprint ShardGrad (sparse row map,"
+    echo "thread spawns (the engine spawns once, before timing). Per-worker"
+    echo "gradient scratch is a batch-footprint ShardGrad (sparse row map,"
     echo "grow-only): peak trainer scratch is O(threads x batch x d)"
     echo "floats, not threads x catalogue — at the benchmarked threads=4,"
     echo "B=512, m=64, d=64 each worker's shard covers its 128-row chunk"

@@ -2,17 +2,11 @@
 //! (default: one worker per core, floored at 2) so CI can run the whole
 //! file at an explicit worker count (it pins 4).
 //!
-//! * Exact mode: reusing one `Trainer`'s long-lived pool across fits is
-//!   bit-identical to a fresh trainer per `(seed, threads)`.
-//! * Hogwild mode: lock-free in-place updates stay finite and land within
-//!   a loose metric tolerance of the exact path (races make them
-//!   non-reproducible, so tolerance — not bits — is the contract).
-//! * Unsupported backbones fall back to the exact sharded path.
+//! Reusing one `Trainer`'s long-lived pool across fits is bit-identical
+//! to a fresh trainer per `(seed, threads)`, for sampled and in-batch
+//! negatives.
 
 use bsl_core::prelude::*;
-use bsl_linalg::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 fn test_threads() -> usize {
@@ -25,14 +19,6 @@ fn test_threads() -> usize {
 
 fn tiny() -> Arc<Dataset> {
     Arc::new(generate(&SynthConfig::tiny(1)))
-}
-
-/// NDCG of untrained Xavier embeddings — the "learned nothing" baseline.
-fn random_baseline(ds: &Arc<Dataset>) -> f64 {
-    let mut rng = StdRng::seed_from_u64(999);
-    let u = Matrix::xavier_uniform(ds.n_users, 16, &mut rng);
-    let i = Matrix::xavier_uniform(ds.n_items, 16, &mut rng);
-    evaluate(ds, &u, &i, EvalScore::Cosine, &[20]).ndcg(20)
 }
 
 #[test]
@@ -68,96 +54,4 @@ fn exact_in_batch_pool_replays_per_thread_count() {
     let b = Trainer::new(cfg).fit(&ds);
     assert_eq!(a.user_emb.as_slice(), b.user_emb.as_slice());
     assert_eq!(a.best.ndcg(20), b.best.ndcg(20));
-}
-
-#[test]
-fn hogwild_sampled_learns_within_tolerance_of_exact() {
-    let ds = tiny();
-    // Hogwild runs plain SGD while exact runs Adam; the batch-mean loss
-    // scaling means SGD needs a much larger raw LR to take comparable
-    // steps, so each mode gets its own tuned rate and the comparison is
-    // made on the metric.
-    let base = TrainConfig { epochs: 12, threads: test_threads(), ..TrainConfig::smoke() };
-    let exact = Trainer::new(TrainConfig { sync: SyncMode::Exact, ..base }).fit(&ds);
-    let hog = Trainer::new(TrainConfig { sync: SyncMode::Hogwild, lr: 4.0, ..base }).fit(&ds);
-    assert!(
-        hog.user_emb.as_slice().iter().all(|v| v.is_finite()),
-        "hogwild produced non-finite user embeddings"
-    );
-    assert!(hog.item_emb.as_slice().iter().all(|v| v.is_finite()));
-    let chance = random_baseline(&ds);
-    assert!(
-        hog.best.ndcg(20) > chance * 2.0,
-        "hogwild failed to learn: NDCG {:.4} vs chance {:.4}",
-        hog.best.ndcg(20),
-        chance
-    );
-    let gap = (exact.best.ndcg(20) - hog.best.ndcg(20)).abs();
-    assert!(
-        gap < 0.2,
-        "exact {:.4} vs hogwild {:.4} NDCG@20 gap {gap:.4} beyond loose tolerance",
-        exact.best.ndcg(20),
-        hog.best.ndcg(20)
-    );
-}
-
-#[test]
-fn hogwild_in_batch_stays_finite_and_learns() {
-    let ds = tiny();
-    let cfg = TrainConfig {
-        sampling: SamplingConfig::InBatch,
-        batch_size: 64,
-        epochs: 10,
-        threads: test_threads(),
-        sync: SyncMode::Hogwild,
-        lr: 4.0, // plain SGD under batch-mean loss scaling (see above)
-        ..TrainConfig::smoke()
-    };
-    let out = Trainer::new(cfg).fit(&ds);
-    assert!(out.user_emb.as_slice().iter().all(|v| v.is_finite()));
-    assert!(out.item_emb.as_slice().iter().all(|v| v.is_finite()));
-    assert!(out.best.ndcg(20) > random_baseline(&ds) * 1.5);
-}
-
-#[test]
-fn hogwild_falls_back_to_exact_for_unsupported_backbones() {
-    // CML needs a post-step unit-ball projection, so Hogwild must fall
-    // back to the exact sharded path — which is deterministic, making the
-    // fallback observable as bit-for-bit replay.
-    let ds = tiny();
-    let cfg = TrainConfig {
-        backbone: BackboneConfig::Cml,
-        loss: LossConfig::Hinge { margin: 0.5 },
-        epochs: 4,
-        lr: 0.05,
-        threads: test_threads(),
-        sync: SyncMode::Hogwild,
-        ..TrainConfig::smoke()
-    };
-    let a = Trainer::new(cfg).fit(&ds);
-    let b = Trainer::new(cfg).fit(&ds);
-    assert_eq!(
-        a.user_emb.as_slice(),
-        b.user_emb.as_slice(),
-        "fallback path must stay deterministic"
-    );
-    assert!(a.best.ndcg(20).is_finite());
-}
-
-#[test]
-fn hogwild_with_one_thread_is_the_serial_exact_path() {
-    // threads = 1 ignores the sync mode entirely: bit-identical to the
-    // plain serial trainer.
-    let ds = tiny();
-    let serial =
-        Trainer::new(TrainConfig { epochs: 3, threads: 1, ..TrainConfig::smoke() }).fit(&ds);
-    let hog1 = Trainer::new(TrainConfig {
-        epochs: 3,
-        threads: 1,
-        sync: SyncMode::Hogwild,
-        ..TrainConfig::smoke()
-    })
-    .fit(&ds);
-    assert_eq!(serial.user_emb.as_slice(), hog1.user_emb.as_slice());
-    assert_eq!(serial.best.ndcg(20), hog1.best.ndcg(20));
 }
