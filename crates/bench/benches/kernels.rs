@@ -3,15 +3,15 @@
 //! The `*_scalar` variants pin [`SimdLevel::Scalar`] explicitly, so one
 //! bench run records the dispatched-vs-reference speedup in place; the
 //! blocked benches (`scores_block_*`, `normalize_rows_*`,
-//! `cosine_backward_block_*` and their `*_gather_*` twins) cover the
-//! batch kernels the trainer and evaluator hot paths run on. SpMM before/after lives in the
+//! `cosine_backward_block_*` and their `*_gather_*` twins, `softmax_row_*`)
+//! cover the batch kernels the trainer and evaluator hot paths run on. SpMM before/after lives in the
 //! `propagation` bench (`spmm_yelp_d64`) — compare the committed
 //! BENCHMARKS.md across PRs for that one.
 
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into};
 use bsl_linalg::simd::{
     self, cosine_backward_block, cosine_backward_gather, normalize_gather_into,
-    normalize_rows_into, scores_block, scores_gather, SimdLevel,
+    normalize_rows_into, scores_block, scores_gather, softmax_row, SimdLevel,
 };
 use bsl_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -126,6 +126,15 @@ fn bench_kernels(c: &mut Criterion) {
             )
         })
     });
+    // The loss's row kernel on the two row shapes of the duet: 64 sampled
+    // negatives, and the 511 in-batch ones of B = 512.
+    for len in [64usize, 511] {
+        let xs: Vec<f32> = (0..len).map(|j| (j as f32 * 0.61).sin()).collect();
+        let mut weights = vec![0.0f32; len];
+        c.bench_function(&format!("softmax_row_m{len}"), |bench| {
+            bench.iter(|| softmax_row(black_box(&xs), black_box(0.1), black_box(&mut weights)))
+        });
+    }
     let rows = Matrix::from_fn(512, d, |r, cix| ((r * 31 + cix * 7) % 13) as f32 * 0.2 - 1.0);
     let mut unit = Matrix::zeros(512, d);
     let mut norms = vec![0.0f32; 512];

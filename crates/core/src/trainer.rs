@@ -420,7 +420,9 @@ impl Trainer {
     /// [`SamplingConfig::InBatch`] is combined with a backbone whose
     /// training score is not cosine (CML): the in-batch similarity block
     /// would train a different objective than the one the model is
-    /// projected, exported and evaluated under.
+    /// projected, exported and evaluated under. Panics on the first step
+    /// whose loss is not finite, naming the epoch, the batch index and the
+    /// loss.
     pub fn fit_backbone(&self, ds: &Arc<Dataset>, backbone: &mut dyn Backbone) -> TrainOutcome {
         let cfg = &self.cfg;
         assert!(cfg.epochs > 0, "epochs must be positive");
@@ -505,6 +507,13 @@ impl Trainer {
                     hyper,
                     &mut rng,
                     engine.map(Engine::pool),
+                );
+                // A NaN or infinite score reaches every loss's value, so
+                // this one check stops a diverged run at its first bad step.
+                assert!(
+                    l.is_finite(),
+                    "non-finite {} loss {l} at epoch {epoch}, batch {n_batches}",
+                    loss.name()
                 );
                 loss_sum += l;
                 aux_sum += aux;
@@ -1093,6 +1102,20 @@ mod tests {
             backbone: BackboneConfig::Cml,
             loss: LossConfig::Hinge { margin: 0.5 },
             sampling: SamplingConfig::InBatch,
+            ..TrainConfig::smoke()
+        };
+        Trainer::new(cfg).fit(&tiny());
+    }
+
+    /// Step 0 scores finite embeddings; its NaN-lr update poisons them, so
+    /// step 1 is the first to see a NaN score.
+    #[test]
+    #[should_panic(expected = "non-finite BSL loss NaN at epoch 0, batch 1")]
+    fn a_non_finite_step_loss_stops_the_run_naming_the_step() {
+        let cfg = TrainConfig {
+            loss: LossConfig::Bsl { tau1: 0.3, tau2: 0.15 },
+            batch_size: 64,
+            lr: f32::NAN,
             ..TrainConfig::smoke()
         };
         Trainer::new(cfg).fit(&tiny());

@@ -28,6 +28,13 @@
 //! forced-scalar runs stay bit-identical to the historical code; the SIMD
 //! levels reassociate float reductions and use FMA, which agrees with
 //! scalar within `1e-4` relative tolerance (property-tested below).
+//!
+//! [`softmax_row`] is the one kernel with no pre-SIMD twin: it
+//! exponentiates a score row once, through an in-crate polynomial `exp`
+//! (`scalar::exp_lane`, which the portable leg shares, and its AVX2 twin
+//! `exp_ps`: swapping the activation edits those two functions), so the
+//! Softmax-family losses call no libm transcendental and forced-scalar
+//! training is host-independent.
 
 use crate::Matrix;
 use std::sync::OnceLock;
@@ -54,6 +61,25 @@ impl std::fmt::Display for SimdLevel {
 }
 
 static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
+
+// Constants of the polynomial `exp` behind [`softmax_row`], shared by the
+// three legs. `exp(t) = 2^n · e^r` with `n = round(t·log2 e)` and
+// `r = t − n·ln 2` in `[−ln2/2, ln2/2]`; `e^r ≈ 1 + r + r²·q(r)` with `q`
+// the degree-4 minimax fit of the relative error (3.6e-9 with the
+// coefficients rounded to f32, 0.03 ULP).
+
+/// Arguments below this flush to exactly `+0.0`; at or above it the result
+/// is a normal f32 (`e^-87 ≈ 1.4·2^-126`).
+const EXP_CUT: f32 = -87.0;
+/// `1.5·2^23`: adding it rounds an f32 of magnitude below `2^22` to the
+/// nearest integer, left in the low mantissa bits of the sum.
+const EXP_ROUND: f32 = 12_582_912.0;
+/// Cody–Waite split of `ln 2`: `n·EXP_LN2_HI` is exact for `|n| < 2^15`.
+const EXP_LN2_HI: f32 = 0.693_359_4; // 0.693359375 = 0x3f318000
+const EXP_LN2_LO: f32 = -2.121_944_4e-4;
+/// `q(r) = Q[0] + Q[1]·r + … + Q[4]·r⁴` (bits `0x3efffffe`, `0x3e2aaa49`,
+/// `0x3d2aac79`, `0x3c091d10`, `0x3ab511e8`).
+const EXP_Q: [f32; 5] = [4.999_999_4e-1, 1.666_652_1e-1, 4.166_839e-2, 8.368_745e-3, 1.381_454e-3];
 
 fn parse_level(s: &str) -> Option<SimdLevel> {
     match s {
@@ -244,6 +270,54 @@ pub mod scalar {
         }
         acc * scale
     }
+
+    /// The activation of [`softmax_row`]: `exp(t)` for `t ≤ 0`, within
+    /// 0.99 ULP on `[−87, 0]` (every f32 in the range checked against
+    /// `f64::exp`), exactly `1.0` at `0`, exactly `+0.0` below the cut-off
+    /// and NaN for NaN.
+    ///
+    /// Only `+ − ×`, one comparison and bit conversions: `mul_add`,
+    /// `round`, `floor` and `exp2` lower to libm calls on baseline x86-64.
+    /// No branch either, so the portable leg's lanes vectorize.
+    #[inline]
+    pub(super) fn exp_lane(t: f32) -> f32 {
+        use super::{EXP_CUT, EXP_LN2_HI, EXP_LN2_LO, EXP_Q, EXP_ROUND};
+        let zf = t * std::f32::consts::LOG2_E + EXP_ROUND;
+        let nf = zf - EXP_ROUND;
+        let r = (t - nf * EXP_LN2_HI) - nf * EXP_LN2_LO;
+        let q = EXP_Q[0] + r * (EXP_Q[1] + r * (EXP_Q[2] + r * (EXP_Q[3] + r * EXP_Q[4])));
+        let p = (q * (r * r) + r) + 1.0;
+        // n sits in the low mantissa bits of zf; n + 127 is the exponent
+        // field of 2^n. Out of range (t below the cut-off, or NaN) the bits
+        // are garbage: the select drops them, and NaN survives through `p`.
+        let pow2 = zf.to_bits().wrapping_sub(EXP_ROUND.to_bits()).wrapping_add(127) << 23;
+        let e = p * f32::from_bits(pow2);
+        if t < EXP_CUT {
+            0.0
+        } else {
+            e
+        }
+    }
+
+    /// Reference softmax row kernel (see [`super::softmax_row_with`]):
+    /// in-order max, then in-order `exp` and f64 sum.
+    #[inline]
+    pub fn softmax_row(xs: &[f32], tau: f32, out: &mut [f32]) -> (f32, f64) {
+        let inv_tau = 1.0 / tau;
+        let mut max = f32::NEG_INFINITY;
+        for &x in xs {
+            if x > max {
+                max = x;
+            }
+        }
+        let mut sum = 0.0f64;
+        for (o, &x) in out.iter_mut().zip(xs.iter()) {
+            let e = exp_lane((x - max) * inv_tau);
+            *o = e;
+            sum += e as f64;
+        }
+        (max, sum)
+    }
 }
 
 /// 8-lane unrolled stable-Rust kernels: independent per-lane accumulators
@@ -416,6 +490,47 @@ mod portable {
             acc += x * b as f32;
         }
         acc * scale
+    }
+
+    /// 8-lane softmax row kernel (see [`super::softmax_row_with`]):
+    /// per-lane max and per-lane f64 sums, scalar tail. Its activation is
+    /// the scalar leg's [`exp_lane`](super::scalar::exp_lane), which is
+    /// branch-free, so the compiler vectorizes it across the lanes.
+    #[inline]
+    pub fn softmax_row(xs: &[f32], tau: f32, out: &mut [f32]) -> (f32, f64) {
+        use super::scalar::exp_lane;
+        let inv_tau = 1.0 / tau;
+        let mut lanes = [f32::NEG_INFINITY; 8];
+        let mut xc = xs.chunks_exact(8);
+        for cx in &mut xc {
+            for k in 0..8 {
+                if cx[k] > lanes[k] {
+                    lanes[k] = cx[k];
+                }
+            }
+        }
+        let mut max = f32::NEG_INFINITY;
+        for &x in lanes.iter().chain(xc.remainder().iter()) {
+            if x > max {
+                max = x;
+            }
+        }
+        let mut sums = [0.0f64; 8];
+        let mut xc = xs.chunks_exact(8);
+        let mut oc = out.chunks_exact_mut(8);
+        for (cx, co) in (&mut xc).zip(&mut oc) {
+            for k in 0..8 {
+                co[k] = exp_lane((cx[k] - max) * inv_tau);
+                sums[k] += co[k] as f64;
+            }
+        }
+        let mut sum = ((sums[0] + sums[4]) + (sums[1] + sums[5]))
+            + ((sums[2] + sums[6]) + (sums[3] + sums[7]));
+        for (o, &x) in oc.into_remainder().iter_mut().zip(xc.remainder().iter()) {
+            *o = exp_lane((x - max) * inv_tau);
+            sum += *o as f64;
+        }
+        (max, sum)
     }
 }
 
@@ -1078,6 +1193,115 @@ mod avx2 {
         // docs); each gathered row slice has length d = q.len() by construction.
         unsafe { scores_gather_i8_impl(q, table, scales, ids, out) }
     }
+
+    /// Eight lanes of the [`softmax_row`] activation: the polynomial of
+    /// [`super::scalar::exp_lane`] with FMA in the range reduction and the
+    /// Horner steps (within 1.01 ULP on `[−87, 0]`, every f32 checked). Lanes
+    /// below the cut-off come back as `+0.0`, NaN lanes as NaN.
+    #[inline]
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_ps(t: __m256) -> __m256 {
+        use super::{EXP_CUT, EXP_LN2_HI, EXP_LN2_LO, EXP_Q, EXP_ROUND};
+        // Register-only arithmetic (safe under target_feature); no memory
+        // access.
+        let round = _mm256_set1_ps(EXP_ROUND);
+        let zf = _mm256_fmadd_ps(t, _mm256_set1_ps(std::f32::consts::LOG2_E), round);
+        let nf = _mm256_sub_ps(zf, round);
+        let r = _mm256_fnmadd_ps(nf, _mm256_set1_ps(EXP_LN2_HI), t);
+        let r = _mm256_fnmadd_ps(nf, _mm256_set1_ps(EXP_LN2_LO), r);
+        let mut q = _mm256_fmadd_ps(r, _mm256_set1_ps(EXP_Q[4]), _mm256_set1_ps(EXP_Q[3]));
+        q = _mm256_fmadd_ps(r, q, _mm256_set1_ps(EXP_Q[2]));
+        q = _mm256_fmadd_ps(r, q, _mm256_set1_ps(EXP_Q[1]));
+        q = _mm256_fmadd_ps(r, q, _mm256_set1_ps(EXP_Q[0]));
+        let p = _mm256_add_ps(_mm256_fmadd_ps(q, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.0));
+        let n = _mm256_sub_epi32(_mm256_castps_si256(zf), _mm256_castps_si256(round));
+        let pow2 = _mm256_slli_epi32::<23>(_mm256_add_epi32(n, _mm256_set1_epi32(127)));
+        let e = _mm256_mul_ps(p, _mm256_castsi256_ps(pow2));
+        // LT is false for NaN, so a NaN lane keeps the NaN of `p`; a flushed
+        // lane loses every bit of whatever its out-of-range `n` produced.
+        _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(t, _mm256_set1_ps(EXP_CUT)), e)
+    }
+
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here. Touches
+    // the first `min(xs.len(), out.len())` elements of each slice only.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn softmax_row_impl(xs: &[f32], tau: f32, out: &mut [f32]) -> (f32, f64) {
+        // SAFETY: every load/store goes through a slice-derived pointer at
+        // offset i with full 8-lane access for i + 8 <= n and masked
+        // load/store of only the live lanes for the tail, where n is the
+        // shorter of the two slice lengths.
+        unsafe {
+            let n = xs.len().min(out.len());
+            let (px, po) = (xs.as_ptr(), out.as_mut_ptr());
+            let tail = tail_mask(n % 8);
+            let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+
+            // `max_ps(x, acc)` returns `acc` when `x` is NaN: NaN scores are
+            // skipped here, as in the scalar fold, and surface in the sum.
+            let mut m0 = neg_inf;
+            let mut m1 = neg_inf;
+            let mut i = 0usize;
+            while i + 16 <= n {
+                m0 = _mm256_max_ps(_mm256_loadu_ps(px.add(i)), m0);
+                m1 = _mm256_max_ps(_mm256_loadu_ps(px.add(i + 8)), m1);
+                i += 16;
+            }
+            if i + 8 <= n {
+                m0 = _mm256_max_ps(_mm256_loadu_ps(px.add(i)), m0);
+                i += 8;
+            }
+            if i < n {
+                // Inactive lanes load as 0.0, which may exceed the true
+                // maximum: replace them with −inf.
+                let x = _mm256_maskload_ps(px.add(i), tail);
+                m1 = _mm256_max_ps(_mm256_blendv_ps(neg_inf, x, _mm256_castsi256_ps(tail)), m1);
+            }
+            let m = _mm256_max_ps(m0, m1);
+            let m4 = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
+            let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+            let max = _mm_cvtss_f32(_mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 0b01)));
+
+            let vmax = _mm256_set1_ps(max);
+            let vinv = _mm256_set1_ps(1.0 / tau);
+            let mut s0 = _mm256_setzero_pd();
+            let mut s1 = _mm256_setzero_pd();
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let e =
+                    exp_ps(_mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(px.add(i)), vmax), vinv));
+                _mm256_storeu_ps(po.add(i), e);
+                s0 = _mm256_add_pd(s0, _mm256_cvtps_pd(_mm256_castps256_ps128(e)));
+                s1 = _mm256_add_pd(s1, _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
+                i += 8;
+            }
+            if i < n {
+                let x = _mm256_maskload_ps(px.add(i), tail);
+                let e = exp_ps(_mm256_mul_ps(_mm256_sub_ps(x, vmax), vinv));
+                // Inactive lanes computed exp((0 − max)/τ): clear them.
+                let e = _mm256_and_ps(e, _mm256_castsi256_ps(tail));
+                _mm256_maskstore_ps(po.add(i), tail, e);
+                s0 = _mm256_add_pd(s0, _mm256_cvtps_pd(_mm256_castps256_ps128(e)));
+                s1 = _mm256_add_pd(s1, _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
+            }
+            let s = _mm256_add_pd(s0, s1);
+            let s2 = _mm_add_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd(s, 1));
+            let sum = _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
+            (max, sum)
+        }
+    }
+
+    /// Softmax row kernel (see [`super::softmax_row_with`]): two max
+    /// accumulators, then one `exp_ps` per eight scores with the sum kept
+    /// in two f64 registers; masked tails.
+    #[inline]
+    pub fn softmax_row(xs: &[f32], tau: f32, out: &mut [f32]) -> (f32, f64) {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); the kernel bounds every access by the shorter slice.
+        unsafe { softmax_row_impl(xs, tau, out) }
+    }
 }
 
 // Non-x86 targets fall back to the portable kernels when the enum says
@@ -1293,6 +1517,41 @@ pub fn dequant_dot_with(lv: SimdLevel, q: &[f32], row: &[i8], scale: f32) -> f32
 #[inline]
 pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
     dequant_dot_with(active(), q, row, scale)
+}
+
+/// The softmax row kernel at an explicit dispatch level: writes the
+/// un-normalized weights `out[j] = exp((xs[j] − max)·(1/τ))`, one `exp` per
+/// score, and returns `(max, Σ_j out[j])` with the sum carried in f64.
+///
+/// Everything a Log-Expectation-Exp loss needs from a row follows from the
+/// return: `log Σ_j exp(xs[j]/τ) = max/τ + ln Σ`, and the softmax weights
+/// are `out[j]/Σ` — callers fold the `1/Σ` into the row scale they apply
+/// anyway. The maximum's weight is exactly `1.0`, so `Σ ≥ 1`; a score more
+/// than `87·τ` below the maximum gets exactly `+0.0`, never a tiny
+/// positive (the trainer's `g == 0` skip decides which rows the optimizer
+/// touches). A NaN score is skipped by the maximum and makes `Σ` NaN. An
+/// empty row returns `(−inf, 0.0)`.
+///
+/// `exp` is an in-crate polynomial (within 1.01 ULP; no libm), and scalar
+/// dispatch uses only `+ − ×`, comparisons and bit conversions, so its bits
+/// do not depend on the host. `τ` must be positive with a finite `1/τ`.
+///
+/// # Panics
+/// Panics if `xs` and `out` differ in length.
+#[inline]
+pub fn softmax_row_with(lv: SimdLevel, xs: &[f32], tau: f32, out: &mut [f32]) -> (f32, f64) {
+    assert_eq!(xs.len(), out.len(), "softmax_row length mismatch");
+    match lv {
+        SimdLevel::Scalar => scalar::softmax_row(xs, tau, out),
+        SimdLevel::Portable => portable::softmax_row(xs, tau, out),
+        SimdLevel::Avx2Fma => accel::softmax_row(xs, tau, out),
+    }
+}
+
+/// The softmax row kernel at the process dispatch level.
+#[inline]
+pub fn softmax_row(xs: &[f32], tau: f32, out: &mut [f32]) -> (f32, f64) {
+    softmax_row_with(active(), xs, tau, out)
 }
 
 // ---------------------------------------------------------------------------
@@ -2039,5 +2298,145 @@ mod tests {
         let mut out: [f32; 0] = [];
         scores_block(&[1.0, 2.0], &[], &mut out);
         cosine_backward_block(&[], &[], &[1.0], 1.0, &[], &mut [0.0]);
+    }
+
+    fn all_levels() -> impl Iterator<Item = SimdLevel> {
+        [SimdLevel::Scalar].into_iter().chain(simd_levels())
+    }
+
+    /// The f64 oracle of [`softmax_row`]: `(log Σ exp(x/τ), softmax(x/τ))`.
+    /// Shifted by the maximum the arguments are small, so handing them to
+    /// `logsumexp` as f32 moves its result by under 1e-7.
+    fn softmax_oracle(xs: &[f32], tau: f32) -> (f64, Vec<f64>) {
+        let tau = tau as f64;
+        let max = xs.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x as f64));
+        let shifted: Vec<f32> = xs.iter().map(|&x| ((x as f64 - max) / tau) as f32).collect();
+        let lse = max / tau + crate::stats::logsumexp(&shifted);
+        let e: Vec<f64> = xs.iter().map(|&x| ((x as f64 - max) / tau).exp()).collect();
+        let sum: f64 = e.iter().sum();
+        (lse, e.iter().map(|v| v / sum).collect())
+    }
+
+    /// Cosine-range scores (±1, many comparable weights) and un-normalized
+    /// ones (±50) at the paper's temperatures, every length through the
+    /// 8-lane boundaries and 511 (the in-batch row). Where `exp(s/τ)` then
+    /// `log(Σ + eps)` (SNIPPETS.md #3) overflows, every leg stays finite and
+    /// inside the error bound of the f64 oracle.
+    #[test]
+    fn softmax_row_matches_the_f64_oracle_where_the_naive_form_overflows() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let (mut worst_w, mut worst_lse, mut overflowed) = (0.0f64, 0.0f64, 0usize);
+        for (range, tau) in
+            [1.0, 50.0].into_iter().flat_map(|r| [0.01f32, 0.05, 0.2, 1.0].map(|t| (r, t)))
+        {
+            for len in (1..=70).chain([511]) {
+                let xs: Vec<f32> = (0..len).map(|_| (unit() * range) as f32).collect();
+                let naive: f32 = xs.iter().map(|&x| (x / tau).exp()).sum::<f32>() + 1e-7;
+                overflowed += usize::from(naive.ln().is_infinite());
+                let (want_lse, want_w) = softmax_oracle(&xs, tau);
+                for lv in all_levels() {
+                    let mut out = vec![f32::NAN; len];
+                    let (max, sum) = softmax_row_with(lv, &xs, tau, &mut out);
+                    assert!(sum.is_finite() && sum >= 1.0, "{lv} tau {tau} len {len}: sum {sum}");
+                    let lse = max as f64 / tau as f64 + crate::stats::ln(sum);
+                    worst_lse = worst_lse.max((lse - want_lse).abs());
+                    for (&e, &w) in out.iter().zip(want_w.iter()) {
+                        assert!((0.0..=1.0).contains(&e), "{lv} tau {tau} len {len}: weight {e}");
+                        worst_w = worst_w.max((e as f64 / sum - w).abs());
+                    }
+                }
+            }
+        }
+        assert!(overflowed > 200, "the naive form overflowed on {overflowed} of 568 rows only");
+        assert!(worst_w <= 1e-7, "weight error {worst_w:e}");
+        assert!(worst_lse <= 1e-6, "lse error {worst_lse:e}");
+    }
+
+    /// Every 4099th f32 in `[−87, 0]` (273k arguments) plus both ends, per
+    /// leg, against `f64::exp`. The exhaustive sweep reads 0.982 ULP for
+    /// the scalar and portable legs and 1.010 ULP for AVX2+FMA.
+    #[test]
+    fn exp_is_within_1_02_ulp_of_f64_exp_at_every_level() {
+        let (lo, hi) = ((-0.0f32).to_bits(), (-87.0f32).to_bits());
+        let mut xs = vec![0.0f32]; // the maximum: out[j] = exp(xs[j]) at τ = 1
+        xs.extend((lo..=hi).step_by(4099).map(f32::from_bits));
+        xs.push(-87.0);
+        let mut out = vec![0.0f32; xs.len()];
+        for lv in all_levels() {
+            softmax_row_with(lv, &xs, 1.0, &mut out);
+            for (&t, &got) in xs.iter().zip(out.iter()) {
+                let want = (t as f64).exp();
+                // `got` is normal on the whole range, so its exponent field
+                // gives the ULP.
+                let ulp = 2f64.powi(((want as f32).to_bits() >> 23) as i32 - 127 - 23);
+                let err = (got as f64 - want).abs() / ulp;
+                assert!(err <= 1.02, "{lv}: exp({t:e}) = {got:e}, {err:.3} ULP from {want:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_row_edges_are_exact_at_every_level() {
+        for lv in all_levels() {
+            // Empty row.
+            assert_eq!(softmax_row_with(lv, &[], 0.1, &mut []), (f32::NEG_INFINITY, 0.0));
+            // A single score: weight exactly 1, whatever the score and τ.
+            let mut one = [0.0f32];
+            assert_eq!(softmax_row_with(lv, &[-37.25], 0.01, &mut one), (-37.25, 1.0));
+            assert_eq!(one[0].to_bits(), 1.0f32.to_bits());
+            // All-equal scores: every weight exactly 1, Σ = len.
+            for len in [7usize, 8, 19] {
+                let mut out = vec![0.0f32; len];
+                let (max, sum) = softmax_row_with(lv, &vec![0.3; len], 0.05, &mut out);
+                assert_eq!((max, sum), (0.3, len as f64), "{lv}");
+                assert!(out.iter().all(|&e| e == 1.0), "{lv}");
+            }
+            // Below the cut-off the weight is +0.0 itself — not a clamped
+            // tiny positive, not −0.0 — and just above it a normal number;
+            // in the full lanes and in the masked tail alike.
+            let mut xs = vec![0.0f32; 11];
+            let mut out = vec![1.0f32; 11];
+            (xs[1], xs[2], xs[9], xs[10]) = (-87.0, -87.001, -1e30, f32::NEG_INFINITY);
+            let (max, sum) = softmax_row_with(lv, &xs, 1.0, &mut out);
+            assert_eq!(max, 0.0);
+            assert!(out[1] >= f32::MIN_POSITIVE, "{lv}: exp(-87) = {:e}", out[1]);
+            for j in [2, 9, 10] {
+                assert_eq!(out[j].to_bits(), 0, "{lv}: out[{j}] = {:e}", out[j]);
+            }
+            assert_eq!(sum, 7.0 + out[1] as f64, "{lv}");
+            // A NaN score is skipped by the maximum and poisons the sum.
+            for at in [0usize, 3, 10] {
+                let mut xs = vec![0.5f32; 11];
+                xs[at] = f32::NAN;
+                let (max, sum) = softmax_row_with(lv, &xs, 0.2, &mut out);
+                assert_eq!(max, 0.5, "{lv}");
+                assert!(sum.is_nan() && out[at].is_nan(), "{lv}: NaN at {at} gave sum {sum}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Portable and AVX2 agree with the scalar reference inside the
+        /// module's 1e-4 relative bound, across the 8-lane tails.
+        #[test]
+        fn prop_softmax_row_matches_scalar(xs in vec_strategy(130), tau in 0.01f32..2.0) {
+            let mut want = vec![0.0f32; xs.len()];
+            let (want_max, want_sum) = scalar::softmax_row(&xs, tau, &mut want);
+            for lv in simd_levels() {
+                let mut got = vec![0.0f32; xs.len()];
+                let (max, sum) = softmax_row_with(lv, &xs, tau, &mut got);
+                prop_assert_eq!(max, want_max, "{}", lv);
+                prop_assert!((sum - want_sum).abs() <= 1e-4 * (1.0 + want_sum), "{lv}: {sum} vs {want_sum}");
+                for (g, w) in got.iter().zip(want.iter()) {
+                    prop_assert!(rel_close(*g, *w, 1e-4), "{lv}: {g} vs {w}");
+                }
+            }
+        }
     }
 }

@@ -28,8 +28,10 @@
 //! mechanism of §IV-B. As `τ1 → ∞` the weights flatten to `1/B` and BSL
 //! degenerates to [`crate::SoftmaxLoss`] exactly.
 
+use crate::softmax::margin;
 use crate::{LossOutput, RankingLoss, ScoreBatch};
-use bsl_linalg::stats::{logsumexp, softmax_into};
+use bsl_linalg::simd;
+use bsl_linalg::stats::{ln, softmax_into};
 
 /// The Bilateral Softmax Loss with positive temperature `τ1` and negative
 /// temperature `τ2`.
@@ -65,15 +67,12 @@ impl Bsl {
     /// The DRO-corrected margins `z_b` and positive-side row weights `w_b`
     /// for a batch. Exposed for the positive-denoising diagnostics.
     pub fn row_weights(&self, batch: &ScoreBatch<'_>) -> (Vec<f32>, Vec<f32>) {
-        let m_ln = (batch.m as f64).ln();
-        let mut scaled = Vec::with_capacity(batch.m);
-        let z: Vec<f32> = (0..batch.len())
-            .map(|row| {
-                scaled.clear();
-                scaled.extend(batch.negs_of(row).iter().map(|&n| n / self.tau2));
-                let lme = logsumexp(&scaled) - m_ln;
-                (batch.pos[row] as f64 - self.tau2 as f64 * lme) as f32
-            })
+        let mut scratch = vec![0.0f32; batch.m];
+        let z: Vec<f32> = batch
+            .pos
+            .iter()
+            .zip(batch.neg.chunks_exact(batch.m))
+            .map(|(&p, negs)| margin(self.tau2, p, negs, &mut scratch).0 as f32)
             .collect();
         let mut w = vec![0.0f32; z.len()];
         softmax_into(&z, self.tau1, &mut w);
@@ -87,22 +86,31 @@ impl RankingLoss for Bsl {
     }
 
     fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let (z, w) = self.row_weights(batch);
-        // L = −τ1·logmeanexp_b(z_b/τ1)
-        let scaled: Vec<f32> = z.iter().map(|&zb| zb / self.tau1).collect();
-        let lme = logsumexp(&scaled) - (batch.len() as f64).ln();
-        let loss = -(self.tau1 as f64) * lme;
-
-        let mut grad_pos = Vec::with_capacity(batch.len());
         let mut grad_neg = vec![0.0f32; batch.neg.len()];
-        for (row, &wb) in w.iter().enumerate() {
-            // ∂L/∂z_b = −w_b; ∂z_b/∂p_b = 1; ∂z_b/∂n_bj = −q_bj.
-            grad_pos.push(-wb);
-            let out = &mut grad_neg[row * batch.m..(row + 1) * batch.m];
-            softmax_into(batch.negs_of(row), self.tau2, out);
-            for g in out.iter_mut() {
-                *g *= wb;
-            }
+        let (z, sums): (Vec<f32>, Vec<f64>) = batch
+            .pos
+            .iter()
+            .zip(batch.neg.chunks_exact(batch.m))
+            .zip(grad_neg.chunks_exact_mut(batch.m))
+            .map(|((&p, negs), out)| {
+                let (z, sum) = margin(self.tau2, p, negs, out);
+                (z as f32, sum)
+            })
+            .unzip();
+
+        // The one line SL does not have: rows pool through a second
+        // Log-E-Exp, L = −τ1·logmeanexp_b(z_b/τ1) = −(max + τ1·ln(Σ_b/B)).
+        let mut grad_pos = vec![0.0f32; batch.len()];
+        let (z_max, z_sum) = simd::softmax_row(&z, self.tau1, &mut grad_pos);
+        let loss = -(z_max as f64 + self.tau1 as f64 * ln(z_sum / batch.len() as f64));
+
+        for ((gp, out), &sum) in
+            grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)).zip(sums.iter())
+        {
+            // ∂L/∂z_b = −w_b; ∂z_b/∂p_b = 1; ∂z_b/∂n_bj = −e_bj/Σ_j.
+            let wb = (*gp as f64 / z_sum) as f32;
+            *gp = -wb;
+            simd::scale((wb as f64 / sum) as f32, out);
         }
         LossOutput { loss, grad_pos, grad_neg }
     }

@@ -14,7 +14,19 @@
 //! `1/τ` rescaling only changes the effective learning rate.
 
 use crate::{LossOutput, RankingLoss, ScoreBatch};
-use bsl_linalg::stats::{logsumexp, softmax_into};
+use bsl_linalg::simd;
+use bsl_linalg::stats::{ln, softmax_into};
+
+/// The negative side of one row, shared by SL and BSL, at one `exp` per
+/// score: leaves the un-normalized weights `exp((n_j − max)/τ)` in `out` and
+/// returns the margin `z = p − τ·logmeanexp_j(n_j/τ)` with their sum `Σ_j`
+/// (the softmax weights are `out[j]/Σ`).
+pub(crate) fn margin(tau: f32, p: f32, negs: &[f32], out: &mut [f32]) -> (f64, f64) {
+    let (max, sum) = simd::softmax_row(negs, tau, out);
+    // τ·logmeanexp(n/τ) = max + τ·ln(Σ/m)
+    let lme = max as f64 + tau as f64 * ln(sum / negs.len() as f64);
+    (p as f64 - lme, sum)
+}
 
 /// The Softmax loss with temperature `τ` (paper Eq. 5).
 ///
@@ -55,28 +67,20 @@ impl RankingLoss for SoftmaxLoss {
     }
 
     fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let b_count = batch.len() as f64;
-        let inv_b = 1.0 / b_count;
-        let tau = self.tau as f64;
-        let m = batch.m as f64;
-
+        let inv_b = 1.0 / batch.len() as f64;
         let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
+        let grad_pos = vec![-(inv_b as f32); batch.len()];
         let mut grad_neg = vec![0.0f32; batch.neg.len()];
-        let mut scaled = Vec::with_capacity(batch.m);
-        for (row, &p) in batch.pos.iter().enumerate() {
-            let negs = batch.negs_of(row);
-            // τ · logmeanexp(n/τ) computed stably via scaled inputs.
-            scaled.clear();
-            scaled.extend(negs.iter().map(|&n| n / self.tau));
-            let lme = logsumexp(&scaled) - m.ln();
-            loss += inv_b * (-(p as f64) + tau * lme);
-            grad_pos.push(-(inv_b as f32));
-            let out = &mut grad_neg[row * batch.m..(row + 1) * batch.m];
-            softmax_into(negs, self.tau, out);
-            for g in out.iter_mut() {
-                *g *= inv_b as f32;
-            }
+        for ((&p, negs), out) in batch
+            .pos
+            .iter()
+            .zip(batch.neg.chunks_exact(batch.m))
+            .zip(grad_neg.chunks_exact_mut(batch.m))
+        {
+            // L = mean_b(−z_b); ∂z_b/∂n_bj = −e_bj/Σ_j.
+            let (z, sum) = margin(self.tau, p, negs, out);
+            loss -= inv_b * z;
+            simd::scale((inv_b / sum) as f32, out);
         }
         LossOutput { loss, grad_pos, grad_neg }
     }

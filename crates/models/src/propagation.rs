@@ -120,8 +120,8 @@ pub fn info_nce_grad(
     let inv_b = 1.0 / b as f64;
     let mut probs = vec![0.0f32; b];
     for a in 0..b {
-        let row = sims.row(a).to_vec();
-        let lse = softmax_into(&row, tau, &mut probs);
+        let row = sims.row(a);
+        let lse = softmax_into(row, tau, &mut probs);
         loss += inv_b * (lse - (row[a] / tau) as f64);
         // dL/ds_ab = (1/(Bτ))(p_ab − δ_ab), times the external weight.
         let coef = (weight as f64 * inv_b / tau as f64) as f32;
@@ -132,20 +132,20 @@ pub fn info_nce_grad(
             }
             let s_ab = row[bb];
             // Chain through both cosine normalizations.
-            let (h1a, h2b) = (h1.row(a).to_vec(), h2.row(bb).to_vec());
+            let (h1a, h2b) = (h1.row(a), h2.row(bb));
             bsl_linalg::kernels::cosine_backward_into(
                 g_ab,
                 s_ab,
-                &h1a,
-                &h2b,
+                h1a,
+                h2b,
                 n1[a],
                 g1.row_mut(nodes[a] as usize),
             );
             bsl_linalg::kernels::cosine_backward_into(
                 g_ab,
                 s_ab,
-                &h2b,
-                &h1a,
+                h2b,
+                h1a,
                 n2[bb],
                 g2.row_mut(nodes[bb] as usize),
             );

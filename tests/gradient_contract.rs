@@ -58,3 +58,93 @@ fn gradients_are_finite_at_extreme_scores() {
         );
     }
 }
+
+/// SL and BSL at the temperatures the cases below share.
+fn softmax_family() -> [LossConfig; 2] {
+    [LossConfig::Sl { tau: 0.2 }, LossConfig::Bsl { tau1: 0.15, tau2: 0.1 }]
+}
+
+fn ulps_apart(a: f32, b: f32) -> u32 {
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+#[test]
+fn all_equal_scores_give_uniform_weights_and_the_closed_form_loss() {
+    // Every row: positive 0.4, seven negatives at 0.25. Log-mean-exp of a
+    // constant is the constant, so both losses are 0.25 − 0.4 and every
+    // negative carries 1/(B·m).
+    let (b, m) = (5usize, 7usize);
+    let (pos, neg) = (vec![0.4f32; b], vec![0.25f32; b * m]);
+    for cfg in softmax_family() {
+        let loss = build(cfg);
+        let out = loss.compute(&bsl_losses::ScoreBatch::new(&pos, &neg, m));
+        let want = 0.25f32 as f64 - 0.4f32 as f64;
+        assert!((out.loss - want).abs() < 1e-12, "{}: loss {} vs {want}", loss.name(), out.loss);
+        for &g in &out.grad_pos {
+            assert!(ulps_apart(g, -1.0 / b as f32) <= 1, "{}: grad_pos {g}", loss.name());
+        }
+        for &g in &out.grad_neg {
+            assert!(ulps_apart(g, 1.0 / (b * m) as f32) <= 1, "{}: grad_neg {g}", loss.name());
+        }
+    }
+}
+
+#[test]
+fn a_single_negative_carries_the_whole_row_weight() {
+    // m = 1: the softmax weight is exactly 1 and lse = n/τ, so the row's
+    // negative gradient is its positive gradient negated, bit for bit, and
+    // SL is the plain mean of n − p.
+    let (pos, neg) = synthetic_scores(6, 1, 5);
+    for cfg in softmax_family() {
+        let loss = build(cfg);
+        let out = loss.compute(&bsl_losses::ScoreBatch::new(&pos, &neg, 1));
+        for (gp, gn) in out.grad_pos.iter().zip(out.grad_neg.iter()) {
+            assert_eq!(gn.to_bits(), (-gp).to_bits(), "{}", loss.name());
+        }
+        if let LossConfig::Sl { .. } = cfg {
+            let want: f64 =
+                pos.iter().zip(neg.iter()).map(|(&p, &n)| n as f64 - p as f64).sum::<f64>() / 6.0;
+            assert!((out.loss - want).abs() < 1e-12, "SL loss {} vs {want}", out.loss);
+        }
+    }
+}
+
+#[test]
+fn a_negative_that_ties_its_rows_positive_keeps_the_gradient_contract() {
+    // The in-batch false negative of the paper's §IV-B (and arXiv
+    // 2201.02327): the same item is another row's positive, so row 0 and
+    // row 2 each meet their own positive score among their negatives.
+    let pos = [0.62f32, -0.1, 0.62, 0.3];
+    let mut neg = Vec::new();
+    for row in 0..4 {
+        neg.extend((0..4).filter(|&other| other != row).map(|other| pos[other]));
+    }
+    for cfg in softmax_family() {
+        let loss = build(cfg);
+        assert_grads_match(loss.as_ref(), &pos, &neg, 3, 2e-2);
+        let out = loss.compute(&bsl_losses::ScoreBatch::new(&pos, &neg, 3));
+        // The tie is the row's maximum: it takes the largest weight.
+        assert!(out.grad_neg[1] >= out.grad_neg[0] && out.grad_neg[1] >= out.grad_neg[2]);
+    }
+}
+
+#[test]
+fn a_tiny_negative_temperature_flushes_far_negatives_to_exact_zeros() {
+    // τ2 = 0.001: a negative more than 0.087 below its row's maximum is past
+    // the exp cut-off. `Backward::backward_rows` skips on `g == 0.0`, so
+    // those entries must be +0.0 itself.
+    let (b, m) = (8usize, 16usize);
+    let (pos, neg) = synthetic_scores(b, m, 41);
+    for cfg in [LossConfig::Sl { tau: 0.001 }, LossConfig::Bsl { tau1: 0.15, tau2: 0.001 }] {
+        let loss = build(cfg);
+        let out = loss.compute(&bsl_losses::ScoreBatch::new(&pos, &neg, m));
+        assert!(out.loss.is_finite(), "{}", loss.name());
+        let zeros = out.grad_neg.iter().filter(|g| g.to_bits() == 0).count();
+        assert!(zeros > b * m / 2, "{}: {zeros} zero grad_neg entries", loss.name());
+        assert!(out.grad_neg.iter().all(|&g| g >= 0.0 && !g.is_sign_negative()), "{}", loss.name());
+        for (row, gp) in out.grad_pos.iter().enumerate() {
+            let mass: f64 = out.grad_neg[row * m..(row + 1) * m].iter().map(|&g| g as f64).sum();
+            assert!((mass + *gp as f64).abs() < 1e-6, "{}: row {row} mass {mass}", loss.name());
+        }
+    }
+}
