@@ -2,16 +2,18 @@
 //!
 //! The `*_scalar` variants pin [`SimdLevel::Scalar`] explicitly, so one
 //! bench run records the dispatched-vs-reference speedup in place; the
-//! blocked benches (`scores_block_*`, `normalize_rows_*`,
-//! `cosine_backward_block_*` and their `*_gather_*` twins, `softmax_row_*`)
-//! cover the batch kernels the trainer and evaluator hot paths run on. SpMM before/after lives in the
-//! `propagation` bench (`spmm_yelp_d64`) — compare the committed
-//! BENCHMARKS.md across PRs for that one.
+//! blocked benches (`scores_block_*` and its `*_gather_*` twin,
+//! `normalize_rows_*`, `cosine_backward_block_*`, `cosine_backward_row_*`,
+//! `softmax_row_*`) cover the batch kernels the trainer and evaluator hot
+//! paths run on. These are smoke targets: CI checks that each runs, not
+//! what it reads. Before/after numbers come from the duet benchmark
+//! (`bash benchmark/run.sh`, see `benchmark/README.md`), whose `linalg.*`
+//! probes time these kernels next to a frozen reference on the same host.
 
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into};
 use bsl_linalg::simd::{
-    self, cosine_backward_block, cosine_backward_gather, normalize_gather_into,
-    normalize_rows_into, scores_block, scores_gather, softmax_row, SimdLevel,
+    self, cosine_backward_block, cosine_backward_row, normalize_gather_into, normalize_rows_into,
+    scores_block, scores_gather, softmax_row, SimdLevel,
 };
 use bsl_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -96,7 +98,7 @@ fn bench_kernels(c: &mut Criterion) {
             )
         })
     });
-    // The gathered twins on the sampled step's shape: 64 slots (with
+    // The gathered scorer on the sampled step's shape: 64 slots (with
     // repeats) into a 2,500-row table of unit vectors.
     let table: Vec<f32> = (0..2500 * d).map(|i| (i as f32 * 0.173).sin()).collect();
     let slots: Vec<u32> = (0..m as u32).map(|j| j.wrapping_mul(2_654_435_761) % 2500).collect();
@@ -110,22 +112,35 @@ fn bench_kernels(c: &mut Criterion) {
             )
         })
     });
-    c.bench_function("cosine_backward_gather_d64_m64", |bench| {
-        let gs: Vec<f32> = (0..m).map(|j| 0.01 * j as f32 - 0.3).collect();
-        let ss: Vec<f32> = (0..m).map(|j| 0.013 * j as f32 - 0.4).collect();
+    // One batch row's whole backward on the two row shapes of the duet:
+    // gathered slots into the 2,500-row table, item-side rows scattered over
+    // a 2,500-row gradient block, the user side kept in registers.
+    let table_norms: Vec<f32> = (0..2500).map(|r| 0.5 + (r % 7) as f32 * 0.1).collect();
+    let mut grad_block = vec![0.0f32; 2500 * d];
+    for len in [64usize, 511] {
+        let gs: Vec<f32> = (0..len).map(|j| 0.001 * j as f32 - 0.03).collect();
+        let ss: Vec<f32> = (0..len).map(|j| (j as f32 * 0.61).sin()).collect();
+        let slots: Vec<u32> =
+            (0..len as u32).map(|j| j.wrapping_mul(2_654_435_761) % 2500).collect();
+        let rows: Vec<u32> = (0..len as u32).map(|j| j.wrapping_mul(40_503) % 2500).collect();
         let mut grad = vec![0.0f32; d];
-        bench.iter(|| {
-            cosine_backward_gather(
-                black_box(&gs),
-                black_box(&ss),
-                black_box(&a),
-                black_box(1.1),
-                black_box(&table),
-                black_box(&slots),
-                black_box(&mut grad),
-            )
-        })
-    });
+        c.bench_function(&format!("cosine_backward_row_d64_m{len}"), |bench| {
+            bench.iter(|| {
+                cosine_backward_row(
+                    black_box(&gs),
+                    black_box(&ss),
+                    black_box(&a),
+                    black_box(1.1),
+                    black_box(&table),
+                    black_box(&table_norms),
+                    black_box(&slots),
+                    black_box(&mut grad_block),
+                    black_box(&rows),
+                    black_box(&mut grad),
+                )
+            })
+        });
+    }
     // The loss's row kernel on the two row shapes of the duet: 64 sampled
     // negatives, and the 511 in-batch ones of B = 512.
     for len in [64usize, 511] {

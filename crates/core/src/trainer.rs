@@ -5,10 +5,7 @@ use crate::engine::{Engine, Job, WorkerPool};
 use bsl_data::Dataset;
 use bsl_eval::{evaluate_artifact, EvalReport};
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
-use bsl_linalg::simd::{
-    cosine_backward_block, cosine_backward_gather, normalize_gather_into, scores_block,
-    scores_gather,
-};
+use bsl_linalg::simd::{cosine_backward_row, normalize_gather_into, scores_block, scores_gather};
 use bsl_linalg::Matrix;
 use bsl_losses::{build as build_loss, LossOutput, RankingLoss, ScoreBatch};
 use bsl_models::{
@@ -106,6 +103,10 @@ fn row_chunks(n: usize, k: usize) -> Vec<Range<usize>> {
 /// read the table through `neg_slot`, so an item drawn many times in a
 /// step is normalized once. Distance-scored backbones (CML) never touch
 /// any of it.
+///
+/// Pass 2 scatters a row's item-side gradients through `sink_rows`, which
+/// holds, per row chunk, where in its sink's item block each negative's row
+/// sits (see [`Backward::backward_rows`]).
 #[derive(Default)]
 struct StepScratch {
     /// Unit user vectors, `B × d` flat.
@@ -129,7 +130,16 @@ struct StepScratch {
     slot_of_item: Vec<u32>,
     /// `B × B` cosine similarities (in-batch path only).
     sims: Vec<f32>,
+    /// `0..B`: in-batch, the negative in column `c` is row `c` of `pos_hat`.
+    batch_index: Vec<u32>,
+    /// One run per row chunk of pass 2: `m` entries (sampled, the rows of
+    /// the current batch row's occurrences) or `B` (in-batch, the row of
+    /// each batch column, resolved once per chunk).
+    sink_rows: Vec<u32>,
 }
+
+/// A `sink_rows` entry whose item has not been touched in its sink.
+const UNRESOLVED: u32 = u32::MAX;
 
 /// Grows `v` to at least `n` elements (never shrinks).
 fn grow(v: &mut Vec<f32>, n: usize) {
@@ -160,6 +170,7 @@ impl StepScratch {
         grow(&mut self.pos_scores, b);
         grow(&mut self.neg_scores, b * (b - 1));
         grow(&mut self.sims, b * b);
+        self.batch_index.extend(self.batch_index.len() as u32..b as u32);
     }
 
     /// Pass 0, indexing half: fills `uniq` with the distinct ids of `negs`
@@ -190,7 +201,7 @@ impl StepScratch {
 }
 
 /// Splits the first `n` elements off the front of `*rest`.
-fn take_front<'a>(rest: &mut &'a mut [f32], n: usize) -> &'a mut [f32] {
+fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
     let (front, tail) = std::mem::take(rest).split_at_mut(n);
     *rest = tail;
     front
@@ -613,13 +624,29 @@ impl Trainer {
             m,
         ));
 
-        let scratch = &*scratch;
-        let pass2 =
-            Backward { batch, users, items, score_kind, in_batch, m, d, scratch, out: &out };
+        // Lent out of the scratch so that each chunk writes its own run
+        // while all of them read the rest.
+        let mut sink_rows = std::mem::take(&mut scratch.sink_rows);
+        let per_chunk = if in_batch { b } else { m };
+        let n_chunks = chunks.as_ref().map_or(1, |c| c.len());
+        if sink_rows.len() < n_chunks * per_chunk {
+            sink_rows.resize(n_chunks * per_chunk, UNRESOLVED);
+        }
+        let pass2 = Backward {
+            batch,
+            users,
+            items,
+            score_kind,
+            in_batch,
+            m,
+            d,
+            scratch: &*scratch,
+            out: &out,
+        };
         match pooled {
-            None => pass2.backward_rows(0..b, grads),
+            None => pass2.backward_rows(0..b, grads, &mut sink_rows[..per_chunk]),
             Some((pool, chunks)) => {
-                pass2.run_sharded(pool, chunks, shard_grads);
+                pass2.run_sharded(pool, chunks, shard_grads, &mut sink_rows, per_chunk);
                 // Fixed shard merge order keeps runs deterministic per
                 // thread count.
                 for sg in shard_grads.iter_mut() {
@@ -628,6 +655,7 @@ impl Trainer {
                 }
             }
         }
+        scratch.sink_rows = sink_rows;
 
         let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
         grads.clear();
@@ -655,24 +683,43 @@ struct Backward<'a> {
 impl Backward<'_> {
     /// Accumulates the gradient rows of batch rows `rows` into `sink`.
     ///
-    /// Per row: the positive pair (user side, then item side), the
-    /// user-side negatives in one fused kernel call, then the item side
-    /// per negative occurrence. A negative whose score gradient is exactly
-    /// 0 is skipped *before* its row is asked for — asking touches the
-    /// row, and a touched row gets an optimizer (L2, Adam moment) update.
-    fn backward_rows<S: GradSink>(&self, rows: Range<usize>, sink: &mut S) {
+    /// Per row: the positive pair (user side, then item side), then every
+    /// negative occurrence once, both sides, in one [`cosine_backward_row`]
+    /// call (two in-batch, around the diagonal). The kernel scatters the
+    /// item side straight into the sink's item block, so each occurrence's
+    /// row in that block is resolved first, into `sink_rows` (this chunk's
+    /// run of the scratch). A negative whose score gradient is exactly 0 is
+    /// skipped *before* its row is asked for — asking touches the row, and
+    /// a touched row gets an optimizer (L2, Adam moment) update.
+    fn backward_rows<S: GradSink>(&self, rows: Range<usize>, sink: &mut S, sink_rows: &mut [u32]) {
         let Self { batch, in_batch, m, d, scratch, out, .. } = *self;
         let b = batch.len();
         let user_hat = &scratch.user_hat[..b * d];
         let pos_hat = &scratch.pos_hat[..b * d];
-        let neg_slot = &scratch.neg_slot[..];
-        // Where the negatives live: their item ids, unit rows and raw
-        // norms. In-batch they are the batch's own positives.
-        let (ids, table, norms) = if in_batch {
-            (&batch.pos[..], pos_hat, &scratch.pos_norm[..])
-        } else {
-            (&batch.negs[..], &scratch.neg_hat[..], &scratch.neg_norms[..])
-        };
+        let pos_norm = &scratch.pos_norm[..b];
+        let n_table = scratch.uniq.len();
+        let neg_hat = &scratch.neg_hat[..n_table * d];
+        let neg_norms = &scratch.neg_norms[..n_table];
+        // Touches the item of every occurrence that will be written and
+        // has no row yet, in occurrence order; returns how many it touched.
+        fn resolve<S: GradSink>(gs: &[f32], ids: &[u32], rows: &mut [u32], sink: &mut S) -> usize {
+            let mut resolved = 0;
+            for ((&g, &id), r) in gs.iter().zip(ids).zip(rows) {
+                if g != 0.0 && *r == UNRESOLVED {
+                    *r = sink.item_block_row(id);
+                    resolved += 1;
+                }
+            }
+            resolved
+        }
+        // A batch column is one item for the whole chunk: its row is
+        // resolved by the first batch row that writes to it, and once none
+        // is left the later rows have nothing to look for.
+        let mut unresolved = 0;
+        if in_batch {
+            sink_rows.fill(UNRESOLVED);
+            unresolved = b;
+        }
         for row in rows {
             let u = batch.users[row];
             let i = batch.pos[row];
@@ -685,42 +732,62 @@ impl Backward<'_> {
                     let g = out.grad_pos[row];
                     let s = scratch.pos_scores[row];
                     cosine_backward_into(g, s, uhat, ihat, unorm, sink.user_row_mut(u));
-                    cosine_backward_into(
-                        g,
-                        s,
-                        ihat,
-                        uhat,
-                        scratch.pos_norm[row],
-                        sink.item_row_mut(i),
-                    );
+                    cosine_backward_into(g, s, ihat, uhat, pos_norm[row], sink.item_row_mut(i));
                     let ss = &scratch.neg_scores[row * m..(row + 1) * m];
-                    let gu = sink.user_row_mut(u);
                     if in_batch {
-                        // Occurrences 0..row are item rows 0..row and the
-                        // rest rows row+1..b: two contiguous halves of the
-                        // item block around the diagonal.
+                        // Occurrences 0..row are batch columns 0..row and
+                        // the rest columns row+1..b: two runs of the item
+                        // block around the diagonal, each closed by its own
+                        // `−(Σ g·s)·û` term.
                         let (gs_lo, gs_hi) = gs.split_at(row);
                         let (ss_lo, ss_hi) = ss.split_at(row);
-                        let (lo, hi) = (&pos_hat[..row * d], &pos_hat[(row + 1) * d..]);
-                        cosine_backward_block(gs_lo, ss_lo, uhat, unorm, lo, gu);
-                        cosine_backward_block(gs_hi, ss_hi, uhat, unorm, hi, gu);
-                    } else {
-                        let slots = &neg_slot[row * m..(row + 1) * m];
-                        cosine_backward_gather(gs, ss, uhat, unorm, table, slots, gu);
-                    }
-                    for (jj, (&g, &s)) in gs.iter().zip(ss).enumerate() {
-                        if g == 0.0 {
-                            continue;
+                        let index = &scratch.batch_index[..b];
+                        if unresolved > 0 {
+                            let pos = &batch.pos[..];
+                            unresolved -= resolve(gs_lo, &pos[..row], &mut sink_rows[..row], sink)
+                                + resolve(gs_hi, &pos[row + 1..], &mut sink_rows[row + 1..], sink);
                         }
-                        // Occurrence `jj` → (index of its id, its table row).
-                        let (k, r) = if in_batch {
-                            let c = jj + usize::from(jj >= row);
-                            (c, c)
-                        } else {
-                            (row * m + jj, neg_slot[row * m + jj] as usize)
-                        };
-                        let nhat = &table[r * d..(r + 1) * d];
-                        cosine_backward_into(g, s, nhat, uhat, norms[r], sink.item_row_mut(ids[k]));
+                        let (gu, block) = sink.user_row_and_item_block(u);
+                        cosine_backward_row(
+                            gs_lo,
+                            ss_lo,
+                            uhat,
+                            unorm,
+                            pos_hat,
+                            pos_norm,
+                            &index[..row],
+                            block,
+                            &sink_rows[..row],
+                            gu,
+                        );
+                        cosine_backward_row(
+                            gs_hi,
+                            ss_hi,
+                            uhat,
+                            unorm,
+                            pos_hat,
+                            pos_norm,
+                            &index[row + 1..],
+                            block,
+                            &sink_rows[row + 1..],
+                            gu,
+                        );
+                    } else {
+                        sink_rows.fill(UNRESOLVED);
+                        resolve(gs, batch.negs_of(row), sink_rows, sink);
+                        let (gu, block) = sink.user_row_and_item_block(u);
+                        cosine_backward_row(
+                            gs,
+                            ss,
+                            uhat,
+                            unorm,
+                            neg_hat,
+                            neg_norms,
+                            &scratch.neg_slot[row * m..(row + 1) * m],
+                            block,
+                            sink_rows,
+                            gu,
+                        );
                     }
                 }
                 TrainScore::NegSqDist => {
@@ -748,13 +815,22 @@ impl Backward<'_> {
     }
 
     /// The pooled form of pass 2: one [`Backward::backward_rows`] job per
-    /// row chunk, each into its own shard (private buffers, no write
-    /// contention; the caller merges them).
-    fn run_sharded(&self, pool: &WorkerPool, chunks: &[Range<usize>], shards: &mut [ShardGrad]) {
+    /// row chunk, each into its own shard and its own `per_chunk` entries
+    /// of `sink_rows` (private buffers, no write contention; the caller
+    /// merges the shards).
+    fn run_sharded(
+        &self,
+        pool: &WorkerPool,
+        chunks: &[Range<usize>],
+        shards: &mut [ShardGrad],
+        mut sink_rows: &mut [u32],
+        per_chunk: usize,
+    ) {
         let mut jobs: Vec<Job> = Vec::with_capacity(chunks.len());
         for (range, shard) in chunks.iter().zip(shards.iter_mut()) {
             let range = range.clone();
-            jobs.push(Box::new(move || self.backward_rows(range, shard)));
+            let sink_rows = take_front(&mut sink_rows, per_chunk);
+            jobs.push(Box::new(move || self.backward_rows(range, shard, sink_rows)));
         }
         pool.run(jobs);
     }
@@ -764,6 +840,7 @@ impl Backward<'_> {
 mod tests {
     use super::*;
     use bsl_data::synth::{generate, SynthConfig};
+    use bsl_linalg::simd::cosine_backward_block;
     use bsl_losses::LossConfig;
     use bsl_models::BackboneConfig;
 
@@ -882,18 +959,69 @@ mod tests {
         assert_eq!(a.best.ndcg(20), default_cfg.best.ndcg(20));
     }
 
-    /// The per-occurrence sampled step the distinct-row table replaced,
-    /// rebuilt from the public block kernels: every occurrence of a
-    /// negative is normalized into its own row of a `B·m·d` block.
-    /// Returns how many `grad_neg` entries were exactly 0.
-    fn oracle_step_sampled(
+    /// Records the touched-row lists every optimizer step receives, in
+    /// order: `Trainer::step` clears the gradient buffer before returning.
+    struct Recording {
+        inner: Box<dyn Backbone>,
+        touched: Vec<(Vec<u32>, Vec<u32>)>,
+    }
+
+    impl Backbone for Recording {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn n_users(&self) -> usize {
+            self.inner.n_users()
+        }
+        fn n_items(&self) -> usize {
+            self.inner.n_items()
+        }
+        fn out_dim(&self) -> usize {
+            self.inner.out_dim()
+        }
+        fn forward(&mut self, rng: &mut StdRng) {
+            self.inner.forward(rng)
+        }
+        fn user_factors(&self) -> &Matrix {
+            self.inner.user_factors()
+        }
+        fn item_factors(&self) -> &Matrix {
+            self.inner.item_factors()
+        }
+        fn step(&mut self, g: &GradBuffer, u: &[u32], i: &[u32], hp: Hyper, r: &mut StdRng) -> f64 {
+            self.touched.push((g.touched_users().to_vec(), g.touched_items().to_vec()));
+            self.inner.step(g, u, i, hp, r)
+        }
+        fn train_score(&self) -> TrainScore {
+            self.inner.train_score()
+        }
+        fn eval_score(&self) -> EvalScore {
+            self.inner.eval_score()
+        }
+    }
+
+    /// The per-occurrence step the distinct-row table and the fused row
+    /// kernel replaced, rebuilt from the public block kernels: every
+    /// occurrence of a negative is normalized into its own row of a `B·m·d`
+    /// block, the user side runs over that block and the item side is one
+    /// `cosine_backward_into` per occurrence. In-batch, row `a`'s negatives
+    /// are the other rows' positives in column order. Returns how many of
+    /// the `grad_neg` entries were exactly 0, and how many there are.
+    fn oracle_step(
         backbone: &mut dyn Backbone,
         loss: &dyn RankingLoss,
         batch: &TrainBatch,
+        in_batch: bool,
         hyper: Hyper,
         rng: &mut StdRng,
-    ) -> usize {
-        let (b, m, d) = (batch.len(), batch.m, backbone.out_dim());
+    ) -> (usize, usize) {
+        let (b, d) = (batch.len(), backbone.out_dim());
+        let m = if in_batch { b - 1 } else { batch.m };
+        let negs: Vec<u32> = if in_batch {
+            (0..b).flat_map(|a| (0..b).filter(move |&c| c != a).map(|c| batch.pos[c])).collect()
+        } else {
+            batch.negs.clone()
+        };
         let users = backbone.user_factors();
         let items = backbone.item_factors();
         let mut grads = GradBuffer::new(users.rows(), items.rows(), d);
@@ -901,13 +1029,26 @@ mod tests {
         let (mut un, mut pn, mut nn) = (vec![0.0; b], vec![0.0; b], vec![0.0; b * m]);
         let (mut ps, mut ns) = (vec![0.0; b], vec![0.0; b * m]);
         for row in 0..b {
-            let (r, rm) = (row * d..(row + 1) * d, row * m..(row + 1) * m);
+            let r = row * d..(row + 1) * d;
             un[row] = normalize_into(users.row(batch.users[row] as usize), &mut uh[r.clone()]);
-            pn[row] = normalize_into(items.row(batch.pos[row] as usize), &mut ph[r.clone()]);
-            ps[row] = dot(&uh[r.clone()], &ph[r.clone()]);
+            pn[row] = normalize_into(items.row(batch.pos[row] as usize), &mut ph[r]);
+        }
+        for row in 0..b {
+            let (r, rm) = (row * d..(row + 1) * d, row * m..(row + 1) * m);
             let block = &mut nh[row * m * d..(row + 1) * m * d];
-            normalize_gather_into(items, batch.negs_of(row), block, &mut nn[rm.clone()]);
-            scores_block(&uh[r], block, &mut ns[rm]);
+            normalize_gather_into(items, &negs[rm.clone()], block, &mut nn[rm.clone()]);
+            if in_batch {
+                // A score's bits depend on its row's place in the block
+                // kernel's pairing: score the whole positive block, as the
+                // in-batch pass does, and cut the diagonal out.
+                let mut sims = vec![0.0; b];
+                scores_block(&uh[r], &ph, &mut sims);
+                ps[row] = sims.remove(row);
+                ns[rm].copy_from_slice(&sims);
+            } else {
+                ps[row] = dot(&uh[r.clone()], &ph[r.clone()]);
+                scores_block(&uh[r], block, &mut ns[rm]);
+            }
         }
         let out = loss.compute(&ScoreBatch::new(&ps, &ns, m));
         for row in 0..b {
@@ -918,8 +1059,13 @@ mod tests {
             cosine_backward_into(g, s, ihat, uhat, pn[row], grads.item_row_mut(i));
             let (gs, ss) = (&out.grad_neg[row * m..(row + 1) * m], &ns[row * m..(row + 1) * m]);
             let block = &nh[row * m * d..(row + 1) * m * d];
-            cosine_backward_block(gs, ss, uhat, un[row], block, grads.user_row_mut(u));
-            for (jj, &j) in batch.negs_of(row).iter().enumerate() {
+            // In-batch, the user side is two runs around the diagonal, each
+            // closed by its own `−(Σ g·s)·û` term; sampled, one run.
+            let cut = if in_batch { row } else { m };
+            let gu = grads.user_row_mut(u);
+            cosine_backward_block(&gs[..cut], &ss[..cut], uhat, un[row], &block[..cut * d], gu);
+            cosine_backward_block(&gs[cut..], &ss[cut..], uhat, un[row], &block[cut * d..], gu);
+            for (jj, &j) in negs[row * m..(row + 1) * m].iter().enumerate() {
                 if gs[jj] == 0.0 {
                     continue;
                 }
@@ -929,19 +1075,78 @@ mod tests {
             }
         }
         backbone.step(&grads, &batch.users, &batch.pos, hyper, rng);
-        out.grad_neg.iter().filter(|&&g| g == 0.0).count()
+        (out.grad_neg.iter().filter(|&&g| g == 0.0).count(), out.grad_neg.len())
+    }
+
+    /// Two steps on `batch` — the second on a reused scratch, index and
+    /// shard — through the serial step, the one-chunk pooled step and the
+    /// oracle: equal embedding bits, and equal touched-row lists *in order*
+    /// (the shard merge replays that order). `want_zeros`: whether some
+    /// `grad_neg` must underflow to exactly 0, so that the skip decides
+    /// which rows the optimizer updates.
+    fn assert_steps_replay_the_oracle(
+        batch: &TrainBatch,
+        sampling: SamplingConfig,
+        tau2: f32,
+        want_zeros: bool,
+    ) {
+        let ds = tiny();
+        let cfg = TrainConfig {
+            loss: LossConfig::Bsl { tau1: 0.3, tau2 },
+            sampling,
+            l2: 1e-3, // a touched row moves even under a zero gradient
+            ..TrainConfig::smoke()
+        };
+        let in_batch = sampling == SamplingConfig::InBatch;
+        let label = format!("{sampling:?}, τ2 {tau2}");
+        let loss = build_loss(cfg.loss);
+        let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
+        let fresh =
+            || Recording { inner: build_backbone(cfg.backbone, &ds, cfg.dim, 5), touched: vec![] };
+        let trainer = Trainer::new(cfg);
+        let pool = WorkerPool::new(1);
+
+        let mut oracle = fresh();
+        for step in 0..2 {
+            let mut rng = StdRng::seed_from_u64(step);
+            let (zeros, of) =
+                oracle_step(&mut oracle, loss.as_ref(), batch, in_batch, hyper, &mut rng);
+            assert_eq!(want_zeros, zeros > 0, "{label}: {zeros} zero grad_neg entries");
+            assert!(zeros < of, "{label}: every negative gradient vanished");
+        }
+
+        for pool in [None, Some(&pool)] {
+            let label = format!("{label}, pooled {}", pool.is_some());
+            let mut stepped = fresh();
+            let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
+            let mut shards = [ShardGrad::new(cfg.dim)];
+            let mut scratch = StepScratch::default();
+            for step in 0..2 {
+                let mut rng = StdRng::seed_from_u64(step);
+                trainer.step(
+                    &mut stepped,
+                    loss.as_ref(),
+                    batch,
+                    &mut grads,
+                    &mut shards,
+                    &mut scratch,
+                    hyper,
+                    &mut rng,
+                    pool,
+                );
+            }
+            assert_eq!(stepped.touched, oracle.touched, "{label}: touched rows, in order");
+            assert_eq!(bits(stepped.user_factors()), bits(oracle.user_factors()), "{label}");
+            assert_eq!(bits(stepped.item_factors()), bits(oracle.item_factors()), "{label}");
+        }
     }
 
     #[test]
     fn table_step_replays_the_per_occurrence_step_bit_for_bit() {
-        let ds = tiny();
         let (b, m) = (4usize, 5usize);
-        let users: Vec<u32> = vec![3, 9, 3, 20];
-        let pos: Vec<u32> = vec![1, 7, 12, 7];
         let same_id = vec![7u32; b * m];
         let all_distinct: Vec<u32> = (0..(b * m) as u32).map(|k| (k * 7 + 2) % 50).collect();
         let mixed: Vec<u32> = (0..(b * m) as u32).map(|k| (k * k + 3) % 11).collect();
-        // (negatives, τ2, whether some grad_neg must underflow to exactly 0)
         let cases = [
             (same_id, 0.2f32, false),
             (all_distinct.clone(), 0.2, false),
@@ -950,43 +1155,21 @@ mod tests {
             (mixed, 0.001, true),
         ];
         for (negs, tau2, want_zeros) in cases {
-            let cfg = TrainConfig {
-                loss: LossConfig::Bsl { tau1: 0.3, tau2 },
-                l2: 1e-3, // a touched row moves even under a zero gradient
-                ..TrainConfig::smoke()
-            };
-            let batch = TrainBatch { users: users.clone(), pos: pos.clone(), negs, m };
-            let loss = build_loss(cfg.loss);
-            let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
-            let mut table = build_backbone(cfg.backbone, &ds, cfg.dim, 5);
-            let mut oracle = build_backbone(cfg.backbone, &ds, cfg.dim, 5);
-            let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
-            let mut scratch = StepScratch::default();
-            let trainer = Trainer::new(cfg);
-            let mut zeros = 0;
-            // Two steps: the second runs on a reused scratch and index.
-            for step in 0..2 {
-                let mut rng = StdRng::seed_from_u64(step);
-                let table = table.as_mut();
-                trainer.step(
-                    table,
-                    loss.as_ref(),
-                    &batch,
-                    &mut grads,
-                    &mut [],
-                    &mut scratch,
-                    hyper,
-                    &mut rng,
-                    None,
-                );
-                let mut rng = StdRng::seed_from_u64(step);
-                zeros +=
-                    oracle_step_sampled(oracle.as_mut(), loss.as_ref(), &batch, hyper, &mut rng);
-            }
-            assert_eq!(want_zeros, zeros > 0, "τ2 = {tau2}: {zeros} zero grad_neg entries");
-            assert!(zeros < 2 * b * m, "every negative gradient vanished");
-            assert_eq!(bits(table.user_factors()), bits(oracle.user_factors()), "users, τ2 {tau2}");
-            assert_eq!(bits(table.item_factors()), bits(oracle.item_factors()), "items, τ2 {tau2}");
+            let batch = TrainBatch { users: vec![3, 9, 3, 20], pos: vec![1, 7, 12, 7], negs, m };
+            assert_steps_replay_the_oracle(&batch, SamplingConfig::Uniform, tau2, want_zeros);
+        }
+    }
+
+    #[test]
+    fn in_batch_step_replays_the_per_occurrence_step_bit_for_bit() {
+        // Items 7 and 12 are each two rows' positive: two columns of a row
+        // write to one gradient row, and a row's own positive is also one of
+        // its negatives. The sampler's one draw per row is discarded.
+        let users = vec![3, 9, 3, 20, 11, 9];
+        let pos = vec![1, 7, 12, 7, 30, 12];
+        let batch = TrainBatch { negs: vec![0; users.len()], users, pos, m: 1 };
+        for (tau2, want_zeros) in [(0.2f32, false), (0.001, true)] {
+            assert_steps_replay_the_oracle(&batch, SamplingConfig::InBatch, tau2, want_zeros);
         }
     }
 
@@ -1135,33 +1318,40 @@ mod tests {
     fn sharded_step_matches_serial_math_on_identical_batches() {
         // With a single batch per epoch, every batch index maps to shard 0,
         // whose RNG stream continues the shuffle stream — i.e. the sampled
-        // negatives are *identical* to the serial iterator's. Any remaining
-        // difference is purely the sharded step's f32 reduction order.
+        // negatives are *identical* to the serial iterator's (and in-batch
+        // ones are the batch itself). Any remaining difference is purely
+        // the sharded step's f32 reduction order.
         let ds = tiny();
-        let one_batch = TrainConfig {
-            epochs: 3,
-            batch_size: 100_000, // the whole epoch in one batch
-            ..TrainConfig::smoke()
-        };
-        let serial = Trainer::new(TrainConfig { threads: 1, ..one_batch }).fit(&ds);
-        let sharded = Trainer::new(TrainConfig { threads: 4, ..one_batch }).fit(&ds);
-        for (epoch_s, epoch_p) in serial.history.iter().zip(sharded.history.iter()) {
+        for (sampling, threads) in [(SamplingConfig::Uniform, 4), (SamplingConfig::InBatch, 2)] {
+            let one_batch = TrainConfig {
+                sampling,
+                epochs: 3,
+                batch_size: 100_000, // the whole epoch in one batch
+                ..TrainConfig::smoke()
+            };
+            let serial = Trainer::new(TrainConfig { threads: 1, ..one_batch }).fit(&ds);
+            let sharded = Trainer::new(TrainConfig { threads, ..one_batch }).fit(&ds);
+            for (epoch_s, epoch_p) in serial.history.iter().zip(sharded.history.iter()) {
+                assert!(
+                    (epoch_s.loss - epoch_p.loss).abs() < 1e-4 * (1.0 + epoch_s.loss.abs()),
+                    "{sampling:?}: epoch {} loss {} vs {}",
+                    epoch_s.epoch,
+                    epoch_s.loss,
+                    epoch_p.loss
+                );
+            }
+            let max_diff = serial
+                .user_emb
+                .as_slice()
+                .iter()
+                .zip(sharded.user_emb.as_slice())
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f32, f32::max);
             assert!(
-                (epoch_s.loss - epoch_p.loss).abs() < 1e-4 * (1.0 + epoch_s.loss.abs()),
-                "epoch {} loss {} vs {}",
-                epoch_s.epoch,
-                epoch_s.loss,
-                epoch_p.loss
+                max_diff < 1e-3,
+                "{sampling:?}: embeddings drifted {max_diff} beyond f32 reduction noise"
             );
         }
-        let max_diff = serial
-            .user_emb
-            .as_slice()
-            .iter()
-            .zip(sharded.user_emb.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_diff < 1e-3, "embeddings drifted {max_diff} beyond f32 reduction noise");
     }
 
     #[test]

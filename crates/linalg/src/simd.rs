@@ -20,11 +20,12 @@
 //!
 //! On top of the element kernels sit *blocked* kernels
 //! ([`normalize_rows_into`], [`normalize_gather_into`], [`scores_block`],
-//! [`cosine_backward_block`], their gathered twins [`scores_gather`] and
-//! [`cosine_backward_gather`], [`adam_update`], [`sgd_momentum_update`])
+//! [`cosine_backward_block`], the gathered [`scores_gather`] and
+//! [`cosine_backward_row`], [`adam_update`], [`sgd_momentum_update`])
 //! that amortize dispatch and normalization over whole batches; the
-//! trainer, evaluator, SpMM and optimizers all route through them. At the [`SimdLevel::Scalar`] level every blocked kernel degrades
-//! to the exact per-element loop order of the pre-SIMD implementations, so
+//! trainer, evaluator, SpMM and optimizers all route through them. At the
+//! [`SimdLevel::Scalar`] level every blocked kernel degrades to the exact
+//! per-element loop order of the pre-SIMD implementations, so
 //! forced-scalar runs stay bit-identical to the historical code; the SIMD
 //! levels reassociate float reductions and use FMA, which agrees with
 //! scalar within `1e-4` relative tolerance (property-tested below).
@@ -214,6 +215,36 @@ pub mod scalar {
         let inv = 1.0 / a_norm.max(1e-12);
         for ((ga, &bh), &ah) in grad_a.iter_mut().zip(b_hat.iter()).zip(a_hat.iter()) {
             *ga += g * (bh - s * ah) * inv;
+        }
+    }
+
+    /// Reference fused row backward (see
+    /// [`super::cosine_backward_row_with`]): per occurrence, the historical
+    /// user-side then item-side [`cosine_backward_into`] pair.
+    #[allow(clippy::too_many_arguments)] // mirrors the dispatched kernel
+    #[inline]
+    pub fn cosine_backward_row(
+        gs: &[f32],
+        ss: &[f32],
+        q_hat: &[f32],
+        q_norm: f32,
+        table_hat: &[f32],
+        table_norms: &[f32],
+        slots: &[u32],
+        block: &mut [f32],
+        rows: &[u32],
+        grad_q: &mut [f32],
+    ) {
+        let d = q_hat.len();
+        for (((&g, &s), &slot), &row) in gs.iter().zip(ss).zip(slots).zip(rows) {
+            if g == 0.0 {
+                continue;
+            }
+            let (slot, row) = (slot as usize, row as usize);
+            let n_hat = &table_hat[slot * d..(slot + 1) * d];
+            let grad_n = &mut block[row * d..(row + 1) * d];
+            cosine_backward_into(g, s, q_hat, n_hat, q_norm, grad_q);
+            cosine_backward_into(g, s, n_hat, q_hat, table_norms[slot], grad_n);
         }
     }
 
@@ -434,6 +465,44 @@ mod portable {
             bc.remainder().iter().zip(ac.remainder().iter()).zip(gc.into_remainder().iter_mut())
         {
             *ga += c1 * bh - c2 * ah;
+        }
+    }
+
+    /// Fused row backward (see [`super::cosine_backward_row_with`]): per
+    /// occurrence one [`axpy`] into the user gradient and one
+    /// [`cosine_backward_into`] into the item's row, then the single
+    /// `−(Σ g·s)·q̂` term. Every step is elementwise, so the lanes reassociate
+    /// nothing.
+    #[allow(clippy::too_many_arguments)] // mirrors the dispatched kernel
+    #[inline]
+    pub fn cosine_backward_row(
+        gs: &[f32],
+        ss: &[f32],
+        q_hat: &[f32],
+        q_norm: f32,
+        table_hat: &[f32],
+        table_norms: &[f32],
+        slots: &[u32],
+        block: &mut [f32],
+        rows: &[u32],
+        grad_q: &mut [f32],
+    ) {
+        let d = q_hat.len();
+        let inv = 1.0 / q_norm.max(1e-12);
+        let mut coef = 0.0f32;
+        for (((&g, &s), &slot), &row) in gs.iter().zip(ss).zip(slots).zip(rows) {
+            if g == 0.0 {
+                continue;
+            }
+            let (slot, row) = (slot as usize, row as usize);
+            let n_hat = &table_hat[slot * d..(slot + 1) * d];
+            let grad_n = &mut block[row * d..(row + 1) * d];
+            coef += g * s;
+            axpy(g * inv, n_hat, grad_q);
+            cosine_backward_into(g, s, n_hat, q_hat, table_norms[slot], grad_n);
+        }
+        if coef != 0.0 {
+            axpy(-coef * inv, q_hat, grad_q);
         }
     }
 
@@ -830,6 +899,164 @@ mod avx2 {
         // SAFETY: AVX2+FMA verified before this module is dispatched (mod
         // docs); equal lengths asserted above.
         unsafe { cosine_backward_impl(g * inv, g * s * inv, a_hat, b_hat, grad_a) }
+    }
+
+    /// One column tile of [`cosine_backward_row`]: columns
+    /// `c0 .. c0 + 8·R + tail` of every occurrence, in order. The tile's
+    /// share of the user gradient lives in `R` registers (plus a masked one
+    /// for `tail` lanes) from the first occurrence to the last.
+    ///
+    /// Occurrences are applied one at a time: two of them may name the same
+    /// row of `block`, and loading both before storing either would drop an
+    /// update.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here. Every
+    // slice is cut to the tile with safe slicing (panics on `tail >= 8`, a
+    // tile past `q_hat`/`grad_q`, a slot past the table or a row past the
+    // block).
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)] // the dispatched kernel's, plus the tile
+    unsafe fn cosine_backward_row_impl<const R: usize>(
+        gs: &[f32],
+        ss: &[f32],
+        q_hat: &[f32],
+        q_norm: f32,
+        table_hat: &[f32],
+        table_norms: &[f32],
+        slots: &[u32],
+        block: &mut [f32],
+        rows: &[u32],
+        grad_q: &mut [f32],
+        c0: usize,
+        tail: usize,
+    ) {
+        // A tile is at most eight registers wide, the masked one included:
+        // nine accumulators would spill one to the stack per occurrence.
+        assert!(R < 8 || (R == 8 && tail == 0), "cosine_backward_row tile wider than 64 lanes");
+        let d = q_hat.len();
+        let w = 8 * R + tail;
+        let q = &q_hat[c0..c0 + w];
+        let gq = &mut grad_q[c0..c0 + w];
+        let inv = 1.0 / q_norm.max(1e-12);
+        // SAFETY: `q`, `gq`, `n` and `t` are all exactly `w = 8·R + tail`
+        // long; full registers sit at offsets `8·k < 8·R`, and the masked
+        // register at `8·R` loads and stores its first `tail` lanes only.
+        unsafe {
+            let mask = tail_mask(tail);
+            let (pq, pgq) = (q.as_ptr(), gq.as_mut_ptr());
+            let mut acc = [_mm256_setzero_ps(); R];
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_loadu_ps(pgq.add(8 * k));
+            }
+            let mut acc_tail = _mm256_setzero_ps();
+            if tail > 0 {
+                acc_tail = _mm256_maskload_ps(pgq.add(8 * R), mask);
+            }
+            let mut coef = 0.0f32;
+            for (((&g, &s), &slot), &row) in gs.iter().zip(ss).zip(slots).zip(rows) {
+                if g == 0.0 {
+                    continue;
+                }
+                let (slot, row) = (slot as usize, row as usize);
+                let n = &table_hat[slot * d..(slot + 1) * d][c0..c0 + w];
+                let t = &mut block[row * d..(row + 1) * d][c0..c0 + w];
+                let inv_n = 1.0 / table_norms[slot].max(1e-12);
+                let (c1, c2) = (g * inv_n, g * s * inv_n);
+                coef += g * s;
+                let (pn, pt) = (n.as_ptr(), t.as_mut_ptr());
+                let (vu, vc1, vc2) =
+                    (_mm256_set1_ps(g * inv), _mm256_set1_ps(c1), _mm256_set1_ps(c2));
+                for (k, a) in acc.iter_mut().enumerate() {
+                    let vn = _mm256_loadu_ps(pn.add(8 * k));
+                    *a = _mm256_fmadd_ps(vu, vn, *a);
+                    let r = _mm256_fmadd_ps(
+                        vc1,
+                        _mm256_loadu_ps(pq.add(8 * k)),
+                        _mm256_loadu_ps(pt.add(8 * k)),
+                    );
+                    _mm256_storeu_ps(pt.add(8 * k), _mm256_fnmadd_ps(vc2, vn, r));
+                }
+                if tail > 0 {
+                    // The user side keeps `axpy_impl`'s masked FMA; the item
+                    // side keeps `cosine_backward_impl`'s unfused scalar tail.
+                    acc_tail =
+                        _mm256_fmadd_ps(vu, _mm256_maskload_ps(pn.add(8 * R), mask), acc_tail);
+                    for i in 8 * R..w {
+                        t[i] += c1 * q[i] - c2 * n[i];
+                    }
+                }
+            }
+            if coef != 0.0 {
+                let vq = _mm256_set1_ps(-coef * inv);
+                for (k, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_fmadd_ps(vq, _mm256_loadu_ps(pq.add(8 * k)), *a);
+                }
+                if tail > 0 {
+                    acc_tail =
+                        _mm256_fmadd_ps(vq, _mm256_maskload_ps(pq.add(8 * R), mask), acc_tail);
+                }
+            }
+            for (k, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(pgq.add(8 * k), *a);
+            }
+            if tail > 0 {
+                _mm256_maskstore_ps(pgq.add(8 * R), mask, acc_tail);
+            }
+        }
+    }
+
+    /// Fused row backward (see [`super::cosine_backward_row_with`]) in
+    /// column tiles of up to 64 lanes — eight accumulator registers — so a
+    /// `d ≤ 64` row is one pass over its occurrences.
+    #[allow(clippy::too_many_arguments)] // mirrors the dispatched kernel
+    #[inline]
+    pub fn cosine_backward_row(
+        gs: &[f32],
+        ss: &[f32],
+        q_hat: &[f32],
+        q_norm: f32,
+        table_hat: &[f32],
+        table_norms: &[f32],
+        slots: &[u32],
+        block: &mut [f32],
+        rows: &[u32],
+        grad_q: &mut [f32],
+    ) {
+        let d = q_hat.len();
+        let mut c0 = 0usize;
+        while c0 < d {
+            let w = (d - c0).min(64);
+            let tile = match w / 8 {
+                0 => cosine_backward_row_impl::<0>,
+                1 => cosine_backward_row_impl::<1>,
+                2 => cosine_backward_row_impl::<2>,
+                3 => cosine_backward_row_impl::<3>,
+                4 => cosine_backward_row_impl::<4>,
+                5 => cosine_backward_row_impl::<5>,
+                6 => cosine_backward_row_impl::<6>,
+                7 => cosine_backward_row_impl::<7>,
+                _ => cosine_backward_row_impl::<8>,
+            };
+            // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+            // docs); the tile bounds its own accesses.
+            unsafe {
+                tile(
+                    gs,
+                    ss,
+                    q_hat,
+                    q_norm,
+                    table_hat,
+                    table_norms,
+                    slots,
+                    block,
+                    rows,
+                    grad_q,
+                    c0,
+                    w % 8,
+                );
+            }
+            c0 += w;
+        }
     }
 
     /// Two simultaneous dots of one query against rows `r0`, `r1` —
@@ -1774,17 +2001,30 @@ pub fn scores_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
     }
 }
 
-/// The shared body of [`cosine_backward_block`] and
-/// [`cosine_backward_gather`]: one unit item row per `(g, s)` pair, in
-/// order, from whatever `rows` yields.
-fn cosine_backward_rows<'a>(
+/// Backward of a block of cosine scores with respect to the shared query
+/// vector: accumulates `Σ_j g_j · ∂cos(q, b_j)/∂q` into `grad_q`.
+///
+/// `block_hat` holds the `M` unit item rows contiguously; `gs`/`ss` are
+/// the per-row score gradients and scores. Scalar dispatch replays the
+/// historical per-negative `cosine_backward_into` sequence (including the
+/// `g == 0` skip) bit for bit; SIMD levels use the fused form
+/// `grad_q += (Σ_j g_j·b̂_j − (Σ_j g_j·s_j)·q̂) / ||q||`.
+///
+/// # Panics
+/// Panics if slice lengths disagree.
+pub fn cosine_backward_block(
     gs: &[f32],
     ss: &[f32],
     q_hat: &[f32],
     q_norm: f32,
-    rows: impl Iterator<Item = &'a [f32]>,
+    block_hat: &[f32],
     grad_q: &mut [f32],
 ) {
+    let d = q_hat.len();
+    assert_eq!(gs.len(), ss.len(), "cosine_backward_block grad/score length mismatch");
+    assert_eq!(block_hat.len(), gs.len() * d, "cosine_backward_block block size mismatch");
+    assert_eq!(grad_q.len(), d, "cosine_backward_block output length mismatch");
+    let rows = block_hat.chunks_exact(d);
     let lv = active();
     if lv == SimdLevel::Scalar {
         for ((&g, &s), row) in gs.iter().zip(ss.iter()).zip(rows) {
@@ -1809,54 +2049,88 @@ fn cosine_backward_rows<'a>(
     }
 }
 
-/// Backward of a block of cosine scores with respect to the shared query
-/// vector: accumulates `Σ_j g_j · ∂cos(q, b_j)/∂q` into `grad_q`.
+/// Backward of one batch row of cosine scores, both sides in one pass over
+/// its negative occurrences, at an explicit dispatch level.
 ///
-/// `block_hat` holds the `M` unit item rows contiguously; `gs`/`ss` are
-/// the per-row score gradients and scores. Scalar dispatch replays the
-/// historical per-negative `cosine_backward_into` sequence (including the
-/// `g == 0` skip) bit for bit; SIMD levels use the fused form
-/// `grad_q += (Σ_j g_j·b̂_j − (Σ_j g_j·s_j)·q̂) / ||q||`.
+/// Occurrence `j` scored the row's unit query `q_hat` against row
+/// `slots[j]` of `table_hat` (unit item rows, raw norms in `table_norms`)
+/// with score `ss[j]` and score gradient `gs[j]`. Applied strictly in order,
+/// it adds `g_j · ∂cos/∂q` to `grad_q` — the sequence
+/// [`cosine_backward_block`] runs on the copied-out rows, with the one
+/// `−(Σ_j g_j·s_j)·q̂` term after the last occurrence — and
+/// `g_j · ∂cos/∂n_j` to row `rows[j]` of the flat gradient `block` — what
+/// [`cosine_backward_into`] adds — reading the unit row once for both. Two
+/// occurrences may name the same row of `block`; the second sees the first's
+/// update.
 ///
-/// # Panics
-/// Panics if slice lengths disagree.
-pub fn cosine_backward_block(
-    gs: &[f32],
-    ss: &[f32],
-    q_hat: &[f32],
-    q_norm: f32,
-    block_hat: &[f32],
-    grad_q: &mut [f32],
-) {
-    let d = q_hat.len();
-    assert_eq!(gs.len(), ss.len(), "cosine_backward_block grad/score length mismatch");
-    assert_eq!(block_hat.len(), gs.len() * d, "cosine_backward_block block size mismatch");
-    assert_eq!(grad_q.len(), d, "cosine_backward_block output length mismatch");
-    cosine_backward_rows(gs, ss, q_hat, q_norm, block_hat.chunks_exact(d), grad_q);
-}
-
-/// [`cosine_backward_block`] over *gathered* rows of an `n × d` table of
-/// unit vectors: row `j` of the block is `table_hat` row `ids[j]`. Same
-/// operations in the same order at every dispatch level, so the result is
-/// bit-identical to the block form on the copied-out rows.
+/// An occurrence with `g_j == 0` is skipped before its slot or row is looked
+/// at (the row may be stale: the trainer resolves rows only where it will
+/// write, because a touched row gets an optimizer update). Scalar dispatch
+/// replays the historical per-negative `cosine_backward_into` pairs bit for
+/// bit; the SIMD levels keep the user gradient in registers across the row.
 ///
 /// # Panics
-/// Panics if slice lengths disagree or any id indexes past the table.
-pub fn cosine_backward_gather(
+/// Panics if `gs`, `ss`, `slots` and `rows` differ in length, if `grad_q`
+/// is not `q_hat.len()` long, if `table_hat` is not `table_norms.len()` rows,
+/// or if an occurrence with `g != 0` names a slot past the table or a row
+/// past the block.
+#[allow(clippy::too_many_arguments)] // one batch row's whole backward state
+#[inline]
+pub fn cosine_backward_row_with(
+    lv: SimdLevel,
     gs: &[f32],
     ss: &[f32],
     q_hat: &[f32],
     q_norm: f32,
     table_hat: &[f32],
-    ids: &[u32],
+    table_norms: &[f32],
+    slots: &[u32],
+    block: &mut [f32],
+    rows: &[u32],
     grad_q: &mut [f32],
 ) {
     let d = q_hat.len();
-    assert_eq!(gs.len(), ss.len(), "cosine_backward_gather grad/score length mismatch");
-    assert_eq!(ids.len(), gs.len(), "cosine_backward_gather id count mismatch");
-    assert_eq!(grad_q.len(), d, "cosine_backward_gather output length mismatch");
-    let rows = ids.iter().map(|&id| &table_hat[id as usize * d..(id as usize + 1) * d]);
-    cosine_backward_rows(gs, ss, q_hat, q_norm, rows, grad_q);
+    assert_eq!(gs.len(), ss.len(), "cosine_backward_row grad/score length mismatch");
+    assert_eq!(slots.len(), gs.len(), "cosine_backward_row slot count mismatch");
+    assert_eq!(rows.len(), gs.len(), "cosine_backward_row row count mismatch");
+    assert_eq!(grad_q.len(), d, "cosine_backward_row output length mismatch");
+    assert_eq!(table_hat.len(), table_norms.len() * d, "cosine_backward_row table shape mismatch");
+    let leg = match lv {
+        SimdLevel::Scalar => scalar::cosine_backward_row,
+        SimdLevel::Portable => portable::cosine_backward_row,
+        SimdLevel::Avx2Fma => accel::cosine_backward_row,
+    };
+    leg(gs, ss, q_hat, q_norm, table_hat, table_norms, slots, block, rows, grad_q)
+}
+
+/// [`cosine_backward_row_with`] at the process dispatch level.
+#[allow(clippy::too_many_arguments)] // one batch row's whole backward state
+#[inline]
+pub fn cosine_backward_row(
+    gs: &[f32],
+    ss: &[f32],
+    q_hat: &[f32],
+    q_norm: f32,
+    table_hat: &[f32],
+    table_norms: &[f32],
+    slots: &[u32],
+    block: &mut [f32],
+    rows: &[u32],
+    grad_q: &mut [f32],
+) {
+    cosine_backward_row_with(
+        active(),
+        gs,
+        ss,
+        q_hat,
+        q_norm,
+        table_hat,
+        table_norms,
+        slots,
+        block,
+        rows,
+        grad_q,
+    )
 }
 
 #[cfg(test)]
@@ -2120,6 +2394,30 @@ mod tests {
             }
         }
 
+        /// Every level's fused row backward matches the scalar leg on both
+        /// sides, with repeated slots, shared target rows and `g == 0`
+        /// entries, at dims on both sides of the 64-lane tile.
+        #[test]
+        fn prop_cosine_backward_row_matches_scalar(d in 1usize..80, m in 0usize..12, seed in 0u64..100) {
+            let (n, nb) = (5usize, 3usize);
+            let q: Vec<f32> = (0..d).map(|i| ((i as u64 + seed) % 13) as f32 * 0.2 - 1.0).collect();
+            let table: Vec<f32> = (0..n * d).map(|i| ((i as u64 * 7 + seed) % 11) as f32 * 0.3 - 1.4).collect();
+            let norms: Vec<f32> = (0..n).map(|r| 0.5 + 0.25 * r as f32).collect();
+            let gs: Vec<f32> = (0..m).map(|j| if j % 3 == 0 { 0.0 } else { 0.1 * j as f32 - 0.2 }).collect();
+            let ss: Vec<f32> = (0..m).map(|j| 0.05 * j as f32 - 0.1).collect();
+            let slots: Vec<u32> = (0..m).map(|j| ((j as u64 / 2 + seed) % n as u64) as u32).collect();
+            let rows: Vec<u32> = (0..m).map(|j| ((j / 2) % nb) as u32).collect();
+            let (mut want_q, mut want_block) = (vec![0.02f32; d], vec![0.01f32; nb * d]);
+            scalar::cosine_backward_row(&gs, &ss, &q, 0.9, &table, &norms, &slots, &mut want_block, &rows, &mut want_q);
+            for lv in simd_levels() {
+                let (mut got_q, mut got_block) = (vec![0.02f32; d], vec![0.01f32; nb * d]);
+                cosine_backward_row_with(lv, &gs, &ss, &q, 0.9, &table, &norms, &slots, &mut got_block, &rows, &mut got_q);
+                for (x, w) in got_q.iter().zip(&want_q).chain(got_block.iter().zip(&want_block)) {
+                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv:?}: {x} vs {w}");
+                }
+            }
+        }
+
         /// Every dispatch level's fused dequant-dot matches the scalar
         /// reference within tolerance, and the whole int8 pipeline
         /// (quantized row × f32 query) matches the plain f32 dot of the
@@ -2302,6 +2600,42 @@ mod tests {
 
     fn all_levels() -> impl Iterator<Item = SimdLevel> {
         [SimdLevel::Scalar].into_iter().chain(simd_levels())
+    }
+
+    /// One slot four times in a row, all into one block row (a negative
+    /// drawn repeatedly, or an item that is several batch rows' positive):
+    /// each occurrence must add to its predecessor's stored result. A leg
+    /// that loaded two occurrences' rows before storing either would lose
+    /// an update; the sequential per-occurrence reference cannot.
+    #[test]
+    fn cosine_backward_row_applies_back_to_back_occurrences_of_one_row_in_sequence() {
+        for d in [7usize, 64, 65] {
+            let q: Vec<f32> = (0..d).map(|i| (i as f32 * 0.37).sin()).collect();
+            let table: Vec<f32> = (0..2 * d).map(|i| (i as f32 * 0.173).cos()).collect();
+            let (gs, ss) = ([0.3f32, -0.2, 0.15, 0.4], [0.1f32, 0.7, -0.4, 0.2]);
+            for lv in all_levels() {
+                let mut want = vec![0.5f32; 2 * d];
+                for (&g, &s) in gs.iter().zip(&ss) {
+                    cosine_backward_into_with(lv, g, s, &table[d..], &q, 1.3, &mut want[..d]);
+                }
+                let (mut got, mut grad_q) = (vec![0.5f32; 2 * d], vec![0.0f32; d]);
+                cosine_backward_row_with(
+                    lv,
+                    &gs,
+                    &ss,
+                    &q,
+                    0.9,
+                    &table,
+                    &[0.8, 1.3],
+                    &[1; 4],
+                    &mut got,
+                    &[0; 4],
+                    &mut grad_q,
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{lv}, d = {d}");
+            }
+        }
     }
 
     /// The f64 oracle of [`softmax_row`]: `(log Σ exp(x/τ), softmax(x/τ))`.

@@ -37,26 +37,38 @@ impl GradBuffer {
         self.users.cols()
     }
 
-    /// Mutable gradient row of user `u`, marking it touched.
+    /// Marks user `u` touched.
     #[inline]
-    pub fn user_row_mut(&mut self, u: u32) -> &mut [f32] {
+    fn touch_user(&mut self, u: u32) {
         let ui = u as usize;
         if !self.user_touched[ui] {
             self.user_touched[ui] = true;
             self.user_list.push(u);
         }
-        self.users.row_mut(ui)
     }
 
-    /// Mutable gradient row of item `i`, marking it touched.
+    /// Mutable gradient row of user `u`, marking it touched.
     #[inline]
-    pub fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
+    pub fn user_row_mut(&mut self, u: u32) -> &mut [f32] {
+        self.touch_user(u);
+        self.users.row_mut(u as usize)
+    }
+
+    /// Marks item `i` touched.
+    #[inline]
+    fn touch_item(&mut self, i: u32) {
         let ii = i as usize;
         if !self.item_touched[ii] {
             self.item_touched[ii] = true;
             self.item_list.push(i);
         }
-        self.items.row_mut(ii)
+    }
+
+    /// Mutable gradient row of item `i`, marking it touched.
+    #[inline]
+    pub fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
+        self.touch_item(i);
+        self.items.row_mut(i as usize)
     }
 
     /// The dense user-gradient matrix (zeros outside touched rows).
@@ -137,11 +149,27 @@ impl GradBuffer {
 /// [`ShardGrad`](crate::ShardGrad) (pooled step). Asking for a row marks
 /// it *touched*: the optimizer updates exactly the touched rows, so a
 /// caller must not ask for a row it has nothing to add to.
+///
+/// A sink keeps its item rows in one flat row-major block, so a kernel can
+/// scatter into many of them in one call: [`item_block_row`] touches an
+/// item and says where its row sits, [`user_row_and_item_block`] lends the
+/// block out next to the user row being accumulated.
+///
+/// [`item_block_row`]: GradSink::item_block_row
+/// [`user_row_and_item_block`]: GradSink::user_row_and_item_block
 pub trait GradSink {
     /// Mutable gradient row of user `u`, marking it touched.
     fn user_row_mut(&mut self, u: u32) -> &mut [f32];
     /// Mutable gradient row of item `i`, marking it touched.
     fn item_row_mut(&mut self, i: u32) -> &mut [f32];
+    /// Marks item `i` touched and returns the index of its row in the item
+    /// block. The index stays valid until the sink is cleared, even when a
+    /// later touch grows the block.
+    fn item_block_row(&mut self, i: u32) -> u32;
+    /// The gradient row of user `u` (marked touched) and the flat item
+    /// block that [`item_block_row`](GradSink::item_block_row) indexes.
+    /// Rows of the block no touch has returned must be left alone.
+    fn user_row_and_item_block(&mut self, u: u32) -> (&mut [f32], &mut [f32]);
 }
 
 impl GradSink for GradBuffer {
@@ -153,6 +181,19 @@ impl GradSink for GradBuffer {
     #[inline]
     fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
         GradBuffer::item_row_mut(self, i)
+    }
+
+    /// The dense buffer's block is the item matrix: row = item id.
+    #[inline]
+    fn item_block_row(&mut self, i: u32) -> u32 {
+        self.touch_item(i);
+        i
+    }
+
+    #[inline]
+    fn user_row_and_item_block(&mut self, u: u32) -> (&mut [f32], &mut [f32]) {
+        self.touch_user(u);
+        (self.users.row_mut(u as usize), self.items.as_mut_slice())
     }
 }
 

@@ -22,6 +22,8 @@ pub struct Mf {
     adam_i: Adam,
     /// CML mode: squared-distance scores + unit-ball projection.
     cml: bool,
+    /// One gradient row plus its L2 term, reused by every step.
+    row_buf: Vec<f32>,
 }
 
 impl Mf {
@@ -34,6 +36,7 @@ impl Mf {
             adam_u: Adam::new(ds.n_users, dim),
             adam_i: Adam::new(ds.n_items, dim),
             cml: false,
+            row_buf: vec![0.0; dim],
         }
     }
 
@@ -102,20 +105,20 @@ impl Backbone for Mf {
         _rng: &mut StdRng,
     ) -> f64 {
         self.adam_u.begin_step();
-        let mut row_buf = vec![0.0f32; self.out_dim()];
+        let row_buf = &mut self.row_buf[..];
         for &u in grads.touched_users() {
             let ui = u as usize;
             row_buf.copy_from_slice(grads.users().row(ui));
             // Coupled L2 on the touched row.
-            bsl_linalg::kernels::axpy(hp.l2, self.user_emb.row(ui), &mut row_buf);
-            self.adam_u.update_row(self.user_emb.row_mut(ui), ui, &row_buf, hp.lr);
+            bsl_linalg::kernels::axpy(hp.l2, self.user_emb.row(ui), row_buf);
+            self.adam_u.update_row(self.user_emb.row_mut(ui), ui, row_buf, hp.lr);
         }
         self.adam_i.begin_step();
         for &i in grads.touched_items() {
             let ii = i as usize;
             row_buf.copy_from_slice(grads.items().row(ii));
-            bsl_linalg::kernels::axpy(hp.l2, self.item_emb.row(ii), &mut row_buf);
-            self.adam_i.update_row(self.item_emb.row_mut(ii), ii, &row_buf, hp.lr);
+            bsl_linalg::kernels::axpy(hp.l2, self.item_emb.row(ii), row_buf);
+            self.adam_i.update_row(self.item_emb.row_mut(ii), ii, row_buf, hp.lr);
         }
         if self.cml {
             Self::project_unit_ball(&mut self.user_emb, grads.touched_users());

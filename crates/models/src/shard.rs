@@ -53,10 +53,10 @@ impl SparseRows {
         }
     }
 
-    /// The gradient slab of `key`, inserting a zeroed slab on first touch.
-    fn row_mut(&mut self, key: u32) -> &mut [f32] {
+    /// The insertion slot of `key`, inserting a zeroed slab on first touch.
+    fn slot_of(&mut self, key: u32) -> usize {
         let mut h = hash(key, self.mask);
-        let slot = loop {
+        loop {
             let e = self.table[h];
             if e == 0 {
                 let slot = self.keys.len();
@@ -78,7 +78,12 @@ impl SparseRows {
                 break slot;
             }
             h = (h + 1) & self.mask;
-        };
+        }
+    }
+
+    /// The gradient slab of `key`, inserting a zeroed slab on first touch.
+    fn row_mut(&mut self, key: u32) -> &mut [f32] {
+        let slot = self.slot_of(key);
         &mut self.data[slot * self.dim..(slot + 1) * self.dim]
     }
 
@@ -220,6 +225,18 @@ impl GradSink for ShardGrad {
     #[inline]
     fn item_row_mut(&mut self, i: u32) -> &mut [f32] {
         ShardGrad::item_row_mut(self, i)
+    }
+
+    /// The shard's block is its slab store: row = insertion slot, an index,
+    /// so it survives the slab store growing under later touches.
+    #[inline]
+    fn item_block_row(&mut self, i: u32) -> u32 {
+        self.items.slot_of(i) as u32
+    }
+
+    #[inline]
+    fn user_row_and_item_block(&mut self, u: u32) -> (&mut [f32], &mut [f32]) {
+        (self.users.row_mut(u), &mut self.items.data)
     }
 }
 
