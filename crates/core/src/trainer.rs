@@ -543,13 +543,19 @@ impl Trainer {
                 eval_history.push((epoch, ndcg));
                 if ndcg > best_ndcg {
                     best_ndcg = ndcg;
-                    best = Some((
-                        report,
-                        backbone.user_factors().clone(),
-                        backbone.item_factors().clone(),
-                        epoch,
-                        artifact,
-                    ));
+                    // The factor copies are allocated at the first
+                    // improvement and overwritten in place from then on.
+                    let (users, items) = (backbone.user_factors(), backbone.item_factors());
+                    match &mut best {
+                        Some((best, best_users, best_items, best_epoch, best_artifact)) => {
+                            best_users.clone_from(users);
+                            best_items.clone_from(items);
+                            (*best, *best_epoch, *best_artifact) = (report, epoch, artifact);
+                        }
+                        None => {
+                            best = Some((report, users.clone(), items.clone(), epoch, artifact))
+                        }
+                    }
                     stale = 0;
                 } else {
                     stale += 1;

@@ -8,14 +8,14 @@
 //! contributions over groups recovers the user's NDCG@K exactly, so the
 //! per-group curves of Fig 4a are an exact partition of overall NDCG.
 //!
-//! Like [`crate::ranking`], the full catalogue is scored through a frozen
-//! [`ModelArtifact`] — the group decomposition therefore partitions
-//! *exactly* the ranking [`crate::evaluate`] reports, with no second
-//! scoring implementation to drift.
+//! Both decompositions rank through [`crate::ranking`]'s block driver —
+//! the loop [`crate::evaluate`] itself runs — so they partition *exactly*
+//! the ranking it reports, with no second score → select → mask loop to
+//! drift.
 
-use crate::metrics::{dcg_discount, idcg};
+use crate::metrics::{dcg_discount, idcg, user_metrics};
+use crate::ranking::{host_workers, rank_blocks};
 use bsl_data::Dataset;
-use bsl_linalg::topk::TopK;
 use bsl_linalg::Matrix;
 use bsl_models::{EvalScore, ModelArtifact};
 
@@ -54,36 +54,29 @@ pub fn group_ndcg(
     check_inputs(ds, user_emb, item_emb, groups, n_groups, k);
     let artifact = ModelArtifact::from_embeddings("group-eval", user_emb, item_emb, score);
 
-    let mut acc = vec![0.0f64; n_groups];
     let users = ds.evaluable_users();
-    let mut scores: Vec<f32> = Vec::new();
-    let mut topk = TopK::new();
-    let mut ranked: Vec<u32> = Vec::new();
-    for &u in &users {
-        artifact.score_catalogue_into(u, &mut scores);
-        let train = ds.train_items(u as usize);
-        topk.select_masked_into(
-            &scores,
-            k,
-            |i| train.binary_search(&(i as u32)).is_ok(),
-            &mut ranked,
-        );
-        let relevant = ds.test_items(u as usize);
-        let denom = idcg(relevant.len(), k);
-        if denom <= 0.0 {
-            continue;
-        }
-        for (rank, &item) in ranked.iter().enumerate() {
-            if relevant.binary_search(&item).is_ok() {
-                acc[groups[item as usize] as usize] += dcg_discount(rank) / denom;
+    let partials = rank_blocks(
+        ds,
+        &artifact,
+        &users,
+        k,
+        host_workers(),
+        vec![0.0f64; n_groups],
+        |acc, u, ranked| {
+            let relevant = ds.test_items(u as usize);
+            let denom = idcg(relevant.len(), k);
+            if denom <= 0.0 {
+                return;
             }
-        }
-    }
+            for (rank, &item) in ranked.iter().enumerate() {
+                if relevant.binary_search(&item).is_ok() {
+                    acc[groups[item as usize] as usize] += dcg_discount(rank) / denom;
+                }
+            }
+        },
+    );
     let n = users.len().max(1) as f64;
-    for a in &mut acc {
-        *a /= n;
-    }
-    acc
+    (0..n_groups).map(|g| partials.iter().map(|part| part[g]).sum::<f64>() / n).collect()
 }
 
 /// Per-group NDCG@K with *restricted relevance*: group `g` is scored as if
@@ -110,37 +103,40 @@ pub fn group_ndcg_restricted(
     check_inputs(ds, user_emb, item_emb, groups, n_groups, k);
     let artifact = ModelArtifact::from_embeddings("group-eval", user_emb, item_emb, score);
 
-    let mut acc = vec![0.0f64; n_groups];
-    let mut counts = vec![0usize; n_groups];
-    let mut scores: Vec<f32> = Vec::new();
-    let mut topk = TopK::new();
-    let mut ranked: Vec<u32> = Vec::new();
-    for &u in &ds.evaluable_users() {
-        artifact.score_catalogue_into(u, &mut scores);
-        let train = ds.train_items(u as usize);
-        topk.select_masked_into(
-            &scores,
-            k,
-            |i| train.binary_search(&(i as u32)).is_ok(),
-            &mut ranked,
-        );
-        let relevant = ds.test_items(u as usize);
-        for g in 0..n_groups {
-            let rel_g: Vec<u32> =
-                relevant.iter().copied().filter(|&i| groups[i as usize] as usize == g).collect();
-            if rel_g.is_empty() {
-                continue;
+    let partials = rank_blocks(
+        ds,
+        &artifact,
+        &ds.evaluable_users(),
+        k,
+        host_workers(),
+        vec![(0.0f64, 0usize); n_groups],
+        |acc, u, ranked| {
+            let relevant = ds.test_items(u as usize);
+            for (g, (sum, count)) in acc.iter_mut().enumerate() {
+                let rel_g: Vec<u32> = relevant
+                    .iter()
+                    .copied()
+                    .filter(|&i| groups[i as usize] as usize == g)
+                    .collect();
+                if rel_g.is_empty() {
+                    continue;
+                }
+                *count += 1;
+                *sum += user_metrics(ranked, &rel_g, k).ndcg;
             }
-            counts[g] += 1;
-            acc[g] += crate::metrics::user_metrics(&ranked, &rel_g, k).ndcg;
-        }
-    }
-    for (a, &c) in acc.iter_mut().zip(counts.iter()) {
-        if c > 0 {
-            *a /= c as f64;
-        }
-    }
-    acc
+        },
+    );
+    (0..n_groups)
+        .map(|g| {
+            let sum: f64 = partials.iter().map(|part| part[g].0).sum();
+            let count: usize = partials.iter().map(|part| part[g].1).sum();
+            if count > 0 {
+                sum / count as f64
+            } else {
+                sum
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,11 +1,21 @@
 //! Full-catalogue ranking evaluation through the frozen artifact path.
 //!
-//! Evaluation is "serving plus ground truth": every user's catalogue is
-//! scored by [`ModelArtifact::score_catalogue_into`] — the same blocked
-//! kernel `bsl-serve` answers requests with — and the resulting top-k is
-//! compared against the test split. Raw embedding matrices are accepted
-//! via [`evaluate`], which freezes them into an ad-hoc artifact first, so
+//! Evaluation is "serving plus ground truth", and runs the loop exact
+//! serving runs: a block of users is scored in one tiled pass over the
+//! item table ([`ModelArtifact::score_catalogue_batch_into`], the batch
+//! scorer behind `bsl-serve`'s `recommend_batch_into`), each score row is
+//! ranked threshold first with the training items masked
+//! ([`TopK::select_masked_into`]), and the top-k is compared against the
+//! test split. One private driver, `rank_blocks`, does that for
+//! [`evaluate_artifact`] and for both group decompositions in
+//! [`crate::groups`]. Raw embedding matrices are accepted via
+//! [`evaluate`], which freezes them into an ad-hoc artifact first, so
 //! there is exactly one scoring implementation in the workspace.
+//!
+//! Users are ranked in fixed blocks of `BLOCK_USERS`; every block sums
+//! its users' metrics into its own partial, and the partials are merged in
+//! block order. The reported means are therefore the same bits whatever
+//! number of threads shared the blocks.
 
 use crate::metrics::{user_metrics, MetricSet};
 use bsl_data::Dataset;
@@ -59,57 +69,123 @@ impl std::fmt::Display for EvalReport {
     }
 }
 
+/// Users per score block of [`rank_blocks`]. The reported bits depend on
+/// it (it fixes the summation order), so it is a constant, not a tunable.
+/// On 1,200 × 2,500 × 64, one thread, blocks of 4 / 8 / 16 / 32 / 64 users
+/// read 24.8 / 23.7 / 23.3 / 22.4 / 22.8 ms (min of 15): flat from 16 on,
+/// which keeps the score block at 160 KB a thread there.
+const BLOCK_USERS: usize = 16;
+
+/// The threads an evaluation shares its blocks between.
+pub(crate) fn host_workers() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
+}
+
+/// One thread's ranking buffers.
+#[derive(Default)]
+struct RankScratch {
+    scores: Vec<f32>,
+    topk: TopK,
+    ranked: Vec<u32>,
+}
+
+/// Scores `block`'s users in one tiled pass, ranks each user's row with
+/// the training items masked and hands `(user, top-k)` to `per_user`.
+fn rank_block<P>(
+    ds: &Dataset,
+    artifact: &ModelArtifact,
+    k: usize,
+    block: &[u32],
+    scratch: &mut RankScratch,
+    partial: &mut P,
+    per_user: &impl Fn(&mut P, u32, &[u32]),
+) {
+    artifact.score_catalogue_batch_into(block, &mut scratch.scores);
+    let n = artifact.n_items();
+    for (j, &u) in block.iter().enumerate() {
+        let train = ds.train_items(u as usize);
+        scratch.topk.select_masked_into(
+            &scratch.scores[j * n..(j + 1) * n],
+            k,
+            |i| train.binary_search(&(i as u32)).is_ok(),
+            &mut scratch.ranked,
+        );
+        per_user(partial, u, &scratch.ranked);
+    }
+}
+
+/// The ranking driver: every user of `users` gets its masked top-`k`,
+/// folded by `per_user` into the partial of the user's block, which starts
+/// as a copy of `empty`. Returns the partials in block order; `workers`
+/// threads share contiguous runs of blocks, and since a partial only ever
+/// sees its own block's users in order, the result does not depend on
+/// `workers`.
+pub(crate) fn rank_blocks<P: Clone + Send>(
+    ds: &Dataset,
+    artifact: &ModelArtifact,
+    users: &[u32],
+    k: usize,
+    workers: usize,
+    empty: P,
+    per_user: impl Fn(&mut P, u32, &[u32]) + Sync,
+) -> Vec<P> {
+    let mut partials = vec![empty; users.len().div_ceil(BLOCK_USERS)];
+    let run = partials.len().div_ceil(workers.max(1)).max(1);
+    std::thread::scope(|scope| {
+        for (parts, users) in partials.chunks_mut(run).zip(users.chunks(run * BLOCK_USERS)) {
+            let per_user = &per_user;
+            scope.spawn(move || {
+                let mut scratch = RankScratch::default();
+                for (part, block) in parts.iter_mut().zip(users.chunks(BLOCK_USERS)) {
+                    rank_block(ds, artifact, k, block, &mut scratch, part, per_user);
+                }
+            });
+        }
+    });
+    partials
+}
+
 /// Evaluates a frozen [`ModelArtifact`] on `ds`'s test split at each cutoff
 /// in `ks`, averaging over users with at least one test interaction.
 /// Training items are masked out of the ranking (the standard CF
 /// protocol). The artifact's tables are served as-is — no per-call
 /// normalization or augmentation is repaid here.
 ///
-/// Work is distributed over scoped threads (one chunk of users each), with
-/// per-thread score and top-k scratch.
+/// Blocks of users are distributed over scoped threads, each with its own
+/// score and top-k scratch; the report does not depend on how many.
 ///
 /// # Panics
 /// Panics if `ks` is empty or the artifact's shape disagrees with `ds`.
 pub fn evaluate_artifact(ds: &Dataset, artifact: &ModelArtifact, ks: &[usize]) -> EvalReport {
+    evaluate_artifact_on(ds, artifact, ks, host_workers())
+}
+
+/// [`evaluate_artifact`] on `workers` threads.
+fn evaluate_artifact_on(
+    ds: &Dataset,
+    artifact: &ModelArtifact,
+    ks: &[usize],
+    workers: usize,
+) -> EvalReport {
     assert!(!ks.is_empty(), "need at least one cutoff");
     assert_eq!(artifact.n_users(), ds.n_users, "artifact user rows != n_users");
     assert_eq!(artifact.n_items(), ds.n_items, "artifact item rows != n_items");
     let max_k = *ks.iter().max().expect("non-empty ks");
 
-    let users = ds.evaluable_users();
-    let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-    let chunk = users.len().div_ceil(n_threads.max(1)).max(1);
-
-    let mut partials: Vec<Vec<MetricSet>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for block in users.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut acc = vec![MetricSet::default(); ks.len()];
-                let mut scores: Vec<f32> = Vec::new();
-                let mut topk = TopK::new();
-                let mut ranked: Vec<u32> = Vec::new();
-                for &u in block {
-                    artifact.score_catalogue_into(u, &mut scores);
-                    let train = ds.train_items(u as usize);
-                    topk.select_masked_into(
-                        &scores,
-                        max_k,
-                        |i| train.binary_search(&(i as u32)).is_ok(),
-                        &mut ranked,
-                    );
-                    let relevant = ds.test_items(u as usize);
-                    for (slot, &k) in acc.iter_mut().zip(ks.iter()) {
-                        slot.accumulate(&user_metrics(&ranked, relevant, k));
-                    }
-                }
-                acc
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("evaluation worker panicked"));
-        }
-    });
+    let partials = rank_blocks(
+        ds,
+        artifact,
+        &ds.evaluable_users(),
+        max_k,
+        workers,
+        vec![MetricSet::default(); ks.len()],
+        |acc, u, ranked| {
+            let relevant = ds.test_items(u as usize);
+            for (slot, &k) in acc.iter_mut().zip(ks.iter()) {
+                slot.accumulate(&user_metrics(ranked, relevant, k));
+            }
+        },
+    );
 
     let mut at = vec![MetricSet::default(); ks.len()];
     for part in &partials {
@@ -225,6 +301,51 @@ mod tests {
         let b = evaluate(&ds, &users, &items, EvalScore::Cosine, &[5, 20]);
         assert_eq!(a.at_k(20), b.at_k(20));
         assert_eq!(a.at_k(5), b.at_k(5));
+    }
+
+    /// Enough users for ten blocks, so 1, 2, 3 and 8 workers split them
+    /// into runs of 10, 5, 4 and 2.
+    fn ten_block_case() -> (Dataset, ModelArtifact) {
+        let ds = generate(&SynthConfig { n_users: 150, ..SynthConfig::tiny(5) });
+        let mut rng = StdRng::seed_from_u64(1);
+        let users = Matrix::gaussian(ds.n_users, 8, 1.0, &mut rng);
+        let items = Matrix::gaussian(ds.n_items, 8, 1.0, &mut rng);
+        (ds, ModelArtifact::from_embeddings("MF", &users, &items, EvalScore::Cosine))
+    }
+
+    #[test]
+    fn report_is_bit_equal_for_any_worker_count() {
+        let (ds, art) = ten_block_case();
+        assert!(ds.evaluable_users().len() > 9 * BLOCK_USERS);
+        let one = evaluate_artifact_on(&ds, &art, &[5, 20], 1);
+        for workers in [2, 3, 8] {
+            let many = evaluate_artifact_on(&ds, &art, &[5, 20], workers);
+            for (a, b) in one.at.iter().zip(&many.at) {
+                assert_eq!(a.ndcg.to_bits(), b.ndcg.to_bits(), "{workers} workers");
+                assert_eq!(a, b, "{workers} workers");
+            }
+        }
+        assert_eq!(one.at, evaluate_artifact(&ds, &art, &[5, 20]).at);
+    }
+
+    #[test]
+    fn driver_ranks_every_user_like_the_per_user_loop() {
+        let (ds, art) = ten_block_case();
+        let users = ds.evaluable_users();
+        let lists = rank_blocks(&ds, &art, &users, 20, 3, Vec::new(), |acc, u, ranked| {
+            acc.push((u, ranked.to_vec()));
+        });
+        let lists: Vec<(u32, Vec<u32>)> = lists.into_iter().flatten().collect();
+        assert_eq!(lists.iter().map(|l| l.0).collect::<Vec<_>>(), users);
+        let mut scores = Vec::new();
+        for (u, ranked) in lists {
+            art.score_catalogue_into(u, &mut scores);
+            let train = ds.train_items(u as usize);
+            let want = bsl_linalg::topk::top_k_masked(&scores, 20, |i| {
+                train.binary_search(&(i as u32)).is_ok()
+            });
+            assert_eq!(ranked, want, "user {u}");
+        }
     }
 
     #[test]

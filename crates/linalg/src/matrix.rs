@@ -8,11 +8,25 @@ use rand::Rng;
 /// the small dense factors of the randomized SVD. It deliberately exposes
 /// rows as plain slices so hot loops can run on `&[f32]` without bounds
 /// checks per element.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    /// Copies `source` into `self`'s buffer: no allocation when the
+    /// capacity suffices (a derived `Clone` would allocate a fresh one).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -220,6 +234,16 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let src = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
+        let mut dst = Matrix::zeros(4, 3);
+        let buffer = dst.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.as_slice().as_ptr(), buffer, "same length: no new allocation");
+    }
 
     #[test]
     fn zeros_shape_and_content() {

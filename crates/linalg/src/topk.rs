@@ -1,17 +1,41 @@
-//! Top-k selection for ranking evaluation.
+//! Top-k selection for full-catalogue ranking and IVF shortlists.
 //!
-//! Full-ranking evaluation scores every item for a user and keeps the best
-//! `k`; with |I| in the tens of thousands and k = 20 a bounded min-heap is
-//! the right tool (O(|I| log k)).
+//! Ranking scores every item for a user and keeps the best `k`. With |I|
+//! in the tens of thousands and k = 20 almost every score loses to the
+//! current k-th best, so both selectors look at that **threshold first**:
+//! one `f32` compare rejects a losing score before the total order, the
+//! mask closure or the selection buffer is touched.
+//! [`TopK::select_masked_into`] makes the test eight scores at a time over
+//! a full-catalogue score row, [`select_scored_into`] once per candidate
+//! of an IVF shortlist. Both hold the winners in a buffer sorted best
+//! first (the worst is its last entry); a winner costs a binary search and
+//! a shift, which measured faster than a heap at k = 20 and at k = 1000.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// `f32` wrapper with a total order (NaN sorts below everything, including
-/// `-inf`), so scores can live in heaps and sorts without `partial_cmp`
-/// unwraps and a NaN score can never win a ranking slot.
+/// `-inf`; `-0.0` below `+0.0`), so scores can live in heaps and sorts
+/// without `partial_cmp` unwraps and a NaN score can never win a ranking
+/// slot.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OrdF32(pub f32);
+
+impl OrdF32 {
+    /// The order as an integer: `a.cmp(&b) == a.key().cmp(&b.key())`.
+    /// Every NaN maps to 0; numbers map through the usual sign-flip of the
+    /// IEEE bits, which puts `-inf` at `0x007f_ffff`, above the NaNs.
+    #[inline]
+    fn key(self) -> u32 {
+        let bits = self.0.to_bits();
+        if self.0.is_nan() {
+            0
+        } else if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | 0x8000_0000
+        }
+    }
+}
 
 impl Eq for OrdF32 {}
 
@@ -22,36 +46,43 @@ impl PartialOrd for OrdF32 {
 }
 
 impl Ord for OrdF32 {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        fn key(x: f32) -> (u8, f32) {
-            if x.is_nan() {
-                (0, 0.0)
-            } else {
-                (1, x)
-            }
-        }
-        let (ta, va) = key(self.0);
-        let (tb, vb) = key(other.0);
-        ta.cmp(&tb).then(va.total_cmp(&vb))
+        self.key().cmp(&other.key())
     }
 }
 
-/// A reusable top-k selector: the bounded min-heap and the sort scratch
-/// survive across calls, so steady-state selection (one call per served
-/// request or evaluated user) allocates nothing once warm.
+/// Scores tested against the threshold per step of
+/// [`TopK::select_masked_into`]: an 8-lane compare the compiler
+/// vectorises.
+const BLOCK: usize = 8;
+
+/// `(score, index)` as one integer whose *descending* order is the ranking
+/// order: higher score first, equal scores by ascending index.
+#[inline]
+fn rank_key(score: f32, index: usize) -> u64 {
+    (u64::from(OrdF32(score).key()) << 32) | u64::from(!(index as u32))
+}
+
+/// The index packed into a [`rank_key`].
+#[inline]
+fn rank_index(key: u64) -> u32 {
+    !(key as u32)
+}
+
+/// A reusable top-k selector: the selection buffer survives across calls,
+/// so steady-state selection (one call per served request or evaluated
+/// user) allocates nothing once warm.
 ///
 /// [`top_k_masked`] is the one-shot convenience wrapper; `bsl-serve`'s
-/// `Recommender` and `bsl-eval`'s ranking loop hold a `TopK` per
-/// thread/instance.
+/// `ServeScratch` and `bsl-eval`'s ranking driver hold a `TopK` per
+/// thread.
 #[derive(Default)]
 pub struct TopK {
-    // Min-heap of the current best k: BinaryHeap is a max-heap, so store
-    // (Reverse(score), idx) — the top is then the smallest score and,
-    // among tied smallest scores, the LARGEST index. That is exactly the
-    // element "ties break toward the smaller index" wants evicted first
-    // when a better score arrives.
-    heap: BinaryHeap<(std::cmp::Reverse<OrdF32>, usize)>,
-    sorted: Vec<(OrdF32, usize)>,
+    /// [`rank_key`]s of the current best entries: in scan order while
+    /// fewer than `k` are held, then sorted descending, so the last one is
+    /// the worst — the entry a better score evicts.
+    held: Vec<u64>,
 }
 
 impl TopK {
@@ -62,8 +93,21 @@ impl TopK {
 
     /// Writes the indices of the `k` largest entries of `scores` into
     /// `out` (cleared first), ordered best to worst; ties break toward the
-    /// smaller index. Entries whose index is flagged by `mask` (`true` =
-    /// exclude) are skipped.
+    /// smaller index and NaN loses to every number. Entries whose index is
+    /// flagged by `mask` (`true` = exclude) are skipped.
+    ///
+    /// Until `k` unmasked entries are held every index is offered to
+    /// `mask`. From then on eight scores at a time are compared against
+    /// the worst held score with a plain `s >= worst`. That test is
+    /// conservative: it passes a tie, or a `-0.0` against a `+0.0`, which
+    /// the total order then rejects, and it passes every number while the
+    /// worst is NaN. Only inside a passing block does the total order
+    /// decide, and only a score that would enter is offered to `mask`: on
+    /// a descending row that is the first `k` unmasked indices and the
+    /// masked ones before them, nothing else.
+    ///
+    /// # Panics
+    /// Panics if `scores` has more than `u32::MAX` entries.
     pub fn select_masked_into(
         &mut self,
         scores: &[f32],
@@ -71,33 +115,49 @@ impl TopK {
         mask: impl Fn(usize) -> bool,
         out: &mut Vec<u32>,
     ) {
+        assert!(u32::try_from(scores.len()).is_ok(), "score row longer than u32 indices");
         out.clear();
         if k == 0 {
             return;
         }
-        self.heap.clear();
-        for (i, &s) in scores.iter().enumerate() {
-            if mask(i) {
-                continue;
+        let held = &mut self.held;
+        held.clear();
+        let mut next = 0usize;
+        while held.len() < k && next < scores.len() {
+            if !mask(next) {
+                held.push(rank_key(scores[next], next));
             }
-            if self.heap.len() < k {
-                self.heap.push((std::cmp::Reverse(OrdF32(s)), i));
-            } else if let Some(&(std::cmp::Reverse(worst), wi)) = self.heap.peek() {
-                // Strictly better score, or equal score with smaller index
-                // (the latter cannot fire on this forward scan — i only
-                // grows — but keeps the invariant explicit).
-                let cand = OrdF32(s);
-                if cand > worst || (cand == worst && i < wi) {
-                    self.heap.pop();
-                    self.heap.push((std::cmp::Reverse(cand), i));
+            next += 1;
+        }
+        held.sort_unstable_by(|a, b| b.cmp(a));
+
+        // From here `held.len() == k` or nothing is left to scan.
+        let offer = |held: &mut Vec<u64>, i: usize| {
+            let key = rank_key(scores[i], i);
+            if key > held[k - 1] && !mask(i) {
+                held.pop();
+                let at = held.partition_point(|&e| e > key);
+                held.insert(at, key);
+            }
+        };
+        for block in scores[next..].chunks_exact(BLOCK) {
+            // `s >= NaN` is false for every `s`, but a NaN worst loses to
+            // any number: `>= -inf` lets exactly the numbers through.
+            let worst = scores[rank_index(held[k - 1]) as usize];
+            let floor = if worst.is_nan() { f32::NEG_INFINITY } else { worst };
+            if block.iter().fold(false, |any, &s| any | (s >= floor)) {
+                for (j, &s) in block.iter().enumerate() {
+                    if s >= floor {
+                        offer(held, next + j);
+                    }
                 }
             }
+            next += BLOCK;
         }
-        self.sorted.clear();
-        self.sorted.extend(self.heap.drain().map(|(std::cmp::Reverse(s), i)| (s, i)));
-        // Best first; ties by ascending index.
-        self.sorted.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        out.extend(self.sorted.iter().map(|&(_, i)| i as u32));
+        for i in next..scores.len() {
+            offer(held, i);
+        }
+        out.extend(held.iter().map(|&key| rank_index(key)));
     }
 }
 
@@ -121,11 +181,11 @@ fn beats(s: f32, id: u32, ws: f32, wid: u32) -> bool {
 /// the result is independent of candidate order — IVF shortlists need no
 /// sort before selection, and the outcome matches a full-catalogue
 /// [`TopK`] scan restricted to the same candidates. `out` doubles as the
-/// insertion buffer: for shortlist-sized inputs and small `k` the
-/// maintain-a-sorted-prefix scan beats a heap (one branchy `f32` compare
-/// rejects a losing candidate *before* the mask closure runs, so an
-/// expensive mask — e.g. a seen-items binary search — is only paid for
-/// potential winners).
+/// sorted selection buffer, and the order of the two tests is the one
+/// [`TopK::select_masked_into`] uses: a candidate that does not beat the
+/// current worst is rejected *before* the mask closure runs, so an
+/// expensive mask — e.g. a seen-items binary search — is only paid for a
+/// candidate that would enter.
 ///
 /// # Panics
 /// Panics if `scores` and `ids` lengths disagree.
@@ -259,6 +319,99 @@ mod tests {
         }
     }
 
+    /// The values the continuous proptests never draw.
+    const SPECIALS: [f32; 11] = [
+        f32::NAN,
+        f32::NEG_INFINITY,
+        f32::MIN,
+        -1.0,
+        -f32::MIN_POSITIVE,
+        -0.0,
+        0.0,
+        f32::MIN_POSITIVE,
+        1.0,
+        f32::MAX,
+        f32::INFINITY,
+    ];
+
+    #[test]
+    fn ord_f32_is_nan_lowest_then_ieee_total_order() {
+        // SPECIALS is written in ascending order; -NaN sorts with NaN.
+        for (a, &x) in SPECIALS.iter().enumerate() {
+            for (b, &y) in SPECIALS.iter().enumerate() {
+                assert_eq!(OrdF32(x).cmp(&OrdF32(y)), a.cmp(&b), "{x} vs {y}");
+            }
+            assert_eq!(OrdF32(-f32::NAN).cmp(&OrdF32(x)), 0.cmp(&a), "-NaN vs {x}");
+        }
+    }
+
+    /// Rows built from [`SPECIALS`] (NaN in any position, a NaN worst, both
+    /// zeroes, both infinities, all-equal rows), every length whose block
+    /// tail differs plus a catalogue-sized one, `k` around `n`, and masks
+    /// that cover the would-be winners.
+    #[test]
+    fn adversarial_rows_match_the_naive_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |modulo: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % modulo
+        };
+        let mut sel = TopK::new();
+        let mut got = Vec::new();
+        for n in (1..=70).chain([2500]) {
+            // pool = 1 gives all-equal rows; a NaN-only prefix gives a NaN worst.
+            for pool in [1, 2, 4, SPECIALS.len()] {
+                let first = draw(SPECIALS.len());
+                let mut row: Vec<f32> =
+                    (0..n).map(|_| SPECIALS[(first + draw(pool)) % SPECIALS.len()]).collect();
+                let nan_prefix = draw(n + 1).min(12);
+                row[..nan_prefix].fill(f32::NAN);
+                for k in [0, 1, 8, 20, n.saturating_sub(1), n, n + 5] {
+                    let winners = naive_topk_masked(&row, k, |_| false);
+                    let wins = |i: usize| winners.contains(&(i as u32));
+                    let masks: [&dyn Fn(usize) -> bool; 4] =
+                        [&|_| false, &|i| i % 3 == 0, &wins, &|_| true];
+                    for (m, mask) in masks.iter().enumerate() {
+                        sel.select_masked_into(&row, k, mask, &mut got);
+                        let want = naive_topk_masked(&row, k, mask);
+                        assert_eq!(got, want, "n {n} pool {pool} k {k} mask {m} row {row:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mask is the expensive test (a seen-list search): it is paid for
+    /// the entries that fill the buffer and for scores that would enter,
+    /// never for every item.
+    #[test]
+    fn mask_is_only_consulted_for_scores_that_would_enter() {
+        use std::cell::Cell;
+        let (n, k, masked_prefix) = (2500usize, 20usize, 7usize);
+        let calls = Cell::new(0usize);
+        let mask = |i: usize| {
+            calls.set(calls.get() + 1);
+            i < masked_prefix
+        };
+        let mut sel = TopK::new();
+        let mut out = Vec::new();
+        let descending: Vec<f32> = (0..n).map(|i| -(i as f32)).collect();
+        sel.select_masked_into(&descending, k, mask, &mut out);
+        assert_eq!(out, (masked_prefix as u32..(masked_prefix + k) as u32).collect::<Vec<_>>());
+        assert_eq!(calls.get(), k + masked_prefix, "descending row");
+        // Ascending is the worst case: every score enters, every index is asked.
+        calls.set(0);
+        let ascending: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        sel.select_masked_into(&ascending, k, mask, &mut out);
+        assert_eq!(calls.get(), n, "ascending row");
+        // A shuffled row asks for about k·ln(n/k) entrants beyond the fill.
+        calls.set(0);
+        let shuffled: Vec<f32> = (0..n).map(|i| ((i * 7919) % n) as f32).collect();
+        sel.select_masked_into(&shuffled, k, mask, &mut out);
+        assert_eq!(out, naive_topk_masked(&shuffled, k, |i| i < masked_prefix));
+        assert!(calls.get() < n / 8, "shuffled row consulted the mask {} times", calls.get());
+    }
+
     /// Naive reference for [`select_scored_into`]: sort unmasked (id,
     /// score) pairs by (score desc, id asc) and truncate.
     fn naive_scored(
@@ -320,7 +473,7 @@ mod tests {
         }
 
         /// Quantized scores force heavy ties; `k` ranges past `n` to cover
-        /// the k ≥ n edge. The heap selection must match the naive
+        /// the k ≥ n edge. The selection must match the naive
         /// sort-and-truncate reference exactly, masked or not.
         #[test]
         fn prop_topk_matches_naive_reference(

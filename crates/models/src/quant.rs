@@ -134,13 +134,12 @@ impl QuantizedTable {
     }
 
     /// Scores `q` against every row via the fused int8 kernel:
-    /// `out[r] = scale_r · <q, row_r>` (resizes `out` to `rows`).
+    /// `out[r] = scale_r · <q, row_r>`.
     ///
     /// # Panics
-    /// Panics if `q.len() != dim`.
-    pub fn scores_into(&self, q: &[f32], out: &mut Vec<f32>) {
+    /// Panics if `q.len() != dim` or `out.len() != rows`.
+    pub fn scores_into(&self, q: &[f32], out: &mut [f32]) {
         assert_eq!(q.len(), self.dim, "query width mismatch");
-        out.resize(self.rows, 0.0);
         scores_block_i8(q, &self.data, &self.scales, out);
     }
 
@@ -224,7 +223,7 @@ mod tests {
         let m = Matrix::from_fn(7, 13, |r, c| ((r * 31 + c * 17) % 11) as f32 * 0.3 - 1.5);
         let t = QuantizedTable::from_matrix(&m);
         let q: Vec<f32> = (0..13).map(|i| (i as f32 * 0.7).sin()).collect();
-        let mut got = Vec::new();
+        let mut got = vec![0.0f32; 7];
         t.scores_into(&q, &mut got);
         for (r, &g) in got.iter().enumerate() {
             let want = dequant_dot(&q, t.row(r), t.scale(r));

@@ -21,16 +21,18 @@
 //!
 //! The batched entry point [`ServeState::recommend_batch_into`] is the
 //! micro-batcher's workhorse: exact-path requests in the batch are scored
-//! in one **tiled multi-query pass** over the item table (each tile of
-//! item rows stays cache-resident while every query in the batch scores
-//! it), which is the paper's amortize-one-blocked-pass insight applied to
-//! serving. Per-request results are bit-identical to serial
-//! [`ServeState::recommend_into`] calls — tiling never splits a row's
-//! accumulation, it only reorders *which row* is scored when.
+//! in one **tiled multi-query pass** over the item table,
+//! [`ModelArtifact::score_catalogue_batch_into`] — the loop `bsl-eval`
+//! ranks its user blocks with — which is the paper's
+//! amortize-one-blocked-pass insight applied to serving. Per-request
+//! results are bit-identical to serial [`ServeState::recommend_into`]
+//! calls. Both paths then rank a score row with
+//! [`TopK::select_masked_into`], which compares against the current k-th
+//! best first and searches the seen list only for a score that would
+//! enter, so an exact request costs its scan plus a few microseconds.
 
 use crate::recommender::{Rec, Retrieval};
 use bsl_data::Dataset;
-use bsl_linalg::simd::scores_block;
 use bsl_linalg::topk::{select_scored_into, TopK};
 use bsl_models::{ivf::ProbeScratch, ModelArtifact};
 
@@ -171,6 +173,8 @@ pub struct ServeScratch {
     pairs: Vec<(u32, f32)>,
     /// Batched exact path: request indices taking the tiled pass.
     batch_exact: Vec<usize>,
+    /// Batched exact path: the users of those requests.
+    batch_users: Vec<u32>,
     /// Batched exact path: the `B × n_items` score block.
     batch_scores: Vec<f32>,
 }
@@ -181,12 +185,6 @@ impl ServeScratch {
         Self::default()
     }
 }
-
-/// Item-row tile size of the batched exact pass: `64 rows × d=64 × 4 B`
-/// = 16 KiB per tile — comfortably L1-resident at typical widths, so the
-/// tile is streamed from memory once and then rescored from cache by
-/// every query in the batch.
-const EXACT_TILE_ROWS: usize = 64;
 
 /// Everything serving needs that is immutable after load: the frozen
 /// artifact (plus optional IVF index), the per-user seen-item mask, and a
@@ -360,15 +358,23 @@ impl ServeState {
     ) {
         self.artifact.query_into(req.user, &mut scratch.qbuf);
         self.artifact.score_catalogue_query_into(&scratch.qbuf, &mut scratch.scores);
+        self.rank_into(req, &scratch.scores, &mut scratch.topk, &mut scratch.ids, out);
+    }
+
+    /// Ranks one full-catalogue score row for `req` into `out`: threshold
+    /// first, the seen-list search only for a score that would enter.
+    fn rank_into(
+        &self,
+        req: &RecommendRequest,
+        scores: &[f32],
+        topk: &mut TopK,
+        ids: &mut Vec<u32>,
+        out: &mut Vec<Rec>,
+    ) {
         let seen = self.mask_for(req);
-        scratch.topk.select_masked_into(
-            &scratch.scores,
-            req.k,
-            |i| seen.binary_search(&(i as u32)).is_ok(),
-            &mut scratch.ids,
-        );
+        topk.select_masked_into(scores, req.k, |i| seen.binary_search(&(i as u32)).is_ok(), ids);
         out.clear();
-        out.extend(scratch.ids.iter().map(|&i| Rec { item: i, score: scratch.scores[i as usize] }));
+        out.extend(ids.iter().map(|&i| Rec { item: i, score: scores[i as usize] }));
     }
 
     /// The IVF path: probe `nprobe` lists, rescore the shortlist exactly.
@@ -414,18 +420,16 @@ impl ServeState {
     ///
     /// This is the micro-batcher's workhorse: all requests of the batch
     /// that resolve to the **exact** path over an f32 table are scored in
-    /// one tiled multi-query pass over the item table — each
-    /// `EXACT_TILE_ROWS`-row tile is streamed from memory once and then
-    /// scored against every query in the batch while cache-resident,
-    /// which is where coalescing concurrent requests wins over
-    /// dispatching them one by one (the same blocked-pass amortization
-    /// the trainer exploits). IVF / int8 requests are answered
-    /// per-request with the shared scratch.
+    /// one tiled multi-query pass over the item table
+    /// ([`ModelArtifact::score_catalogue_batch_into`]: each tile of item
+    /// rows is streamed from memory once and scored against every query
+    /// of the batch while cache-resident), which is where coalescing
+    /// concurrent requests wins over dispatching them one by one (the
+    /// same blocked-pass amortization the trainer exploits). IVF / int8
+    /// requests are answered per-request with the shared scratch.
     ///
     /// Results are bit-identical to serial
-    /// [`recommend_into`](Self::recommend_into) calls: tiling reorders
-    /// which *row* is
-    /// scored when, never how a row's dot product accumulates.
+    /// [`recommend_into`](Self::recommend_into) calls.
     ///
     /// # Panics
     /// Panics if any user is out of range — validate untrusted requests
@@ -447,48 +451,21 @@ impl ServeState {
         // tiled pass, everything else (IVF shortlists, int8 tables with
         // their own fused kernel) answers per-request.
         scratch.batch_exact.clear();
+        scratch.batch_users.clear();
+        let tiled = self.artifact.items_f32().is_some();
         for (r, req) in reqs.iter().enumerate() {
-            if self.resolve(&req.opts).is_none() && self.artifact.items_f32().is_some() {
+            if tiled && self.resolve(&req.opts).is_none() {
                 scratch.batch_exact.push(r);
+                scratch.batch_users.push(req.user);
             } else {
-                let (req, slot) = (&reqs[r], &mut out[r]);
-                self.recommend_into(req, scratch, slot);
+                self.recommend_into(req, scratch, &mut out[r]);
             }
         }
-        if scratch.batch_exact.is_empty() {
-            return;
-        }
-
-        let items = self.artifact.items_f32().expect("exact batch path requires f32 items");
-        let (n, d) = (items.rows(), items.cols());
-        let nq = scratch.batch_exact.len();
-        scratch.batch_scores.resize(nq * n, 0.0);
-        // One tile of item rows scored by every query before moving on.
-        let table = items.as_slice();
-        let mut tile_start = 0usize;
-        while tile_start < n {
-            let tile_rows = EXACT_TILE_ROWS.min(n - tile_start);
-            let tile = &table[tile_start * d..(tile_start + tile_rows) * d];
-            for (qi, &r) in scratch.batch_exact.iter().enumerate() {
-                let q = self.artifact.users().row(reqs[r].user as usize);
-                let row = &mut scratch.batch_scores[qi * n + tile_start..][..tile_rows];
-                scores_block(q, tile, row);
-            }
-            tile_start += tile_rows;
-        }
+        self.artifact.score_catalogue_batch_into(&scratch.batch_users, &mut scratch.batch_scores);
+        let n = self.n_items();
         for (qi, &r) in scratch.batch_exact.iter().enumerate() {
-            let req = &reqs[r];
             let scores = &scratch.batch_scores[qi * n..(qi + 1) * n];
-            let seen = self.mask_for(req);
-            scratch.topk.select_masked_into(
-                scores,
-                req.k,
-                |i| seen.binary_search(&(i as u32)).is_ok(),
-                &mut scratch.ids,
-            );
-            let slot = &mut out[r];
-            slot.clear();
-            slot.extend(scratch.ids.iter().map(|&i| Rec { item: i, score: scores[i as usize] }));
+            self.rank_into(&reqs[r], scores, &mut scratch.topk, &mut scratch.ids, &mut out[r]);
         }
     }
 
@@ -560,6 +537,36 @@ mod tests {
             let mut serial = Vec::new();
             state.recommend_into(req, &mut scratch, &mut serial);
             assert_eq!(*got, serial, "user {}", req.user);
+        }
+    }
+
+    #[test]
+    fn batched_exact_with_seen_lists_is_bit_identical_to_serial() {
+        // Eleven seen items a user, k past the eligible count for some.
+        let pairs: Vec<(u32, u32)> = (0..440u32).map(|i| (i % 40, i * 13 % 700)).collect();
+        let ds = Dataset::from_pairs("seen", 40, 700, &pairs, &[]);
+        let state = ServeState::with_seen(art(40, 700, 16, 7), &ds);
+        let mut scratch = ServeScratch::new();
+        let reqs: Vec<RecommendRequest> = (0..33u32)
+            .map(|r| RecommendRequest {
+                user: r * 2 % 40,
+                k: [10, 1, 695, 700][r as usize % 4],
+                opts: ServeOptions { filter_seen: r % 5 != 0, ..ServeOptions::default() },
+            })
+            .collect();
+        let mut batched = Vec::new();
+        state.recommend_batch_into(&reqs, &mut scratch, &mut batched);
+        for (req, got) in reqs.iter().zip(&batched) {
+            let mut serial = Vec::new();
+            state.recommend_into(req, &mut scratch, &mut serial);
+            assert_eq!(*got, serial, "user {}", req.user);
+            let seen = state.seen(req.user);
+            assert!(!seen.is_empty());
+            let eligible = if req.opts.filter_seen { 700 - seen.len() } else { 700 };
+            assert_eq!(got.len(), req.k.min(eligible), "user {}", req.user);
+            if req.opts.filter_seen {
+                assert!(got.iter().all(|rec| seen.binary_search(&rec.item).is_err()));
+            }
         }
     }
 
