@@ -4,17 +4,17 @@
 //!
 //! ```text
 //! load_gen [--mode inproc|tcp] [--requests N] [--concurrency C]
-//!          [--batch B] [--window-us U] [--users N] [--items N] [--dim D]
+//!          [--batch B] [--users N] [--items N] [--dim D]
 //!          [--addr HOST:PORT | --with-server] [--shutdown]
-//!          [--p99-budget-us N] [--min-speedup X]
+//!          [--p99-budget-us N]
 //! ```
 //!
-//! `--mode inproc` (default) runs the **same** request stream twice —
-//! once through an unbatched engine (`max_batch = 1`) and once through
-//! the micro-batching scheduler — and prints the speedup, which is the
-//! PR's acceptance number (batching amortizes queue wakeups and streams
-//! each item-table tile past every query in the batch). `--min-speedup`
-//! turns the comparison into an exit-code gate for CI.
+//! `--mode inproc` (default) runs the **same** saturating closed-loop
+//! request stream twice — once with `max_batch = 1` and once with
+//! `--batch` — and prints both arms and their ratio. Both arms score on
+//! every core (callers score their own batches), so the ratio is what
+//! the tiled multi-query pass adds at saturation, not a gate: the exit
+//! code reports request errors only.
 //!
 //! `--mode tcp` fires a mixed stream (recommend / score_items / stats)
 //! at `--addr`, or at a front end it starts itself (`--with-server`);
@@ -36,7 +36,6 @@ struct Config {
     requests: usize,
     concurrency: usize,
     batch: usize,
-    window_us: u64,
     n_users: usize,
     n_items: usize,
     dim: usize,
@@ -44,7 +43,6 @@ struct Config {
     with_server: bool,
     shutdown: bool,
     p99_budget_us: Option<u64>,
-    min_speedup: Option<f64>,
     k: usize,
 }
 
@@ -56,9 +54,9 @@ enum Mode {
 
 fn usage() -> ! {
     eprintln!("usage: load_gen [--mode inproc|tcp] [--requests N] [--concurrency C] [--batch B]");
-    eprintln!("                [--window-us U] [--users N] [--items N] [--dim D] [--k K]");
+    eprintln!("                [--users N] [--items N] [--dim D] [--k K]");
     eprintln!("                [--addr HOST:PORT | --with-server] [--shutdown]");
-    eprintln!("                [--p99-budget-us N] [--min-speedup X]");
+    eprintln!("                [--p99-budget-us N]");
     std::process::exit(2);
 }
 
@@ -68,11 +66,11 @@ fn parse_args() -> Config {
         // Defaults are the acceptance workload: a catalogue big enough
         // (32k × d64 ≈ 8 MiB f32) that per-request scoring is
         // memory-bandwidth-bound, which is exactly what the batched tile
-        // pass amortizes. Concurrency 16 keeps the micro-batcher fed.
+        // pass amortizes. Concurrency 16 keeps every lane busy, so
+        // batches form.
         requests: 1024,
         concurrency: 16,
         batch: 32,
-        window_us: 200,
         n_users: 2048,
         n_items: 32768,
         dim: 64,
@@ -80,7 +78,6 @@ fn parse_args() -> Config {
         with_server: false,
         shutdown: false,
         p99_budget_us: None,
-        min_speedup: None,
         k: 10,
     };
     let mut it = std::env::args().skip(1);
@@ -99,7 +96,6 @@ fn parse_args() -> Config {
             "--requests" => cfg.requests = num(&mut it),
             "--concurrency" => cfg.concurrency = std::cmp::max(1, num(&mut it)),
             "--batch" => cfg.batch = std::cmp::max(1, num(&mut it)),
-            "--window-us" => cfg.window_us = num(&mut it),
             "--users" => cfg.n_users = num(&mut it),
             "--items" => cfg.n_items = num(&mut it),
             "--dim" => cfg.dim = num(&mut it),
@@ -108,7 +104,6 @@ fn parse_args() -> Config {
             "--with-server" => cfg.with_server = true,
             "--shutdown" => cfg.shutdown = true,
             "--p99-budget-us" => cfg.p99_budget_us = Some(num(&mut it)),
-            "--min-speedup" => cfg.min_speedup = Some(num(&mut it)),
             _ => usage(),
         }
     }
@@ -201,11 +196,7 @@ fn run_inproc(cfg: &Config) -> i32 {
     let unbatched = drive_inproc(&unbatched_engine, cfg.requests, cfg);
     unbatched_engine.shutdown();
 
-    let policy = BatchPolicy {
-        max_batch: cfg.batch,
-        window: Duration::from_micros(cfg.window_us),
-        ..BatchPolicy::default()
-    };
+    let policy = BatchPolicy { max_batch: cfg.batch, ..BatchPolicy::default() };
     let batched_engine = ServeEngine::single_tenant(make_state(cfg), policy);
     drive_inproc(&batched_engine, warm, cfg);
     let batched = drive_inproc(&batched_engine, cfg.requests, cfg);
@@ -228,12 +219,6 @@ fn run_inproc(cfg: &Config) -> i32 {
         eprintln!("FAIL: {} request errors", unbatched.errors + batched.errors);
         return 1;
     }
-    if let Some(min) = cfg.min_speedup {
-        if speedup < min {
-            eprintln!("FAIL: speedup {speedup:.2} below required {min:.2}");
-            return 1;
-        }
-    }
     0
 }
 
@@ -243,11 +228,7 @@ fn run_tcp(cfg: &Config) -> i32 {
     let addr = match (&cfg.addr, cfg.with_server) {
         (Some(a), _) => a.clone(),
         (None, true) => {
-            let policy = BatchPolicy {
-                max_batch: cfg.batch,
-                window: Duration::from_micros(cfg.window_us),
-                ..BatchPolicy::default()
-            };
+            let policy = BatchPolicy { max_batch: cfg.batch, ..BatchPolicy::default() };
             let engine = ServeEngine::single_tenant(make_state(cfg), policy);
             let fe =
                 TcpFrontend::start(Arc::clone(&engine), "127.0.0.1:0").expect("binding loopback");

@@ -20,7 +20,7 @@
 //! query instead of the index's default (`N ≥ nlist` serves exactly).
 //!
 //! The online counterparts: `--serve-tcp <path>` serves the artifact over
-//! the framed TCP protocol (micro-batched `ServeEngine` behind a
+//! the framed TCP protocol (batching `ServeEngine` behind a
 //! `TcpFrontend`) until stopped; `--swap <path> --addr …` hot-deploys a
 //! new artifact into the running server with zero downtime; `--stop
 //! --addr …` shuts it down remotely.

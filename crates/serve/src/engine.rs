@@ -1,78 +1,103 @@
-//! The traffic-facing [`ServeEngine`]: a micro-batching request
-//! scheduler over hot-swappable, multi-tenant serving state.
+//! The traffic-facing [`ServeEngine`]: a combining request scheduler
+//! over hot-swappable, multi-tenant serving state, in which **callers
+//! score their own batches** — the engine owns no thread.
 //!
-//! Concurrent callers enqueue single-user [`RecommendRequest`]s on a
-//! **bounded MPSC queue** (backpressure instead of unbounded memory) and
-//! block for their [`RecommendResponse`]. Long-lived worker threads —
-//! the same parked-workers-on-`std::sync::mpsc` pattern as
-//! `bsl_core::engine::WorkerPool`, created once and reused for every
-//! batch — drain the queue in **micro-batches**: a worker takes the
-//! first request, then coalesces whatever else arrives within
-//! [`BatchPolicy::window`] up to [`BatchPolicy::max_batch`], groups the
-//! batch by tenant slot, and answers each group through one
-//! [`ServeState::recommend_batch_into`] pass. That is the paper's
-//! amortization insight turned into a serving lever: one tiled blocked
-//! pass over the item table for the whole batch instead of one full scan
-//! per request (plus one worker wake-up per *batch* instead of per
-//! request).
+//! [`ServeEngine::recommend`] pushes its single-user
+//! [`RecommendRequest`] on one bounded FIFO queue (backpressure instead
+//! of unbounded memory) under one `Mutex` + `Condvar`. If fewer than
+//! `lanes` batches are being scored — `lanes` is the host's
+//! `available_parallelism()`, read once — the calling thread itself takes
+//! what is queued (front first, at most [`BatchPolicy::max_batch`],
+//! normally including its own request), groups it by tenant slot, answers
+//! each group through one [`ServeState::recommend_batch_into`] pass,
+//! publishes the answers under the lock and wakes the waiters. Otherwise
+//! it sleeps until its answer is published or a lane frees. A lone
+//! request therefore costs its own scoring plus two uncontended lock
+//! round trips: no hand-off, no timer. A batch is what queued up while
+//! every lane was busy, which is when the tiled pass pays: one stream of
+//! the item table for the whole batch instead of one full scan per
+//! request.
 //!
 //! Artifacts are resolved through a [`Registry`] of named
 //! [`ArtifactSlot`]s, so `swap` deploys a new generation with **zero
 //! downtime**: requests already in flight finish on the generation they
 //! loaded; every later batch serves the new one. Candidate scoring
-//! (`score_items`) answers inline on the caller's thread — it touches a
+//! (`score_items`) answers inline without queueing — it touches a
 //! handful of rows, so there is nothing to amortize by batching.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::recommender::Rec;
 use crate::registry::{Registry, TenantInfo};
 use crate::state::{RecommendRequest, RecommendResponse, ServeError, ServeScratch, ServeState};
+use crate::swap::stress::{self, Site};
 use crate::swap::ArtifactSlot;
 
-/// Micro-batching knobs.
+/// Batching knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Most requests coalesced into one scoring pass. `1` disables
-    /// micro-batching (per-request dispatch — the comparison baseline the
-    /// load generator measures against).
+    /// Most requests scored in one pass. `1` disables batching
+    /// (per-request dispatch — the comparison baseline the load generator
+    /// measures against).
     pub max_batch: usize,
-    /// How long a worker holding a non-full batch waits for more requests
-    /// before scoring. Zero = score immediately, still coalescing
-    /// whatever is already queued.
-    pub window: Duration,
-    /// Bound of the request queue; senders block (backpressure) when the
+    /// Bound of the request queue; callers block (backpressure) when the
     /// engine is this far behind.
     pub queue_depth: usize,
-    /// Worker threads draining the queue. One is right for one core;
-    /// more lets batch scoring overlap with batch formation.
-    pub workers: usize,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self { max_batch: 32, window: Duration::from_micros(200), queue_depth: 1024, workers: 1 }
+        Self { max_batch: 32, queue_depth: 1024 }
     }
 }
 
 impl BatchPolicy {
-    /// Per-request dispatch: batches of 1, no coalescing window — what
-    /// serving looks like without the micro-batcher.
+    /// Per-request dispatch: batches of 1 — what serving looks like
+    /// without the tiled multi-query pass.
     pub fn unbatched() -> Self {
-        Self { max_batch: 1, window: Duration::ZERO, ..Self::default() }
+        Self { max_batch: 1, ..Self::default() }
     }
 }
 
+type Answer = Result<RecommendResponse, ServeError>;
+
 /// One queued request: the resolved tenant slot, the request, and the
-/// completion channel its caller blocks on.
+/// index of the answer cell its caller watches.
 struct Queued {
     slot: Arc<ArtifactSlot>,
     req: RecommendRequest,
-    done: Sender<Result<RecommendResponse, ServeError>>,
+    cell: usize,
+}
+
+/// Everything one scoring pass needs, pooled so a lane allocates only
+/// while its buffers warm up. At most `lanes` of these ever exist.
+#[derive(Default)]
+struct Lane {
+    scratch: ServeScratch,
+    /// The batch being scored, in queue order.
+    batch: Vec<Queued>,
+    /// `answers[i]` answers `batch[i]`; `None` until scored.
+    answers: Vec<Option<Answer>>,
+    order: Vec<usize>,
+    reqs: Vec<RecommendRequest>,
+    idxs: Vec<usize>,
+    outs: Vec<Vec<Rec>>,
+}
+
+/// The state callers coordinate through, under [`ServeEngine::shared`].
+#[derive(Default)]
+struct Shared {
+    queue: VecDeque<Queued>,
+    /// Published answers, one cell per caller currently inside
+    /// `recommend`; `free` lists the cells nobody is waiting on.
+    cells: Vec<Option<Answer>>,
+    free: Vec<usize>,
+    /// Batches being scored right now (≤ `lanes`).
+    busy: usize,
+    idle: Vec<Lane>,
+    closed: bool,
 }
 
 /// Monotonic engine counters (relaxed atomics — stats, not synchronization).
@@ -123,51 +148,66 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-/// The micro-batched, hot-swappable serving engine. See the module docs.
+/// The batching, hot-swappable serving engine. See the module docs.
 ///
 /// Construct with [`ServeEngine::new`] (multi-tenant) or
 /// [`ServeEngine::single_tenant`]; share as `Arc<ServeEngine>` across
-/// request threads ([`recommend`](Self::recommend) takes `&self` and
-/// blocks only its caller). Dropping the engine (or calling
-/// [`shutdown`](Self::shutdown)) drains in-flight requests and joins the
-/// workers.
+/// request threads ([`recommend`](Self::recommend) takes `&self`). The
+/// engine owns no thread, so dropping it releases nothing but memory;
+/// [`shutdown`](Self::shutdown) is what stops the traffic.
 pub struct ServeEngine {
     registry: Arc<Registry>,
     policy: BatchPolicy,
-    /// `None` after shutdown: the master sender is dropped so workers
-    /// drain and exit; late callers get [`ServeError::Closed`].
-    tx: Mutex<Option<SyncSender<Queued>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    counters: Arc<Counters>,
+    /// Batches that may be scored at once: one per core.
+    lanes: usize,
+    shared: Mutex<Shared>,
+    /// Signalled when answers are published, a lane frees, the queue
+    /// leaves its bound, or the engine closes.
+    wake: Condvar,
+    counters: Counters,
+    #[cfg(test)]
+    hook: Option<Hook>,
 }
+
+/// Called with each tenant group's valid requests just before they are
+/// scored: how the unit tests hold a lane, see a batch, or unwind.
+#[cfg(test)]
+type Hook = Box<dyn Fn(&[RecommendRequest]) + Send + Sync>;
 
 impl ServeEngine {
     /// An engine serving `registry`'s tenants under `policy` (knob floors:
-    /// at least 1 each of `max_batch`, `queue_depth`, `workers`).
-    pub fn new(registry: Arc<Registry>, mut policy: BatchPolicy) -> Arc<Self> {
+    /// at least 1 each of `max_batch`, `queue_depth`), scoring as many
+    /// batches at once as the host has cores.
+    pub fn new(registry: Arc<Registry>, policy: BatchPolicy) -> Arc<Self> {
+        let lanes = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::with_lanes(registry, policy, lanes)
+    }
+
+    fn with_lanes(registry: Arc<Registry>, mut policy: BatchPolicy, lanes: usize) -> Arc<Self> {
         policy.max_batch = policy.max_batch.max(1);
         policy.queue_depth = policy.queue_depth.max(1);
-        policy.workers = policy.workers.max(1);
-        let (tx, rx) = sync_channel::<Queued>(policy.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let counters = Arc::new(Counters::default());
-        let workers = (0..policy.workers)
-            .map(|k| {
-                let rx = Arc::clone(&rx);
-                let counters = Arc::clone(&counters);
-                std::thread::Builder::new()
-                    .name(format!("bsl-serve-{k}"))
-                    .spawn(move || worker_loop(&rx, &counters, policy))
-                    .expect("spawning serve worker")
-            })
-            .collect();
         Arc::new(Self {
             registry,
             policy,
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(workers),
-            counters,
+            lanes: lanes.max(1),
+            shared: Mutex::default(),
+            wake: Condvar::new(),
+            counters: Counters::default(),
+            #[cfg(test)]
+            hook: None,
         })
+    }
+
+    /// [`new`](Self::new) with a chosen lane count: exists for the
+    /// interleaving harness, under `--cfg audit_stress` only.
+    #[cfg(audit_stress)]
+    #[doc(hidden)]
+    pub fn stress_with_lanes(
+        registry: Arc<Registry>,
+        policy: BatchPolicy,
+        lanes: usize,
+    ) -> Arc<Self> {
+        Self::with_lanes(registry, policy, lanes)
     }
 
     /// A one-tenant engine serving `state` under the name `"default"`.
@@ -191,23 +231,146 @@ impl ServeEngine {
         self.policy
     }
 
-    /// Answers one request for `tenant`, blocking until a worker serves
-    /// the micro-batch it lands in. Backpressure: blocks on a full queue.
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("no engine caller panics holding the lock")
+    }
+
+    fn wait<'a>(&self, sh: MutexGuard<'a, Shared>) -> MutexGuard<'a, Shared> {
+        self.wake.wait(sh).expect("no engine caller panics holding the lock")
+    }
+
+    /// A schedule-perturbation point of the interleaving harness (see
+    /// [`stress`]): under `--cfg audit_stress` the lock is released around
+    /// a seeded pause, so whatever another caller can do between two steps
+    /// of `recommend` gets the time to happen. Otherwise the identity.
+    fn perturb<'a>(&'a self, sh: MutexGuard<'a, Shared>, site: Site) -> MutexGuard<'a, Shared> {
+        if !cfg!(audit_stress) {
+            return sh;
+        }
+        drop(sh);
+        stress::pause(site);
+        self.lock()
+    }
+
+    /// Answers one request for `tenant`. The request is queued; while a
+    /// lane is free the calling thread scores the front of the queue
+    /// itself — so it may answer other callers' requests before it
+    /// returns, and its own may be answered by another caller — and
+    /// otherwise it blocks until its answer is published. Backpressure:
+    /// blocks while the queue is full.
     pub fn recommend(
         &self,
         tenant: &str,
         req: RecommendRequest,
     ) -> Result<RecommendResponse, ServeError> {
         let slot = self.registry.get(tenant)?;
-        let (done, wait) = std::sync::mpsc::channel();
-        let tx = match &*self.tx.lock().expect("engine sender lock") {
-            Some(tx) => tx.clone(),
-            None => return Err(ServeError::Closed),
-        };
-        if tx.send(Queued { slot, req, done }).is_err() {
+        let mut sh = self.lock();
+        while !sh.closed && sh.queue.len() >= self.policy.queue_depth {
+            sh = self.wait(sh);
+        }
+        if sh.closed {
             return Err(ServeError::Closed);
         }
-        wait.recv().unwrap_or(Err(ServeError::Closed))
+        let cell = sh.free.pop().unwrap_or_else(|| {
+            sh.cells.push(None);
+            sh.cells.len() - 1
+        });
+        sh.queue.push_back(Queued { slot, req, cell });
+        sh = self.perturb(sh, Site::Enqueued);
+        loop {
+            if let Some(answer) = sh.cells[cell].take() {
+                sh.free.push(cell);
+                return answer;
+            }
+            sh = self.lead_or_wait(sh);
+        }
+    }
+
+    /// One step of whoever needs the queue to move: score its front if a
+    /// lane is free, else sleep until a leader publishes — which every
+    /// request in a batch, and every request behind `lanes` batches, has
+    /// coming.
+    fn lead_or_wait<'a>(&'a self, sh: MutexGuard<'a, Shared>) -> MutexGuard<'a, Shared> {
+        if sh.busy < self.lanes && !sh.queue.is_empty() {
+            self.lead(sh)
+        } else {
+            self.perturb(self.wait(sh), Site::BeforeLane)
+        }
+    }
+
+    /// Takes a lane and the front of the queue, scores it with the lock
+    /// released, publishes the answers and takes the lock again.
+    fn lead<'a>(&'a self, mut sh: MutexGuard<'a, Shared>) -> MutexGuard<'a, Shared> {
+        sh.busy += 1;
+        let mut lane = sh.idle.pop().unwrap_or_default();
+        let was_full = sh.queue.len() >= self.policy.queue_depth;
+        let n = sh.queue.len().min(self.policy.max_batch);
+        lane.batch.extend(sh.queue.drain(..n));
+        lane.answers.resize_with(n, || None);
+        drop(sh);
+        if was_full {
+            self.wake.notify_all(); // callers blocked on the bound
+        }
+        let mut lead = Lead { engine: self, lane };
+        self.score_batch(&mut lead.lane);
+        stress::pause(Site::BeforePublish);
+        drop(lead); // publishes
+        self.lock()
+    }
+
+    /// Scores `lane.batch` into `lane.answers`, lock-free: grouped by
+    /// tenant slot so each group scores through one state load (one
+    /// consistent artifact generation per group).
+    // ORDERING: all counter updates in here are Relaxed — monotone stats
+    // counters read only by the advisory `stats` snapshot; requests and
+    // answers are handed over under the engine mutex, never through these.
+    fn score_batch(&self, lane: &mut Lane) {
+        let Lane { scratch, batch, answers, order, reqs, idxs, outs } = lane;
+        let counters = &self.counters;
+        counters.requests.fetch_add(batch.len() as u64, Relaxed);
+        counters.batches.fetch_add(1, Relaxed);
+        counters.batched_requests.fetch_add(batch.len() as u64, Relaxed);
+        counters.max_batch.fetch_max(batch.len() as u64, Relaxed);
+
+        order.clear();
+        order.extend(0..batch.len());
+        order.sort_unstable_by_key(|&i| (Arc::as_ptr(&batch[i].slot) as usize, i));
+        let mut g0 = 0;
+        while g0 < order.len() {
+            let mut g1 = g0 + 1;
+            while g1 < order.len() && Arc::ptr_eq(&batch[order[g0]].slot, &batch[order[g1]].slot) {
+                g1 += 1;
+            }
+            let state = batch[order[g0]].slot.load();
+            reqs.clear();
+            idxs.clear();
+            for &i in &order[g0..g1] {
+                match state.check(&batch[i].req) {
+                    Ok(()) => {
+                        idxs.push(i);
+                        reqs.push(batch[i].req);
+                    }
+                    Err(e) => {
+                        counters.errors.fetch_add(1, Relaxed);
+                        answers[i] = Some(Err(e));
+                    }
+                }
+            }
+            #[cfg(test)]
+            if let Some(hook) = &self.hook {
+                hook(reqs);
+            }
+            state.recommend_batch_into(reqs, scratch, outs);
+            for (j, &i) in idxs.iter().enumerate() {
+                answers[i] = Some(Ok(RecommendResponse {
+                    user: reqs[j].user,
+                    version: state.version(),
+                    // bsl-audit: allow(hot-path-alloc) -- the response owns its recs
+                    recs: outs[j].clone(),
+                }));
+            }
+            g0 = g1;
+        }
     }
 
     /// Scores an explicit candidate list for `tenant`'s current artifact
@@ -255,119 +418,44 @@ impl ServeEngine {
         }
     }
 
-    /// Shuts the engine down (idempotent): stops accepting requests,
-    /// lets queued ones drain, and joins the workers. Also runs on drop.
+    /// Shuts the engine down (idempotent): later callers, and callers
+    /// blocked on a full queue, get [`ServeError::Closed`]; every request
+    /// already queued is answered before this returns (by its caller, or
+    /// here if that caller unwound while leading).
     pub fn shutdown(&self) {
-        drop(self.tx.lock().expect("engine sender lock").take());
-        let mut workers = self.workers.lock().expect("engine worker lock");
-        for h in workers.drain(..) {
-            let _ = h.join();
+        let mut sh = self.lock();
+        sh.closed = true;
+        self.wake.notify_all();
+        while sh.busy > 0 || !sh.queue.is_empty() {
+            sh = self.lead_or_wait(sh);
         }
     }
 }
 
-impl Drop for ServeEngine {
+/// A lane being scored. Publishing is its `Drop`, so a leader that
+/// unwinds out of scoring still answers its batch (`Closed` for whatever
+/// it had not scored), gives the lane back and wakes the waiters.
+struct Lead<'a> {
+    engine: &'a ServeEngine,
+    lane: Lane,
+}
+
+impl Drop for Lead<'_> {
     fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One serve worker: form a micro-batch (first request blocking, the
-/// rest coalesced within the policy window), then score it per tenant
-/// group through the shared-state batched pass. Exits when the queue
-/// closes.
-// ORDERING: all counter updates in here are Relaxed — monotone stats
-// counters read only by the advisory `stats` snapshot; request/response
-// hand-off synchronizes through the channels, never through these.
-fn worker_loop(rx: &Mutex<Receiver<Queued>>, counters: &Counters, policy: BatchPolicy) {
-    let mut scratch = ServeScratch::new();
-    let mut batch: Vec<Queued> = Vec::with_capacity(policy.max_batch);
-    let mut order: Vec<usize> = Vec::with_capacity(policy.max_batch);
-    let mut reqs: Vec<RecommendRequest> = Vec::with_capacity(policy.max_batch);
-    let mut idxs: Vec<usize> = Vec::with_capacity(policy.max_batch);
-    let mut outs: Vec<Vec<Rec>> = Vec::new();
-    loop {
-        batch.clear();
-        {
-            // The queue lock is held while the batch forms (including the
-            // coalescing wait): exactly one worker builds a batch at a
-            // time, while the others are busy scoring already-formed
-            // batches. `recv` parks this worker until traffic arrives.
-            let guard = rx.lock().expect("serve queue lock");
-            match guard.recv() {
-                Ok(q) => batch.push(q),
-                Err(_) => return, // queue closed: engine shutdown
-            }
-            let deadline = Instant::now() + policy.window;
-            while batch.len() < policy.max_batch {
-                match guard.try_recv() {
-                    Ok(q) => batch.push(q),
-                    Err(TryRecvError::Disconnected) => break,
-                    Err(TryRecvError::Empty) => {
-                        // The queue is drained. Score what we have as soon
-                        // as it is an actual batch — delaying further only
-                        // adds latency for the requests already in hand
-                        // (and under closed-loop load the senders are
-                        // blocked on *us*, so nothing more can arrive).
-                        // Only a lone request waits out the window for
-                        // company.
-                        let now = Instant::now();
-                        if batch.len() > 1 || now >= deadline {
-                            break;
-                        }
-                        match guard.recv_timeout(deadline - now) {
-                            Ok(q) => batch.push(q),
-                            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                                break
-                            }
-                        }
-                    }
-                }
-            }
+        // Nothing panics holding this lock, and a `Drop` must not.
+        let mut sh = self.engine.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        for (q, answer) in self.lane.batch.drain(..).zip(self.lane.answers.drain(..)) {
+            sh.cells[q.cell] = Some(answer.unwrap_or(Err(ServeError::Closed)));
         }
-
-        counters.requests.fetch_add(batch.len() as u64, Relaxed);
-        counters.batches.fetch_add(1, Relaxed);
-        counters.batched_requests.fetch_add(batch.len() as u64, Relaxed);
-        counters.max_batch.fetch_max(batch.len() as u64, Relaxed);
-
-        // Group by tenant slot so each group scores through one state
-        // load (one consistent artifact generation per group).
-        order.clear();
-        order.extend(0..batch.len());
-        order.sort_by_key(|&i| Arc::as_ptr(&batch[i].slot) as usize);
-        let mut g0 = 0;
-        while g0 < order.len() {
-            let mut g1 = g0 + 1;
-            while g1 < order.len() && Arc::ptr_eq(&batch[order[g0]].slot, &batch[order[g1]].slot) {
-                g1 += 1;
-            }
-            let state = batch[order[g0]].slot.load();
-            reqs.clear();
-            idxs.clear();
-            for &i in &order[g0..g1] {
-                match state.check(&batch[i].req) {
-                    Ok(()) => {
-                        idxs.push(i);
-                        reqs.push(batch[i].req);
-                    }
-                    Err(e) => {
-                        counters.errors.fetch_add(1, Relaxed);
-                        let _ = batch[i].done.send(Err(e));
-                    }
-                }
-            }
-            state.recommend_batch_into(&reqs, &mut scratch, &mut outs);
-            for (j, &i) in idxs.iter().enumerate() {
-                let resp = RecommendResponse {
-                    user: reqs[j].user,
-                    version: state.version(),
-                    recs: outs[j].clone(),
-                };
-                let _ = batch[i].done.send(Ok(resp));
-            }
-            g0 = g1;
+        sh.busy -= 1;
+        // A lane that unwound is dropped with its leader, not pooled: the
+        // next one starts from fresh buffers. (That leader's own answer
+        // cell is never reused: one `Option` per panic.)
+        if !std::thread::panicking() {
+            sh.idle.push(std::mem::take(&mut self.lane));
         }
+        drop(sh); // the woken find the lock free
+        self.engine.wake.notify_all();
     }
 }
 
@@ -379,6 +467,8 @@ mod tests {
     use bsl_models::{EvalScore, ModelArtifact};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::thread::{scope, yield_now};
 
     fn state(seed: u64, n_users: usize, n_items: usize) -> ServeState {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -412,38 +502,6 @@ mod tests {
         let err = engine.recommend("nope", RecommendRequest::new(0, 3)).unwrap_err();
         assert_eq!(err, ServeError::UnknownTenant("nope".into()));
         assert_eq!(engine.stats().errors, 1, "unknown tenant is rejected before the queue");
-    }
-
-    #[test]
-    fn concurrent_burst_is_coalesced() {
-        let engine = ServeEngine::single_tenant(
-            state(7, 64, 400),
-            BatchPolicy { window: Duration::from_millis(5), ..Default::default() },
-        );
-        let n_threads = 8usize;
-        let per_thread = 25usize;
-        std::thread::scope(|s| {
-            for t in 0..n_threads {
-                let engine = &engine;
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        let u = ((t * per_thread + i) % 64) as u32;
-                        let resp =
-                            engine.recommend("default", RecommendRequest::new(u, 5)).unwrap();
-                        assert_eq!(resp.recs.len(), 5);
-                    }
-                });
-            }
-        });
-        let snap = engine.stats();
-        assert_eq!(snap.requests, (n_threads * per_thread) as u64);
-        assert!(
-            snap.batches < snap.requests,
-            "burst of {} requests must coalesce into fewer batches (got {})",
-            snap.requests,
-            snap.batches
-        );
-        assert!(snap.max_batch > 1, "at least one batch must hold >1 request");
     }
 
     #[test]
@@ -507,5 +565,257 @@ mod tests {
             engine.recommend("default", RecommendRequest::new(0, 3)).unwrap_err(),
             ServeError::Closed
         );
+    }
+
+    // ---- deterministic scheduling tests --------------------------------
+    //
+    // None of these sleeps or races a timer. A one-lane engine (private
+    // lane count) gets a scoring hook that records every tenant group it
+    // is handed and parks the groups of "gate" users (id >= GATE) until
+    // the test releases them, so the test decides what queues up behind
+    // a busy lane; it waits for that by reading the queue length.
+
+    const GATE: u32 = 60;
+
+    struct Gate {
+        entered: Receiver<()>,
+        release: Sender<()>,
+        groups: Arc<Mutex<Vec<Vec<u32>>>>,
+    }
+
+    impl Gate {
+        fn groups(&self) -> Vec<Vec<u32>> {
+            self.groups.lock().unwrap().clone()
+        }
+    }
+
+    fn gated(
+        registry: Arc<Registry>,
+        policy: BatchPolicy,
+        lanes: usize,
+        extra: impl Fn(&[RecommendRequest]) + Send + Sync + 'static,
+    ) -> (Arc<ServeEngine>, Gate) {
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let release_rx = Mutex::new(release_rx);
+        let groups = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&groups);
+        let mut engine = ServeEngine::with_lanes(registry, policy, lanes);
+        Arc::get_mut(&mut engine).unwrap().hook = Some(Box::new(move |reqs| {
+            seen.lock().unwrap().push(reqs.iter().map(|r| r.user).collect());
+            extra(reqs);
+            if reqs.iter().any(|r| r.user >= GATE) {
+                entered_tx.send(()).unwrap();
+                let rx = release_rx.lock().unwrap();
+                rx.recv().unwrap();
+            }
+        }));
+        (engine, Gate { entered, release, groups })
+    }
+
+    fn one_tenant(seed: u64) -> Arc<Registry> {
+        let registry = Arc::new(Registry::new());
+        registry.insert("default", state(seed, 64, 300));
+        registry
+    }
+
+    fn wait_queued(engine: &ServeEngine, n: usize) {
+        while engine.lock().queue.len() != n {
+            yield_now();
+        }
+    }
+
+    fn ask(engine: &ServeEngine, tenant: &str, user: u32) -> Answer {
+        engine.recommend(tenant, RecommendRequest::new(user, 5))
+    }
+
+    #[test]
+    fn callers_queued_behind_a_busy_lane_are_one_fifo_batch() {
+        let reference = state(7, 64, 300).with_version(1);
+        let policy = BatchPolicy { max_batch: 4, ..Default::default() };
+        let (engine, gate) = gated(one_tenant(7), policy, 1, |_| {});
+        let engine = &*engine;
+        scope(|s| {
+            let holder = s.spawn(move || ask(engine, "default", GATE));
+            gate.entered.recv().unwrap();
+            // Five callers queue one by one behind the held lane: one more
+            // than `max_batch`.
+            let callers: Vec<_> = (1..=5u32)
+                .map(|u| {
+                    let h = s.spawn(move || ask(engine, "default", u));
+                    wait_queued(engine, u as usize);
+                    h
+                })
+                .collect();
+            gate.release.send(()).unwrap();
+            let mut scratch = ServeScratch::new();
+            for (u, h) in std::iter::once((GATE, holder)).chain((1..=5).zip(callers)) {
+                let want = reference.respond(&RecommendRequest::new(u, 5), &mut scratch);
+                assert_eq!(h.join().unwrap(), want, "user {u}");
+            }
+        });
+        assert_eq!(gate.groups(), vec![vec![GATE], vec![1, 2, 3, 4], vec![5]]);
+        let snap = engine.stats();
+        assert_eq!((snap.requests, snap.batches, snap.max_batch), (6, 3, 4));
+        assert_eq!(snap.avg_batch, 2.0);
+    }
+
+    #[test]
+    fn two_lanes_score_two_batches_at_once() {
+        // `max_batch: 1`: under `audit_stress` the lock opens between
+        // enqueue and lead, and whoever leads first must not take both.
+        let (engine, gate) = gated(one_tenant(8), BatchPolicy::unbatched(), 2, |_| {});
+        let engine = &*engine;
+        scope(|s| {
+            let a = s.spawn(move || ask(engine, "default", GATE));
+            let b = s.spawn(move || ask(engine, "default", GATE + 1));
+            // Both are inside the scoring call at the same time...
+            gate.entered.recv().unwrap();
+            gate.entered.recv().unwrap();
+            assert_eq!(engine.lock().busy, 2);
+            // ...and a third caller finds no lane: it stays queued.
+            let c = s.spawn(move || ask(engine, "default", 3));
+            wait_queued(engine, 1);
+            gate.release.send(()).unwrap();
+            gate.release.send(()).unwrap();
+            for h in [a, b, c] {
+                assert!(h.join().unwrap().is_ok());
+            }
+        });
+        assert_eq!(engine.stats().batches, 3);
+        assert_eq!(engine.lock().idle.len(), 2, "one pooled lane per lane, no more");
+    }
+
+    #[test]
+    fn full_queue_blocks_the_next_caller_until_a_batch_is_taken() {
+        let policy = BatchPolicy { queue_depth: 2, ..Default::default() };
+        let (engine, gate) = gated(one_tenant(9), policy, 1, |_| {});
+        let engine = &*engine;
+        scope(|s| {
+            let mut callers = vec![s.spawn(move || ask(engine, "default", GATE))];
+            gate.entered.recv().unwrap();
+            for u in 1..=2u32 {
+                callers.push(s.spawn(move || ask(engine, "default", u)));
+                wait_queued(engine, u as usize);
+            }
+            // The queue is at its bound: the third caller may not enter it.
+            callers.push(s.spawn(move || ask(engine, "default", 3)));
+            for _ in 0..2_000 {
+                assert!(engine.lock().queue.len() <= 2, "queue grew past queue_depth");
+                yield_now();
+            }
+            gate.release.send(()).unwrap();
+            for h in callers {
+                assert!(h.join().unwrap().is_ok());
+            }
+        });
+        // It got in only once [1, 2] had been taken, so never into their batch.
+        assert_eq!(gate.groups(), vec![vec![GATE], vec![1, 2], vec![3]]);
+    }
+
+    #[test]
+    fn shutdown_answers_every_queued_caller_and_closes_to_later_ones() {
+        let (engine, gate) = gated(one_tenant(10), BatchPolicy::default(), 1, |_| {});
+        let engine = &*engine;
+        scope(|s| {
+            let mut callers = vec![s.spawn(move || ask(engine, "default", GATE))];
+            gate.entered.recv().unwrap();
+            for u in 1..=3u32 {
+                callers.push(s.spawn(move || ask(engine, "default", u)));
+                wait_queued(engine, u as usize);
+            }
+            let stopper = s.spawn(move || engine.shutdown());
+            while !engine.lock().closed {
+                yield_now();
+            }
+            assert_eq!(ask(engine, "default", 4), Err(ServeError::Closed));
+            assert!(!stopper.is_finished(), "shutdown waits for the batch in flight");
+            gate.release.send(()).unwrap();
+            for h in callers {
+                assert!(h.join().unwrap().is_ok(), "queued before shutdown: answered");
+            }
+            stopper.join().unwrap();
+        });
+        assert_eq!(engine.stats().requests, 4);
+        assert_eq!(ask(engine, "default", 5), Err(ServeError::Closed));
+    }
+
+    #[test]
+    fn mixed_tenant_batch_loads_each_slot_once() {
+        let registry = Arc::new(Registry::new());
+        registry.insert("a", state(1, 64, 100));
+        registry.insert("b", state(2, 64, 50));
+        let (ref_a, ref_b) = (state(1, 64, 100).with_version(1), state(2, 64, 50).with_version(1));
+        // The hook runs between a group's one `slot.load()` and its
+        // scoring: deploying tenant a's next generation from inside a's
+        // group must not reach any request of that group.
+        let deploy = Arc::clone(&registry);
+        let (engine, gate) = gated(Arc::clone(&registry), BatchPolicy::default(), 1, move |reqs| {
+            if reqs[0].user == 1 {
+                deploy.swap("a", state(99, 64, 100)).unwrap();
+            }
+        });
+        let engine = &*engine;
+        let asks = [("a", 1u32), ("b", 2), ("a", 3), ("b", 4)];
+        scope(|s| {
+            let holder = s.spawn(move || ask(engine, "a", GATE));
+            gate.entered.recv().unwrap();
+            let callers: Vec<_> = asks
+                .iter()
+                .enumerate()
+                .map(|(i, &(tenant, u))| {
+                    let h = s.spawn(move || ask(engine, tenant, u));
+                    wait_queued(engine, i + 1);
+                    h
+                })
+                .collect();
+            gate.release.send(()).unwrap();
+            holder.join().unwrap().unwrap();
+            let mut scratch = ServeScratch::new();
+            for (&(tenant, u), h) in asks.iter().zip(callers) {
+                let reference = if tenant == "a" { &ref_a } else { &ref_b };
+                let want = reference.respond(&RecommendRequest::new(u, 5), &mut scratch);
+                assert_eq!(h.join().unwrap(), want, "{tenant}/{u}: generation 1, whole group");
+            }
+        });
+        // One batch of four, two groups, each handed over (= loaded) once.
+        let mut groups = gate.groups();
+        groups[1..].sort();
+        assert_eq!(groups, vec![vec![GATE], vec![1, 3], vec![2, 4]]);
+        assert_eq!(engine.stats().batches, 2);
+        assert_eq!(ask(engine, "a", 1).unwrap().version, 2, "the deploy did land");
+    }
+
+    #[test]
+    fn a_leader_that_unwinds_fails_its_batch_closed_and_frees_the_lane() {
+        let (engine, gate) = gated(one_tenant(12), BatchPolicy::default(), 1, |reqs| {
+            assert!(reqs.iter().all(|r| r.user != 13), "injected scoring failure");
+        });
+        let engine = &*engine;
+        scope(|s| {
+            let holder = s.spawn(move || ask(engine, "default", GATE));
+            gate.entered.recv().unwrap();
+            let callers: Vec<_> = [13u32, 1, 2]
+                .into_iter()
+                .enumerate()
+                .map(|(i, u)| {
+                    let h = s.spawn(move || ask(engine, "default", u));
+                    wait_queued(engine, i + 1);
+                    h
+                })
+                .collect();
+            gate.release.send(()).unwrap();
+            assert!(holder.join().unwrap().is_ok());
+            // Whichever of the three woke first led [13, 1, 2] and unwound
+            // out of the hook; its drop guard answered the other two.
+            let results: Vec<_> = callers.into_iter().map(|h| h.join()).collect();
+            assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1, "one leader panicked");
+            for r in results.into_iter().flatten() {
+                assert_eq!(r, Err(ServeError::Closed));
+            }
+        });
+        assert_eq!(engine.lock().busy, 0, "the lane came back");
+        assert!(ask(engine, "default", 5).is_ok(), "a later request is served");
+        engine.shutdown();
     }
 }

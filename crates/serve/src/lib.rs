@@ -1,6 +1,6 @@
 //! Retrieval serving over frozen [`ModelArtifact`]s — from a single
 //! in-process recommender up to a traffic-facing TCP engine with
-//! micro-batching and zero-downtime artifact hot swap.
+//! batching and zero-downtime artifact hot swap.
 //!
 //! Training (`bsl-core`) ends at `Backbone::export() → ModelArtifact`;
 //! this crate is everything after that boundary. It is layered so each
@@ -24,9 +24,11 @@
 //!    requests finish on the generation they loaded, which drops with
 //!    its last holder. [`Registry`] (`registry`) names one slot per
 //!    tenant.
-//! 4. **[`ServeEngine`]** (`engine`) — the micro-batching scheduler:
-//!    a bounded queue plus worker threads that coalesce concurrent
-//!    requests into one batched scoring pass per artifact generation.
+//! 4. **[`ServeEngine`]** (`engine`) — the batching scheduler: one
+//!    bounded FIFO queue and no thread of its own. The caller that finds
+//!    a free lane (one per core) scores what is queued — its own request
+//!    and whatever arrived while every lane was busy — in one batched
+//!    pass per artifact generation, and publishes the answers.
 //! 5. **[`TcpFrontend`]/[`ServeClient`]** (`protocol`) — a framed,
 //!    length-prefixed TCP wire protocol (`recommend` / `score_items` /
 //!    `swap_artifact` / `stats` / `shutdown`) over `std::net`.

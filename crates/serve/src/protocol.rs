@@ -36,7 +36,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::engine::ServeEngine;
@@ -427,6 +427,32 @@ fn handle(engine: &ServeEngine, req: Request, shutdown: &AtomicBool) -> Response
     }
 }
 
+/// The front end's books on its connections: a handle on every open
+/// stream, so `stop` can shut it down, and every connection thread not
+/// yet joined. Bounded by the connections open *now*, not ever accepted:
+/// a connection thread drops its own stream entry when it ends and the
+/// accept loop joins the threads that have.
+#[derive(Default)]
+struct Conns {
+    open: Vec<(u64, TcpStream)>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// Removes a connection's [`Conns`] entry when its thread ends — also
+/// when it unwinds, so the peer sees the socket close instead of hanging.
+struct Deregister {
+    conns: Arc<Mutex<Conns>>,
+    id: u64,
+}
+
+impl Drop for Deregister {
+    fn drop(&mut self) {
+        // Every update of `Conns` is one `Vec` call: valid after a panic.
+        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        conns.open.retain(|(id, _)| *id != self.id);
+    }
+}
+
 /// The TCP front end: an accept loop handing each connection to its own
 /// thread, all speaking the framed protocol against one shared
 /// [`ServeEngine`].
@@ -439,25 +465,26 @@ pub struct TcpFrontend {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Conns>>,
 }
 
 impl TcpFrontend {
+    /// How long the accept loop sleeps after a failed `accept` (out of
+    /// descriptors, typically) before trying again.
+    const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
+
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts accepting connections against `engine`.
     pub fn start(engine: Arc<ServeEngine>, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Mutex::new(Conns::default()));
         let accept = {
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
-            let threads = Arc::clone(&threads);
             std::thread::Builder::new().name("bsl-serve-accept".into()).spawn(move || {
-                for stream in listener.incoming() {
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
                     // ORDERING: SeqCst — shutdown-latch read; `stop`'s
                     // store is totally ordered before the poke connection
                     // that unblocks this accept, so the flag is visible
@@ -465,21 +492,36 @@ impl TcpFrontend {
                     if shutdown.load(SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
-                    if let Ok(clone) = stream.try_clone() {
-                        conns.lock().expect("conn registry").push(clone);
-                    }
+                    // A connection `stop` could not shut down would hang
+                    // its join, so no handle, no service.
+                    let Some((stream, handle)) =
+                        stream.ok().and_then(|s| s.try_clone().ok().map(|c| (s, c)))
+                    else {
+                        std::thread::sleep(Self::ACCEPT_BACKOFF);
+                        continue;
+                    };
+                    let mut books = conns.lock().expect("conn registry");
+                    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut books.threads)
+                        .into_iter()
+                        .partition(JoinHandle::is_finished);
+                    books.threads = live;
+                    done.into_iter().for_each(|h| drop(h.join()));
+                    books.open.push((id, handle));
                     let engine = Arc::clone(&engine);
                     let shutdown = Arc::clone(&shutdown);
-                    let handle = std::thread::Builder::new()
+                    let bye = Deregister { conns: Arc::clone(&conns), id };
+                    let thread = std::thread::Builder::new()
                         .name("bsl-serve-conn".into())
-                        .spawn(move || connection_loop(stream, &engine, &shutdown))
+                        .spawn(move || {
+                            let _bye = bye;
+                            connection_loop(stream, &engine, &shutdown)
+                        })
                         .expect("spawning connection thread");
-                    threads.lock().expect("conn threads").push(handle);
+                    books.threads.push(thread);
                 }
             })?
         };
-        Ok(Self { addr, shutdown, accept: Some(accept), conns, threads })
+        Ok(Self { addr, shutdown, accept: Some(accept), conns })
     }
 
     /// The bound address (useful with port 0).
@@ -515,11 +557,16 @@ impl TcpFrontend {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for conn in self.conns.lock().expect("conn registry").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        let handles: Vec<_> = self.threads.lock().expect("conn threads").drain(..).collect();
-        for h in handles {
+        // Take the threads out before joining: they lock the books to
+        // drop their entry on the way out.
+        let threads = {
+            let mut books = self.conns.lock().expect("conn registry");
+            for (_, conn) in &books.open {
+                let _ = conn.shutdown(std::net::Shutdown::Both);
+            }
+            std::mem::take(&mut books.threads)
+        };
+        for h in threads {
             let _ = h.join();
         }
     }

@@ -20,7 +20,7 @@
 //!   (`set_nprobe`/`set_exact`), now carried by each request.
 //!
 //! The batched entry point [`ServeState::recommend_batch_into`] is the
-//! micro-batcher's workhorse: exact-path requests in the batch are scored
+//! engine's workhorse: exact-path requests in the batch are scored
 //! in one **tiled multi-query pass** over the item table,
 //! [`ModelArtifact::score_catalogue_batch_into`] — the loop `bsl-eval`
 //! ranks its user blocks with — which is the paper's
@@ -418,7 +418,7 @@ impl ServeState {
     /// Answers a whole batch of requests, one inner list per request in
     /// request order, reusing `out`'s inner allocations.
     ///
-    /// This is the micro-batcher's workhorse: all requests of the batch
+    /// This is the engine's workhorse: all requests of the batch
     /// that resolve to the **exact** path over an f32 table are scored in
     /// one tiled multi-query pass over the item table
     /// ([`ModelArtifact::score_catalogue_batch_into`]: each tile of item

@@ -31,10 +31,13 @@ use crate::state::ServeState;
 /// Compiled only under `RUSTFLAGS="--cfg audit_stress"` (see
 /// `scripts/audit.sh`); in normal builds [`pause`](stress::pause) is an
 /// empty inline fn the optimizer erases, so the hooks cost nothing.
-mod stress {
-    /// The windows of the swap protocol worth widening: each sits between
-    /// two atomic accesses whose relative order the SAFETY argument
-    /// depends on.
+pub(crate) mod stress {
+    /// The windows worth widening. The first three sit between two atomic
+    /// accesses of the swap protocol whose relative order its SAFETY
+    /// argument depends on; the last three sit between the steps of
+    /// [`ServeEngine::recommend`](crate::ServeEngine::recommend) across
+    /// which another caller may change the queue, the lanes or the
+    /// published answers.
     #[derive(Clone, Copy)]
     pub enum Site {
         /// Reader announced (`readers += 1`) but has not loaded the
@@ -46,6 +49,14 @@ mod stress {
         /// Writer exchanged the pointer but has not checked the drain
         /// counter yet.
         SwapExchanged,
+        /// Engine caller queued its request but has not looked for its
+        /// answer or a free lane yet.
+        Enqueued,
+        /// Engine caller is about to look for its answer or a free lane
+        /// (again, after a wake-up).
+        BeforeLane,
+        /// Lane leader scored its batch but has not published the answers.
+        BeforePublish,
     }
 
     #[cfg(not(audit_stress))]

@@ -2,7 +2,7 @@
 # The workspace static-analysis gate, runnable locally and in CI:
 #
 #   scripts/audit.sh                  # bsl-audit lints + clippy
-#   AUDIT_STRESS=1 scripts/audit.sh   # + seeded hot-swap interleave harness
+#   AUDIT_STRESS=1 scripts/audit.sh   # + seeded hot-swap / engine interleave harness
 #
 # Everything shares one exit code so CI needs exactly one gate step.
 # bsl-audit enforces the conventions README.md documents under
@@ -24,9 +24,10 @@ echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings || fail=1
 
 if [[ "${AUDIT_STRESS:-0}" == "1" ]]; then
-    echo "== hot-swap interleave stress (--cfg audit_stress) =="
+    echo "== hot-swap + engine interleave stress (--cfg audit_stress) =="
     # The cfg compiles seeded schedule-perturbation hooks into SwapSlot's
-    # load/swap windows; a failure replays with the printed seed.
+    # load/swap windows and between the steps of ServeEngine::recommend
+    # (1, 2 and 3 lanes); a failure replays with the printed seed.
     RUSTFLAGS="${RUSTFLAGS:-} --cfg audit_stress" \
         BSL_STRESS_SEED="${BSL_STRESS_SEED:-42}" \
         cargo test -q -p bsl-serve --test interleave || fail=1

@@ -2,15 +2,14 @@
 # Drives the serving load generator (crates/bench/src/bin/load_gen.rs).
 #
 #   scripts/load_gen.sh            # both passes below
-#   scripts/load_gen.sh inproc     # micro-batched vs unbatched engine comparison
+#   scripts/load_gen.sh inproc     # batched vs unbatched engine at saturation
 #   scripts/load_gen.sh tcp        # TCP server smoke: 1k mixed requests, p99 gate,
 #                                  # shutdown frame, clean join
 #
 # Environment knobs:
-#   MIN_SPEEDUP    fail the inproc pass if batched/unbatched QPS falls below
-#                  this (CI sets 1.5 as headroom under the >=2x acceptance
-#                  target; unset = report only)
 #   P99_BUDGET_US  fail the tcp pass if p99 exceeds this (default 200000)
+#
+# Both passes fail on any request error.
 #
 # The `serve_*` lines on stdout are grep-stable; scripts/bench_baseline.sh
 # copies them into BENCHMARKS.md.
@@ -28,11 +27,11 @@ cargo build --release -p bsl-bench --bin load_gen
 bin=target/release/load_gen
 
 if [[ "$mode" == "inproc" || "$mode" == "all" ]]; then
-    # The acceptance comparison: the same closed-loop request stream
-    # through an unbatched engine (max_batch=1) and the micro-batching
-    # scheduler. Default workload: 32k-item catalogue at d=64 (~8 MiB item
-    # table, past L2), concurrency 16.
-    "$bin" --mode inproc ${MIN_SPEEDUP:+--min-speedup "$MIN_SPEEDUP"}
+    # The same saturating closed-loop request stream through the engine
+    # with max_batch=1 and with max_batch=32; both score on every core, so
+    # the ratio is reported, not gated. Default workload: 32k-item
+    # catalogue at d=64 (~8 MiB item table, past L2), concurrency 16.
+    "$bin" --mode inproc
 fi
 
 if [[ "$mode" == "tcp" || "$mode" == "all" ]]; then
