@@ -70,6 +70,9 @@ pub fn build(toks: &[Tok]) -> Scopes {
     // Angle-bracket depth inside a pending header, so `impl<T> Name<T>`
     // picks up `Name`, not the generic params.
     let mut angle: i32 = 0;
+    // Square-bracket depth, so the `;` of an array type `[T; N]` in a
+    // header does not drop it.
+    let mut square: i32 = 0;
 
     for (idx, t) in toks.iter().enumerate() {
         stacks.push(stack.clone());
@@ -141,7 +144,9 @@ pub fn build(toks: &[Tok]) -> Scopes {
             TokKind::Punct('}') => {
                 stack.pop();
             }
-            TokKind::Punct(';') => {
+            TokKind::Punct('[') => square += 1,
+            TokKind::Punct(']') => square = (square - 1).max(0),
+            TokKind::Punct(';') if square == 0 => {
                 pending = None;
             }
             _ => {}
@@ -184,5 +189,16 @@ mod tests {
         let z = lx.toks.iter().position(|t| t.is_ident("z")).unwrap();
         assert_eq!(sc.path_of(z), "f");
         assert!(sc.is_inside(z, "f"));
+    }
+
+    #[test]
+    fn array_types_in_a_signature_keep_the_header() {
+        let src = "mod m {\n  fn g(rows: [u8; 8]) -> [f32; 2] { w; }\n  const N: [u8; 1] = [0; 1];\n  fn h() { v; }\n}\n";
+        let lx = lex(src);
+        let sc = build(&lx.toks);
+        let w = lx.toks.iter().position(|t| t.is_ident("w")).unwrap();
+        assert_eq!(sc.path_of(w), "m::g");
+        let v = lx.toks.iter().position(|t| t.is_ident("v")).unwrap();
+        assert_eq!(sc.path_of(v), "m::h");
     }
 }

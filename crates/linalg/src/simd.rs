@@ -1093,7 +1093,8 @@ mod avx2 {
     }
 
     /// `out[j] = <q, block[j·d ..]>` for an `M × d` row block, two rows
-    /// per pass.
+    /// per pass; an odd last row is paired with itself, so every row's
+    /// score is [`dot2_impl`]'s whatever its position.
     #[inline]
     pub fn scores_block(q: &[f32], block: &[f32], out: &mut [f32]) {
         let d = q.len();
@@ -1109,12 +1110,14 @@ mod avx2 {
             j += 2;
         }
         if j < out.len() {
-            out[j] = dot(q, &block[j * d..(j + 1) * d]);
+            let row = &block[j * d..(j + 1) * d];
+            // SAFETY: as above; the row slice is exactly d elements.
+            out[j] = unsafe { dot2_impl(q, row, row) }.0;
         }
     }
 
     /// `out[j] = <q, table[ids[j]·d ..]>` for gathered rows of an `n × d`
-    /// table, pairing `(j, j+1)` exactly as [`scores_block`] does so a
+    /// table, through the same [`dot2_impl`] as [`scores_block`], so a
     /// gathered score has the bits of the block score of the same row.
     #[inline]
     pub fn scores_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
@@ -1131,7 +1134,9 @@ mod avx2 {
             j += 2;
         }
         if j < out.len() {
-            out[j] = dot(q, row(ids[j]));
+            let r = row(ids[j]);
+            // SAFETY: as above.
+            out[j] = unsafe { dot2_impl(q, r, r) }.0;
         }
     }
 
@@ -1351,74 +1356,147 @@ mod avx2 {
         }
     }
 
-    /// `out[j] = scales[j] · <q, block_i8[j·d ..]>` for an `M × d`
-    /// quantized row block, two rows per pass.
+    /// Lane `r` = `scales[r] · <q, rows[r][..d]>` for eight quantized rows
+    /// at `d = q.len() ≥ 8`. Each row accumulates in its own 8-lane
+    /// register, as in [`dequant_dot2_impl`], and one `hadd` tree reduces
+    /// all eight, so a row pays an eighth of the reduction instead of a
+    /// whole horizontal sum, and the scales apply in one multiply. A row's
+    /// result depends on that row alone, not on the seven beside it.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // Callers must pass `q` at least 8 long and eight row pointers each
+    // valid for `q.len()` bytes.
     #[inline]
-    pub fn scores_block_i8(q: &[f32], block: &[i8], scales: &[f32], out: &mut [f32]) {
-        let d = q.len();
-        let mut j = 0usize;
-        while j + 2 <= out.len() {
-            // SAFETY: AVX2+FMA verified before this module is dispatched (mod
-            // docs); both row slices are exactly d = q.len() elements.
-            let (s0, s1) = unsafe {
-                dequant_dot2_impl(q, &block[j * d..(j + 1) * d], &block[(j + 1) * d..(j + 2) * d])
-            };
-            out[j] = s0 * scales[j];
-            out[j + 1] = s1 * scales[j + 1];
-            j += 2;
-        }
-        if j < out.len() {
-            out[j] = dequant_dot(q, &block[j * d..(j + 1) * d], scales[j]);
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dequant_dot8_impl(q: &[f32], rows: [*const i8; 8], scales: __m256) -> __m256 {
+        // SAFETY: row loads read 8 bytes at `rows[r] + i` with
+        // `8 ≤ i + 8 ≤ d` (the tail's at `i = d − 8`) and q loads 8 floats
+        // at `i + 8 ≤ d`, all inside `q`/the rows by the caller contract.
+        unsafe {
+            let d = q.len();
+            debug_assert!(d >= 8);
+            let pq = q.as_ptr();
+            let mut acc = [_mm256_setzero_ps(); 8];
+            let mut i = 0usize;
+            while i + 8 <= d {
+                let vq = _mm256_loadu_ps(pq.add(i));
+                for (a, &p) in acc.iter_mut().zip(&rows) {
+                    *a = _mm256_fmadd_ps(vq, widen8(_mm_loadl_epi64(p.add(i).cast())), *a);
+                }
+                i += 8;
+            }
+            if i < d {
+                // A sub-8 tail re-reads the last 8 entries of each row, with
+                // the query lanes that were already summed zeroed.
+                let done = _mm256_castsi256_ps(tail_mask(8 - (d - i)));
+                let q_tail = _mm256_andnot_ps(done, _mm256_loadu_ps(pq.add(d - 8)));
+                for (a, &p) in acc.iter_mut().zip(&rows) {
+                    *a = _mm256_fmadd_ps(q_tail, widen8(_mm_loadl_epi64(p.add(d - 8).cast())), *a);
+                }
+            }
+            // Lane r of `sums` is row r: two hadd levels sum each register's
+            // 128-bit halves to four rows per half, and the halves add.
+            let h01 = _mm256_hadd_ps(acc[0], acc[1]);
+            let h23 = _mm256_hadd_ps(acc[2], acc[3]);
+            let h45 = _mm256_hadd_ps(acc[4], acc[5]);
+            let h67 = _mm256_hadd_ps(acc[6], acc[7]);
+            let lo = _mm256_hadd_ps(h01, h23);
+            let hi = _mm256_hadd_ps(h45, h67);
+            let sums = _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(lo, hi),
+                _mm256_permute2f128_ps::<0x31>(lo, hi),
+            );
+            _mm256_mul_ps(sums, scales)
         }
     }
 
-    /// `out[j] = scales[ids[j]] · <q, table[ids[j]·d ..]>` for gathered
-    /// rows of an `n × d` quantized table — one target-feature region
-    /// covers the whole candidate list, so the per-row dispatch + call
-    /// overhead of looping [`dequant_dot`] from safe code disappears and
-    /// each row pair shares the query loads.
-    // SAFETY: to call, AVX2+FMA must be enabled; `out` must be at least
-    // `ids` long and every id must index a full row of `table`/`scales`.
+    /// `out[j] = scales[i] · <q, table[i·d ..]>` with `i = ids[j]`, or
+    /// `i = j` without `ids`, for `j < out.len()`: the one int8 row order
+    /// behind [`scores_block_i8`] and [`scores_gather_i8`]. At `d ≥ 8`
+    /// rows go eight to a [`dequant_dot8_impl`] pass (a short last group
+    /// repeats its last row), below that two to a [`dequant_dot2_impl`]
+    /// pass (an odd last row is paired with itself). Either kernel gives a
+    /// row the same bits whatever its neighbours, so a row scores the same
+    /// at any position of a block or a list.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn scores_gather_i8_impl(
+    unsafe fn scores_rows_i8_impl(
         q: &[f32],
         table: &[i8],
         scales: &[f32],
-        ids: &[u32],
+        ids: Option<&[u32]>,
         out: &mut [f32],
     ) {
-        // SAFETY: the row slicing below is ordinary safe indexing (panics on
-        // a bad id rather than reading out of bounds); the only unsafe ops are
-        // the callee kernels, whose equal-length contracts hold because every
-        // row slice is exactly d = q.len() elements.
+        // SAFETY: safe slicing makes every row exactly d = q.len() bytes
+        // (and panics on an index past the table), `d ≥ 8` before the
+        // eight-row kernel runs, and a store of 8 lanes goes to 8 floats of
+        // `out` or of `last`.
         unsafe {
-            let d = q.len();
-            let mut j = 0usize;
-            while j + 2 <= ids.len() {
-                let (i0, i1) = (ids[j] as usize, ids[j + 1] as usize);
-                let (s0, s1) = dequant_dot2_impl(
-                    q,
-                    &table[i0 * d..(i0 + 1) * d],
-                    &table[i1 * d..(i1 + 1) * d],
-                );
-                out[j] = s0 * scales[i0];
-                out[j + 1] = s1 * scales[i1];
-                j += 2;
+            let (d, m) = (q.len(), out.len());
+            // The table row of output `j`.
+            let row_of = |j: usize| match ids {
+                Some(ids) => ids[j] as usize,
+                None => j,
+            };
+            if d < 8 {
+                for j in (0..m).step_by(2) {
+                    let j1 = (j + 1).min(m - 1);
+                    let (i0, i1) = (row_of(j), row_of(j1));
+                    let (r0, r1) = (&table[i0 * d..(i0 + 1) * d], &table[i1 * d..(i1 + 1) * d]);
+                    let (s0, s1) = dequant_dot2_impl(q, r0, r1);
+                    out[j] = s0 * scales[i0];
+                    out[j1] = s1 * scales[i1];
+                }
+                return;
             }
-            if j < ids.len() {
-                let i = ids[j] as usize;
-                out[j] = dequant_dot_impl(q, &table[i * d..(i + 1) * d]) * scales[i];
+            for j in (0..m).step_by(8) {
+                let mut rows = [table.as_ptr(); 8];
+                let v = if ids.is_none() && j + 8 <= m {
+                    // Eight consecutive rows: one bounds check, one load.
+                    let base = table[j * d..(j + 8) * d].as_ptr();
+                    for (r, p) in rows.iter_mut().enumerate() {
+                        *p = base.add(r * d);
+                    }
+                    _mm256_loadu_ps(scales[j..j + 8].as_ptr())
+                } else {
+                    let mut s = [0.0f32; 8];
+                    for r in 0..8 {
+                        let i = row_of((j + r).min(m - 1));
+                        rows[r] = table[i * d..(i + 1) * d].as_ptr();
+                        s[r] = scales[i];
+                    }
+                    _mm256_setr_ps(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+                };
+                let sums = dequant_dot8_impl(q, rows, v);
+                if j + 8 <= m {
+                    _mm256_storeu_ps(out.as_mut_ptr().add(j), sums);
+                } else {
+                    let mut last = [0.0f32; 8];
+                    _mm256_storeu_ps(last.as_mut_ptr(), sums);
+                    out[j..].copy_from_slice(&last[..m - j]);
+                }
             }
         }
     }
 
-    /// Safe wrapper for the gathered int8 scorer (AVX2+FMA verified by the
-    /// dispatch tables before this is reachable).
+    /// `out[j] = scales[j] · <q, block_i8[j·d ..]>` for an `M × d`
+    /// quantized row block (row order: [`scores_rows_i8_impl`]).
+    #[inline]
+    pub fn scores_block_i8(q: &[f32], block: &[i8], scales: &[f32], out: &mut [f32]) {
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs).
+        unsafe { scores_rows_i8_impl(q, block, scales, None, out) }
+    }
+
+    /// `out[j] = scales[ids[j]] · <q, table[ids[j]·d ..]>` for gathered
+    /// rows of an `n × d` quantized table, with the bits
+    /// [`scores_block_i8`] gives the same rows ([`scores_rows_i8_impl`]).
     #[inline]
     pub fn scores_gather_i8(q: &[f32], table: &[i8], scales: &[f32], ids: &[u32], out: &mut [f32]) {
         // SAFETY: AVX2+FMA verified before this module is dispatched (mod
-        // docs); each gathered row slice has length d = q.len() by construction.
-        unsafe { scores_gather_i8_impl(q, table, scales, ids, out) }
+        // docs).
+        unsafe { scores_rows_i8_impl(q, table, scales, Some(ids), out) }
     }
 
     /// Eight lanes of the [`softmax_row`] activation: the polynomial of
@@ -1866,7 +1944,9 @@ pub fn normalize_gather_into(src: &Matrix, ids: &[u32], dst: &mut [f32], norms: 
 /// matvec): `out[j] = <q, block[j]>`.
 ///
 /// The AVX2 path processes two block rows per pass, sharing the query
-/// loads; scalar dispatch reduces to the historical per-row dot loop.
+/// loads, and pairs an odd last row with itself; scalar dispatch reduces
+/// to the historical per-row dot loop. At every level a row's score does
+/// not depend on its position in the block.
 ///
 /// # Panics
 /// Panics if `block.len() != out.len() * q.len()`.
@@ -1899,9 +1979,11 @@ pub fn scores_block(q: &[f32], block: &[f32], out: &mut [f32]) {
 /// `out[j] = scales[j] · <q, block[j]>` — the int8 twin of
 /// [`scores_block`], and the full-scan hot path for int8 artifacts.
 ///
-/// The AVX2 path widens two quantized rows per pass in-register, sharing
-/// the query loads; scalar dispatch reduces to a per-row
-/// [`scalar::dequant_dot`] loop.
+/// The AVX2 path widens eight quantized rows per pass in-register, sharing
+/// the query loads and one reduction tree (two rows per pass below
+/// `d = 8`); scalar dispatch reduces to a per-row
+/// [`scalar::dequant_dot`] loop. At every level a row's score does not
+/// depend on its position, so [`scores_gather_i8`] gives it the same bits.
 ///
 /// # Panics
 /// Panics if `block.len() != out.len() * q.len()` or
@@ -1936,7 +2018,8 @@ pub fn scores_block_i8(q: &[f32], block: &[i8], scales: &[f32], out: &mut [f32])
 /// table: `out[j] = scales[ids[j]] · <q, table_row(ids[j])>` — the IVF
 /// shortlist-rescoring hot path. Unlike looping [`dequant_dot`], the whole
 /// candidate list is scored inside one dispatch (and, on AVX2, one
-/// target-feature region with two rows per pass sharing the query loads).
+/// target-feature region with eight rows per pass sharing the query
+/// loads). Each score has the bits [`scores_block_i8`] gives the same row.
 ///
 /// # Panics
 /// Panics if `table.len() != scales.len() * q.len()`,
@@ -1975,9 +2058,9 @@ pub fn scores_gather_i8(q: &[f32], table: &[i8], scales: &[f32], ids: &[u32], ou
 /// [`scores_gather_i8`], and how the sampled trainer step scores a batch
 /// row against its negatives' slots in the per-step unit-vector table.
 ///
-/// Rows are paired `(j, j+1)` exactly as [`scores_block`] pairs them, so
-/// at every dispatch level each score is bit-identical to what
-/// [`scores_block`] returns on the same rows copied out contiguously.
+/// Rows go through the kernel [`scores_block`] uses, so at every dispatch
+/// level each score is bit-identical to what [`scores_block`] gives the
+/// same row, at any position of the block.
 ///
 /// # Panics
 /// Panics if `out.len() != ids.len()` or any id indexes past the table.
@@ -2441,10 +2524,10 @@ mod tests {
         }
 
         /// Blocked int8 scoring agrees with per-row scalar dequant-dots
-        /// across random block shapes (odd d, odd M — the two-row AVX2
-        /// microkernel's single-row remainder path included).
+        /// across random block shapes (odd d, M around multiples of 8 — the
+        /// eight-row AVX2 microkernel's short last group included).
         #[test]
-        fn prop_scores_block_i8_matches_scalar(d in 1usize..40, m in 0usize..9, seed in 0u64..100) {
+        fn prop_scores_block_i8_matches_scalar(d in 1usize..40, m in 0usize..27, seed in 0u64..100) {
             let q: Vec<f32> = (0..d).map(|i| ((i as u64 + seed) % 13) as f32 * 0.2 - 1.0).collect();
             let block: Vec<i8> = (0..m * d)
                 .map(|i| (((i as u64 * 7 + seed) % 255) as i64 - 127) as i8)

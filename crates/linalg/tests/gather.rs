@@ -1,11 +1,14 @@
-//! The gathered f32 kernels equal their block and per-occurrence forms
-//! **bit for bit**, at every dispatch level.
+//! The gathered kernels equal their block and per-occurrence forms **bit
+//! for bit**, at every dispatch level.
 //!
 //! The dispatch level is cached per process, so `every_dispatch_level`
 //! re-runs this binary's bitwise tests once under each `BSL_SIMD` value.
 
 use bsl_linalg::kernels::cosine_backward_into;
-use bsl_linalg::simd::{cosine_backward_block, cosine_backward_row, scores_block, scores_gather};
+use bsl_linalg::simd::{
+    cosine_backward_block, cosine_backward_row, scores_block, scores_block_i8, scores_gather,
+    scores_gather_i8,
+};
 use proptest::prelude::*;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -13,8 +16,11 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 proptest! {
-    /// Duplicate and unsorted ids, odd and even `m`, dims straddling the
-    /// 8-lane boundary (masked AVX2 tails).
+    /// A gathered row scores what the block gives it, whether the block is
+    /// the gathered rows copied out or the whole table: duplicate and
+    /// unsorted ids, odd and even `m` and `n` (a row at any position, the
+    /// table's odd last row included), dims straddling the 8-lane boundary
+    /// (masked AVX2 tails).
     #[test]
     fn gather_equals_block_bitwise(
         n in 1usize..12,
@@ -32,10 +38,36 @@ proptest! {
                 .flat_map(|&i| table[i as usize * d..(i as usize + 1) * d].iter().copied())
                 .collect();
 
-            let (mut ss, mut got) = (vec![0.0f32; m], vec![0.0f32; m]);
+            let (mut ss, mut got, mut all) = (vec![0.0f32; m], vec![0.0f32; m], vec![0.0f32; n]);
             scores_block(&q, &block, &mut ss);
             scores_gather(&q, &table, &ids, &mut got);
+            scores_block(&q, &table, &mut all);
+            let at: Vec<f32> = ids.iter().map(|&i| all[i as usize]).collect();
             prop_assert_eq!(bits(&got), bits(&ss), "scores d={} ids={:?}", d, &ids);
+            prop_assert_eq!(bits(&got), bits(&at), "table d={} ids={:?}", d, &ids);
+        }
+    }
+
+    /// The int8 twin: a gathered quantized row scores what the whole-table
+    /// block scan gives it. `n` and `m` around multiples of eight (the
+    /// eight-row AVX2 kernel's short last group), dims below, at and past 8.
+    #[test]
+    fn gather_i8_equals_block_i8_bitwise(
+        n in 1usize..27,
+        picks in proptest::collection::vec(0usize..27, 0..30),
+        seed in 0u64..200,
+    ) {
+        for d in [1usize, 7, 8, 13, 64, 65] {
+            let q: Vec<f32> = (0..d).map(|i| ((i as u64 * 5 + seed) % 13) as f32 * 0.21 - 1.1).collect();
+            let table: Vec<i8> =
+                (0..n * d).map(|i| (((i as u64 * 7 + seed * 3) % 255) as i64 - 127) as i8).collect();
+            let scales: Vec<f32> = (0..n).map(|r| 0.01 + ((r as u64 + seed) % 7) as f32 * 0.003).collect();
+            let ids: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
+            let (mut got, mut all) = (vec![0.0f32; ids.len()], vec![0.0f32; n]);
+            scores_gather_i8(&q, &table, &scales, &ids, &mut got);
+            scores_block_i8(&q, &table, &scales, &mut all);
+            let at: Vec<f32> = ids.iter().map(|&i| all[i as usize]).collect();
+            prop_assert_eq!(bits(&got), bits(&at), "d={} ids={:?}", d, &ids);
         }
     }
 }
@@ -167,13 +199,14 @@ fn every_dispatch_level() {
             .args([
                 "--exact",
                 "gather_equals_block_bitwise",
+                "gather_i8_equals_block_i8_bitwise",
                 "row_backward_equals_block_and_per_occurrence_bitwise",
             ])
             .output()
             .expect("re-running the test binary");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            out.status.success() && stdout.contains("2 passed"),
+            out.status.success() && stdout.contains("3 passed"),
             "BSL_SIMD={level}: {stdout}{}",
             String::from_utf8_lossy(&out.stderr)
         );

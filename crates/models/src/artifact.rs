@@ -68,8 +68,7 @@ use crate::backbone::EvalScore;
 use crate::cml::euclidean_rank_embeddings;
 use crate::ivf::IvfIndex;
 use crate::quant::QuantizedTable;
-use bsl_linalg::kernels::dot;
-use bsl_linalg::simd::{normalize_rows_into, scores_block};
+use bsl_linalg::simd::{normalize_rows_into, scores_block, scores_gather};
 use bsl_linalg::Matrix;
 use std::io::Write;
 use std::path::Path;
@@ -182,9 +181,9 @@ fn similarity_from_code(c: u8) -> Option<EvalScore> {
 }
 
 /// Item-row tile of [`ModelArtifact::score_catalogue_batch_into`]: 64 rows
-/// × d = 64 × 4 B = 16 KiB, L1-resident at typical widths. Even, so the
-/// two-rows-per-pass AVX2 kernel pairs the same rows as one pass over the
-/// whole table does.
+/// × d = 64 × 4 B = 16 KiB, L1-resident at typical widths. (A row's
+/// [`scores_block`] score does not depend on its position, so any tile
+/// gives the bits of one pass over the whole table.)
 const BATCH_TILE_ROWS: usize = 64;
 
 /// The numeric precision an artifact's score tables are stored at.
@@ -457,7 +456,8 @@ impl ModelArtifact {
     }
 
     /// Scores an explicit candidate list for `user` into `out` (resized to
-    /// `items.len()`).
+    /// `items.len()`), each score bit for bit what
+    /// [`score_catalogue_into`](Self::score_catalogue_into) gives the item.
     ///
     /// For [`EvalScore::NegSqDist`] artifacts the values are the
     /// rank-equivalent augmented inner products, not raw distances —
@@ -471,19 +471,22 @@ impl ModelArtifact {
     }
 
     /// Scores an explicit candidate list against a prepared f32 query
-    /// vector into `out` (cleared first) — the precision-dispatched
-    /// shortlist rescorer behind the IVF serving path; callers hold the
-    /// query from [`query_into`](Self::query_into) so the hot loop never
-    /// allocates.
+    /// vector into `out` (resized to `items.len()`) — the
+    /// precision-dispatched rescorer behind the IVF shortlist and the
+    /// sketch-pruned exact path; callers hold the query from
+    /// [`query_into`](Self::query_into) so the hot loop never allocates.
+    /// Every score has the bits
+    /// [`score_catalogue_query_into`](Self::score_catalogue_query_into)
+    /// gives the same item, at every dispatch level and either precision.
     ///
     /// # Panics
     /// Panics if `q.len() != dim` or any item id is out of range.
     pub fn score_items_query_into(&self, q: &[f32], items: &[u32], out: &mut Vec<f32>) {
         assert_eq!(q.len(), self.dim(), "query width mismatch");
-        out.clear();
         match &self.tables {
             Tables::F32 { items: table, .. } => {
-                out.extend(items.iter().map(|&i| dot(q, table.row(i as usize))));
+                out.resize(items.len(), 0.0);
+                scores_gather(q, table.as_slice(), items, out);
             }
             Tables::Int8 { items: table, .. } => {
                 table.scores_gather_into(q, items, out);
@@ -792,6 +795,7 @@ impl ModelArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsl_linalg::kernels::dot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -870,8 +874,46 @@ mod tests {
             let ids: Vec<u32> = (0..art.n_items() as u32).collect();
             let mut listed = Vec::new();
             art.score_items_into(3, &ids, &mut listed);
-            for (a, b) in all.iter().zip(listed.iter()) {
-                assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+            assert_eq!(listed, all);
+        }
+    }
+
+    /// Listed scores carry the catalogue scan's bits, for f32 and int8
+    /// tables: even and odd catalogues (the last row of an odd one has no
+    /// partner, and an int8 one's last group of eight is short), odd and
+    /// even lists, repeats, and the last row anywhere in the list. CI runs
+    /// this under scalar, portable and native dispatch.
+    #[test]
+    fn score_items_carries_the_catalogue_bits() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut all, mut listed) = (Vec::new(), Vec::new());
+        let shapes = [(1usize, 3usize), (2, 8), (11, 7), (64, 65), (65, 64), (129, 9), (13, 16)];
+        for (n, d) in shapes {
+            let u = Matrix::gaussian(4, d, 1.0, &mut rng);
+            let i = Matrix::gaussian(n, d, 1.0, &mut rng);
+            let f32_art = ModelArtifact::from_embeddings("MF", &u, &i, EvalScore::Dot);
+            let last = n as u32 - 1;
+            let lists: [Vec<u32>; 6] = [
+                (0..n as u32).collect(),
+                (0..n as u32).rev().collect(),
+                vec![last],
+                vec![last, 0, last, last],
+                (0..n as u32).step_by(3).chain([last, 0]).collect(),
+                (0..n as u32).filter(|&j| j % 2 == 1).chain([0]).collect(),
+            ];
+            for art in [f32_art.quantize(), f32_art] {
+                for user in 0..4 {
+                    art.score_catalogue_into(user, &mut all);
+                    for ids in &lists {
+                        art.score_items_into(user, ids, &mut listed);
+                        assert_eq!(listed.len(), ids.len());
+                        for (&id, &got) in ids.iter().zip(&listed) {
+                            let (got, want) = (got.to_bits(), all[id as usize].to_bits());
+                            let p = art.precision();
+                            assert_eq!(got, want, "{p:?} n {n} d {d} item {id} of {ids:?}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -945,9 +987,7 @@ mod tests {
         let ids: Vec<u32> = (0..art.n_items() as u32).collect();
         let mut listed = Vec::new();
         art.score_items_into(3, &ids, &mut listed);
-        for (a, b) in all.iter().zip(listed.iter()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
+        assert_eq!(listed, all);
     }
 
     #[test]

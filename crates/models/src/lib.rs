@@ -55,7 +55,7 @@ pub use lightgcn::LightGcn;
 pub use lrgccf::LrGccf;
 pub use mf::Mf;
 pub use ngcf::Ngcf;
-pub use quant::QuantizedTable;
+pub use quant::{PruneScratch, QuantizedTable, Sketch};
 pub use sgl::Sgl;
 pub use shard::ShardGrad;
 pub use simgcl::SimGcl;

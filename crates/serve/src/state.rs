@@ -10,31 +10,53 @@
 //! model. This module splits that god-object along its natural seam:
 //!
 //! * [`ServeState`] — everything immutable after load: the
-//!   [`ModelArtifact`], its optional IVF index, the per-user seen-item
-//!   mask, and a version stamp. Every scoring method takes `&self`, so
-//!   one `Arc<ServeState>` can serve from any number of threads.
+//!   [`ModelArtifact`], its optional IVF index, the int8 sketch of an f32
+//!   item table, the per-user seen-item mask, and a version stamp. Every
+//!   scoring method takes `&self`, so one `Arc<ServeState>` can serve
+//!   from any number of threads.
 //! * [`ServeScratch`] — the reusable per-call buffers (query row,
-//!   catalogue scores, top-k heap, probe scratch). One per thread;
-//!   steady-state serving allocates nothing.
+//!   catalogue scores, top-k heap, probe and sketch scratch). One per
+//!   thread; steady-state serving allocates nothing.
 //! * [`ServeOptions`] — the knobs that used to be recommender state
 //!   (`set_nprobe`/`set_exact`), now carried by each request.
 //!
+//! **The exact path is sketch-pruned, and still exact.** An exact request
+//! reads its scan from memory, so its cost is bytes. [`ServeState::new`]
+//! quantizes an f32 item table into an int8 [`Sketch`] (¼ of the table's
+//! bytes, held beside it). A request scans the sketch, which bounds every
+//! item's f32 score, rescores in f32 only the items that can still reach
+//! the top `k` (a few dozen of 38,048 on the benchmark catalogue), and
+//! selects among them: the same items with the same score bits as the
+//! plain scan plus [`TopK`], at every dispatch level (`bsl_models::quant`
+//! has the bound and its proof). The plain scan answers instead when the
+//! data leaves nothing to prune: no certificate for the table or the
+//! query (non-finite values), `k` at or past the eligible count, or more
+//! than 1/16 of the catalogue surviving.
+//!
 //! The batched entry point [`ServeState::recommend_batch_into`] is the
-//! engine's workhorse: exact-path requests in the batch are scored
-//! in one **tiled multi-query pass** over the item table,
+//! engine's workhorse. From `TILED_BATCH` (16) exact requests on, the batch
+//! is scored in one **tiled multi-query pass** over the item table,
 //! [`ModelArtifact::score_catalogue_batch_into`] — the loop `bsl-eval`
 //! ranks its user blocks with — which is the paper's
-//! amortize-one-blocked-pass insight applied to serving. Per-request
-//! results are bit-identical to serial [`ServeState::recommend_into`]
-//! calls. Both paths then rank a score row with
-//! [`TopK::select_masked_into`], which compares against the current k-th
-//! best first and searches the seen list only for a score that would
-//! enter, so an exact request costs its scan plus a few microseconds.
+//! amortize-one-blocked-pass insight applied to serving; smaller batches
+//! take the sketch one request at a time. Per-request results are
+//! bit-identical to serial [`ServeState::recommend_into`] calls. Full
+//! score rows are ranked with [`TopK::select_masked_into`], which compares
+//! against the current k-th best first and searches the seen list only
+//! for a score that would enter.
 
 use crate::recommender::{Rec, Retrieval};
 use bsl_data::Dataset;
 use bsl_linalg::topk::{select_scored_into, TopK};
-use bsl_models::{ivf::ProbeScratch, ModelArtifact};
+use bsl_models::{ivf::ProbeScratch, ModelArtifact, PruneScratch, Sketch};
+
+/// Exact requests in one batch from which the tiled f32 pass answers them
+/// instead of the sketch, one request at a time. On the same catalogue
+/// and host (2-vCPU Xeon, AVX2) the sketch serves 187–190 µs a request at
+/// any batch size, and the tiled pass 414–466, 282–320, 233–236, 206–207,
+/// 186–192 and 180–181 µs a request at B = 1, 2, 4, 8, 16 and 32 (two
+/// runs each): the two meet at 16.
+const TILED_BATCH: usize = 16;
 
 /// Per-request serving knobs (the state that used to live on the
 /// recommender as `set_nprobe`/`set_exact`).
@@ -177,6 +199,9 @@ pub struct ServeScratch {
     batch_users: Vec<u32>,
     /// Batched exact path: the `B × n_items` score block.
     batch_scores: Vec<f32>,
+    /// Sketch-pruned exact path: the scan's tile and bound buffers (its
+    /// survivors go to `candidates`).
+    prune: PruneScratch,
 }
 
 impl ServeScratch {
@@ -202,14 +227,19 @@ pub struct ServeState {
     /// All-zero indptr = no filtering.
     seen_indptr: Vec<usize>,
     seen_items: Vec<u32>,
+    /// The int8 sketch of an f32 item table that prunes the exact path
+    /// (`None` on int8 artifacts and on tables it cannot bound).
+    sketch: Option<Sketch>,
 }
 
 impl ServeState {
     /// A state with **no** seen-item filtering (every catalogue item
-    /// eligible), at version 0.
+    /// eligible), at version 0. An f32 item table gets its int8 sketch
+    /// here (+¼ of the table's bytes).
     pub fn new(artifact: ModelArtifact) -> Self {
         let n = artifact.n_users();
-        Self { artifact, version: 0, seen_indptr: vec![0; n + 1], seen_items: Vec::new() }
+        let sketch = artifact.items_f32().and_then(Sketch::new);
+        Self { artifact, version: 0, seen_indptr: vec![0; n + 1], seen_items: Vec::new(), sketch }
     }
 
     /// A state that filters each user's *training* interactions out of
@@ -349,7 +379,8 @@ impl ServeState {
         Ok(RecommendResponse { user: req.user, version: self.version, recs })
     }
 
-    /// The exact path: one blocked matvec over the whole item table.
+    /// The exact path: the sketch-pruned scan when it applies, else one
+    /// blocked matvec over the whole item table.
     fn recommend_exact_into(
         &self,
         req: &RecommendRequest,
@@ -357,8 +388,72 @@ impl ServeState {
         out: &mut Vec<Rec>,
     ) {
         self.artifact.query_into(req.user, &mut scratch.qbuf);
+        if self.recommend_pruned_into(req, scratch, out) {
+            return;
+        }
         self.artifact.score_catalogue_query_into(&scratch.qbuf, &mut scratch.scores);
         self.rank_into(req, &scratch.scores, &mut scratch.topk, &mut scratch.ids, out);
+    }
+
+    /// The exact path through the sketch (module docs): scan the int8
+    /// sketch for each item's score interval, rescore in f32 only the
+    /// items that can still reach the top `k`, and select among them.
+    /// Returns `false`, with nothing written, when the plain scan must
+    /// answer instead: no sketch, `k` at or past the eligible count, a
+    /// query without a certificate, or too many survivors.
+    fn recommend_pruned_into(
+        &self,
+        req: &RecommendRequest,
+        scratch: &mut ServeScratch,
+        out: &mut Vec<Rec>,
+    ) -> bool {
+        let Some(sketch) = &self.sketch else {
+            return false;
+        };
+        let seen = self.mask_for(req);
+        let n = self.n_items();
+        if req.k >= n.saturating_sub(seen.len()) {
+            return false;
+        }
+        let masked = |i: usize| seen.binary_search(&(i as u32)).is_ok();
+        let pruned = sketch.prune_into(
+            &scratch.qbuf,
+            req.k,
+            masked,
+            &mut scratch.prune,
+            &mut scratch.candidates,
+        );
+        if !pruned {
+            return false;
+        }
+        self.artifact.score_items_query_into(
+            &scratch.qbuf,
+            &scratch.candidates,
+            &mut scratch.cand_scores,
+        );
+        self.select_candidates_into(req, scratch, out);
+        true
+    }
+
+    /// Selects the top `k` of `scratch`'s scored candidates for `req` into
+    /// `out`, masking seen items.
+    fn select_candidates_into(
+        &self,
+        req: &RecommendRequest,
+        scratch: &mut ServeScratch,
+        out: &mut Vec<Rec>,
+    ) {
+        let seen = self.mask_for(req);
+        let candidates = &scratch.candidates;
+        select_scored_into(
+            &scratch.cand_scores,
+            candidates,
+            req.k,
+            |p| seen.binary_search(&candidates[p]).is_ok(),
+            &mut scratch.pairs,
+        );
+        out.clear();
+        out.extend(scratch.pairs.iter().map(|&(item, score)| Rec { item, score }));
     }
 
     /// Ranks one full-catalogue score row for `req` into `out`: threshold
@@ -393,17 +488,7 @@ impl ServeState {
             &scratch.candidates,
             &mut scratch.cand_scores,
         );
-        let seen = self.mask_for(req);
-        let candidates = &scratch.candidates;
-        select_scored_into(
-            &scratch.cand_scores,
-            candidates,
-            req.k,
-            |p| seen.binary_search(&candidates[p]).is_ok(),
-            &mut scratch.pairs,
-        );
-        out.clear();
-        out.extend(scratch.pairs.iter().map(|&(item, score)| Rec { item, score }));
+        self.select_candidates_into(req, scratch, out);
     }
 
     /// The seen-slice `req` filters with (empty when filtering is off).
@@ -418,14 +503,16 @@ impl ServeState {
     /// Answers a whole batch of requests, one inner list per request in
     /// request order, reusing `out`'s inner allocations.
     ///
-    /// This is the engine's workhorse: all requests of the batch
-    /// that resolve to the **exact** path over an f32 table are scored in
-    /// one tiled multi-query pass over the item table
-    /// ([`ModelArtifact::score_catalogue_batch_into`]: each tile of item
-    /// rows is streamed from memory once and scored against every query
-    /// of the batch while cache-resident), which is where coalescing
+    /// This is the engine's workhorse: once at least `TILED_BATCH` (16)
+    /// requests of the batch resolve to the **exact** path over an f32
+    /// table, they are scored in one tiled multi-query pass over the item
+    /// table ([`ModelArtifact::score_catalogue_batch_into`]: each tile of
+    /// item rows is streamed from memory once and scored against every
+    /// query of the batch while cache-resident), which is where coalescing
     /// concurrent requests wins over dispatching them one by one (the
-    /// same blocked-pass amortization the trainer exploits). IVF / int8
+    /// same blocked-pass amortization the trainer exploits). Fewer exact
+    /// requests take the sketch-pruned path one at a time, which costs
+    /// less a request than the tiled pass below that size. IVF / int8
     /// requests are answered per-request with the shared scratch.
     ///
     /// Results are bit-identical to serial
@@ -448,13 +535,17 @@ impl ServeState {
         out.resize_with(reqs.len(), Vec::new);
 
         // Split the batch: exact-path requests over an f32 table take the
-        // tiled pass, everything else (IVF shortlists, int8 tables with
-        // their own fused kernel) answers per-request.
+        // tiled pass once there are enough of them to beat the sketch;
+        // everything else (fewer exact requests, IVF shortlists, int8
+        // tables with their own fused kernel) answers per-request.
         scratch.batch_exact.clear();
         scratch.batch_users.clear();
-        let tiled = self.artifact.items_f32().is_some();
+        let f32_table = self.artifact.items_f32().is_some();
+        let exact = |req: &RecommendRequest| f32_table && self.resolve(&req.opts).is_none();
+        let tiled =
+            self.sketch.is_none() || reqs.iter().filter(|r| exact(r)).count() >= TILED_BATCH;
         for (r, req) in reqs.iter().enumerate() {
-            if tiled && self.resolve(&req.opts).is_none() {
+            if tiled && exact(req) {
                 scratch.batch_exact.push(r);
                 scratch.batch_users.push(req.user);
             } else {
@@ -490,6 +581,9 @@ impl ServeState {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod sketch_tests;
 
 #[cfg(test)]
 mod tests {
