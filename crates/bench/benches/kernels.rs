@@ -3,8 +3,8 @@
 //! The `*_scalar` variants pin [`SimdLevel::Scalar`] explicitly, so one
 //! bench run records the dispatched-vs-reference speedup in place; the
 //! blocked benches (`scores_block_*` and its `*_gather_*` twin,
-//! `normalize_rows_*`, `cosine_backward_block_*`, `cosine_backward_row_*`,
-//! `softmax_row_*`) cover the batch kernels the trainer and evaluator hot
+//! `dots_block_i8_*`, `normalize_rows_*`, `cosine_backward_block_*`,
+//! `cosine_backward_row_*`, `softmax_row_*`) cover the batch kernels the trainer and evaluator hot
 //! paths run on. These are smoke targets: CI checks that each runs, not
 //! what it reads. Before/after numbers come from the duet benchmark
 //! (`bash benchmark/run.sh`, see `benchmark/README.md`), whose `linalg.*`
@@ -12,8 +12,8 @@
 
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into};
 use bsl_linalg::simd::{
-    self, cosine_backward_block, cosine_backward_row, normalize_gather_into, normalize_rows_into,
-    scores_block, scores_gather, softmax_row, SimdLevel,
+    self, cosine_backward_block, cosine_backward_row, dots_block_i8, normalize_gather_into,
+    normalize_rows_into, scores_block, scores_gather, softmax_row, SimdLevel,
 };
 use bsl_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -111,6 +111,14 @@ fn bench_kernels(c: &mut Criterion) {
                 black_box(&mut scores),
             )
         })
+    });
+    // The exact serving path's sketch tile: a quantized query against 64
+    // int8 rows, exact i32 dots.
+    let q_i8: Vec<i8> = (0..d).map(|i| ((i * 37) % 255) as i8 / 2).collect();
+    let block_i8: Vec<i8> = (0..m * d).map(|i| ((i * 101) % 255) as i8 / 2).collect();
+    let mut dots = vec![0i32; m];
+    c.bench_function("dots_block_i8_d64_m64", |bench| {
+        bench.iter(|| dots_block_i8(black_box(&q_i8), black_box(&block_i8), black_box(&mut dots)))
     });
     // One batch row's whole backward on the two row shapes of the duet:
     // gathered slots into the 2,500-row table, item-side rows scattered over

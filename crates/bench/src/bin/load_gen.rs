@@ -13,8 +13,8 @@
 //! request stream twice — once with `max_batch = 1` and once with
 //! `--batch` — and prints both arms and their ratio. Both arms score on
 //! every core (callers score their own batches), so the ratio is what
-//! the tiled multi-query pass adds at saturation, not a gate: the exit
-//! code reports request errors only.
+//! batching adds at saturation, not a gate: the exit code reports request
+//! errors only.
 //!
 //! `--mode tcp` fires a mixed stream (recommend / score_items / stats)
 //! at `--addr`, or at a front end it starts itself (`--with-server`);

@@ -1,13 +1,14 @@
 //! The gathered kernels equal their block and per-occurrence forms **bit
-//! for bit**, at every dispatch level.
+//! for bit**, and the int8 dots equal the exact integers, at every dispatch
+//! level.
 //!
 //! The dispatch level is cached per process, so `every_dispatch_level`
-//! re-runs this binary's bitwise tests once under each `BSL_SIMD` value.
+//! re-runs this binary's exact tests once under each `BSL_SIMD` value.
 
 use bsl_linalg::kernels::cosine_backward_into;
 use bsl_linalg::simd::{
-    cosine_backward_block, cosine_backward_row, scores_block, scores_block_i8, scores_gather,
-    scores_gather_i8,
+    cosine_backward_block, cosine_backward_row, dots_block_i8, scores_block, scores_block_i8,
+    scores_gather, scores_gather_i8,
 };
 use proptest::prelude::*;
 
@@ -68,6 +69,40 @@ proptest! {
             scores_block_i8(&q, &table, &scales, &mut all);
             let at: Vec<f32> = ids.iter().map(|&i| all[i as usize]).collect();
             prop_assert_eq!(bits(&got), bits(&at), "d={} ids={:?}", d, &ids);
+        }
+    }
+}
+
+/// The exact int8 dots equal a plain `i32` loop: dims below, at and past
+/// the AVX2 leg's 32-byte step (masked tails of 1 and 31 bytes), `m` around
+/// its eight-row group, and extreme rows — every entry ±127 against a ±127
+/// query, `D = ±d·16,129` — beside pseudo-random ones.
+#[test]
+fn dots_block_i8_equals_the_integer_loop() {
+    let plain = |q: &[i8], row: &[i8]| -> i32 {
+        q.iter().zip(row).map(|(&a, &b)| i32::from(a) * i32::from(b)).sum()
+    };
+    let random = |i: usize, salt: usize| (((i * 2_654_435_761 + salt) % 255) as i32 - 127) as i8;
+    for d in [1usize, 7, 8, 31, 32, 33, 64, 65, 128] {
+        let full = (d * 127 * 127) as i32;
+        for m in [1usize, 7, 8, 9, 64] {
+            // Row r of the extreme block is ±q (its sign alternating with r).
+            let sign = |r: usize| if r % 2 == 0 { 1 } else { -1 };
+            let extremes: [Vec<i8>; 2] =
+                [vec![127; d], (0..d).map(|j| if j % 3 == 0 { -127 } else { 127 }).collect()];
+            for q in extremes {
+                let block: Vec<i8> = (0..m * d).map(|i| q[i % d] * sign(i / d) as i8).collect();
+                let mut got = vec![0i32; m];
+                dots_block_i8(&q, &block, &mut got);
+                let want: Vec<i32> = (0..m).map(|r| sign(r) * full).collect();
+                assert_eq!(got, want, "d={d} m={m} extreme");
+            }
+            let q: Vec<i8> = (0..d).map(|i| random(i, 17)).collect();
+            let block: Vec<i8> = (0..m * d).map(|i| random(i, 91)).collect();
+            let mut got = vec![0i32; m];
+            dots_block_i8(&q, &block, &mut got);
+            let want: Vec<i32> = block.chunks_exact(d).map(|row| plain(&q, row)).collect();
+            assert_eq!(got, want, "d={d} m={m}");
         }
     }
 }
@@ -201,12 +236,13 @@ fn every_dispatch_level() {
                 "gather_equals_block_bitwise",
                 "gather_i8_equals_block_i8_bitwise",
                 "row_backward_equals_block_and_per_occurrence_bitwise",
+                "dots_block_i8_equals_the_integer_loop",
             ])
             .output()
             .expect("re-running the test binary");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            out.status.success() && stdout.contains("3 passed"),
+            out.status.success() && stdout.contains("4 passed"),
             "BSL_SIMD={level}: {stdout}{}",
             String::from_utf8_lossy(&out.stderr)
         );

@@ -31,47 +31,64 @@
 //! survivors in f32 and selecting among them returns the plain scan's
 //! answer exactly.
 //!
-//! **The half-width.** Write `u = 2⁻²⁴` (f32 unit roundoff), `N = ‖q‖₁`,
-//! `a_i = ⟨q, x_i⟩` and `b_i = s_i·⟨q, x̂_i⟩` (exact reals), and
-//! `γ_m = m·u / (1 − m·u)`. Three terms:
+//! **The sketch score.** The query is quantized too, with the same
+//! [`quantize_row_i8`]: `q ≈ s_q·q̂`. [`dots_block_i8`] returns the exact
+//! integer `D_i = ⟨q̂, x̂_i⟩` (every dispatch level gives the same one), and
+//! `T_i = fl(D_i)·fl(s_i·s_q)`. Each row stores `E_i = ‖x̂_i‖₁` and each
+//! query has `Q = ‖q̂‖₁`, both exact integers.
+//!
+//! **The half-width.** Write `u = 2⁻²⁴` (f32 unit roundoff), `c = ½ + 382u`,
+//! `N = ‖q‖₁`, `a_i = ⟨q, x_i⟩` (exact), and `γ_m = m·u / (1 − m·u)`.
 //!
 //! 1. *Quantization.* With `t = fl(x·inv)`, `inv = fl(127/amax)` and
 //!    `s = fl(amax/127)`, rounding gives `|x̂ − t| ≤ ½`, and
 //!    `s·t = x·(1+δ₁)(1+δ₂)(1+δ₃)` with `|x| ≤ amax ≤ 127·s/(1−u)`, so
-//!    `|x − s·x̂| ≤ s·(½ + 382u)` per coordinate and
-//!    `|a_i − b_i| ≤ s_i·N·(½ + 382u)`. This needs `s` and `inv` normal,
-//!    which holds when the row's `amax` is 0 or at least `2⁻¹⁰⁰`.
-//! 2. *Kernel rounding.* Every kernel that can produce `S_i` or `T_i`
-//!    (sequential scalar, 8-lane portable, AVX2 one-, two- and eight-row,
-//!    with or without FMA, plus the trailing scale multiply) rounds each
-//!    product at most `d + 16` times on its way to the result — the
-//!    sequential scalar order is the worst at `d + 1`. So
-//!    `|S_i − a_i| ≤ γ_{d+16}·Σ|q_j x_ij| ≤ γ_{d+16}·N·127·s_i·(1+2u)` and
-//!    `|T_i − b_i| ≤ γ_{d+16}·127·s_i·N` (`|x̂| ≤ 127`).
-//! 3. *The interval itself.* `lo = fl(T − h)` and `hi = fl(T + h)` round
-//!    by at most `u·(|T| + h) ≤ 130u·s_i·N`.
+//!    `|x − s·x̂| ≤ s·c` per coordinate, for rows and query alike. This
+//!    needs `s` and `inv` normal, which holds when `amax` is 0 or at least
+//!    `2⁻¹⁰⁰`. Exactly,
+//!    `a_i − s_i·s_q·D_i = ⟨q − s_q·q̂, x_i⟩ + s_q·⟨q̂, x_i − s_i·x̂_i⟩`.
+//!    With `|x_ij| ≤ s_i·(|x̂_ij| + c)` the first term is at most
+//!    `s_q·c·s_i·(E_i + d·c)` and the second `s_q·Q·s_i·c`, so
+//!    `|a_i − s_i·s_q·D_i| ≤ s_i·s_q·c·(E_i + Q + d·c)`.
+//! 2. *The scan's rounding.* Every kernel that can produce `S_i`
+//!    (sequential scalar, 8-lane portable, AVX2 one- and two-row, with or
+//!    without FMA) rounds each product at most `d + 16` times on its way to the
+//!    result — the sequential scalar order is the worst at `d + 1`. So
+//!    `|S_i − a_i| ≤ γ_{d+16}·Σ|q_j x_ij| ≤ γ_{d+16}·N·127·s_i·(1+2u)`.
+//! 3. *The sketch score's rounding.* `D_i` is exact, and so is `fl(D_i)`
+//!    up to `d = 1,040` (`|D_i| ≤ 127²·d < 2²⁴`); with the product `s_i·s_q`
+//!    and the final multiply that is at most three roundings:
+//!    `|T_i − s_i·s_q·D_i| ≤ 3.0001u·s_i·s_q·|D_i|`, with `|D_i| ≤ 127·Q`.
+//! 4. *The interval itself.* `lo = fl(T − h)` and `hi = fl(T + h)` hold `S`
+//!    when `h·(1 − u) ≥ |S − T| + u·|T|`, and
+//!    `u·|T| ≤ 1.0001u·127·s_i·s_q·Q`.
 //!
-//! Summed: `|S_i − T_i| ≤ s_i·N·κ(d)` with
-//! `κ(d) = ½ + 256·(γ_{d+16} + 3u)` (≈ 0.50126 at d = 64). The per-query
-//! constant `C(q) = N·κ·(1 + 2⁻¹⁶)` is formed in f64; the extra factor
-//! covers the f64 sum of `N`, the conversion to f32 and the f32 product
-//! `s_i·C`, each at most one rounding. Underflow adds at most `2⁻¹⁴⁹` per
-//! operation; `SKETCH_ABS_SLACK` (`2⁻¹⁰⁰`) covers every one of them for
-//! `d ≤ 2¹⁶`. So `h_i = s_i·C(q) + 2⁻¹⁰⁰`.
+//! Summed: `h_i = s_i·(A(q) + B(q)·E_i) + 2⁻¹⁰⁰` with
+//! `B = s_q·c` and `A = N·γ_{d+16}·127·(1+2u) + s_q·(c·(Q + d·c) + 127·6u·Q)`.
+//! Both are formed in f64 and scaled by `1 + 2⁻¹⁶`, which covers the f64
+//! sum of `N`, their conversion to f32, the f32 steps `B·E_i`, `+ A`,
+//! `s_i·(…)` and the `1 − u` of term 4, each at most one rounding. `A` and
+//! `B·E_i` are 0 or at least `2⁻¹¹⁰` (`s_q ≥ 2⁻¹⁰⁷`, `E_i ≥ 1`, `d ≥ 1`), so
+//! no underflow before the multiply by `s_i` is magnified by it. Every other
+//! underflow adds at most `2⁻¹⁵⁰` to one operation, or `2⁻¹²⁰` where
+//! `fl(D_i)` multiplies it; `SKETCH_ABS_SLACK` (`2⁻¹⁰⁰`) covers them all
+//! for `d ≤ 2¹⁶`.
 //!
 //! **When there is no certificate.** The argument needs finite numbers
 //! that never overflow. A sketch is only built over a finite table of
 //! width `≤ 2¹⁶` whose nonzero rows have `amax ≥ 2⁻¹⁰⁰`
-//! ([`Sketch::new`] returns `None` otherwise), and a query only gets one
-//! when `N` is finite and `4·N·max amax` fits in an f32
-//! (`Sketch::half_width` returns `None` otherwise): every partial sum,
-//! `T ± h` included, then stays below `f32::MAX`.
+//! ([`Sketch::new`] returns `None` otherwise). A query only gets one when
+//! `N` is finite, it is zero or its own `amax` is at least `2⁻¹⁰⁰`,
+//! `4·N·max amax` fits in an f32 (every partial sum of the scan), and so
+//! does twice the largest `|T_i| + h_i` any row could reach
+//! (`Sketch::certify` returns `None` otherwise).
 //!
 //! [`dequant_dot`]: bsl_linalg::simd::dequant_dot
+//! [`dots_block_i8`]: bsl_linalg::simd::dots_block_i8
 //! [`scores_block_i8`]: bsl_linalg::simd::scores_block_i8
 //! [`scores_block`]: bsl_linalg::simd::scores_block
 
-use bsl_linalg::simd::{scores_block_i8, scores_gather_i8};
+use bsl_linalg::simd::{dots_block_i8, scores_block_i8, scores_gather_i8};
 use bsl_linalg::Matrix;
 
 /// Quantizes one row: writes `round(x / scale)` into `dst` and returns
@@ -225,6 +242,8 @@ impl QuantizedTable {
     }
 }
 
+/// f32 unit roundoff, `2⁻²⁴`.
+const U: f64 = f32::EPSILON as f64 / 2.0;
 /// The absolute term of every sketch half-width, `2⁻¹⁰⁰`: it covers the
 /// underflow of every operation behind one interval (module docs).
 const SKETCH_ABS_SLACK: f32 = f32::MIN_POSITIVE * (1u32 << 26) as f32;
@@ -235,25 +254,19 @@ const SKETCH_MIN_SCALE: f32 = f32::MIN_POSITIVE * (1u32 << 19) as f32;
 /// The widest table a sketch bounds: `d + 16` roundings per product keep
 /// `γ` tiny, and the underflow slack counts operations.
 const SKETCH_MAX_DIM: usize = 1 << 16;
-/// Rows scored per [`scores_block_i8`] call of [`Sketch::prune_into`]: the
-/// score tile stays in L1, and the bound test runs on it while hot.
+/// Rows scored per [`dots_block_i8`] call of [`Sketch::prune_into`]: the
+/// tile stays in L1, and the bound test runs on it while hot.
 const SKETCH_TILE: usize = 64;
 /// Rows the bound test compares against the floor at once (an 8-lane
 /// compare the compiler vectorises, as in `TopK::select_masked_into`).
 const SKETCH_LANES: usize = 8;
 /// [`Sketch::prune_into`] gives up on more than `rows / MAX_SURVIVOR_SHARE`
 /// survivors. On 38,048 × 64 rows (AVX2, 2-vCPU Xeon) the sketch pass
-/// costs ≈ 3.7 ns a row, each survivor ≈ 55 ns more to stage, rescore and
+/// costs ≈ 2.3 ns a row, each survivor ≈ 55 ns more to stage, rescore and
 /// select (CML rows, 8,206 survivors), and the plain scan ≈ 9 ns a row:
-/// the pruned path stays ahead while under ≈ 1/10 of the rows survive,
+/// the pruned path stays ahead while under ≈ 1/8 of the rows survive,
 /// and 1/16 keeps a margin.
 const MAX_SURVIVOR_SHARE: usize = 16;
-
-/// `h_i` of a row with scale `s` under the per-query constant `c = C(q)`.
-#[inline]
-fn half_width_of(s: f32, c: f32) -> f32 {
-    s * c + SKETCH_ABS_SLACK
-}
 
 /// An int8 copy of an f32 item table whose scores bound the f32 scan's
 /// (module docs): exact serving scans it, then rescores only the rows that
@@ -261,17 +274,71 @@ fn half_width_of(s: f32, c: f32) -> f32 {
 #[derive(Clone, Debug)]
 pub struct Sketch {
     table: QuantizedTable,
-    /// `κ(d)·(1 + 2⁻¹⁶)`: `C(q) = ‖q‖₁ · kappa`.
-    kappa: f64,
+    /// `E_i = ‖x̂_i‖₁` of every row, exact in f32 (at most `127·2¹⁶`).
+    l1: Vec<f32>,
+    /// `γ_{d+16}·127·(1 + 2u)`: the f32 scan's rounding per unit of
+    /// `s_i·‖q‖₁`.
+    scan_rounding: f64,
     /// `128 · max scale`, at least the table's largest `|x|`.
     amax: f32,
+}
+
+/// The per-query part of every sketch interval (module docs): row `i`
+/// scores `T_i = fl(D_i)·fl(s_i·s_q)` within `h_i = s_i·(a + b·E_i) + 2⁻¹⁰⁰`
+/// of the f32 scan.
+#[derive(Clone, Copy, Debug)]
+struct Certificate {
+    /// `s_q`, the quantized query's scale.
+    sq: f32,
+    /// `A(q)·(1 + 2⁻¹⁶)`.
+    a: f32,
+    /// `B(q)·(1 + 2⁻¹⁶)`.
+    b: f32,
+}
+
+impl Certificate {
+    /// `T_i` of a row with exact dot `dot` and scale `s`.
+    #[inline]
+    fn score(self, dot: i32, s: f32) -> f32 {
+        dot as f32 * (s * self.sq)
+    }
+
+    /// `h_i` of a row with scale `s` and `E_i = e`.
+    #[inline]
+    fn half_width(self, s: f32, e: f32) -> f32 {
+        s * (self.a + self.b * e) + SKETCH_ABS_SLACK
+    }
+}
+
+/// The tile epilogue of [`Sketch::prune_into`]: `T_i` into `ts` and `h_i`
+/// into `hs` for every row of a tile, from its exact dot, scale and `E_i`.
+#[inline]
+fn bound_tile(
+    cert: Certificate,
+    dots: &[i32],
+    scales: &[f32],
+    l1: &[f32],
+    ts: &mut [f32],
+    hs: &mut [f32],
+) {
+    let rows = ts.iter_mut().zip(hs.iter_mut()).zip(dots.iter().zip(scales).zip(l1));
+    for ((t, h), ((&dot, &s), &e)) in rows {
+        *t = cert.score(dot, s);
+        *h = cert.half_width(s, e);
+    }
 }
 
 /// Reusable buffers of [`Sketch::prune_into`]; allocation-free once warm.
 #[derive(Default)]
 pub struct PruneScratch {
-    /// One tile of sketch scores.
+    /// The quantized query `q̂`.
+    qhat: Vec<i8>,
+    /// One tile of exact dots `D_i`.
+    dots: Vec<i32>,
+    /// One tile of sketch scores `T_i`.
     tile: Vec<f32>,
+    /// One tile of half-widths `h_i`.
+    half: Vec<f32>,
     /// One tile's `(row, upper bound)` pairs on their way to `kept`.
     stage: Vec<(u32, f32)>,
     /// The best lower bounds among unmasked rows so far, descending.
@@ -291,30 +358,49 @@ impl Sketch {
         }
         // A nonzero row always has a nonzero byte (its largest entry maps
         // to ±127).
+        let mut l1 = Vec::with_capacity(src.rows());
         let table = QuantizedTable::from_rows(src, |row, bytes, s| {
             let tiny = s < SKETCH_MIN_SCALE && bytes.iter().any(|&b| b != 0);
+            l1.push(bytes.iter().map(|&b| u32::from(b.unsigned_abs())).sum::<u32>() as f32);
             !tiny && row.iter().fold(true, |ok, x| ok & x.is_finite())
         })?;
-        let u = f64::from(f32::EPSILON) / 2.0;
         let m = (dim + 16) as f64;
-        let gamma = m * u / (1.0 - m * u);
-        let kappa = (0.5 + 256.0 * (gamma + 3.0 * u)) * (1.0 + 2f64.powi(-16));
+        let gamma = m * U / (1.0 - m * U);
+        let scan_rounding = gamma * 127.0 * (1.0 + 2.0 * U);
         let amax = 128.0 * table.scales.iter().fold(0.0f32, |m, &s| m.max(s));
-        Some(Self { table, kappa, amax })
+        Some(Self { table, l1, scan_rounding, amax })
     }
 
-    /// `C(q)`: row `i`'s f32 scan score lies within
-    /// `scale_i · C(q) + SKETCH_ABS_SLACK` of its sketch score (module
-    /// docs). `None` when `‖q‖₁` is not finite or a score could overflow.
+    /// Quantizes `q` into `qhat` and returns its [`Certificate`], or
+    /// `None` when it has none (module docs): a non-finite `‖q‖₁`, a
+    /// nonzero query whose largest `|q_j|` is below `2⁻¹⁰⁰`, or a score
+    /// that could overflow.
     ///
     /// # Panics
     /// Panics if `q.len() != dim`.
-    fn half_width(&self, q: &[f32]) -> Option<f32> {
-        assert_eq!(q.len(), self.table.dim(), "query width mismatch");
-        let l1: f64 = q.iter().map(|&x| f64::from(x.abs())).sum();
-        let c = l1 * self.kappa;
+    fn certify(&self, q: &[f32], qhat: &mut Vec<i8>) -> Option<Certificate> {
+        let d = self.table.dim();
+        assert_eq!(q.len(), d, "query width mismatch");
+        let n1: f64 = q.iter().map(|&x| f64::from(x.abs())).sum();
+        if !n1.is_finite() {
+            return None;
+        }
+        qhat.resize(d, 0);
+        let sq = quantize_row_i8(q, qhat);
+        let big_q = qhat.iter().map(|&b| u32::from(b.unsigned_abs())).sum::<u32>() as f64;
+        if sq < SKETCH_MIN_SCALE && big_q != 0.0 {
+            return None;
+        }
+        let (s, d, c) = (f64::from(sq), d as f64, 0.5 + 382.0 * U);
+        let widen = 1.0 + 2f64.powi(-16);
+        let a =
+            widen * (n1 * self.scan_rounding + s * (c * (big_q + d * c) + 127.0 * 6.0 * U * big_q));
+        let b = widen * s * c;
+        // The largest |T_i| + h_i any row could reach (E_i ≤ 127·d).
+        let reach = f64::from(self.amax) / 128.0 * (s * 127.0 * big_q + a + b * 127.0 * d);
         let max = f64::from(f32::MAX);
-        (4.0 * l1 * f64::from(self.amax) <= max && c <= max).then_some(c as f32)
+        let fits = [4.0 * n1 * f64::from(self.amax), 2.0 * reach, a, b].iter().all(|&x| x <= max);
+        fits.then_some(Certificate { sq, a: a as f32, b: b as f32 })
     }
 
     /// Writes into `out` (cleared first), ascending, every row that can
@@ -323,13 +409,15 @@ impl Sketch {
     /// unmasked rows. Rows are kept whatever `mask` says — the caller masks
     /// the survivors when it selects among them.
     ///
-    /// One pass: each tile of sketch scores is compared, eight at a time,
-    /// against the running k-th best lower bound, which only rises, and
+    /// One pass: `q` is quantized once, each tile of exact int8 dots turns
+    /// into sketch scores and half-widths, and those are compared, eight at
+    /// a time, against the running k-th best lower bound, which only rises;
     /// only a row whose lower bound would enter that set is offered to
     /// `mask`. Returns `false` (and leaves `out` empty) when the plain scan
     /// should answer instead: `q` has no certificate (a non-finite `‖q‖₁`,
-    /// or a score that could overflow), fewer than `k` rows are unmasked,
-    /// or more than a sixteenth of the rows survive.
+    /// a nonzero `q` below `2⁻¹⁰⁰`, or a score that could overflow), fewer
+    /// than `k` rows are unmasked, or more than a sixteenth of the rows
+    /// survive.
     ///
     /// # Panics
     /// Panics if `q.len() != dim`.
@@ -345,25 +433,28 @@ impl Sketch {
         if k == 0 {
             return true;
         }
-        let Some(c) = self.half_width(q) else {
+        let PruneScratch { qhat, dots, tile, half, stage, lows, kept } = scratch;
+        let Some(cert) = self.certify(q, qhat) else {
             return false;
         };
-        let PruneScratch { tile, stage, lows, kept } = scratch;
         lows.clear();
         kept.clear();
+        dots.resize(SKETCH_TILE, 0);
         tile.resize(SKETCH_TILE, 0.0);
+        half.resize(SKETCH_TILE, 0.0);
         stage.resize(SKETCH_TILE, (0, 0.0));
         let (n, d) = (self.table.rows(), self.table.dim());
         let mut floor = f32::NEG_INFINITY;
         for start in (0..n).step_by(SKETCH_TILE) {
             let rows = SKETCH_TILE.min(n - start);
+            let dots = &mut dots[..rows];
+            dots_block_i8(qhat, &self.table.data[start * d..(start + rows) * d], dots);
+            let (scores, hs) = (&mut tile[..rows], &mut half[..rows]);
             let scales = &self.table.scales[start..start + rows];
-            let scores = &mut tile[..rows];
-            scores_block_i8(q, &self.table.data[start * d..(start + rows) * d], scales, scores);
+            bound_tile(cert, dots, scales, &self.l1[start..start + rows], scores, hs);
             let mut staged = 0usize;
-            let mut visit = |at: usize, ts: &[f32], ss: &[f32], floor: &mut f32| {
-                for (j, (&t, &s)) in ts.iter().zip(ss).enumerate() {
-                    let h = half_width_of(s, c);
+            let mut visit = |at: usize, ts: &[f32], hs: &[f32], floor: &mut f32| {
+                for (j, (&t, &h)) in ts.iter().zip(hs).enumerate() {
                     // Staged without a branch: where many rows sit near the
                     // floor, a branch per row mispredicts on every other one.
                     stage[staged] = ((at + j) as u32, t + h);
@@ -382,19 +473,14 @@ impl Sketch {
                 }
             };
             let mut at = start;
-            for (ts, ss) in scores.chunks_exact(SKETCH_LANES).zip(scales.chunks_exact(SKETCH_LANES))
-            {
-                if ts
-                    .iter()
-                    .zip(ss)
-                    .fold(false, |any, (&t, &s)| any | (t + half_width_of(s, c) >= floor))
-                {
-                    visit(at, ts, ss, &mut floor);
+            for (ts, hs) in scores.chunks_exact(SKETCH_LANES).zip(hs.chunks_exact(SKETCH_LANES)) {
+                if ts.iter().zip(hs).fold(false, |any, (&t, &h)| any | (t + h >= floor)) {
+                    visit(at, ts, hs, &mut floor);
                 }
                 at += SKETCH_LANES;
             }
             let tail = rows - rows % SKETCH_LANES;
-            visit(at, &scores[tail..], &scales[tail..], &mut floor);
+            visit(at, &scores[tail..], &hs[tail..], &mut floor);
             kept.extend_from_slice(&stage[..staged]);
         }
         if lows.len() < k {
@@ -534,33 +620,62 @@ mod tests {
         }
     }
 
-    /// The sketch's `[lo, hi]` for every row, built as `prune_into` builds it.
-    fn intervals(sketch: &Sketch, q: &[f32]) -> Vec<(f32, f32)> {
-        let c = sketch.half_width(q).expect("a certified query");
-        let mut t = vec![0.0f32; sketch.table.rows()];
-        sketch.table.scores_into(q, &mut t);
-        let h = |r: usize| half_width_of(sketch.table.scale(r), c);
-        t.iter().enumerate().map(|(r, &t)| (t - h(r), t + h(r))).collect()
+    /// Every row's `(T_i, h_i)`, built as `prune_into` builds them.
+    fn sketch_scores(sketch: &Sketch, q: &[f32]) -> Vec<(f32, f32)> {
+        let mut qhat = Vec::new();
+        let cert = sketch.certify(q, &mut qhat).expect("a certified query");
+        let mut dots = vec![0i32; sketch.table.rows()];
+        dots_block_i8(&qhat, sketch.table.data(), &mut dots);
+        let row = |(r, &dot): (usize, &i32)| {
+            let s = sketch.table.scale(r);
+            (cert.score(dot, s), cert.half_width(s, sketch.l1[r]))
+        };
+        dots.iter().enumerate().map(row).collect()
     }
+
+    /// Asserts that every row's f32 score lies in its sketch interval: the
+    /// whole-table scan at the process level (CI runs the suite under
+    /// scalar, portable and native dispatch) and the one-row dot at every
+    /// level this host has. Returns the largest `|S − T| / h` it saw.
+    fn assert_intervals_hold(m: &Matrix, q: &[f32]) -> f32 {
+        use bsl_linalg::simd::{active, dot_with, scores_block, SimdLevel};
+        let sketch = Sketch::new(m).expect("a sketch");
+        let mut scan = vec![0.0f32; m.rows()];
+        scores_block(q, m.as_slice(), &mut scan);
+        let mut levels = vec![SimdLevel::Scalar, SimdLevel::Portable];
+        if active() == SimdLevel::Avx2Fma {
+            levels.push(SimdLevel::Avx2Fma);
+        }
+        let mut worst = 0.0f32;
+        for (r, (t, h)) in sketch_scores(&sketch, q).into_iter().enumerate() {
+            let at_levels = levels.iter().map(|&lv| dot_with(lv, q, m.row(r)));
+            for f in at_levels.chain([scan[r]]) {
+                assert!(t - h <= f && f <= t + h, "row {r}: {f} vs {t} ± {h}");
+                worst = worst.max((f - t).abs() / h);
+            }
+        }
+        worst
+    }
+
+    /// Widths below, at and past the AVX2 int8 leg's 32-byte step.
+    const WIDTHS: [usize; 9] = [1, 7, 8, 31, 32, 33, 64, 65, 128];
 
     proptest! {
         /// The f32 scan's score of every row lies in the row's sketch
-        /// interval: the whole-table kernels at the process level (CI runs
-        /// the suite under scalar, portable and native dispatch), the
-        /// one-row kernels at every level this host has. Rows span 27
-        /// orders of magnitude, some carry one huge coordinate, some are
-        /// zero.
+        /// interval. Rows span 27 orders of magnitude, some carry one huge
+        /// coordinate, some are zero; queries spread their mass, put it in
+        /// one coordinate, or are zero.
         #[test]
         fn prop_sketch_interval_holds_the_scan_score(
-            dsel in 0usize..6,
+            dsel in 0usize..9,
             n in 1usize..40,
             seed in 0u64..100_000,
             qexp in -15i32..12,
+            qshape in 0usize..3,
         ) {
-            use bsl_linalg::simd::{active, dot_with, dequant_dot_with, scores_block, SimdLevel};
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
-            let d = [1usize, 7, 8, 64, 65, 128][dsel];
+            let d = WIDTHS[dsel];
             let mut rng = StdRng::seed_from_u64(seed);
             let mut m = Matrix::zeros(n, d);
             for r in 0..n {
@@ -574,73 +689,88 @@ mod tests {
                     row[r % d] = 1e4 * mag;
                 }
             }
-            let sketch = Sketch::new(&m).expect("a finite table");
             let qmag = 10f32.powi(qexp);
-            let q: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0) * qmag).collect();
-            let bounds = intervals(&sketch, &q);
-            let mut scan = vec![0.0f32; n];
-            scores_block(&q, m.as_slice(), &mut scan);
-            let mut levels = vec![SimdLevel::Scalar, SimdLevel::Portable];
-            if active() == SimdLevel::Avx2Fma {
-                levels.push(SimdLevel::Avx2Fma);
+            let mut q: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0) * qmag).collect();
+            match qshape {
+                1 => q[seed as usize % d] = 1e4 * qmag,
+                2 => q.fill(0.0),
+                _ => {}
             }
-            for (r, &(lo, hi)) in bounds.iter().enumerate() {
-                prop_assert!(lo <= scan[r] && scan[r] <= hi, "row {r}: {lo} ≤ {} ≤ {hi}", scan[r]);
-                let (row, s) = (sketch.table.row(r), sketch.table.scale(r));
-                let h = half_width_of(s, sketch.half_width(&q).unwrap());
-                for &lv in &levels {
-                    let (f, t) = (dot_with(lv, &q, m.row(r)), dequant_dot_with(lv, &q, row, s));
-                    prop_assert!(t - h <= f && f <= t + h, "{lv} row {r}: {f} vs {t} ± {h}");
-                }
-            }
+            assert_intervals_hold(&m, &q);
         }
     }
 
-    /// The bound is tight: on rows where every coordinate is an exact
-    /// half that rounds away from the query's sign, `S − T` is `s·N/2`
-    /// plus the kernels' rounding, and only the rounding slack of `κ` keeps
-    /// `S` inside the interval.
+    /// The bound is tight. Every coordinate of the query and of each row
+    /// sits on a quantization half-step (rounding away from zero) or just
+    /// below one (rounding toward it), with opposite signs, so both
+    /// quantization errors push `S − T` the same way, and the coordinates
+    /// holding `amax` (0 for the query, 1 for a row) meet a half-step on
+    /// the other side. `|S − T|` then comes within the rounding slack of
+    /// `h`: dropping `E_i` or `Q` from the bound fails here.
     #[test]
     fn worst_case_rows_stay_inside_their_interval() {
-        use bsl_linalg::simd::{active, dequant_dot_with, dot_with, scores_block, SimdLevel};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(29);
-        let mut levels = vec![SimdLevel::Scalar, SimdLevel::Portable];
-        if active() == SimdLevel::Avx2Fma {
-            levels.push(SimdLevel::Avx2Fma);
-        }
-        // Eleven rows: the eight-row, two-row and one-row kernels all run.
+        let mut worst = 0.0f32;
+        // Eleven rows: the AVX2 leg's eight-row pass and a short last group.
         let n = 11;
-        for d in [2usize, 7, 8, 64, 65, 128] {
-            for _ in 0..100 {
-                // Coordinate 0 of a row holds amax = 127·2^e (q ignores it),
-                // so scale = 2^e and every other coordinate is an exact half.
-                let mut q: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                q[0] = 0.0;
-                let mut m = Matrix::zeros(n, d);
-                for r in 0..n {
-                    let e = rng.gen_range(-8..8);
-                    for (j, (x, &qj)) in m.row_mut(r).iter_mut().zip(&q).enumerate() {
-                        let half = if j == 0 { 127.0 } else { rng.gen_range(0..126) as f32 + 0.5 };
-                        *x = -qj.signum() * half * 2f32.powi(e);
+        for d in [2usize, 7, 8, 31, 32, 33, 64, 65, 128] {
+            for below in [0.0f32, 2f32.powi(-17)] {
+                for _ in 0..40 {
+                    // `k + ½ − below` is exact in f32 for k ≤ 125.
+                    let half = |k: i32, exp: i32| (k as f32 + 0.5 - below) * 2f32.powi(exp);
+                    let f = rng.gen_range(-8..8);
+                    let mut q: Vec<f32> = (0..d).map(|_| half(rng.gen_range(0..126), f)).collect();
+                    (q[0], q[1]) = (127.0 * 2f32.powi(f), half(0, f));
+                    let mut m = Matrix::zeros(n, d);
+                    for r in 0..n {
+                        let e = rng.gen_range(-8..8);
+                        let row = m.row_mut(r);
+                        row.iter_mut().for_each(|x| *x = half(rng.gen_range(0..126), e));
+                        (row[0], row[1]) = (half(0, e), 127.0 * 2f32.powi(e));
                     }
-                }
-                let sketch = Sketch::new(&m).unwrap();
-                let c = sketch.half_width(&q).unwrap();
-                let mut scan = vec![0.0f32; n];
-                scores_block(&q, m.as_slice(), &mut scan);
-                for (r, &(lo, hi)) in intervals(&sketch, &q).iter().enumerate() {
-                    assert!(lo <= scan[r] && scan[r] <= hi, "d {d}: {lo} ≤ {} ≤ {hi}", scan[r]);
-                    let s = sketch.table.scale(r);
-                    let h = half_width_of(s, c);
-                    for &lv in &levels {
-                        let f = dot_with(lv, &q, m.row(r));
-                        let t = dequant_dot_with(lv, &q, sketch.table.row(r), s);
-                        assert!(t - h <= f && f <= t + h, "{lv} d {d}: {f} vs {t} ± {h}");
+                    for (j, qj) in q.iter_mut().enumerate() {
+                        if rng.gen_range(0..2) == 1 {
+                            *qj = -*qj;
+                        } else {
+                            (0..n).for_each(|r| m.row_mut(r)[j] *= -1.0);
+                        }
                     }
+                    worst = worst.max(assert_intervals_hold(&m, &q));
                 }
             }
+        }
+        assert!(worst > 0.99, "the tightest case used {worst} of its half-width");
+    }
+
+    /// Rows whose largest `|x|` sits at or just above `2⁻¹⁰⁰`, the smallest
+    /// scale the bound covers, where products underflow, against queries
+    /// from that size up. A nonzero query below it has no certificate.
+    #[test]
+    fn rows_near_the_smallest_scale_stay_inside_their_interval() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let tiny = 2f32.powi(-100);
+        let mut rng = StdRng::seed_from_u64(41);
+        for d in [1usize, 8, 33, 64] {
+            let m = Matrix::from_fn(9, d, |r, c| {
+                let spike = tiny * (1.0 + r as f32 / 8.0);
+                if c == r % d {
+                    spike
+                } else {
+                    rng.gen_range(-1.0f32..1.0) * tiny
+                }
+            });
+            for qmag in [tiny, 1e-20, 1.0, 1e20] {
+                let mut q: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0) * qmag).collect();
+                q[0] = -qmag;
+                assert_intervals_hold(&m, &q);
+            }
+            let sketch = Sketch::new(&m).unwrap();
+            let mut below = vec![0.0f32; d];
+            below[d - 1] = tiny / 2.0;
+            assert!(sketch.certify(&below, &mut Vec::new()).is_none(), "d {d}");
         }
     }
 
@@ -657,12 +787,17 @@ mod tests {
         assert!(Sketch::new(&Matrix::zeros(0, 4)).is_some());
     }
 
+    /// No certificate, so no half-width: a non-finite or overflowing query,
+    /// or a nonzero one below `2⁻¹⁰⁰`; a zero query has a trivial one.
     #[test]
     fn queries_without_a_certificate_get_no_half_width() {
         let sketch = Sketch::new(&Matrix::from_vec(1, 2, vec![1e10, -3.0])).unwrap();
-        assert!(sketch.half_width(&[1.0, -2.0]).is_some());
-        for q in [[f32::NAN, 1.0], [f32::INFINITY, 0.0], [1e28, 1e28]] {
-            assert!(sketch.half_width(&q).is_none(), "{q:?}");
+        let tiny = 2f32.powi(-100);
+        for q in [[1.0, -2.0], [0.0, -0.0], [tiny, 0.0]] {
+            assert!(sketch.certify(&q, &mut Vec::new()).is_some(), "{q:?}");
+        }
+        for q in [[f32::NAN, 1.0], [f32::INFINITY, 0.0], [1e28, 1e28], [tiny / 2.0, 0.0]] {
+            assert!(sketch.certify(&q, &mut Vec::new()).is_none(), "{q:?}");
         }
         let mut out = vec![7];
         let mut scratch = PruneScratch::default();
@@ -701,11 +836,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let (mut scratch, mut out) = (PruneScratch::default(), Vec::new());
         let mut answered = 0;
-        for n in [1usize, 9, 64, 65, 200, 700, 5000] {
-            let m = Matrix::gaussian(n, 12, 1.0, &mut rng);
+        for (n, d) in
+            [1usize, 9, 64, 65, 200, 700, 5000].into_iter().flat_map(|n| [(n, 12), (n, 64)])
+        {
+            let m = Matrix::gaussian(n, d, 1.0, &mut rng);
             let sketch = Sketch::new(&m).unwrap();
-            let q = Matrix::gaussian(1, 12, 1.0, &mut rng);
-            let bounds = intervals(&sketch, q.row(0));
+            let q = Matrix::gaussian(1, d, 1.0, &mut rng);
+            let bounds: Vec<(f32, f32)> =
+                sketch_scores(&sketch, q.row(0)).into_iter().map(|(t, h)| (t - h, t + h)).collect();
             for k in [1usize, 3, 10] {
                 for modulo in [1usize, 3] {
                     let masked = |i: usize| modulo > 1 && i % modulo == 0;

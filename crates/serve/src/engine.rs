@@ -14,9 +14,8 @@
 //! it sleeps until its answer is published or a lane frees. A lone
 //! request therefore costs its own scoring plus two uncontended lock
 //! round trips: no hand-off, no timer. A batch is what queued up while
-//! every lane was busy, which is when the tiled pass pays: one stream of
-//! the item table for the whole batch instead of one full scan per
-//! request.
+//! every lane was busy; it shares one slot load and one lock round trip
+//! (exact requests over a sketched table still cost one sketch scan each).
 //!
 //! Artifacts are resolved through a [`Registry`] of named
 //! [`ArtifactSlot`]s, so `swap` deploys a new generation with **zero
@@ -54,8 +53,8 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Per-request dispatch: batches of 1 — what serving looks like
-    /// without the tiled multi-query pass.
+    /// Per-request dispatch: batches of 1 — the load generator's
+    /// comparison baseline.
     pub fn unbatched() -> Self {
         Self { max_batch: 1, ..Self::default() }
     }

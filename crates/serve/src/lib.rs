@@ -11,13 +11,11 @@
 //!    [`RecommendRequest`] (`user`, `k`, [`ServeOptions`]) and scratch
 //!    buffers are caller-owned ([`ServeScratch`]), so one state serves
 //!    any number of threads with zero shared mutability. An exact request
-//!    scans the state's int8 sketch of the item table (¼ of its bytes)
-//!    and rescores in f32 only the items that can still reach the top k,
-//!    with the plain scan's exact answer. Batched calls
-//!    ([`ServeState::recommend_batch_into`]) with 16 or more exact
-//!    requests instead stream each tile of the item table past all of
-//!    them while it is cache resident — the multi-query analogue of the
-//!    blocked scoring pass — and either way match serial calls bit for
+//!    quantizes its query and scans the state's int8 sketch of the item
+//!    table (¼ of its bytes) with exact int8 dot products, then rescores
+//!    in f32 only the items that can still reach the top k, with the
+//!    plain scan's exact answer. Batched calls
+//!    ([`ServeState::recommend_batch_into`]) match serial calls bit for
 //!    bit.
 //! 2. **[`Recommender`]** (`recommender`) — the original convenience
 //!    wrapper, now a thin shim over `ServeState` + owned scratch. Its

@@ -240,6 +240,12 @@ impl<'a> Cursor<'a> {
         Self { buf, pos: 0 }
     }
 
+    /// Bytes not yet read: what bounds a reservation sized by a count the
+    /// payload claims.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let end = self.pos.checked_add(n).ok_or(ProtocolError::Truncated)?;
         let s = self.buf.get(self.pos..end).ok_or(ProtocolError::Truncated)?;
@@ -274,7 +280,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn rest_utf8(&mut self) -> Result<String, ProtocolError> {
-        let bytes = self.take(self.buf.len() - self.pos)?;
+        let bytes = self.take(self.remaining())?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
     }
 
@@ -308,7 +314,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
             let tenant = c.str()?;
             let user = c.u32()?;
             let n = c.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(MAX_FRAME / 4));
+            let mut items = Vec::with_capacity(n.min(c.remaining() / 4));
             for _ in 0..n {
                 items.push(c.u32()?);
             }
@@ -330,7 +336,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
         0x81 => {
             let version = c.u64()?;
             let n = c.u16()? as usize;
-            let mut recs = Vec::with_capacity(n);
+            let mut recs = Vec::with_capacity(n.min(c.remaining() / 8));
             for _ in 0..n {
                 recs.push(Rec { item: c.u32()?, score: c.f32()? });
             }
@@ -339,7 +345,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
         0x82 => {
             let version = c.u64()?;
             let n = c.u32()? as usize;
-            let mut scores = Vec::with_capacity(n.min(MAX_FRAME / 4));
+            let mut scores = Vec::with_capacity(n.min(c.remaining() / 4));
             for _ in 0..n {
                 scores.push(c.f32()?);
             }
@@ -364,8 +370,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// The most a frame's length prefix reserves before its bytes arrive;
+/// a longer payload grows its buffer as it is read.
+const FRAME_RESERVE: usize = 64 << 10;
+
 /// Reads one frame's payload. `Ok(None)` on a clean EOF at a frame
-/// boundary; oversize lengths become `InvalidData` without allocating.
+/// boundary; oversize lengths become `InvalidData` without allocating, and
+/// a payload cut short is `UnexpectedEof`. Memory follows the bytes that
+/// arrive, not the length the prefix claims.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -377,8 +389,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, ProtocolError::Oversize(len)));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(Some(payload))
 }
 
@@ -839,5 +854,61 @@ mod tests {
         partial.extend_from_slice(b"abc");
         let mut r = io::Cursor::new(partial);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A count claimed by the payload is checked against the bytes that
+    /// carry it before anything is reserved for it.
+    #[test]
+    fn oversized_counts_are_truncated_not_reserved() {
+        // A 15-byte score_items frame claiming u32::MAX items.
+        let mut enc = vec![0x02];
+        push_str(&mut enc, "t");
+        enc.extend_from_slice(&7u32.to_le_bytes());
+        enc.extend_from_slice(&u32::MAX.to_le_bytes());
+        enc.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(enc.len(), 15);
+        assert_eq!(decode_request(&enc), Err(ProtocolError::Truncated));
+        // The same claim in a scores response, and u16::MAX recs.
+        let mut enc = vec![0x82];
+        enc.extend_from_slice(&1u64.to_le_bytes());
+        enc.extend_from_slice(&u32::MAX.to_le_bytes());
+        enc.extend_from_slice(&[0; 6]);
+        assert_eq!(decode_response(&enc), Err(ProtocolError::Truncated));
+        let mut enc = vec![0x81];
+        enc.extend_from_slice(&1u64.to_le_bytes());
+        enc.extend_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(decode_response(&enc), Err(ProtocolError::Truncated));
+    }
+
+    /// Serves its bytes, then EOF, recording the widest buffer it was asked
+    /// to fill.
+    struct Trickle {
+        bytes: io::Cursor<Vec<u8>>,
+        widest: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A 16 MiB length prefix followed by 10 bytes and EOF is an error, and
+    /// the reader never sees a buffer the size the prefix claims.
+    #[test]
+    fn a_claimed_length_does_not_size_the_read() {
+        let mut bytes = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[9; 10]);
+        let mut r = Trickle { bytes: io::Cursor::new(bytes), widest: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.widest <= FRAME_RESERVE, "asked to fill {} bytes", r.widest);
+        // A frame longer than the first reservation still arrives whole.
+        let payload: Vec<u8> = (0..3 * FRAME_RESERVE + 5).map(|i| i as u8).collect();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload).unwrap();
+        let mut r = Trickle { bytes: io::Cursor::new(framed), widest: 0 };
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
     }
 }

@@ -173,9 +173,7 @@ impl Recommender {
     /// list per user, in request order) **reusing `out`'s inner
     /// allocations** — the steady-state batch path is allocation-free.
     ///
-    /// Exact-path batches are scored with the tiled multi-query pass of
-    /// [`ServeState::recommend_batch_into`], so coalesced requests share
-    /// each item-table tile while it is cache-resident; results are
+    /// Answers through [`ServeState::recommend_batch_into`]; results are
     /// bit-identical to per-user [`recommend_into`](Self::recommend_into)
     /// calls.
     ///

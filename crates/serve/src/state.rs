@@ -33,30 +33,24 @@
 //! query (non-finite values), `k` at or past the eligible count, or more
 //! than 1/16 of the catalogue surviving.
 //!
-//! The batched entry point [`ServeState::recommend_batch_into`] is the
-//! engine's workhorse. From `TILED_BATCH` (16) exact requests on, the batch
-//! is scored in one **tiled multi-query pass** over the item table,
-//! [`ModelArtifact::score_catalogue_batch_into`] — the loop `bsl-eval`
-//! ranks its user blocks with — which is the paper's
-//! amortize-one-blocked-pass insight applied to serving; smaller batches
-//! take the sketch one request at a time. Per-request results are
-//! bit-identical to serial [`ServeState::recommend_into`] calls. Full
-//! score rows are ranked with [`TopK::select_masked_into`], which compares
-//! against the current k-th best first and searches the seen list only
-//! for a score that would enter.
+//! The sketch scan computes exact int8 × int8 dot products (the query is
+//! quantized too), so a request costs about 95 µs at 38,048 × 64 on a
+//! 2-vCPU Xeon, against 175–181 µs a request for the **tiled multi-query
+//! pass** over the f32 table at batches of 16 and 32. The batched entry
+//! point [`ServeState::recommend_batch_into`] therefore answers exact
+//! requests through the sketch one at a time, whatever the batch size,
+//! and keeps the tiled pass ([`ModelArtifact::score_catalogue_batch_into`],
+//! the loop `bsl-eval` ranks its user blocks with) for tables without a
+//! sketch. Per-request results are bit-identical to serial
+//! [`ServeState::recommend_into`] calls. Full score rows are ranked with
+//! [`TopK::select_masked_into`], which compares against the current k-th
+//! best first and searches the seen list only for a score that would
+//! enter.
 
 use crate::recommender::{Rec, Retrieval};
 use bsl_data::Dataset;
 use bsl_linalg::topk::{select_scored_into, TopK};
 use bsl_models::{ivf::ProbeScratch, ModelArtifact, PruneScratch, Sketch};
-
-/// Exact requests in one batch from which the tiled f32 pass answers them
-/// instead of the sketch, one request at a time. On the same catalogue
-/// and host (2-vCPU Xeon, AVX2) the sketch serves 187–190 µs a request at
-/// any batch size, and the tiled pass 414–466, 282–320, 233–236, 206–207,
-/// 186–192 and 180–181 µs a request at B = 1, 2, 4, 8, 16 and 32 (two
-/// runs each): the two meet at 16.
-const TILED_BATCH: usize = 16;
 
 /// Per-request serving knobs (the state that used to live on the
 /// recommender as `set_nprobe`/`set_exact`).
@@ -503,17 +497,15 @@ impl ServeState {
     /// Answers a whole batch of requests, one inner list per request in
     /// request order, reusing `out`'s inner allocations.
     ///
-    /// This is the engine's workhorse: once at least `TILED_BATCH` (16)
-    /// requests of the batch resolve to the **exact** path over an f32
-    /// table, they are scored in one tiled multi-query pass over the item
-    /// table ([`ModelArtifact::score_catalogue_batch_into`]: each tile of
-    /// item rows is streamed from memory once and scored against every
-    /// query of the batch while cache-resident), which is where coalescing
-    /// concurrent requests wins over dispatching them one by one (the
-    /// same blocked-pass amortization the trainer exploits). Fewer exact
-    /// requests take the sketch-pruned path one at a time, which costs
-    /// less a request than the tiled pass below that size. IVF / int8
-    /// requests are answered per-request with the shared scratch.
+    /// This is the engine's workhorse. Exact requests over an f32 table
+    /// take the sketch-pruned path one at a time: it costs the same a
+    /// request at any batch size, less than the tiled pass costs at any
+    /// batch size. Only a table without a sketch (one it cannot bound)
+    /// scores its exact requests in one tiled multi-query pass
+    /// ([`ModelArtifact::score_catalogue_batch_into`]: each tile of item
+    /// rows is streamed from memory once and scored against every query of
+    /// the batch while cache-resident). IVF / int8 requests are answered
+    /// per-request with the shared scratch.
     ///
     /// Results are bit-identical to serial
     /// [`recommend_into`](Self::recommend_into) calls.
@@ -534,18 +526,15 @@ impl ServeState {
         // bsl-audit: allow(hot-path-alloc) -- empty-vec ctor, no allocation
         out.resize_with(reqs.len(), Vec::new);
 
-        // Split the batch: exact-path requests over an f32 table take the
-        // tiled pass once there are enough of them to beat the sketch;
-        // everything else (fewer exact requests, IVF shortlists, int8
-        // tables with their own fused kernel) answers per-request.
+        // Split the batch: exact-path requests over an f32 table without a
+        // sketch share the tiled pass; everything else (the sketch, IVF
+        // shortlists, int8 tables with their own fused kernel) answers
+        // per-request.
         scratch.batch_exact.clear();
         scratch.batch_users.clear();
-        let f32_table = self.artifact.items_f32().is_some();
-        let exact = |req: &RecommendRequest| f32_table && self.resolve(&req.opts).is_none();
-        let tiled =
-            self.sketch.is_none() || reqs.iter().filter(|r| exact(r)).count() >= TILED_BATCH;
+        let tiled = self.sketch.is_none() && self.artifact.items_f32().is_some();
         for (r, req) in reqs.iter().enumerate() {
-            if tiled && exact(req) {
+            if tiled && self.resolve(&req.opts).is_none() {
                 scratch.batch_exact.push(r);
                 scratch.batch_users.push(req.user);
             } else {

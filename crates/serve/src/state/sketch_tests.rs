@@ -82,8 +82,8 @@ fn oracle(state: &ServeState, req: &RecommendRequest) -> Vec<(u32, u32)> {
 }
 
 /// Checks every user with the mask on and off, serially, through the
-/// pruned path alone, and in batches on both sides of the tiled
-/// crossover. Returns how many requests the pruned path answered.
+/// pruned path alone, and in batches from 2 to 32. Returns how many
+/// requests the pruned path answered.
 fn check(state: &ServeState, k: usize) -> usize {
     let reqs: Vec<RecommendRequest> = (0..USERS)
         .flat_map(|user| {
@@ -107,7 +107,7 @@ fn check(state: &ServeState, k: usize) -> usize {
         }
     }
     let mut batched = Vec::new();
-    for size in [2, TILED_BATCH - 1, TILED_BATCH] {
+    for size in [2, 15, 16, 32] {
         let batch: Vec<usize> = (0..size).map(|i| i % reqs.len()).collect();
         let chunk: Vec<RecommendRequest> = batch.iter().map(|&i| reqs[i]).collect();
         state.recommend_batch_into(&chunk, &mut scratch, &mut batched);
