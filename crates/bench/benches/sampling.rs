@@ -19,6 +19,14 @@ fn bench_sampling(c: &mut Criterion) {
             uniform.sample_into(black_box(5), 256, &mut rng, &mut out)
         })
     });
+    // The in-batch trainer's shape: one negative a row, so any per-row
+    // setup in the sampler shows here.
+    c.bench_function("uniform_sample_1", |b| {
+        b.iter(|| {
+            out.clear();
+            uniform.sample_into(black_box(5), 1, &mut rng, &mut out)
+        })
+    });
     let pop = PopularitySampler::new(ds.clone(), 1.0);
     c.bench_function("popularity_sample_256", |b| {
         b.iter(|| {

@@ -4,7 +4,8 @@
 //! kernel (runtime-dispatched scalar / unrolled / AVX2+FMA): the moment
 //! EMAs and the bias-corrected parameter step run as one kernel call per
 //! row (lazy path) or per matrix (dense path). Scalar dispatch is
-//! bit-identical to the historical three-loop implementation.
+//! bit-identical to the historical three-loop implementation. The bias
+//! corrections `1 − β^t` are computed once per step, not once per row.
 
 use bsl_linalg::simd;
 use bsl_linalg::Matrix;
@@ -18,6 +19,9 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
+    /// `(1 − β1^t, 1 − β2^t)` at the current `t`, computed once per step
+    /// by [`Self::begin_step`] and read by every row update.
+    bias: (f32, f32),
     /// Reusable dedup scratch for [`Adam::step_rows`], lazily sized to the
     /// row count once and reset per call in O(touched rows).
     seen: Vec<bool>,
@@ -46,6 +50,7 @@ impl Adam {
             beta2,
             eps,
             t: 0,
+            bias: bias_corrections(beta1, beta2, 0),
             seen: Vec::new(),
         }
     }
@@ -61,14 +66,7 @@ impl Adam {
     /// itself in [`Self::step_dense`].
     pub fn begin_step(&mut self) {
         self.t += 1;
-    }
-
-    #[inline]
-    fn bias_corrections(&self) -> (f32, f32) {
-        let t = self.t.max(1) as i32;
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-        (bc1, bc2)
+        self.bias = bias_corrections(self.beta1, self.beta2, self.t);
     }
 
     /// Lazy per-row update: applies one Adam update to `param` row
@@ -79,7 +77,7 @@ impl Adam {
     /// Panics if dimensions disagree (debug builds check per element).
     pub fn update_row(&mut self, param: &mut [f32], row: usize, grad: &[f32], lr: f32) {
         debug_assert_eq!(param.len(), grad.len());
-        let (bc1, bc2) = self.bias_corrections();
+        let (bc1, bc2) = self.bias;
         simd::adam_update(
             param,
             self.m.row_mut(row),
@@ -103,7 +101,7 @@ impl Adam {
         assert_eq!(param.shape(), grad.shape(), "adam gradient shape mismatch");
         assert_eq!(param.shape(), self.m.shape(), "adam state shape mismatch");
         self.begin_step();
-        let (bc1, bc2) = self.bias_corrections();
+        let (bc1, bc2) = self.bias;
         simd::adam_update(
             param.as_mut_slice(),
             self.m.as_mut_slice(),
@@ -131,21 +129,27 @@ impl Adam {
         if self.seen.len() < param.rows() {
             self.seen.resize(param.rows(), false);
         }
-        // Split borrow via one reused row copy (rows are short: d ≤ 512).
-        let mut g = vec![0.0f32; param.cols()];
         for &r in rows {
             let r = r as usize;
             if self.seen[r] {
                 continue;
             }
             self.seen[r] = true;
-            g.copy_from_slice(grad.row(r));
-            self.update_row(param.row_mut(r), r, &g, lr);
+            self.update_row(param.row_mut(r), r, grad.row(r), lr);
         }
         for &r in rows {
             self.seen[r as usize] = false;
         }
     }
+}
+
+/// Adam's bias corrections `(1 − β1^t, 1 − β2^t)`. Step 0 (no
+/// [`Adam::begin_step`] yet) reads as step 1, and the exponent saturates
+/// at `i32::MAX` instead of wrapping negative; `β^(2³¹)` is already 0 in
+/// f32, so saturating changes no value.
+fn bias_corrections(beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
+    let t = t.clamp(1, i32::MAX as u64) as i32;
+    (1.0 - beta1.powi(t), 1.0 - beta2.powi(t))
 }
 
 #[cfg(test)]
@@ -229,6 +233,78 @@ mod tests {
         let mut p = Matrix::zeros(2, 2);
         let g = Matrix::zeros(2, 3);
         Adam::new(2, 2).step_dense(&mut p, &g, 0.1);
+    }
+
+    /// Every row update reads the corrections cached once per step; each
+    /// path must give the bits of the per-row formula the cache replaced.
+    #[test]
+    fn cached_bias_corrections_match_the_per_row_formula() {
+        let per_row = |t: u64| {
+            let t = t.max(1) as i32;
+            (1.0 - 0.9f32.powi(t), 1.0 - 0.999f32.powi(t))
+        };
+        let (rows, cols, lr) = (3, 5, 0.01);
+        let param = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 * 0.1 - 0.7);
+        let grad = Matrix::from_fn(rows, cols, |r, c| ((r + 2 * c) % 7) as f32 - 3.2);
+        // One update of every row from zero moments with the given
+        // corrections: what each path must reproduce bit for bit.
+        let expect = |(bc1, bc2): (f32, f32)| {
+            let mut p = param.clone();
+            let (mut m, mut v) = (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols));
+            for r in 0..rows {
+                simd::adam_update(
+                    p.row_mut(r),
+                    m.row_mut(r),
+                    v.row_mut(r),
+                    grad.row(r),
+                    lr,
+                    0.9,
+                    0.999,
+                    bc1,
+                    bc2,
+                    1e-8,
+                );
+            }
+            p
+        };
+        // `steps` calls to `begin_step`.
+        let advanced = |steps: u64| {
+            let mut adam = Adam::new(rows, cols);
+            for _ in 0..steps {
+                adam.begin_step();
+            }
+            adam
+        };
+        let bits = |p: &Matrix| p.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for t in [0u64, 1, 2, 1000, 1_000_000] {
+            let want = bits(&expect(per_row(t)));
+            let mut adam = advanced(t);
+            let mut p = param.clone();
+            for r in 0..rows {
+                adam.update_row(p.row_mut(r), r, grad.row(r), lr);
+            }
+            assert_eq!(bits(&p), want, "update_row at t = {t}");
+            if t == 0 {
+                continue; // the step paths advance t themselves
+            }
+            let mut p = param.clone();
+            advanced(t - 1).step_rows(&mut p, &grad, &[2, 0, 1, 0], lr);
+            assert_eq!(bits(&p), want, "step_rows at t = {t}");
+            let mut p = param.clone();
+            advanced(t - 1).step_dense(&mut p, &grad, lr);
+            assert_eq!(bits(&p), want, "step_dense at t = {t}");
+        }
+    }
+
+    /// Past 2³¹ steps the exponent saturates: `as i32` used to wrap it to
+    /// 0 or a negative power (a zero or infinite correction).
+    #[test]
+    fn bias_corrections_saturate_past_i32_steps() {
+        let top = bias_corrections(0.9, 0.999, i32::MAX as u64);
+        assert_eq!(top, (1.0, 1.0));
+        for t in [1u64 << 31, 1 << 32, u64::MAX] {
+            assert_eq!(bias_corrections(0.9, 0.999, t), top, "t = {t}");
+        }
     }
 
     proptest! {
