@@ -1,11 +1,11 @@
-//! Serving-path benchmarks: batched top-k retrieval over a frozen
-//! artifact at Yelp catalogue scale — the per-request cost a deployed
-//! `Recommender` pays.
+//! Serving-path benchmarks: top-k retrieval over a frozen artifact at
+//! Yelp catalogue scale through `ServeState` — the per-request cost a
+//! deployment pays.
 
 use bsl_data::synth::{generate, SynthConfig};
 use bsl_linalg::Matrix;
 use bsl_models::{EvalScore, IvfIndex, ModelArtifact};
-use bsl_serve::Recommender;
+use bsl_serve::{RecommendRequest, ServeScratch, ServeState};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,34 +42,29 @@ fn bench_serving(c: &mut Criterion) {
         b.iter(|| IvfIndex::build(black_box(art.items()), nlist))
     });
 
-    let mut rec = Recommender::with_seen(art, &ds);
+    let state = ServeState::with_seen(art, &ds);
+    let mut scratch = ServeScratch::new();
     // A fixed 64-user request batch spread across the user space.
     let stride = (ds.n_users / 64).max(1) as u32;
-    let batch: Vec<u32> = (0..64u32).map(|j| j * stride).collect();
+    let batch: Vec<RecommendRequest> =
+        (0..64u32).map(|j| RecommendRequest::new(j * stride, 10)).collect();
 
-    // Warm the scratch so the measurement is the steady state.
-    let _ = rec.recommend_batch(&batch, 10);
+    // Warm the scratch and the output lists so the measurement is the
+    // steady state.
+    let mut outs = Vec::new();
+    state.recommend_batch_into(&batch, &mut scratch, &mut outs);
 
-    // Since PR 7 the batch call streams each item-table tile past every
-    // query in the batch (one catalogue pass per batch)...
+    // 64 exact requests, each through the sketch-pruned scan.
     c.bench_function("recommend_b64_k10_yelp_d64", |b| {
-        b.iter(|| rec.recommend_batch(black_box(&batch), 10))
-    });
-    // ...while this serial loop answers the same 64 requests one at a
-    // time (one catalogue pass per request). The gap between the two
-    // lines is the micro-batching amortization the ServeEngine banks on.
-    let mut out = Vec::with_capacity(10);
-    c.bench_function("recommend_b64_serial_k10_yelp_d64", |b| {
         b.iter(|| {
-            for &u in black_box(&batch) {
-                rec.recommend_into(u, 10, &mut out);
-                black_box(&out);
-            }
+            state.recommend_batch_into(black_box(&batch), &mut scratch, &mut outs);
+            black_box(&outs);
         })
     });
+    let mut out = Vec::with_capacity(10);
     c.bench_function("recommend_single_k10_yelp_d64", |b| {
         b.iter(|| {
-            rec.recommend_into(black_box(batch[0]), 10, &mut out);
+            state.recommend_into(black_box(&batch[0]), &mut scratch, &mut out);
             black_box(&out);
         })
     });
@@ -77,10 +72,13 @@ fn bench_serving(c: &mut Criterion) {
     // The sub-linear path: same batch, same k, served through int8 tables
     // and the IVF shortlist at the default nprobe. Compare directly to
     // recommend_b64_k10_yelp_d64 — the gap is the ANN speedup.
-    let mut ivf_rec = Recommender::with_seen(v2, &ds);
-    let _ = ivf_rec.recommend_batch(&batch, 10);
+    let ivf_state = ServeState::with_seen(v2, &ds);
+    ivf_state.recommend_batch_into(&batch, &mut scratch, &mut outs);
     c.bench_function("ivf_recommend_b64_k10_yelp_d64", |b| {
-        b.iter(|| ivf_rec.recommend_batch(black_box(&batch), 10))
+        b.iter(|| {
+            ivf_state.recommend_batch_into(black_box(&batch), &mut scratch, &mut outs);
+            black_box(&outs);
+        })
     });
 }
 

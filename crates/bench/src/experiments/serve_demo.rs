@@ -10,7 +10,7 @@
 use super::common::{base_cfg, Scale};
 use bsl_core::prelude::*;
 use bsl_data::synth::{generate, SynthConfig};
-use bsl_serve::{RecommendRequest, Retrieval, ServeOptions, ServeScratch, ServeState};
+use bsl_serve::{RecommendRequest, ServeOptions, ServeScratch, ServeState};
 use std::sync::Arc;
 
 /// The dataset both halves of the round trip agree on.
@@ -81,9 +81,9 @@ pub fn serve(path: &str, nprobe: Option<usize>) {
         }
         None => ServeOptions::default(),
     };
-    match state.retrieval(&opts) {
-        Retrieval::Exact => println!("retrieval: exact full scan"),
-        Retrieval::Ivf { nprobe } => {
+    match state.resolve(&opts) {
+        None => println!("retrieval: exact full scan"),
+        Some(nprobe) => {
             let nlist = state.artifact().index().expect("IVF mode implies an index").nlist();
             println!("retrieval: IVF, probing {nprobe} of {nlist} lists");
         }

@@ -1,12 +1,11 @@
 //! Full-catalogue ranking evaluation through the frozen artifact path.
 //!
-//! Evaluation is "serving plus ground truth", and runs the loop exact
-//! serving runs: a block of users is scored in one tiled pass over the
-//! item table ([`ModelArtifact::score_catalogue_batch_into`], the batch
-//! scorer behind `bsl-serve`'s `recommend_batch_into`), each score row is
+//! Evaluation is "serving plus ground truth": a block of users is scored
+//! in one tiled pass over the item table
+//! ([`ModelArtifact::score_catalogue_batch_into`]), each score row is
 //! ranked threshold first with the training items masked
-//! ([`TopK::select_masked_into`]), and the top-k is compared against the
-//! test split. One private driver, `rank_blocks`, does that for
+//! ([`TopK::select_masked_into`], the selector `bsl-serve`'s plain exact
+//! scan ranks with), and the top-k is compared against the test split. One private driver, `rank_blocks`, does that for
 //! [`evaluate_artifact`] and for both group decompositions in
 //! [`crate::groups`]. Raw embedding matrices are accepted via
 //! [`evaluate`], which freezes them into an ad-hoc artifact first, so

@@ -46,7 +46,8 @@ pub struct IvfIndex {
 
 /// Reusable probe scratch: centroid scores, the identity id table the
 /// selector walks, and the selected `(list, score)` pairs. One per
-/// `Recommender`/thread — probing allocates nothing once warm.
+/// thread (inside `bsl-serve`'s `ServeScratch`) — probing allocates
+/// nothing once warm.
 #[derive(Default)]
 pub struct ProbeScratch {
     centroid_scores: Vec<f32>,

@@ -8,14 +8,15 @@
 //! `lanes` batches are being scored — `lanes` is the host's
 //! `available_parallelism()`, read once — the calling thread itself takes
 //! what is queued (front first, at most [`BatchPolicy::max_batch`],
-//! normally including its own request), groups it by tenant slot, answers
-//! each group through one [`ServeState::recommend_batch_into`] pass,
-//! publishes the answers under the lock and wakes the waiters. Otherwise
-//! it sleeps until its answer is published or a lane frees. A lone
-//! request therefore costs its own scoring plus two uncontended lock
-//! round trips: no hand-off, no timer. A batch is what queued up while
-//! every lane was busy; it shares one slot load and one lock round trip
-//! (exact requests over a sketched table still cost one sketch scan each).
+//! normally including its own request), groups it by tenant slot, loads
+//! each group's artifact generation once and answers every request of
+//! the group through [`ServeState::respond`], then publishes the answers
+//! under the lock and wakes the waiters. Otherwise it sleeps until its
+//! answer is published or a lane frees. A lone request therefore costs
+//! its own scoring plus two uncontended lock round trips: no hand-off, no
+//! timer. A batch is what queued up while every lane was busy; it shares
+//! one slot load and one lock round trip (each request still costs its
+//! own scan).
 //!
 //! Artifacts are resolved through a [`Registry`] of named
 //! [`ArtifactSlot`]s, so `swap` deploys a new generation with **zero
@@ -28,7 +29,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::recommender::Rec;
 use crate::registry::{Registry, TenantInfo};
 use crate::state::{RecommendRequest, RecommendResponse, ServeError, ServeScratch, ServeState};
 use crate::swap::stress::{self, Site};
@@ -80,9 +80,6 @@ struct Lane {
     /// `answers[i]` answers `batch[i]`; `None` until scored.
     answers: Vec<Option<Answer>>,
     order: Vec<usize>,
-    reqs: Vec<RecommendRequest>,
-    idxs: Vec<usize>,
-    outs: Vec<Vec<Rec>>,
 }
 
 /// The state callers coordinate through, under [`ServeEngine::shared`].
@@ -168,7 +165,7 @@ pub struct ServeEngine {
     hook: Option<Hook>,
 }
 
-/// Called with each tenant group's valid requests just before they are
+/// Called with each tenant group's requests just before they are
 /// scored: how the unit tests hold a lane, see a batch, or unwind.
 #[cfg(test)]
 type Hook = Box<dyn Fn(&[RecommendRequest]) + Send + Sync>;
@@ -318,13 +315,13 @@ impl ServeEngine {
     }
 
     /// Scores `lane.batch` into `lane.answers`, lock-free: grouped by
-    /// tenant slot so each group scores through one state load (one
+    /// tenant slot so each group is answered from one state load (one
     /// consistent artifact generation per group).
     // ORDERING: all counter updates in here are Relaxed — monotone stats
     // counters read only by the advisory `stats` snapshot; requests and
     // answers are handed over under the engine mutex, never through these.
     fn score_batch(&self, lane: &mut Lane) {
-        let Lane { scratch, batch, answers, order, reqs, idxs, outs } = lane;
+        let Lane { scratch, batch, answers, order } = lane;
         let counters = &self.counters;
         counters.requests.fetch_add(batch.len() as u64, Relaxed);
         counters.batches.fetch_add(1, Relaxed);
@@ -341,34 +338,24 @@ impl ServeEngine {
                 g1 += 1;
             }
             let state = batch[order[g0]].slot.load();
-            reqs.clear();
-            idxs.clear();
-            for &i in &order[g0..g1] {
-                match state.check(&batch[i].req) {
-                    Ok(()) => {
-                        idxs.push(i);
-                        reqs.push(batch[i].req);
-                    }
-                    Err(e) => {
-                        counters.errors.fetch_add(1, Relaxed);
-                        answers[i] = Some(Err(e));
-                    }
-                }
-            }
             #[cfg(test)]
-            if let Some(hook) = &self.hook {
-                hook(reqs);
-            }
-            state.recommend_batch_into(reqs, scratch, outs);
-            for (j, &i) in idxs.iter().enumerate() {
-                answers[i] = Some(Ok(RecommendResponse {
-                    user: reqs[j].user,
-                    version: state.version(),
-                    // bsl-audit: allow(hot-path-alloc) -- the response owns its recs
-                    recs: outs[j].clone(),
-                }));
+            self.run_hook(batch, &order[g0..g1]);
+            for &i in &order[g0..g1] {
+                let answer = state.respond(&batch[i].req, scratch);
+                if answer.is_err() {
+                    counters.errors.fetch_add(1, Relaxed);
+                }
+                answers[i] = Some(answer);
             }
             g0 = g1;
+        }
+    }
+
+    /// Hands the test hook one tenant group's requests.
+    #[cfg(test)]
+    fn run_hook(&self, batch: &[Queued], group: &[usize]) {
+        if let Some(hook) = &self.hook {
+            hook(&group.iter().map(|&i| batch[i].req).collect::<Vec<_>>());
         }
     }
 

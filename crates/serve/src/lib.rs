@@ -1,6 +1,6 @@
-//! Retrieval serving over frozen [`ModelArtifact`]s — from a single
-//! in-process recommender up to a traffic-facing TCP engine with
-//! batching and zero-downtime artifact hot swap.
+//! Top-k serving over frozen [`ModelArtifact`]s — from one shared
+//! in-process state up to a traffic-facing TCP engine with batching and
+//! zero-downtime artifact hot swap.
 //!
 //! Training (`bsl-core`) ends at `Backbone::export() → ModelArtifact`;
 //! this crate is everything after that boundary. It is layered so each
@@ -10,28 +10,25 @@
 //!    snapshot. Every method takes `&self`; per-call knobs ride in a
 //!    [`RecommendRequest`] (`user`, `k`, [`ServeOptions`]) and scratch
 //!    buffers are caller-owned ([`ServeScratch`]), so one state serves
-//!    any number of threads with zero shared mutability. An exact request
-//!    quantizes its query and scans the state's int8 sketch of the item
-//!    table (¼ of its bytes) with exact int8 dot products, then rescores
-//!    in f32 only the items that can still reach the top k, with the
-//!    plain scan's exact answer. Batched calls
-//!    ([`ServeState::recommend_batch_into`]) match serial calls bit for
-//!    bit.
-//! 2. **[`Recommender`]** (`recommender`) — the original convenience
-//!    wrapper, now a thin shim over `ServeState` + owned scratch. Its
-//!    API (including `set_nprobe`/`set_exact`, now deprecated in favour
-//!    of [`ServeOptions`]) is unchanged.
-//! 3. **[`SwapSlot`]/[`ArtifactSlot`]** (`swap`) — lock-free-reader hot
+//!    any number of threads with zero shared mutability. Every
+//!    recommendation is [`ServeState::recommend_into`];
+//!    [`ServeState::respond`] validates the request and versions the
+//!    answer. An exact request quantizes its query and scans the state's
+//!    int8 sketch of the item table (¼ of its bytes) with exact int8 dot
+//!    products, then rescores in f32 only the items that can still reach
+//!    the top k, with the plain scan's exact answer.
+//! 2. **[`SwapSlot`]/[`ArtifactSlot`]** (`swap`) — lock-free-reader hot
 //!    swap: publish a new artifact generation atomically; in-flight
 //!    requests finish on the generation they loaded, which drops with
 //!    its last holder. [`Registry`] (`registry`) names one slot per
 //!    tenant.
-//! 4. **[`ServeEngine`]** (`engine`) — the batching scheduler: one
+//! 3. **[`ServeEngine`]** (`engine`) — the batching scheduler: one
 //!    bounded FIFO queue and no thread of its own. The caller that finds
 //!    a free lane (one per core) scores what is queued — its own request
-//!    and whatever arrived while every lane was busy — in one batched
-//!    pass per artifact generation, and publishes the answers.
-//! 5. **[`TcpFrontend`]/[`ServeClient`]** (`protocol`) — a framed,
+//!    and whatever arrived while every lane was busy — with one slot load
+//!    per artifact generation, answers each request through
+//!    [`ServeState::respond`], and publishes the answers.
+//! 4. **[`TcpFrontend`]/[`ServeClient`]** (`protocol`) — a framed,
 //!    length-prefixed TCP wire protocol (`recommend` / `score_items` /
 //!    `swap_artifact` / `stats` / `shutdown`) over `std::net`.
 //!
@@ -59,9 +56,8 @@
 //!
 //! Steady-state serving is allocation-free: the catalogue score buffer,
 //! the bounded top-k heap, the probe scratch, and the id/candidate
-//! buffers all live in [`ServeScratch`] (or the `Recommender`) and are
-//! reused across calls; the `_into` variants don't allocate at all once
-//! warm.
+//! buffers all live in [`ServeScratch`] and are reused across calls; the
+//! `_into` variants don't allocate at all once warm.
 
 // On the bsl-audit unsafe allowlist (audit/policy.toml): unsafe fns must
 // still spell out every unsafe operation in an explicit `unsafe {}` block.
@@ -70,7 +66,6 @@
 
 pub mod engine;
 pub mod protocol;
-pub mod recommender;
 pub mod registry;
 pub mod state;
 pub mod swap;
@@ -78,9 +73,8 @@ pub mod swap;
 pub use bsl_models::{ArtifactError, EvalScore, ModelArtifact, Precision};
 pub use engine::{BatchPolicy, ServeEngine, StatsSnapshot};
 pub use protocol::{ClientError, ProtocolError, Request, Response, ServeClient, TcpFrontend};
-pub use recommender::{Rec, Recommender, Retrieval};
 pub use registry::{Registry, TenantInfo};
 pub use state::{
-    RecommendRequest, RecommendResponse, ServeError, ServeOptions, ServeScratch, ServeState,
+    Rec, RecommendRequest, RecommendResponse, ServeError, ServeOptions, ServeScratch, ServeState,
 };
 pub use swap::{ArtifactSlot, SwapSlot};

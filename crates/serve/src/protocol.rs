@@ -40,8 +40,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::engine::ServeEngine;
-use crate::recommender::Rec;
-use crate::state::{RecommendRequest, RecommendResponse, ServeOptions, ServeState};
+use crate::state::{Rec, RecommendRequest, RecommendResponse, ServeOptions, ServeState};
 use bsl_models::ModelArtifact;
 
 /// Upper bound on a frame payload (16 MiB): large enough for any real
@@ -143,10 +142,15 @@ impl std::error::Error for ProtocolError {}
 
 // ---- encoding ----------------------------------------------------------
 
+/// Writes a `u16`-length-prefixed string field.
+///
+/// # Panics
+/// Panics if `s` is longer than 65,535 bytes: a wrapped length would
+/// frame a different request than the one meant.
 fn push_str(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize, "string field too long");
-    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    let len = u16::try_from(bytes.len()).expect("string field too long");
+    buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(bytes);
 }
 
@@ -157,6 +161,9 @@ fn opts_flags(opts: &ServeOptions) -> u8 {
 }
 
 /// Encodes `req` as a payload (no length prefix).
+///
+/// # Panics
+/// Panics if a tenant or path is longer than 65,535 bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut buf = Vec::new();
     match req {
@@ -657,7 +664,8 @@ impl From<ProtocolError> for ClientError {
 
 /// A blocking protocol client over one TCP connection (one request in
 /// flight at a time; open several clients for concurrency — that is
-/// exactly what the load generator does).
+/// exactly what the load generator does). A tenant or path longer than
+/// the wire's 65,535-byte string field panics (see [`encode_request`]).
 pub struct ServeClient {
     stream: TcpStream,
 }
@@ -804,6 +812,18 @@ mod tests {
         round_trip_response(Response::Stats("requests=5\ntenant a version=2\n".into()));
         round_trip_response(Response::ShutdownOk);
         round_trip_response(Response::Error("unknown tenant \"x\"".into()));
+    }
+
+    /// A string field past the `u16` prefix is refused, in release builds
+    /// too, instead of framing a wrapped length; one at the limit fits.
+    #[test]
+    #[should_panic(expected = "string field too long")]
+    fn string_fields_past_u16_are_refused() {
+        let path = "p".repeat(u16::MAX as usize);
+        let req = Request::SwapArtifact { tenant: "t".into(), path };
+        assert_eq!(decode_request(&encode_request(&req)), Ok(req));
+        let tenant = "t".repeat(u16::MAX as usize + 1);
+        encode_request(&Request::Recommend { tenant, req: RecommendRequest::new(0, 1) });
     }
 
     #[test]

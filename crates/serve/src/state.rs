@@ -1,13 +1,6 @@
-//! The redesigned serving API: a shared, immutable [`ServeState`] scored
-//! through caller-owned [`ServeScratch`], driven by per-request
-//! [`RecommendRequest`]/[`ServeOptions`] values instead of mutable
-//! recommender configuration.
-//!
-//! PR 5/6's [`Recommender`](crate::Recommender) bundled the frozen
-//! artifact, the seen-mask, *and* the per-call scratch into one object
-//! whose `recommend*` methods took `&mut self` — fine as a library, a
-//! dead end for a server where many request threads share one loaded
-//! model. This module splits that god-object along its natural seam:
+//! The serving API: a shared, immutable [`ServeState`] scored through
+//! caller-owned [`ServeScratch`], driven by per-request
+//! [`RecommendRequest`]/[`ServeOptions`] values.
 //!
 //! * [`ServeState`] — everything immutable after load: the
 //!   [`ModelArtifact`], its optional IVF index, the int8 sketch of an f32
@@ -17,8 +10,14 @@
 //! * [`ServeScratch`] — the reusable per-call buffers (query row,
 //!   catalogue scores, top-k heap, probe and sketch scratch). One per
 //!   thread; steady-state serving allocates nothing.
-//! * [`ServeOptions`] — the knobs that used to be recommender state
-//!   (`set_nprobe`/`set_exact`), now carried by each request.
+//! * [`ServeOptions`] — the retrieval knobs each request carries: the IVF
+//!   probe width, a forced exact scan, seen-item filtering.
+//!
+//! **One request path.** Every recommendation is
+//! [`ServeState::recommend_into`]. [`ServeState::respond`] validates the
+//! request and wraps the answer in a versioned [`RecommendResponse`] (the
+//! [`ServeEngine`](crate::ServeEngine) answers through it), and
+//! [`ServeState::recommend_batch_into`] runs it once per request.
 //!
 //! **The exact path is sketch-pruned, and still exact.** An exact request
 //! reads its scan from memory, so its cost is bytes. [`ServeState::new`]
@@ -31,33 +30,42 @@
 //! has the bound and its proof). The plain scan answers instead when the
 //! data leaves nothing to prune: no certificate for the table or the
 //! query (non-finite values), `k` at or past the eligible count, or more
-//! than 1/16 of the catalogue surviving.
-//!
-//! The sketch scan computes exact int8 × int8 dot products (the query is
-//! quantized too), so a request costs about 95 µs at 38,048 × 64 on a
-//! 2-vCPU Xeon, against 175–181 µs a request for the **tiled multi-query
-//! pass** over the f32 table at batches of 16 and 32. The batched entry
-//! point [`ServeState::recommend_batch_into`] therefore answers exact
-//! requests through the sketch one at a time, whatever the batch size,
-//! and keeps the tiled pass ([`ModelArtifact::score_catalogue_batch_into`],
-//! the loop `bsl-eval` ranks its user blocks with) for tables without a
-//! sketch. Per-request results are bit-identical to serial
-//! [`ServeState::recommend_into`] calls. Full score rows are ranked with
+//! than 1/16 of the catalogue surviving. It ranks its full score row with
 //! [`TopK::select_masked_into`], which compares against the current k-th
 //! best first and searches the seen list only for a score that would
 //! enter.
+//!
+//! The sketch scan computes exact int8 × int8 dot products (the query is
+//! quantized too), so a request costs about 95 µs at 38,048 × 64 on a
+//! 2-vCPU Xeon, the same alone or in a batch of any size: half of what a
+//! tiled multi-query pass over the f32 table costs a request at batches of
+//! 16 and 32. Nothing is gained by scoring a batch together.
 
-use crate::recommender::{Rec, Retrieval};
 use bsl_data::Dataset;
 use bsl_linalg::topk::{select_scored_into, TopK};
 use bsl_models::{ivf::ProbeScratch, ModelArtifact, PruneScratch, Sketch};
 
-/// Per-request serving knobs (the state that used to live on the
-/// recommender as `set_nprobe`/`set_exact`).
+/// One recommendation: an item id and its retrieval score.
 ///
-/// `Default` reproduces the automatic PR 6 behaviour: serve through the
-/// artifact's IVF index at its default `nprobe` when one is attached,
-/// exactly otherwise, with seen-item filtering on.
+/// Scores come from the artifact's prepared tables (cosine similarity for
+/// cosine backbones, inner product otherwise; CML artifacts serve the
+/// rank-equivalent augmented inner product). The IVF path rescores its
+/// shortlist with the same exact kernel, so a served score is always the
+/// true prepared-table score of that item — approximation only affects
+/// *which* items make the shortlist.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Rec {
+    /// The recommended item id.
+    pub item: u32,
+    /// The retrieval score (higher = better).
+    pub score: f32,
+}
+
+/// Per-request serving knobs.
+///
+/// `Default` serves through the artifact's IVF index at its default
+/// `nprobe` when one is attached, exactly otherwise, with seen-item
+/// filtering on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Probe width override for IVF retrieval. `None` uses the index's
@@ -99,7 +107,7 @@ pub struct RecommendRequest {
     pub user: u32,
     /// How many items to return (truncated to the eligible catalogue).
     pub k: usize,
-    /// Retrieval knobs for this request.
+    /// The serving knobs for this request.
     pub opts: ServeOptions,
 }
 
@@ -166,9 +174,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Reusable per-call scoring buffers. One per thread (or per
-/// [`Recommender`](crate::Recommender)); every [`ServeState`] scoring
-/// method is allocation-free once its scratch is warm.
+/// Reusable per-call scoring buffers. One per thread; every
+/// [`ServeState`] scoring method is allocation-free once its scratch is
+/// warm.
 #[derive(Default)]
 pub struct ServeScratch {
     /// The prepared f32 query row.
@@ -187,12 +195,6 @@ pub struct ServeScratch {
     cand_scores: Vec<f32>,
     /// Selected `(item, score)` pairs (IVF path).
     pairs: Vec<(u32, f32)>,
-    /// Batched exact path: request indices taking the tiled pass.
-    batch_exact: Vec<usize>,
-    /// Batched exact path: the users of those requests.
-    batch_users: Vec<u32>,
-    /// Batched exact path: the `B × n_items` score block.
-    batch_scores: Vec<f32>,
     /// Sketch-pruned exact path: the scan's tile and bound buffers (its
     /// survivors go to `candidates`).
     prune: PruneScratch,
@@ -323,31 +325,12 @@ impl ServeState {
         (nprobe < ix.nlist()).then_some(nprobe)
     }
 
-    /// The [`Retrieval`] mode `opts` resolves to (the compat-facing view
-    /// of [`resolve`](Self::resolve)).
-    pub fn retrieval(&self, opts: &ServeOptions) -> Retrieval {
-        match self.resolve(opts) {
-            Some(nprobe) => Retrieval::Ivf { nprobe },
-            None => Retrieval::Exact,
-        }
-    }
-
-    /// Validates that `req` is answerable on this state.
-    pub fn check(&self, req: &RecommendRequest) -> Result<(), ServeError> {
-        let n_users = self.n_users();
-        if (req.user as usize) < n_users {
-            Ok(())
-        } else {
-            Err(ServeError::UserOutOfRange { user: req.user, n_users })
-        }
-    }
-
     /// Top-`k` eligible items for one request, best first, written into
     /// `out` (cleared first). Allocation-free once `scratch` is warm.
     ///
     /// # Panics
-    /// Panics if the user is out of range — use [`check`](Self::check)
-    /// (or the validated [`respond`](Self::respond)) on untrusted input.
+    /// Panics if the user is out of range — answer untrusted input through
+    /// the validated [`respond`](Self::respond).
     pub fn recommend_into(
         &self,
         req: &RecommendRequest,
@@ -361,20 +344,34 @@ impl ServeState {
     }
 
     /// Answers one request as a versioned [`RecommendResponse`],
-    /// validating instead of panicking. Allocates the response `Vec` only.
+    /// validating instead of panicking: the entry point for untrusted
+    /// requests, and the one the engine answers through. Allocates the
+    /// response `Vec` only.
     pub fn respond(
         &self,
         req: &RecommendRequest,
         scratch: &mut ServeScratch,
     ) -> Result<RecommendResponse, ServeError> {
-        self.check(req)?;
+        self.check_user(req.user)?;
+        // bsl-audit: allow(hot-path-alloc) -- the response owns its recs
         let mut recs = Vec::with_capacity(req.k.min(self.n_items()));
         self.recommend_into(req, scratch, &mut recs);
         Ok(RecommendResponse { user: req.user, version: self.version, recs })
     }
 
+    /// `Ok` when the artifact has a row for `user`.
+    fn check_user(&self, user: u32) -> Result<(), ServeError> {
+        let n_users = self.n_users();
+        if (user as usize) < n_users {
+            Ok(())
+        } else {
+            Err(ServeError::UserOutOfRange { user, n_users })
+        }
+    }
+
     /// The exact path: the sketch-pruned scan when it applies, else one
-    /// blocked matvec over the whole item table.
+    /// blocked matvec over the whole item table, ranked threshold first
+    /// (the seen-list search only for a score that would enter).
     fn recommend_exact_into(
         &self,
         req: &RecommendRequest,
@@ -386,7 +383,15 @@ impl ServeState {
             return;
         }
         self.artifact.score_catalogue_query_into(&scratch.qbuf, &mut scratch.scores);
-        self.rank_into(req, &scratch.scores, &mut scratch.topk, &mut scratch.ids, out);
+        let (seen, scores) = (self.mask_for(req), &scratch.scores);
+        scratch.topk.select_masked_into(
+            scores,
+            req.k,
+            |i| seen.binary_search(&(i as u32)).is_ok(),
+            &mut scratch.ids,
+        );
+        out.clear();
+        out.extend(scratch.ids.iter().map(|&i| Rec { item: i, score: scores[i as usize] }));
     }
 
     /// The exact path through the sketch (module docs): scan the int8
@@ -450,22 +455,6 @@ impl ServeState {
         out.extend(scratch.pairs.iter().map(|&(item, score)| Rec { item, score }));
     }
 
-    /// Ranks one full-catalogue score row for `req` into `out`: threshold
-    /// first, the seen-list search only for a score that would enter.
-    fn rank_into(
-        &self,
-        req: &RecommendRequest,
-        scores: &[f32],
-        topk: &mut TopK,
-        ids: &mut Vec<u32>,
-        out: &mut Vec<Rec>,
-    ) {
-        let seen = self.mask_for(req);
-        topk.select_masked_into(scores, req.k, |i| seen.binary_search(&(i as u32)).is_ok(), ids);
-        out.clear();
-        out.extend(ids.iter().map(|&i| Rec { item: i, score: scores[i as usize] }));
-    }
-
     /// The IVF path: probe `nprobe` lists, rescore the shortlist exactly.
     fn recommend_ivf_into(
         &self,
@@ -494,25 +483,14 @@ impl ServeState {
         }
     }
 
-    /// Answers a whole batch of requests, one inner list per request in
-    /// request order, reusing `out`'s inner allocations.
-    ///
-    /// This is the engine's workhorse. Exact requests over an f32 table
-    /// take the sketch-pruned path one at a time: it costs the same a
-    /// request at any batch size, less than the tiled pass costs at any
-    /// batch size. Only a table without a sketch (one it cannot bound)
-    /// scores its exact requests in one tiled multi-query pass
-    /// ([`ModelArtifact::score_catalogue_batch_into`]: each tile of item
-    /// rows is streamed from memory once and scored against every query of
-    /// the batch while cache-resident). IVF / int8 requests are answered
-    /// per-request with the shared scratch.
-    ///
-    /// Results are bit-identical to serial
-    /// [`recommend_into`](Self::recommend_into) calls.
+    /// Answers a batch of requests, one inner list per request in request
+    /// order, reusing `out`'s inner allocations. Each list is one
+    /// [`recommend_into`](Self::recommend_into) call, so the results are
+    /// those of serial calls and a warm batch allocates nothing.
     ///
     /// # Panics
-    /// Panics if any user is out of range — validate untrusted requests
-    /// with [`check`](Self::check) first (the engine does).
+    /// Panics if any user is out of range — answer untrusted requests
+    /// through [`respond`](Self::respond).
     pub fn recommend_batch_into(
         &self,
         reqs: &[RecommendRequest],
@@ -525,27 +503,8 @@ impl ServeState {
         // capacity truncate + resize_with preserve.
         // bsl-audit: allow(hot-path-alloc) -- empty-vec ctor, no allocation
         out.resize_with(reqs.len(), Vec::new);
-
-        // Split the batch: exact-path requests over an f32 table without a
-        // sketch share the tiled pass; everything else (the sketch, IVF
-        // shortlists, int8 tables with their own fused kernel) answers
-        // per-request.
-        scratch.batch_exact.clear();
-        scratch.batch_users.clear();
-        let tiled = self.sketch.is_none() && self.artifact.items_f32().is_some();
-        for (r, req) in reqs.iter().enumerate() {
-            if tiled && self.resolve(&req.opts).is_none() {
-                scratch.batch_exact.push(r);
-                scratch.batch_users.push(req.user);
-            } else {
-                self.recommend_into(req, scratch, &mut out[r]);
-            }
-        }
-        self.artifact.score_catalogue_batch_into(&scratch.batch_users, &mut scratch.batch_scores);
-        let n = self.n_items();
-        for (qi, &r) in scratch.batch_exact.iter().enumerate() {
-            let scores = &scratch.batch_scores[qi * n..(qi + 1) * n];
-            self.rank_into(&reqs[r], scores, &mut scratch.topk, &mut scratch.ids, &mut out[r]);
+        for (req, recs) in reqs.iter().zip(out.iter_mut()) {
+            self.recommend_into(req, scratch, recs);
         }
     }
 
@@ -558,10 +517,7 @@ impl ServeState {
         items: &[u32],
         out: &mut Vec<f32>,
     ) -> Result<(), ServeError> {
-        let n_users = self.n_users();
-        if user as usize >= n_users {
-            return Err(ServeError::UserOutOfRange { user, n_users });
-        }
+        self.check_user(user)?;
         let n_items = self.n_items();
         if let Some(&bad) = items.iter().find(|&&i| i as usize >= n_items) {
             return Err(ServeError::ItemOutOfRange { item: bad, n_items });
@@ -606,6 +562,82 @@ mod tests {
         // nprobe ≥ nlist routes through the exact kernel.
         assert_eq!(state.resolve(&ServeOptions::with_nprobe(8)), None);
         assert_eq!(state.resolve(&ServeOptions::with_nprobe(999)), None);
+    }
+
+    /// 2 users × 4 items, d = 2: every score is known by hand.
+    fn two_by_four() -> ModelArtifact {
+        let users = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
+        let items = Matrix::from_vec(4, 2, vec![0.9, 0.0, 0.5, 0.1, 0.1, 0.8, 0.3, 0.3]);
+        ModelArtifact::from_embeddings("MF", &users, &items, EvalScore::Dot)
+    }
+
+    #[test]
+    fn known_answers_on_two_users_by_four_items() {
+        let state = ServeState::new(two_by_four());
+        let mut scratch = ServeScratch::new();
+        let mut top = |user, k| state.respond(&RecommendRequest::new(user, k), &mut scratch);
+        let best = top(0, 4).unwrap().recs;
+        assert_eq!(best.iter().map(|r| r.item).collect::<Vec<_>>(), vec![0, 1, 3, 2]);
+        assert!(best.windows(2).all(|w| w[0].score >= w[1].score));
+        assert_eq!(best[0].score, 0.9);
+        // `k` past the catalogue truncates, `k = 0` answers nothing, and a
+        // warm scratch gives the same answer every time.
+        assert_eq!(top(0, 100).unwrap().recs, best);
+        assert!(top(0, 0).unwrap().recs.is_empty());
+        for _ in 0..10 {
+            assert_eq!(top(0, 3).unwrap().recs, best[..3]);
+        }
+        // Candidates are scored as asked: user 1 against items 2 and 0.
+        let mut scores = Vec::new();
+        state.score_items_into(1, &[2, 0], &mut scores).unwrap();
+        assert!((scores[0] - 0.8).abs() < 1e-6 && scores[1].abs() < 1e-6, "{scores:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "artifact user rows != dataset users")]
+    fn with_seen_rejects_shape_mismatch() {
+        let ds = Dataset::from_pairs("m", 3, 4, &[], &[]);
+        let _ = ServeState::with_seen(two_by_four(), &ds);
+    }
+
+    #[test]
+    fn ivf_respects_the_seen_mask() {
+        let mut indexed = art(30, 300, 8, 77);
+        indexed.build_ivf(4);
+        let pairs: Vec<(u32, u32)> = (0..40).map(|i| (i % 30, i * 7 % 300)).collect();
+        let ds = Dataset::from_pairs("seen", 30, 300, &pairs, &[]);
+        let state = ServeState::with_seen(indexed, &ds);
+        let opts = ServeOptions::with_nprobe(2);
+        assert_eq!(state.resolve(&opts), Some(2));
+        let (mut scratch, mut recs) = (ServeScratch::new(), Vec::new());
+        for user in 0..30u32 {
+            state.recommend_into(&RecommendRequest { user, k: 20, opts }, &mut scratch, &mut recs);
+            let seen = state.seen(user);
+            assert!(!recs.is_empty());
+            assert!(recs.iter().all(|r| seen.binary_search(&r.item).is_err()), "user {user}");
+        }
+    }
+
+    #[test]
+    fn ivf_rescores_its_shortlist_exactly() {
+        let mut indexed = art(30, 300, 8, 77);
+        indexed.build_default_ivf();
+        let state = ServeState::new(indexed);
+        assert!(state.resolve(&ServeOptions::default()).is_some());
+        let (mut scratch, mut truth, mut recs, mut score) =
+            (ServeScratch::new(), Vec::new(), Vec::new(), Vec::new());
+        for user in 0..30u32 {
+            let exact = RecommendRequest { user, k: 10, opts: ServeOptions::exact() };
+            state.recommend_into(&exact, &mut scratch, &mut truth);
+            state.recommend_into(&RecommendRequest::new(user, 10), &mut scratch, &mut recs);
+            for r in &recs {
+                // Every served score is the item's true prepared-table
+                // score, and no IVF pick beats the exact best.
+                state.score_items_into(user, &[r.item], &mut score).unwrap();
+                assert_eq!(r.score.to_bits(), score[0].to_bits(), "user {user} item {}", r.item);
+                assert!(r.score <= truth[0].score, "user {user} item {}", r.item);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 
 use bsl_core::prelude::*;
-use bsl_serve::Recommender;
+use bsl_serve::{RecommendRequest, ServeScratch, ServeState};
 use std::sync::Arc;
 
 fn main() {
@@ -49,10 +49,11 @@ fn main() {
         art.n_items(),
         art.dim()
     );
-    let mut rec = Recommender::with_seen(art.clone(), &ds);
+    let state = ServeState::with_seen(art.clone(), &ds);
     let user = ds.evaluable_users()[0];
+    let resp = state.respond(&RecommendRequest::new(user, 5), &mut ServeScratch::new());
     println!("top-5 for user {user}:");
-    for r in rec.recommend(user, 5) {
+    for r in resp.expect("an evaluable user is in range").recs {
         println!("  item {:>6}  score {:+.4}", r.item, r.score);
     }
 }

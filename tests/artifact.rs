@@ -1,6 +1,6 @@
 //! The train→serve boundary, end to end: a trained model exports a
 //! `ModelArtifact`, the artifact round-trips through the on-disk codec
-//! bit for bit, a `Recommender` over the loaded copy answers exactly what
+//! bit for bit, a `ServeState` over the loaded copy answers exactly what
 //! the in-memory model would, and corrupted/truncated files are rejected.
 //!
 //! Format v1 (plain f32, no index) is pinned against a hand-built golden
@@ -10,7 +10,7 @@
 
 use bsl_core::prelude::*;
 use bsl_models::{ArtifactError, EvalScore, Precision};
-use bsl_serve::Recommender;
+use bsl_serve::{Rec, RecommendRequest, ServeScratch, ServeState};
 use std::sync::Arc;
 
 /// FNV-1a 64 as the format specifies it (offset basis `0xcbf29ce484222325`,
@@ -62,6 +62,15 @@ fn train(ds: &Arc<Dataset>, backbone: BackboneConfig, loss: LossConfig) -> Train
     Trainer::new(cfg).fit(ds)
 }
 
+/// Top-10 lists for `users`, served from `art` with `ds`'s training
+/// items filtered out (the default retrieval mode).
+fn top10(art: ModelArtifact, ds: &Dataset, users: &[u32]) -> Vec<Vec<Rec>> {
+    let reqs: Vec<RecommendRequest> = users.iter().map(|&u| RecommendRequest::new(u, 10)).collect();
+    let mut out = Vec::new();
+    ServeState::with_seen(art, ds).recommend_batch_into(&reqs, &mut ServeScratch::new(), &mut out);
+    out
+}
+
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("bsl-artifact-it");
     std::fs::create_dir_all(&dir).expect("tempdir");
@@ -93,11 +102,8 @@ fn save_load_recommend_is_bit_identical_to_live_model() {
 
     // recommend(user, k): identical item ids AND identical score bits.
     let users: Vec<u32> = (0..ds.n_users as u32).collect();
-    let mut live = Recommender::with_seen(out.artifact.clone(), &ds);
-    let mut served = Recommender::with_seen(loaded, &ds);
-    for (a, b) in
-        live.recommend_batch(&users, 10).iter().zip(served.recommend_batch(&users, 10).iter())
-    {
+    let live = top10(out.artifact.clone(), &ds, &users);
+    for (a, b) in live.iter().zip(&top10(loaded, &ds, &users)) {
         assert_eq!(a, b, "loaded artifact must serve bit-identical recommendations");
     }
 }
@@ -135,10 +141,8 @@ fn cml_artifact_round_trips_with_the_distance_augmentation() {
     let loaded = ModelArtifact::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
 
-    let mut live = Recommender::with_seen(out.artifact.clone(), &ds);
-    let mut served = Recommender::with_seen(loaded, &ds);
     let users: Vec<u32> = ds.evaluable_users();
-    assert_eq!(live.recommend_batch(&users, 10), served.recommend_batch(&users, 10));
+    assert_eq!(top10(out.artifact.clone(), &ds, &users), top10(loaded, &ds, &users));
 }
 
 #[test]
@@ -419,11 +423,9 @@ fn v2_round_trips_every_flag_combination_through_disk() {
         assert_eq!(back.index().is_some(), art.index().is_some(), "{name}");
         // Served answers are identical to the in-memory artifact's.
         let users: Vec<u32> = (0..ds.n_users as u32).collect();
-        let mut live = Recommender::with_seen(art, &ds);
-        let mut served = Recommender::with_seen(back, &ds);
         assert_eq!(
-            live.recommend_batch(&users, 10),
-            served.recommend_batch(&users, 10),
+            top10(art, &ds, &users),
+            top10(back, &ds, &users),
             "{name}: loaded v2 artifact must serve identically"
         );
     }

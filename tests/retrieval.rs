@@ -4,14 +4,8 @@
 //! `nprobe = nlist`, and int8 quantization must be metric-neutral
 //! (NDCG@10 gap ≤ 1e-3 through `evaluate_artifact`).
 
-// This battery deliberately keeps driving the PR 5/6 `Recommender`
-// surface (`set_exact`/`set_nprobe`, deprecated in PR 7 in favour of
-// per-request `ServeOptions`): it proves the compat shims still serve
-// bit-identically through the redesigned `ServeState` path.
-#![allow(deprecated)]
-
 use bsl_core::prelude::*;
-use bsl_serve::{Recommender, Retrieval};
+use bsl_serve::{Rec, RecommendRequest, ServeOptions, ServeScratch, ServeState};
 use std::sync::Arc;
 
 /// Trains a small-but-real MF model on a synthetic catalogue and exports
@@ -33,8 +27,17 @@ fn trained(cfg: &SynthConfig) -> (Arc<Dataset>, ModelArtifact) {
     (ds, out.artifact)
 }
 
+/// Top-10 lists for every user of `state`, in user order, under `opts`.
+fn top10_all(state: &ServeState, opts: ServeOptions) -> Vec<Vec<Rec>> {
+    let reqs: Vec<RecommendRequest> =
+        (0..state.n_users() as u32).map(|user| RecommendRequest { user, k: 10, opts }).collect();
+    let mut out = Vec::new();
+    state.recommend_batch_into(&reqs, &mut ServeScratch::new(), &mut out);
+    out
+}
+
 /// Mean recall@k of `got` lists against exact `truth` lists.
-fn recall_at_k(truth: &[Vec<bsl_serve::Rec>], got: &[Vec<bsl_serve::Rec>], k: usize) -> f64 {
+fn recall_at_k(truth: &[Vec<Rec>], got: &[Vec<Rec>], k: usize) -> f64 {
     assert_eq!(truth.len(), got.len());
     let mut hits = 0usize;
     let mut total = 0usize;
@@ -48,19 +51,15 @@ fn recall_at_k(truth: &[Vec<bsl_serve::Rec>], got: &[Vec<bsl_serve::Rec>], k: us
 
 fn recall_acceptance_on(cfg: &SynthConfig, label: &str) {
     let (ds, art) = trained(cfg);
-    let users: Vec<u32> = (0..ds.n_users as u32).collect();
-
-    let mut exact = Recommender::with_seen(art.clone(), &ds);
-    exact.set_exact();
-    let truth = exact.recommend_batch(&users, 10);
+    let truth = top10_all(&ServeState::with_seen(art.clone(), &ds), ServeOptions::exact());
 
     let mut indexed = art;
     indexed.build_default_ivf();
-    let mut ivf = Recommender::with_seen(indexed, &ds);
-    let Retrieval::Ivf { nprobe } = ivf.retrieval() else {
+    let ivf = ServeState::with_seen(indexed, &ds);
+    let Some(nprobe) = ivf.resolve(&ServeOptions::default()) else {
         panic!("indexed artifact must auto-select IVF retrieval");
     };
-    let got = ivf.recommend_batch(&users, 10);
+    let got = top10_all(&ivf, ServeOptions::default());
 
     let recall = recall_at_k(&truth, &got, 10);
     assert!(recall >= 0.95, "{label}: IVF recall@10 {recall:.4} < 0.95 at default nprobe {nprobe}");
@@ -79,18 +78,13 @@ fn ivf_recall_at_10_exceeds_095_on_trained_gowalla() {
 #[test]
 fn nprobe_equal_nlist_is_bit_identical_to_exact_topk() {
     let (ds, art) = trained(&SynthConfig::yelp_like(2));
-    let users: Vec<u32> = (0..ds.n_users as u32).collect();
-
-    let mut exact = Recommender::with_seen(art.clone(), &ds);
-    exact.set_exact();
-    let truth = exact.recommend_batch(&users, 10);
+    let truth = top10_all(&ServeState::with_seen(art.clone(), &ds), ServeOptions::exact());
 
     let mut indexed = art;
     indexed.build_default_ivf();
     let nlist = indexed.index().expect("index").nlist();
-    let mut ivf = Recommender::with_seen(indexed, &ds);
-    ivf.set_nprobe(nlist);
-    let got = ivf.recommend_batch(&users, 10);
+    let ivf = ServeState::with_seen(indexed, &ds);
+    let got = top10_all(&ivf, ServeOptions::with_nprobe(nlist));
 
     // Bit-identical: same items, same order, same score *bits* — the
     // probe-everything setting routes through the exact kernel, so even
@@ -130,16 +124,12 @@ fn int8_plus_ivf_keeps_recall_against_f32_exact() {
     // The full production configuration — quantized tables AND the index —
     // measured against the unquantized exact scorer.
     let (ds, art) = trained(&SynthConfig::yelp_like(4));
-    let users: Vec<u32> = (0..ds.n_users as u32).collect();
-
-    let mut exact = Recommender::with_seen(art.clone(), &ds);
-    exact.set_exact();
-    let truth = exact.recommend_batch(&users, 10);
+    let truth = top10_all(&ServeState::with_seen(art.clone(), &ds), ServeOptions::exact());
 
     let mut production = art.quantize();
     production.build_default_ivf();
-    let mut served = Recommender::with_seen(production, &ds);
-    let got = served.recommend_batch(&users, 10);
+    let served = ServeState::with_seen(production, &ds);
+    let got = top10_all(&served, ServeOptions::default());
 
     let recall = recall_at_k(&truth, &got, 10);
     assert!(recall >= 0.90, "int8+IVF recall@10 {recall:.4} < 0.90 vs exact f32");
