@@ -66,6 +66,8 @@
 
 pub mod engine;
 pub mod protocol;
+#[cfg(test)]
+mod recommender;
 pub mod registry;
 pub mod state;
 pub mod swap;

@@ -572,28 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn known_answers_on_two_users_by_four_items() {
-        let state = ServeState::new(two_by_four());
-        let mut scratch = ServeScratch::new();
-        let mut top = |user, k| state.respond(&RecommendRequest::new(user, k), &mut scratch);
-        let best = top(0, 4).unwrap().recs;
-        assert_eq!(best.iter().map(|r| r.item).collect::<Vec<_>>(), vec![0, 1, 3, 2]);
-        assert!(best.windows(2).all(|w| w[0].score >= w[1].score));
-        assert_eq!(best[0].score, 0.9);
-        // `k` past the catalogue truncates, `k = 0` answers nothing, and a
-        // warm scratch gives the same answer every time.
-        assert_eq!(top(0, 100).unwrap().recs, best);
-        assert!(top(0, 0).unwrap().recs.is_empty());
-        for _ in 0..10 {
-            assert_eq!(top(0, 3).unwrap().recs, best[..3]);
-        }
-        // Candidates are scored as asked: user 1 against items 2 and 0.
-        let mut scores = Vec::new();
-        state.score_items_into(1, &[2, 0], &mut scores).unwrap();
-        assert!((scores[0] - 0.8).abs() < 1e-6 && scores[1].abs() < 1e-6, "{scores:?}");
-    }
-
-    #[test]
     #[should_panic(expected = "artifact user rows != dataset users")]
     fn with_seen_rejects_shape_mismatch() {
         let ds = Dataset::from_pairs("m", 3, 4, &[], &[]);
