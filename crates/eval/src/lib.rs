@@ -3,8 +3,9 @@
 //! * [`metrics`] — per-user metric definitions (Recall@K, NDCG@K,
 //!   Precision@K, HitRate@K, MAP@K) on a ranked list vs. a relevance set;
 //! * [`ranking`] — full ranking of the item catalogue through a frozen
-//!   [`ModelArtifact`] (the same blocked scorer `bsl-serve` uses), with
-//!   train-item masking, parallelized across users with scoped threads;
+//!   [`ModelArtifact`] (the masked exact top-k `bsl-serve` answers with),
+//!   with train-item masking, parallelized across users with scoped
+//!   threads;
 //! * [`groups`] — the popularity-group decomposition of NDCG@K used by the
 //!   fairness analyses (Figs 4a and 5).
 //!

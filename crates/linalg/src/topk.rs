@@ -74,9 +74,9 @@ fn rank_index(key: u64) -> u32 {
 /// so steady-state selection (one call per served request or evaluated
 /// user) allocates nothing once warm.
 ///
-/// [`top_k_masked`] is the one-shot convenience wrapper; `bsl-serve`'s
-/// `ServeScratch` and `bsl-eval`'s ranking driver hold a `TopK` per
-/// thread.
+/// [`top_k_masked`] is the one-shot convenience wrapper; the ranking
+/// scratch `bsl-serve` and `bsl-eval` share (`bsl_models::TopKScratch`)
+/// holds a `TopK` per thread.
 #[derive(Default)]
 pub struct TopK {
     /// [`rank_key`]s of the current best entries: in scan order while

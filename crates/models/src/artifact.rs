@@ -180,12 +180,6 @@ fn similarity_from_code(c: u8) -> Option<EvalScore> {
     }
 }
 
-/// Item-row tile of [`ModelArtifact::score_catalogue_batch_into`]: 64 rows
-/// × d = 64 × 4 B = 16 KiB, L1-resident at typical widths. (A row's
-/// [`scores_block`] score does not depend on its position, so any tile
-/// gives the bits of one pass over the whole table.)
-const BATCH_TILE_ROWS: usize = 64;
-
 /// The numeric precision an artifact's score tables are stored at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Precision {
@@ -391,7 +385,8 @@ impl ModelArtifact {
 
     /// Scores a prepared f32 query vector against the full catalogue into
     /// `out` (resized to `n_items`) — the precision-dispatched blocked
-    /// kernel behind [`score_catalogue_into`](Self::score_catalogue_into).
+    /// kernel behind [`score_catalogue_into`](Self::score_catalogue_into)
+    /// and the plain scan of [`top_k_into`](crate::top_k_into).
     ///
     /// # Panics
     /// Panics if `q.len() != dim`.
@@ -416,45 +411,6 @@ impl ModelArtifact {
         self.score_catalogue_query_into(self.users().row(user as usize), out);
     }
 
-    /// Scores the full catalogue for every user of `users` into `out`
-    /// (resized to `users.len() · n_items`; user `j`'s scores are
-    /// `out[j · n_items..][..n_items]`) — the multi-query form of
-    /// [`score_catalogue_into`](Self::score_catalogue_into), and bit for
-    /// bit the same scores.
-    ///
-    /// An f32 item table is walked in tiles of `BATCH_TILE_ROWS` (64) rows:
-    /// each tile is streamed from memory once and scored against every
-    /// user while it is cache-resident, so a batch pays the table's memory
-    /// traffic once instead of once per user. Tiling reorders *which row*
-    /// is scored when, never how a row's dot product accumulates. An int8
-    /// table is scanned once per user by the fused kernel.
-    /// Allocation-free once `out` is warm.
-    ///
-    /// # Panics
-    /// Panics if any user is out of range.
-    pub fn score_catalogue_batch_into(&self, users: &[u32], out: &mut Vec<f32>) {
-        let n = self.n_items();
-        out.resize(users.len() * n, 0.0);
-        match &self.tables {
-            Tables::F32 { users: table, items } => {
-                let d = items.cols();
-                for start in (0..n).step_by(BATCH_TILE_ROWS) {
-                    let rows = BATCH_TILE_ROWS.min(n - start);
-                    let tile = &items.as_slice()[start * d..(start + rows) * d];
-                    for (j, &u) in users.iter().enumerate() {
-                        let scores = &mut out[j * n + start..][..rows];
-                        scores_block(table.row(u as usize), tile, scores);
-                    }
-                }
-            }
-            Tables::Int8 { users: table, items } => {
-                for (j, &u) in users.iter().enumerate() {
-                    items.scores_into(table.row(u as usize), &mut out[j * n..(j + 1) * n]);
-                }
-            }
-        }
-    }
-
     /// Scores an explicit candidate list for `user` into `out` (resized to
     /// `items.len()`), each score bit for bit what
     /// [`score_catalogue_into`](Self::score_catalogue_into) gives the item.
@@ -472,10 +428,9 @@ impl ModelArtifact {
 
     /// Scores an explicit candidate list against a prepared f32 query
     /// vector into `out` (resized to `items.len()`) — the
-    /// precision-dispatched rescorer behind the IVF shortlist and the
-    /// sketch-pruned exact path; callers hold the query from
-    /// [`query_into`](Self::query_into) so the hot loop never allocates.
-    /// Every score has the bits
+    /// precision-dispatched rescorer [`top_k_into`](crate::top_k_into)
+    /// runs over an IVF shortlist or the sketch's survivors. Every score
+    /// has the bits
     /// [`score_catalogue_query_into`](Self::score_catalogue_query_into)
     /// gives the same item, at every dispatch level and either precision.
     ///
@@ -931,34 +886,6 @@ mod tests {
         let mut scores_direct = Vec::new();
         q8.score_catalogue_into(2, &mut scores_direct);
         assert_eq!(scores_via_q, scores_direct);
-    }
-
-    #[test]
-    fn batch_scores_are_bit_equal_to_per_user_scores() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let (mut batch, mut single) = (Vec::new(), Vec::new());
-        // Item counts around the 64-row tile; user counts around a block.
-        for n_items in [1usize, 63, 64, 65, 700] {
-            let u = Matrix::gaussian(40, 9, 1.0, &mut rng);
-            let i = Matrix::gaussian(n_items, 9, 1.0, &mut rng);
-            let f32_art = ModelArtifact::from_embeddings("MF", &u, &i, EvalScore::Dot);
-            for art in [f32_art.quantize(), f32_art] {
-                for n_users in [0usize, 1, 15, 16, 17, 33] {
-                    let users: Vec<u32> = (0..n_users as u32).map(|j| j * 7 % 40).collect();
-                    art.score_catalogue_batch_into(&users, &mut batch);
-                    assert_eq!(batch.len(), n_users * n_items);
-                    for (j, &user) in users.iter().enumerate() {
-                        art.score_catalogue_into(user, &mut single);
-                        let got = &batch[j * n_items..(j + 1) * n_items];
-                        assert!(
-                            got.iter().zip(&single).all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "{:?} {n_users} users x {n_items} items, user {user}",
-                            art.precision()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

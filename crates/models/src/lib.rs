@@ -41,6 +41,7 @@ pub mod mf;
 pub mod ngcf;
 pub mod propagation;
 pub mod quant;
+pub mod rank;
 pub mod sgl;
 pub mod shard;
 pub mod simgcl;
@@ -56,6 +57,7 @@ pub use lrgccf::LrGccf;
 pub use mf::Mf;
 pub use ngcf::Ngcf;
 pub use quant::{PruneScratch, QuantizedTable, Sketch};
+pub use rank::{top_k_into, Candidates, TopKScratch};
 pub use sgl::Sgl;
 pub use shard::ShardGrad;
 pub use simgcl::SimGcl;

@@ -14,7 +14,6 @@
 pub mod alias;
 pub mod batch;
 pub mod negative;
-pub mod par_batch;
 pub mod pool;
 
 pub use alias::AliasTable;
@@ -23,5 +22,4 @@ pub use negative::{
     draw_rejecting, NegativeSampler, NoisySampler, PopularitySampler, UniformSampler,
     MAX_REJECTIONS,
 };
-pub use par_batch::{epoch_batches, ParBatchIter};
 pub use pool::{PooledEpochIter, SamplerPool};

@@ -1,16 +1,26 @@
-//! Persistent sampling workers: the long-lived counterpart of
-//! [`ParBatchIter`](crate::ParBatchIter).
+//! Sharded, multi-threaded batch production on persistent workers.
 //!
-//! [`SamplerPool`] spawns its shard workers **once**; every epoch is then
-//! one [`SamplerPool::start_epoch`] call that shuffles the pair list on
-//! the caller's thread (identically to [`BatchIter`](crate::BatchIter))
-//! and mails each worker an epoch-job descriptor for its shard. Workers
-//! park on their job channel between epochs, so per-epoch thread-spawn
-//! overhead disappears while the batch stream stays **bit-identical** to
-//! `ParBatchIter` — shard 0 continues the shuffle RNG stream, shards
-//! `s > 0` run SplitMix64-split streams, and batches arrive in serial
-//! epoch order through bounded channels (see the determinism contract in
-//! [`crate::par_batch`]).
+//! [`SamplerPool`] is the parallel counterpart of
+//! [`BatchIter`](crate::BatchIter). It spawns its shard workers **once**;
+//! every epoch is then one [`SamplerPool::start_epoch`] call that shuffles
+//! the pair list on the caller's thread (identically to `BatchIter`) and
+//! mails each worker an epoch-job descriptor for its shard. The shards
+//! take the epoch's batches round-robin, sample their negatives and push
+//! finished batches through bounded channels, so the consumer (the
+//! trainer) overlaps negative sampling with gradient computation while
+//! seeing batches in exactly the serial order. Workers park on their job
+//! channel between epochs, so no epoch spawns a thread.
+//!
+//! # Determinism contract
+//!
+//! * The pair shuffle and batch boundaries depend only on `seed` — the
+//!   `(user, positive)` stream is identical for **every** shard count.
+//! * Negative draws depend on `(seed, n_shards)`: shard 0 continues the
+//!   shuffle RNG stream (so `n_shards = 1` reproduces `BatchIter`
+//!   bit-for-bit), shards `s > 0` run a SplitMix64-split stream derived
+//!   from `seed ^ s`. Changing the shard count re-draws negatives, like
+//!   changing the seed would; re-running with the same `(seed, n_shards)`
+//!   replays the epoch exactly, on the same pool or a fresh one.
 
 use crate::batch::TrainBatch;
 use crate::negative::NegativeSampler;
@@ -86,10 +96,8 @@ impl SamplerPool {
     }
 
     /// Starts one sharded epoch over `ds`'s training pairs and returns the
-    /// batch iterator. The shuffle, batch boundaries and per-shard RNG
-    /// streams are exactly those of
-    /// [`ParBatchIter::new`](crate::ParBatchIter::new) with
-    /// `n_shards = self.n_shards()`.
+    /// batch iterator, with `n_shards = self.n_shards()` in the
+    /// [determinism contract](self).
     ///
     /// Epochs are sequential per pool: start the next epoch after the
     /// previous iterator is exhausted or dropped (each worker processes
@@ -253,6 +261,46 @@ mod tests {
         }
     }
 
+    fn collect(ds: &Arc<Dataset>, bs: usize, m: usize, seed: u64, k: usize) -> Vec<TrainBatch> {
+        SamplerPool::new(k).start_epoch(ds, &uniform(ds), bs, m, seed).collect()
+    }
+
+    #[test]
+    fn sharded_epoch_covers_all_pairs_exactly_once() {
+        let ds = ds();
+        let mut seen: Vec<(u32, u32)> = Vec::new();
+        for batch in collect(&ds, 32, 3, 5, 3) {
+            assert_eq!(batch.negs.len(), batch.len() * batch.m);
+            seen.extend(batch.users.iter().copied().zip(batch.pos.iter().copied()));
+        }
+        let mut want = ds.train_pairs();
+        want.sort_unstable();
+        seen.sort_unstable();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn pair_stream_is_invariant_to_shard_count() {
+        let ds = ds();
+        let serial = collect(&ds, 32, 2, 7, 1);
+        for k in [2usize, 3, 5] {
+            let par = collect(&ds, 32, 2, 7, k);
+            assert_eq!(serial.len(), par.len());
+            for (a, b) in serial.iter().zip(par.iter()) {
+                assert_eq!(a.users, b.users, "user order must not depend on n_shards");
+                assert_eq!(a.pos, b.pos, "positive order must not depend on n_shards");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_count_changes_negative_streams() {
+        let ds = ds();
+        let negs = |v: Vec<TrainBatch>| v.into_iter().flat_map(|x| x.negs).collect::<Vec<u32>>();
+        let (a, b) = (collect(&ds, 32, 4, 5, 1), collect(&ds, 32, 4, 5, 4));
+        assert_ne!(negs(a), negs(b), "shards > 0 run split RNG streams");
+    }
+
     #[test]
     fn pool_reuse_across_epochs_replays_each_seed_exactly() {
         let ds = ds();
@@ -299,5 +347,6 @@ mod tests {
         assert_eq!(iter.size_hint(), (n, Some(n)));
         let _ = iter.next();
         assert_eq!(iter.size_hint(), (n - 1, Some(n - 1)));
+        assert_eq!(iter.count(), n - 1);
     }
 }

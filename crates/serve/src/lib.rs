@@ -32,14 +32,13 @@
 //!    length-prefixed TCP wire protocol (`recommend` / `score_items` /
 //!    `swap_artifact` / `stats` / `shutdown`) over `std::net`.
 //!
-//! Scoring everywhere is the same blocked kernel `bsl-eval` ranks with
-//! ([`ModelArtifact::score_catalogue_into`]), so offline metrics and
-//! online scores come from one implementation. Artifacts carrying an IVF
-//! index (built with [`ModelArtifact::build_ivf`] or loaded from a
-//! format-v2 file) are served sub-linearly via an `nprobe` shortlist —
-//! seen-item filtering and tie-breaking unchanged, and `nprobe = nlist`
-//! bit-identical to the exact path; [`ServeOptions`] overrides the mode
-//! per request.
+//! Every request is ranked by the function `bsl-eval` ranks with
+//! ([`bsl_models::top_k_into`]), so offline metrics and online scores come
+//! from one implementation. Artifacts carrying an IVF index (built with
+//! [`ModelArtifact::build_ivf`] or loaded from a format-v2 file) are
+//! served sub-linearly via an `nprobe` shortlist — seen-item filtering
+//! and tie-breaking unchanged, and `nprobe = nlist` bit-identical to the
+//! exact path; [`ServeOptions`] overrides the mode per request.
 //!
 //! ```no_run
 //! use bsl_models::ModelArtifact;
@@ -54,10 +53,9 @@
 //! }
 //! ```
 //!
-//! Steady-state serving is allocation-free: the catalogue score buffer,
-//! the bounded top-k heap, the probe scratch, and the id/candidate
-//! buffers all live in [`ServeScratch`] and are reused across calls; the
-//! `_into` variants don't allocate at all once warm.
+//! Steady-state serving is allocation-free: the ranking buffers, the probe
+//! scratch and the shortlist all live in [`ServeScratch`] and are reused
+//! across calls; the `_into` variants don't allocate at all once warm.
 
 // On the bsl-audit unsafe allowlist (audit/policy.toml): unsafe fns must
 // still spell out every unsafe operation in an explicit `unsafe {}` block.

@@ -7,9 +7,8 @@
 //!   item table, the per-user seen-item mask, and a version stamp. Every
 //!   scoring method takes `&self`, so one `Arc<ServeState>` can serve
 //!   from any number of threads.
-//! * [`ServeScratch`] — the reusable per-call buffers (query row,
-//!   catalogue scores, top-k heap, probe and sketch scratch). One per
-//!   thread; steady-state serving allocates nothing.
+//! * [`ServeScratch`] — the reusable per-call buffers (ranking and probe
+//!   scratch). One per thread; steady-state serving allocates nothing.
 //! * [`ServeOptions`] — the retrieval knobs each request carries: the IVF
 //!   probe width, a forced exact scan, seen-item filtering.
 //!
@@ -19,31 +18,21 @@
 //! [`ServeEngine`](crate::ServeEngine) answers through it), and
 //! [`ServeState::recommend_batch_into`] runs it once per request.
 //!
-//! **The exact path is sketch-pruned, and still exact.** An exact request
-//! reads its scan from memory, so its cost is bytes. [`ServeState::new`]
-//! quantizes an f32 item table into an int8 [`Sketch`] (¼ of the table's
-//! bytes, held beside it). A request scans the sketch, which bounds every
-//! item's f32 score, rescores in f32 only the items that can still reach
-//! the top `k` (a few dozen of 38,048 on the benchmark catalogue), and
-//! selects among them: the same items with the same score bits as the
-//! plain scan plus [`TopK`], at every dispatch level (`bsl_models::quant`
-//! has the bound and its proof). The plain scan answers instead when the
-//! data leaves nothing to prune: no certificate for the table or the
-//! query (non-finite values), `k` at or past the eligible count, or more
-//! than 1/16 of the catalogue surviving. It ranks its full score row with
-//! [`TopK::select_masked_into`], which compares against the current k-th
-//! best first and searches the seen list only for a score that would
-//! enter.
-//!
-//! The sketch scan computes exact int8 × int8 dot products (the query is
-//! quantized too), so a request costs about 95 µs at 38,048 × 64 on a
-//! 2-vCPU Xeon, the same alone or in a batch of any size: half of what a
-//! tiled multi-query pass over the f32 table costs a request at batches of
-//! 16 and 32. Nothing is gained by scoring a batch together.
+//! **One ranking routine.** A request is ranked by
+//! [`bsl_models::top_k_into`], the masked exact top-k `bsl-eval` ranks
+//! with too: over the whole catalogue for an exact request, over the
+//! probed lists for an IVF one. An exact request reads its scan from
+//! memory, so its cost is bytes. [`ServeState::new`] therefore quantizes
+//! an f32 item table into an int8 [`Sketch`] (¼ of the table's bytes, held
+//! beside it), and every exact request passes it. The sketch bounds every
+//! item's f32 score, so only the few dozen items (of 38,048 on the
+//! benchmark catalogue) that can still reach the top `k` are rescored, and
+//! the answer has the plain scan's items and score bits at every dispatch
+//! level. Its scan computes exact int8 × int8 dots, so a request costs
+//! about 95 µs at 38,048 × 64 on a 2-vCPU Xeon, alone or in a batch.
 
 use bsl_data::Dataset;
-use bsl_linalg::topk::{select_scored_into, TopK};
-use bsl_models::{ivf::ProbeScratch, ModelArtifact, PruneScratch, Sketch};
+use bsl_models::{ivf::ProbeScratch, top_k_into, Candidates, ModelArtifact, Sketch, TopKScratch};
 
 /// One recommendation: an item id and its retrieval score.
 ///
@@ -179,25 +168,12 @@ impl std::error::Error for ServeError {}
 /// warm.
 #[derive(Default)]
 pub struct ServeScratch {
-    /// The prepared f32 query row.
-    qbuf: Vec<f32>,
-    /// Full-catalogue scores (exact path).
-    scores: Vec<f32>,
-    /// Bounded top-k selector.
-    topk: TopK,
-    /// Selected item ids (exact path).
-    ids: Vec<u32>,
+    /// The ranking buffers of [`top_k_into`].
+    rank: TopKScratch,
     /// IVF probe scratch.
     probe: ProbeScratch,
-    /// Gathered IVF candidates.
-    candidates: Vec<u32>,
-    /// Exact rescores of the candidates.
-    cand_scores: Vec<f32>,
-    /// Selected `(item, score)` pairs (IVF path).
-    pairs: Vec<(u32, f32)>,
-    /// Sketch-pruned exact path: the scan's tile and bound buffers (its
-    /// survivors go to `candidates`).
-    prune: PruneScratch,
+    /// The IVF shortlist.
+    shortlist: Vec<u32>,
 }
 
 impl ServeScratch {
@@ -326,7 +302,9 @@ impl ServeState {
     }
 
     /// Top-`k` eligible items for one request, best first, written into
-    /// `out` (cleared first). Allocation-free once `scratch` is warm.
+    /// `out` (cleared first): the catalogue ranked through the sketch, or
+    /// the probed IVF lists rescored exactly. Allocation-free once
+    /// `scratch` is warm.
     ///
     /// # Panics
     /// Panics if the user is out of range — answer untrusted input through
@@ -337,10 +315,19 @@ impl ServeState {
         scratch: &mut ServeScratch,
         out: &mut Vec<Rec>,
     ) {
-        match self.resolve(&req.opts) {
-            Some(nprobe) => self.recommend_ivf_into(req, nprobe, scratch, out),
-            None => self.recommend_exact_into(req, scratch, out),
-        }
+        let q = self.artifact.users().row(req.user as usize);
+        let among = match self.resolve(&req.opts) {
+            Some(nprobe) => {
+                let index = self.artifact.index().expect("IVF retrieval requires an index");
+                index.probe_into(q, nprobe, &mut scratch.probe, &mut scratch.shortlist);
+                Candidates::Items(&scratch.shortlist)
+            }
+            None => Candidates::Catalogue(self.sketch.as_ref()),
+        };
+        let top =
+            top_k_into(&self.artifact, q, among, req.k, self.mask_for(req), &mut scratch.rank);
+        out.clear();
+        out.extend(top.iter().map(|&(item, score)| Rec { item, score }));
     }
 
     /// Answers one request as a versioned [`RecommendResponse`],
@@ -367,111 +354,6 @@ impl ServeState {
         } else {
             Err(ServeError::UserOutOfRange { user, n_users })
         }
-    }
-
-    /// The exact path: the sketch-pruned scan when it applies, else one
-    /// blocked matvec over the whole item table, ranked threshold first
-    /// (the seen-list search only for a score that would enter).
-    fn recommend_exact_into(
-        &self,
-        req: &RecommendRequest,
-        scratch: &mut ServeScratch,
-        out: &mut Vec<Rec>,
-    ) {
-        self.artifact.query_into(req.user, &mut scratch.qbuf);
-        if self.recommend_pruned_into(req, scratch, out) {
-            return;
-        }
-        self.artifact.score_catalogue_query_into(&scratch.qbuf, &mut scratch.scores);
-        let (seen, scores) = (self.mask_for(req), &scratch.scores);
-        scratch.topk.select_masked_into(
-            scores,
-            req.k,
-            |i| seen.binary_search(&(i as u32)).is_ok(),
-            &mut scratch.ids,
-        );
-        out.clear();
-        out.extend(scratch.ids.iter().map(|&i| Rec { item: i, score: scores[i as usize] }));
-    }
-
-    /// The exact path through the sketch (module docs): scan the int8
-    /// sketch for each item's score interval, rescore in f32 only the
-    /// items that can still reach the top `k`, and select among them.
-    /// Returns `false`, with nothing written, when the plain scan must
-    /// answer instead: no sketch, `k` at or past the eligible count, a
-    /// query without a certificate, or too many survivors.
-    fn recommend_pruned_into(
-        &self,
-        req: &RecommendRequest,
-        scratch: &mut ServeScratch,
-        out: &mut Vec<Rec>,
-    ) -> bool {
-        let Some(sketch) = &self.sketch else {
-            return false;
-        };
-        let seen = self.mask_for(req);
-        let n = self.n_items();
-        if req.k >= n.saturating_sub(seen.len()) {
-            return false;
-        }
-        let masked = |i: usize| seen.binary_search(&(i as u32)).is_ok();
-        let pruned = sketch.prune_into(
-            &scratch.qbuf,
-            req.k,
-            masked,
-            &mut scratch.prune,
-            &mut scratch.candidates,
-        );
-        if !pruned {
-            return false;
-        }
-        self.artifact.score_items_query_into(
-            &scratch.qbuf,
-            &scratch.candidates,
-            &mut scratch.cand_scores,
-        );
-        self.select_candidates_into(req, scratch, out);
-        true
-    }
-
-    /// Selects the top `k` of `scratch`'s scored candidates for `req` into
-    /// `out`, masking seen items.
-    fn select_candidates_into(
-        &self,
-        req: &RecommendRequest,
-        scratch: &mut ServeScratch,
-        out: &mut Vec<Rec>,
-    ) {
-        let seen = self.mask_for(req);
-        let candidates = &scratch.candidates;
-        select_scored_into(
-            &scratch.cand_scores,
-            candidates,
-            req.k,
-            |p| seen.binary_search(&candidates[p]).is_ok(),
-            &mut scratch.pairs,
-        );
-        out.clear();
-        out.extend(scratch.pairs.iter().map(|&(item, score)| Rec { item, score }));
-    }
-
-    /// The IVF path: probe `nprobe` lists, rescore the shortlist exactly.
-    fn recommend_ivf_into(
-        &self,
-        req: &RecommendRequest,
-        nprobe: usize,
-        scratch: &mut ServeScratch,
-        out: &mut Vec<Rec>,
-    ) {
-        self.artifact.query_into(req.user, &mut scratch.qbuf);
-        let index = self.artifact.index().expect("IVF retrieval requires an index");
-        index.probe_into(&scratch.qbuf, nprobe, &mut scratch.probe, &mut scratch.candidates);
-        self.artifact.score_items_query_into(
-            &scratch.qbuf,
-            &scratch.candidates,
-            &mut scratch.cand_scores,
-        );
-        self.select_candidates_into(req, scratch, out);
     }
 
     /// The seen-slice `req` filters with (empty when filtering is off).
