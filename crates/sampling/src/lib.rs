@@ -14,6 +14,8 @@
 pub mod alias;
 pub mod batch;
 pub mod negative;
+#[cfg(test)]
+mod par_batch;
 pub mod pool;
 
 pub use alias::AliasTable;
