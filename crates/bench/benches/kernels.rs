@@ -4,16 +4,16 @@
 //! bench run records the dispatched-vs-reference speedup in place; the
 //! blocked benches (`scores_block_*` and its `*_gather_*` twin,
 //! `dots_block_i8_*`, `normalize_rows_*`, `cosine_backward_block_*`,
-//! `cosine_backward_row_*`, `softmax_row_*`) cover the batch kernels the trainer and evaluator hot
-//! paths run on. These are smoke targets: CI checks that each runs, not
+//! `cosine_backward_row_*`, `softmax_row_*`, `gemm_*`) cover the batch kernels the trainer and
+//! evaluator hot paths run on. These are smoke targets: CI checks that each runs, not
 //! what it reads. Before/after numbers come from the duet benchmark
 //! (`bash benchmark/run.sh`, see `benchmark/README.md`), whose `linalg.*`
 //! probes time these kernels next to a frozen reference on the same host.
 
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into};
 use bsl_linalg::simd::{
-    self, cosine_backward_block, cosine_backward_row, dots_block_i8, normalize_gather_into,
-    normalize_rows_into, scores_block, scores_gather, softmax_row, SimdLevel,
+    self, cosine_backward_block, cosine_backward_row, dots_block_i8, gemm, normalize_gather_into,
+    normalize_rows_into, scores_block, scores_gather, softmax_row, Op, SimdLevel,
 };
 use bsl_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -120,7 +120,7 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("dots_block_i8_d64_m64", |bench| {
         bench.iter(|| dots_block_i8(black_box(&q_i8), black_box(&block_i8), black_box(&mut dots)))
     });
-    // One batch row's whole backward on the two row shapes of the duet:
+    // One sampled batch row's whole backward at 64 and 511 negatives:
     // gathered slots into the 2,500-row table, item-side rows scattered over
     // a 2,500-row gradient block, the user side kept in registers.
     let table_norms: Vec<f32> = (0..2500).map(|r| 0.5 + (r % 7) as f32 * 0.1).collect();
@@ -158,6 +158,25 @@ fn bench_kernels(c: &mut Criterion) {
             bench.iter(|| softmax_row(black_box(&xs), black_box(0.1), black_box(&mut weights)))
         });
     }
+    // The three products of the in-batch step at B = 512, d = 64: the
+    // forward `S = Û·V̂ᵀ` (k = 64, n = 512), and the backward `G·V̂` and
+    // `Gᵀ·Û` (k = 512, n = 64), each one call over all 512 rows.
+    let bb = 512usize;
+    let g_mat: Vec<f32> = (0..bb * bb).map(|x| (x as f32 * 0.113).sin() * 0.01).collect();
+    let hat: Vec<f32> = (0..bb * d).map(|x| (x as f32 * 0.071).cos() * 0.125).collect();
+    let mut c_bd = vec![0.0f32; bb * d];
+    let mut c_bb = vec![0.0f32; bb * bb];
+    for (name, op) in [("gemm_nn_b512_k512_d64", Op::N), ("gemm_tn_b512_k512_d64", Op::T)] {
+        c.bench_function(name, |bench| {
+            bench.iter(|| {
+                gemm(op, black_box(&g_mat), black_box(&hat), d, 0..bb, black_box(&mut c_bd))
+            })
+        });
+    }
+    c.bench_function("gemm_nn_b512_k64_n512", |bench| {
+        bench
+            .iter(|| gemm(Op::N, black_box(&hat), black_box(&hat), bb, 0..bb, black_box(&mut c_bb)))
+    });
     let rows = Matrix::from_fn(512, d, |r, cix| ((r * 31 + cix * 7) % 13) as f32 * 0.2 - 1.0);
     let mut unit = Matrix::zeros(512, d);
     let mut norms = vec![0.0f32; 512];

@@ -21,7 +21,8 @@
 //! On top of the element kernels sit *blocked* kernels
 //! ([`normalize_rows_into`], [`normalize_gather_into`], [`scores_block`],
 //! [`cosine_backward_block`], the gathered [`scores_gather`] and
-//! [`cosine_backward_row`], [`adam_update`], [`sgd_momentum_update`])
+//! [`cosine_backward_row`], [`adam_update`], [`sgd_momentum_update`],
+//! and the matrix product [`gemm`])
 //! that amortize dispatch and normalization over whole batches; the
 //! trainer, evaluator, SpMM and optimizers all route through them. At the
 //! [`SimdLevel::Scalar`] level every blocked kernel degrades to the exact
@@ -31,12 +32,16 @@
 //! scalar within `1e-4` relative tolerance (property-tested below). The
 //! integer [`dots_block_i8`] is exact, so its levels agree exactly.
 //!
-//! [`softmax_row`] is the one kernel with no pre-SIMD twin: it
+//! Two kernels have no pre-SIMD twin. [`softmax_row`]
 //! exponentiates a score row once, through an in-crate polynomial `exp`
 //! (`scalar::exp_lane`, which the portable leg shares, and its AVX2 twin
 //! `exp_ps`: swapping the activation edits those two functions), so the
 //! Softmax-family losses call no libm transcendental and forced-scalar
-//! training is host-independent.
+//! training is host-independent. [`gemm`] (the in-batch step's three
+//! products) has a plain multiply-then-add loop in `k` order as its scalar
+//! leg, which the portable level shares; at every level each output
+//! element is one `k`-ascending chain, so a row's bits do not depend on
+//! how the rows are split among calls.
 
 use crate::Matrix;
 use std::sync::OnceLock;
@@ -361,6 +366,31 @@ pub mod scalar {
             sum += e as f64;
         }
         (max, sum)
+    }
+
+    /// Reference GEMM rows (see [`super::gemm_with`]): `A[i][p]` sits at
+    /// `a[i·rs + p·ks]`, and each `C[i][j]` starts at `0` and adds
+    /// `A[i][p]·B[p][j]` for `p = 0..k` in order, one multiply then one add.
+    /// The loop runs over `j` innermost, so it vectorizes without
+    /// reassociating anything.
+    #[inline]
+    pub fn gemm(
+        a: &[f32],
+        (rs, ks): (usize, usize),
+        b: &[f32],
+        n: usize,
+        rows: std::ops::Range<usize>,
+        c: &mut [f32],
+    ) {
+        for (i, c_row) in rows.zip(c.chunks_exact_mut(n)) {
+            c_row.fill(0.0);
+            for (p, b_row) in b.chunks_exact(n).enumerate() {
+                let x = a[i * rs + p * ks];
+                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
+                    *cj += x * bj;
+                }
+            }
+        }
     }
 }
 
@@ -1089,6 +1119,169 @@ mod avx2 {
                 );
             }
             c0 += w;
+        }
+    }
+
+    /// One `R × w` tile of [`gemm`] (`R ≤ 6` rows from `i0`, `w ≤ 16`
+    /// columns from `j0`) in `2·R` accumulator registers: per `p`, two
+    /// loads of `B`'s row, `R` broadcasts of `A[i][p]` and `2·R` FMAs, so
+    /// every element is one FMA chain in `p` order, starting from `0`, or,
+    /// with `resume`, from the value the tile's previous `p` block stored in
+    /// `c`. A narrow tile masks its loads and stores and runs the same
+    /// chain.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here. The
+    // asserts on entry bound every access of the tile.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)] // the leg's operands plus the tile
+    unsafe fn gemm_impl<const R: usize>(
+        a: &[f32],
+        (rs, ks): (usize, usize),
+        i0: usize,
+        b: &[f32],
+        n: usize,
+        j0: usize,
+        w: usize,
+        c: &mut [f32],
+        resume: bool,
+    ) {
+        let k = b.len() / n;
+        assert!((1..=6).contains(&R) && (1..=16).contains(&w) && j0 + w <= n);
+        assert!(k > 0 && (i0 + R - 1) * rs + (k - 1) * ks < a.len(), "gemm tile past A");
+        assert!((R - 1) * n + j0 + w <= c.len(), "gemm tile past C");
+        // SAFETY: `A[i0 + r][p]` is at `(i0 + r)·rs + p·ks < a.len()` for
+        // every `r < R`, `p < k` (asserted above); `B`'s lanes `j0 + l` of
+        // row `p` are at `p·n + j0 + l < k·n ≤ b.len()` and `C`'s lanes of
+        // row `r` at `r·n + j0 + l < c.len()`, for `l < w`: the full loads
+        // and stores run only at `w = 16`, the masked ones touch lanes
+        // `l < w` only. A second half with no active lane (`w ≤ 8`) may
+        // start past the slice, so its address is formed with
+        // `wrapping_add` and never dereferenced.
+        unsafe {
+            let (pa, pb, pc) =
+                (a.as_ptr().add(i0 * rs), b.as_ptr().add(j0), c.as_mut_ptr().add(j0));
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            if w == 16 {
+                if resume {
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        *acc = [_mm256_loadu_ps(pc.add(r * n)), _mm256_loadu_ps(pc.add(r * n + 8))];
+                    }
+                }
+                for p in 0..k {
+                    let (b0, b1) =
+                        (_mm256_loadu_ps(pb.add(p * n)), _mm256_loadu_ps(pb.add(p * n + 8)));
+                    let pa = pa.add(p * ks);
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let x = _mm256_set1_ps(*pa.add(r * rs));
+                        acc[0] = _mm256_fmadd_ps(x, b0, acc[0]);
+                        acc[1] = _mm256_fmadd_ps(x, b1, acc[1]);
+                    }
+                }
+                for (r, acc) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(pc.add(r * n), acc[0]);
+                    _mm256_storeu_ps(pc.add(r * n + 8), acc[1]);
+                }
+            } else {
+                let (m0, m1) = if w >= 8 {
+                    (_mm256_set1_epi32(-1), tail_mask(w - 8))
+                } else {
+                    (tail_mask(w), tail_mask(0))
+                };
+                if resume {
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let c_row = pc.add(r * n);
+                        let hi = _mm256_maskload_ps(c_row.wrapping_add(8), m1);
+                        *acc = [_mm256_maskload_ps(c_row, m0), hi];
+                    }
+                }
+                for p in 0..k {
+                    let b0 = _mm256_maskload_ps(pb.add(p * n), m0);
+                    let b1 = _mm256_maskload_ps(pb.wrapping_add(p * n + 8), m1);
+                    let pa = pa.add(p * ks);
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let x = _mm256_set1_ps(*pa.add(r * rs));
+                        acc[0] = _mm256_fmadd_ps(x, b0, acc[0]);
+                        acc[1] = _mm256_fmadd_ps(x, b1, acc[1]);
+                    }
+                }
+                for (r, acc) in acc.iter().enumerate() {
+                    _mm256_maskstore_ps(pc.add(r * n), m0, acc[0]);
+                    _mm256_maskstore_ps(pc.wrapping_add(r * n + 8), m1, acc[1]);
+                }
+            }
+        }
+    }
+
+    /// GEMM rows (see [`super::gemm_with`]) in 6 × 16 register tiles: row
+    /// blocks of six outside, column blocks of sixteen inside; the last
+    /// block of each runs narrower.
+    #[inline]
+    pub fn gemm(
+        a: &[f32],
+        strides: (usize, usize),
+        b: &[f32],
+        n: usize,
+        rows: std::ops::Range<usize>,
+        c: &mut [f32],
+    ) {
+        let mut i = rows.start;
+        while i < rows.end {
+            let h = (rows.end - i).min(6);
+            let block = match h {
+                1 => gemm_rows::<1>,
+                2 => gemm_rows::<2>,
+                3 => gemm_rows::<3>,
+                4 => gemm_rows::<4>,
+                5 => gemm_rows::<5>,
+                _ => gemm_rows::<6>,
+            };
+            block(a, strides, i, b, n, &mut c[(i - rows.start) * n..]);
+            i += h;
+        }
+    }
+
+    /// Values of `p` a packed panel holds (an 8 KiB stack buffer).
+    const GEMM_KC: usize = 256;
+
+    /// Rows `i0..i0 + R` of [`gemm`], one tile per column block. A stored
+    /// transposed (`rs = 1`) keeps a row block's `A[i][p]` in a
+    /// `k`-strided column panel, whose one short run per `p` costs a cache
+    /// line each and, at a power-of-two stride, shares a handful of L1
+    /// sets. So the panel is first copied into a contiguous stack buffer,
+    /// `GEMM_KC` values of `p` at a time, and each tile resumes its chains
+    /// from `c` between the blocks: the chains, and their bits, are
+    /// unchanged.
+    fn gemm_rows<const R: usize>(
+        a: &[f32],
+        (rs, ks): (usize, usize),
+        i0: usize,
+        b: &[f32],
+        n: usize,
+        c: &mut [f32],
+    ) {
+        let tiles = |a: &[f32], strides, i0, b: &[f32], c: &mut [f32], resume| {
+            let mut j = 0usize;
+            while j < n {
+                let w = (n - j).min(16);
+                // SAFETY: AVX2+FMA verified before this module is
+                // dispatched (mod docs); the tile bounds its own accesses.
+                unsafe { gemm_impl::<R>(a, strides, i0, b, n, j, w, c, resume) };
+                j += w;
+            }
+        };
+        let k = b.len() / n;
+        if rs != 1 {
+            return tiles(a, (rs, ks), i0, b, c, false);
+        }
+        let mut panel = [0.0f32; 8 * GEMM_KC];
+        let mut p0 = 0usize;
+        while p0 < k {
+            let kc = (k - p0).min(GEMM_KC);
+            for (p, run) in panel.chunks_exact_mut(8).take(kc).enumerate() {
+                run[..R].copy_from_slice(&a[(p0 + p) * ks + i0..][..R]);
+            }
+            tiles(&panel[..8 * kc], (1, 8), 0, &b[p0 * n..(p0 + kc) * n], c, p0 > 0);
+            p0 += kc;
         }
     }
 
@@ -2416,6 +2609,73 @@ pub fn cosine_backward_row(
     )
 }
 
+/// How [`gemm_with`] reads its `m × k` left factor `A` out of a flat slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// Stored `m × k` row-major: `A[i][p] = a[i·k + p]`.
+    N,
+    /// Stored `k × m` row-major, i.e. transposed: `A[i][p] = a[p·m + i]`.
+    T,
+}
+
+/// Rows `rows` of the product `C = A·B` at an explicit dispatch level:
+/// `A` is `m × k`, stored as `op` says, `B` is `k × n` row-major (`k =
+/// b.len() / n`), and `c` is the `rows.len() × n` row-major block of `C`'s
+/// rows `rows`, overwritten.
+///
+/// **Contract:** every element of `C` is one chain in `p = 0..k` order,
+/// `c = 0`, then `c ← c + A[i][p]·B[p][j]` (one multiply and one add at
+/// [`SimdLevel::Scalar`] and [`SimdLevel::Portable`], which share the
+/// plain loop; one FMA under AVX2, in 6 × 16 register tiles). An
+/// element's bits therefore depend on the level only: not on `rows`, on
+/// `op`, or on where it sits in a tile. A pool that splits `C`'s rows
+/// among its workers gets the bits of one call over all of them.
+///
+/// # Panics
+/// Panics if `b.len()` is not a multiple of `n`, if `a.len()` is not a
+/// multiple of `k` (then `m = a.len() / k`), if `rows` reaches past `m`,
+/// or if `c.len() != rows.len() · n`.
+pub fn gemm_with(
+    lv: SimdLevel,
+    op: Op,
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    rows: std::ops::Range<usize>,
+    c: &mut [f32],
+) {
+    assert_eq!(c.len(), rows.len() * n, "gemm output block shape mismatch");
+    if n == 0 {
+        return;
+    }
+    assert_eq!(b.len() % n, 0, "gemm B is not k × n");
+    let k = b.len() / n;
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    assert_eq!(a.len() % k, 0, "gemm A is not m × k");
+    let m = a.len() / k;
+    assert!(rows.start <= rows.end && rows.end <= m, "gemm rows {rows:?} past m = {m}");
+    let strides = match op {
+        Op::N => (k, 1),
+        Op::T => (1, m),
+    };
+    match lv {
+        SimdLevel::Scalar | SimdLevel::Portable => scalar::gemm(a, strides, b, n, rows, c),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => avx2::gemm(a, strides, b, n, rows, c),
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2Fma => scalar::gemm(a, strides, b, n, rows, c),
+    }
+}
+
+/// [`gemm_with`] at the process dispatch level.
+#[inline]
+pub fn gemm(op: Op, a: &[f32], b: &[f32], n: usize, rows: std::ops::Range<usize>, c: &mut [f32]) {
+    gemm_with(active(), op, a, b, n, rows, c)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2917,6 +3177,88 @@ mod tests {
                 );
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{lv}, d = {d}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `C = A·B` over every row, with `A` stored `m × k` and, transposed,
+    /// `k × m`: the two layouts must give the same bits.
+    fn gemm_both_ops(lv: SimdLevel, a: &[f32], b: &[f32], m: usize, n: usize) -> Vec<f32> {
+        let k = a.len() / m;
+        let a_t: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+        let (mut c, mut c_t) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+        gemm_with(lv, Op::N, a, b, n, 0..m, &mut c);
+        gemm_with(lv, Op::T, &a_t, b, n, 0..m, &mut c_t);
+        assert_eq!(bits(&c), bits(&c_t), "{lv}: Op::T moved the bits, m {m}, n {n}");
+        c
+    }
+
+    /// Every level, both layouts of `A`, on tile-sized and tail shapes:
+    /// each element within `k·2⁻²³·Σ_p |A[i][p]·B[p][j]|` of the f64
+    /// product (about twice the worst-case bound `γ_k` of a `k`-term f32
+    /// chain), and the same bits whether `C` is computed whole or one row
+    /// at a time.
+    #[test]
+    fn gemm_matches_the_f64_product_at_every_level_and_shape() {
+        for m in [1usize, 5, 6, 7, 64] {
+            for k in [1usize, 2, 63, 512] {
+                let a: Vec<f32> = (0..m * k).map(|x| (x as f32 * 0.37).sin()).collect();
+                for n in [1usize, 7, 16, 33, 64, 65] {
+                    let b: Vec<f32> = (0..k * n).map(|x| (x as f32 * 0.53).cos() * 1.7).collect();
+                    for lv in all_levels() {
+                        let c = gemm_both_ops(lv, &a, &b, m, n);
+                        for (x, &got) in c.iter().enumerate() {
+                            let (i, j) = (x / n, x % n);
+                            let terms = (0..k).map(|p| a[i * k + p] as f64 * b[p * n + j] as f64);
+                            let (exact, mag) =
+                                terms.fold((0.0f64, 0.0f64), |(s, t), v| (s + v, t + v.abs()));
+                            let bound = k as f64 * (-23f64).exp2() * mag;
+                            assert!(
+                                (got as f64 - exact).abs() <= bound,
+                                "{lv}: m {m} k {k} n {n} C[{i}][{j}] = {got}, f64 {exact}"
+                            );
+                        }
+                        let mut row = vec![0.0f32; n];
+                        for i in 0..m {
+                            gemm_with(lv, Op::N, &a, &b, n, i..i + 1, &mut row);
+                            assert_eq!(bits(&row), bits(&c[i * n..(i + 1) * n]), "{lv}: row {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Any split of `C`'s rows into consecutive ranges, computed range
+        /// by range, gives the bits of the whole product.
+        #[test]
+        fn gemm_row_ranges_compose_to_the_whole_bit_for_bit(
+            m in 1usize..40,
+            k in 1usize..40,
+            n in 1usize..40,
+            cuts in proptest::collection::vec(0usize..40, 0..6),
+            transposed in 0u8..2,
+        ) {
+            let a: Vec<f32> = (0..m * k).map(|x| (x as f32 * 0.71).sin()).collect();
+            let b: Vec<f32> = (0..k * n).map(|x| (x as f32 * 0.29).cos()).collect();
+            let op = if transposed == 1 { Op::T } else { Op::N };
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|x| x % (m + 1)).collect();
+            cuts.extend([0, m]);
+            cuts.sort_unstable();
+            for lv in all_levels() {
+                let mut whole = vec![0.0f32; m * n];
+                gemm_with(lv, op, &a, &b, n, 0..m, &mut whole);
+                let mut pieces = vec![0.0f32; m * n];
+                for w in cuts.windows(2) {
+                    let block = &mut pieces[w[0] * n..w[1] * n];
+                    gemm_with(lv, op, &a, &b, n, w[0]..w[1], block);
+                }
+                prop_assert_eq!(bits(&whole), bits(&pieces), "{} {:?}", lv, op);
             }
         }
     }

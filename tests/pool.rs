@@ -4,7 +4,7 @@
 //!
 //! Reusing one `Trainer`'s long-lived pool across fits is bit-identical
 //! to a fresh trainer per `(seed, threads)`, for sampled and in-batch
-//! negatives.
+//! negatives; in-batch training is also bit-identical to `threads: 1`.
 
 use bsl_core::prelude::*;
 use std::sync::Arc;
@@ -54,4 +54,10 @@ fn exact_in_batch_pool_replays_per_thread_count() {
     let b = Trainer::new(cfg).fit(&ds);
     assert_eq!(a.user_emb.as_slice(), b.user_emb.as_slice());
     assert_eq!(a.best.ndcg(20), b.best.ndcg(20));
+    // The in-batch step computes every gradient element in one order at any
+    // worker count, so the serial trainer replays the pooled one exactly.
+    let serial = Trainer::new(TrainConfig { threads: 1, ..cfg }).fit(&ds);
+    assert_eq!(serial.user_emb.as_slice(), a.user_emb.as_slice(), "threads 1 vs pool");
+    assert_eq!(serial.item_emb.as_slice(), a.item_emb.as_slice(), "threads 1 vs pool");
+    assert_eq!(serial.best.ndcg(20), a.best.ndcg(20));
 }
