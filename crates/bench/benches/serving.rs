@@ -18,8 +18,8 @@ fn bench_serving(c: &mut Criterion) {
     let art = ModelArtifact::from_embeddings("MF", &u, &i, EvalScore::Cosine);
 
     // The format-v2 production configuration: int8 tables + IVF index at
-    // the default parameters. Announce them so bench_baseline.sh can pin
-    // the configuration into the BENCHMARKS.md header.
+    // the default parameters. Announce them so a run's output records the
+    // configuration it measured.
     let mut v2 = art.quantize();
     v2.build_default_ivf();
     let (nlist, nprobe) = {

@@ -11,7 +11,8 @@
 //! bit-identical.
 //!
 //! Artifacts round-trip through a compact self-describing binary format
-//! (manual little-endian codec, no external dependencies). Format **v1**
+//! written and read through [`crate::bytes`], the little-endian codec the
+//! serving protocol shares (no external dependencies). Format **v1**
 //! is the original f32-only layout and is still written for plain f32
 //! artifacts without an index — old files stay byte-for-byte valid:
 //!
@@ -53,11 +54,12 @@
 //!                centroids (nlist·dim f32)
 //! ```
 //!
-//! `f32 → to_le_bytes → from_le_bytes` is lossless, so a loaded artifact
+//! Little-endian f32 round-trips losslessly, so a loaded artifact
 //! reproduces the saved one bit for bit; the checksum covers the header
 //! fields and every payload section. The decoder validates in a fixed
 //! order — magic, version, fixed header fields, checked-arithmetic total
-//! size against the actual byte count, checksum, then semantic invariants
+//! size (one fold over the payload's sections) against the actual byte
+//! count, checksum, then semantic invariants
 //! (similarity code, finite non-negative scales, inverted-list partition
 //! via [`IvfIndex::from_parts`]) — so no allocation is ever sized by an
 //! unverified header field.
@@ -65,6 +67,7 @@
 //! [`scores_block_i8`]: bsl_linalg::simd::scores_block_i8
 
 use crate::backbone::EvalScore;
+use crate::bytes::{put, put_all, Le, Reader, Short};
 use crate::cml::euclidean_rank_embeddings;
 use crate::ivf::IvfIndex;
 use crate::quant::QuantizedTable;
@@ -148,36 +151,55 @@ impl From<std::io::Error> for ArtifactError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes`, continuing from `state` (seed with
-/// [`fnv1a64_init`]).
-fn fnv1a64(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(0x100_0000_01b3);
-    }
-    state
-}
-
-/// FNV-1a 64 offset basis.
-fn fnv1a64_init() -> u64 {
-    0xcbf2_9ce4_8422_2325
-}
-
-fn similarity_code(s: EvalScore) -> u8 {
-    match s {
-        EvalScore::Dot => 0,
-        EvalScore::Cosine => 1,
-        EvalScore::NegSqDist => 2,
+impl From<Short> for ArtifactError {
+    fn from(Short { expected, got }: Short) -> Self {
+        ArtifactError::Truncated { expected, got }
     }
 }
 
-fn similarity_from_code(c: u8) -> Option<EvalScore> {
-    match c {
-        0 => Some(EvalScore::Dot),
-        1 => Some(EvalScore::Cosine),
-        2 => Some(EvalScore::NegSqDist),
-        _ => None,
+/// FNV-1a 64-bit over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The similarity conventions, indexed by their stored code.
+const SIMILARITIES: [EvalScore; 3] = [EvalScore::Dot, EvalScore::Cosine, EvalScore::NegSqDist];
+
+/// The header fields that size an artifact's payload.
+struct Layout {
+    flags: u8,
+    n_users: usize,
+    n_items: usize,
+    dim: usize,
+    nlist: usize,
+}
+
+impl Layout {
+    /// Payload bytes after the label, or `None` if a size overflows: one
+    /// checked fold over the sections as `(element count, bytes per
+    /// element)`, the one place the v1/v2 section sizes are written down.
+    /// In file order: user table (f32); item scales (f32) for int8 tables,
+    /// else the item table (f32); item rows (i8); with an index, list
+    /// offsets (u64), list items (u32) and centroids (f32).
+    fn payload_len(&self) -> Option<usize> {
+        let (int8, index) = (self.flags & FLAG_INT8 != 0, self.flags & FLAG_INDEX != 0);
+        let if_index = |n: usize| if index { n } else { 0 };
+        let item_elems = self.n_items.checked_mul(self.dim)?;
+        let sections = [
+            (self.n_users.checked_mul(self.dim)?, 4),
+            (if int8 { self.n_items } else { item_elems }, 4),
+            (if int8 { item_elems } else { 0 }, 1),
+            (if_index(self.nlist.checked_add(1)?), 8),
+            (if_index(self.n_items), 4),
+            (if_index(self.nlist.checked_mul(self.dim)?), 4),
+        ];
+        sections.iter().try_fold(0usize, |sum, &(n, width)| sum.checked_add(n.checked_mul(width)?))
     }
+}
+
+/// Reads a `u64` size field as a `usize`.
+fn get_usize(r: &mut Reader<'_>, overflow: &'static str) -> Result<usize, ArtifactError> {
+    usize::try_from(r.get::<u64>()?).map_err(|_| ArtifactError::Malformed(overflow))
 }
 
 /// The numeric precision an artifact's score tables are stored at.
@@ -501,63 +523,52 @@ impl ModelArtifact {
     pub fn to_bytes(&self) -> Vec<u8> {
         let label = self.backbone.as_bytes();
         assert!(label.len() <= u8::MAX as usize, "backbone label too long for the format");
-        let v2 = matches!(self.tables, Tables::Int8 { .. }) || self.index.is_some();
-        let mut buf = Vec::new();
+        let layout = Layout {
+            flags: if matches!(self.tables, Tables::Int8 { .. }) { FLAG_INT8 } else { 0 }
+                | if self.index.is_some() { FLAG_INDEX } else { 0 },
+            n_users: self.n_users(),
+            n_items: self.n_items(),
+            dim: self.dim(),
+            nlist: self.index.as_ref().map_or(0, |ix| ix.nlist()),
+        };
+        // A v1 file is a v2 file with no flags and no nlist field.
+        let v2 = layout.flags != 0;
+        let header_len = if v2 { HEADER_LEN_V2 } else { HEADER_LEN_V1 };
+        let total = layout
+            .payload_len()
+            .and_then(|p| p.checked_add(header_len + label.len()))
+            .expect("artifact size overflows usize");
+        let mut buf = Vec::with_capacity(total);
         buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&(if v2 { 2u32 } else { 1u32 }).to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // checksum placeholder
-        buf.push(similarity_code(self.similarity));
-        buf.push(label.len() as u8);
+        put(&mut buf, if v2 { 2u32 } else { 1 });
+        put(&mut buf, 0u64); // checksum placeholder
+        let similarity = SIMILARITIES.iter().position(|&s| s == self.similarity);
+        let similarity = similarity.expect("every similarity has a code") as u8;
+        put_all(&mut buf, [similarity, label.len() as u8, layout.flags, 0]);
+        put_all(&mut buf, [layout.n_users, layout.n_items, layout.dim].map(|n| n as u64));
         if v2 {
-            let mut flags = 0u8;
-            if matches!(self.tables, Tables::Int8 { .. }) {
-                flags |= FLAG_INT8;
-            }
-            if self.index.is_some() {
-                flags |= FLAG_INDEX;
-            }
-            buf.push(flags);
-            buf.push(0); // reserved
-        } else {
-            buf.extend_from_slice(&0u16.to_le_bytes()); // v1 reserved
-        }
-        buf.extend_from_slice(&(self.n_users() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.n_items() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.dim() as u64).to_le_bytes());
-        if v2 {
-            let nlist = self.index.as_ref().map_or(0, |ix| ix.nlist());
-            buf.extend_from_slice(&(nlist as u64).to_le_bytes());
+            put(&mut buf, layout.nlist as u64);
         }
         buf.extend_from_slice(label);
         match &self.tables {
             Tables::F32 { users, items } => {
-                for &v in users.as_slice().iter().chain(items.as_slice().iter()) {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
+                put_all(&mut buf, users.as_slice().iter().copied());
+                put_all(&mut buf, items.as_slice().iter().copied());
             }
             Tables::Int8 { users, items } => {
-                for &v in users.as_slice() {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                for &s in items.scales() {
-                    buf.extend_from_slice(&s.to_le_bytes());
-                }
-                buf.extend(items.data().iter().map(|&b| b as u8));
+                put_all(&mut buf, users.as_slice().iter().copied());
+                put_all(&mut buf, items.scales().iter().copied());
+                put_all(&mut buf, items.data().iter().copied());
             }
         }
         if let Some(ix) = &self.index {
-            for &o in ix.list_offsets() {
-                buf.extend_from_slice(&(o as u64).to_le_bytes());
-            }
-            for &i in ix.list_items() {
-                buf.extend_from_slice(&i.to_le_bytes());
-            }
-            for &v in ix.centroids().as_slice() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+            put_all(&mut buf, ix.list_offsets().iter().map(|&o| o as u64));
+            put_all(&mut buf, ix.list_items().iter().copied());
+            put_all(&mut buf, ix.centroids().as_slice().iter().copied());
         }
-        let sum = fnv1a64(fnv1a64_init(), &buf[CHECKSUM_START..]);
-        buf[8..16].copy_from_slice(&sum.to_le_bytes());
+        debug_assert_eq!(buf.len(), total);
+        let sum = fnv1a64(&buf[CHECKSUM_START..]);
+        sum.encode(&mut buf[8..CHECKSUM_START]);
         buf
     }
 
@@ -566,161 +577,86 @@ impl ModelArtifact {
     /// before any allocation sized by a header field), the checksum, and
     /// every semantic invariant of the payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let truncated = |expected| ArtifactError::Truncated { expected, got: bytes.len() };
         if bytes.len() < HEADER_LEN_V1 {
-            return Err(ArtifactError::Truncated { expected: HEADER_LEN_V1, got: bytes.len() });
+            return Err(truncated(HEADER_LEN_V1));
         }
-        if bytes[0..4] != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(MAGIC.len())? != MAGIC {
             return Err(ArtifactError::BadMagic);
         }
-        let take_u64 =
-            |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        let version: u32 = r.get()?;
         if version == 0 || version > FORMAT_VERSION {
             return Err(ArtifactError::UnsupportedVersion(version));
         }
         let header_len = if version == 1 { HEADER_LEN_V1 } else { HEADER_LEN_V2 };
         if bytes.len() < header_len {
-            return Err(ArtifactError::Truncated { expected: header_len, got: bytes.len() });
+            return Err(truncated(header_len));
         }
-        let stored_sum = take_u64(8);
-        let similarity_byte = bytes[16];
-        let label_len = bytes[17] as usize;
-        let flags = if version == 1 {
-            if bytes[18..20] != [0, 0] {
-                return Err(ArtifactError::Malformed("nonzero reserved bytes"));
-            }
-            0u8
-        } else {
-            let flags = bytes[18];
-            if flags & !(FLAG_INT8 | FLAG_INDEX) != 0 {
-                return Err(ArtifactError::Malformed("unknown flag bits"));
-            }
-            if bytes[19] != 0 {
-                return Err(ArtifactError::Malformed("nonzero reserved bytes"));
-            }
-            flags
-        };
+        let stored_sum: u64 = r.get()?;
+        let similarity_byte: u8 = r.get()?;
+        let label_len = usize::from(r.get::<u8>()?);
+        let (flags, reserved): (u8, u8) = (r.get()?, r.get()?);
+        if version > 1 && flags & !(FLAG_INT8 | FLAG_INDEX) != 0 {
+            return Err(ArtifactError::Malformed("unknown flag bits"));
+        }
+        if reserved != 0 || (version == 1 && flags != 0) {
+            return Err(ArtifactError::Malformed("nonzero reserved bytes"));
+        }
         let int8 = flags & FLAG_INT8 != 0;
         let has_index = flags & FLAG_INDEX != 0;
-        let n_users = usize::try_from(take_u64(20))
-            .map_err(|_| ArtifactError::Malformed("n_users overflows usize"))?;
-        let n_items = usize::try_from(take_u64(28))
-            .map_err(|_| ArtifactError::Malformed("n_items overflows usize"))?;
-        let dim = usize::try_from(take_u64(36))
-            .map_err(|_| ArtifactError::Malformed("dim overflows usize"))?;
+        let n_users = get_usize(&mut r, "n_users overflows usize")?;
+        let n_items = get_usize(&mut r, "n_items overflows usize")?;
+        let dim = get_usize(&mut r, "dim overflows usize")?;
         if dim == 0 {
             return Err(ArtifactError::Malformed("zero-width tables"));
         }
-        let nlist = if version == 1 {
-            0
-        } else {
-            usize::try_from(take_u64(44))
-                .map_err(|_| ArtifactError::Malformed("nlist overflows usize"))?
-        };
-        if has_index {
-            if nlist == 0 || nlist > n_items {
-                return Err(ArtifactError::Malformed("nlist out of 1..=n_items"));
-            }
-        } else if nlist != 0 {
+        let nlist = if version == 1 { 0 } else { get_usize(&mut r, "nlist overflows usize")? };
+        if has_index && (nlist == 0 || nlist > n_items) {
+            return Err(ArtifactError::Malformed("nlist out of 1..=n_items"));
+        }
+        if !has_index && nlist != 0 {
             return Err(ArtifactError::Malformed("nonzero nlist without index flag"));
         }
         // Total size, fully checked before any alloc-by-header.
-        let user_elems = n_users
-            .checked_mul(dim)
-            .ok_or(ArtifactError::Malformed("table size overflows usize"))?;
-        let item_elems = n_items
-            .checked_mul(dim)
-            .ok_or(ArtifactError::Malformed("table size overflows usize"))?;
-        let tables_bytes = if int8 {
-            // f32 user table + item scales (4 bytes/row) + item rows
-            // (1 byte/elem).
-            user_elems
-                .checked_mul(4)
-                .and_then(|u| n_items.checked_mul(4)?.checked_add(u))
-                .and_then(|b| b.checked_add(item_elems))
-        } else {
-            user_elems.checked_add(item_elems).and_then(|e| e.checked_mul(4))
-        }
-        .ok_or(ArtifactError::Malformed("table size overflows usize"))?;
-        let index_bytes = if has_index {
-            let offsets = nlist
-                .checked_add(1)
-                .and_then(|n| n.checked_mul(8))
-                .ok_or(ArtifactError::Malformed("index size overflows usize"))?;
-            let items = n_items
-                .checked_mul(4)
-                .ok_or(ArtifactError::Malformed("index size overflows usize"))?;
-            let centroids = nlist
-                .checked_mul(dim)
-                .and_then(|e| e.checked_mul(4))
-                .ok_or(ArtifactError::Malformed("index size overflows usize"))?;
-            offsets
-                .checked_add(items)
-                .and_then(|b| b.checked_add(centroids))
-                .ok_or(ArtifactError::Malformed("index size overflows usize"))?
-        } else {
-            0
-        };
-        let total = header_len
-            .checked_add(label_len)
-            .and_then(|h| h.checked_add(tables_bytes))
-            .and_then(|h| h.checked_add(index_bytes))
+        let total = Layout { flags, n_users, n_items, dim, nlist }
+            .payload_len()
+            .and_then(|p| p.checked_add(header_len + label_len))
             .ok_or(ArtifactError::Malformed("total size overflows usize"))?;
         if bytes.len() < total {
-            return Err(ArtifactError::Truncated { expected: total, got: bytes.len() });
+            return Err(truncated(total));
         }
         if bytes.len() > total {
             return Err(ArtifactError::Malformed("trailing bytes after payload"));
         }
-        if fnv1a64(fnv1a64_init(), &bytes[CHECKSUM_START..]) != stored_sum {
+        if fnv1a64(&bytes[CHECKSUM_START..]) != stored_sum {
             return Err(ArtifactError::ChecksumMismatch);
         }
         // Bytes are authentic from here on; semantic checks follow.
-        let similarity = similarity_from_code(similarity_byte)
+        let similarity = *SIMILARITIES
+            .get(usize::from(similarity_byte))
             .ok_or(ArtifactError::Malformed("unknown similarity code"))?;
-        let backbone = std::str::from_utf8(&bytes[header_len..header_len + label_len])
+        let backbone = std::str::from_utf8(r.take(label_len)?)
             .map_err(|_| ArtifactError::Malformed("backbone label is not UTF-8"))?
             .to_string();
-        let mut at = header_len + label_len;
-        let read_f32s = |at: &mut usize, count: usize| {
-            let mut data = Vec::with_capacity(count);
-            for chunk in bytes[*at..*at + count * 4].chunks_exact(4) {
-                data.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-            }
-            *at += count * 4;
-            data
-        };
+        let users = Matrix::from_vec(n_users, dim, r.vec(n_users * dim)?);
         let tables = if int8 {
-            let users = Matrix::from_vec(n_users, dim, read_f32s(&mut at, user_elems));
-            let scales = read_f32s(&mut at, n_items);
+            let scales: Vec<f32> = r.vec(n_items)?;
             if scales.iter().any(|s| !s.is_finite() || *s < 0.0) {
                 return Err(ArtifactError::Malformed("quantization scale out of range"));
             }
-            let data: Vec<i8> = bytes[at..at + item_elems].iter().map(|&b| b as i8).collect();
-            at += item_elems;
-            let items = QuantizedTable::from_parts(n_items, dim, data, scales);
+            let items = QuantizedTable::from_parts(n_items, dim, r.vec(n_items * dim)?, scales);
             Tables::Int8 { users, items }
         } else {
-            let users = Matrix::from_vec(n_users, dim, read_f32s(&mut at, user_elems));
-            let items = Matrix::from_vec(n_items, dim, read_f32s(&mut at, item_elems));
-            Tables::F32 { users, items }
+            Tables::F32 { users, items: Matrix::from_vec(n_items, dim, r.vec(n_items * dim)?) }
         };
         let index = if has_index {
-            let mut offsets = Vec::with_capacity(nlist + 1);
-            for chunk in bytes[at..at + (nlist + 1) * 8].chunks_exact(8) {
-                let o = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                offsets.push(
-                    usize::try_from(o)
-                        .map_err(|_| ArtifactError::Malformed("list offset overflows usize"))?,
-                );
-            }
-            at += (nlist + 1) * 8;
-            let mut list_items = Vec::with_capacity(n_items);
-            for chunk in bytes[at..at + n_items * 4].chunks_exact(4) {
-                list_items.push(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-            }
-            at += n_items * 4;
-            let centroids = Matrix::from_vec(nlist, dim, read_f32s(&mut at, nlist * dim));
+            let offsets = r.vec::<u64>(nlist + 1)?.into_iter().map(usize::try_from);
+            let offsets = offsets
+                .collect::<Result<_, _>>()
+                .map_err(|_| ArtifactError::Malformed("list offset overflows usize"))?;
+            let list_items = r.vec(n_items)?;
+            let centroids = Matrix::from_vec(nlist, dim, r.vec(nlist * dim)?);
             Some(
                 IvfIndex::from_parts(centroids, offsets, list_items)
                     .map_err(ArtifactError::Malformed)?,
@@ -728,6 +664,7 @@ impl ModelArtifact {
         } else {
             None
         };
+        debug_assert_eq!(r.remaining(), 0);
         Ok(Self { backbone, similarity, tables, index })
     }
 
@@ -984,7 +921,7 @@ mod tests {
         let mut bytes = toy(EvalScore::Dot).to_bytes();
         bytes[16] = 7;
         // Re-stamp the checksum so the similarity check itself is reached.
-        let sum = fnv1a64(fnv1a64_init(), &bytes[CHECKSUM_START..]);
+        let sum = fnv1a64(&bytes[CHECKSUM_START..]);
         bytes[8..16].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             ModelArtifact::from_bytes(&bytes),

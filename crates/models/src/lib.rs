@@ -30,6 +30,7 @@
 
 pub mod artifact;
 pub mod backbone;
+pub mod bytes;
 pub mod cml;
 pub mod enmf;
 pub mod grad;

@@ -10,7 +10,7 @@
 //!
 //! | op   | direction | body |
 //! |------|-----------|------|
-//! | 0x01 | request   | `recommend` — tenant str, user u32, k u16, flags u8 (bit0 exact, bit1 no seen-filter), nprobe u32 (0 = auto) |
+//! | 0x01 | request   | `recommend` — tenant str, user u32, k u16, flags u8 (bit0 exact, bit1 no seen-filter, others zero), nprobe u32 (0 = auto) |
 //! | 0x02 | request   | `score_items` — tenant str, user u32, n u32, n × item u32 |
 //! | 0x03 | request   | `swap_artifact` — tenant str, artifact path str |
 //! | 0x04 | request   | `stats` — empty |
@@ -22,11 +22,13 @@
 //! | 0x85 | response  | `shutdown acknowledged` — empty |
 //! | 0xFF | response  | `error` — UTF-8 message |
 //!
-//! Integers and floats are little-endian; strings are `u16` length +
-//! UTF-8 bytes. Frames are capped at [`MAX_FRAME`] so a corrupt length
-//! can't allocate unboundedly. Malformed payloads decode to a
-//! [`ProtocolError`], answered with an error frame — a bad client cannot
-//! take the server down.
+//! Integers and floats are little-endian, written and read through
+//! [`bsl_models::bytes`], the codec the artifact file shares; strings are
+//! `u16` length + UTF-8 bytes. Frames are capped at [`MAX_FRAME`] on both
+//! sides: a corrupt length can't allocate unboundedly, and a response too
+//! large for one frame is answered with an error frame instead. Malformed
+//! payloads decode to a [`ProtocolError`], answered with an error frame —
+//! a bad client cannot take the server down.
 //!
 //! `swap_artifact` names a path the **server** loads (the deploy flow:
 //! `repro --save` writes the artifact, `repro --swap` tells the running
@@ -41,6 +43,7 @@ use std::thread::JoinHandle;
 
 use crate::engine::ServeEngine;
 use crate::state::{Rec, RecommendRequest, RecommendResponse, ServeOptions, ServeState};
+use bsl_models::bytes::{put, put_all, Le, Reader, Short};
 use bsl_models::ModelArtifact;
 
 /// Upper bound on a frame payload (16 MiB): large enough for any real
@@ -124,6 +127,8 @@ pub enum ProtocolError {
     Oversize(usize),
     /// Bytes left over after the last field.
     TrailingBytes,
+    /// A `recommend` flags byte with bits beyond the known two set.
+    BadFlags(u8),
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -134,11 +139,18 @@ impl std::fmt::Display for ProtocolError {
             Self::BadUtf8 => write!(f, "string field is not UTF-8"),
             Self::Oversize(n) => write!(f, "frame of {n} bytes exceeds the {MAX_FRAME} cap"),
             Self::TrailingBytes => write!(f, "trailing bytes after payload"),
+            Self::BadFlags(flags) => write!(f, "unknown recommend flag bits in 0x{flags:02x}"),
         }
     }
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<Short> for ProtocolError {
+    fn from(_: Short) -> Self {
+        Self::Truncated
+    }
+}
 
 // ---- encoding ----------------------------------------------------------
 
@@ -149,16 +161,13 @@ impl std::error::Error for ProtocolError {}
 /// frame a different request than the one meant.
 fn push_str(buf: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
-    let len = u16::try_from(bytes.len()).expect("string field too long");
-    buf.extend_from_slice(&len.to_le_bytes());
+    put(buf, u16::try_from(bytes.len()).expect("string field too long"));
     buf.extend_from_slice(bytes);
 }
 
-/// Request option flags: bit 0 = force exact, bit 1 = disable
-/// seen-filtering.
-fn opts_flags(opts: &ServeOptions) -> u8 {
-    (opts.exact as u8) | ((!opts.filter_seen as u8) << 1)
-}
+// `recommend` flags bits: force the exact path; disable seen-filtering.
+const FLAG_EXACT: u8 = 1 << 0;
+const FLAG_NO_FILTER: u8 = 1 << 1;
 
 /// Encodes `req` as a payload (no length prefix).
 ///
@@ -170,20 +179,19 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Recommend { tenant, req } => {
             buf.push(0x01);
             push_str(&mut buf, tenant);
-            buf.extend_from_slice(&req.user.to_le_bytes());
-            buf.extend_from_slice(&(req.k.min(u16::MAX as usize) as u16).to_le_bytes());
-            buf.push(opts_flags(&req.opts));
-            let nprobe = req.opts.nprobe.unwrap_or(0).min(u32::MAX as usize) as u32;
-            buf.extend_from_slice(&nprobe.to_le_bytes());
+            put(&mut buf, req.user);
+            put(&mut buf, req.k.min(u16::MAX as usize) as u16);
+            let flags = (u8::from(req.opts.exact) * FLAG_EXACT)
+                | (u8::from(!req.opts.filter_seen) * FLAG_NO_FILTER);
+            put(&mut buf, flags);
+            put(&mut buf, req.opts.nprobe.unwrap_or(0).min(u32::MAX as usize) as u32);
         }
         Request::ScoreItems { tenant, user, items } => {
             buf.push(0x02);
             push_str(&mut buf, tenant);
-            buf.extend_from_slice(&user.to_le_bytes());
-            buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for i in items {
-                buf.extend_from_slice(&i.to_le_bytes());
-            }
+            put(&mut buf, *user);
+            put(&mut buf, items.len() as u32);
+            put_all(&mut buf, items.iter().copied());
         }
         Request::SwapArtifact { tenant, path } => {
             buf.push(0x03);
@@ -202,24 +210,22 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
         Response::Recs { version, recs } => {
             buf.push(0x81);
-            buf.extend_from_slice(&version.to_le_bytes());
-            buf.extend_from_slice(&(recs.len().min(u16::MAX as usize) as u16).to_le_bytes());
+            put(&mut buf, *version);
+            put(&mut buf, recs.len().min(u16::MAX as usize) as u16);
             for r in recs {
-                buf.extend_from_slice(&r.item.to_le_bytes());
-                buf.extend_from_slice(&r.score.to_le_bytes());
+                put(&mut buf, r.item);
+                put(&mut buf, r.score);
             }
         }
         Response::Scores { version, scores } => {
             buf.push(0x82);
-            buf.extend_from_slice(&version.to_le_bytes());
-            buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-            for s in scores {
-                buf.extend_from_slice(&s.to_le_bytes());
-            }
+            put(&mut buf, *version);
+            put(&mut buf, scores.len() as u32);
+            put_all(&mut buf, scores.iter().copied());
         }
         Response::Swapped { version } => {
             buf.push(0x83);
-            buf.extend_from_slice(&version.to_le_bytes());
+            put(&mut buf, *version);
         }
         Response::Stats(text) => {
             buf.push(0x84);
@@ -236,143 +242,89 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 // ---- decoding ----------------------------------------------------------
 
-/// A little-endian payload reader.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Reads a `u16`-length-prefixed string field.
+fn get_str(r: &mut Reader<'_>) -> Result<String, ProtocolError> {
+    let n = r.get::<u16>()?;
+    utf8(r.take(n.into())?)
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet read: what bounds a reservation sized by a count the
-    /// payload claims.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self.pos.checked_add(n).ok_or(ProtocolError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(ProtocolError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtocolError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, ProtocolError> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
-    }
-
-    fn rest_utf8(&mut self) -> Result<String, ProtocolError> {
-        let bytes = self.take(self.remaining())?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::TrailingBytes)
-        }
-    }
+fn utf8(bytes: &[u8]) -> Result<String, ProtocolError> {
+    std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| ProtocolError::BadUtf8)
 }
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut c = Cursor::new(payload);
-    let req = match c.u8()? {
+    let mut r = Reader::new(payload);
+    let req = match r.get::<u8>()? {
         0x01 => {
-            let tenant = c.str()?;
-            let user = c.u32()?;
-            let k = c.u16()? as usize;
-            let flags = c.u8()?;
-            let nprobe = c.u32()?;
+            let (tenant, user, k, flags) =
+                (get_str(&mut r)?, r.get()?, r.get::<u16>()?, r.get::<u8>()?);
+            if flags & !(FLAG_EXACT | FLAG_NO_FILTER) != 0 {
+                return Err(ProtocolError::BadFlags(flags));
+            }
+            let nprobe: u32 = r.get()?;
             let opts = ServeOptions {
-                exact: flags & 1 != 0,
-                filter_seen: flags & 2 == 0,
+                exact: flags & FLAG_EXACT != 0,
+                filter_seen: flags & FLAG_NO_FILTER == 0,
                 nprobe: (nprobe > 0).then_some(nprobe as usize),
             };
-            Request::Recommend { tenant, req: RecommendRequest { user, k, opts } }
+            Request::Recommend { tenant, req: RecommendRequest { user, k: k.into(), opts } }
         }
         0x02 => {
-            let tenant = c.str()?;
-            let user = c.u32()?;
-            let n = c.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(c.remaining() / 4));
-            for _ in 0..n {
-                items.push(c.u32()?);
-            }
-            Request::ScoreItems { tenant, user, items }
+            let (tenant, user, n) = (get_str(&mut r)?, r.get()?, r.get::<u32>()?);
+            Request::ScoreItems { tenant, user, items: r.vec(n as usize)? }
         }
-        0x03 => Request::SwapArtifact { tenant: c.str()?, path: c.str()? },
+        0x03 => Request::SwapArtifact { tenant: get_str(&mut r)?, path: get_str(&mut r)? },
         0x04 => Request::Stats,
         0x05 => Request::Shutdown,
         op => return Err(ProtocolError::BadOp(op)),
     };
-    c.finish()?;
+    if r.remaining() > 0 {
+        return Err(ProtocolError::TrailingBytes);
+    }
     Ok(req)
 }
 
 /// Decodes a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
-    let mut c = Cursor::new(payload);
-    let resp = match c.u8()? {
+    let mut r = Reader::new(payload);
+    let resp = match r.get::<u8>()? {
         0x81 => {
-            let version = c.u64()?;
-            let n = c.u16()? as usize;
-            let mut recs = Vec::with_capacity(n.min(c.remaining() / 8));
-            for _ in 0..n {
-                recs.push(Rec { item: c.u32()?, score: c.f32()? });
-            }
-            Response::Recs { version, recs }
+            let (version, n) = (r.get()?, r.get::<u16>()?);
+            let pairs = r.take(usize::from(n) * 8)?.chunks_exact(8);
+            let recs =
+                pairs.map(|p| Rec { item: u32::decode(&p[..4]), score: f32::decode(&p[4..]) });
+            Response::Recs { version, recs: recs.collect() }
         }
         0x82 => {
-            let version = c.u64()?;
-            let n = c.u32()? as usize;
-            let mut scores = Vec::with_capacity(n.min(c.remaining() / 4));
-            for _ in 0..n {
-                scores.push(c.f32()?);
-            }
-            Response::Scores { version, scores }
+            let (version, n) = (r.get()?, r.get::<u32>()?);
+            Response::Scores { version, scores: r.vec(n as usize)? }
         }
-        0x83 => Response::Swapped { version: c.u64()? },
-        0x84 => Response::Stats(c.rest_utf8()?),
+        0x83 => Response::Swapped { version: r.get()? },
+        0x84 => Response::Stats(utf8(r.take(r.remaining())?)?),
         0x85 => Response::ShutdownOk,
-        0xFF => Response::Error(c.rest_utf8()?),
+        0xFF => Response::Error(utf8(r.take(r.remaining())?)?),
         op => return Err(ProtocolError::BadOp(op)),
     };
-    c.finish()?;
+    if r.remaining() > 0 {
+        return Err(ProtocolError::TrailingBytes);
+    }
     Ok(resp)
 }
 
 // ---- framing -----------------------------------------------------------
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload). A payload over
+/// [`MAX_FRAME`] is `InvalidInput` and nothing is written: the peer would
+/// refuse it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    if payload.len() > MAX_FRAME {
+        let oversize = ProtocolError::Oversize(payload.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, oversize));
+    }
+    let mut len = [0; 4];
+    (payload.len() as u32).encode(&mut len);
+    w.write_all(&len)?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -392,7 +344,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len) as usize;
+    let len = u32::decode(&len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, ProtocolError::Oversize(len)));
     }
@@ -614,7 +566,12 @@ fn connection_loop(mut stream: TcpStream, engine: &ServeEngine, shutdown: &Atomi
             Err(e) => Response::Error(format!("bad request: {e}")),
         };
         let was_shutdown = matches!(resp, Response::ShutdownOk);
-        if write_frame(&mut stream, &encode_response(&resp)).is_err() {
+        let mut out = encode_response(&resp);
+        if out.len() > MAX_FRAME {
+            let oversize = ProtocolError::Oversize(out.len());
+            out = encode_response(&Response::Error(format!("response {oversize}")));
+        }
+        if write_frame(&mut stream, &out).is_err() {
             return;
         }
         // ORDERING: SeqCst — shutdown-latch read (see `stop`).
@@ -747,71 +704,100 @@ fn to_owned(s: &str) -> String {
     s.to_string()
 }
 
+/// A well-formed response of the wrong kind, reported by its op byte.
 fn unexpected(resp: Response) -> ClientError {
-    ClientError::Protocol(match resp {
-        Response::Recs { .. } => ProtocolError::BadOp(0x81),
-        Response::Scores { .. } => ProtocolError::BadOp(0x82),
-        Response::Swapped { .. } => ProtocolError::BadOp(0x83),
-        Response::Stats(_) => ProtocolError::BadOp(0x84),
-        Response::ShutdownOk => ProtocolError::BadOp(0x85),
-        Response::Error(_) => ProtocolError::BadOp(0xFF),
-    })
+    ClientError::Protocol(ProtocolError::BadOp(encode_response(&resp)[0]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
-        let enc = encode_request(&req);
-        assert_eq!(decode_request(&enc).expect("decode"), req);
+    use crate::engine::BatchPolicy;
+    use crate::registry::Registry;
+    use bsl_linalg::Matrix;
+    use bsl_models::EvalScore;
+    use rand::SeedableRng;
+
+    fn request_cases() -> Vec<Request> {
+        vec![
+            Request::Recommend { tenant: "yelp".into(), req: RecommendRequest::new(42, 10) },
+            Request::Recommend {
+                tenant: "".into(),
+                req: RecommendRequest {
+                    user: u32::MAX,
+                    k: 65535,
+                    opts: ServeOptions { nprobe: Some(7), exact: true, filter_seen: false },
+                },
+            },
+            Request::ScoreItems { tenant: "t".into(), user: 3, items: vec![1, 2, u32::MAX] },
+            Request::ScoreItems { tenant: "t".into(), user: 0, items: vec![] },
+            Request::SwapArtifact { tenant: "default".into(), path: "/tmp/model.bsla".into() },
+            Request::Stats,
+            Request::Shutdown,
+        ]
     }
 
-    fn round_trip_response(resp: Response) {
-        let enc = encode_response(&resp);
-        assert_eq!(decode_response(&enc).expect("decode"), resp);
+    fn response_cases() -> Vec<Response> {
+        vec![
+            Response::Recs {
+                version: 9,
+                recs: vec![Rec { item: 5, score: -1.25 }, Rec { item: 0, score: f32::MAX }],
+            },
+            Response::Recs { version: 0, recs: vec![] },
+            Response::Scores { version: 3, scores: vec![0.0, -0.5, 1e9] },
+            Response::Swapped { version: u64::MAX },
+            Response::Stats("requests=5\ntenant a version=2\n".into()),
+            Response::ShutdownOk,
+            Response::Error("unknown tenant \"x\"".into()),
+        ]
     }
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Recommend {
-            tenant: "yelp".into(),
-            req: RecommendRequest::new(42, 10),
-        });
-        round_trip_request(Request::Recommend {
-            tenant: "".into(),
-            req: RecommendRequest {
-                user: u32::MAX,
-                k: 65535,
-                opts: ServeOptions { nprobe: Some(7), exact: true, filter_seen: false },
-            },
-        });
-        round_trip_request(Request::ScoreItems {
-            tenant: "t".into(),
-            user: 3,
-            items: vec![1, 2, u32::MAX],
-        });
-        round_trip_request(Request::ScoreItems { tenant: "t".into(), user: 0, items: vec![] });
-        round_trip_request(Request::SwapArtifact {
-            tenant: "default".into(),
-            path: "/tmp/model.bsla".into(),
-        });
-        round_trip_request(Request::Stats);
-        round_trip_request(Request::Shutdown);
+        for req in request_cases() {
+            assert_eq!(decode_request(&encode_request(&req)).expect("decode"), req);
+        }
     }
 
     #[test]
     fn responses_round_trip() {
-        round_trip_response(Response::Recs {
-            version: 9,
-            recs: vec![Rec { item: 5, score: -1.25 }, Rec { item: 0, score: f32::MAX }],
-        });
-        round_trip_response(Response::Recs { version: 0, recs: vec![] });
-        round_trip_response(Response::Scores { version: 3, scores: vec![0.0, -0.5, 1e9] });
-        round_trip_response(Response::Swapped { version: u64::MAX });
-        round_trip_response(Response::Stats("requests=5\ntenant a version=2\n".into()));
-        round_trip_response(Response::ShutdownOk);
-        round_trip_response(Response::Error("unknown tenant \"x\"".into()));
+        for resp in response_cases() {
+            assert_eq!(decode_response(&encode_response(&resp)).expect("decode"), resp);
+        }
+    }
+
+    /// Every prefix of every round-trip case, and every byte of it with
+    /// bit 0 or bit 7 flipped, decodes to an error or to a value that
+    /// re-encodes to exactly those bytes — never to a different message,
+    /// never a panic.
+    #[test]
+    fn mutated_payloads_decode_to_an_error_or_their_own_bytes() {
+        fn sweep<T: std::fmt::Debug>(
+            enc: &[u8],
+            decode: fn(&[u8]) -> Result<T, ProtocolError>,
+            encode: fn(&T) -> Vec<u8>,
+        ) {
+            let mut mutants: Vec<Vec<u8>> = (0..enc.len()).map(|cut| enc[..cut].to_vec()).collect();
+            for at in 0..enc.len() {
+                for bit in [0x01, 0x80] {
+                    let mut m = enc.to_vec();
+                    m[at] ^= bit;
+                    mutants.push(m);
+                }
+            }
+            for m in mutants {
+                if let Ok(v) = decode(&m) {
+                    assert_eq!(encode(&v), m, "{v:?} decoded from a mutant of {enc:?}");
+                }
+            }
+        }
+        for req in request_cases() {
+            sweep(&encode_request(&req), decode_request, encode_request);
+        }
+        for resp in response_cases() {
+            sweep(&encode_response(&resp), decode_response, encode_response);
+        }
     }
 
     /// A string field past the `u16` prefix is refused, in release builds
@@ -851,6 +837,14 @@ mod tests {
         enc.extend_from_slice(&0u32.to_le_bytes());
         enc.extend_from_slice(&1_000_000u32.to_le_bytes());
         assert_eq!(decode_request(&enc), Err(ProtocolError::Truncated));
+        // Recommend flags with an unknown bit set (the byte before nprobe).
+        let mut enc = encode_request(&Request::Recommend {
+            tenant: "abc".into(),
+            req: RecommendRequest::new(1, 5),
+        });
+        let flags_at = enc.len() - 5;
+        enc[flags_at] |= 0x80;
+        assert_eq!(decode_request(&enc), Err(ProtocolError::BadFlags(0x80)));
     }
 
     #[test]
@@ -867,6 +861,14 @@ mod tests {
         let mut r = io::Cursor::new(huge.to_vec());
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // The writer holds itself to the same cap, and writes nothing.
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &vec![0; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
+        write_frame(&mut out, &vec![0; MAX_FRAME]).unwrap();
+        assert_eq!(out.len(), 4 + MAX_FRAME);
 
         // A frame that promises more bytes than arrive is an error, not a
         // hang or a short read.
@@ -930,5 +932,31 @@ mod tests {
         write_frame(&mut framed, &payload).unwrap();
         let mut r = Trickle { bytes: io::Cursor::new(framed), widest: 0 };
         assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
+    }
+
+    /// A legal request whose answer is too large for one frame gets an
+    /// error frame, and its connection keeps serving.
+    #[test]
+    fn an_over_cap_response_is_answered_with_an_error_frame() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let one = Matrix::gaussian(1, 8, 1.0, &mut rng);
+        let registry = Arc::new(Registry::new());
+        let art = ModelArtifact::from_embeddings("MF", &one, &one, EvalScore::Dot);
+        registry.insert("", ServeState::new(art));
+        let engine = ServeEngine::new(registry, BatchPolicy::default());
+        let mut frontend = TcpFrontend::start(engine, "127.0.0.1:0").expect("loopback");
+        let mut client = ServeClient::connect(frontend.local_addr()).expect("connect");
+
+        // The largest score_items request one frame carries; its scores
+        // response is two bytes over the cap.
+        let items = vec![0u32; (MAX_FRAME - 11) / 4];
+        let req = Request::ScoreItems { tenant: "".into(), user: 0, items: items.clone() };
+        assert_eq!(encode_request(&req).len(), MAX_FRAME - 1);
+        match client.score_items("", 0, &items) {
+            Err(ClientError::Server(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("expected a server error, got {other:?}"),
+        }
+        client.stats().expect("the connection keeps serving");
+        frontend.stop();
     }
 }

@@ -11,8 +11,8 @@
 #
 # Both passes fail on any request error.
 #
-# The `serve_*` lines on stdout are grep-stable; scripts/bench_baseline.sh
-# copies them into BENCHMARKS.md.
+# The `serve_*` lines on stdout are grep-stable; CI's bench-smoke job greps
+# them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
