@@ -1,0 +1,104 @@
+//! Allocation counts of warm training calls, measured by a counting global
+//! allocator (this test binary's own, so nothing else sees it).
+//!
+//! Only allocations made on the calling thread while a measurement is open
+//! are counted, so the test harness's threads cannot disturb the figure.
+
+use bsl_data::synth::{generate, SynthConfig};
+use bsl_models::{Backbone, GradBuffer, Hyper, LightGcn};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// The system allocator, counting the calls that hand out memory.
+struct Counting;
+
+thread_local! {
+    /// Allocations on this thread since its measurement opened, or `None`
+    /// outside one.
+    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the count touches a
+// const-initialized thread-local `Cell`, which never allocates.
+#[allow(unsafe_code)] // a `GlobalAlloc` impl is `unsafe` by definition
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: to call, the `GlobalAlloc::alloc` contract, passed on as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: forwarded under this method's own contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: to call, the `GlobalAlloc::alloc_zeroed` contract, passed on as is.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: forwarded under this method's own contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: to call, the `GlobalAlloc::realloc` contract, passed on as is.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: forwarded under this method's own contract; `ptr` came
+        // from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: to call, the `GlobalAlloc::dealloc` contract, passed on as is.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded under this method's own contract; `ptr` came
+        // from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> usize {
+    COUNT.with(|c| c.set(Some(0)));
+    f();
+    COUNT.with(|c| c.replace(None)).expect("measurement open")
+}
+
+#[test]
+fn the_counter_sees_an_allocation() {
+    assert_eq!(allocations(|| drop(std::hint::black_box(vec![0u8; 16]))), 1);
+}
+
+/// Once a LightGCN has run one forward and one step, further forwards and
+/// steps reuse its hop, output and gradient buffers: no allocation at all,
+/// at every layer count, on the in-batch trainer's width and a tail width.
+#[test]
+fn warm_lightgcn_forward_and_step_allocate_nothing() {
+    let ds = Arc::new(generate(&SynthConfig::tiny(1)));
+    let hp = Hyper { lr: 0.01, l2: 1e-4 };
+    let mut rng = StdRng::seed_from_u64(0);
+    for (dim, layers) in [(64usize, 1usize), (64, 2), (64, 3), (13, 2)] {
+        let mut lgn = LightGcn::new(&ds, dim, layers, 7);
+        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, dim);
+        for (k, u) in [0u32, 5, 11].into_iter().enumerate() {
+            grads.user_row_mut(u).iter_mut().for_each(|g| *g = 0.1 * (k as f32 + 1.0));
+        }
+        grads.item_row_mut(3).iter_mut().for_each(|g| *g = -0.2);
+        lgn.forward(&mut rng);
+        lgn.step(&grads, &[], &[], hp, &mut rng);
+        let n = allocations(|| {
+            for _ in 0..3 {
+                lgn.forward(&mut rng);
+                lgn.step(&grads, &[], &[], hp, &mut rng);
+            }
+        });
+        assert_eq!(n, 0, "d = {dim}, {layers} layers");
+    }
+}

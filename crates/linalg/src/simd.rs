@@ -22,7 +22,8 @@
 //! ([`normalize_rows_into`], [`normalize_gather_into`], [`scores_block`],
 //! [`cosine_backward_block`], the gathered [`scores_gather`] and
 //! [`cosine_backward_row`], [`adam_update`], [`sgd_momentum_update`],
-//! and the matrix product [`gemm`])
+//! the matrix product [`gemm`] and the gathered weighted row sum
+//! [`gather_sum`], one SpMM output row)
 //! that amortize dispatch and normalization over whole batches; the
 //! trainer, evaluator, SpMM and optimizers all route through them. At the
 //! [`SimdLevel::Scalar`] level every blocked kernel degrades to the exact
@@ -42,6 +43,11 @@
 //! leg, which the portable level shares; at every level each output
 //! element is one `k`-ascending chain, so a row's bits do not depend on
 //! how the rows are split among calls.
+//!
+//! [`gather_sum`] holds each output element of a row in a register across
+//! the row's entries instead of loading and storing it once an entry, and
+//! keeps the chain of the `fill(0)` + [`axpy`] loop it replaced: at every
+//! level its bits are that loop's.
 
 use crate::Matrix;
 use std::sync::OnceLock;
@@ -390,6 +396,18 @@ pub mod scalar {
                     *cj += x * bj;
                 }
             }
+        }
+    }
+
+    /// Reference gathered weighted row sum (see [`super::gather_sum_with`]):
+    /// `out` cleared, then one [`axpy`] of `table` row `ids[k]` scaled by
+    /// `ws[k]` per entry, in order — the historical SpMM output row.
+    #[inline]
+    pub fn gather_sum(ws: &[f32], ids: &[u32], table: &[f32], out: &mut [f32]) {
+        let d = out.len();
+        out.fill(0.0);
+        for (&w, &id) in ws.iter().zip(ids) {
+            axpy(w, &table[id as usize * d..][..d], out);
         }
     }
 }
@@ -1282,6 +1300,80 @@ mod avx2 {
             }
             tiles(&panel[..8 * kc], (1, 8), 0, &b[p0 * n..(p0 + kc) * n], c, p0 > 0);
             p0 += kc;
+        }
+    }
+
+    /// Columns `j0 .. j0 + 8·V + rem` (`rem < 8`) of [`gather_sum`] in `V`
+    /// full accumulator registers and, when `rem > 0`, one masked one: per
+    /// entry, one broadcast of its weight and one FMA a register, so every
+    /// element is one FMA chain in entry order starting from `0`, stored
+    /// once after the last entry.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here. The
+    // assert on entry and the per-entry row slice bound every access.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gather_sum_impl<const V: usize>(
+        ws: &[f32],
+        ids: &[u32],
+        table: &[f32],
+        j0: usize,
+        rem: usize,
+        out: &mut [f32],
+    ) {
+        let d = out.len();
+        assert!(V <= 8 && rem < 8 && j0 + 8 * V + rem <= d, "gather_sum panel past the row");
+        // SAFETY: every row is a safe `d`-long slice of `table` (it panics on
+        // an id past the table), and the panel's lanes `j0 + l`, `l < 8·V +
+        // rem`, lie inside both it and `out` (asserted above): the full loads
+        // and stores cover lanes below `j0 + 8·V`, the masked ones only the
+        // `rem` lanes after them.
+        unsafe {
+            let mask = tail_mask(rem);
+            let mut acc = [_mm256_setzero_ps(); V];
+            let mut tail = _mm256_setzero_ps();
+            for (&w, &id) in ws.iter().zip(ids) {
+                let row = table[id as usize * d..][..d].as_ptr().add(j0);
+                let x = _mm256_set1_ps(w);
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_fmadd_ps(x, _mm256_loadu_ps(row.add(8 * r)), *acc);
+                }
+                if rem > 0 {
+                    tail = _mm256_fmadd_ps(x, _mm256_maskload_ps(row.add(8 * V), mask), tail);
+                }
+            }
+            let po = out.as_mut_ptr().add(j0);
+            for (r, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(po.add(8 * r), *acc);
+            }
+            if rem > 0 {
+                _mm256_maskstore_ps(po.add(8 * V), mask, tail);
+            }
+        }
+    }
+
+    /// [`super::gather_sum_with`] in 64-column panels, each one register
+    /// tile held across all the entries.
+    #[inline]
+    pub fn gather_sum(ws: &[f32], ids: &[u32], table: &[f32], out: &mut [f32]) {
+        let d = out.len();
+        let mut j0 = 0usize;
+        while j0 < d {
+            let w = (d - j0).min(64);
+            let panel = match w / 8 {
+                0 => gather_sum_impl::<0>,
+                1 => gather_sum_impl::<1>,
+                2 => gather_sum_impl::<2>,
+                3 => gather_sum_impl::<3>,
+                4 => gather_sum_impl::<4>,
+                5 => gather_sum_impl::<5>,
+                6 => gather_sum_impl::<6>,
+                7 => gather_sum_impl::<7>,
+                _ => gather_sum_impl::<8>,
+            };
+            // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+            // docs); the panel bounds its own accesses.
+            unsafe { panel(ws, ids, table, j0, w % 8, out) };
+            j0 += w;
         }
     }
 
@@ -2676,6 +2768,37 @@ pub fn gemm(op: Op, a: &[f32], b: &[f32], n: usize, rows: std::ops::Range<usize>
     gemm_with(active(), op, a, b, n, rows, c)
 }
 
+/// Gathered weighted row sum at an explicit dispatch level: `out = Σ_k
+/// ws[k] · table_row(ids[k])` over the rows of a row-major `n × d` table,
+/// `d = out.len()`, overwriting `out`. One call is one SpMM output row.
+///
+/// **Contract:** every element of `out` is one chain in `k` order,
+/// `o = 0`, then `o ← o + ws[k]·x_k` (one multiply and one add at
+/// [`SimdLevel::Scalar`] and [`SimdLevel::Portable`], which share the
+/// historical `fill(0)` + [`axpy`] loop; one FMA under AVX2, in register
+/// tiles of up to 64 columns). These are the bits of clearing `out` and
+/// running the level's [`axpy_with`] once per entry. No entries write zeros.
+///
+/// # Panics
+/// Panics if `ws` and `ids` differ in length or an id indexes past the
+/// table.
+pub fn gather_sum_with(lv: SimdLevel, ws: &[f32], ids: &[u32], table: &[f32], out: &mut [f32]) {
+    assert_eq!(ws.len(), ids.len(), "gather_sum weight/id length mismatch");
+    match lv {
+        SimdLevel::Scalar | SimdLevel::Portable => scalar::gather_sum(ws, ids, table, out),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => avx2::gather_sum(ws, ids, table, out),
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdLevel::Avx2Fma => scalar::gather_sum(ws, ids, table, out),
+    }
+}
+
+/// [`gather_sum_with`] at the process dispatch level.
+#[inline]
+pub fn gather_sum(ws: &[f32], ids: &[u32], table: &[f32], out: &mut [f32]) {
+    gather_sum_with(active(), ws, ids, table, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3227,6 +3350,33 @@ mod tests {
                             gemm_with(lv, Op::N, &a, &b, n, i..i + 1, &mut row);
                             assert_eq!(bits(&row), bits(&c[i * n..(i + 1) * n]), "{lv}: row {i}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// At every level, on panel-sized and tail widths, `gather_sum` over a
+    /// NaN-filled output has the bits of clearing it and running the level's
+    /// `axpy` once per entry, repeated rows included; no entries give zeros.
+    #[test]
+    fn gather_sum_is_bit_equal_to_fill_then_axpy_at_every_level() {
+        const ROWS: usize = 11;
+        for d in [1usize, 7, 8, 9, 31, 64, 65, 72, 128] {
+            let table: Vec<f32> = (0..ROWS * d).map(|x| (x as f32 * 0.37).sin() * 1.3).collect();
+            for entries in [0usize, 1, 2, 17] {
+                let ids: Vec<u32> = (0..entries).map(|k| ((k * 7 + 3) % ROWS) as u32).collect();
+                let ws: Vec<f32> = (0..entries).map(|k| (k as f32 * 0.53).cos() * 0.7).collect();
+                for lv in all_levels() {
+                    let mut want = vec![0.0f32; d];
+                    for (&w, &id) in ws.iter().zip(&ids) {
+                        axpy_with(lv, w, &table[id as usize * d..][..d], &mut want);
+                    }
+                    let mut got = vec![f32::NAN; d];
+                    gather_sum_with(lv, &ws, &ids, &table, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{lv}: d {d}, {entries} entries");
+                    if entries == 0 {
+                        assert!(got.iter().all(|&x| x.to_bits() == 0), "{lv}: d {d}");
                     }
                 }
             }

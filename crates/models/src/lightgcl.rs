@@ -197,8 +197,8 @@ impl Backbone for LightGcl {
             &mut self.item_base,
             &mut self.adam_u,
             &mut self.adam_i,
-            gu,
-            gi,
+            &mut gu,
+            &mut gi,
             grads,
             hp,
         );

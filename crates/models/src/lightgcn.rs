@@ -3,7 +3,7 @@
 
 use crate::backbone::{Backbone, EvalScore, Hyper};
 use crate::grad::GradBuffer;
-use crate::propagation::Propagator;
+use crate::propagation::{Hops, Propagator};
 use bsl_data::Dataset;
 use bsl_linalg::Matrix;
 use bsl_opt::Adam;
@@ -15,12 +15,18 @@ use std::sync::Arc;
 /// LightGCN backbone. Because the propagation operator is linear and
 /// symmetric, the exact parameter gradient is the propagated final-
 /// embedding gradient — no stored activations needed.
+///
+/// The hop buffers and the base-gradient pair live as long as the model,
+/// so a warm [`Backbone::forward`] or [`Backbone::step`] allocates nothing.
 pub struct LightGcn {
     user_base: Matrix,
     item_base: Matrix,
     prop: Propagator,
+    hops: Hops,
     fin_u: Matrix,
     fin_i: Matrix,
+    grad_u: Matrix,
+    grad_i: Matrix,
     adam_u: Adam,
     adam_i: Adam,
 }
@@ -30,12 +36,16 @@ impl LightGcn {
     pub fn new(ds: &Arc<Dataset>, dim: usize, layers: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let adj = NormAdj::from_interactions(ds.n_users, ds.n_items, &ds.train_pairs());
+        let prop = Propagator::new(adj, layers);
         Self {
             user_base: Matrix::xavier_uniform(ds.n_users, dim, &mut rng),
             item_base: Matrix::xavier_uniform(ds.n_items, dim, &mut rng),
-            prop: Propagator::new(adj, layers),
+            hops: prop.hops(dim),
+            prop,
             fin_u: Matrix::zeros(ds.n_users, dim),
             fin_i: Matrix::zeros(ds.n_items, dim),
+            grad_u: Matrix::zeros(ds.n_users, dim),
+            grad_i: Matrix::zeros(ds.n_items, dim),
             adam_u: Adam::new(ds.n_users, dim),
             adam_i: Adam::new(ds.n_items, dim),
         }
@@ -47,16 +57,17 @@ impl LightGcn {
         self.prop.backward(grads.users(), grads.items())
     }
 
-    /// Shared step body for LightGCN-shaped models: L2 on touched rows,
-    /// dense Adam on both embedding tables.
+    /// Shared step body for LightGCN-shaped models: L2 on touched rows
+    /// (added into the base gradients `gu`/`gi`), dense Adam on both
+    /// embedding tables.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_base_update(
         user_base: &mut Matrix,
         item_base: &mut Matrix,
         adam_u: &mut Adam,
         adam_i: &mut Adam,
-        mut gu: Matrix,
-        mut gi: Matrix,
+        gu: &mut Matrix,
+        gi: &mut Matrix,
         grads: &GradBuffer,
         hp: Hyper,
     ) {
@@ -70,8 +81,8 @@ impl LightGcn {
             let r = i as usize;
             bsl_linalg::kernels::axpy(hp.l2, item_base.row(r), gi.row_mut(r));
         }
-        adam_u.step_dense(user_base, &gu, hp.lr);
-        adam_i.step_dense(item_base, &gi, hp.lr);
+        adam_u.step_dense(user_base, gu, hp.lr);
+        adam_i.step_dense(item_base, gi, hp.lr);
     }
 }
 
@@ -93,9 +104,13 @@ impl Backbone for LightGcn {
     }
 
     fn forward(&mut self, _rng: &mut StdRng) {
-        let (u, i) = self.prop.forward(&self.user_base, &self.item_base);
-        self.fin_u = u;
-        self.fin_i = i;
+        self.prop.forward_into(
+            &self.user_base,
+            &self.item_base,
+            &mut self.hops,
+            &mut self.fin_u,
+            &mut self.fin_i,
+        );
     }
 
     fn user_factors(&self) -> &Matrix {
@@ -114,14 +129,21 @@ impl Backbone for LightGcn {
         hp: Hyper,
         _rng: &mut StdRng,
     ) -> f64 {
-        let (gu, gi) = self.backward_base(grads);
+        // The backward is the forward map (see `backward_base`).
+        self.prop.forward_into(
+            grads.users(),
+            grads.items(),
+            &mut self.hops,
+            &mut self.grad_u,
+            &mut self.grad_i,
+        );
         Self::apply_base_update(
             &mut self.user_base,
             &mut self.item_base,
             &mut self.adam_u,
             &mut self.adam_i,
-            gu,
-            gi,
+            &mut self.grad_u,
+            &mut self.grad_i,
             grads,
             hp,
         );

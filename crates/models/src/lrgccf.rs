@@ -118,14 +118,14 @@ impl Backbone for LrGccf {
         hp: Hyper,
         _rng: &mut StdRng,
     ) -> f64 {
-        let (gu, gi) = self.backward_base(grads);
+        let (mut gu, mut gi) = self.backward_base(grads);
         LightGcn::apply_base_update(
             &mut self.user_base,
             &mut self.item_base,
             &mut self.adam_u,
             &mut self.adam_i,
-            gu,
-            gi,
+            &mut gu,
+            &mut gi,
             grads,
             hp,
         );

@@ -44,23 +44,60 @@ impl Propagator {
         self.adj.propagate(u, i)
     }
 
+    /// Hop buffers for [`Self::forward_into`] over embeddings `dim` wide.
+    pub fn hops(&self, dim: usize) -> Hops {
+        let (n_users, n_items) = (self.adj.n_users(), self.adj.n_items());
+        Hops {
+            users: [Matrix::zeros(n_users, dim), Matrix::zeros(n_users, dim)],
+            items: [Matrix::zeros(n_items, dim), Matrix::zeros(n_items, dim)],
+        }
+    }
+
     /// Full forward: `final = (1/(K+1)) Σ_{k=0..K} Â^k [u0; i0]`.
     pub fn forward(&self, u0: &Matrix, i0: &Matrix) -> (Matrix, Matrix) {
+        let mut hops = self.hops(u0.cols());
+        let mut out_u = Matrix::zeros(u0.rows(), u0.cols());
+        let mut out_i = Matrix::zeros(i0.rows(), i0.cols());
+        self.forward_into(u0, i0, &mut hops, &mut out_u, &mut out_i);
+        (out_u, out_i)
+    }
+
+    /// [`Self::forward`] into existing buffers: `out_u`/`out_i` are
+    /// overwritten with the layer mean, and the hops ping-pong between the
+    /// two pairs of `hops`, so a warm call allocates nothing. Whatever the
+    /// buffers held is never read.
+    ///
+    /// The element operations are the fresh-buffer ones: copy `[u0; i0]`,
+    /// add each hop, then scale by `1/(K+1)`.
+    ///
+    /// # Panics
+    /// Panics if a shape disagrees with the graph or with `u0`/`i0`.
+    pub fn forward_into(
+        &self,
+        u0: &Matrix,
+        i0: &Matrix,
+        hops: &mut Hops,
+        out_u: &mut Matrix,
+        out_i: &mut Matrix,
+    ) {
+        assert_eq!(out_u.shape(), u0.shape(), "forward_into user output shape mismatch");
+        assert_eq!(out_i.shape(), i0.shape(), "forward_into item output shape mismatch");
         let coef = 1.0 / (self.layers + 1) as f32;
-        let mut cur_u = u0.clone();
-        let mut cur_i = i0.clone();
-        let mut out_u = u0.clone();
-        let mut out_i = i0.clone();
-        for _ in 0..self.layers {
-            let (nu, ni) = self.adj.propagate(&cur_u, &cur_i);
-            cur_u = nu;
-            cur_i = ni;
-            out_u.add_assign(&cur_u);
-            out_i.add_assign(&cur_i);
+        out_u.as_mut_slice().copy_from_slice(u0.as_slice());
+        out_i.as_mut_slice().copy_from_slice(i0.as_slice());
+        let ([u_a, u_b], [i_a, i_b]) = (&mut hops.users, &mut hops.items);
+        let (mut cur, mut next) = ((u_a, i_a), (u_b, i_b));
+        self.adj.propagate_into(u0, i0, cur.0, cur.1);
+        out_u.add_assign(cur.0);
+        out_i.add_assign(cur.1);
+        for _ in 1..self.layers {
+            self.adj.propagate_into(cur.0, cur.1, next.0, next.1);
+            std::mem::swap(&mut cur, &mut next);
+            out_u.add_assign(cur.0);
+            out_i.add_assign(cur.1);
         }
         out_u.scale(coef);
         out_i.scale(coef);
-        (out_u, out_i)
     }
 
     /// Exact backward of [`Self::forward`]: the operator is symmetric, so
@@ -68,6 +105,15 @@ impl Propagator {
     pub fn backward(&self, grad_u: &Matrix, grad_i: &Matrix) -> (Matrix, Matrix) {
         self.forward(grad_u, grad_i)
     }
+}
+
+/// The two user/item buffer pairs [`Propagator::forward_into`] alternates
+/// its hops between, sized by [`Propagator::hops`] and kept by the caller
+/// across calls.
+#[derive(Clone, Debug)]
+pub struct Hops {
+    users: [Matrix; 2],
+    items: [Matrix; 2],
 }
 
 /// In-batch InfoNCE between two embedding views, restricted to `nodes`
@@ -206,6 +252,32 @@ mod tests {
             for c in 0..2 {
                 let want = 0.5 * (i0.get(r, c) + pi.get(r, c));
                 assert!((fi.get(r, c) - want).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// Hop and output buffers full of garbage (NaN, huge values, stale
+    /// results of another input) must not reach a single bit of the result.
+    #[test]
+    fn forward_into_over_garbage_buffers_matches_fresh_forward_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(5);
+        for layers in 1..=3 {
+            let prop = Propagator::new(toy_adj(), layers);
+            let mut hops = prop.hops(9);
+            for (k, m) in hops.users.iter_mut().chain(hops.items.iter_mut()).enumerate() {
+                m.fill(if k % 2 == 0 { f32::NAN } else { 3.0e38 });
+            }
+            let (mut out_u, mut out_i) = (Matrix::zeros(3, 9), Matrix::zeros(2, 9));
+            out_u.fill(f32::NAN);
+            out_i.fill(-3.0e38);
+            for _ in 0..2 {
+                let u0 = Matrix::gaussian(3, 9, 1.0, &mut rng);
+                let i0 = Matrix::gaussian(2, 9, 1.0, &mut rng);
+                prop.forward_into(&u0, &i0, &mut hops, &mut out_u, &mut out_i);
+                let (fu, fi) = prop.forward(&u0, &i0);
+                assert_eq!(bits(&out_u), bits(&fu), "{layers} layers");
+                assert_eq!(bits(&out_i), bits(&fi), "{layers} layers");
             }
         }
     }

@@ -188,8 +188,8 @@ impl Backbone for Sgl {
             &mut self.item_base,
             &mut self.adam_u,
             &mut self.adam_i,
-            gu,
-            gi,
+            &mut gu,
+            &mut gi,
             grads,
             hp,
         );

@@ -200,8 +200,8 @@ impl Backbone for SimGcl {
             &mut self.item_base,
             &mut self.adam_u,
             &mut self.adam_i,
-            gu,
-            gi,
+            &mut gu,
+            &mut gi,
             grads,
             hp,
         );

@@ -160,21 +160,21 @@ impl Csr {
     /// Sparse × dense product written into an existing buffer
     /// (overwritten, not accumulated).
     ///
-    /// Each output row is an `axpy` chain over the row's stored entries —
-    /// the dense-row accumulation rides the dispatched SIMD kernels in
-    /// `bsl_linalg::kernels` (this is the inner loop of every LightGCN
-    /// propagation hop).
+    /// Each output row is one [`bsl_linalg::simd::gather_sum`] over the
+    /// row's stored entries, which holds the row in registers across them
+    /// (this is the inner loop of every GCN propagation hop). Its bits are
+    /// those of clearing `out` and running one dispatched `axpy` per entry.
     pub fn spmm_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.rows(), self.cols, "spmm dimension mismatch");
         assert_eq!(out.shape(), (self.rows, x.cols()), "spmm output shape mismatch");
-        out.fill(0.0);
         for r in 0..self.rows {
-            let start = self.indptr[r];
-            let end = self.indptr[r + 1];
-            let o = out.row_mut(r);
-            for k in start..end {
-                bsl_linalg::kernels::axpy(self.values[k], x.row(self.indices[k] as usize), o);
-            }
+            let (start, end) = (self.indptr[r], self.indptr[r + 1]);
+            bsl_linalg::simd::gather_sum(
+                &self.values[start..end],
+                &self.indices[start..end],
+                x.as_slice(),
+                out.row_mut(r),
+            );
         }
     }
 
@@ -309,6 +309,17 @@ mod tests {
         let got = m.spmm(&x);
         let want = m.to_dense().matmul(&x);
         assert_eq!(got.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn spmm_into_overwrites_whatever_the_buffer_held() {
+        // Row 2 has no entries: it must come out zero, not NaN.
+        let m = Csr::from_coo(3, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]);
+        let x = Matrix::from_fn(3, 9, |r, c| (r * 9 + c) as f32 * 0.25 - 1.0);
+        let mut out = Matrix::from_fn(3, 9, |_, _| f32::NAN);
+        m.spmm_into(&x, &mut out);
+        assert_eq!(out.as_slice(), m.spmm(&x).as_slice());
+        assert!(out.row(2).iter().all(|&v| v.to_bits() == 0));
     }
 
     #[test]
