@@ -7,7 +7,7 @@ use bsl_eval::{evaluate_artifact, EvalReport};
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
 use bsl_linalg::simd::{cosine_backward_row, gemm, normalize_gather_into, scores_gather, Op};
 use bsl_linalg::Matrix;
-use bsl_losses::{build as build_loss, LossOutput, RankingLoss, ScoreBatch};
+use bsl_losses::{build as build_loss, scale_rows, RankingLoss, RowTerm, ScoreBatch};
 use bsl_models::{
     build as build_backbone, Backbone, EvalScore, GradBuffer, GradSink, Hyper, ModelArtifact,
     ShardGrad, TrainScore,
@@ -104,12 +104,19 @@ fn row_chunks(n: usize, k: usize) -> Vec<Range<usize>> {
 /// step is normalized once. Distance-scored backbones (CML) never touch
 /// any of it.
 ///
+/// The loss stage ([`loss_stage`]) writes the score gradients into
+/// `grad_pos` / `grad_neg`, with its per-row terms and factors beside
+/// them; both pass 2s read them from there.
+///
 /// Sampled pass 2 scatters a row's item-side gradients through
 /// `sink_rows`, which holds, per row chunk, where in its sink's item block
 /// each negative's row sits (see [`Backward::backward_rows`]). The
-/// in-batch step keeps `V̂ᵀ` for its forward product, writes the score
-/// gradients over `sims`, and puts its `2·B` gradient rows in `grad_rows`
-/// (see [`pass2_in_batch`]).
+/// in-batch step keeps `V̂ᵀ` for its forward product and puts its `2·B`
+/// gradient rows in `grad_rows`. Its two `B × B` blocks reuse the two
+/// negative-side buffers, each once its content is dead: pass 1 computes
+/// the similarities `S` in `grad_neg` before the loss writes the
+/// gradients there, and pass 2 writes the score-gradient block `G` over
+/// `neg_scores` (see [`pass1_in_batch_scores`] and [`pass2_in_batch`]).
 #[derive(Default)]
 struct StepScratch {
     /// Unit user vectors, `B × d` flat.
@@ -119,6 +126,8 @@ struct StepScratch {
     pos_hat: Vec<f32>,
     pos_norm: Vec<f32>,
     pos_scores: Vec<f32>,
+    /// Negative scores, `B·m` flat; in-batch, from pass 2 on, `G`
+    /// (`B × B`).
     neg_scores: Vec<f32>,
     /// Unit vectors of the step's distinct negatives, `uniq.len() × d`
     /// flat (sampled cosine path only).
@@ -131,9 +140,6 @@ struct StepScratch {
     /// Item id → row of `neg_hat`, `u32::MAX` = not drawn this step.
     /// Catalogue-sized like [`GradBuffer`]; all-`MAX` between steps.
     slot_of_item: Vec<u32>,
-    /// In-batch only: `B × B` cosine similarities `S`, then, from pass 2
-    /// on, the score gradients `G` written over them.
-    sims: Vec<f32>,
     /// In-batch only: the unit positives transposed, `d × B` flat.
     item_hat_t: Vec<f32>,
     /// In-batch only: the `B` user-side gradient rows, then the `B`
@@ -142,15 +148,23 @@ struct StepScratch {
     /// One run of `m` entries per row chunk of sampled pass 2: the rows of
     /// the current batch row's occurrences.
     sink_rows: Vec<u32>,
+    /// `∂L/∂pos`, `B`.
+    grad_pos: Vec<f32>,
+    /// `∂L/∂neg`, `B·m` flat; in-batch, in pass 1, `S` (`B × B`) first.
+    grad_neg: Vec<f32>,
+    /// The loss's row-phase term of each row, `B`.
+    loss_terms: Vec<RowTerm>,
+    /// The batch phase's factor for each row's negative gradients, `B`.
+    row_scales: Vec<f32>,
 }
 
 /// A `sink_rows` entry whose item has not been touched in its sink.
 const UNRESOLVED: u32 = u32::MAX;
 
 /// Grows `v` to at least `n` elements (never shrinks).
-fn grow(v: &mut Vec<f32>, n: usize) {
+fn grow<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
     if v.len() < n {
-        v.resize(n, 0.0);
+        v.resize(n, T::default());
     }
 }
 
@@ -174,8 +188,8 @@ impl StepScratch {
         grow(&mut self.pos_hat, b * d);
         grow(&mut self.pos_norm, b);
         grow(&mut self.pos_scores, b);
-        grow(&mut self.neg_scores, b * (b - 1));
-        grow(&mut self.sims, b * b);
+        grow(&mut self.neg_scores, b * b);
+        grow(&mut self.grad_neg, b * b);
         grow(&mut self.item_hat_t, b * d);
         grow(&mut self.grad_rows, 2 * b * d);
     }
@@ -353,11 +367,12 @@ fn pass1_sampled_scores(
 /// blocked gather per side and chunk; `pos_hat`/`pos_norm` hold the item
 /// side), and the calling thread transposes the unit items into `V̂ᵀ`.
 /// Round 2 computes each chunk's rows of the `B × B` similarity matrix
-/// `S = Û·V̂ᵀ`, `S[a][c] = cos(user_a, item_c)`, with one [`gemm`] — hence
-/// the barrier between the rounds — and splits each row into its diagonal
-/// (the positive score) and the `B − 1` entries around it (the negative
-/// scores, in item-row order). By the kernel's contract every score has
-/// the bits of one product over all rows, whatever the chunking.
+/// `S = Û·V̂ᵀ`, `S[a][c] = cos(user_a, item_c)`, with one [`gemm`] into
+/// `scratch.grad_neg` — hence the barrier between the rounds — and splits
+/// each row into its diagonal (the positive score) and the `B − 1` entries
+/// around it (the negative scores, in item-row order). By the kernel's
+/// contract every score has the bits of one product over all rows,
+/// whatever the chunking.
 fn pass1_in_batch_scores(
     pool: Pooled,
     batch: &TrainBatch,
@@ -402,7 +417,7 @@ fn pass1_in_batch_scores(
 
     let (user_hat, item_hat_t) = (&scratch.user_hat[..b * d], &scratch.item_hat_t[..b * d]);
     let rest = (
-        &mut scratch.sims[..b * b],
+        &mut scratch.grad_neg[..b * b],
         &mut scratch.pos_scores[..b],
         &mut scratch.neg_scores[..b * m],
     );
@@ -430,8 +445,9 @@ fn pass1_in_batch_scores(
 /// Pass 2 of a step with *in-batch* negatives, as two blocked products.
 ///
 /// `G` is the `B × B` score-gradient matrix: diagonal `grad_pos`, row
-/// `a`'s `grad_neg` around it in column order. It is written over `S` in
-/// `scratch.sims`. As `∂cos(u, v)/∂u = (v̂ − cos·û)/‖u‖`, row `a`'s user
+/// `a`'s `grad_neg` around it in column order. It is written over the
+/// negative scores in `scratch.neg_scores`, which nothing reads after the
+/// loss stage. As `∂cos(u, v)/∂u = (v̂ − cos·û)/‖u‖`, row `a`'s user
 /// side is `((G·V̂)[a] − rowsum(G⊙S)[a]·û_a)/‖u_a‖` and column `c`'s item
 /// side is `((Gᵀ·Û)[c] − colsum(G⊙S)[c]·v̂_c)/‖v_c‖`. And as `S = Û·V̂ᵀ`,
 /// `rowsum(G⊙S)[a] = ⟨(G·V̂)[a], û_a⟩` and `colsum(G⊙S)[c] = ⟨(Gᵀ·Û)[c],
@@ -448,7 +464,6 @@ fn pass1_in_batch_scores(
 fn pass2_in_batch(
     pool: Pooled,
     batch: &TrainBatch,
-    out: &LossOutput,
     scratch: &mut StepScratch,
     grads: &mut GradBuffer,
     b: usize,
@@ -457,26 +472,27 @@ fn pass2_in_batch(
     let m = b - 1;
     let (user_hat, item_hat) = (&scratch.user_hat[..b * d], &scratch.pos_hat[..b * d]);
     let (user_norm, item_norm) = (&scratch.user_norm[..b], &scratch.pos_norm[..b]);
+    let (grad_pos, grad_neg) = (&scratch.grad_pos[..b], &scratch.grad_neg[..b * m]);
     let (user_grad, item_grad) = scratch.grad_rows[..2 * b * d].split_at_mut(b * d);
     run_rows(
         pool,
         b,
-        (&mut scratch.sims[..b * b], &mut *user_grad),
+        (&mut scratch.neg_scores[..b * b], &mut *user_grad),
         |(g, ug), rows| (take_front(g, rows * b), take_front(ug, rows * d)),
         |range, (g, ug)| {
             let (hat, norms) =
                 (&user_hat[range.start * d..range.end * d], &user_norm[range.start..range.end]);
             for (g_row, a) in g.chunks_exact_mut(b).zip(range) {
-                let gn = &out.grad_neg[a * m..(a + 1) * m];
+                let gn = &grad_neg[a * m..(a + 1) * m];
                 g_row[..a].copy_from_slice(&gn[..a]);
-                g_row[a] = out.grad_pos[a];
+                g_row[a] = grad_pos[a];
                 g_row[a + 1..].copy_from_slice(&gn[a..]);
             }
             gemm(Op::N, g, item_hat, d, 0..norms.len(), ug);
             tangent_rows(ug, hat, norms, d);
         },
     );
-    let g = &scratch.sims[..b * b];
+    let g = &scratch.neg_scores[..b * b];
     run_rows(
         pool,
         b,
@@ -495,6 +511,45 @@ fn pass2_in_batch(
     for (row, &i) in item_grad.chunks_exact(d).zip(&batch.pos) {
         axpy(1.0, row, grads.item_row_mut(i));
     }
+}
+
+/// The loss stage of a step: the row phase of `loss` over the batch's row
+/// chunks, its batch phase on the calling thread, then each row's negative
+/// gradients times its row factor, again one job per row chunk. Reads the
+/// pass-1 scores, writes the score gradients into `scratch.grad_pos` /
+/// `scratch.grad_neg` and returns the loss value. Each row is computed
+/// alone in both pooled rounds, so the bits do not depend on the chunking.
+fn loss_stage(
+    pool: Pooled,
+    loss: &dyn RankingLoss,
+    scratch: &mut StepScratch,
+    b: usize,
+    m: usize,
+) -> f64 {
+    grow(&mut scratch.grad_pos, b);
+    grow(&mut scratch.grad_neg, b * m);
+    grow(&mut scratch.loss_terms, b);
+    grow(&mut scratch.row_scales, b);
+    let batch = ScoreBatch::new(&scratch.pos_scores[..b], &scratch.neg_scores[..b * m], m);
+    let (grad_pos, grad_neg) = (&mut scratch.grad_pos[..b], &mut scratch.grad_neg[..b * m]);
+    let (terms, scales) = (&mut scratch.loss_terms[..b], &mut scratch.row_scales[..b]);
+    run_rows(
+        pool,
+        b,
+        (&mut *grad_pos, &mut *grad_neg, &mut *terms),
+        |(gp, gn, t), rows| (take_front(gp, rows), take_front(gn, rows * m), take_front(t, rows)),
+        |range, (gp, gn, t)| loss.row_phase(&batch, range, gp, gn, t),
+    );
+    let value = loss.batch_phase(&batch, terms, grad_pos, scales);
+    let scales = &*scales;
+    run_rows(
+        pool,
+        b,
+        grad_neg,
+        |gn, rows| take_front(gn, rows * m),
+        |range, gn| scale_rows(&scales[range], gn, m),
+    );
+    value
 }
 
 /// Turns each `d`-wide row `x` of `rows`, the score gradients' product
@@ -690,9 +745,10 @@ impl Trainer {
     ///
     /// Pass 1 fills the scratch with unit vectors and scores, from sampled
     /// negatives ([`pass1_sampled_scores`]) or in-batch ones
-    /// ([`pass1_in_batch_scores`]) by `cfg.sampling`; the loss turns scores
-    /// into score gradients; pass 2 chains them into embedding-gradient
-    /// rows; the backbone steps on `grads`.
+    /// ([`pass1_in_batch_scores`]) by `cfg.sampling`; the loss stage
+    /// ([`loss_stage`]) turns scores into score gradients in the scratch,
+    /// its row work on the same row chunks; pass 2 chains them into
+    /// embedding-gradient rows; the backbone steps on `grads`.
     ///
     /// In-batch, pass 2 is two blocked products ([`pass2_in_batch`]) whose
     /// every element has the same bits at any thread count. Sampled, pass 2
@@ -736,14 +792,10 @@ impl Trainer {
             pass1_sampled_scores(pooled, batch, users, items, score_kind, scratch, b, m, d);
         }
 
-        let out = loss.compute(&ScoreBatch::new(
-            &scratch.pos_scores[..b],
-            &scratch.neg_scores[..b * m],
-            m,
-        ));
+        let loss_value = loss_stage(pooled, loss, scratch, b, m);
 
         if in_batch {
-            pass2_in_batch(pooled, batch, &out, scratch, grads, b, d);
+            pass2_in_batch(pooled, batch, scratch, grads, b, d);
         } else {
             // Lent out of the scratch so that each chunk writes its own run
             // while all of them read the rest.
@@ -752,8 +804,7 @@ impl Trainer {
             if sink_rows.len() < n_chunks * m {
                 sink_rows.resize(n_chunks * m, UNRESOLVED);
             }
-            let pass2 =
-                Backward { batch, users, items, score_kind, m, d, scratch: &*scratch, out: &out };
+            let pass2 = Backward { batch, users, items, score_kind, m, d, scratch: &*scratch };
             match pooled {
                 None => pass2.backward_rows(0..b, grads, &mut sink_rows[..m]),
                 Some((pool, chunks)) => {
@@ -771,13 +822,13 @@ impl Trainer {
 
         let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
         grads.clear();
-        (out.loss, aux)
+        (loss_value, aux)
     }
 }
 
 /// Pass 2 of a step with sampled negatives — chaining score gradients into
 /// embedding gradients — as a read-only view of the step state after pass
-/// 1 and the loss.
+/// 1 and the loss stage.
 struct Backward<'a> {
     batch: &'a TrainBatch,
     /// Raw embeddings; only the distance-scored arm reads them.
@@ -788,7 +839,6 @@ struct Backward<'a> {
     m: usize,
     d: usize,
     scratch: &'a StepScratch,
-    out: &'a LossOutput,
 }
 
 impl Backward<'_> {
@@ -803,7 +853,7 @@ impl Backward<'_> {
     /// row is asked for — asking touches the row, and a touched row gets an
     /// optimizer (L2, Adam moment) update.
     fn backward_rows<S: GradSink>(&self, rows: Range<usize>, sink: &mut S, sink_rows: &mut [u32]) {
-        let Self { batch, m, d, scratch, out, .. } = *self;
+        let Self { batch, m, d, scratch, .. } = *self;
         let b = batch.len();
         let user_hat = &scratch.user_hat[..b * d];
         let pos_hat = &scratch.pos_hat[..b * d];
@@ -814,13 +864,13 @@ impl Backward<'_> {
         for row in rows {
             let u = batch.users[row];
             let i = batch.pos[row];
-            let gs = &out.grad_neg[row * m..(row + 1) * m];
+            let gs = &scratch.grad_neg[row * m..(row + 1) * m];
             match self.score_kind {
                 TrainScore::Cosine => {
                     let uhat = &user_hat[row * d..(row + 1) * d];
                     let ihat = &pos_hat[row * d..(row + 1) * d];
                     let unorm = scratch.user_norm[row];
-                    let g = out.grad_pos[row];
+                    let g = scratch.grad_pos[row];
                     let s = scratch.pos_scores[row];
                     cosine_backward_into(g, s, uhat, ihat, unorm, sink.user_row_mut(u));
                     cosine_backward_into(g, s, ihat, uhat, pos_norm[row], sink.item_row_mut(i));
@@ -858,7 +908,7 @@ impl Backward<'_> {
                         axpy(2.0 * g, urow, gi);
                         axpy(-2.0 * g, irow, gi);
                     };
-                    apply(out.grad_pos[row], i);
+                    apply(scratch.grad_pos[row], i);
                     for (&g, &j) in gs.iter().zip(batch.negs_of(row)) {
                         apply(g, j);
                     }
@@ -1380,63 +1430,80 @@ mod tests {
         }
     }
 
+    /// Steps a fresh `cfg` backbone through seed 3's first epoch of batches,
+    /// inline or on `pool`: per-step loss bits, then user and item
+    /// embedding bits.
+    fn replay_steps(
+        cfg: TrainConfig,
+        ds: &Arc<Dataset>,
+        pool: Option<&WorkerPool>,
+    ) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+        let m = if cfg.sampling == SamplingConfig::InBatch { 1 } else { cfg.negatives };
+        let sampler = UniformSampler::new(ds.clone());
+        let batches: Vec<TrainBatch> = BatchIter::new(ds, &sampler, cfg.batch_size, m, 3).collect();
+        assert!(batches.len() >= 2, "the second step reuses scratch and shards");
+        let loss = build_loss(cfg.loss);
+        let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
+        let mut backbone = build_backbone(cfg.backbone, ds, cfg.dim, cfg.seed);
+        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
+        let n_shards = pool.map_or(1, WorkerPool::n_workers);
+        let mut shards: Vec<ShardGrad> = (0..n_shards).map(|_| ShardGrad::new(cfg.dim)).collect();
+        let mut scratch = StepScratch::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let trainer = Trainer::new(cfg);
+        let mut losses = Vec::new();
+        for batch in &batches {
+            backbone.forward(&mut rng);
+            let (l, _) = trainer.step(
+                backbone.as_mut(),
+                loss.as_ref(),
+                batch,
+                &mut grads,
+                &mut shards,
+                &mut scratch,
+                hyper,
+                &mut rng,
+                pool,
+            );
+            losses.push(l.to_bits());
+        }
+        (losses, bits(backbone.user_factors()), bits(backbone.item_factors()))
+    }
+
     #[test]
     fn pooled_step_with_one_chunk_replays_the_inline_step_bit_for_bit() {
         // "Serial is the one-chunk case": a one-worker pool with one shard
         // runs the same rows in the same order as the inline arm, through
-        // a `ShardGrad` and a merge instead of straight into `grads`.
+        // a `ShardGrad` and a merge instead of straight into `grads`. The
+        // in-batch step has the inline bits on two and three workers too:
+        // both passes by the GEMM contract, the loss stage because each
+        // row's row phase and factor are computed alone.
         let ds = tiny();
         let bsl = LossConfig::Bsl { tau1: 0.3, tau2: 0.15 };
         let base = TrainConfig { l2: 1e-3, ..TrainConfig::smoke() }; // a wrongly touched row moves
+        let in_batch = TrainConfig { sampling: SamplingConfig::InBatch, batch_size: 64, ..base };
         let cases = [
-            TrainConfig { loss: bsl, ..base },
-            TrainConfig { sampling: SamplingConfig::InBatch, batch_size: 64, ..base },
-            TrainConfig {
-                backbone: BackboneConfig::Cml,
-                loss: LossConfig::Hinge { margin: 0.5 },
-                ..base
-            },
+            (TrainConfig { loss: bsl, ..base }, &[1][..]),
+            (in_batch, &[1, 2, 3]),
+            (TrainConfig { loss: bsl, ..in_batch }, &[1, 2, 3]),
+            (
+                TrainConfig {
+                    backbone: BackboneConfig::Cml,
+                    loss: LossConfig::Hinge { margin: 0.5 },
+                    ..base
+                },
+                &[1],
+            ),
         ];
-        let pool = WorkerPool::new(1);
-        for cfg in cases {
-            let label = format!("{} {:?}", cfg.label(), cfg.sampling);
-            let m = if cfg.sampling == SamplingConfig::InBatch { 1 } else { cfg.negatives };
-            let sampler = UniformSampler::new(ds.clone());
-            let batches: Vec<TrainBatch> =
-                BatchIter::new(&ds, &sampler, cfg.batch_size, m, 3).collect();
-            assert!(batches.len() >= 2, "{label}: the second step reuses scratch and shard");
-            // Per-step loss bits, then user and item embedding bits.
-            let run = |pool: Option<&WorkerPool>| {
-                let loss = build_loss(cfg.loss);
-                let hyper = Hyper { lr: cfg.lr, l2: cfg.l2 };
-                let mut backbone = build_backbone(cfg.backbone, &ds, cfg.dim, cfg.seed);
-                let mut grads = GradBuffer::new(ds.n_users, ds.n_items, cfg.dim);
-                let mut shards = [ShardGrad::new(cfg.dim)];
-                let mut scratch = StepScratch::default();
-                let mut rng = StdRng::seed_from_u64(7);
-                let trainer = Trainer::new(cfg);
-                let mut losses = Vec::new();
-                for batch in &batches {
-                    backbone.forward(&mut rng);
-                    let (l, _) = trainer.step(
-                        backbone.as_mut(),
-                        loss.as_ref(),
-                        batch,
-                        &mut grads,
-                        &mut shards,
-                        &mut scratch,
-                        hyper,
-                        &mut rng,
-                        pool,
-                    );
-                    losses.push(l.to_bits());
-                }
-                (losses, bits(backbone.user_factors()), bits(backbone.item_factors()))
-            };
-            let (inline, pooled) = (run(None), run(Some(&pool)));
-            assert_eq!(inline.0, pooled.0, "{label}: per-step loss");
-            assert_eq!(inline.1, pooled.1, "{label}: users");
-            assert_eq!(inline.2, pooled.2, "{label}: items");
+        for (cfg, workers) in cases {
+            let inline = replay_steps(cfg, &ds, None);
+            for &n in workers {
+                let label = format!("{} {:?} on {n} workers", cfg.label(), cfg.sampling);
+                let pooled = replay_steps(cfg, &ds, Some(&WorkerPool::new(n)));
+                assert_eq!(inline.0, pooled.0, "{label}: per-step loss");
+                assert_eq!(inline.1, pooled.1, "{label}: users");
+                assert_eq!(inline.2, pooled.2, "{label}: items");
+            }
         }
     }
 

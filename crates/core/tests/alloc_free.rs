@@ -5,6 +5,8 @@
 //! are counted, so the test harness's threads cannot disturb the figure.
 
 use bsl_data::synth::{generate, SynthConfig};
+use bsl_losses::fd::synthetic_scores;
+use bsl_losses::{build, scale_rows, LossConfig, RowTerm, ScoreBatch};
 use bsl_models::{Backbone, GradBuffer, Hyper, LightGcn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,5 +102,38 @@ fn warm_lightgcn_forward_and_step_allocate_nothing() {
             }
         });
         assert_eq!(n, 0, "d = {dim}, {layers} layers");
+    }
+}
+
+/// A trainer's loss stage runs a loss's row phase, batch phase and row
+/// factors into buffers it keeps across steps: once those exist, no phase
+/// of any loss allocates, at the in-batch trainer's row width.
+#[test]
+fn warm_loss_phases_allocate_nothing() {
+    let (b, m) = (64usize, 63usize);
+    let (pos, neg) = synthetic_scores(b, m, 5);
+    let batch = ScoreBatch::new(&pos, &neg, m);
+    let (mut grad_pos, mut grad_neg) = (vec![0.0f32; b], vec![0.0f32; b * m]);
+    let (mut terms, mut scales) = (vec![RowTerm::default(); b], vec![0.0f32; b]);
+    let configs = [
+        LossConfig::Bpr,
+        LossConfig::Bce { neg_weight: 0.7 },
+        LossConfig::Mse { neg_weight: 1.3 },
+        LossConfig::Sl { tau: 0.2 },
+        LossConfig::Bsl { tau1: 0.15, tau2: 0.1 },
+        LossConfig::Ccl { margin: 0.4, neg_weight: 1.5 },
+        LossConfig::Hinge { margin: 0.5 },
+        LossConfig::TaylorSl { tau: 0.25, with_variance: true },
+        LossConfig::TaylorSl { tau: 0.25, with_variance: false },
+    ];
+    for cfg in configs {
+        let loss = build(cfg);
+        let mut run = || {
+            loss.row_phase(&batch, 0..b, &mut grad_pos, &mut grad_neg, &mut terms);
+            loss.batch_phase(&batch, &terms, &mut grad_pos, &mut scales);
+            scale_rows(&scales, &mut grad_neg, m);
+        };
+        run();
+        assert_eq!(allocations(&mut run), 0, "{}", loss.name());
     }
 }

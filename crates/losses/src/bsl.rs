@@ -29,9 +29,10 @@
 //! degenerates to [`crate::SoftmaxLoss`] exactly.
 
 use crate::softmax::margin;
-use crate::{LossOutput, RankingLoss, ScoreBatch};
+use crate::{RankingLoss, RowTerm, ScoreBatch};
 use bsl_linalg::simd;
-use bsl_linalg::stats::{ln, softmax_into};
+use bsl_linalg::stats::ln;
+use std::ops::Range;
 
 /// The Bilateral Softmax Loss with positive temperature `τ1` and negative
 /// temperature `τ2`.
@@ -65,18 +66,19 @@ impl Bsl {
     }
 
     /// The DRO-corrected margins `z_b` and positive-side row weights `w_b`
-    /// for a batch. Exposed for the positive-denoising diagnostics.
+    /// for a batch, through the same two phases as training: each `w_b`
+    /// has the bits of the weight the batch's gradients apply. Exposed for
+    /// the positive-denoising diagnostics.
     pub fn row_weights(&self, batch: &ScoreBatch<'_>) -> (Vec<f32>, Vec<f32>) {
-        let mut scratch = vec![0.0f32; batch.m];
-        let z: Vec<f32> = batch
-            .pos
-            .iter()
-            .zip(batch.neg.chunks_exact(batch.m))
-            .map(|(&p, negs)| margin(self.tau2, p, negs, &mut scratch).0 as f32)
-            .collect();
-        let mut w = vec![0.0f32; z.len()];
-        softmax_into(&z, self.tau1, &mut w);
-        (z, w)
+        let b = batch.len();
+        let mut grad_neg = vec![0.0f32; batch.neg.len()];
+        let mut terms = vec![RowTerm::default(); b];
+        let (mut w, mut scales) = (vec![0.0f32; b], vec![0.0f32; b]);
+        self.row_phase(batch, 0..b, &mut w, &mut grad_neg, &mut terms);
+        self.batch_phase(batch, &terms, &mut w, &mut scales);
+        // grad_pos = −w_b.
+        w.iter_mut().for_each(|x| *x = -*x);
+        (terms.iter().map(|t| t.0 as f32).collect(), w)
     }
 }
 
@@ -85,34 +87,47 @@ impl RankingLoss for Bsl {
         "BSL"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let mut grad_neg = vec![0.0f32; batch.neg.len()];
-        let (z, sums): (Vec<f32>, Vec<f64>) = batch
-            .pos
-            .iter()
-            .zip(batch.neg.chunks_exact(batch.m))
-            .zip(grad_neg.chunks_exact_mut(batch.m))
-            .map(|((&p, negs), out)| {
-                let (z, sum) = margin(self.tau2, p, negs, out);
-                (z as f32, sum)
-            })
-            .unzip();
-
-        // The one line SL does not have: rows pool through a second
-        // Log-E-Exp, L = −τ1·logmeanexp_b(z_b/τ1) = −(max + τ1·ln(Σ_b/B)).
-        let mut grad_pos = vec![0.0f32; batch.len()];
-        let (z_max, z_sum) = simd::softmax_row(&z, self.tau1, &mut grad_pos);
-        let loss = -(z_max as f64 + self.tau1 as f64 * ln(z_sum / batch.len() as f64));
-
-        for ((gp, out), &sum) in
-            grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)).zip(sums.iter())
+    /// Each row's un-normalized negative-side softmax weights and
+    /// `RowTerm(z_b, Σ_j)`; `grad_pos` waits for the batch phase.
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        _grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        terms: &mut [RowTerm],
+    ) {
+        for (((p, negs), out), term) in
+            batch.rows(rows).zip(grad_neg.chunks_exact_mut(batch.m)).zip(terms)
         {
-            // ∂L/∂z_b = −w_b; ∂z_b/∂p_b = 1; ∂z_b/∂n_bj = −e_bj/Σ_j.
+            let (z, sum) = margin(self.tau2, p, negs, out);
+            *term = RowTerm(z, sum);
+        }
+    }
+
+    /// The one line SL does not have: rows pool through a second
+    /// Log-E-Exp over the margins `z_b` (rounded to f32), `L =
+    /// −τ1·logmeanexp_b(z_b/τ1) = −(max + τ1·ln(Σ_b/B))`. `∂L/∂z_b = −w_b`,
+    /// `∂z_b/∂p_b = 1` and `∂z_b/∂n_bj = −e_bj/Σ_j`, so row `b`'s negatives
+    /// scale by `w_b/Σ_j`.
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        terms: &[RowTerm],
+        grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        // `scales` holds the margins until the weights replace them.
+        for (z, term) in scales.iter_mut().zip(terms) {
+            *z = term.0 as f32;
+        }
+        let (z_max, z_sum) = simd::softmax_row(scales, self.tau1, grad_pos);
+        for ((gp, s), &RowTerm(_, sum)) in grad_pos.iter_mut().zip(scales).zip(terms) {
             let wb = (*gp as f64 / z_sum) as f32;
             *gp = -wb;
-            simd::scale((wb as f64 / sum) as f32, out);
+            *s = (wb as f64 / sum) as f32;
         }
-        LossOutput { loss, grad_pos, grad_neg }
+        -(z_max as f64 + self.tau1 as f64 * ln(z_sum / batch.len() as f64))
     }
 }
 

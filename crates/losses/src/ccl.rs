@@ -8,7 +8,8 @@
 //! Negatives only contribute once they score above the margin; `c` is the
 //! negative weight SimpleX tunes per dataset.
 
-use crate::{LossOutput, RankingLoss, ScoreBatch};
+use crate::{RankingLoss, RowTerm, ScoreBatch};
+use std::ops::Range;
 
 /// Cosine contrastive loss with negative margin and weight.
 #[derive(Clone, Copy, Debug)]
@@ -35,27 +36,47 @@ impl RankingLoss for Ccl {
         "CCL"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        _terms: &mut [RowTerm],
+    ) {
         let b = batch.len() as f64;
-        let m = batch.m as f64;
-        let c = self.neg_weight as f64;
+        let g_active = (self.neg_weight as f64 / (b * batch.m as f64)) as f32;
+        for ((_, negs), (gp, gn)) in
+            batch.rows(rows).zip(grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)))
+        {
+            *gp = (-1.0 / b) as f32;
+            for (&n, g) in negs.iter().zip(gn) {
+                *g = if n - self.margin > 0.0 { g_active } else { 0.0 };
+            }
+        }
+    }
+
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        _terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        let (b, c) = (batch.len() as f64, self.neg_weight as f64);
+        let bm = b * batch.m as f64;
+        scales.fill(1.0);
         let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
-        let mut grad_neg = Vec::with_capacity(batch.neg.len());
-        for (row, &p) in batch.pos.iter().enumerate() {
+        for (p, negs) in batch.rows(0..batch.len()) {
             loss += (1.0 - p as f64) / b;
-            grad_pos.push((-1.0 / b) as f32);
-            for &n in batch.negs_of(row) {
+            for &n in negs {
                 let slack = n - self.margin;
                 if slack > 0.0 {
-                    loss += c * slack as f64 / (b * m);
-                    grad_neg.push((c / (b * m)) as f32);
-                } else {
-                    grad_neg.push(0.0);
+                    loss += c * slack as f64 / bm;
                 }
             }
         }
-        LossOutput { loss, grad_pos, grad_neg }
+        loss
     }
 }
 

@@ -7,6 +7,21 @@
 //! training stack is autodiff-free and every gradient is unit-tested
 //! against central finite differences.
 //!
+//! A loss is written as two phases. The **row phase**
+//! ([`RankingLoss::row_phase`]) maps any run of rows to those rows'
+//! gradients and one [`RowTerm`] each; rows are independent, so a trainer
+//! runs it over row chunks on its worker pool. The **batch phase**
+//! ([`RankingLoss::batch_phase`]) reads every row's term in row order and
+//! gives the loss value, the final `grad_pos` and one factor per row, which
+//! [`scale_rows`] applies to that row's negative gradients (again per row
+//! chunk). SL and BSL put their per-row `softmax_row` margins in the row
+//! phase; BSL's softmax over the `B` margins `z_b` is its batch phase. The
+//! other losses write final gradients in the row phase and sum their loss
+//! value in the batch phase, one serial pass in the historical order.
+//! [`RankingLoss::compute`] runs the three steps over the whole batch into
+//! fresh vectors; the trainer runs them into its step scratch. The bits of
+//! every gradient and of the loss do not depend on the chunking.
+//!
 //! The zoo covers the paper's taxonomy (§II-A):
 //! * pointwise — [`Bce`], [`Mse`];
 //! * pairwise — [`Bpr`], [`Hinge`] (CML);
@@ -35,7 +50,9 @@ pub use pointwise::{Bce, Mse};
 pub use softmax::SoftmaxLoss;
 pub use taylor::TaylorSl;
 
+use bsl_linalg::simd;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A batch of model scores: `pos[b]` is the score of row `b`'s positive
 /// item; row `b`'s `m` negatives are `neg[b*m..(b+1)*m]`.
@@ -79,6 +96,12 @@ impl<'a> ScoreBatch<'a> {
     pub fn negs_of(&self, b: usize) -> &'a [f32] {
         &self.neg[b * self.m..(b + 1) * self.m]
     }
+
+    /// `(pos[r], negs_of(r))` for each row `r` of `rows`, in row order.
+    pub fn rows(&self, rows: Range<usize>) -> impl Iterator<Item = (f32, &'a [f32])> {
+        let negs = &self.neg[rows.start * self.m..rows.end * self.m];
+        self.pos[rows].iter().copied().zip(negs.chunks_exact(self.m))
+    }
 }
 
 /// Loss value and exact gradients w.r.t. each score in the batch.
@@ -92,13 +115,65 @@ pub struct LossOutput {
     pub grad_neg: Vec<f32>,
 }
 
-/// A batch ranking loss with analytic gradients.
+/// What the row phase leaves about one row for the batch phase: two
+/// numbers whose meaning each loss documents (SL and BSL: the margin `z_b`
+/// and the softmax normalizer `Σ_j`; Taylor-SL: the negatives' mean and
+/// variance). The other losses leave it unread.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RowTerm(pub f64, pub f64);
+
+/// A batch ranking loss with analytic gradients, as a row phase and a
+/// batch phase (see the crate docs).
 pub trait RankingLoss: Send + Sync {
     /// Short identifier used in experiment tables (`"SL"`, `"BSL"`, …).
     fn name(&self) -> &'static str;
 
-    /// Computes loss and gradients for one score batch.
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput;
+    /// The row phase over rows `rows` of `batch`: writes those rows'
+    /// entries of `grad_pos` (length `rows.len()`) and `grad_neg`
+    /// (`rows.len()·m`, before their row factors) and one [`RowTerm`] each
+    /// into `terms`. A row's outputs depend on that row's scores alone.
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        terms: &mut [RowTerm],
+    );
+
+    /// The batch phase, after the row phase has covered every row: reads
+    /// the `B` terms in row order, finishes `grad_pos` (length `B`), writes
+    /// each row's factor for its negative gradients into `scales` (length
+    /// `B`, applied by [`scale_rows`]) and returns the loss value.
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        terms: &[RowTerm],
+        grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64;
+
+    /// Computes loss and gradients for one score batch: both phases over
+    /// the whole batch, then the row factors.
+    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
+        let (b, m) = (batch.len(), batch.m);
+        let mut grad_pos = vec![0.0f32; b];
+        let mut grad_neg = vec![0.0f32; b * m];
+        let mut terms = vec![RowTerm::default(); b];
+        let mut scales = vec![0.0f32; b];
+        self.row_phase(batch, 0..b, &mut grad_pos, &mut grad_neg, &mut terms);
+        let loss = self.batch_phase(batch, &terms, &mut grad_pos, &mut scales);
+        scale_rows(&scales, &mut grad_neg, m);
+        LossOutput { loss, grad_pos, grad_neg }
+    }
+}
+
+/// Multiplies each `m`-wide row of `grad_neg` by its factor from the
+/// batch phase, `scales[r]` for row `r` of the slice.
+pub fn scale_rows(scales: &[f32], grad_neg: &mut [f32], m: usize) {
+    for (&s, row) in scales.iter().zip(grad_neg.chunks_exact_mut(m)) {
+        simd::scale(s, row);
+    }
 }
 
 /// Serializable loss selector used by experiment configs; [`build`] turns

@@ -1,8 +1,9 @@
 //! Pairwise losses (paper Eq. 3): positives must outscore their negative
 //! counterparts.
 
-use crate::{LossOutput, RankingLoss, ScoreBatch};
+use crate::{RankingLoss, RowTerm, ScoreBatch};
 use bsl_linalg::stats::{log_sigmoid, sigmoid};
+use std::ops::Range;
 
 /// Bayesian Personalized Ranking (Rendle et al., UAI'09):
 /// `L = mean_{b,j} [ −log σ(p_b − n_bj) ]`.
@@ -17,24 +18,44 @@ impl RankingLoss for Bpr {
         "BPR"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let b = batch.len() as f64;
-        let m = batch.m as f64;
-        let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
-        let mut grad_neg = Vec::with_capacity(batch.neg.len());
-        for (row, &p) in batch.pos.iter().enumerate() {
-            let mut gp = 0.0f64;
-            for &n in batch.negs_of(row) {
-                let d = p - n;
-                loss += -log_sigmoid(d) / (b * m);
-                let g = (sigmoid(d) - 1.0) as f64 / (b * m);
-                gp += g;
-                grad_neg.push((-g) as f32);
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        _terms: &mut [RowTerm],
+    ) {
+        let bm = (batch.len() * batch.m) as f64;
+        for ((p, negs), (gp, gn)) in
+            batch.rows(rows).zip(grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)))
+        {
+            let mut sum = 0.0f64;
+            for (&n, g_out) in negs.iter().zip(gn) {
+                let g = (sigmoid(p - n) - 1.0) as f64 / bm;
+                sum += g;
+                *g_out = (-g) as f32;
             }
-            grad_pos.push(gp as f32);
+            *gp = sum as f32;
         }
-        LossOutput { loss, grad_pos, grad_neg }
+    }
+
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        _terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        let bm = (batch.len() * batch.m) as f64;
+        scales.fill(1.0);
+        let mut loss = 0.0f64;
+        for (p, negs) in batch.rows(0..batch.len()) {
+            for &n in negs {
+                loss += -log_sigmoid(p - n) / bm;
+            }
+        }
+        loss
     }
 }
 
@@ -62,28 +83,49 @@ impl RankingLoss for Hinge {
         "Hinge"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let b = batch.len() as f64;
-        let m = batch.m as f64;
-        let scale = 1.0 / (b * m);
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        _terms: &mut [RowTerm],
+    ) {
+        let scale = 1.0 / (batch.len() * batch.m) as f64;
+        for ((p, negs), (gp, gn)) in
+            batch.rows(rows).zip(grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)))
+        {
+            let mut sum = 0.0f64;
+            for (&n, g_out) in negs.iter().zip(gn) {
+                let active = self.margin - p + n > 0.0;
+                if active {
+                    sum -= scale;
+                }
+                *g_out = if active { scale as f32 } else { 0.0 };
+            }
+            *gp = sum as f32;
+        }
+    }
+
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        _terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        let scale = 1.0 / (batch.len() * batch.m) as f64;
+        scales.fill(1.0);
         let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
-        let mut grad_neg = Vec::with_capacity(batch.neg.len());
-        for (row, &p) in batch.pos.iter().enumerate() {
-            let mut gp = 0.0f64;
-            for &n in batch.negs_of(row) {
+        for (p, negs) in batch.rows(0..batch.len()) {
+            for &n in negs {
                 let v = self.margin - p + n;
                 if v > 0.0 {
                     loss += v as f64 * scale;
-                    gp -= scale;
-                    grad_neg.push(scale as f32);
-                } else {
-                    grad_neg.push(0.0);
                 }
             }
-            grad_pos.push(gp as f32);
         }
-        LossOutput { loss, grad_pos, grad_neg }
+        loss
     }
 }
 

@@ -1,8 +1,9 @@
 //! Pointwise losses (paper Eq. 1–2): classification/regression against the
 //! binary labels, no interaction between rows.
 
-use crate::{LossOutput, RankingLoss, ScoreBatch};
+use crate::{RankingLoss, RowTerm, ScoreBatch};
 use bsl_linalg::stats::{log_sigmoid, sigmoid};
+use std::ops::Range;
 
 /// Binary cross entropy:
 /// `L = mean_b [ −log σ(p_b) − c · mean_j log(1 − σ(n_bj)) ]`.
@@ -29,23 +30,45 @@ impl RankingLoss for Bce {
         "BCE"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let b = batch.len() as f64;
-        let m = batch.m as f64;
-        let c = self.neg_weight as f64;
-        let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
-        let mut grad_neg = Vec::with_capacity(batch.neg.len());
-        for (row, &p) in batch.pos.iter().enumerate() {
-            loss += -log_sigmoid(p) / b;
-            grad_pos.push(((sigmoid(p) - 1.0) as f64 / b) as f32);
-            for &n in batch.negs_of(row) {
-                // log(1 − σ(n)) = log σ(−n)
-                loss += -c * log_sigmoid(-n) / (b * m);
-                grad_neg.push((c * sigmoid(n) as f64 / (b * m)) as f32);
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        _terms: &mut [RowTerm],
+    ) {
+        let (b, c) = (batch.len() as f64, self.neg_weight as f64);
+        let bm = b * batch.m as f64;
+        for ((p, negs), (gp, gn)) in
+            batch.rows(rows).zip(grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)))
+        {
+            *gp = ((sigmoid(p) - 1.0) as f64 / b) as f32;
+            for (&n, g) in negs.iter().zip(gn) {
+                *g = (c * sigmoid(n) as f64 / bm) as f32;
             }
         }
-        LossOutput { loss, grad_pos, grad_neg }
+    }
+
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        _terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        let (b, c) = (batch.len() as f64, self.neg_weight as f64);
+        let bm = b * batch.m as f64;
+        scales.fill(1.0);
+        let mut loss = 0.0f64;
+        for (p, negs) in batch.rows(0..batch.len()) {
+            loss += -log_sigmoid(p) / b;
+            for &n in negs {
+                // log(1 − σ(n)) = log σ(−n)
+                loss += -c * log_sigmoid(-n) / bm;
+            }
+        }
+        loss
     }
 }
 
@@ -72,23 +95,45 @@ impl RankingLoss for Mse {
         "MSE"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
-        let b = batch.len() as f64;
-        let m = batch.m as f64;
-        let c = self.neg_weight as f64;
-        let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
-        let mut grad_neg = Vec::with_capacity(batch.neg.len());
-        for (row, &p) in batch.pos.iter().enumerate() {
-            let d = p as f64 - 1.0;
-            loss += d * d / b;
-            grad_pos.push((2.0 * d / b) as f32);
-            for &n in batch.negs_of(row) {
-                loss += c * (n as f64) * (n as f64) / (b * m);
-                grad_neg.push((2.0 * c * n as f64 / (b * m)) as f32);
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        _terms: &mut [RowTerm],
+    ) {
+        let (b, c) = (batch.len() as f64, self.neg_weight as f64);
+        let bm = b * batch.m as f64;
+        for ((p, negs), (gp, gn)) in
+            batch.rows(rows).zip(grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)))
+        {
+            *gp = (2.0 * (p as f64 - 1.0) / b) as f32;
+            for (&n, g) in negs.iter().zip(gn) {
+                *g = (2.0 * c * n as f64 / bm) as f32;
             }
         }
-        LossOutput { loss, grad_pos, grad_neg }
+    }
+
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        _terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        let (b, c) = (batch.len() as f64, self.neg_weight as f64);
+        let bm = b * batch.m as f64;
+        scales.fill(1.0);
+        let mut loss = 0.0f64;
+        for (p, negs) in batch.rows(0..batch.len()) {
+            let d = p as f64 - 1.0;
+            loss += d * d / b;
+            for &n in negs {
+                loss += c * (n as f64) * (n as f64) / bm;
+            }
+        }
+        loss
     }
 }
 

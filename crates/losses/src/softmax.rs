@@ -13,9 +13,10 @@
 //! reproduces SL *exactly*, gradients included; the common InfoNCE-style
 //! `1/τ` rescaling only changes the effective learning rate.
 
-use crate::{LossOutput, RankingLoss, ScoreBatch};
+use crate::{RankingLoss, RowTerm, ScoreBatch};
 use bsl_linalg::simd;
 use bsl_linalg::stats::{ln, softmax_into};
+use std::ops::Range;
 
 /// The negative side of one row, shared by SL and BSL, at one `exp` per
 /// score: leaves the un-normalized weights `exp((n_j − max)/τ)` in `out` and
@@ -66,23 +67,44 @@ impl RankingLoss for SoftmaxLoss {
         "SL"
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
+    /// Each row's un-normalized softmax weights and `RowTerm(z_b, Σ_j)`;
+    /// `∂L/∂p_b = −1/B`.
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        terms: &mut [RowTerm],
+    ) {
+        let inv_b = 1.0 / batch.len() as f64;
+        for (((p, negs), out), (gp, term)) in batch
+            .rows(rows)
+            .zip(grad_neg.chunks_exact_mut(batch.m))
+            .zip(grad_pos.iter_mut().zip(terms))
+        {
+            let (z, sum) = margin(self.tau, p, negs, out);
+            *gp = -(inv_b as f32);
+            *term = RowTerm(z, sum);
+        }
+    }
+
+    /// `L = mean_b(−z_b)`; row `b`'s negatives scale by `1/(B·Σ_j)`, as
+    /// `∂z_b/∂n_bj = −e_bj/Σ_j`.
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
         let inv_b = 1.0 / batch.len() as f64;
         let mut loss = 0.0f64;
-        let grad_pos = vec![-(inv_b as f32); batch.len()];
-        let mut grad_neg = vec![0.0f32; batch.neg.len()];
-        for ((&p, negs), out) in batch
-            .pos
-            .iter()
-            .zip(batch.neg.chunks_exact(batch.m))
-            .zip(grad_neg.chunks_exact_mut(batch.m))
-        {
-            // L = mean_b(−z_b); ∂z_b/∂n_bj = −e_bj/Σ_j.
-            let (z, sum) = margin(self.tau, p, negs, out);
+        for (s, &RowTerm(z, sum)) in scales.iter_mut().zip(terms) {
             loss -= inv_b * z;
-            simd::scale((inv_b / sum) as f32, out);
+            *s = (inv_b / sum) as f32;
         }
-        LossOutput { loss, grad_pos, grad_neg }
+        loss
     }
 }
 

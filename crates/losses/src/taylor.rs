@@ -10,8 +10,9 @@
 //! variance penalty removes exactly the term the paper credits for
 //! popularity fairness, which is what Fig 5 measures.
 
-use crate::{LossOutput, RankingLoss, ScoreBatch};
+use crate::{RankingLoss, RowTerm, ScoreBatch};
 use bsl_linalg::stats::mean_var;
+use std::ops::Range;
 
 /// Taylor-expanded SL, with or without the variance penalty.
 #[derive(Clone, Copy, Debug)]
@@ -46,31 +47,52 @@ impl RankingLoss for TaylorSl {
         }
     }
 
-    fn compute(&self, batch: &ScoreBatch<'_>) -> LossOutput {
+    /// Final gradients and `RowTerm(mean_j n_bj, Var_j n_bj)`.
+    fn row_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        rows: Range<usize>,
+        grad_pos: &mut [f32],
+        grad_neg: &mut [f32],
+        terms: &mut [RowTerm],
+    ) {
         let b = batch.len() as f64;
-        let m = batch.m as f64;
-        let tau = self.tau as f64;
-        let mut loss = 0.0f64;
-        let mut grad_pos = Vec::with_capacity(batch.len());
-        let mut grad_neg = Vec::with_capacity(batch.neg.len());
-        for (row, &p) in batch.pos.iter().enumerate() {
-            let negs = batch.negs_of(row);
+        let (bm, tau) = (b * batch.m as f64, self.tau as f64);
+        for ((_, negs), ((gp, gn), term)) in batch
+            .rows(rows)
+            .zip(grad_pos.iter_mut().zip(grad_neg.chunks_exact_mut(batch.m)).zip(terms))
+        {
             let (mean, var) = mean_var(negs);
+            *term = RowTerm(mean, var);
+            *gp = (-1.0 / b) as f32;
+            for (&n, g_out) in negs.iter().zip(gn) {
+                // ∂mean/∂n = 1/m; ∂Var/∂n = 2(n − mean)/m.
+                let mut g = 1.0 / bm;
+                if self.with_variance {
+                    g += (n as f64 - mean) / (bm * tau);
+                }
+                *g_out = g as f32;
+            }
+        }
+    }
+
+    fn batch_phase(
+        &self,
+        batch: &ScoreBatch<'_>,
+        terms: &[RowTerm],
+        _grad_pos: &mut [f32],
+        scales: &mut [f32],
+    ) -> f64 {
+        let (b, tau) = (batch.len() as f64, self.tau as f64);
+        scales.fill(1.0);
+        let mut loss = 0.0f64;
+        for (&p, &RowTerm(mean, var)) in batch.pos.iter().zip(terms) {
             loss += (-(p as f64) + mean) / b;
-            grad_pos.push((-1.0 / b) as f32);
             if self.with_variance {
                 loss += var / (2.0 * tau) / b;
             }
-            for &n in negs {
-                // ∂mean/∂n = 1/m; ∂Var/∂n = 2(n − mean)/m.
-                let mut g = 1.0 / (b * m);
-                if self.with_variance {
-                    g += (n as f64 - mean) / (b * m * tau);
-                }
-                grad_neg.push(g as f32);
-            }
         }
-        LossOutput { loss, grad_pos, grad_neg }
+        loss
     }
 }
 

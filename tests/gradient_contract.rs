@@ -5,10 +5,12 @@
 //! [`bsl_losses::LossConfig`] selector (so newly added variants are pulled
 //! in automatically as long as they are wired into `build`) and checks the
 //! analytic gradients against central finite differences from
-//! `bsl_losses::fd` on several deterministic batches.
+//! `bsl_losses::fd` on several deterministic batches, and that the row
+//! phase over any chunking, the batch phase and the row factors give the
+//! bits of `compute`.
 
 use bsl_losses::fd::{assert_grads_match, synthetic_scores};
-use bsl_losses::{build, LossConfig};
+use bsl_losses::{build, scale_rows, LossConfig, RowTerm, ScoreBatch};
 
 /// Every config variant the loss zoo exposes. Keep in sync with
 /// `LossConfig`; `build_constructs_every_variant` in `bsl-losses` guards
@@ -145,6 +147,66 @@ fn a_tiny_negative_temperature_flushes_far_negatives_to_exact_zeros() {
         for (row, gp) in out.grad_pos.iter().enumerate() {
             let mass: f64 = out.grad_neg[row * m..(row + 1) * m].iter().map(|&g| g as f64).sum();
             assert!((mass + *gp as f64).abs() < 1e-6, "{}: row {row} mass {mass}", loss.name());
+        }
+    }
+}
+
+/// Cuts `n` rows into consecutive chunks of the given lengths.
+fn chunks_of(lens: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut start = 0;
+    lens.iter()
+        .map(|&len| {
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+#[test]
+fn chunked_loss_phases_replay_compute_bit_for_bit() {
+    // A trainer runs the row phase and the row factors over its row chunks
+    // and the batch phase once. Every output buffer starts as NaN, as stale
+    // step scratch would, so an entry a phase forgets to write, or a term a
+    // batch phase reads that its row phase never wrote, shows as a mismatch.
+    for cfg in all_configs() {
+        let loss = build(cfg);
+        for b in [1usize, 7, 64] {
+            for m in [1usize, 5, 63] {
+                let (pos, neg) = synthetic_scores(b, m, (b * 131 + m) as u64);
+                let batch = ScoreBatch::new(&pos, &neg, m);
+                let want = loss.compute(&batch);
+                let chunkings = [
+                    chunks_of(&[b]),
+                    chunks_of(&[b / 2, b - b / 2]),
+                    chunks_of(&[b / 5, b / 2, b - b / 5 - b / 2]),
+                    chunks_of(&vec![1; b]),
+                ];
+                for chunks in chunkings {
+                    let label = format!("{} B={b} m={m} chunks={chunks:?}", loss.name());
+                    let mut grad_pos = vec![f32::NAN; b];
+                    let mut grad_neg = vec![f32::NAN; b * m];
+                    let mut terms = vec![RowTerm(f64::NAN, f64::NAN); b];
+                    let mut scales = vec![f32::NAN; b];
+                    for rows in &chunks {
+                        loss.row_phase(
+                            &batch,
+                            rows.clone(),
+                            &mut grad_pos[rows.clone()],
+                            &mut grad_neg[rows.start * m..rows.end * m],
+                            &mut terms[rows.clone()],
+                        );
+                    }
+                    let value = loss.batch_phase(&batch, &terms, &mut grad_pos, &mut scales);
+                    for rows in &chunks {
+                        let gn = &mut grad_neg[rows.start * m..rows.end * m];
+                        scale_rows(&scales[rows.clone()], gn, m);
+                    }
+                    assert_eq!(value.to_bits(), want.loss.to_bits(), "{label}: loss");
+                    let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&grad_pos), bits(&want.grad_pos), "{label}: grad_pos");
+                    assert_eq!(bits(&grad_neg), bits(&want.grad_neg), "{label}: grad_neg");
+                }
+            }
         }
     }
 }
