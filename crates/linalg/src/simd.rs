@@ -12,6 +12,12 @@
 //! * `avx2` — AVX2 + FMA intrinsics (`x86_64` only), selected at runtime
 //!   via `is_x86_feature_detected!`.
 //!
+//! One kernel has a wider x86 leg: where the CPU has AVX-512F, the
+//! `avx2+fma` level runs [`gemm`] in the `avx512` module's AVX-512F
+//! register tiles, with the same bits as the AVX2 tiles. That is
+//! detected at run time too; no level, `BSL_SIMD` value or option
+//! selects it by hand.
+//!
 //! The level is resolved **once** (first kernel call) and cached; the
 //! `BSL_SIMD` environment variable (`scalar` | `portable` | `avx2`)
 //! overrides detection for debugging and determinism work, and
@@ -2056,6 +2062,173 @@ mod avx2 {
     }
 }
 
+/// AVX-512F register tiles of [`gemm`], the one kernel with a second x86
+/// width. [`gemm_with`] routes its [`SimdLevel::Avx2Fma`] arm here only
+/// after `is_x86_feature_detected!("avx512f")` returned true (see
+/// [`avx512::available`]), so the safe wrappers' `unsafe` blocks uphold
+/// the ISA precondition by construction. Every element is the same FMA
+/// chain the AVX2 tile runs, so the two widths give the same bits.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // the one sanctioned unsafe island: raw SIMD intrinsics
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    /// Whether the CPU runs AVX-512F (cached by `std` after the first call).
+    #[inline]
+    pub fn available() -> bool {
+        is_x86_feature_detected!("avx512f")
+    }
+
+    /// The mask activating the first `min(w, 16)` lanes of a register.
+    #[inline]
+    fn lanes(w: usize) -> __mmask16 {
+        if w >= 16 {
+            u16::MAX
+        } else {
+            (1u16 << w) - 1
+        }
+    }
+
+    /// One `R × w` tile of [`gemm`] (`R ≤ GEMM_MR` rows from `i0`, `w ≤ 32`
+    /// columns from `j0`) in `2·R` accumulator registers: per `p`, two
+    /// masked loads of `B`'s row, `R` broadcasts of `A[i][p]` and `2·R`
+    /// FMAs, so every element is one FMA chain in `p` order, starting from
+    /// `0`, or, with `resume`, from the value the tile's previous `p` block
+    /// stored in `c`: the chain of the AVX2 tile, bit for bit.
+    // SAFETY: to call, `target_feature` only — sound once AVX-512F is
+    // verified, which `super::gemm_with` does before routing here. The
+    // asserts on entry bound every access of the tile.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)] // the leg's operands plus the tile
+    unsafe fn gemm512_impl<const R: usize>(
+        a: &[f32],
+        (rs, ks): (usize, usize),
+        i0: usize,
+        b: &[f32],
+        n: usize,
+        j0: usize,
+        w: usize,
+        c: &mut [f32],
+        resume: bool,
+    ) {
+        let k = b.len() / n;
+        assert!((1..=GEMM_MR).contains(&R) && (1..=32).contains(&w) && j0 + w <= n);
+        assert!(k > 0 && (i0 + R - 1) * rs + (k - 1) * ks < a.len(), "gemm tile past A");
+        assert!((R - 1) * n + j0 + w <= c.len(), "gemm tile past C");
+        // SAFETY: `A[i0 + r][p]` is at `(i0 + r)·rs + p·ks < a.len()` for
+        // every `r < R`, `p < k` (asserted above); `B`'s lanes `j0 + l` of
+        // row `p` are at `p·n + j0 + l < k·n ≤ b.len()` and `C`'s lanes of
+        // row `r` at `r·n + j0 + l < c.len()`, for `l < w`: every load and
+        // store is masked to lanes `l < w`, and masked-off lanes are not
+        // accessed. A second half with no active lane (`w ≤ 16`) may start
+        // past the slice, so its address is formed with `wrapping_add`.
+        unsafe {
+            let (pa, pb, pc) =
+                (a.as_ptr().add(i0 * rs), b.as_ptr().add(j0), c.as_mut_ptr().add(j0));
+            let (m0, m1) = (lanes(w), lanes(w.saturating_sub(16)));
+            let mut acc = [[_mm512_setzero_ps(); 2]; R];
+            if resume {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let c_row = pc.add(r * n);
+                    let hi = _mm512_maskz_loadu_ps(m1, c_row.wrapping_add(16));
+                    *acc = [_mm512_maskz_loadu_ps(m0, c_row), hi];
+                }
+            }
+            for p in 0..k {
+                let b0 = _mm512_maskz_loadu_ps(m0, pb.add(p * n));
+                let b1 = _mm512_maskz_loadu_ps(m1, pb.wrapping_add(p * n + 16));
+                let pa = pa.add(p * ks);
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let x = _mm512_set1_ps(*pa.add(r * rs));
+                    acc[0] = _mm512_fmadd_ps(x, b0, acc[0]);
+                    acc[1] = _mm512_fmadd_ps(x, b1, acc[1]);
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(pc.add(r * n), m0, acc[0]);
+                _mm512_mask_storeu_ps(pc.wrapping_add(r * n + 16), m1, acc[1]);
+            }
+        }
+    }
+
+    /// Rows a tile holds.
+    const GEMM_MR: usize = 12;
+
+    /// GEMM rows (see [`super::gemm_with`]) in `GEMM_MR` × 32 register
+    /// tiles: row blocks of `GEMM_MR` outside, column blocks of 32 inside;
+    /// the last block of each runs narrower.
+    #[inline]
+    pub fn gemm(
+        a: &[f32],
+        strides: (usize, usize),
+        b: &[f32],
+        n: usize,
+        rows: std::ops::Range<usize>,
+        c: &mut [f32],
+    ) {
+        let mut i = rows.start;
+        while i < rows.end {
+            let h = (rows.end - i).min(GEMM_MR);
+            let block = match h {
+                1 => gemm_rows::<1>,
+                2 => gemm_rows::<2>,
+                3 => gemm_rows::<3>,
+                4 => gemm_rows::<4>,
+                5 => gemm_rows::<5>,
+                6 => gemm_rows::<6>,
+                7 => gemm_rows::<7>,
+                8 => gemm_rows::<8>,
+                9 => gemm_rows::<9>,
+                10 => gemm_rows::<10>,
+                11 => gemm_rows::<11>,
+                _ => gemm_rows::<GEMM_MR>,
+            };
+            block(a, strides, i, b, n, &mut c[(i - rows.start) * n..]);
+            i += h;
+        }
+    }
+
+    /// Values of `p` a packed panel holds (a 16 KiB stack buffer).
+    const GEMM_KC: usize = 256;
+
+    /// Rows `i0..i0 + R` of [`gemm`], one tile per column block, with `A`
+    /// stored transposed packed into `GEMM_KC`-deep panels as in the AVX2
+    /// leg, 16 values of `i` wide.
+    fn gemm_rows<const R: usize>(
+        a: &[f32],
+        (rs, ks): (usize, usize),
+        i0: usize,
+        b: &[f32],
+        n: usize,
+        c: &mut [f32],
+    ) {
+        let tiles = |a: &[f32], strides, i0, b: &[f32], c: &mut [f32], resume| {
+            let mut j = 0usize;
+            while j < n {
+                let w = (n - j).min(32);
+                // SAFETY: AVX-512F verified before this module is
+                // dispatched (mod docs); the tile bounds its own accesses.
+                unsafe { gemm512_impl::<R>(a, strides, i0, b, n, j, w, c, resume) };
+                j += w;
+            }
+        };
+        let k = b.len() / n;
+        if rs != 1 {
+            return tiles(a, (rs, ks), i0, b, c, false);
+        }
+        let mut panel = [0.0f32; 16 * GEMM_KC];
+        let mut p0 = 0usize;
+        while p0 < k {
+            let kc = (k - p0).min(GEMM_KC);
+            for (p, run) in panel.chunks_exact_mut(16).take(kc).enumerate() {
+                run[..R].copy_from_slice(&a[(p0 + p) * ks + i0..][..R]);
+            }
+            tiles(&panel[..16 * kc], (1, 16), 0, &b[p0 * n..(p0 + kc) * n], c, p0 > 0);
+            p0 += kc;
+        }
+    }
+}
+
 // Non-x86 targets fall back to the portable kernels when the enum says
 // Avx2Fma (detect()/force() never hand that out off-x86, but the match
 // arms still need a body).
@@ -2718,10 +2891,13 @@ pub enum Op {
 /// **Contract:** every element of `C` is one chain in `p = 0..k` order,
 /// `c = 0`, then `c ← c + A[i][p]·B[p][j]` (one multiply and one add at
 /// [`SimdLevel::Scalar`] and [`SimdLevel::Portable`], which share the
-/// plain loop; one FMA under AVX2, in 6 × 16 register tiles). An
+/// plain loop; one FMA at [`SimdLevel::Avx2Fma`], in 6 × 16 AVX2 register
+/// tiles or, where the CPU has AVX-512F, in 12 × 32 AVX-512F ones). An
 /// element's bits therefore depend on the level only: not on `rows`, on
-/// `op`, or on where it sits in a tile. A pool that splits `C`'s rows
-/// among its workers gets the bits of one call over all of them.
+/// `op`, on where it sits in a tile, or on which register width ran it.
+/// The AVX-512F tiles are picked at run time; nothing selects them by
+/// hand. A pool that splits `C`'s rows among its workers gets the bits of
+/// one call over all of them.
 ///
 /// # Panics
 /// Panics if `b.len()` is not a multiple of `n`, if `a.len()` is not a
@@ -2755,6 +2931,8 @@ pub fn gemm_with(
     };
     match lv {
         SimdLevel::Scalar | SimdLevel::Portable => scalar::gemm(a, strides, b, n, rows, c),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma if avx512::available() => avx512::gemm(a, strides, b, n, rows, c),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => avx2::gemm(a, strides, b, n, rows, c),
         #[cfg(not(target_arch = "x86_64"))]
@@ -3356,6 +3534,56 @@ mod tests {
         }
     }
 
+    /// The AVX-512F tile against the AVX2 tile, both called directly into a
+    /// NaN-filled `C`, on every tile height and tail width, on depths that
+    /// cross the transposed panel's 256-value resume, in both layouts, over
+    /// the whole row range and split: the same bits everywhere, and no
+    /// element left unwritten. On a host without AVX-512F only the AVX2
+    /// tile's split-against-whole bits are checked.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gemm_avx512_tile_is_bit_equal_to_the_avx2_tile() {
+        if !avx2_available() {
+            eprintln!("gemm tiles: no avx2+fma on this host, nothing checked");
+            return;
+        }
+        let wide = avx512::available();
+        if !wide {
+            eprintln!("gemm tiles: no avx512f on this host, only the AVX2 tile was checked");
+        }
+        type Tile = fn(&[f32], (usize, usize), &[f32], usize, std::ops::Range<usize>, &mut [f32]);
+        let both: [(&str, Tile); 2] = [("avx2", avx2::gemm), ("avx512", avx512::gemm)];
+        let tiles = if wide { &both[..] } else { &both[..1] };
+        for m in 1usize..=14 {
+            let mut cuts = vec![0, 1.min(m), 7.min(m), m];
+            cuts.dedup();
+            for k in [1usize, 7, 64, 255, 256, 257, 512, 600] {
+                let a: Vec<f32> = (0..m * k).map(|x| (x as f32 * 0.37).sin()).collect();
+                let a_t: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+                for n in [1usize, 7, 8, 15, 16, 17, 31, 32, 33, 64, 100, 512] {
+                    let b: Vec<f32> = (0..k * n).map(|x| (x as f32 * 0.53).cos() * 1.7).collect();
+                    let mut want = vec![f32::NAN; m * n];
+                    avx2::gemm(&a, (k, 1), &b, n, 0..m, &mut want);
+                    assert!(want.iter().all(|x| !x.is_nan()), "avx2: m {m} k {k} n {n}");
+                    for &(name, tile) in tiles {
+                        for (op, a, strides) in [(Op::N, &a, (k, 1)), (Op::T, &a_t, (1, m))] {
+                            let mut whole = vec![f32::NAN; m * n];
+                            tile(a, strides, &b, n, 0..m, &mut whole);
+                            let mut pieces = vec![f32::NAN; m * n];
+                            for w in cuts.windows(2) {
+                                let block = &mut pieces[w[0] * n..w[1] * n];
+                                tile(a, strides, &b, n, w[0]..w[1], block);
+                            }
+                            let at = format!("{name} {op:?}: m {m} k {k} n {n}");
+                            assert_eq!(bits(&whole), bits(&want), "{at}, whole");
+                            assert_eq!(bits(&pieces), bits(&want), "{at}, split {cuts:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// At every level, on panel-sized and tail widths, `gather_sum` over a
     /// NaN-filled output has the bits of clearing it and running the level's
     /// `axpy` once per entry, repeated rows included; no entries give zeros.
@@ -3410,6 +3638,26 @@ mod tests {
                 }
                 prop_assert_eq!(bits(&whole), bits(&pieces), "{} {:?}", lv, op);
             }
+        }
+    }
+
+    /// The proptest above stops at `k < 40`; a transposed `A` deeper than
+    /// the 256-value panel the x86 tiles pack resumes each chain from `C`
+    /// between panels, and a split of the rows must still give the bits of
+    /// the whole product.
+    #[test]
+    fn gemm_transposed_row_ranges_compose_past_the_packed_panel() {
+        let (m, k, n) = (13usize, 600usize, 37usize);
+        let a: Vec<f32> = (0..m * k).map(|x| (x as f32 * 0.71).sin()).collect();
+        let b: Vec<f32> = (0..k * n).map(|x| (x as f32 * 0.29).cos()).collect();
+        for lv in all_levels() {
+            let mut whole = vec![f32::NAN; m * n];
+            gemm_with(lv, Op::T, &a, &b, n, 0..m, &mut whole);
+            let mut pieces = vec![f32::NAN; m * n];
+            for w in [0, 5, 6, 13].windows(2) {
+                gemm_with(lv, Op::T, &a, &b, n, w[0]..w[1], &mut pieces[w[0] * n..w[1] * n]);
+            }
+            assert_eq!(bits(&whole), bits(&pieces), "{lv}");
         }
     }
 

@@ -87,7 +87,7 @@ fn dots_block_i8_equals_the_integer_loop() {
         let full = (d * 127 * 127) as i32;
         for m in [1usize, 7, 8, 9, 64] {
             // Row r of the extreme block is ±q (its sign alternating with r).
-            let sign = |r: usize| if r % 2 == 0 { 1 } else { -1 };
+            let sign = |r: usize| if r.is_multiple_of(2) { 1 } else { -1 };
             let extremes: [Vec<i8>; 2] =
                 [vec![127; d], (0..d).map(|j| if j % 3 == 0 { -127 } else { 127 }).collect()];
             for q in extremes {

@@ -325,7 +325,7 @@ fn fix_empty_lists(items: &Matrix, centroids: &Matrix, assign: &mut [u32], nlist
                 continue;
             }
             let dist = sq_dist(items.row(i), centroids.row(a as usize));
-            if worst.map_or(true, |(_, w)| dist > w) {
+            if worst.is_none_or(|(_, w)| dist > w) {
                 worst = Some((i, dist));
             }
         }

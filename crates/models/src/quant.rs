@@ -846,7 +846,7 @@ mod tests {
                 sketch_scores(&sketch, q.row(0)).into_iter().map(|(t, h)| (t - h, t + h)).collect();
             for k in [1usize, 3, 10] {
                 for modulo in [1usize, 3] {
-                    let masked = |i: usize| modulo > 1 && i % modulo == 0;
+                    let masked = |i: usize| modulo > 1 && i.is_multiple_of(modulo);
                     let mut lows: Vec<f32> =
                         (0..n).filter(|&i| !masked(i)).map(|i| bounds[i].0).collect();
                     lows.sort_by(|a, b| b.total_cmp(a));

@@ -329,7 +329,7 @@ mod tests {
                         let v = *slot.load();
                         assert!(v >= last, "published values must be monotone: {v} < {last}");
                         last = v;
-                        if last % 7 == 0 {
+                        if last.is_multiple_of(7) {
                             std::thread::yield_now(); // interleave with the swapper
                         }
                     }
