@@ -298,9 +298,15 @@ fn fn_body_ranges(file: &SrcFile, name: &str) -> Vec<(usize, usize)> {
         if file.scopes.is_inside(i, "tests") {
             continue;
         }
-        // Find the opening brace of the body, then match braces.
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
+        // Find the opening brace of the body, then match braces. The `;`
+        // of an array type in the signature (`[T; N]`) ends no declaration.
+        let (mut j, mut square) = (i + 2, 0usize);
+        while j < toks.len() && !toks[j].is_punct('{') && !(square == 0 && toks[j].is_punct(';')) {
+            if toks[j].is_punct('[') {
+                square += 1;
+            } else if toks[j].is_punct(']') {
+                square = square.saturating_sub(1);
+            }
             j += 1;
         }
         if j >= toks.len() || toks[j].is_punct(';') {
@@ -520,6 +526,18 @@ mod tests {
         assert_eq!(fs.len(), 2, "{fs:?}");
         assert!(fs[0].msg.contains("vec!"));
         assert!(fs[1].msg.contains("collect"));
+    }
+
+    #[test]
+    fn hot_path_finds_a_fn_with_array_types_in_its_signature() {
+        let f = file(
+            "fn tile<const Q: usize>(qs: &[&[f32]; Q]) -> [f32; 2] {\n    \
+             let v = vec![0u8; 4];\n    [0.0; 2]\n}\nfn decl(x: [u8; 2]);\n",
+        );
+        let (fs, seen) = check_hot_fns(&f, &["tile".into(), "decl".into()]);
+        assert_eq!(seen, vec!["tile"]);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].msg.contains("vec!"));
     }
 
     #[test]

@@ -748,7 +748,8 @@ impl Trainer {
     /// ([`pass1_in_batch_scores`]) by `cfg.sampling`; the loss stage
     /// ([`loss_stage`]) turns scores into score gradients in the scratch,
     /// its row work on the same row chunks; pass 2 chains them into
-    /// embedding-gradient rows; the backbone steps on `grads`.
+    /// embedding-gradient rows; the backbone steps on `grads`, whose
+    /// touched rows it visits in ascending id order.
     ///
     /// In-batch, pass 2 is two blocked products ([`pass2_in_batch`]) whose
     /// every element has the same bits at any thread count. Sampled, pass 2
@@ -820,6 +821,9 @@ impl Trainer {
             scratch.sink_rows = sink_rows;
         }
 
+        // Every touched row's update is independent of the others, so the
+        // optimizer and the clear may sweep them in memory order.
+        grads.order_touched();
         let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
         grads.clear();
         (loss_value, aux)
@@ -944,7 +948,7 @@ mod tests {
     use super::*;
     use bsl_data::synth::{generate, SynthConfig};
     use bsl_linalg::simd::{cosine_backward_block, scores_block};
-    use bsl_losses::LossConfig;
+    use bsl_losses::{Bsl, LossConfig};
     use bsl_models::BackboneConfig;
 
     fn tiny() -> Arc<Dataset> {
@@ -1186,6 +1190,7 @@ mod tests {
                 cosine_backward_into(gs[jj], ss[jj], nhat, uhat, nn[row * m + jj], sink);
             }
         }
+        grads.order_touched();
         backbone.step(&grads, &batch.users, &batch.pos, hyper, rng);
         (out.grad_neg.iter().filter(|&&g| g == 0.0).count(), out.grad_neg.len())
     }
@@ -1213,23 +1218,14 @@ mod tests {
             .fold((0.0f32, 0.0f32), |(d, s), (a, b)| (d.max((a - b).abs()), s.max(b.abs())))
     }
 
-    fn sorted(v: &[u32]) -> Vec<u32> {
-        let mut v = v.to_vec();
-        v.sort_unstable();
-        v
-    }
-
     /// Two steps on `batch` — the second on a reused scratch, index and
     /// shard — through the serial step, the one-chunk pooled step and the
-    /// oracle. Sampled, they must agree exactly: equal embedding bits, and
-    /// equal touched-row lists *in order* (the shard merge replays that
-    /// order). In-batch, within [`IN_BATCH_TOL`], on equal touched-row
-    /// *sets*: the step touches the batch's users in row order and its
-    /// items in column order (first occurrence each), while the oracle
-    /// touches an item when the first row with a nonzero gradient for it
-    /// reaches it. `want_zeros`: whether some `grad_neg` must underflow to
-    /// exactly 0, so that the skip decides which rows the optimizer
-    /// updates.
+    /// oracle. Both hand the optimizer their touched rows in ascending id
+    /// order, so the touched-row lists must be equal on either path.
+    /// Sampled, the steps must also agree exactly: equal embedding bits.
+    /// In-batch, within [`IN_BATCH_TOL`]. `want_zeros`: whether some
+    /// `grad_neg` must underflow to exactly 0, so that the skip decides
+    /// which rows the optimizer updates.
     fn assert_steps_replay_the_oracle(
         batch: &TrainBatch,
         sampling: SamplingConfig,
@@ -1280,15 +1276,11 @@ mod tests {
                     pool,
                 );
             }
+            assert_eq!(stepped.touched, oracle.touched, "{label}: touched rows, in order");
             if !in_batch {
-                assert_eq!(stepped.touched, oracle.touched, "{label}: touched rows, in order");
                 assert_eq!(bits(stepped.user_factors()), bits(oracle.user_factors()), "{label}");
                 assert_eq!(bits(stepped.item_factors()), bits(oracle.item_factors()), "{label}");
                 continue;
-            }
-            for (step, (got, want)) in stepped.touched.iter().zip(&oracle.touched).enumerate() {
-                assert_eq!(sorted(&got.0), sorted(&want.0), "{label}: step {step} user set");
-                assert_eq!(sorted(&got.1), sorted(&want.1), "{label}: step {step} item set");
             }
             let (got, want) = (&stepped.grads[0], &oracle.grads[0]);
             let ((du, su), (di, si)) = (max_diff(&got.0, &want.0), max_diff(&got.1, &want.1));
@@ -1382,6 +1374,65 @@ mod tests {
         for tau1 in taus {
             let bsl = LossConfig::Bsl { tau1, tau2: 1e-3 };
             assert_steps_replay_the_oracle(&batch, SamplingConfig::InBatch, bsl, true);
+        }
+    }
+
+    /// The sampled twin of the in-batch test above: on a B = 64, m = 16
+    /// step at every (τ1, τ2) pair of {1e-3, 10}, MF with BSL and with SL
+    /// and CML (distance scores) with BSL give a finite loss and finite
+    /// gradient rows, and BSL's positive-side weights over the step's own
+    /// scores sum to 1 within 1e-6.
+    #[test]
+    fn sampled_step_is_finite_at_the_temperature_extremes() {
+        let ds = tiny();
+        let sampler = UniformSampler::new(ds.clone());
+        let m = 16;
+        let batch = BatchIter::new(&ds, &sampler, 64, m, 0).next().expect("a first batch");
+        let b = batch.len();
+        assert_eq!(b, 64);
+        let taus = [1e-3f32, 10.0];
+        for (tau1, tau2) in taus.iter().flat_map(|&t1| taus.map(|t2| (t1, t2))) {
+            let bsl = LossConfig::Bsl { tau1, tau2 };
+            let cases = [
+                (BackboneConfig::Mf, bsl),
+                (BackboneConfig::Mf, LossConfig::Sl { tau: tau2 }),
+                (BackboneConfig::Cml, bsl),
+            ];
+            for (backbone, loss) in cases {
+                let label = format!("{backbone:?}, {loss:?}");
+                let cfg = TrainConfig {
+                    backbone,
+                    loss,
+                    batch_size: b,
+                    negatives: m,
+                    ..TrainConfig::smoke()
+                };
+                let mut stepped = Recording::new(build_backbone(cfg.backbone, &ds, cfg.dim, 5));
+                let mut scratch = StepScratch::default();
+                let (l, _) = Trainer::new(cfg).step(
+                    &mut stepped,
+                    build_loss(cfg.loss).as_ref(),
+                    &batch,
+                    &mut GradBuffer::new(ds.n_users, ds.n_items, cfg.dim),
+                    &mut [],
+                    &mut scratch,
+                    Hyper { lr: cfg.lr, l2: cfg.l2 },
+                    &mut StdRng::seed_from_u64(1),
+                    None,
+                );
+                assert!(l.is_finite(), "{label}: loss {l}");
+                let (users, items) = &stepped.grads[0];
+                assert!(
+                    users.iter().chain(items).all(|g| g.is_finite()),
+                    "{label}: a non-finite gradient row"
+                );
+                if loss == bsl {
+                    let (pos, neg) = (&scratch.pos_scores[..b], &scratch.neg_scores[..b * m]);
+                    let (_, w) = Bsl::new(tau1, tau2).row_weights(&ScoreBatch::new(pos, neg, m));
+                    let sum: f64 = w.iter().map(|&x| f64::from(x)).sum();
+                    assert!((sum - 1.0).abs() <= 1e-6, "{label}: weights sum to {sum}");
+                }
+            }
         }
     }
 

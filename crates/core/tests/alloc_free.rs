@@ -7,7 +7,7 @@
 use bsl_data::synth::{generate, SynthConfig};
 use bsl_losses::fd::synthetic_scores;
 use bsl_losses::{build, scale_rows, LossConfig, RowTerm, ScoreBatch};
-use bsl_models::{Backbone, GradBuffer, Hyper, LightGcn};
+use bsl_models::{Backbone, GradBuffer, Hyper, LightGcn, Mf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,6 +102,40 @@ fn warm_lightgcn_forward_and_step_allocate_nothing() {
             }
         });
         assert_eq!(n, 0, "d = {dim}, {layers} layers");
+    }
+}
+
+/// The sampled trainer's optimizer end: ordering the touched rows and the
+/// MF (and CML) step over them reuse the lists' capacity and the step's
+/// row buffer, so a warm pair allocates nothing.
+#[test]
+fn warm_order_touched_and_mf_step_allocate_nothing() {
+    let ds = Arc::new(generate(&SynthConfig::tiny(1)));
+    let hp = Hyper { lr: 0.01, l2: 1e-4 };
+    let mut rng = StdRng::seed_from_u64(0);
+    let dim = 64;
+    for mut mf in [Mf::new(&ds, dim, 7), Mf::new_cml(&ds, dim, 7)] {
+        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, dim);
+        let touch = |grads: &mut GradBuffer| {
+            for u in [11u32, 0, 5] {
+                grads.user_row_mut(u).iter_mut().for_each(|g| *g += 0.1);
+            }
+            for i in [9u32, 3, 40, 3] {
+                grads.item_row_mut(i).iter_mut().for_each(|g| *g -= 0.2);
+            }
+        };
+        touch(&mut grads);
+        grads.order_touched();
+        mf.step(&grads, &[], &[], hp, &mut rng);
+        grads.clear();
+        touch(&mut grads);
+        let n = allocations(|| {
+            for _ in 0..3 {
+                grads.order_touched();
+                mf.step(&grads, &[], &[], hp, &mut rng);
+            }
+        });
+        assert_eq!(n, 0, "{}", mf.name());
     }
 }
 

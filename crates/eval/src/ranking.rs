@@ -1,29 +1,37 @@
 //! Full-catalogue ranking evaluation through the frozen artifact path.
 //!
-//! Evaluation is "serving plus ground truth": each user is ranked by
+//! Evaluation is "serving plus ground truth": each user gets the list that
 //! [`top_k_into`], the masked exact top-k `bsl-serve` answers requests
-//! with, with the training items masked, and the top-k is compared against
-//! the test split. One private driver, `rank_blocks`, does that for
-//! [`evaluate_artifact`] and for both group decompositions in
-//! [`crate::groups`]. Raw embedding matrices are accepted via
+//! with, gives it with the training items masked, and the top-k is
+//! compared against the test split. One private driver, `rank_blocks`,
+//! does that for [`evaluate_artifact`] and for both group decompositions
+//! in [`crate::groups`]. Raw embedding matrices are accepted via
 //! [`evaluate`], which freezes them into an ad-hoc artifact first, so
 //! there is exactly one scoring implementation in the workspace.
 //!
-//! Evaluation passes no sketch, so a user costs one plain scan of the item
-//! table. Measured on trained models (2-vCPU Xeon), serving's sketch would
-//! make evaluation 1.5× as slow at 800 items (LightGCN), where 35–40 % of
-//! users fall back to the plain scan after paying for the sketch scan, and
-//! save about a tenth at 2,500 items (MF), where nearly every user is
-//! pruned.
+//! Evaluation runs `top_k_into`'s plain scan, four users at a time: one
+//! pass over the item table scores up to four users
+//! ([`ModelArtifact::score_catalogue_queries_into`], each score the plain
+//! scan's bits), and each user's run is selected by the plain scan's own
+//! [`select_catalogue_into`]. So the lists are the ones `top_k_into` and
+//! serving give, and a user costs a quarter of a pass over the items.
+//! Serving's sketch is not used here. Measured on trained models (2-vCPU
+//! Xeon), it made per-user evaluation 1.5× as slow at 800 items (LightGCN),
+//! where 35–40 % of users fall back to the plain scan after paying for the
+//! sketch scan, and saved about a tenth at 2,500 items (MF), where nearly
+//! every user is pruned.
 //!
 //! Users are ranked in fixed blocks of `BLOCK_USERS`; every block sums
 //! its users' metrics into its own partial, and the partials are merged in
 //! block order. The reported means are therefore the same bits whatever
 //! number of threads shared the blocks.
+//!
+//! [`top_k_into`]: bsl_models::top_k_into
 
 use crate::metrics::{user_metrics, MetricSet};
 use bsl_data::Dataset;
-use bsl_models::{top_k_into, Candidates, EvalScore, ModelArtifact, TopKScratch};
+use bsl_linalg::topk::TopK;
+use bsl_models::{select_catalogue_into, EvalScore, ModelArtifact};
 
 /// Evaluation report: one [`MetricSet`] per requested cutoff.
 #[derive(Clone, Debug)]
@@ -74,9 +82,13 @@ impl std::fmt::Display for EvalReport {
 
 /// Users per block of [`rank_blocks`]. Each block sums its users' metrics
 /// into one partial, so the reported bits depend on it (it fixes the
-/// summation order): it is a constant, not a tunable. Users are ranked
-/// one at a time, so it sizes no buffer.
+/// summation order): it is a constant, not a tunable. Users are scored
+/// [`GROUP_USERS`] at a time, so it sizes no buffer.
 const BLOCK_USERS: usize = 16;
+
+/// Users scored in one pass over the item table: the query count of
+/// [`bsl_linalg::simd::scores_block_multi`]'s register tile.
+const GROUP_USERS: usize = 4;
 
 /// The threads an evaluation shares its blocks between.
 pub(crate) fn host_workers() -> usize {
@@ -86,12 +98,15 @@ pub(crate) fn host_workers() -> usize {
 /// One thread's ranking buffers.
 #[derive(Default)]
 struct RankScratch {
-    top: TopKScratch,
+    /// A group's catalogue scores, one run of `n_items` per user.
+    scores: Vec<f32>,
+    topk: TopK,
     ranked: Vec<u32>,
 }
 
 /// Ranks each user of `block` with the training items masked and hands
-/// `(user, top-k)` to `per_user`.
+/// `(user, top-k)` to `per_user`, scoring [`GROUP_USERS`] users per pass
+/// over the item table.
 fn rank_block<P>(
     ds: &Dataset,
     artifact: &ModelArtifact,
@@ -101,12 +116,18 @@ fn rank_block<P>(
     partial: &mut P,
     per_user: &impl Fn(&mut P, u32, &[u32]),
 ) {
-    for &u in block {
-        let (q, train) = (artifact.users().row(u as usize), ds.train_items(u as usize));
-        let top = top_k_into(artifact, q, Candidates::Catalogue(None), k, train, &mut scratch.top);
-        scratch.ranked.clear();
-        scratch.ranked.extend(top.iter().map(|&(item, _)| item));
-        per_user(partial, u, &scratch.ranked);
+    let n = artifact.n_items();
+    for group in block.chunks(GROUP_USERS) {
+        let mut qs: [&[f32]; GROUP_USERS] = [&[]; GROUP_USERS];
+        for (q, &u) in qs.iter_mut().zip(group) {
+            *q = artifact.users().row(u as usize);
+        }
+        artifact.score_catalogue_queries_into(&qs[..group.len()], &mut scratch.scores);
+        for (g, &u) in group.iter().enumerate() {
+            let (scores, train) = (&scratch.scores[g * n..(g + 1) * n], ds.train_items(u as usize));
+            select_catalogue_into(scores, k, train, &mut scratch.topk, &mut scratch.ranked);
+            per_user(partial, u, &scratch.ranked);
+        }
     }
 }
 
@@ -225,6 +246,7 @@ mod tests {
     use super::*;
     use bsl_data::synth::{generate, SynthConfig};
     use bsl_linalg::Matrix;
+    use bsl_models::{top_k_into, Candidates, TopKScratch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -356,6 +378,54 @@ mod tests {
             pruned += usize::from(scratch.pruned());
         }
         assert!(pruned > 0, "the sketch answered no user");
+    }
+
+    /// Four users per pass over the items changes no list and no bit of the
+    /// report: at d + 1 = 65 (CML's augmentation) and d = 64, for every
+    /// similarity, with a last block of 16 and a last group of 4 both
+    /// short, `evaluate_artifact` equals ranking each user alone through
+    /// `top_k_into` and summing the metrics in the same blocks.
+    #[test]
+    fn blocked_scoring_reports_the_per_user_loop_bit_for_bit() {
+        let ds = generate(&SynthConfig { n_users: 91, n_items: 700, ..SynthConfig::tiny(5) });
+        let users = ds.evaluable_users();
+        let last_block = users.len() % BLOCK_USERS;
+        assert!(!last_block.is_multiple_of(GROUP_USERS), "{} users", users.len());
+        let mut rng = StdRng::seed_from_u64(2);
+        let user_emb = Matrix::gaussian(ds.n_users, 64, 1.0, &mut rng);
+        let item_emb = Matrix::gaussian(ds.n_items, 64, 1.0, &mut rng);
+        let ks = [5, 20];
+        for score in [EvalScore::Dot, EvalScore::Cosine, EvalScore::NegSqDist] {
+            let art = ModelArtifact::from_embeddings("MF", &user_emb, &item_emb, score);
+            let mut scratch = TopKScratch::default();
+            let mut per_block = Vec::new();
+            for block in users.chunks(BLOCK_USERS) {
+                let mut part = vec![MetricSet::default(); ks.len()];
+                for &u in block {
+                    let (q, train) = (art.users().row(u as usize), ds.train_items(u as usize));
+                    let among = Candidates::Catalogue(None);
+                    let top = top_k_into(&art, q, among, 20, train, &mut scratch);
+                    let ranked: Vec<u32> = top.iter().map(|&(i, _)| i).collect();
+                    for (slot, &k) in part.iter_mut().zip(&ks) {
+                        slot.accumulate(&user_metrics(&ranked, ds.test_items(u as usize), k));
+                    }
+                }
+                per_block.push(part);
+            }
+            let mut want = vec![MetricSet::default(); ks.len()];
+            for part in &per_block {
+                for (slot, p) in want.iter_mut().zip(part) {
+                    slot.merge(p);
+                }
+            }
+            want.iter_mut().for_each(MetricSet::finalize);
+            let got = evaluate_artifact_on(&ds, &art, &ks, 2);
+            assert_eq!(art.dim(), if score == EvalScore::NegSqDist { 65 } else { 64 });
+            for (g, w) in got.at.iter().zip(&want) {
+                assert_eq!(g.ndcg.to_bits(), w.ndcg.to_bits(), "{score:?}");
+                assert_eq!(g, w, "{score:?}");
+            }
+        }
     }
 
     /// A zero cutoff is refused on the calling thread, with its own message,

@@ -1440,6 +1440,86 @@ mod avx2 {
         }
     }
 
+    /// [`scores_block`] for `Q` queries at once: `out[q·M + j] = <qs[q],
+    /// block[j]>`, in a `Q × 2` register tile that loads each block row
+    /// once for all `Q` queries. Every (query, row) pair has its own 8-lane
+    /// accumulator with [`dot2_impl`]'s chain — the full-width FMAs over
+    /// `d`, the same masked tail, then [`hsum`] — so every score has
+    /// [`dot2_impl`]'s bits; an odd last row is paired with itself.
+    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
+    // verified, which the dispatch tables do before routing here.
+    // Callers must pass every query d = qs[0].len() long, a block of
+    // m = out.len() / Q rows of d, and out a multiple of Q long.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn scores_tile_impl<const Q: usize>(qs: &[&[f32]; Q], block: &[f32], out: &mut [f32]) {
+        // SAFETY: every load goes through a slice-derived pointer: query
+        // q at offset i < d, block rows j and j1 < m at j·d + i, with full
+        // 8-lane loads for i + 8 <= d and masked loads (inactive lanes
+        // read as 0.0) for the tail; stores index out with bounds checks.
+        unsafe {
+            let d = qs[0].len();
+            let m = out.len() / Q;
+            debug_assert!(qs.iter().all(|q| q.len() == d) && block.len() == m * d);
+            let pq: [*const f32; Q] = std::array::from_fn(|q| qs[q].as_ptr());
+            let mask = tail_mask(d % 8);
+            let full = d - d % 8;
+            let mut j = 0usize;
+            while j < m {
+                let j1 = (j + 1).min(m - 1);
+                let (p0, p1) = (block.as_ptr().add(j * d), block.as_ptr().add(j1 * d));
+                let mut a0 = [_mm256_setzero_ps(); Q];
+                let mut a1 = [_mm256_setzero_ps(); Q];
+                let mut i = 0usize;
+                while i < full {
+                    let (v0, v1) = (_mm256_loadu_ps(p0.add(i)), _mm256_loadu_ps(p1.add(i)));
+                    for q in 0..Q {
+                        let vq = _mm256_loadu_ps(pq[q].add(i));
+                        a0[q] = _mm256_fmadd_ps(vq, v0, a0[q]);
+                        a1[q] = _mm256_fmadd_ps(vq, v1, a1[q]);
+                    }
+                    i += 8;
+                }
+                if i < d {
+                    let v0 = _mm256_maskload_ps(p0.add(i), mask);
+                    let v1 = _mm256_maskload_ps(p1.add(i), mask);
+                    for q in 0..Q {
+                        let vq = _mm256_maskload_ps(pq[q].add(i), mask);
+                        a0[q] = _mm256_fmadd_ps(vq, v0, a0[q]);
+                        a1[q] = _mm256_fmadd_ps(vq, v1, a1[q]);
+                    }
+                }
+                for q in 0..Q {
+                    out[q * m + j] = hsum(a0[q]);
+                    out[q * m + j1] = hsum(a1[q]);
+                }
+                j += 2;
+            }
+        }
+    }
+
+    /// `out[q·M + j] = <qs[q], block[j·d ..]>` for one to four queries.
+    #[inline]
+    pub fn scores_block_multi(qs: &[&[f32]], block: &[f32], out: &mut [f32]) {
+        let d = qs[0].len();
+        for q in qs {
+            assert_eq!(q.len(), d, "scores_block_multi query width mismatch");
+        }
+        let m = out.len() / qs.len();
+        assert!(out.len() == qs.len() * m && block.len() == m * d, "scores_block_multi shape");
+        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
+        // docs); every query is d long, block is M × d and out qs.len() · M
+        // (asserted above).
+        unsafe {
+            match *qs {
+                [a] => scores_tile_impl(&[a], block, out),
+                [a, b] => scores_tile_impl(&[a, b], block, out),
+                [a, b, c] => scores_tile_impl(&[a, b, c], block, out),
+                [a, b, c, e] => scores_tile_impl(&[a, b, c, e], block, out),
+                _ => unreachable!("the dispatcher hands over one to four queries"),
+            }
+        }
+    }
+
     /// `out[j] = <q, table[ids[j]·d ..]>` for gathered rows of an `n × d`
     /// table, through the same [`dot2_impl`] as [`scores_block`], so a
     /// gathered score has the bits of the block score of the same row.
@@ -2571,9 +2651,17 @@ pub fn normalize_gather_into(src: &Matrix, ids: &[u32], dst: &mut [f32], norms: 
 /// # Panics
 /// Panics if `block.len() != out.len() * q.len()`.
 pub fn scores_block(q: &[f32], block: &[f32], out: &mut [f32]) {
+    scores_block_with(active(), q, block, out)
+}
+
+/// [`scores_block`] at an explicit dispatch level.
+///
+/// # Panics
+/// Panics if `block.len() != out.len() * q.len()`.
+pub fn scores_block_with(lv: SimdLevel, q: &[f32], block: &[f32], out: &mut [f32]) {
     let d = q.len();
     assert_eq!(block.len(), out.len() * d, "scores_block shape mismatch");
-    match active() {
+    match lv {
         SimdLevel::Scalar => {
             for (o, row) in out.iter_mut().zip(block.chunks_exact(d)) {
                 *o = scalar::dot(q, row);
@@ -2593,6 +2681,48 @@ pub fn scores_block(q: &[f32], block: &[f32], out: &mut [f32]) {
             }
         }
     }
+}
+
+/// Scores several query rows against one `M × d` row block:
+/// `out[q·M + j] = <qs[q], block[j]>`, each query's `M` scores one run of
+/// `out`.
+///
+/// **Contract:** every score has the bits [`scores_block_with`] gives it
+/// at the same level. Under AVX2 the queries go four at a time through a
+/// 4 × 2 register tile, so a block row is loaded once for four queries,
+/// and each score is still [`scores_block`]'s chain: one 8-lane FMA
+/// accumulator over `d`, the same masked tail, one horizontal sum. The
+/// scalar and portable levels run [`scores_block_with`] once per query.
+///
+/// # Panics
+/// Panics if a query's width differs from the first one's (`d`), if
+/// `block.len()` is not a multiple of `d`, or if
+/// `out.len() != qs.len() · M`.
+pub fn scores_block_multi_with(lv: SimdLevel, qs: &[&[f32]], block: &[f32], out: &mut [f32]) {
+    let Some(d) = qs.first().map(|q| q.len()) else {
+        assert!(out.is_empty(), "scores_block_multi shape mismatch");
+        return;
+    };
+    let m = block.len().checked_div(d).unwrap_or(out.len() / qs.len());
+    assert_eq!(block.len(), m * d, "scores_block_multi block is not M × d");
+    assert_eq!(out.len(), qs.len() * m, "scores_block_multi shape mismatch");
+    for (qs, out) in qs.chunks(4).zip(out.chunks_mut(4 * m.max(1))) {
+        match lv {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2Fma => avx2::scores_block_multi(qs, block, out),
+            _ => {
+                for (q, out) in qs.iter().zip(out.chunks_mut(m.max(1))) {
+                    scores_block_with(lv, q, block, out);
+                }
+            }
+        }
+    }
+}
+
+/// [`scores_block_multi_with`] at the process dispatch level.
+#[inline]
+pub fn scores_block_multi(qs: &[&[f32]], block: &[f32], out: &mut [f32]) {
+    scores_block_multi_with(active(), qs, block, out)
 }
 
 /// Scores one query row against an `M × d` *quantized* row block:
@@ -3609,6 +3739,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// At every level, every score of the multi-query tile has the bits
+    /// `scores_block` gives the same query and row: full-width and tail
+    /// widths, blocks of zero rows to past the catalogue scale, odd row
+    /// counts (the last row paired with itself), one to four queries, and
+    /// five (a second pass).
+    #[test]
+    fn scores_block_multi_is_bit_equal_to_scores_block_at_every_level() {
+        for d in [1usize, 7, 8, 9, 31, 32, 33, 63, 64, 65, 128] {
+            let qs: Vec<Vec<f32>> = (0..5)
+                .map(|q| (0..d).map(|x| ((x * 5 + q * 11) as f32 * 0.37).sin() * 1.7).collect())
+                .collect();
+            let qs: Vec<&[f32]> = qs.iter().map(Vec::as_slice).collect();
+            for n in [0usize, 1, 2, 3, 17, 2500] {
+                let block: Vec<f32> = (0..n * d).map(|x| (x as f32 * 0.113).cos()).collect();
+                for nq in 1..=5 {
+                    for lv in all_levels() {
+                        let mut got = vec![f32::NAN; nq * n];
+                        scores_block_multi_with(lv, &qs[..nq], &block, &mut got);
+                        for (q, got) in qs[..nq].iter().zip(got.chunks(n.max(1))) {
+                            let mut want = vec![f32::NAN; n];
+                            scores_block_with(lv, q, &block, &mut want);
+                            assert_eq!(bits(got), bits(&want), "{lv}: d {d}, n {n}, {nq} queries");
+                        }
+                    }
+                }
+            }
+        }
+        let mut none: [f32; 0] = [];
+        scores_block_multi(&[], &[1.0; 4], &mut none);
     }
 
     proptest! {

@@ -7,7 +7,9 @@
 //! serving never repay per-query preparation and **always score with one
 //! blocked kernel** ([`scores_block`], or its fused int8 twin
 //! [`scores_block_i8`] for quantized tables). `bsl-eval` ranks through the
-//! same tables, which is what makes "metrics offline" and "scores online"
+//! same tables, four users per pass over the items
+//! ([`scores_block_multi`], whose every score has [`scores_block`]'s
+//! bits), which is what makes "metrics offline" and "scores online"
 //! bit-identical.
 //!
 //! Artifacts round-trip through a compact self-describing binary format
@@ -65,13 +67,14 @@
 //! unverified header field.
 //!
 //! [`scores_block_i8`]: bsl_linalg::simd::scores_block_i8
+//! [`scores_block_multi`]: bsl_linalg::simd::scores_block_multi
 
 use crate::backbone::EvalScore;
 use crate::bytes::{put, put_all, Le, Reader, Short};
 use crate::cml::euclidean_rank_embeddings;
 use crate::ivf::IvfIndex;
 use crate::quant::QuantizedTable;
-use bsl_linalg::simd::{normalize_rows_into, scores_block, scores_gather};
+use bsl_linalg::simd::{normalize_rows_into, scores_block, scores_block_multi, scores_gather};
 use bsl_linalg::Matrix;
 use std::io::Write;
 use std::path::Path;
@@ -417,6 +420,32 @@ impl ModelArtifact {
         match &self.tables {
             Tables::F32 { items, .. } => scores_block(q, items.as_slice(), out),
             Tables::Int8 { items, .. } => items.scores_into(q, out),
+        }
+    }
+
+    /// Scores several prepared f32 query vectors against the full
+    /// catalogue into `out` (resized to `qs.len() · n_items`), query `q`'s
+    /// scores at `out[q·n_items ..]`. Each score has the bits
+    /// [`score_catalogue_query_into`](Self::score_catalogue_query_into)
+    /// gives it: f32 tables go through [`scores_block_multi`], which reads
+    /// each item row once for up to four queries; int8 tables are scored
+    /// query by query.
+    ///
+    /// # Panics
+    /// Panics if a query's width is not `dim`.
+    pub fn score_catalogue_queries_into(&self, qs: &[&[f32]], out: &mut Vec<f32>) {
+        let n = self.n_items();
+        out.resize(qs.len() * n, 0.0);
+        for q in qs {
+            assert_eq!(q.len(), self.dim(), "query width mismatch");
+        }
+        match &self.tables {
+            Tables::F32 { items, .. } => scores_block_multi(qs, items.as_slice(), out),
+            Tables::Int8 { items, .. } => {
+                for (q, out) in qs.iter().zip(out.chunks_exact_mut(n.max(1))) {
+                    items.scores_into(q, out);
+                }
+            }
         }
     }
 
@@ -852,6 +881,25 @@ mod tests {
         let mut listed = Vec::new();
         art.score_items_into(3, &ids, &mut listed);
         assert_eq!(listed, all);
+    }
+
+    #[test]
+    fn multi_query_catalogue_scores_are_the_per_query_bits() {
+        for art in [toy(EvalScore::NegSqDist), toy(EvalScore::Cosine).quantize()] {
+            let n = art.n_items();
+            for users in [&[4u32][..], &[0, 3], &[1, 2, 4], &[4, 0, 2, 3], &[3, 1, 0, 4, 2]] {
+                let qs: Vec<&[f32]> = users.iter().map(|&u| art.users().row(u as usize)).collect();
+                let mut got = vec![f32::NAN; 3];
+                art.score_catalogue_queries_into(&qs, &mut got);
+                assert_eq!(got.len(), users.len() * n);
+                let mut want = Vec::new();
+                for (&u, got) in users.iter().zip(got.chunks_exact(n)) {
+                    art.score_catalogue_into(u, &mut want);
+                    let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(&want), "{:?}: user {u}", art.precision());
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use bsl_linalg::Matrix;
 /// The trainer accumulates `∂L/∂(final embedding)` rows for the users and
 /// items a batch touches; [`GradBuffer::clear`] then zeroes *only* those
 /// rows, keeping per-batch cost proportional to the batch, not the
-/// catalogue.
+/// catalogue. The touched lists hold first-touch order until
+/// [`GradBuffer::order_touched`] sorts them by id, which the trainer does
+/// before the optimizer walks them.
 #[derive(Clone, Debug)]
 pub struct GradBuffer {
     users: Matrix,
@@ -125,6 +127,20 @@ impl GradBuffer {
                 *dst += s;
             }
         }
+    }
+
+    /// Puts the touched-row lists in ascending id order, so that whatever
+    /// walks them next (the optimizer's row update, [`clear`](Self::clear))
+    /// sweeps each table in memory order instead of first-touch order.
+    /// Rebuilt from the touched flags into the lists' own capacity: no
+    /// allocation, and no row or flag changes.
+    pub fn order_touched(&mut self) {
+        fn rebuild(touched: &[bool], list: &mut Vec<u32>) {
+            list.clear();
+            list.extend((0u32..).zip(touched).filter(|&(_, &t)| t).map(|(id, _)| id));
+        }
+        rebuild(&self.user_touched, &mut self.user_list);
+        rebuild(&self.item_touched, &mut self.item_list);
     }
 
     /// Zeroes the touched rows and resets the bookkeeping.
@@ -263,6 +279,44 @@ mod tests {
         main2.merge_from(&s1);
         main2.merge_from(&s0);
         assert_eq!(main1.users().as_slice(), main2.users().as_slice());
+    }
+
+    #[test]
+    fn order_touched_sorts_the_first_touch_lists_in_place() {
+        let mut g = GradBuffer::new(40, 60, 2);
+        for u in [31u32, 4, 17, 4, 0, 39] {
+            g.user_row_mut(u)[0] += 1.0;
+        }
+        for i in [59u32, 2, 33, 2, 58, 7, 33] {
+            g.item_row_mut(i)[1] -= 1.0;
+        }
+        let first_touch = (g.touched_users().to_vec(), g.touched_items().to_vec());
+        assert_eq!(first_touch.0, [31, 4, 17, 0, 39]);
+        let (user_cap, item_cap) = (g.user_list.capacity(), g.item_list.capacity());
+        g.order_touched();
+        for (ordered, first) in
+            [(g.touched_users(), &first_touch.0), (g.touched_items(), &first_touch.1)]
+        {
+            assert!(ordered.windows(2).all(|w| w[0] < w[1]), "{ordered:?}: ascending, distinct");
+            let mut want = first.clone();
+            want.sort_unstable();
+            assert_eq!(ordered, want, "the same set");
+        }
+        assert_eq!((g.user_list.capacity(), g.item_list.capacity()), (user_cap, item_cap));
+        let once = (g.touched_users().to_vec(), g.touched_items().to_vec());
+        g.order_touched();
+        assert_eq!((g.touched_users().to_vec(), g.touched_items().to_vec()), once, "idempotent");
+        // Ordering moves no row, and clear still zeroes exactly the touched
+        // rows: the flags and the values agree afterwards.
+        assert_eq!(g.users().row(4), &[2.0, 0.0]);
+        assert_eq!(g.items().row(33), &[0.0, -2.0]);
+        g.clear();
+        assert!(g.is_empty());
+        assert!(g.users().as_slice().iter().chain(g.items().as_slice()).all(|&x| x == 0.0));
+        assert!(!g.user_touched.iter().chain(&g.item_touched).any(|&t| t));
+        g.item_row_mut(33)[0] = 1.0;
+        g.order_touched();
+        assert_eq!(g.touched_items(), &[33]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use lrgccf::LrGccf;
 pub use mf::Mf;
 pub use ngcf::Ngcf;
 pub use quant::{PruneScratch, QuantizedTable, Sketch};
-pub use rank::{top_k_into, Candidates, TopKScratch};
+pub use rank::{select_catalogue_into, top_k_into, Candidates, TopKScratch};
 pub use sgl::Sgl;
 pub use shard::ShardGrad;
 pub use simgcl::SimGcl;

@@ -20,8 +20,12 @@
 //! * **An explicit candidate list**, e.g. an IVF shortlist. It is
 //!   rescored and selected like the sketch's survivors.
 //!
-//! `bsl-serve` passes the sketch it builds at load. `bsl-eval` passes none
-//! (`bsl_eval::ranking` has the measurements behind that).
+//! `bsl-serve` passes the sketch it builds at load. `bsl-eval` ranks
+//! without one (`bsl_eval::ranking` has the measurements behind that): it
+//! scores four users per pass with
+//! [`ModelArtifact::score_catalogue_queries_into`], whose scores have the
+//! plain scan's bits, and selects each user with [`select_catalogue_into`],
+//! the plain scan's own selection.
 
 use crate::artifact::ModelArtifact;
 use crate::quant::{PruneScratch, Sketch};
@@ -99,7 +103,7 @@ pub fn top_k_into<'s>(
         Candidates::Catalogue(_) if *pruned => survivors,
         Candidates::Catalogue(_) => {
             artifact.score_catalogue_query_into(q, scores);
-            topk.select_masked_into(scores, k, masked, ids);
+            select_catalogue_into(scores, k, seen, topk, ids);
             top.clear();
             top.extend(ids.iter().map(|&i| (i, scores[i as usize])));
             return top;
@@ -108,4 +112,20 @@ pub fn top_k_into<'s>(
     artifact.score_items_query_into(q, items, cand_scores);
     select_scored_into(cand_scores, items, k, |p| seen.binary_search(&items[p]).is_ok(), top);
     top
+}
+
+/// The plain scan's selection: the ids of the `k` best full-catalogue
+/// `scores`, best first, skipping the ids in `seen` (sorted ascending).
+/// Equal scores break toward the smaller id, and NaN loses to every
+/// number. [`top_k_into`] selects its plain scan with it, and evaluation
+/// each user's run of [`ModelArtifact::score_catalogue_queries_into`].
+/// Allocation-free once `topk` and `ids` are warm.
+pub fn select_catalogue_into(
+    scores: &[f32],
+    k: usize,
+    seen: &[u32],
+    topk: &mut TopK,
+    ids: &mut Vec<u32>,
+) {
+    topk.select_masked_into(scores, k, |i| seen.binary_search(&(i as u32)).is_ok(), ids);
 }
