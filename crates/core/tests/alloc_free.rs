@@ -4,6 +4,7 @@
 //! Only allocations made on the calling thread while a measurement is open
 //! are counted, so the test harness's threads cannot disturb the figure.
 
+use bsl_core::engine::{Job, WorkerPool};
 use bsl_data::synth::{generate, SynthConfig};
 use bsl_losses::fd::synthetic_scores;
 use bsl_losses::{build, scale_rows, LossConfig, RowTerm, ScoreBatch};
@@ -12,7 +13,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The system allocator, counting the calls that hand out memory.
 struct Counting;
@@ -170,4 +173,32 @@ fn warm_loss_phases_allocate_nothing() {
         run();
         assert_eq!(allocations(&mut run), 0, "{}", loss.name());
     }
+}
+
+/// A warm worker-pool round allocates nothing beyond the caller's job list:
+/// not on the calling thread (posting, job 0, the wait) and not on the
+/// worker (taking, running and counting its job), whether the two sides
+/// meet while spinning or one of them parked.
+#[test]
+fn warm_pool_rounds_allocate_nothing_beyond_the_job_list() {
+    let pool = WorkerPool::new(2);
+    // Job 1 runs on the one worker every round: open a count there.
+    pool.run(vec![Box::new(|| ()), Box::new(|| COUNT.with(|c| c.set(Some(0))))]);
+    for round in 0..200 {
+        let nap = Duration::from_millis(if round % 20 == 19 { 2 } else { 0 });
+        if round % 40 == 39 {
+            std::thread::sleep(nap); // the worker parks before the post
+        }
+        let jobs: Vec<Job> = vec![Box::new(|| ()), Box::new(move || std::thread::sleep(nap))];
+        assert_eq!(allocations(|| pool.run(jobs)), 0, "round {round}, calling thread");
+    }
+    let on_worker = AtomicUsize::new(usize::MAX);
+    pool.run(vec![
+        Box::new(|| ()),
+        Box::new(|| {
+            let n = COUNT.with(|c| c.replace(None)).expect("measurement open");
+            on_worker.store(n, Ordering::Relaxed);
+        }),
+    ]);
+    assert_eq!(on_worker.load(Ordering::Relaxed), 0, "worker thread");
 }
