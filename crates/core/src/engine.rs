@@ -14,12 +14,12 @@
 //! between rounds and the caller after job 0, first polls an atomic for a
 //! short time (1 ms, bounded by the clock, not by a count of spin-loop
 //! hints, whose cost varies ≈ 10× across x86 generations) and then parks
-//! with [`std::thread::park`]. The other side unparks it only
-//! if it said it was asleep. A step's rounds follow each other within
-//! microseconds, so most hand-offs end inside the spin. Where the process
-//! may use fewer CPUs than the pool has lanes (`available_parallelism()
-//! < n`, read once in [`WorkerPool::new`]), the budget is zero: a
-//! spinning side would only hold the CPU the side it waits for needs.
+//! with [`std::thread::park`]. The other side unparks it only if it said
+//! it was asleep. A step's rounds follow each other within microseconds,
+//! so most hand-offs end inside the spin. Where the process may use fewer
+//! CPUs than the pool has lanes (`available_parallelism() < n`, read once
+//! in [`WorkerPool::new`]), the budget is zero: a spinning side would only
+//! hold the CPU the side it waits for needs.
 //!
 //! [`Engine`] bundles the compute pool with a persistent
 //! [`SamplerPool`], so neither the per-batch step passes nor the
