@@ -439,6 +439,22 @@ pub fn check_dispatch(files: &[SrcFile], policy: &DispatchPolicy) -> Vec<Finding
             }
         }
     }
+    // Every table entry must still name a `#[target_feature]` fn in the
+    // dispatch module, or it is stale.
+    for name in policy.kernels.keys().chain(&policy.helpers) {
+        if !tf_fns.iter().any(|tf| tf.file == policy.dispatch_file && &tf.name == name) {
+            findings.push(Finding {
+                file: "audit/policy.toml".into(),
+                line: 0,
+                lint: LINT_DISPATCH,
+                msg: format!(
+                    "stale dispatch-table entry: `{name}` names no `#[target_feature]` fn \
+                     in `{}`",
+                    policy.dispatch_file
+                ),
+            });
+        }
+    }
     // No `#[target_feature]` fn may be referenced outside the dispatch
     // module: the safe wrappers there are the only sanctioned call sites.
     for f in files {

@@ -98,3 +98,26 @@ fn good_workspace_waiver_stops_protecting_if_unregistered() {
     assert_eq!(findings[0].line, 9);
     assert!(findings[0].msg.contains("not registered"));
 }
+
+#[test]
+fn good_workspace_reports_stale_dispatch_table_entries() {
+    // A `[[kernel]]` and a helper whose `#[target_feature]` fn is gone
+    // from the dispatch module: each is reported against the policy file.
+    let root = fixture_root("good_ws");
+    let ws = load_workspace(&root).expect("fixture loads");
+    let mut cfg = load_config(&root).expect("fixture config loads");
+    cfg.dispatch.kernels.insert("gone_impl".into(), "dot".into());
+    cfg.dispatch.helpers.push("gone_helper".into());
+    let findings = run_check(&ws, &cfg);
+    let got: Vec<(&str, u32, &str)> =
+        findings.iter().map(|f| (f.file.as_str(), f.line, f.lint)).collect();
+    let policy = ("audit/policy.toml", 0, "simd-dispatch");
+    assert_eq!(got, vec![policy, policy], "full findings: {findings:#?}");
+    for name in ["gone_impl", "gone_helper"] {
+        assert!(
+            findings.iter().any(|f| f.msg.contains("stale dispatch-table entry")
+                && f.msg.contains(&format!("`{name}`"))),
+            "no stale-entry finding names `{name}`: {findings:#?}"
+        );
+    }
+}

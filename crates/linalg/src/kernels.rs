@@ -1,54 +1,18 @@
 //! Hot vector kernels: dot products, axpy, normalization and the cosine
 //! score/gradient pair used by every backbone during training.
 //!
-//! Every function here routes through the runtime-dispatched SIMD layer in
-//! [`crate::simd`] (scalar reference / portable unrolled / AVX2+FMA,
-//! resolved once per process). Set `BSL_SIMD=scalar` to pin the bit-exact
+//! The element kernels are the runtime-dispatched ones of [`crate::simd`]
+//! (scalar reference / portable unrolled / AVX2+FMA, resolved once per
+//! process), re-exported here. Set `BSL_SIMD=scalar` to pin the bit-exact
 //! reference implementations; see the [`crate::simd`] docs for the full
 //! dispatch story and the blocked (batch) kernel variants.
 
-use crate::simd;
-
-/// Dot product of two equal-length slices.
-///
-/// Accumulates in `f32`; the embedding dimensions used in recommendation
-/// (≤ 512) keep the rounding error far below the noise floor of SGD.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    simd::dot(a, b)
-}
-
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    simd::axpy(alpha, x, y)
-}
-
-/// `y *= alpha`.
-#[inline]
-pub fn scale(alpha: f32, y: &mut [f32]) {
-    simd::scale(alpha, y)
-}
+pub use crate::simd::{axpy, cosine_backward_into, dot, normalize_into, scale, sq_dist};
 
 /// Euclidean norm of a slice.
 #[inline]
 pub fn norm(a: &[f32]) -> f32 {
     dot(a, a).max(0.0).sqrt()
-}
-
-/// Squared Euclidean distance between two slices.
-#[inline]
-pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    simd::sq_dist(a, b)
-}
-
-/// Writes `x / max(||x||, eps)` into `out` and returns `||x||`.
-///
-/// The `eps` floor keeps the gradient of a zero embedding finite; `1e-12`
-/// matches the PyTorch `F.normalize` default.
-#[inline]
-pub fn normalize_into(x: &[f32], out: &mut [f32]) -> f32 {
-    simd::normalize_into(x, out)
 }
 
 /// Cosine similarity between two raw (unnormalized) vectors.
@@ -57,26 +21,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     let na = norm(a).max(1e-12);
     let nb = norm(b).max(1e-12);
     dot(a, b) / (na * nb)
-}
-
-/// Backward pass of the cosine score `s = <a, b> / (||a||·||b||)` with
-/// respect to `a`, accumulated into `grad_a` with weight `g`:
-///
-/// `∂s/∂a = (b̂ − s·â) / ||a||`, where `â`, `b̂` are the unit vectors.
-///
-/// The caller supplies the precomputed unit vectors and the raw norm — the
-/// training loop normalizes once per batch row and reuses the values for
-/// every negative.
-#[inline]
-pub fn cosine_backward_into(
-    g: f32,
-    s: f32,
-    a_hat: &[f32],
-    b_hat: &[f32],
-    a_norm: f32,
-    grad_a: &mut [f32],
-) {
-    simd::cosine_backward_into(g, s, a_hat, b_hat, a_norm, grad_a)
 }
 
 #[cfg(test)]

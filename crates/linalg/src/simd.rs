@@ -27,11 +27,11 @@
 //! On top of the element kernels sit *blocked* kernels
 //! ([`normalize_rows_into`], [`normalize_gather_into`], [`scores_block`],
 //! [`cosine_backward_block`], the gathered [`scores_gather`] and
-//! [`cosine_backward_row`], [`adam_update`], [`sgd_momentum_update`],
+//! [`cosine_backward_row`], [`adam_update`],
 //! the matrix product [`gemm`] and the gathered weighted row sum
 //! [`gather_sum`], one SpMM output row)
 //! that amortize dispatch and normalization over whole batches; the
-//! trainer, evaluator, SpMM and optimizers all route through them. At the
+//! trainer, evaluator, SpMM and optimizer all route through them. At the
 //! [`SimdLevel::Scalar`] level every blocked kernel degrades to the exact
 //! per-element loop order of the pre-SIMD implementations, so
 //! forced-scalar runs stay bit-identical to the historical code; the SIMD
@@ -220,7 +220,7 @@ pub mod scalar {
         n
     }
 
-    /// Reference cosine backward (see [`crate::kernels::cosine_backward_into`]).
+    /// Reference cosine backward (see [`super::cosine_backward_into`]).
     #[inline]
     pub fn cosine_backward_into(
         g: f32,
@@ -293,16 +293,6 @@ pub mod scalar {
             let m_hat = mi / bc1;
             let v_hat = vi / bc2;
             *p -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
-    }
-
-    /// Reference fused momentum-SGD update: `v ← μ·v + g`, `p ← p − lr·v`
-    /// in one pass — exactly the pre-SIMD `Sgd::step_dense` loop.
-    #[inline]
-    pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
-        for ((p, vi), &gi) in param.iter_mut().zip(v.iter_mut()).zip(g.iter()) {
-            *vi = mu * *vi + gi;
-            *p -= lr * *vi;
         }
     }
 
@@ -599,13 +589,6 @@ mod portable {
             let v_hat = *vi / bc2;
             *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
-    }
-
-    /// Fused momentum-SGD update (identical per-element ops to
-    /// [`super::scalar::sgd_momentum_update`]; the compiler vectorizes).
-    #[inline]
-    pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
-        super::scalar::sgd_momentum_update(param, v, g, lr, mu);
     }
 
     /// 8-lane unrolled int8→f32 dequantize-dot (per-lane widening, lane
@@ -1624,46 +1607,6 @@ mod avx2 {
         unsafe { adam_update_impl(param, m, v, g, lr, beta1, beta2, bc1, bc2, eps) }
     }
 
-    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
-    // verified, which the dispatch tables do before routing here.
-    // param, v and g must be equal length.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn sgd_momentum_impl(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
-        // SAFETY: every load/store goes through a slice-derived pointer at
-        // offset i with i + 8 <= n, and the scalar tail dereferences single
-        // in-bounds elements of param/v/g (equal lengths per caller contract).
-        unsafe {
-            let n = param.len();
-            let (pp, pv, pg) = (param.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr());
-            let vmu = _mm256_set1_ps(mu);
-            let vlr = _mm256_set1_ps(lr);
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let vel =
-                    _mm256_fmadd_ps(vmu, _mm256_loadu_ps(pv.add(i)), _mm256_loadu_ps(pg.add(i)));
-                _mm256_storeu_ps(pv.add(i), vel);
-                _mm256_storeu_ps(pp.add(i), _mm256_fnmadd_ps(vlr, vel, _mm256_loadu_ps(pp.add(i))));
-                i += 8;
-            }
-            while i < n {
-                let vel = f32::mul_add(mu, *pv.add(i), *pg.add(i));
-                *pv.add(i) = vel;
-                *pp.add(i) = f32::mul_add(-lr, vel, *pp.add(i));
-                i += 1;
-            }
-        }
-    }
-
-    /// Fused momentum-SGD update: `v ← μ·v + g`, `p ← p − lr·v`.
-    #[inline]
-    pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
-        debug_assert_eq!(param.len(), g.len());
-        debug_assert_eq!(v.len(), g.len());
-        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
-        // docs); equal lengths asserted above.
-        unsafe { sgd_momentum_impl(param, v, g, lr, mu) }
-    }
-
     /// Widens 8 packed `i8` values (the low 8 bytes of `b`) to one f32
     /// register: sign-extend to i32 lanes, then convert.
     #[inline]
@@ -1674,56 +1617,6 @@ mod avx2 {
         // Register-only widening (safe under target_feature); no memory
         // access.
         _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b))
-    }
-
-    // SAFETY: to call, `target_feature` only — sound once AVX2+FMA are
-    // verified, which the dispatch tables do before routing here.
-    // q and row must be equal length (debug_asserted).
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn dequant_dot_impl(q: &[f32], row: &[i8]) -> f32 {
-        // SAFETY: every load/store goes through a slice-derived pointer at
-        // offsets bounded by the loop conditions (16- and 8-byte i8 loads at
-        // i + 16 <= n / i + 8 <= n), with a scalar sub-8 tail.
-        unsafe {
-            debug_assert_eq!(q.len(), row.len());
-            let n = q.len();
-            let (pq, pr) = (q.as_ptr(), row.as_ptr());
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut i = 0usize;
-            while i + 16 <= n {
-                // One 16-byte load covers two 8-lane dequant groups.
-                let b = _mm_loadu_si128(pr.add(i).cast());
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), widen8(b), acc0);
-                acc1 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(pq.add(i + 8)),
-                    widen8(_mm_srli_si128::<8>(b)),
-                    acc1,
-                );
-                i += 16;
-            }
-            if i + 8 <= n {
-                let b = _mm_loadl_epi64(pr.add(i).cast());
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), widen8(b), acc0);
-                i += 8;
-            }
-            let mut out = hsum(_mm256_add_ps(acc0, acc1));
-            while i < n {
-                // Sub-8 tail: i8 lanes have no maskload, so finish scalar.
-                out = f32::mul_add(*pq.add(i), *pr.add(i) as f32, out);
-                i += 1;
-            }
-            out
-        }
-    }
-
-    /// Fused int8→f32 dequantize-dot: `scale · Σ q[j]·row[j]` with the
-    /// widening done in-register (no materialized f32 row).
-    #[inline]
-    pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
-        // SAFETY: AVX2+FMA verified before this module is dispatched (mod
-        // docs); equal lengths are debug_asserted by the kernel.
-        unsafe { dequant_dot_impl(q, row) * scale }
     }
 
     /// Two simultaneous dequant-dots of one query against quantized rows
@@ -2333,6 +2226,10 @@ pub fn dot_with(lv: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Dot product at the process dispatch level.
+///
+/// Accumulates in `f32`; the embedding dimensions used in recommendation
+/// (≤ 512) keep the rounding error far below the noise floor of
+/// stochastic training.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dot_with(active(), a, b)
@@ -2397,13 +2294,16 @@ pub fn normalize_into_with(lv: SimdLevel, x: &[f32], out: &mut [f32]) -> f32 {
 }
 
 /// `out = x / max(||x||, eps)` at the process level, returning `||x||`.
+///
+/// The `eps` floor keeps the gradient of a zero embedding finite; `1e-12`
+/// matches the PyTorch `F.normalize` default.
 #[inline]
 pub fn normalize_into(x: &[f32], out: &mut [f32]) -> f32 {
     normalize_into_with(active(), x, out)
 }
 
 /// Cosine backward at an explicit dispatch level (see
-/// [`crate::kernels::cosine_backward_into`] for the math).
+/// [`cosine_backward_into`] for the math).
 #[inline]
 pub fn cosine_backward_into_with(
     lv: SimdLevel,
@@ -2421,7 +2321,15 @@ pub fn cosine_backward_into_with(
     }
 }
 
-/// Cosine backward at the process dispatch level.
+/// Backward pass of the cosine score `s = <a, b> / (||a||·||b||)` with
+/// respect to `a`, at the process dispatch level, accumulated into
+/// `grad_a` with weight `g`:
+///
+/// `∂s/∂a = (b̂ − s·â) / ||a||`, where `â`, `b̂` are the unit vectors.
+///
+/// The caller supplies the precomputed unit vectors and the raw norm — the
+/// training loop normalizes once per batch row and reuses the values for
+/// every negative.
 #[inline]
 pub fn cosine_backward_into(
     g: f32,
@@ -2478,50 +2386,6 @@ pub fn adam_update(
     eps: f32,
 ) {
     adam_update_with(active(), param, m, v, g, lr, beta1, beta2, bc1, bc2, eps)
-}
-
-/// Fused momentum-SGD update at an explicit dispatch level:
-/// `v ← μ·v + g`, `p ← p − lr·v` in one pass. At
-/// [`SimdLevel::Scalar`] this is bit-identical to the historical fused
-/// `Sgd::step_dense` loop.
-#[inline]
-pub fn sgd_momentum_update_with(
-    lv: SimdLevel,
-    param: &mut [f32],
-    v: &mut [f32],
-    g: &[f32],
-    lr: f32,
-    mu: f32,
-) {
-    match lv {
-        SimdLevel::Scalar => scalar::sgd_momentum_update(param, v, g, lr, mu),
-        SimdLevel::Portable => portable::sgd_momentum_update(param, v, g, lr, mu),
-        SimdLevel::Avx2Fma => accel::sgd_momentum_update(param, v, g, lr, mu),
-    }
-}
-
-/// Fused momentum-SGD update at the process dispatch level.
-#[inline]
-pub fn sgd_momentum_update(param: &mut [f32], v: &mut [f32], g: &[f32], lr: f32, mu: f32) {
-    sgd_momentum_update_with(active(), param, v, g, lr, mu)
-}
-
-/// Fused int8→f32 dequantize-dot at an explicit dispatch level:
-/// `scale · Σ q[j]·row[j]`, widening the quantized row in the accumulation
-/// loop — quantized score tables are never materialized as f32.
-#[inline]
-pub fn dequant_dot_with(lv: SimdLevel, q: &[f32], row: &[i8], scale: f32) -> f32 {
-    match lv {
-        SimdLevel::Scalar => scalar::dequant_dot(q, row, scale),
-        SimdLevel::Portable => portable::dequant_dot(q, row, scale),
-        SimdLevel::Avx2Fma => accel::dequant_dot(q, row, scale),
-    }
-}
-
-/// Fused int8→f32 dequantize-dot at the process dispatch level.
-#[inline]
-pub fn dequant_dot(q: &[f32], row: &[i8], scale: f32) -> f32 {
-    dequant_dot_with(active(), q, row, scale)
 }
 
 /// The softmax row kernel at an explicit dispatch level: writes the
@@ -2766,7 +2630,7 @@ pub fn scores_block_i8(q: &[f32], block: &[i8], scales: &[f32], out: &mut [f32])
 
 /// Scores one query row against *gathered* rows of an `n × d` quantized
 /// table: `out[j] = scales[ids[j]] · <q, table_row(ids[j])>` — the IVF
-/// shortlist-rescoring hot path. Unlike looping [`dequant_dot`], the whole
+/// shortlist-rescoring hot path. Unlike a per-row dequant-dot loop, the whole
 /// candidate list is scored inside one dispatch (and, on AVX2, one
 /// target-feature region with eight rows per pass sharing the query
 /// loads). Each score has the bits [`scores_block_i8`] gives the same row.
@@ -3392,10 +3256,10 @@ mod tests {
             }
         }
 
-        /// Every dispatch level's fused dequant-dot matches the scalar
-        /// reference within tolerance, and the whole int8 pipeline
-        /// (quantized row × f32 query) matches the plain f32 dot of the
-        /// dequantized row — across non-multiple-of-8 tails.
+        /// The portable fused dequant-dot matches the scalar reference
+        /// within tolerance, and the whole int8 pipeline (quantized row ×
+        /// f32 query) matches the plain f32 dot of the dequantized row —
+        /// across non-multiple-of-8 tails.
         #[test]
         fn prop_dequant_dot_matches_scalar_and_f32(
             q in vec_strategy(130),
@@ -3405,9 +3269,8 @@ mod tests {
             let n = q.len().min(bytes.len());
             let (q, row) = (&q[..n], &bytes[..n]);
             let want = scalar::dequant_dot(q, row, scale);
-            for lv in simd_levels() {
-                prop_assert!(rel_close(dequant_dot_with(lv, q, row, scale), want, 1e-4), "{lv}");
-            }
+            let got = portable::dequant_dot(q, row, scale);
+            prop_assert!(rel_close(got, want, 1e-4), "portable {got} vs scalar {want}");
             // The fused kernel is the dot of the dequantized row.
             let deq: Vec<f32> = row.iter().map(|&b| b as f32 * scale).collect();
             let via_f32 = scalar::dot(q, &deq);
@@ -3460,29 +3323,6 @@ mod tests {
             scores_gather_i8(&q, &table, &scales, &ids, &mut got);
             for (x, w) in got.iter().zip(want.iter()) {
                 prop_assert!(rel_close(*x, *w, 1e-4));
-            }
-        }
-
-        #[test]
-        fn prop_sgd_momentum_matches_scalar(
-            p0 in vec_strategy(70),
-            lr in 0.001f32..0.5,
-            mu in 0.0f32..0.99,
-        ) {
-            let n = p0.len();
-            let g: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
-            let v0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).cos() * 0.5).collect();
-            let (mut pw, mut vw) = (p0.clone(), v0.clone());
-            scalar::sgd_momentum_update(&mut pw, &mut vw, &g, lr, mu);
-            for lv in simd_levels() {
-                let (mut pg, mut vg) = (p0.clone(), v0.clone());
-                sgd_momentum_update_with(lv, &mut pg, &mut vg, &g, lr, mu);
-                for (x, w) in pg.iter().zip(pw.iter()) {
-                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv}");
-                }
-                for (x, w) in vg.iter().zip(vw.iter()) {
-                    prop_assert!(rel_close(*x, *w, 1e-4), "{lv} v");
-                }
             }
         }
     }

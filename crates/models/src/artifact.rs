@@ -541,11 +541,6 @@ impl ModelArtifact {
         self.build_ivf(IvfIndex::default_nlist(self.n_items()));
     }
 
-    /// Drops the attached index (the artifact serves exactly again).
-    pub fn clear_index(&mut self) {
-        self.index = None;
-    }
-
     /// Encodes the artifact into the documented binary format: v1 for a
     /// plain f32 artifact with no index (bit-compatible with every v1
     /// reader), v2 otherwise.

@@ -5,8 +5,9 @@
 //! `q = round(x / scale)` and `scale = max_j |x_j| / 127`. The grid is
 //! symmetric around zero (no zero-point), so a dot product against an f32
 //! query needs exactly one multiply by `scale` after the integer-widening
-//! accumulation — the fused [`dequant_dot`] / [`scores_block_i8`] kernels
-//! in `bsl_linalg::simd` — and the table itself is 4× smaller than f32.
+//! accumulation — the fused [`scores_block_i8`] / [`scores_gather_i8`]
+//! kernels in `bsl_linalg::simd` — and the table itself is 4× smaller than
+//! f32.
 //!
 //! Guarantees (property-tested in `tests/retrieval.rs` and below):
 //!
@@ -83,9 +84,9 @@
 //! does twice the largest `|T_i| + h_i` any row could reach
 //! (`Sketch::certify` returns `None` otherwise).
 //!
-//! [`dequant_dot`]: bsl_linalg::simd::dequant_dot
 //! [`dots_block_i8`]: bsl_linalg::simd::dots_block_i8
 //! [`scores_block_i8`]: bsl_linalg::simd::scores_block_i8
+//! [`scores_gather_i8`]: bsl_linalg::simd::scores_gather_i8
 //! [`scores_block`]: bsl_linalg::simd::scores_block
 
 use bsl_linalg::simd::{dots_block_i8, scores_block_i8, scores_gather_i8};
@@ -498,7 +499,7 @@ impl Sketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsl_linalg::simd::{dequant_dot, scalar};
+    use bsl_linalg::simd::scalar;
     use proptest::prelude::*;
 
     #[test]
@@ -538,9 +539,9 @@ mod tests {
             }
         }
 
-        /// The fused kernel over a quantized row equals the f32 dot of the
-        /// dequantized row, and stays within the quantization error budget
-        /// of the original dot: `|Δ| ≤ (scale/2)·Σ|q_j|`.
+        /// The production int8 scorer ([`QuantizedTable::scores_into`]) over
+        /// a quantized row stays within the quantization error budget of
+        /// the original dot: `|Δ| ≤ (scale/2)·Σ|q_j|`.
         #[test]
         fn prop_quantized_dot_error_is_bounded(
             row in proptest::collection::vec(-4.0f32..4.0, 1..80),
@@ -550,7 +551,9 @@ mod tests {
             let q: Vec<f32> = (0..d).map(|i| (((i as u64 * 37 + seed) % 17) as f32) * 0.1 - 0.8).collect();
             let m = Matrix::from_vec(1, d, row.clone());
             let t = QuantizedTable::from_matrix(&m);
-            let fused = dequant_dot(&q, t.row(0), t.scale(0));
+            let mut fused = [0.0f32];
+            t.scores_into(&q, &mut fused);
+            let fused = fused[0];
             let exact = scalar::dot(&q, &row);
             let budget = 0.5 * t.scale(0) * q.iter().map(|x| x.abs()).sum::<f32>() + 1e-4;
             prop_assert!((fused - exact).abs() <= budget, "{fused} vs {exact} (budget {budget})");
@@ -565,7 +568,7 @@ mod tests {
         let mut got = vec![0.0f32; 7];
         t.scores_into(&q, &mut got);
         for (r, &g) in got.iter().enumerate() {
-            let want = dequant_dot(&q, t.row(r), t.scale(r));
+            let want = scalar::dequant_dot(&q, t.row(r), t.scale(r));
             assert!((g - want).abs() <= 1e-5 * (1.0 + want.abs()), "row {r}");
         }
     }

@@ -15,9 +15,6 @@ use bsl_linalg::Matrix;
 pub struct Adam {
     m: Matrix,
     v: Matrix,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     t: u64,
     /// `(1 − β1^t, 1 − β2^t)` at the current `t`, computed once per step
     /// by [`Self::begin_step`] and read by every row update.
@@ -28,29 +25,20 @@ pub struct Adam {
 }
 
 impl Adam {
+    // β1, β2 and ε, fixed for every parameter.
+    const BETA1: f32 = 0.9;
+    const BETA2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+
     /// Fresh state for a `rows × cols` parameter with the standard
     /// hyperparameters (β1 = 0.9, β2 = 0.999, ε = 1e-8) the paper's
     /// baselines all use.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Self::with_betas(rows, cols, 0.9, 0.999, 1e-8)
-    }
-
-    /// Fresh state with explicit moment decays.
-    ///
-    /// # Panics
-    /// Panics unless `0 <= beta < 1` for both betas and `eps > 0`.
-    pub fn with_betas(rows: usize, cols: usize, beta1: f32, beta2: f32, eps: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0,1), got {beta1}");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0,1), got {beta2}");
-        assert!(eps > 0.0, "eps must be positive");
         Self {
             m: Matrix::zeros(rows, cols),
             v: Matrix::zeros(rows, cols),
-            beta1,
-            beta2,
-            eps,
             t: 0,
-            bias: bias_corrections(beta1, beta2, 0),
+            bias: bias_corrections(0),
             seen: Vec::new(),
         }
     }
@@ -66,7 +54,7 @@ impl Adam {
     /// itself in [`Self::step_dense`].
     pub fn begin_step(&mut self) {
         self.t += 1;
-        self.bias = bias_corrections(self.beta1, self.beta2, self.t);
+        self.bias = bias_corrections(self.t);
     }
 
     /// Lazy per-row update: applies one Adam update to `param` row
@@ -84,11 +72,11 @@ impl Adam {
             self.v.row_mut(row),
             grad,
             lr,
-            self.beta1,
-            self.beta2,
+            Self::BETA1,
+            Self::BETA2,
             bc1,
             bc2,
-            self.eps,
+            Self::EPS,
         );
     }
 
@@ -108,11 +96,11 @@ impl Adam {
             self.v.as_mut_slice(),
             grad.as_slice(),
             lr,
-            self.beta1,
-            self.beta2,
+            Self::BETA1,
+            Self::BETA2,
             bc1,
             bc2,
-            self.eps,
+            Self::EPS,
         );
     }
 
@@ -147,9 +135,9 @@ impl Adam {
 /// [`Adam::begin_step`] yet) reads as step 1, and the exponent saturates
 /// at `i32::MAX` instead of wrapping negative; `β^(2³¹)` is already 0 in
 /// f32, so saturating changes no value.
-fn bias_corrections(beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
+fn bias_corrections(t: u64) -> (f32, f32) {
     let t = t.clamp(1, i32::MAX as u64) as i32;
-    (1.0 - beta1.powi(t), 1.0 - beta2.powi(t))
+    (1.0 - Adam::BETA1.powi(t), 1.0 - Adam::BETA2.powi(t))
 }
 
 #[cfg(test)]
@@ -300,10 +288,10 @@ mod tests {
     /// 0 or a negative power (a zero or infinite correction).
     #[test]
     fn bias_corrections_saturate_past_i32_steps() {
-        let top = bias_corrections(0.9, 0.999, i32::MAX as u64);
+        let top = bias_corrections(i32::MAX as u64);
         assert_eq!(top, (1.0, 1.0));
         for t in [1u64 << 31, 1 << 32, u64::MAX] {
-            assert_eq!(bias_corrections(0.9, 0.999, t), top, "t = {t}");
+            assert_eq!(bias_corrections(t), top, "t = {t}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! First-order optimizers for the embedding models.
+//! The Adam optimizer for the embedding models.
 //!
 //! The trainer hands each parameter tensor its own [`Adam`] state. MF-style
 //! backbones touch only a few embedding rows per batch, so [`Adam`] exposes
@@ -14,9 +14,5 @@
 #![deny(missing_docs)]
 
 pub mod adam;
-pub mod schedule;
-pub mod sgd;
 
 pub use adam::Adam;
-pub use schedule::LrSchedule;
-pub use sgd::Sgd;
