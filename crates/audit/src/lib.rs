@@ -325,15 +325,20 @@ pub fn run_check(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     findings
 }
 
-/// Per-crate unsafe policy: allowed crates must deny
-/// `unsafe_op_in_unsafe_fn`; every other crate must forbid unsafe
-/// outright and contain none.
+/// Per-crate unsafe policy, over each crate's library (`src/`, the code
+/// its `lib.rs` attributes govern): allowed crates must deny
+/// `unsafe_op_in_unsafe_fn` and still use `unsafe` there (an entry whose
+/// library no longer does is stale and is reported, so the allowlist only
+/// shrinks); every other crate must forbid unsafe outright and its library
+/// contain none. Test files may hold justified unsafe (a counting
+/// `GlobalAlloc`, say); the inventory still records every use.
 fn check_crate_policy(ws: &Workspace, cfg: &Config, uses: &[(UnsafeUse, u32)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for c in &ws.crates {
         let lib_rel = format!("{}/src/lib.rs", c.dir);
         let Some(lib_src) = ws.raw.get(&lib_rel) else { continue };
         let allowed = cfg.unsafe_allowed.contains(&c.name);
+        let lib_dir = format!("{}/src/", c.dir);
         if allowed {
             if !lib_src.contains("#![deny(unsafe_op_in_unsafe_fn)]") {
                 findings.push(Finding {
@@ -343,6 +348,18 @@ fn check_crate_policy(ws: &Workspace, cfg: &Config, uses: &[(UnsafeUse, u32)]) -
                     msg: format!(
                         "crate `{}` may use unsafe and must carry \
                          `#![deny(unsafe_op_in_unsafe_fn)]`",
+                        c.name
+                    ),
+                });
+            }
+            if !uses.iter().any(|(u, _)| u.file.starts_with(&lib_dir)) {
+                findings.push(Finding {
+                    file: "audit/policy.toml".into(),
+                    line: 0,
+                    lint: LINT_POLICY,
+                    msg: format!(
+                        "stale unsafe-allowlist entry: `{}`'s library uses no unsafe \
+                         — remove it from [unsafe].allowed and forbid unsafe_code",
                         c.name
                     ),
                 });
@@ -360,9 +377,8 @@ fn check_crate_policy(ws: &Workspace, cfg: &Config, uses: &[(UnsafeUse, u32)]) -
                     ),
                 });
             }
-            let prefix = format!("{}/", c.dir);
             for (u, line) in uses {
-                if u.file.starts_with(&prefix) {
+                if u.file.starts_with(&lib_dir) {
                     findings.push(Finding {
                         file: u.file.clone(),
                         line: *line,

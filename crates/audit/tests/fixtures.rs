@@ -6,6 +6,8 @@
 //! kernel with its scalar twin) and must come back clean. The fixture
 //! trees are full mini-workspaces (`crates/demo` + `audit/*.toml`), and
 //! the walker's `fixtures` skip-rule keeps them out of the real audit.
+//! `tests/fixtures/stale_ws` holds an unsafe-allowlist entry whose crate
+//! no longer uses unsafe in its library, the one finding it must report.
 
 use bsl_audit::{load_config, load_workspace, run_check};
 use std::path::PathBuf;
@@ -120,4 +122,23 @@ fn good_workspace_reports_stale_dispatch_table_entries() {
             "no stale-entry finding names `{name}`: {findings:#?}"
         );
     }
+}
+
+#[test]
+fn stale_workspace_reports_an_allowlisted_crate_without_unsafe() {
+    // `demo-stale` is on the unsafe allowlist, but its library uses none:
+    // the entry is stale. `demo-plain` forbids unsafe in its library and
+    // holds one justified, inventoried unsafe block in a test, which the
+    // library-scoped policy accepts.
+    let root = fixture_root("stale_ws");
+    let ws = load_workspace(&root).expect("fixture loads");
+    let cfg = load_config(&root).expect("fixture config loads");
+    let findings = run_check(&ws, &cfg);
+    let got: Vec<(&str, u32, &str)> =
+        findings.iter().map(|f| (f.file.as_str(), f.line, f.lint)).collect();
+    assert_eq!(got, vec![("audit/policy.toml", 0, "policy")], "full findings: {findings:#?}");
+    assert!(
+        findings[0].msg.contains("stale unsafe-allowlist entry: `demo-stale`"),
+        "{findings:#?}"
+    );
 }

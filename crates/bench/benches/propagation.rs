@@ -19,7 +19,7 @@ fn bench_propagation(c: &mut Criterion) {
     c.bench_function("spmm_yelp_d64", |bench| bench.iter(|| adj.user_item.spmm(black_box(&i))));
     let prop = Propagator::new(adj.clone(), 3);
     c.bench_function("lightgcn_forward_3layer_d64", |bench| {
-        bench.iter(|| prop.forward(black_box(&u), black_box(&i)))
+        bench.iter(|| prop.forward(black_box(&u), black_box(&i), None))
     });
     c.bench_function("edge_dropout_renormalize", |bench| {
         bench.iter(|| adj.edge_dropout(0.2, &mut rng))

@@ -29,9 +29,9 @@
 //!
 //! [`Bsl`]: bsl_losses::Bsl
 
-// On the bsl-audit unsafe allowlist (audit/policy.toml): unsafe fns must
-// still spell out every unsafe operation in an explicit `unsafe {}` block.
-#![deny(unsafe_op_in_unsafe_fn)]
+// Enforced by bsl-audit (audit/policy.toml): this crate is not on the
+// unsafe allowlist.
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod config;

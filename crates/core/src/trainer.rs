@@ -3,7 +3,7 @@
 use crate::config::{SamplingConfig, TrainConfig};
 use crate::engine::{Engine, Job, WorkerPool};
 use bsl_data::Dataset;
-use bsl_eval::{evaluate_artifact, EvalReport};
+use bsl_eval::{evaluate_artifact, evaluate_artifact_on, EvalReport};
 use bsl_linalg::kernels::{axpy, cosine_backward_into, dot, normalize_into, sq_dist};
 use bsl_linalg::simd::{cosine_backward_row, gemm, normalize_gather_into, scores_gather, Op};
 use bsl_linalg::Matrix;
@@ -668,7 +668,7 @@ impl Trainer {
                 if in_batch && batch.len() < 2 {
                     continue; // a single row has no in-batch negatives
                 }
-                backbone.forward(&mut rng);
+                backbone.forward_on(&mut rng, engine.map(Engine::pool));
                 let (l, aux) = self.step(
                     backbone,
                     loss.as_ref(),
@@ -695,11 +695,14 @@ impl Trainer {
             history.push(EpochStats { epoch, loss: loss_sum / denom, aux_loss: aux_sum / denom });
 
             if (epoch + 1) % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
-                backbone.forward(&mut rng);
+                backbone.forward_on(&mut rng, engine.map(Engine::pool));
                 // Freeze the epoch's embeddings and rank through the
                 // artifact — the same prepared tables serving would use.
                 let artifact = backbone.export();
-                let report = evaluate_artifact(ds, &artifact, &EVAL_KS);
+                let report = match engine {
+                    Some(e) => evaluate_artifact_on(ds, &artifact, &EVAL_KS, e.pool()),
+                    None => evaluate_artifact(ds, &artifact, &EVAL_KS),
+                };
                 let ndcg = report.ndcg(20);
                 eval_history.push((epoch, ndcg));
                 if ndcg > best_ndcg {
@@ -824,7 +827,7 @@ impl Trainer {
         // Every touched row's update is independent of the others, so the
         // optimizer and the clear may sweep them in memory order.
         grads.order_touched();
-        let aux = backbone.step(grads, &batch.users, &batch.pos, hyper, rng);
+        let aux = backbone.step_on(grads, &batch.users, &batch.pos, hyper, rng, pool);
         grads.clear();
         (loss_value, aux)
     }
@@ -1504,7 +1507,7 @@ mod tests {
         let trainer = Trainer::new(cfg);
         let mut losses = Vec::new();
         for batch in &batches {
-            backbone.forward(&mut rng);
+            backbone.forward_on(&mut rng, pool);
             let (l, _) = trainer.step(
                 backbone.as_mut(),
                 loss.as_ref(),

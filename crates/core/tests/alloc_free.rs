@@ -108,6 +108,33 @@ fn warm_lightgcn_forward_and_step_allocate_nothing() {
     }
 }
 
+/// The pooled forms on a one-lane pool run the whole range inline, so they
+/// never build a round's job list: a warm `forward_on` / `step_on` pair
+/// allocates nothing either. (A round on more lanes allocates its job
+/// list, as the step passes' rounds do.)
+#[test]
+fn warm_lightgcn_forward_on_and_step_on_a_one_lane_pool_allocate_nothing() {
+    let ds = Arc::new(generate(&SynthConfig::tiny(1)));
+    let hp = Hyper { lr: 0.01, l2: 1e-4 };
+    let mut rng = StdRng::seed_from_u64(0);
+    let pool = WorkerPool::new(1);
+    for (dim, layers) in [(64usize, 2usize), (13, 3)] {
+        let mut lgn = LightGcn::new(&ds, dim, layers, 7);
+        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, dim);
+        grads.user_row_mut(5).iter_mut().for_each(|g| *g = 0.1);
+        grads.item_row_mut(3).iter_mut().for_each(|g| *g = -0.2);
+        lgn.forward_on(&mut rng, Some(&pool));
+        lgn.step_on(&grads, &[], &[], hp, &mut rng, Some(&pool));
+        let n = allocations(|| {
+            for _ in 0..3 {
+                lgn.forward_on(&mut rng, Some(&pool));
+                lgn.step_on(&grads, &[], &[], hp, &mut rng, Some(&pool));
+            }
+        });
+        assert_eq!(n, 0, "d = {dim}, {layers} layers");
+    }
+}
+
 /// The sampled trainer's optimizer end: ordering the touched rows and the
 /// MF (and CML) step over them reuse the lists' capacity and the step's
 /// row buffer, so a warm pair allocates nothing.

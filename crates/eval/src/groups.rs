@@ -16,6 +16,7 @@
 use crate::metrics::{dcg_discount, idcg, user_metrics};
 use crate::ranking::{host_workers, rank_blocks};
 use bsl_data::Dataset;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
 use bsl_models::{EvalScore, ModelArtifact};
 
@@ -60,7 +61,7 @@ pub fn group_ndcg(
         &artifact,
         &users,
         k,
-        host_workers(),
+        &WorkerPool::new(host_workers()),
         vec![0.0f64; n_groups],
         |acc, u, ranked| {
             let relevant = ds.test_items(u as usize);
@@ -108,7 +109,7 @@ pub fn group_ndcg_restricted(
         &artifact,
         &ds.evaluable_users(),
         k,
-        host_workers(),
+        &WorkerPool::new(host_workers()),
         vec![(0.0f64, 0usize); n_groups],
         |acc, u, ranked| {
             let relevant = ds.test_items(u as usize);

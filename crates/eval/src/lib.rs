@@ -4,8 +4,8 @@
 //!   Precision@K, HitRate@K, MAP@K) on a ranked list vs. a relevance set;
 //! * [`ranking`] — full ranking of the item catalogue through a frozen
 //!   [`ModelArtifact`] (the masked exact top-k `bsl-serve` answers with),
-//!   with train-item masking, parallelized across users with scoped
-//!   threads;
+//!   with train-item masking, parallelized across users as one round of
+//!   a [`WorkerPool`](bsl_linalg::pool::WorkerPool);
 //! * [`groups`] — the popularity-group decomposition of NDCG@K used by the
 //!   fairness analyses (Figs 4a and 5).
 //!
@@ -25,4 +25,4 @@ pub mod ranking;
 pub use bsl_models::{EvalScore, ModelArtifact};
 pub use groups::{group_ndcg, group_ndcg_restricted};
 pub use metrics::{MetricSet, UserMetrics};
-pub use ranking::{evaluate, evaluate_artifact, EvalReport};
+pub use ranking::{evaluate, evaluate_artifact, evaluate_artifact_on, EvalReport};

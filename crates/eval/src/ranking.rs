@@ -30,6 +30,7 @@
 
 use crate::metrics::{user_metrics, MetricSet};
 use bsl_data::Dataset;
+use bsl_linalg::pool::{Job, WorkerPool};
 use bsl_linalg::topk::TopK;
 use bsl_models::{select_catalogue_into, EvalScore, ModelArtifact};
 
@@ -90,12 +91,12 @@ const BLOCK_USERS: usize = 16;
 /// [`bsl_linalg::simd::scores_block_multi`]'s register tile.
 const GROUP_USERS: usize = 4;
 
-/// The threads an evaluation shares its blocks between.
+/// The lanes of an evaluation's call-local pool.
 pub(crate) fn host_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// One thread's ranking buffers.
+/// One lane's ranking buffers.
 #[derive(Default)]
 struct RankScratch {
     /// A group's catalogue scores, one run of `n_items` per user.
@@ -133,32 +134,35 @@ fn rank_block<P>(
 
 /// The ranking driver: every user of `users` gets its masked top-`k`,
 /// folded by `per_user` into the partial of the user's block, which starts
-/// as a copy of `empty`. Returns the partials in block order; `workers`
-/// threads share contiguous runs of blocks, and since a partial only ever
-/// sees its own block's users in order, the result does not depend on
-/// `workers`.
+/// as a copy of `empty`. Returns the partials in block order. The blocks
+/// are shared out as one `pool` round, one contiguous run of blocks per
+/// lane, and since a partial only ever sees its own block's users in
+/// order, the result does not depend on the lane count.
 pub(crate) fn rank_blocks<P: Clone + Send>(
     ds: &Dataset,
     artifact: &ModelArtifact,
     users: &[u32],
     k: usize,
-    workers: usize,
+    pool: &WorkerPool,
     empty: P,
     per_user: impl Fn(&mut P, u32, &[u32]) + Sync,
 ) -> Vec<P> {
     let mut partials = vec![empty; users.len().div_ceil(BLOCK_USERS)];
-    let run = partials.len().div_ceil(workers.max(1)).max(1);
-    std::thread::scope(|scope| {
-        for (parts, users) in partials.chunks_mut(run).zip(users.chunks(run * BLOCK_USERS)) {
-            let per_user = &per_user;
-            scope.spawn(move || {
+    let run = partials.len().div_ceil(pool.n_workers()).max(1);
+    let per_user = &per_user;
+    let jobs: Vec<Job> = partials
+        .chunks_mut(run)
+        .zip(users.chunks(run * BLOCK_USERS))
+        .map(|(parts, users)| {
+            Box::new(move || {
                 let mut scratch = RankScratch::default();
                 for (part, block) in parts.iter_mut().zip(users.chunks(BLOCK_USERS)) {
                     rank_block(ds, artifact, k, block, &mut scratch, part, per_user);
                 }
-            });
-        }
-    });
+            }) as Job
+        })
+        .collect();
+    pool.run(jobs);
     partials
 }
 
@@ -168,23 +172,31 @@ pub(crate) fn rank_blocks<P: Clone + Send>(
 /// protocol). The artifact's tables are served as-is — no per-call
 /// normalization or augmentation is repaid here.
 ///
-/// Blocks of users are distributed over scoped threads, each with its own
-/// score and top-k scratch; the report does not depend on how many.
+/// Blocks of users are shared between the lanes of a call-local
+/// [`WorkerPool`] (the calling thread and up to seven workers, one per
+/// further available core), each lane with its own score and top-k
+/// scratch; the report does not depend on how many.
+/// [`evaluate_artifact_on`] runs on a pool the caller keeps.
 ///
 /// # Panics
 /// Panics if `ks` is empty or holds a zero, or if the artifact's shape
 /// disagrees with `ds`. All of it is checked on the calling thread before
 /// any ranking starts.
 pub fn evaluate_artifact(ds: &Dataset, artifact: &ModelArtifact, ks: &[usize]) -> EvalReport {
-    evaluate_artifact_on(ds, artifact, ks, host_workers())
+    evaluate_artifact_on(ds, artifact, ks, &WorkerPool::new(host_workers()))
 }
 
-/// [`evaluate_artifact`] on `workers` threads.
-fn evaluate_artifact_on(
+/// [`evaluate_artifact`] on the lanes of `pool` (the trainer passes the
+/// pool its steps run on, so an evaluation spawns no thread): the same
+/// report, bit for bit, at any lane count.
+///
+/// # Panics
+/// As [`evaluate_artifact`].
+pub fn evaluate_artifact_on(
     ds: &Dataset,
     artifact: &ModelArtifact,
     ks: &[usize],
-    workers: usize,
+    pool: &WorkerPool,
 ) -> EvalReport {
     assert!(!ks.is_empty(), "need at least one cutoff");
     assert!(ks.iter().all(|&k| k > 0), "cutoff must be positive");
@@ -197,7 +209,7 @@ fn evaluate_artifact_on(
         artifact,
         &ds.evaluable_users(),
         max_k,
-        workers,
+        pool,
         vec![MetricSet::default(); ks.len()],
         |acc, u, ranked| {
             let relevant = ds.test_items(u as usize);
@@ -340,9 +352,9 @@ mod tests {
     fn report_is_bit_equal_for_any_worker_count() {
         let (ds, art) = ten_block_case();
         assert!(ds.evaluable_users().len() > 9 * BLOCK_USERS);
-        let one = evaluate_artifact_on(&ds, &art, &[5, 20], 1);
+        let one = evaluate_artifact_on(&ds, &art, &[5, 20], &WorkerPool::new(1));
         for workers in [2, 3, 8] {
-            let many = evaluate_artifact_on(&ds, &art, &[5, 20], workers);
+            let many = evaluate_artifact_on(&ds, &art, &[5, 20], &WorkerPool::new(workers));
             for (a, b) in one.at.iter().zip(&many.at) {
                 assert_eq!(a.ndcg.to_bits(), b.ndcg.to_bits(), "{workers} workers");
                 assert_eq!(a, b, "{workers} workers");
@@ -355,7 +367,8 @@ mod tests {
     fn driver_ranks_every_user_like_the_per_user_loop() {
         let (ds, art) = ten_block_case();
         let users = ds.evaluable_users();
-        let lists = rank_blocks(&ds, &art, &users, 20, 3, Vec::new(), |acc, u, ranked| {
+        let pool = WorkerPool::new(3);
+        let lists = rank_blocks(&ds, &art, &users, 20, &pool, Vec::new(), |acc, u, ranked| {
             acc.push((u, ranked.to_vec()));
         });
         let lists: Vec<(u32, Vec<u32>)> = lists.into_iter().flatten().collect();
@@ -419,7 +432,7 @@ mod tests {
                 }
             }
             want.iter_mut().for_each(MetricSet::finalize);
-            let got = evaluate_artifact_on(&ds, &art, &ks, 2);
+            let got = evaluate_artifact_on(&ds, &art, &ks, &WorkerPool::new(2));
             assert_eq!(art.dim(), if score == EvalScore::NegSqDist { 65 } else { 64 });
             for (g, w) in got.at.iter().zip(&want) {
                 assert_eq!(g.ndcg.to_bits(), w.ndcg.to_bits(), "{score:?}");

@@ -4,8 +4,10 @@
 //! a row-major [`Matrix`] of `f32`, the vector kernels the training loops
 //! are hot on ([`kernels`], backed by the runtime-dispatched SIMD layer in
 //! [`simd`] with blocked batch variants), numerically-stable statistics
-//! ([`stats`]), top-k selection for ranking evaluation ([`topk`]), and a
-//! randomized truncated SVD ([`svd`]) used by the LightGCL-lite backbone.
+//! ([`stats`]), top-k selection for ranking evaluation ([`topk`]), a
+//! randomized truncated SVD ([`svd`]) used by the LightGCL-lite backbone,
+//! and the persistent [`pool::WorkerPool`] every layer runs its parallel
+//! rounds on.
 //!
 //! Conventions:
 //! * storage is `f32`, accumulation of anything that is summed over many
@@ -20,6 +22,7 @@
 
 pub mod kernels;
 pub mod matrix;
+pub mod pool;
 pub mod simd;
 pub mod stats;
 pub mod svd;

@@ -3,6 +3,7 @@
 use crate::artifact::ModelArtifact;
 use crate::grad::GradBuffer;
 use bsl_data::Dataset;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -56,6 +57,15 @@ pub trait Backbone: Send {
     /// backbones ignore it.
     fn forward(&mut self, rng: &mut StdRng);
 
+    /// [`Backbone::forward`] with `pool`'s lanes free for its
+    /// row-independent stages (the propagation hops). The result has
+    /// `forward`'s bits at any lane count; `None` is `forward` itself,
+    /// which is what backbones without such stages run.
+    fn forward_on(&mut self, rng: &mut StdRng, pool: Option<&WorkerPool>) {
+        let _ = pool;
+        self.forward(rng);
+    }
+
     /// Final user embeddings (valid after [`Backbone::forward`]).
     fn user_factors(&self) -> &Matrix;
     /// Final item embeddings (valid after [`Backbone::forward`]).
@@ -75,6 +85,23 @@ pub trait Backbone: Send {
         hp: Hyper,
         rng: &mut StdRng,
     ) -> f64;
+
+    /// [`Backbone::step`] with `pool`'s lanes free for its
+    /// row-independent stages (the backward propagation and dense Adam).
+    /// The update has `step`'s bits at any lane count; `None` is `step`
+    /// itself, which is what backbones without such stages run.
+    fn step_on(
+        &mut self,
+        grads: &GradBuffer,
+        batch_users: &[u32],
+        batch_items: &[u32],
+        hp: Hyper,
+        rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
+    ) -> f64 {
+        let _ = pool;
+        self.step(grads, batch_users, batch_items, hp, rng)
+    }
 
     /// The training-time score function.
     fn train_score(&self) -> TrainScore {

@@ -13,6 +13,7 @@ use crate::grad::GradBuffer;
 use crate::lightgcn::LightGcn;
 use crate::propagation::{dedup_cap, info_nce_grad, Propagator};
 use bsl_data::Dataset;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::svd::randomized_svd;
 use bsl_linalg::Matrix;
 use bsl_opt::Adam;
@@ -124,8 +125,12 @@ impl Backbone for LightGcl {
         self.user_base.cols()
     }
 
-    fn forward(&mut self, _rng: &mut StdRng) {
-        let (u, i) = self.prop.forward(&self.user_base, &self.item_base);
+    fn forward(&mut self, rng: &mut StdRng) {
+        self.forward_on(rng, None);
+    }
+
+    fn forward_on(&mut self, _rng: &mut StdRng, pool: Option<&WorkerPool>) {
+        let (u, i) = self.prop.forward(&self.user_base, &self.item_base, pool);
         self.fin_u = u;
         self.fin_i = i;
         let (su, si) = self.svd_view();
@@ -147,9 +152,21 @@ impl Backbone for LightGcl {
         batch_users: &[u32],
         batch_items: &[u32],
         hp: Hyper,
-        _rng: &mut StdRng,
+        rng: &mut StdRng,
     ) -> f64 {
-        let (mut gu, mut gi) = self.prop.backward(grads.users(), grads.items());
+        self.step_on(grads, batch_users, batch_items, hp, rng, None)
+    }
+
+    fn step_on(
+        &mut self,
+        grads: &GradBuffer,
+        batch_users: &[u32],
+        batch_items: &[u32],
+        hp: Hyper,
+        _rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
+    ) -> f64 {
+        let (mut gu, mut gi) = self.prop.backward(grads.users(), grads.items(), pool);
         let mut aux = 0.0f64;
         if self.ssl_reg > 0.0 {
             let (nu, d) = (self.user_base.rows(), self.user_base.cols());
@@ -184,7 +201,7 @@ impl Backbone for LightGcl {
                 );
             }
             // Main-view gradients flow through the graph propagation…
-            let (bu, bi) = self.prop.backward(&g_main_u, &g_main_i);
+            let (bu, bi) = self.prop.backward(&g_main_u, &g_main_i, pool);
             gu.add_assign(&bu);
             gi.add_assign(&bi);
             // …SVD-view gradients through the low-rank reconstruction.
@@ -201,6 +218,7 @@ impl Backbone for LightGcl {
             &mut gi,
             grads,
             hp,
+            pool,
         );
         aux
     }

@@ -5,6 +5,7 @@ use crate::backbone::{Backbone, EvalScore, Hyper};
 use crate::grad::GradBuffer;
 use crate::propagation::{Hops, Propagator};
 use bsl_data::Dataset;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
 use bsl_opt::Adam;
 use bsl_sparse::NormAdj;
@@ -17,7 +18,9 @@ use std::sync::Arc;
 /// embedding gradient — no stored activations needed.
 ///
 /// The hop buffers and the base-gradient pair live as long as the model,
-/// so a warm [`Backbone::forward`] or [`Backbone::step`] allocates nothing.
+/// so a warm [`Backbone::forward`] or [`Backbone::step`] allocates nothing
+/// (nor do their `_on` forms on a one-lane pool; a round on more lanes
+/// allocates its job list).
 pub struct LightGcn {
     user_base: Matrix,
     item_base: Matrix,
@@ -54,12 +57,12 @@ impl LightGcn {
     /// Exact gradients w.r.t. the base embeddings (test hook; [`Backbone::step`]
     /// chains this into Adam).
     pub fn backward_base(&self, grads: &GradBuffer) -> (Matrix, Matrix) {
-        self.prop.backward(grads.users(), grads.items())
+        self.prop.backward(grads.users(), grads.items(), None)
     }
 
     /// Shared step body for LightGCN-shaped models: L2 on touched rows
     /// (added into the base gradients `gu`/`gi`), dense Adam on both
-    /// embedding tables.
+    /// embedding tables (split over `pool`'s lanes, with the same bits).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply_base_update(
         user_base: &mut Matrix,
@@ -70,6 +73,7 @@ impl LightGcn {
         gi: &mut Matrix,
         grads: &GradBuffer,
         hp: Hyper,
+        pool: Option<&WorkerPool>,
     ) {
         // Coupled L2 on the batch's ego rows (the standard minibatch
         // regularizer) — gradient rows elsewhere come only from propagation.
@@ -81,8 +85,8 @@ impl LightGcn {
             let r = i as usize;
             bsl_linalg::kernels::axpy(hp.l2, item_base.row(r), gi.row_mut(r));
         }
-        adam_u.step_dense(user_base, gu, hp.lr);
-        adam_i.step_dense(item_base, gi, hp.lr);
+        adam_u.step_dense_on(user_base, gu, hp.lr, pool);
+        adam_i.step_dense_on(item_base, gi, hp.lr, pool);
     }
 }
 
@@ -103,13 +107,18 @@ impl Backbone for LightGcn {
         self.user_base.cols()
     }
 
-    fn forward(&mut self, _rng: &mut StdRng) {
+    fn forward(&mut self, rng: &mut StdRng) {
+        self.forward_on(rng, None);
+    }
+
+    fn forward_on(&mut self, _rng: &mut StdRng, pool: Option<&WorkerPool>) {
         self.prop.forward_into(
             &self.user_base,
             &self.item_base,
             &mut self.hops,
             &mut self.fin_u,
             &mut self.fin_i,
+            pool,
         );
     }
 
@@ -124,10 +133,22 @@ impl Backbone for LightGcn {
     fn step(
         &mut self,
         grads: &GradBuffer,
+        batch_users: &[u32],
+        batch_items: &[u32],
+        hp: Hyper,
+        rng: &mut StdRng,
+    ) -> f64 {
+        self.step_on(grads, batch_users, batch_items, hp, rng, None)
+    }
+
+    fn step_on(
+        &mut self,
+        grads: &GradBuffer,
         _batch_users: &[u32],
         _batch_items: &[u32],
         hp: Hyper,
         _rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
     ) -> f64 {
         // The backward is the forward map (see `backward_base`).
         self.prop.forward_into(
@@ -136,6 +157,7 @@ impl Backbone for LightGcn {
             &mut self.hops,
             &mut self.grad_u,
             &mut self.grad_i,
+            pool,
         );
         Self::apply_base_update(
             &mut self.user_base,
@@ -146,6 +168,7 @@ impl Backbone for LightGcn {
             &mut self.grad_i,
             grads,
             hp,
+            pool,
         );
         0.0
     }

@@ -13,6 +13,7 @@ use crate::backbone::{Backbone, EvalScore, Hyper};
 use crate::grad::GradBuffer;
 use crate::lightgcn::LightGcn;
 use bsl_data::Dataset;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
 use bsl_opt::Adam;
 use bsl_sparse::NormAdj;
@@ -113,10 +114,22 @@ impl Backbone for LrGccf {
     fn step(
         &mut self,
         grads: &GradBuffer,
+        batch_users: &[u32],
+        batch_items: &[u32],
+        hp: Hyper,
+        rng: &mut StdRng,
+    ) -> f64 {
+        self.step_on(grads, batch_users, batch_items, hp, rng, None)
+    }
+
+    fn step_on(
+        &mut self,
+        grads: &GradBuffer,
         _batch_users: &[u32],
         _batch_items: &[u32],
         hp: Hyper,
         _rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
     ) -> f64 {
         let (mut gu, mut gi) = self.backward_base(grads);
         LightGcn::apply_base_update(
@@ -128,6 +141,7 @@ impl Backbone for LrGccf {
             &mut gi,
             grads,
             hp,
+            pool,
         );
         0.0
     }

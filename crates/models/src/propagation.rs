@@ -5,10 +5,13 @@
 //! itself — [`Propagator::backward`] simply reuses the forward map, and the
 //! `adjointness` test below verifies `<F(x), y> = <x, F(y)>` numerically.
 
+use bsl_linalg::kernels::{axpy, scale};
+use bsl_linalg::pool::{Job, WorkerPool};
 use bsl_linalg::simd::scores_block;
 use bsl_linalg::stats::softmax_into;
 use bsl_linalg::Matrix;
 use bsl_sparse::NormAdj;
+use std::ops::Range;
 
 /// K-layer LightGCN propagation with layer-mean readout.
 #[derive(Clone, Debug)]
@@ -53,22 +56,32 @@ impl Propagator {
         }
     }
 
-    /// Full forward: `final = (1/(K+1)) Σ_{k=0..K} Â^k [u0; i0]`.
-    pub fn forward(&self, u0: &Matrix, i0: &Matrix) -> (Matrix, Matrix) {
+    /// Full forward: `final = (1/(K+1)) Σ_{k=0..K} Â^k [u0; i0]`, each hop
+    /// split over `pool`'s lanes (see [`Self::forward_into`]); the same
+    /// bits at any lane count.
+    pub fn forward(&self, u0: &Matrix, i0: &Matrix, pool: Option<&WorkerPool>) -> (Matrix, Matrix) {
         let mut hops = self.hops(u0.cols());
         let mut out_u = Matrix::zeros(u0.rows(), u0.cols());
         let mut out_i = Matrix::zeros(i0.rows(), i0.cols());
-        self.forward_into(u0, i0, &mut hops, &mut out_u, &mut out_i);
+        self.forward_into(u0, i0, &mut hops, &mut out_u, &mut out_i, pool);
         (out_u, out_i)
     }
 
     /// [`Self::forward`] into existing buffers: `out_u`/`out_i` are
     /// overwritten with the layer mean, and the hops ping-pong between the
-    /// two pairs of `hops`, so a warm call allocates nothing. Whatever the
-    /// buffers held is never read.
+    /// two pairs of `hops`, so a warm call allocates nothing (without a
+    /// pool or on a one-lane one). Whatever the buffers held is never read.
     ///
-    /// The element operations are the fresh-buffer ones: copy `[u0; i0]`,
-    /// add each hop, then scale by `1/(K+1)`.
+    /// Every element sees the fresh-buffer operations in their order: copy
+    /// `[u0; i0]`, add each hop, then scale by `1/(K+1)`. With a pool of
+    /// `n > 1` lanes each hop is one round: lane `k` owns a contiguous run
+    /// of rows of *both* blocks, cut by [`Csr::balanced_row_cut`], and
+    /// fills those rows of the next hop (each row one `gather_sum` chain),
+    /// then adds them into the output rows. The first hop's lanes also copy
+    /// their rows of `[u0; i0]` in and the last hop's scale theirs, so the
+    /// bits do not depend on the split.
+    ///
+    /// [`Csr::balanced_row_cut`]: bsl_sparse::Csr::balanced_row_cut
     ///
     /// # Panics
     /// Panics if a shape disagrees with the graph or with `u0`/`i0`.
@@ -79,32 +92,125 @@ impl Propagator {
         hops: &mut Hops,
         out_u: &mut Matrix,
         out_i: &mut Matrix,
+        pool: Option<&WorkerPool>,
     ) {
         assert_eq!(out_u.shape(), u0.shape(), "forward_into user output shape mismatch");
         assert_eq!(out_i.shape(), i0.shape(), "forward_into item output shape mismatch");
         let coef = 1.0 / (self.layers + 1) as f32;
-        out_u.as_mut_slice().copy_from_slice(u0.as_slice());
-        out_i.as_mut_slice().copy_from_slice(i0.as_slice());
         let ([u_a, u_b], [i_a, i_b]) = (&mut hops.users, &mut hops.items);
-        let (mut cur, mut next) = ((u_a, i_a), (u_b, i_b));
-        self.adj.propagate_into(u0, i0, cur.0, cur.1);
-        out_u.add_assign(cur.0);
-        out_i.add_assign(cur.1);
-        for _ in 1..self.layers {
-            self.adj.propagate_into(cur.0, cur.1, next.0, next.1);
-            std::mem::swap(&mut cur, &mut next);
-            out_u.add_assign(cur.0);
-            out_i.add_assign(cur.1);
+        for k in 0..self.layers {
+            // Hop k writes pair k % 2 and reads the other (or the input).
+            let ((next_u, next_i), prev) = if k % 2 == 0 {
+                ((&mut *u_a, &mut *i_a), (&*u_b, &*i_b))
+            } else {
+                ((&mut *u_b, &mut *i_b), (&*u_a, &*i_a))
+            };
+            let hop = Hop {
+                adj: &self.adj,
+                src: if k == 0 { (u0, i0) } else { prev },
+                init: (k == 0).then_some((u0, i0)),
+                coef: (k + 1 == self.layers).then_some(coef),
+            };
+            hop.run(pool, next_u, next_i, out_u, out_i);
         }
-        out_u.scale(coef);
-        out_i.scale(coef);
     }
 
     /// Exact backward of [`Self::forward`]: the operator is symmetric, so
     /// `∂L/∂[u0; i0] = forward(∂L/∂final)`.
-    pub fn backward(&self, grad_u: &Matrix, grad_i: &Matrix) -> (Matrix, Matrix) {
-        self.forward(grad_u, grad_i)
+    pub fn backward(
+        &self,
+        grad_u: &Matrix,
+        grad_i: &Matrix,
+        pool: Option<&WorkerPool>,
+    ) -> (Matrix, Matrix) {
+        self.forward(grad_u, grad_i, pool)
     }
+}
+
+/// One hop of [`Propagator::forward_into`]: `Â · src` into the next hop
+/// buffers, added into the output, with the input copied in first on the
+/// first hop and the mean's scale applied on the last.
+struct Hop<'a> {
+    adj: &'a NormAdj,
+    /// The previous hop's users and items (the input on the first hop).
+    src: (&'a Matrix, &'a Matrix),
+    /// `[u0; i0]`, copied into the output before the first hop's add.
+    init: Option<(&'a Matrix, &'a Matrix)>,
+    /// `1/(K+1)`, applied after the last hop's add.
+    coef: Option<f32>,
+}
+
+impl Hop<'_> {
+    /// Runs the hop inline over every row, or as one pool round of one job
+    /// per lane over its cut of both blocks.
+    fn run(
+        &self,
+        pool: Option<&WorkerPool>,
+        next_u: &mut Matrix,
+        next_i: &mut Matrix,
+        out_u: &mut Matrix,
+        out_i: &mut Matrix,
+    ) {
+        let (nu, ni) = (out_u.rows(), out_i.rows());
+        let (du, di) = (out_u.cols(), out_i.cols());
+        let (mut next_u, mut next_i) = (next_u.as_mut_slice(), next_i.as_mut_slice());
+        let (mut out_u, mut out_i) = (out_u.as_mut_slice(), out_i.as_mut_slice());
+        let Some(pool) = pool.filter(|p| p.n_workers() > 1) else {
+            return self.rows(0..nu, 0..ni, next_u, next_i, out_u, out_i);
+        };
+        let n = pool.n_workers();
+        let (ui, iu) = (&self.adj.user_item, &self.adj.item_user);
+        let mut jobs: Vec<Job> = Vec::with_capacity(n);
+        let (mut u_lo, mut i_lo) = (0, 0);
+        for lane in 1..=n {
+            let (u_hi, i_hi) = (ui.balanced_row_cut(lane, n), iu.balanced_row_cut(lane, n));
+            let (nu_k, ni_k, ou_k, oi_k);
+            (nu_k, next_u) = std::mem::take(&mut next_u).split_at_mut((u_hi - u_lo) * du);
+            (ni_k, next_i) = std::mem::take(&mut next_i).split_at_mut((i_hi - i_lo) * di);
+            (ou_k, out_u) = std::mem::take(&mut out_u).split_at_mut((u_hi - u_lo) * du);
+            (oi_k, out_i) = std::mem::take(&mut out_i).split_at_mut((i_hi - i_lo) * di);
+            let (ur, ir) = (u_lo..u_hi, i_lo..i_hi);
+            jobs.push(Box::new(move || self.rows(ur, ir, nu_k, ni_k, ou_k, oi_k)));
+            (u_lo, i_lo) = (u_hi, i_hi);
+        }
+        pool.run(jobs);
+    }
+
+    /// The hop over user rows `ur` and item rows `ir`; the slices hold
+    /// exactly those rows of the next hop and of the output.
+    fn rows(
+        &self,
+        ur: Range<usize>,
+        ir: Range<usize>,
+        next_u: &mut [f32],
+        next_i: &mut [f32],
+        out_u: &mut [f32],
+        out_i: &mut [f32],
+    ) {
+        let (src_u, src_i) = self.src;
+        let init_u = self.init.map(|(u0, _)| rows_of(u0, &ur));
+        let init_i = self.init.map(|(_, i0)| rows_of(i0, &ir));
+        self.adj.user_item.spmm_rows_into(src_i, ur, next_u);
+        self.adj.item_user.spmm_rows_into(src_u, ir, next_i);
+        self.accumulate(out_u, next_u, init_u);
+        self.accumulate(out_i, next_i, init_i);
+    }
+
+    /// `out (= init) += hop (*= coef)` for one block's rows.
+    fn accumulate(&self, out: &mut [f32], hop: &[f32], init: Option<&[f32]>) {
+        if let Some(init) = init {
+            out.copy_from_slice(init);
+        }
+        axpy(1.0, hop, out);
+        if let Some(coef) = self.coef {
+            scale(coef, out);
+        }
+    }
+}
+
+/// Rows `r` of `m`, flattened.
+fn rows_of<'m>(m: &'m Matrix, r: &Range<usize>) -> &'m [f32] {
+    &m.as_slice()[r.start * m.cols()..r.end * m.cols()]
 }
 
 /// The two user/item buffer pairs [`Propagator::forward_into`] alternates
@@ -240,7 +346,7 @@ mod tests {
         let prop = Propagator::new(adj.clone(), 1);
         let u0 = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
         let i0 = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32);
-        let (fu, fi) = prop.forward(&u0, &i0);
+        let (fu, fi) = prop.forward(&u0, &i0, None);
         let (pu, pi) = adj.propagate(&u0, &i0);
         for r in 0..3 {
             for c in 0..2 {
@@ -274,10 +380,48 @@ mod tests {
             for _ in 0..2 {
                 let u0 = Matrix::gaussian(3, 9, 1.0, &mut rng);
                 let i0 = Matrix::gaussian(2, 9, 1.0, &mut rng);
-                prop.forward_into(&u0, &i0, &mut hops, &mut out_u, &mut out_i);
-                let (fu, fi) = prop.forward(&u0, &i0);
+                prop.forward_into(&u0, &i0, &mut hops, &mut out_u, &mut out_i, None);
+                let (fu, fi) = prop.forward(&u0, &i0, None);
                 assert_eq!(bits(&out_u), bits(&fu), "{layers} layers");
                 assert_eq!(bits(&out_i), bits(&fi), "{layers} layers");
+            }
+        }
+    }
+
+    /// A pool of 1, 2 or 3 lanes gives the inline call's bits, whatever
+    /// the buffers held: skewed degrees, empty rows, a block with fewer
+    /// rows than lanes (either side), a width off the 8-float grid.
+    #[test]
+    fn pooled_forward_into_matches_inline_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Item 0 has six users, users 5 and 6 none; the mirrored graph
+        // has two users and nine items, items 7 and 8 without users.
+        let tall: Vec<(u32, u32)> = vec![(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (4, 0), (4, 1)];
+        let wide: Vec<(u32, u32)> = tall.iter().map(|&(u, i)| (i, u)).collect();
+        let graphs = [(7, 2, tall), (2, 7, wide.clone()), (2, 9, wide)];
+        let pools: Vec<WorkerPool> = (1..=3).map(WorkerPool::new).collect();
+        let mut rng = StdRng::seed_from_u64(11);
+        for (n_users, n_items, edges) in graphs {
+            let adj = NormAdj::from_interactions(n_users, n_items, &edges);
+            for (layers, dim) in [(1, 13), (2, 64), (3, 13), (3, 9)] {
+                let prop = Propagator::new(adj.clone(), layers);
+                let u0 = Matrix::gaussian(n_users, dim, 1.0, &mut rng);
+                let i0 = Matrix::gaussian(n_items, dim, 1.0, &mut rng);
+                let (want_u, want_i) = prop.forward(&u0, &i0, None);
+                for pool in &pools {
+                    let mut hops = prop.hops(dim);
+                    let (mut out_u, mut out_i) =
+                        (Matrix::zeros(n_users, dim), Matrix::zeros(n_items, dim));
+                    out_u.fill(f32::NAN);
+                    out_i.fill(f32::NAN);
+                    prop.forward_into(&u0, &i0, &mut hops, &mut out_u, &mut out_i, Some(pool));
+                    let label = format!(
+                        "{n_users}x{n_items}, {layers} layers, d = {dim}, {} lanes",
+                        pool.n_workers()
+                    );
+                    assert_eq!(bits(&out_u), bits(&want_u), "{label}: users");
+                    assert_eq!(bits(&out_i), bits(&want_i), "{label}: items");
+                }
             }
         }
     }
@@ -293,8 +437,8 @@ mod tests {
             let xi = Matrix::gaussian(2, 4, 1.0, &mut rng);
             let yu = Matrix::gaussian(3, 4, 1.0, &mut rng);
             let yi = Matrix::gaussian(2, 4, 1.0, &mut rng);
-            let (fxu, fxi) = prop.forward(&xu, &xi);
-            let (fyu, fyi) = prop.backward(&yu, &yi);
+            let (fxu, fxi) = prop.forward(&xu, &xi, None);
+            let (fyu, fyi) = prop.backward(&yu, &yi, None);
             let lhs: f64 = fxu
                 .as_slice()
                 .iter()

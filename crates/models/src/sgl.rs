@@ -13,6 +13,7 @@ use crate::grad::GradBuffer;
 use crate::lightgcn::LightGcn;
 use crate::propagation::{dedup_cap, info_nce_grad, Propagator};
 use bsl_data::Dataset;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
 use bsl_opt::Adam;
 use bsl_sparse::NormAdj;
@@ -80,10 +81,10 @@ impl Sgl {
         }
     }
 
-    fn make_view(&self, rng: &mut StdRng) -> View {
+    fn make_view(&self, rng: &mut StdRng, pool: Option<&WorkerPool>) -> View {
         let dropped = self.prop.adj().edge_dropout(self.dropout, rng);
         let prop = Propagator::new(dropped, self.prop.layers());
-        let (fin_u, fin_i) = prop.forward(&self.user_base, &self.item_base);
+        let (fin_u, fin_i) = prop.forward(&self.user_base, &self.item_base, pool);
         View { prop, fin_u, fin_i }
     }
 }
@@ -101,6 +102,7 @@ pub(crate) fn two_view_aux_step(
     ssl_tau: f32,
     gu: &mut Matrix,
     gi: &mut Matrix,
+    pool: Option<&WorkerPool>,
 ) -> f64 {
     if ssl_reg == 0.0 {
         return 0.0;
@@ -120,10 +122,10 @@ pub(crate) fn two_view_aux_step(
     if !items.is_empty() {
         aux += info_nce_grad(&v1.fin_i, &v2.fin_i, &items, ssl_tau, ssl_reg, &mut g1i, &mut g2i);
     }
-    let (bu, bi) = v1.prop.backward(&g1u, &g1i);
+    let (bu, bi) = v1.prop.backward(&g1u, &g1i, pool);
     gu.add_assign(&bu);
     gi.add_assign(&bi);
-    let (bu, bi) = v2.prop.backward(&g2u, &g2i);
+    let (bu, bi) = v2.prop.backward(&g2u, &g2i, pool);
     gu.add_assign(&bu);
     gi.add_assign(&bi);
     aux
@@ -147,10 +149,14 @@ impl Backbone for Sgl {
     }
 
     fn forward(&mut self, rng: &mut StdRng) {
-        let (u, i) = self.prop.forward(&self.user_base, &self.item_base);
+        self.forward_on(rng, None);
+    }
+
+    fn forward_on(&mut self, rng: &mut StdRng, pool: Option<&WorkerPool>) {
+        let (u, i) = self.prop.forward(&self.user_base, &self.item_base, pool);
         self.fin_u = u;
         self.fin_i = i;
-        self.views = Some((self.make_view(rng), self.make_view(rng)));
+        self.views = Some((self.make_view(rng, pool), self.make_view(rng, pool)));
     }
 
     fn user_factors(&self) -> &Matrix {
@@ -167,9 +173,21 @@ impl Backbone for Sgl {
         batch_users: &[u32],
         batch_items: &[u32],
         hp: Hyper,
-        _rng: &mut StdRng,
+        rng: &mut StdRng,
     ) -> f64 {
-        let (mut gu, mut gi) = self.prop.backward(grads.users(), grads.items());
+        self.step_on(grads, batch_users, batch_items, hp, rng, None)
+    }
+
+    fn step_on(
+        &mut self,
+        grads: &GradBuffer,
+        batch_users: &[u32],
+        batch_items: &[u32],
+        hp: Hyper,
+        _rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
+    ) -> f64 {
+        let (mut gu, mut gi) = self.prop.backward(grads.users(), grads.items(), pool);
         let aux = match &self.views {
             Some((v1, v2)) => two_view_aux_step(
                 v1,
@@ -180,6 +198,7 @@ impl Backbone for Sgl {
                 self.ssl_tau,
                 &mut gu,
                 &mut gi,
+                pool,
             ),
             None => 0.0,
         };
@@ -192,6 +211,7 @@ impl Backbone for Sgl {
             &mut gi,
             grads,
             hp,
+            pool,
         );
         aux
     }

@@ -10,6 +10,7 @@ use crate::lightgcn::LightGcn;
 use crate::propagation::{dedup_cap, info_nce_grad, Propagator};
 use bsl_data::Dataset;
 use bsl_linalg::kernels::normalize_into;
+use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
 use bsl_opt::Adam;
 use bsl_sparse::NormAdj;
@@ -129,7 +130,11 @@ impl Backbone for SimGcl {
     }
 
     fn forward(&mut self, rng: &mut StdRng) {
-        let (u, i) = self.prop.forward(&self.user_base, &self.item_base);
+        self.forward_on(rng, None);
+    }
+
+    fn forward_on(&mut self, rng: &mut StdRng, pool: Option<&WorkerPool>) {
+        let (u, i) = self.prop.forward(&self.user_base, &self.item_base, pool);
         self.fin_u = u;
         self.fin_i = i;
         self.views = Some([self.noise_view(rng), self.noise_view(rng)]);
@@ -149,9 +154,21 @@ impl Backbone for SimGcl {
         batch_users: &[u32],
         batch_items: &[u32],
         hp: Hyper,
-        _rng: &mut StdRng,
+        rng: &mut StdRng,
     ) -> f64 {
-        let (mut gu, mut gi) = self.prop.backward(grads.users(), grads.items());
+        self.step_on(grads, batch_users, batch_items, hp, rng, None)
+    }
+
+    fn step_on(
+        &mut self,
+        grads: &GradBuffer,
+        batch_users: &[u32],
+        batch_items: &[u32],
+        hp: Hyper,
+        _rng: &mut StdRng,
+        pool: Option<&WorkerPool>,
+    ) -> f64 {
+        let (mut gu, mut gi) = self.prop.backward(grads.users(), grads.items(), pool);
         let mut aux = 0.0f64;
         if self.ssl_reg > 0.0 {
             if let Some([(v1u, v1i), (v2u, v2i)]) = &self.views {
@@ -190,7 +207,7 @@ impl Backbone for SimGcl {
                 // the summed view gradients.
                 g1u.add_assign(&g2u);
                 g1i.add_assign(&g2i);
-                let (bu, bi) = self.prop.backward(&g1u, &g1i);
+                let (bu, bi) = self.prop.backward(&g1u, &g1i, pool);
                 gu.add_assign(&bu);
                 gi.add_assign(&bi);
             }
@@ -204,6 +221,7 @@ impl Backbone for SimGcl {
             &mut gi,
             grads,
             hp,
+            pool,
         );
         aux
     }

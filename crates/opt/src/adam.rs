@@ -3,10 +3,12 @@
 //! Both paths route through the fused [`bsl_linalg::simd::adam_update`]
 //! kernel (runtime-dispatched scalar / unrolled / AVX2+FMA): the moment
 //! EMAs and the bias-corrected parameter step run as one kernel call per
-//! row (lazy path) or per matrix (dense path). Scalar dispatch is
+//! row (lazy path) or per matrix (dense path; with a pool, per lane's run
+//! of it, cut on the 8-float grid). Scalar dispatch is
 //! bit-identical to the historical three-loop implementation. The bias
 //! corrections `1 − β^t` are computed once per step, not once per row.
 
+use bsl_linalg::pool::{Job, WorkerPool};
 use bsl_linalg::simd;
 use bsl_linalg::Matrix;
 
@@ -86,22 +88,46 @@ impl Adam {
     /// # Panics
     /// Panics if shapes disagree.
     pub fn step_dense(&mut self, param: &mut Matrix, grad: &Matrix, lr: f32) {
+        self.step_dense_on(param, grad, lr, None);
+    }
+
+    /// [`Self::step_dense`] with the flattened tables split across
+    /// `pool`'s lanes, one contiguous run each, after one
+    /// [`Self::begin_step`] on the caller.
+    ///
+    /// The update is elementwise, but its AVX2 leg runs 8-float vectors
+    /// with FMA and a scalar tail without: every cut sits at an element
+    /// offset that is a multiple of 8, so each element takes the leg it
+    /// takes in the single call and the bits do not depend on the split.
+    ///
+    /// # Panics
+    /// Panics if shapes disagree.
+    pub fn step_dense_on(
+        &mut self,
+        param: &mut Matrix,
+        grad: &Matrix,
+        lr: f32,
+        pool: Option<&WorkerPool>,
+    ) {
         assert_eq!(param.shape(), grad.shape(), "adam gradient shape mismatch");
         assert_eq!(param.shape(), self.m.shape(), "adam state shape mismatch");
         self.begin_step();
         let (bc1, bc2) = self.bias;
-        simd::adam_update(
-            param.as_mut_slice(),
-            self.m.as_mut_slice(),
-            self.v.as_mut_slice(),
-            grad.as_slice(),
-            lr,
-            Self::BETA1,
-            Self::BETA2,
-            bc1,
-            bc2,
-            Self::EPS,
-        );
+        let update = |p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32]| {
+            simd::adam_update(p, m, v, g, lr, Self::BETA1, Self::BETA2, bc1, bc2, Self::EPS);
+        };
+        let (p, m, v) = (param.as_mut_slice(), self.m.as_mut_slice(), self.v.as_mut_slice());
+        let g = grad.as_slice();
+        let Some(pool) = pool.filter(|p| p.n_workers() > 1) else {
+            return update(p, m, v, g);
+        };
+        let run = p.len().div_ceil(pool.n_workers()).next_multiple_of(8).max(8);
+        let update = &update;
+        let jobs: Vec<Job> = (p.chunks_mut(run).zip(m.chunks_mut(run)))
+            .zip(v.chunks_mut(run).zip(g.chunks(run)))
+            .map(|((p, m), (v, g))| Box::new(move || update(p, m, v, g)) as Job)
+            .collect();
+        pool.run(jobs);
     }
 
     /// Lazy update over an explicit list of touched rows: one

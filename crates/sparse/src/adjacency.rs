@@ -71,26 +71,7 @@ impl NormAdj {
     /// One propagation step: returns `(Â·e)` restricted to the user and
     /// item blocks.
     pub fn propagate(&self, user_emb: &Matrix, item_emb: &Matrix) -> (Matrix, Matrix) {
-        let mut new_users = Matrix::zeros(self.n_users(), item_emb.cols());
-        let mut new_items = Matrix::zeros(self.n_items(), user_emb.cols());
-        self.propagate_into(user_emb, item_emb, &mut new_users, &mut new_items);
-        (new_users, new_items)
-    }
-
-    /// [`Self::propagate`] into existing buffers (overwritten, not
-    /// accumulated).
-    ///
-    /// # Panics
-    /// Panics if a shape disagrees with the graph.
-    pub fn propagate_into(
-        &self,
-        user_emb: &Matrix,
-        item_emb: &Matrix,
-        new_users: &mut Matrix,
-        new_items: &mut Matrix,
-    ) {
-        self.user_item.spmm_into(item_emb, new_users);
-        self.item_user.spmm_into(user_emb, new_items);
+        (self.user_item.spmm(item_emb), self.item_user.spmm(user_emb))
     }
 
     /// Edge-dropout view for SGL-style augmentation: each edge of the

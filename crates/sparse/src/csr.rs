@@ -1,6 +1,7 @@
 //! Compressed sparse row matrix.
 
 use bsl_linalg::{LinOp, Matrix};
+use std::ops::Range;
 
 /// A CSR (compressed sparse row) matrix of `f32` values.
 ///
@@ -158,7 +159,8 @@ impl Csr {
     }
 
     /// Sparse × dense product written into an existing buffer
-    /// (overwritten, not accumulated).
+    /// (overwritten, not accumulated): [`Self::spmm_rows_into`] over every
+    /// row.
     ///
     /// Each output row is one [`bsl_linalg::simd::gather_sum`] over the
     /// row's stored entries, which holds the row in registers across them
@@ -167,15 +169,55 @@ impl Csr {
     pub fn spmm_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.rows(), self.cols, "spmm dimension mismatch");
         assert_eq!(out.shape(), (self.rows, x.cols()), "spmm output shape mismatch");
-        for r in 0..self.rows {
+        self.spmm_rows_into(x, 0..self.rows, out.as_mut_slice());
+    }
+
+    /// Rows `rows` of `self · x`, written into `out` (those rows only,
+    /// row-major, overwritten). Each row is the one `gather_sum` chain of
+    /// [`Self::spmm_into`], so disjoint row ranges filled on different
+    /// threads give the full product's bits.
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != self.cols()`, if `rows` runs past the last
+    /// row, or if `out` does not hold exactly `rows.len()` rows of
+    /// `x.cols()`.
+    pub fn spmm_rows_into(&self, x: &Matrix, rows: Range<usize>, out: &mut [f32]) {
+        assert_eq!(x.rows(), self.cols, "spmm dimension mismatch");
+        assert!(rows.start <= rows.end && rows.end <= self.rows, "spmm row range out of bounds");
+        let d = x.cols();
+        assert_eq!(out.len(), rows.len() * d, "spmm output length mismatch");
+        for (r, row_out) in rows.zip(out.chunks_exact_mut(d.max(1))) {
             let (start, end) = (self.indptr[r], self.indptr[r + 1]);
             bsl_linalg::simd::gather_sum(
                 &self.values[start..end],
                 &self.indices[start..end],
                 x.as_slice(),
-                out.row_mut(r),
+                row_out,
             );
         }
+    }
+
+    /// The first row of part `part` when the rows are cut into `parts`
+    /// contiguous runs of about equal work, a row counting as its stored
+    /// entries plus one (its own output write). `0` for `part == 0`,
+    /// `rows()` for `part == parts`, non-decreasing in between; a binary
+    /// search on the row pointers, so nothing is cached.
+    ///
+    /// # Panics
+    /// Panics unless `part <= parts` and `parts > 0`.
+    pub fn balanced_row_cut(&self, part: usize, parts: usize) -> usize {
+        assert!(parts > 0 && part <= parts, "part {part} of {parts}");
+        let target = (self.nnz() + self.rows) * part / parts;
+        let (mut lo, mut hi) = (0, self.rows);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.indptr[mid] + mid < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Row sums (the weighted out-degree of each row node).
@@ -320,6 +362,32 @@ mod tests {
         m.spmm_into(&x, &mut out);
         assert_eq!(out.as_slice(), m.spmm(&x).as_slice());
         assert!(out.row(2).iter().all(|&v| v.to_bits() == 0));
+    }
+
+    /// Row ranges cut by `balanced_row_cut` tile the rows, and filling each
+    /// range on its own gives the full product's bits: skewed rows, empty
+    /// rows, and more parts than rows.
+    #[test]
+    fn row_ranges_at_balanced_cuts_rebuild_spmm_bit_for_bit() {
+        let mut trips: Vec<(u32, u32, f32)> = (0..7).map(|c| (0, c, 0.3 + c as f32)).collect();
+        trips.extend([(2, 1, -0.7), (2, 4, 1.1), (4, 6, 0.9)]);
+        let m = Csr::from_coo(6, 7, &trips);
+        let x = Matrix::from_fn(7, 13, |r, c| (r * 13 + c) as f32 * 0.37 - 2.0);
+        let want = m.spmm(&x);
+        for parts in 1..=8 {
+            let cuts: Vec<usize> = (0..=parts).map(|k| m.balanced_row_cut(k, parts)).collect();
+            assert_eq!((cuts[0], cuts[parts]), (0, 6), "{parts} parts");
+            assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
+            let mut got = vec![f32::NAN; 6 * 13];
+            for w in cuts.windows(2) {
+                m.spmm_rows_into(&x, w[0]..w[1], &mut got[w[0] * 13..w[1] * 13]);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(want.as_slice()), "{parts} parts, cuts {cuts:?}");
+        }
+        // Row 0 holds 7 of the 10 entries: two parts cut right after it.
+        assert_eq!(m.balanced_row_cut(1, 2), 1);
+        assert_eq!(Csr::zeros(0, 3).balanced_row_cut(1, 2), 0);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! Reusing one `Trainer`'s long-lived pool across fits is bit-identical
 //! to a fresh trainer per `(seed, threads)`, for sampled and in-batch
-//! negatives; in-batch training is also bit-identical to `threads: 1`.
+//! negatives; in-batch training is also bit-identical to `threads: 1`,
+//! for MF and for LightGCN, whose propagation and dense Adam run on the
+//! pool's lanes too.
 
 use bsl_core::prelude::*;
 use std::sync::Arc;
@@ -60,4 +62,18 @@ fn exact_in_batch_pool_replays_per_thread_count() {
     assert_eq!(serial.user_emb.as_slice(), a.user_emb.as_slice(), "threads 1 vs pool");
     assert_eq!(serial.item_emb.as_slice(), a.item_emb.as_slice(), "threads 1 vs pool");
     assert_eq!(serial.best.ndcg(20), a.best.ndcg(20));
+    // LightGCN also runs its propagation hops and dense Adam on the pool's
+    // lanes, split by rows and 8-float runs, with the serial bits; a width
+    // off the 8-float grid puts the Adam runs' cuts inside rows.
+    let lgn = TrainConfig { backbone: BackboneConfig::LightGcn { layers: 2 }, dim: 13, ..cfg };
+    let bits =
+        |m: &bsl_linalg::Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let serial = Trainer::new(TrainConfig { threads: 1, ..lgn }).fit(&ds);
+    for threads in [2, 3, test_threads()] {
+        let pooled = Trainer::new(TrainConfig { threads, ..lgn }).fit(&ds);
+        assert_eq!(bits(&pooled.user_emb), bits(&serial.user_emb), "LightGCN, {threads} threads");
+        assert_eq!(bits(&pooled.item_emb), bits(&serial.item_emb), "LightGCN, {threads} threads");
+        let ndcg = |o: &TrainOutcome| o.best.ndcg(20).to_bits();
+        assert_eq!(ndcg(&pooled), ndcg(&serial), "LightGCN, {threads} threads");
+    }
 }
