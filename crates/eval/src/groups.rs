@@ -14,9 +14,9 @@
 //! drift.
 
 use crate::metrics::{dcg_discount, idcg, user_metrics};
-use crate::ranking::{host_workers, rank_blocks};
+use crate::ranking::rank_blocks;
 use bsl_data::Dataset;
-use bsl_linalg::pool::WorkerPool;
+use bsl_linalg::pool::{host_workers, WorkerPool};
 use bsl_linalg::Matrix;
 use bsl_models::{EvalScore, ModelArtifact};
 

@@ -30,7 +30,7 @@
 
 use crate::metrics::{user_metrics, MetricSet};
 use bsl_data::Dataset;
-use bsl_linalg::pool::{Job, WorkerPool};
+use bsl_linalg::pool::{host_workers, Job, WorkerPool};
 use bsl_linalg::topk::TopK;
 use bsl_models::{select_catalogue_into, EvalScore, ModelArtifact};
 
@@ -90,11 +90,6 @@ const BLOCK_USERS: usize = 16;
 /// Users scored in one pass over the item table: the query count of
 /// [`bsl_linalg::simd::scores_block_multi`]'s register tile.
 const GROUP_USERS: usize = 4;
-
-/// The lanes of an evaluation's call-local pool.
-pub(crate) fn host_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-}
 
 /// One lane's ranking buffers.
 #[derive(Default)]

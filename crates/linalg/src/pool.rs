@@ -13,7 +13,9 @@
 //! The pool sits in this leaf crate so that every layer can run on one set
 //! of lanes: the trainer's step passes (`bsl-core`), the GCN backbones'
 //! propagation (`bsl-models`, over `bsl-sparse` row ranges), dense Adam
-//! (`bsl-opt`) and ranking evaluation (`bsl-eval`).
+//! (`bsl-opt`) and ranking evaluation (`bsl-eval`). A caller with no pool
+//! of its own (a stand-alone evaluation, the IVF build) makes a call-local
+//! one of [`host_workers`] lanes.
 //!
 //! **Spin, then park.** A round creates no channel and allocates nothing
 //! beyond the caller's `Vec<Job>`. Each waiting side, an idle worker
@@ -311,6 +313,12 @@ impl WorkerPool {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// The lane count of a call-local pool: one lane per CPU the process may
+/// use, at most eight.
+pub fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(8)
 }
 
 impl Drop for WorkerPool {

@@ -161,7 +161,7 @@ impl From<Short> for ArtifactError {
 }
 
 /// FNV-1a 64-bit over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 

@@ -19,13 +19,19 @@
 //!
 //! Construction is deterministic: k-means++ seeding and Lloyd iterations
 //! run on a fixed-seed RNG, so the same table always builds the same
-//! index (and the codec round-trips it bit for bit).
+//! index (and the codec round-trips it bit for bit). The Lloyd
+//! assignments and mean updates run on a call-local [`WorkerPool`], and
+//! every score, argmax and sum sees the same operands in the same order
+//! on any number of lanes, so the index does not depend on the host's
+//! lane count either.
 
-use bsl_linalg::simd::{dot, scores_block};
+use bsl_linalg::pool::{host_workers, Job, WorkerPool};
+use bsl_linalg::simd::{dot, scores_block, scores_block_multi, sq_dist};
 use bsl_linalg::topk::select_scored_into;
 use bsl_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 /// Lloyd iterations after seeding (k-means converges fast on embedding
 /// tables; recall is insensitive to a few extra refinements).
@@ -72,17 +78,35 @@ impl IvfIndex {
     /// Builds an index over `items` (one prepared row per catalogue item)
     /// with `nlist` lists, deterministically.
     ///
+    /// The Lloyd rounds run on a call-local [`WorkerPool`] of
+    /// [`host_workers`] lanes (the calling thread is lane 0); the index
+    /// does not depend on how many.
+    ///
     /// # Panics
     /// Panics if `items` is empty or `nlist` is 0 or exceeds the row count.
     pub fn build(items: &Matrix, nlist: usize) -> Self {
+        Self::build_on(items, nlist, &WorkerPool::new(host_workers()))
+    }
+
+    /// [`IvfIndex::build`] on the lanes of `pool`. Each Lloyd assignment
+    /// and each mean update is one round in which the lanes claim chunks
+    /// of items ([`ITEM_CHUNK`]) or centroids ([`CENTROID_CHUNK`]) until
+    /// none is left, and a centroid's mean adds its members in ascending
+    /// id order: every operand meets the same others in the same order at
+    /// any lane count.
+    fn build_on(items: &Matrix, nlist: usize, pool: &WorkerPool) -> Self {
         let (n, d) = items.shape();
         assert!(n > 0, "cannot index an empty catalogue");
         assert!(nlist >= 1 && nlist <= n, "nlist must be in 1..=n_items (got {nlist} for {n})");
         let mut rng = StdRng::seed_from_u64(0x1f0f_5eed);
         let mut centroids = kmeans_pp_init(items, nlist, &mut rng);
         let mut assign = vec![0u32; n];
-        let mut scores = vec![0.0f32; nlist];
+        let mut scratch: Vec<Lane> = (0..pool.n_workers())
+            .map(|_| Lane { scores: vec![0.0; GROUP * nlist], moved: false })
+            .collect();
         let mut half_norms = vec![0.0f32; nlist];
+        let mut list_offsets = vec![0usize; nlist + 1];
+        let mut list_items = vec![0u32; n];
         for _ in 0..KMEANS_ITERS {
             // Assignment: nearest centroid in Euclidean distance, via the
             // blocked dot kernel (argmin ‖x−c‖² = argmax <x,c> − ‖c‖²/2).
@@ -90,63 +114,28 @@ impl IvfIndex {
                 let c = centroids.row(l);
                 *h = 0.5 * dot(c, c);
             }
-            let mut moved = false;
-            for (i, a) in assign.iter_mut().enumerate() {
-                scores_block(items.row(i), centroids.as_slice(), &mut scores);
-                let mut best = 0usize;
-                let mut best_s = f32::NEG_INFINITY;
-                for (l, &s) in scores.iter().enumerate() {
-                    let s = s - half_norms[l];
-                    if s > best_s {
-                        best_s = s;
-                        best = l;
-                    }
-                }
-                if *a != best as u32 {
-                    *a = best as u32;
-                    moved = true;
-                }
-            }
+            scratch.iter_mut().for_each(|lane| lane.moved = false);
+            let (table, half_norms) = (centroids.as_slice(), &half_norms[..]);
+            round(pool, &mut assign, ITEM_CHUNK, &mut scratch, |start, assign, lane| {
+                lane.moved |= assign_nearest(items, start, table, half_norms, assign, lane);
+            });
+            let moved = scratch.iter().any(|lane| lane.moved);
             fix_empty_lists(items, &centroids, &mut assign, nlist);
             if !moved {
                 break;
             }
             // Update: each centroid becomes its members' mean.
-            let mut counts = vec![0usize; nlist];
-            let mut sums = Matrix::zeros(nlist, d);
-            for (i, &a) in assign.iter().enumerate() {
-                counts[a as usize] += 1;
-                let row = sums.row_mut(a as usize);
-                for (s, &x) in row.iter_mut().zip(items.row(i).iter()) {
-                    *s += x;
+            fill_lists(&assign, &mut list_offsets, &mut list_items);
+            let (offsets, members) = (&list_offsets[..], &list_items[..]);
+            let table = centroids.as_mut_slice();
+            round(pool, table, CENTROID_CHUNK * d, &mut scratch, |start, rows, _| {
+                for (l, row) in (start / d..).zip(rows.chunks_exact_mut(d)) {
+                    mean_into(items, &members[offsets[l]..offsets[l + 1]], row);
                 }
-            }
-            for (l, &count) in counts.iter().enumerate() {
-                if count > 0 {
-                    let inv = 1.0 / count as f32;
-                    let (src, dst) = (sums.row(l), centroids.row_mut(l));
-                    for (o, &s) in dst.iter_mut().zip(src.iter()) {
-                        *o = s * inv;
-                    }
-                }
-            }
+            });
         }
-        // Inverted lists in CSR form; ascending ids inside each list
-        // (items are visited in id order).
-        let mut counts = vec![0usize; nlist];
-        for &a in &assign {
-            counts[a as usize] += 1;
-        }
-        let mut list_offsets = vec![0usize; nlist + 1];
-        for l in 0..nlist {
-            list_offsets[l + 1] = list_offsets[l] + counts[l];
-        }
-        let mut cursor = list_offsets.clone();
-        let mut list_items = vec![0u32; n];
-        for (i, &a) in assign.iter().enumerate() {
-            list_items[cursor[a as usize]] = i as u32;
-            cursor[a as usize] += 1;
-        }
+        // Inverted lists in CSR form; ascending ids inside each list.
+        fill_lists(&assign, &mut list_offsets, &mut list_items);
         Self { centroids, list_offsets, list_items }
     }
 
@@ -271,17 +260,149 @@ impl IvfIndex {
     }
 }
 
-/// k-means++ seeding: first centroid uniform, the rest D²-weighted.
+/// Items scored in one pass over the centroids: the query count of
+/// [`scores_block_multi`]'s register tile.
+const GROUP: usize = 4;
+
+/// Items a lane claims at a time in an assignment round: a multiple of
+/// [`GROUP`], and about a third of a millisecond of scoring at 195 lists.
+const ITEM_CHUNK: usize = 64 * GROUP;
+
+/// Centroids a lane claims at a time in a mean-update round.
+const CENTROID_CHUNK: usize = 8;
+
+/// One lane's assignment buffers, made once per build.
+struct Lane {
+    /// A group's centroid scores, one run of `nlist` per item.
+    scores: Vec<f32>,
+    /// Whether the lane moved an item in the current assignment round.
+    moved: bool,
+}
+
+/// Runs `f(start, chunk, lane)` as one `pool` round over `data` cut into
+/// chunks of `chunk` elements (`start` is the chunk's first element).
+/// Every lane claims the next unclaimed chunk until none is left, so a
+/// lane that starts late, or runs on a CPU it shares, leaves its share to
+/// the others instead of holding up the round.
+fn round<T: Send, S: Send>(
+    pool: &WorkerPool,
+    data: &mut [T],
+    chunk: usize,
+    lanes: &mut [S],
+    f: impl Fn(usize, &mut [T], &mut S) + Sync,
+) {
+    let chunks = Mutex::new(data.chunks_mut(chunk).enumerate());
+    let (chunks, f) = (&chunks, &f);
+    let jobs: Vec<Job> = lanes
+        .iter_mut()
+        .map(|lane| {
+            Box::new(move || {
+                while let Some((k, data)) = claim(chunks) {
+                    f(k * chunk, data, lane);
+                }
+            }) as Job
+        })
+        .collect();
+    pool.run(jobs);
+}
+
+/// The next item of a shared iterator; the lock is released on return.
+fn claim<I: Iterator>(it: &Mutex<I>) -> Option<I::Item> {
+    it.lock().unwrap_or_else(PoisonError::into_inner).next()
+}
+
+/// Assigns items `start..start + assign.len()` to their nearest
+/// centroid, [`GROUP`] items per pass over `centroids`; whether any
+/// assignment changed. Ties go to the smaller list id.
+fn assign_nearest(
+    items: &Matrix,
+    start: usize,
+    centroids: &[f32],
+    half_norms: &[f32],
+    assign: &mut [u32],
+    lane: &mut Lane,
+) -> bool {
+    let nlist = half_norms.len();
+    let mut moved = false;
+    for (first, group) in (start..).step_by(GROUP).zip(assign.chunks_mut(GROUP)) {
+        let mut qs: [&[f32]; GROUP] = [&[]; GROUP];
+        for (i, q) in (first..).zip(&mut qs[..group.len()]) {
+            *q = items.row(i);
+        }
+        let scores = &mut lane.scores[..group.len() * nlist];
+        scores_block_multi(&qs[..group.len()], centroids, scores);
+        for (a, scores) in group.iter_mut().zip(scores.chunks_exact(nlist)) {
+            let mut best = 0usize;
+            let mut best_s = f32::NEG_INFINITY;
+            for (l, (&s, &h)) in scores.iter().zip(half_norms).enumerate() {
+                let s = s - h;
+                if s > best_s {
+                    best_s = s;
+                    best = l;
+                }
+            }
+            if *a != best as u32 {
+                *a = best as u32;
+                moved = true;
+            }
+        }
+    }
+    moved
+}
+
+/// Writes the mean of the `members` rows into `row`, summing them in the
+/// given order; an empty list leaves `row` as it is.
+fn mean_into(items: &Matrix, members: &[u32], row: &mut [f32]) {
+    if members.is_empty() {
+        return;
+    }
+    row.fill(0.0);
+    for &i in members {
+        for (s, &x) in row.iter_mut().zip(items.row(i as usize)) {
+            *s += x;
+        }
+    }
+    let inv = 1.0 / members.len() as f32;
+    for s in row.iter_mut() {
+        *s *= inv;
+    }
+}
+
+/// Groups the items by list in CSR form: `offsets` (`nlist + 1` long)
+/// and `members` (one entry per item), ascending ids inside each list.
+fn fill_lists(assign: &[u32], offsets: &mut [usize], members: &mut [u32]) {
+    offsets.fill(0);
+    for &a in assign {
+        offsets[a as usize + 1] += 1;
+    }
+    for l in 1..offsets.len() {
+        offsets[l] += offsets[l - 1];
+    }
+    let mut cursor = offsets.to_vec();
+    for (i, &a) in assign.iter().enumerate() {
+        members[cursor[a as usize]] = i as u32;
+        cursor[a as usize] += 1;
+    }
+}
+
+/// k-means++ seeding: first centroid uniform, the rest D²-weighted. It
+/// stays on the calling thread: each centroid's pick needs the previous
+/// one's distances, so a pooled form would take `nlist` rounds of a
+/// fraction of a millisecond each, and a round waits for its slowest lane.
 fn kmeans_pp_init(items: &Matrix, nlist: usize, rng: &mut StdRng) -> Matrix {
-    use bsl_linalg::simd::sq_dist;
     let (n, d) = items.shape();
     let mut centroids = Matrix::zeros(nlist, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(items.row(first));
-    // d2[i] = distance to the nearest chosen centroid so far.
-    let mut d2: Vec<f32> = (0..n).map(|i| sq_dist(items.row(i), centroids.row(0))).collect();
+    // d2[i] = distance to the nearest chosen centroid so far; `total` is
+    // their f64 sum in item order, taken in the same pass.
+    let mut d2 = vec![0.0f32; n];
+    let mut total = 0.0f64;
+    for (i, x) in d2.iter_mut().enumerate() {
+        *x = sq_dist(items.row(i), centroids.row(0));
+        total += *x as f64;
+    }
     for c in 1..nlist {
-        let total: f64 = d2.iter().map(|&x| x as f64).sum();
         let pick = if total > 0.0 {
             let mut t = rng.gen_range(0.0..total);
             let mut chosen = n - 1;
@@ -298,8 +419,10 @@ fn kmeans_pp_init(items: &Matrix, nlist: usize, rng: &mut StdRng) -> Matrix {
             rng.gen_range(0..n)
         };
         centroids.row_mut(c).copy_from_slice(items.row(pick));
+        total = 0.0;
         for (i, x) in d2.iter_mut().enumerate() {
             *x = x.min(sq_dist(items.row(i), centroids.row(c)));
+            total += *x as f64;
         }
     }
     centroids
@@ -308,7 +431,6 @@ fn kmeans_pp_init(items: &Matrix, nlist: usize, rng: &mut StdRng) -> Matrix {
 /// Reassigns the farthest-from-home items into any empty lists so every
 /// centroid keeps at least one member (deterministic: scans in id order).
 fn fix_empty_lists(items: &Matrix, centroids: &Matrix, assign: &mut [u32], nlist: usize) {
-    use bsl_linalg::simd::sq_dist;
     let mut counts = vec![0usize; nlist];
     for &a in assign.iter() {
         counts[a as usize] += 1;
@@ -439,6 +561,75 @@ mod tests {
         c.set(0, 0, f32::NAN);
         assert!(IvfIndex::from_parts(c, idx.list_offsets().to_vec(), idx.list_items().to_vec())
             .is_err());
+    }
+
+    /// An index's centroid bits, offsets and list items.
+    fn bits(idx: &IvfIndex) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+        let centroids = idx.centroids().as_slice().iter().map(|c| c.to_bits()).collect();
+        (centroids, idx.list_offsets().to_vec(), idx.list_items().to_vec())
+    }
+
+    /// FNV-1a 64 over [`bits`], little-endian, offsets as `u64`.
+    fn fingerprint(idx: &IvfIndex) -> u64 {
+        let (centroids, offsets, items) = bits(idx);
+        let mut bytes = Vec::new();
+        centroids.iter().for_each(|c| bytes.extend_from_slice(&c.to_le_bytes()));
+        offsets.iter().for_each(|&o| bytes.extend_from_slice(&(o as u64).to_le_bytes()));
+        items.iter().for_each(|i| bytes.extend_from_slice(&i.to_le_bytes()));
+        crate::artifact::fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn pooled_builds_are_bit_equal_at_every_lane_count() {
+        // Seven distinct rows for eight lists: an empty list is refilled.
+        let duplicated =
+            Matrix::from_fn(64, 4, |r, c| if r < 60 { (r % 3) as f32 } else { (r + c) as f32 });
+        // Four far-apart clusters: Lloyd settles before its last pass.
+        let clustered =
+            Matrix::from_fn(80, 6, |r, c| (r % 4) as f32 * 10.0 + (r * c) as f32 * 1e-3);
+        let cases = [
+            (table(37, 5, 1), 6),    // n not a multiple of 4 · lanes
+            (table(101, 64, 2), 11), // full 8-wide tiles, an odd list count
+            (table(257, 33, 3), 16), // a masked tail in every score
+            (table(7, 3, 4), 3),     // n < 4 · lanes: idle lanes
+            (table(1, 5, 5), 1),     // one item
+            (table(23, 16, 6), 1),   // nlist = 1
+            (table(13, 9, 7), 13),   // nlist = n
+            (duplicated, 8),
+            (clustered, 4),
+        ];
+        let pools: Vec<WorkerPool> = (1..=3).map(WorkerPool::new).collect();
+        for (items, nlist) in &cases {
+            let want = bits(&IvfIndex::build_on(items, *nlist, &pools[0]));
+            for pool in &pools[1..] {
+                let got = bits(&IvfIndex::build_on(items, *nlist, pool));
+                let lanes = pool.n_workers();
+                assert!(got == want, "{:?} nlist {nlist}, {lanes} lanes", items.shape());
+            }
+        }
+    }
+
+    #[test]
+    fn default_build_of_a_seeded_int8_artifact_keeps_its_fingerprint() {
+        use crate::{EvalScore, ModelArtifact};
+        use bsl_linalg::simd::{active, SimdLevel};
+        let mut art = ModelArtifact::from_embeddings(
+            "MF",
+            &table(3, 40, 12),
+            &table(3001, 40, 13),
+            EvalScore::Cosine,
+        )
+        .quantize();
+        art.build_default_ivf();
+        let idx = art.index().expect("an index");
+        assert_eq!(idx.nlist(), 55);
+        let got = fingerprint(idx);
+        let want = match active() {
+            SimdLevel::Scalar => 0x9d1a_9d83_3023_dab6,
+            SimdLevel::Portable => 0x82fa_0dfc_3f3d_7854,
+            SimdLevel::Avx2Fma => 0xb275_6430_eff5_dd03,
+        };
+        assert_eq!(got, want, "index fingerprint {got:#018x} at {:?}", active());
     }
 
     #[test]
