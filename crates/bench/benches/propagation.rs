@@ -1,5 +1,6 @@
 //! Graph-propagation benchmarks: SpMM and the LightGCN layer-mean
-//! forward/backward on a Yelp-like training graph.
+//! forward on a Yelp-like training graph, the latter on kept hop and
+//! output buffers as `LightGcn` runs it.
 
 use bsl_data::synth::{generate, SynthConfig};
 use bsl_linalg::Matrix;
@@ -18,8 +19,12 @@ fn bench_propagation(c: &mut Criterion) {
 
     c.bench_function("spmm_yelp_d64", |bench| bench.iter(|| adj.user_item.spmm(black_box(&i))));
     let prop = Propagator::new(adj.clone(), 3);
+    let mut hops = prop.hops(64);
+    let (mut out_u, mut out_i) = (Matrix::zeros(ds.n_users, 64), Matrix::zeros(ds.n_items, 64));
     c.bench_function("lightgcn_forward_3layer_d64", |bench| {
-        bench.iter(|| prop.forward(black_box(&u), black_box(&i), None))
+        bench.iter(|| {
+            prop.forward_into(black_box(&u), black_box(&i), &mut hops, &mut out_u, &mut out_i, None)
+        })
     });
     c.bench_function("edge_dropout_renormalize", |bench| {
         bench.iter(|| adj.edge_dropout(0.2, &mut rng))

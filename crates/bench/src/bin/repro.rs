@@ -3,7 +3,7 @@
 //! `repro --save <path> | --serve <path>`.
 //!
 //! One subcommand per table/figure of the paper's evaluation section (see
-//! DESIGN.md §6 for the experiment index). `all` runs everything in order.
+//! README's "Reproducing the paper's figures and tables" for the index). `all` runs everything in order.
 //! `--threads` feeds [`TrainConfig::threads`](bsl_core::TrainConfig) for
 //! every experiment (`0` = one worker per core; default `1` keeps outputs
 //! bit-reproducible across machines). An option or experiment name the

@@ -32,14 +32,15 @@ pub fn default_threads() -> usize {
 /// Experiment scale.
 ///
 /// `Quick` shrinks the synthetic datasets and the training budget so the
-/// whole suite finishes in minutes on a laptop; `Full` uses the DESIGN.md
-/// dataset sizes and a longer budget. Shape conclusions are the same; only
+/// whole suite finishes in minutes on a laptop; `Full` uses the generators'
+/// own dataset sizes (README's "Reproducing the paper's figures and
+/// tables") and a longer budget. Shape conclusions are the same; only
 /// variance differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Minutes-long runs for CI and iteration.
     Quick,
-    /// The DESIGN.md-sized runs.
+    /// Runs at the generators' own dataset sizes.
     Full,
 }
 

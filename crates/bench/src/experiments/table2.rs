@@ -2,8 +2,9 @@
 //! {BPR, BCE, MSE, SL, BSL} on {MF, NGCF, LightGCN}, four datasets,
 //! Recall@20 / NDCG@20.
 //!
-//! NIA-GCN, DGCF and NCL are reported `n/a` (DESIGN.md §2: reference
-//! points whose mechanisms exceed a validatable from-scratch scope).
+//! NIA-GCN, DGCF and NCL are reported `n/a` (README's "Reproducing the
+//! paper's figures and tables": reference points whose mechanisms exceed
+//! a validatable from-scratch scope).
 
 use super::common::{base_cfg, header, lgn, row, run, suite, tune_bsl, tune_sl, Scale, GCN_LAYERS};
 use bsl_core::TrainConfig;
@@ -79,7 +80,7 @@ fn baselines(ds: &Arc<Dataset>, scale: Scale) -> Vec<(String, String)> {
         rows.push((label.into(), metric_pair(out.best.recall(20), out.best.ndcg(20))));
     }
     for missing in ["NIA-GCN", "DGCF", "NCL"] {
-        rows.push((missing.into(), "n/a (see DESIGN.md §2)".into()));
+        rows.push((missing.into(), "n/a (see README, reproducing the paper)".into()));
     }
     rows
 }

@@ -7,9 +7,10 @@
 //! cargo run --release -p bsl-bench --bin repro -- all    --scale quick
 //! ```
 //!
-//! Absolute numbers differ from the paper (the datasets here are the
-//! synthetic substitutes documented in DESIGN.md §2); the *shape* claims
-//! each experiment checks are listed in EXPERIMENTS.md.
+//! Absolute numbers differ from the paper (the datasets here are
+//! synthetic substitutes); README's "Reproducing the paper's figures and
+//! tables" lists the substitutions and the *shape* claims the experiments
+//! check.
 
 // Enforced by bsl-audit (audit/policy.toml): this crate is not on the
 // unsafe allowlist.

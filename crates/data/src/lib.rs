@@ -4,8 +4,8 @@
 //! Those logs are not redistributable here, so this crate provides
 //! *synthetic* generators with a latent-factor ground truth and matched
 //! shape statistics (power-law popularity, per-dataset density ordering,
-//! per-dataset intrinsic positive-noise levels — see DESIGN.md §2 for the
-//! substitution rationale). Having a known ground truth is what makes the
+//! per-dataset intrinsic positive-noise levels — see README's "Reproducing
+//! the paper's figures and tables" for the substitutions). Having a known ground truth is what makes the
 //! paper's controlled noise-injection experiments (Figs 3/6/8/9, Table IV)
 //! exactly reproducible.
 

@@ -1,6 +1,7 @@
 //! Synthetic implicit-feedback generator with a latent-factor ground truth.
 //!
-//! The generative model (per DESIGN.md §2):
+//! The generative model (README's "Reproducing the paper's figures and
+//! tables" says what it stands in for):
 //!
 //! 1. Items belong to `n_clusters` latent clusters; item factors are
 //!    cluster centre + isotropic noise. Users mix cluster affinities.

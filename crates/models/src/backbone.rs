@@ -215,14 +215,10 @@ pub fn build(cfg: BackboneConfig, ds: &Arc<Dataset>, dim: usize, seed: u64) -> B
         BackboneConfig::LrGccf { layers } => {
             Box::new(crate::lrgccf::LrGccf::new(ds, dim, layers, seed))
         }
-        BackboneConfig::Sgl { layers, dropout, ssl_reg, ssl_tau } => {
-            Box::new(crate::sgl::Sgl::new(ds, dim, layers, dropout, ssl_reg, ssl_tau, seed))
-        }
-        BackboneConfig::SimGcl { layers, eps, ssl_reg, ssl_tau } => {
-            Box::new(crate::simgcl::SimGcl::new(ds, dim, layers, eps, ssl_reg, ssl_tau, seed))
-        }
-        BackboneConfig::LightGcl { layers, rank, ssl_reg, ssl_tau } => {
-            Box::new(crate::lightgcl::LightGcl::new(ds, dim, layers, rank, ssl_reg, ssl_tau, seed))
+        BackboneConfig::Sgl { .. }
+        | BackboneConfig::SimGcl { .. }
+        | BackboneConfig::LightGcl { .. } => {
+            Box::new(crate::contrastive::Contrastive::new(cfg, ds, dim, seed))
         }
     }
 }

@@ -16,9 +16,11 @@
 //! * [`Ngcf`] — nonlinear propagation with per-layer weight matrices and a
 //!   fully hand-written backward pass;
 //! * [`LrGccf`] — linear residual GCN;
-//! * [`Sgl`] / [`SimGcl`] / [`LightGcl`] — LightGCN plus self-supervised
-//!   InfoNCE auxiliaries (edge-dropout views / embedding-noise views /
-//!   randomized-SVD views);
+//! * SGL / SimGCL / LightGCL ([`BackboneConfig::Sgl`],
+//!   [`BackboneConfig::SimGcl`], [`BackboneConfig::LightGcl`]) — one
+//!   private type, a [`LightGcn`] plus a self-supervised InfoNCE auxiliary
+//!   between two views (edge-dropout / embedding-noise / randomized-SVD),
+//!   built by [`build`];
 //! * [`enmf::train_enmf`] and [`ultragcn::train_ultragcn`] — the two
 //!   baselines whose training protocol does not fit the sampled-batch
 //!   trainer (whole-data non-sampling loss; degree-weighted BCE).
@@ -32,10 +34,10 @@ pub mod artifact;
 pub mod backbone;
 pub mod bytes;
 pub mod cml;
+mod contrastive;
 pub mod enmf;
 pub mod grad;
 pub mod ivf;
-pub mod lightgcl;
 pub mod lightgcn;
 pub mod lrgccf;
 pub mod mf;
@@ -43,22 +45,25 @@ pub mod ngcf;
 pub mod propagation;
 pub mod quant;
 pub mod rank;
-pub mod sgl;
 pub mod shard;
-pub mod simgcl;
 pub mod ultragcn;
+
+// Unit tests of the contrastive kinds, one module per model.
+#[cfg(test)]
+mod lightgcl;
+#[cfg(test)]
+mod sgl;
+#[cfg(test)]
+mod simgcl;
 
 pub use artifact::{ArtifactError, ModelArtifact, Precision};
 pub use backbone::{build, Backbone, BackboneConfig, EvalScore, Hyper, TrainScore};
 pub use grad::{GradBuffer, GradSink};
 pub use ivf::{IvfIndex, ProbeScratch};
-pub use lightgcl::LightGcl;
 pub use lightgcn::LightGcn;
 pub use lrgccf::LrGccf;
 pub use mf::Mf;
 pub use ngcf::Ngcf;
 pub use quant::{PruneScratch, QuantizedTable, Sketch};
 pub use rank::{select_catalogue_into, top_k_into, Candidates, TopKScratch};
-pub use sgl::Sgl;
 pub use shard::ShardGrad;
-pub use simgcl::SimGcl;

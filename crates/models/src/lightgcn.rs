@@ -20,16 +20,17 @@ use std::sync::Arc;
 /// The hop buffers and the base-gradient pair live as long as the model,
 /// so a warm [`Backbone::forward`] or [`Backbone::step`] allocates nothing
 /// (nor do their `_on` forms on a one-lane pool; a round on more lanes
-/// allocates its job list).
+/// allocates its job list). The contrastive backbones (`contrastive.rs`)
+/// hold one as their main graph and run their views on the same buffers.
 pub struct LightGcn {
-    user_base: Matrix,
-    item_base: Matrix,
-    prop: Propagator,
-    hops: Hops,
-    fin_u: Matrix,
-    fin_i: Matrix,
-    grad_u: Matrix,
-    grad_i: Matrix,
+    pub(crate) user_base: Matrix,
+    pub(crate) item_base: Matrix,
+    pub(crate) prop: Propagator,
+    pub(crate) hops: Hops,
+    pub(crate) fin_u: Matrix,
+    pub(crate) fin_i: Matrix,
+    pub(crate) grad_u: Matrix,
+    pub(crate) grad_i: Matrix,
     adam_u: Adam,
     adam_i: Adam,
 }
@@ -37,27 +38,33 @@ pub struct LightGcn {
 impl LightGcn {
     /// Builds LightGCN on `ds`'s training graph.
     pub fn new(ds: &Arc<Dataset>, dim: usize, layers: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
         let adj = NormAdj::from_interactions(ds.n_users, ds.n_items, &ds.train_pairs());
+        Self::on_graph(adj, dim, layers, &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// LightGCN on `adj`, its Xavier tables drawn from `rng`, users first.
+    pub(crate) fn on_graph(adj: NormAdj, dim: usize, layers: usize, rng: &mut StdRng) -> Self {
+        let (n_users, n_items) = (adj.n_users(), adj.n_items());
         let prop = Propagator::new(adj, layers);
         Self {
-            user_base: Matrix::xavier_uniform(ds.n_users, dim, &mut rng),
-            item_base: Matrix::xavier_uniform(ds.n_items, dim, &mut rng),
+            user_base: Matrix::xavier_uniform(n_users, dim, rng),
+            item_base: Matrix::xavier_uniform(n_items, dim, rng),
             hops: prop.hops(dim),
             prop,
-            fin_u: Matrix::zeros(ds.n_users, dim),
-            fin_i: Matrix::zeros(ds.n_items, dim),
-            grad_u: Matrix::zeros(ds.n_users, dim),
-            grad_i: Matrix::zeros(ds.n_items, dim),
-            adam_u: Adam::new(ds.n_users, dim),
-            adam_i: Adam::new(ds.n_items, dim),
+            fin_u: Matrix::zeros(n_users, dim),
+            fin_i: Matrix::zeros(n_items, dim),
+            grad_u: Matrix::zeros(n_users, dim),
+            grad_i: Matrix::zeros(n_items, dim),
+            adam_u: Adam::new(n_users, dim),
+            adam_i: Adam::new(n_items, dim),
         }
     }
 
-    /// Exact gradients w.r.t. the base embeddings (test hook; [`Backbone::step`]
-    /// chains this into Adam).
+    /// Exact gradients w.r.t. the base embeddings: the operator is
+    /// symmetric, so the backward is the forward map (test hook;
+    /// [`Backbone::step`] chains this into Adam).
     pub fn backward_base(&self, grads: &GradBuffer) -> (Matrix, Matrix) {
-        self.prop.backward(grads.users(), grads.items(), None)
+        self.prop.forward(grads.users(), grads.items(), None)
     }
 
     /// Shared step body for LightGCN-shaped models: L2 on touched rows
@@ -87,6 +94,29 @@ impl LightGcn {
         }
         adam_u.step_dense_on(user_base, gu, hp.lr, pool);
         adam_i.step_dense_on(item_base, gi, hp.lr, pool);
+    }
+
+    /// The base-gradient pair `grad_u`/`grad_i` from `grads`: the backward
+    /// is the forward map (see [`Self::backward_base`]).
+    pub(crate) fn propagate_grads(&mut self, grads: &GradBuffer, pool: Option<&WorkerPool>) {
+        let (gu, gi) = (grads.users(), grads.items());
+        self.prop.forward_into(gu, gi, &mut self.hops, &mut self.grad_u, &mut self.grad_i, pool);
+    }
+
+    /// L2 and Adam from the base-gradient pair (see
+    /// [`Self::apply_base_update`]).
+    pub(crate) fn apply_grads(&mut self, grads: &GradBuffer, hp: Hyper, pool: Option<&WorkerPool>) {
+        Self::apply_base_update(
+            &mut self.user_base,
+            &mut self.item_base,
+            &mut self.adam_u,
+            &mut self.adam_i,
+            &mut self.grad_u,
+            &mut self.grad_i,
+            grads,
+            hp,
+            pool,
+        );
     }
 }
 
@@ -150,26 +180,8 @@ impl Backbone for LightGcn {
         _rng: &mut StdRng,
         pool: Option<&WorkerPool>,
     ) -> f64 {
-        // The backward is the forward map (see `backward_base`).
-        self.prop.forward_into(
-            grads.users(),
-            grads.items(),
-            &mut self.hops,
-            &mut self.grad_u,
-            &mut self.grad_i,
-            pool,
-        );
-        Self::apply_base_update(
-            &mut self.user_base,
-            &mut self.item_base,
-            &mut self.adam_u,
-            &mut self.adam_i,
-            &mut self.grad_u,
-            &mut self.grad_i,
-            grads,
-            hp,
-            pool,
-        );
+        self.propagate_grads(grads, pool);
+        self.apply_grads(grads, hp, pool);
         0.0
     }
 

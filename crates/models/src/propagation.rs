@@ -2,8 +2,9 @@
 //!
 //! LightGCN's layer-mean propagation is a *symmetric* linear operator on
 //! the stacked embedding vector, so its exact backward pass is the operator
-//! itself — [`Propagator::backward`] simply reuses the forward map, and the
-//! `adjointness` test below verifies `<F(x), y> = <x, F(y)>` numerically.
+//! itself — the backbones propagate gradients with [`Propagator::forward_into`],
+//! and the `adjointness` test below verifies `<F(x), y> = <x, F(y)>`
+//! numerically.
 
 use bsl_linalg::kernels::{axpy, scale};
 use bsl_linalg::pool::{Job, WorkerPool};
@@ -113,17 +114,6 @@ impl Propagator {
             };
             hop.run(pool, next_u, next_i, out_u, out_i);
         }
-    }
-
-    /// Exact backward of [`Self::forward`]: the operator is symmetric, so
-    /// `∂L/∂[u0; i0] = forward(∂L/∂final)`.
-    pub fn backward(
-        &self,
-        grad_u: &Matrix,
-        grad_i: &Matrix,
-        pool: Option<&WorkerPool>,
-    ) -> (Matrix, Matrix) {
-        self.forward(grad_u, grad_i, pool)
     }
 }
 
@@ -438,7 +428,7 @@ mod tests {
             let yu = Matrix::gaussian(3, 4, 1.0, &mut rng);
             let yi = Matrix::gaussian(2, 4, 1.0, &mut rng);
             let (fxu, fxi) = prop.forward(&xu, &xi, None);
-            let (fyu, fyi) = prop.backward(&yu, &yi, None);
+            let (fyu, fyi) = prop.forward(&yu, &yi, None);
             let lhs: f64 = fxu
                 .as_slice()
                 .iter()

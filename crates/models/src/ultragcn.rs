@@ -8,8 +8,9 @@
 //! ```
 //!
 //! This is the main (`L_C + L_O`) branch of UltraGCN; the item–item
-//! co-occurrence constraint is omitted (documented in DESIGN.md — it is a
-//! second additive term of the same shape, not a different mechanism).
+//! co-occurrence constraint is omitted (listed in README's "Reproducing
+//! the paper's figures and tables" — it is a second additive term of the
+//! same shape, not a different mechanism).
 
 use bsl_data::Dataset;
 use bsl_linalg::kernels::{axpy, dot};

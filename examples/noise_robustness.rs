@@ -22,8 +22,9 @@ fn main() {
         } else {
             Arc::new(inject_false_positives(&clean, ratio, 31).dataset)
         };
-        // τ calibrated to the synthetic substrate (DESIGN.md §9.5: the
-        // optimum sits higher than the paper's ~0.1); BSL uses τ1/τ2 ≈ 3.
+        // τ calibrated to the synthetic substrate (README's "Reproducing
+        // the paper's figures and tables": the optimum sits higher than
+        // the paper's ~0.1); BSL uses τ1/τ2 ≈ 3.
         let sl = Trainer::new(TrainConfig { loss: LossConfig::Sl { tau: 0.35 }, ..base }).fit(&ds);
         let bsl =
             Trainer::new(TrainConfig { loss: LossConfig::Bsl { tau1: 1.0, tau2: 0.35 }, ..base })

@@ -12,8 +12,8 @@ use bsl_serve::{RecommendRequest, ServeScratch, ServeState};
 use std::sync::Arc;
 
 fn main() {
-    // A Yelp2018-shaped synthetic dataset (see DESIGN.md §2 for why the
-    // real logs are substituted).
+    // A Yelp2018-shaped synthetic dataset (see README's "Reproducing the
+    // paper's figures and tables" for why the real logs are substituted).
     let ds = Arc::new(generate(&SynthConfig::yelp_like(42)));
     println!("dataset: {} — {}", ds.name, ds.stats());
 

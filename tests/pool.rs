@@ -5,8 +5,8 @@
 //! Reusing one `Trainer`'s long-lived pool across fits is bit-identical
 //! to a fresh trainer per `(seed, threads)`, for sampled and in-batch
 //! negatives; in-batch training is also bit-identical to `threads: 1`,
-//! for MF and for LightGCN, whose propagation and dense Adam run on the
-//! pool's lanes too.
+//! for MF and for LightGCN, SGL, SimGCL and LightGCL, whose propagation
+//! and dense Adam run on the pool's lanes too.
 
 use bsl_core::prelude::*;
 use std::sync::Arc;
@@ -64,16 +64,25 @@ fn exact_in_batch_pool_replays_per_thread_count() {
     assert_eq!(serial.best.ndcg(20), a.best.ndcg(20));
     // LightGCN also runs its propagation hops and dense Adam on the pool's
     // lanes, split by rows and 8-float runs, with the serial bits; a width
-    // off the 8-float grid puts the Adam runs' cuts inside rows.
-    let lgn = TrainConfig { backbone: BackboneConfig::LightGcn { layers: 2 }, dim: 13, ..cfg };
+    // off the 8-float grid puts the Adam runs' cuts inside rows. The
+    // contrastive backbones run the same main graph plus their second view.
     let bits =
         |m: &bsl_linalg::Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let serial = Trainer::new(TrainConfig { threads: 1, ..lgn }).fit(&ds);
-    for threads in [2, 3, test_threads()] {
-        let pooled = Trainer::new(TrainConfig { threads, ..lgn }).fit(&ds);
-        assert_eq!(bits(&pooled.user_emb), bits(&serial.user_emb), "LightGCN, {threads} threads");
-        assert_eq!(bits(&pooled.item_emb), bits(&serial.item_emb), "LightGCN, {threads} threads");
-        let ndcg = |o: &TrainOutcome| o.best.ndcg(20).to_bits();
-        assert_eq!(ndcg(&pooled), ndcg(&serial), "LightGCN, {threads} threads");
+    let ndcg = |o: &TrainOutcome| o.best.ndcg(20).to_bits();
+    for backbone in [
+        BackboneConfig::LightGcn { layers: 2 },
+        BackboneConfig::Sgl { layers: 2, dropout: 0.1, ssl_reg: 0.1, ssl_tau: 0.2 },
+        BackboneConfig::SimGcl { layers: 2, eps: 0.1, ssl_reg: 0.1, ssl_tau: 0.2 },
+        BackboneConfig::LightGcl { layers: 2, rank: 4, ssl_reg: 0.1, ssl_tau: 0.2 },
+    ] {
+        let gcn = TrainConfig { backbone, dim: 13, ..cfg };
+        let name = backbone.label();
+        let serial = Trainer::new(TrainConfig { threads: 1, ..gcn }).fit(&ds);
+        for threads in [2, 3, test_threads()] {
+            let pooled = Trainer::new(TrainConfig { threads, ..gcn }).fit(&ds);
+            assert_eq!(bits(&pooled.user_emb), bits(&serial.user_emb), "{name}, {threads} threads");
+            assert_eq!(bits(&pooled.item_emb), bits(&serial.item_emb), "{name}, {threads} threads");
+            assert_eq!(ndcg(&pooled), ndcg(&serial), "{name}, {threads} threads");
+        }
     }
 }

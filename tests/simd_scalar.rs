@@ -239,3 +239,45 @@ fn forced_scalar_replays_bit_for_bit() {
     let cfg = TrainConfig { epochs: 3, ..TrainConfig::smoke() };
     assert_eq!(fingerprint(cfg), fingerprint(cfg));
 }
+
+/// SGL and SimGCL (LightGCN plus an InfoNCE auxiliary over two views) on
+/// the sampled path, serial and sharded. Both views are libm-free at this
+/// level: edge dropout draws uniform floats and compares, the noise view
+/// draws uniform floats and normalizes with `sqrt`, and InfoNCE runs
+/// through `stats::softmax_into`. LightGCL is left out: its randomized SVD
+/// draws its test matrix through `Matrix::gaussian`, whose Box–Muller
+/// transform calls libm `ln` and `cos`, so its bits would pin the host.
+#[test]
+fn contrastive_paths_match_pinned_bits() {
+    force_scalar();
+    let sgl = BackboneConfig::Sgl { layers: 2, dropout: 0.1, ssl_reg: 0.1, ssl_tau: 0.2 };
+    let simgcl = BackboneConfig::SimGcl { layers: 2, eps: 0.1, ssl_reg: 0.1, ssl_tau: 0.2 };
+    const SGL_1: [u32; 8] = [
+        3158481744, 3184671818, 3189068422, 3175220308, 3191188912, 1044309219, 3164121906,
+        1033642241,
+    ];
+    const SGL_3: [u32; 8] = [
+        3154202790, 3184099848, 3188901245, 3176414704, 3191164964, 1044791340, 3167425710,
+        1033304838,
+    ];
+    const SIMGCL_1: [u32; 8] = [
+        3157175760, 3185242643, 3189007648, 3174659294, 3191337611, 1044624032, 3164011990,
+        1033922219,
+    ];
+    const SIMGCL_3: [u32; 8] = [
+        3150186476, 3184813098, 3188844508, 3175856574, 3191246158, 1045030652, 3166885486,
+        1033446075,
+    ];
+    for (backbone, threads, want_head, want_ndcg) in [
+        (sgl, 1, SGL_1, 0x3fe36b40c4fbeb5a),
+        (sgl, 3, SGL_3, 0x3fe32756ece555b0),
+        (simgcl, 1, SIMGCL_1, 0x3fe2ff3d82ab3ae9),
+        (simgcl, 3, SIMGCL_3, 0x3fe33fa8cd8ee25a),
+    ] {
+        let (ndcg, head) =
+            fingerprint(TrainConfig { backbone, epochs: 3, threads, ..TrainConfig::smoke() });
+        let label = format!("{}, {threads} threads", backbone.label());
+        assert_eq!(head, want_head, "{label}: user embedding bits drifted");
+        assert_eq!(ndcg, want_ndcg, "{label}: ndcg bits {ndcg:#018x}");
+    }
+}
