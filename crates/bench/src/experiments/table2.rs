@@ -64,18 +64,9 @@ fn baselines(ds: &Arc<Dataset>, scale: Scale) -> Vec<(String, String)> {
     let (uu, ui) = train_ultragcn(ds, &ug_cfg);
     let rep = evaluate(ds, &uu, &ui, EvalScore::Dot, &[20]);
     rows.push(("UltraGCN".into(), metric_pair(rep.recall(20), rep.ndcg(20))));
-    // LR-GCCF (+BPR, its native loss).
-    let lr_gccf = run(
-        ds,
-        TrainConfig {
-            backbone: BackboneConfig::LrGccf { layers: GCN_LAYERS },
-            loss: LossConfig::Bpr,
-            ..base_cfg(scale)
-        },
-    );
-    rows.push(("LR-GCCF".into(), metric_pair(lr_gccf.best.recall(20), lr_gccf.best.ndcg(20))));
-    // SGL / SimGCL / LightGCL with their native BPR main loss.
-    for (label, backbone) in contrastive_backbones() {
+    // LR-GCCF, SGL, SimGCL and LightGCL with their native BPR (main) loss.
+    let lr_gccf = ("LR-GCCF", BackboneConfig::LrGccf { layers: GCN_LAYERS });
+    for (label, backbone) in std::iter::once(lr_gccf).chain(contrastive_backbones()) {
         let out = run(ds, TrainConfig { backbone, loss: LossConfig::Bpr, ..base_cfg(scale) });
         rows.push((label.into(), metric_pair(out.best.recall(20), out.best.ndcg(20))));
     }

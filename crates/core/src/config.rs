@@ -74,6 +74,11 @@ pub struct TrainConfig {
     /// streams and f32 gradient reduction follows the shard layout.
     /// Treat a change of `threads` like a change of `seed`: metrics stay
     /// within run-to-run noise, individual bits do not.
+    ///
+    /// The exception is [`SamplingConfig::InBatch`]: it draws no
+    /// negatives, and its step computes every gradient element in one
+    /// order at any worker count, so an in-batch run has the same bits at
+    /// every `threads` (`tests/pool.rs` checks this per backbone).
     pub threads: usize,
 }
 

@@ -8,7 +8,7 @@ use bsl_core::engine::{Job, WorkerPool};
 use bsl_data::synth::{generate, SynthConfig};
 use bsl_losses::fd::synthetic_scores;
 use bsl_losses::{build, scale_rows, LossConfig, RowTerm, ScoreBatch};
-use bsl_models::{Backbone, GradBuffer, Hyper, LightGcn, Mf};
+use bsl_models::{Backbone, BackboneConfig, GradBuffer, Hyper, Mf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,30 +81,55 @@ fn the_counter_sees_an_allocation() {
     assert_eq!(allocations(|| drop(std::hint::black_box(vec![0u8; 16]))), 1);
 }
 
-/// Once a LightGCN has run one forward and one step, further forwards and
-/// steps reuse its hop, output and gradient buffers: no allocation at all,
-/// at every layer count, on the in-batch trainer's width and a tail width.
-#[test]
-fn warm_lightgcn_forward_and_step_allocate_nothing() {
+/// The linear GCNs at `layers` hops: LightGCN and LR-GCCF, one model on
+/// the plain and the residual propagation.
+fn linear_gcns(layers: usize) -> [BackboneConfig; 2] {
+    [BackboneConfig::LightGcn { layers }, BackboneConfig::LrGccf { layers }]
+}
+
+/// Builds `cfg` at width `dim`, runs one cold forward and step on `pool`,
+/// then counts the allocations of three warm steps, each after a forward
+/// when `forward` is set. Returns the count and the warm steps' summed
+/// auxiliary loss.
+fn warm_allocations(
+    cfg: BackboneConfig,
+    dim: usize,
+    pool: Option<&WorkerPool>,
+    forward: bool,
+) -> (usize, f64) {
     let ds = Arc::new(generate(&SynthConfig::tiny(1)));
     let hp = Hyper { lr: 0.01, l2: 1e-4 };
     let mut rng = StdRng::seed_from_u64(0);
-    for (dim, layers) in [(64usize, 1usize), (64, 2), (64, 3), (13, 2)] {
-        let mut lgn = LightGcn::new(&ds, dim, layers, 7);
-        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, dim);
-        for (k, u) in [0u32, 5, 11].into_iter().enumerate() {
-            grads.user_row_mut(u).iter_mut().for_each(|g| *g = 0.1 * (k as f32 + 1.0));
-        }
-        grads.item_row_mut(3).iter_mut().for_each(|g| *g = -0.2);
-        lgn.forward(&mut rng);
-        lgn.step(&grads, &[], &[], hp, &mut rng);
-        let n = allocations(|| {
-            for _ in 0..3 {
-                lgn.forward(&mut rng);
-                lgn.step(&grads, &[], &[], hp, &mut rng);
+    let mut gcn = bsl_models::build(cfg, &ds, dim, 7);
+    let (users, items) = ([0u32, 5, 11, 5, 2], [3u32, 9, 3, 40]);
+    let mut grads = GradBuffer::new(ds.n_users, ds.n_items, dim);
+    users.iter().for_each(|&u| grads.user_row_mut(u).iter_mut().for_each(|g| *g += 0.1));
+    items.iter().for_each(|&i| grads.item_row_mut(i).iter_mut().for_each(|g| *g -= 0.2));
+    gcn.forward_on(&mut rng, pool);
+    gcn.step_on(&grads, &users, &items, hp, &mut rng, pool);
+    let mut aux = 0.0;
+    let n = allocations(|| {
+        for _ in 0..3 {
+            if forward {
+                gcn.forward_on(&mut rng, pool);
             }
-        });
-        assert_eq!(n, 0, "d = {dim}, {layers} layers");
+            aux += gcn.step_on(&grads, &users, &items, hp, &mut rng, pool);
+        }
+    });
+    (n, aux)
+}
+
+/// Once a LightGCN (or LR-GCCF) has run one forward and one step, further
+/// forwards and steps reuse its hop, output and gradient buffers: no
+/// allocation at all, at every layer count, on the in-batch trainer's
+/// width and a tail width.
+#[test]
+fn warm_lightgcn_forward_and_step_allocate_nothing() {
+    for (dim, layers) in [(64usize, 1usize), (64, 2), (64, 3), (13, 2)] {
+        for cfg in linear_gcns(layers) {
+            let (n, _) = warm_allocations(cfg, dim, None, true);
+            assert_eq!(n, 0, "{}, d = {dim}, {layers} layers", cfg.label());
+        }
     }
 }
 
@@ -114,24 +139,32 @@ fn warm_lightgcn_forward_and_step_allocate_nothing() {
 /// list, as the step passes' rounds do.)
 #[test]
 fn warm_lightgcn_forward_on_and_step_on_a_one_lane_pool_allocate_nothing() {
-    let ds = Arc::new(generate(&SynthConfig::tiny(1)));
-    let hp = Hyper { lr: 0.01, l2: 1e-4 };
-    let mut rng = StdRng::seed_from_u64(0);
     let pool = WorkerPool::new(1);
     for (dim, layers) in [(64usize, 2usize), (13, 3)] {
-        let mut lgn = LightGcn::new(&ds, dim, layers, 7);
-        let mut grads = GradBuffer::new(ds.n_users, ds.n_items, dim);
-        grads.user_row_mut(5).iter_mut().for_each(|g| *g = 0.1);
-        grads.item_row_mut(3).iter_mut().for_each(|g| *g = -0.2);
-        lgn.forward_on(&mut rng, Some(&pool));
-        lgn.step_on(&grads, &[], &[], hp, &mut rng, Some(&pool));
-        let n = allocations(|| {
-            for _ in 0..3 {
-                lgn.forward_on(&mut rng, Some(&pool));
-                lgn.step_on(&grads, &[], &[], hp, &mut rng, Some(&pool));
-            }
-        });
-        assert_eq!(n, 0, "d = {dim}, {layers} layers");
+        for cfg in linear_gcns(layers) {
+            let (n, _) = warm_allocations(cfg, dim, Some(&pool), true);
+            assert_eq!(n, 0, "{}, d = {dim}, {layers} layers", cfg.label());
+        }
+    }
+}
+
+/// SGL's and SimGCL's steps keep their InfoNCE scratch, capped node lists
+/// and view gradients: once one step has run, a step allocates nothing,
+/// plain or on a one-lane pool. (Their forwards still allocate the views:
+/// SGL draws two dropped graphs, SimGCL two noise propagations.)
+#[test]
+fn warm_sgl_and_simgcl_steps_allocate_nothing() {
+    let pool = WorkerPool::new(1);
+    for cfg in [
+        BackboneConfig::Sgl { layers: 2, dropout: 0.1, ssl_reg: 0.1, ssl_tau: 0.2 },
+        BackboneConfig::SimGcl { layers: 2, eps: 0.1, ssl_reg: 0.1, ssl_tau: 0.2 },
+    ] {
+        for lanes in [None, Some(&pool)] {
+            let (n, aux) = warm_allocations(cfg, 64, lanes, false);
+            let label = format!("{}, {} lanes", cfg.label(), lanes.map_or(0, |p| p.n_workers()));
+            assert!(aux > 0.0, "{label}: the InfoNCE auxiliary did not run");
+            assert_eq!(n, 0, "{label}");
+        }
     }
 }
 

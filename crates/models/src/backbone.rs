@@ -2,6 +2,7 @@
 
 use crate::artifact::ModelArtifact;
 use crate::grad::GradBuffer;
+use crate::lightgcn::LightGcn;
 use bsl_data::Dataset;
 use bsl_linalg::pool::WorkerPool;
 use bsl_linalg::Matrix;
@@ -208,13 +209,9 @@ pub fn build(cfg: BackboneConfig, ds: &Arc<Dataset>, dim: usize, seed: u64) -> B
     match cfg {
         BackboneConfig::Mf => Box::new(crate::mf::Mf::new(ds, dim, seed)),
         BackboneConfig::Cml => Box::new(crate::mf::Mf::new_cml(ds, dim, seed)),
-        BackboneConfig::LightGcn { layers } => {
-            Box::new(crate::lightgcn::LightGcn::new(ds, dim, layers, seed))
-        }
+        BackboneConfig::LightGcn { layers } => Box::new(LightGcn::new(ds, dim, layers, seed)),
         BackboneConfig::Ngcf { layers } => Box::new(crate::ngcf::Ngcf::new(ds, dim, layers, seed)),
-        BackboneConfig::LrGccf { layers } => {
-            Box::new(crate::lrgccf::LrGccf::new(ds, dim, layers, seed))
-        }
+        BackboneConfig::LrGccf { layers } => Box::new(LightGcn::lr_gccf(ds, dim, layers, seed)),
         BackboneConfig::Sgl { .. }
         | BackboneConfig::SimGcl { .. }
         | BackboneConfig::LightGcl { .. } => {

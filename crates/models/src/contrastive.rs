@@ -26,7 +26,7 @@
 use crate::backbone::{Backbone, BackboneConfig, EvalScore, Hyper};
 use crate::grad::GradBuffer;
 use crate::lightgcn::LightGcn;
-use crate::propagation::{dedup_cap, info_nce_grad, Propagator};
+use crate::propagation::{dedup_cap, info_nce_grad, InfoNceScratch, Propagator};
 use bsl_data::Dataset;
 use bsl_linalg::kernels::normalize_into;
 use bsl_linalg::pool::WorkerPool;
@@ -72,6 +72,12 @@ pub(crate) struct Contrastive {
     grads: [[Matrix; 2]; 2],
     /// One view's propagated gradients, before they join the main pair.
     back: [Matrix; 2],
+    /// A step's capped `[users, items]`, deduplicated through `seen`
+    /// (all `false` between steps, one flag per user or item).
+    nodes: [Vec<u32>; 2],
+    seen: Vec<bool>,
+    /// InfoNCE's gathers, norms and similarities.
+    scratch: InfoNceScratch,
     /// Whether a forward has drawn the views (a step before one adds no
     /// auxiliary).
     drawn: bool,
@@ -117,13 +123,16 @@ impl Contrastive {
             _ => pair(),
         };
         Self {
-            lgn: LightGcn::on_graph(adj, dim, layers, &mut rng),
+            lgn: LightGcn::on_graph(Propagator::new(adj, layers), dim, &mut rng),
             view,
             ssl_reg,
             ssl_tau,
             views: [first, pair()],
             grads: [pair(), pair()],
             back: pair(),
+            nodes: [Vec::with_capacity(AUX_NODE_CAP), Vec::with_capacity(AUX_NODE_CAP)],
+            seen: vec![false; ds.n_users.max(ds.n_items)],
+            scratch: InfoNceScratch::default(),
             drawn: false,
         }
     }
@@ -133,18 +142,29 @@ impl Contrastive {
     /// main base-gradient pair through each view's backward. Returns the
     /// weighted loss.
     fn info_nce_step(&mut self, users: &[u32], items: &[u32], pool: Option<&WorkerPool>) -> f64 {
-        let nodes = [dedup_cap(users, AUX_NODE_CAP), dedup_cap(items, AUX_NODE_CAP)];
         let (tau, weight) = (self.ssl_tau, self.ssl_reg);
-        let Self { lgn, view, views: [z1, z2], grads: [g1, g2], back: [bu, bi], .. } = self;
+        let Self {
+            lgn,
+            view,
+            views: [z1, z2],
+            grads: [g1, g2],
+            back: [bu, bi],
+            nodes,
+            seen,
+            scratch,
+            ..
+        } = self;
         let z1 = match view {
             View::Svd { .. } => [&lgn.fin_u, &lgn.fin_i],
             _ => [&z1[0], &z1[1]],
         };
         let mut aux = 0.0f64;
-        for side in 0..2 {
+        for (side, batch) in [users, items].into_iter().enumerate() {
+            dedup_cap(batch, AUX_NODE_CAP, seen, &mut nodes[side]);
             if !nodes[side].is_empty() {
                 let (g1, g2) = (&mut g1[side], &mut g2[side]);
-                aux += info_nce_grad(z1[side], &z2[side], &nodes[side], tau, weight, g1, g2);
+                let (z1, z2, nodes) = (z1[side], &z2[side], &nodes[side]);
+                aux += info_nce_grad(z1, z2, nodes, tau, weight, g1, g2, scratch);
             }
         }
         let LightGcn { prop, hops, grad_u, grad_i, .. } = lgn;
@@ -206,7 +226,7 @@ fn noise_view(lgn: &LightGcn, eps: f32, rng: &mut StdRng, [out_u, out_i]: &mut [
     let mut hop: Option<(Matrix, Matrix)> = None;
     for _ in 0..lgn.prop.layers() {
         let (src_u, src_i) = hop.as_ref().map_or((&lgn.user_base, &lgn.item_base), |(u, i)| (u, i));
-        let (mut nu, mut ni) = lgn.prop.hop(src_u, src_i);
+        let (mut nu, mut ni) = lgn.prop.adj().propagate(src_u, src_i);
         perturb(&mut nu, eps, rng);
         perturb(&mut ni, eps, rng);
         out_u.add_assign(&nu);

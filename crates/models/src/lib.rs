@@ -15,7 +15,9 @@
 //!   (symmetric) propagation operator;
 //! * [`Ngcf`] — nonlinear propagation with per-layer weight matrices and a
 //!   fully hand-written backward pass;
-//! * [`LrGccf`] — linear residual GCN;
+//! * LR-GCCF ([`BackboneConfig::LrGccf`], [`LightGcn::lr_gccf`]) — a
+//!   [`LightGcn`] whose propagation hops add their input back (a linear
+//!   residual GCN);
 //! * SGL / SimGCL / LightGCL ([`BackboneConfig::Sgl`],
 //!   [`BackboneConfig::SimGcl`], [`BackboneConfig::LightGcl`]) — one
 //!   private type, a [`LightGcn`] plus a self-supervised InfoNCE auxiliary
@@ -39,7 +41,6 @@ pub mod enmf;
 pub mod grad;
 pub mod ivf;
 pub mod lightgcn;
-pub mod lrgccf;
 pub mod mf;
 pub mod ngcf;
 pub mod propagation;
@@ -48,9 +49,12 @@ pub mod rank;
 pub mod shard;
 pub mod ultragcn;
 
-// Unit tests of the contrastive kinds, one module per model.
+// Unit tests of LR-GCCF and of the contrastive kinds, one module per
+// model.
 #[cfg(test)]
 mod lightgcl;
+#[cfg(test)]
+mod lrgccf;
 #[cfg(test)]
 mod sgl;
 #[cfg(test)]
@@ -61,7 +65,6 @@ pub use backbone::{build, Backbone, BackboneConfig, EvalScore, Hyper, TrainScore
 pub use grad::{GradBuffer, GradSink};
 pub use ivf::{IvfIndex, ProbeScratch};
 pub use lightgcn::LightGcn;
-pub use lrgccf::LrGccf;
 pub use mf::Mf;
 pub use ngcf::Ngcf;
 pub use quant::{PruneScratch, QuantizedTable, Sketch};

@@ -1,5 +1,7 @@
 //! LightGCN (He et al., SIGIR'20): K-layer linear propagation over the
-//! normalized bipartite graph with layer-mean readout.
+//! normalized bipartite graph with layer-mean readout, and LR-GCCF (Chen
+//! et al., AAAI'20), the same model on a residual propagation: its
+//! non-linearities removed and each layer `e^k = Â·e^{k-1} + e^{k-1}`.
 
 use crate::backbone::{Backbone, EvalScore, Hyper};
 use crate::grad::GradBuffer;
@@ -13,9 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// LightGCN backbone. Because the propagation operator is linear and
-/// symmetric, the exact parameter gradient is the propagated final-
-/// embedding gradient — no stored activations needed.
+/// LightGCN backbone (or LR-GCCF, see [`LightGcn::lr_gccf`]). Because the
+/// propagation operator is linear and symmetric, the exact parameter
+/// gradient is the propagated final-embedding gradient — no stored
+/// activations needed.
 ///
 /// The hop buffers and the base-gradient pair live as long as the model,
 /// so a warm [`Backbone::forward`] or [`Backbone::step`] allocates nothing
@@ -39,13 +42,20 @@ impl LightGcn {
     /// Builds LightGCN on `ds`'s training graph.
     pub fn new(ds: &Arc<Dataset>, dim: usize, layers: usize, seed: u64) -> Self {
         let adj = NormAdj::from_interactions(ds.n_users, ds.n_items, &ds.train_pairs());
-        Self::on_graph(adj, dim, layers, &mut StdRng::seed_from_u64(seed))
+        Self::on_graph(Propagator::new(adj, layers), dim, &mut StdRng::seed_from_u64(seed))
     }
 
-    /// LightGCN on `adj`, its Xavier tables drawn from `rng`, users first.
-    pub(crate) fn on_graph(adj: NormAdj, dim: usize, layers: usize, rng: &mut StdRng) -> Self {
-        let (n_users, n_items) = (adj.n_users(), adj.n_items());
-        let prop = Propagator::new(adj, layers);
+    /// Builds LR-GCCF on `ds`'s training graph: this model on
+    /// [`Propagator::residual`], with the same seed stream as
+    /// [`Self::new`].
+    pub fn lr_gccf(ds: &Arc<Dataset>, dim: usize, layers: usize, seed: u64) -> Self {
+        let adj = NormAdj::from_interactions(ds.n_users, ds.n_items, &ds.train_pairs());
+        Self::on_graph(Propagator::residual(adj, layers), dim, &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// The model on `prop`, its Xavier tables drawn from `rng`, users first.
+    pub(crate) fn on_graph(prop: Propagator, dim: usize, rng: &mut StdRng) -> Self {
+        let (n_users, n_items) = (prop.adj().n_users(), prop.adj().n_items());
         Self {
             user_base: Matrix::xavier_uniform(n_users, dim, rng),
             item_base: Matrix::xavier_uniform(n_items, dim, rng),
@@ -60,69 +70,39 @@ impl LightGcn {
         }
     }
 
-    /// Exact gradients w.r.t. the base embeddings: the operator is
-    /// symmetric, so the backward is the forward map (test hook;
-    /// [`Backbone::step`] chains this into Adam).
-    pub fn backward_base(&self, grads: &GradBuffer) -> (Matrix, Matrix) {
-        self.prop.forward(grads.users(), grads.items(), None)
-    }
-
-    /// Shared step body for LightGCN-shaped models: L2 on touched rows
-    /// (added into the base gradients `gu`/`gi`), dense Adam on both
-    /// embedding tables (split over `pool`'s lanes, with the same bits).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_base_update(
-        user_base: &mut Matrix,
-        item_base: &mut Matrix,
-        adam_u: &mut Adam,
-        adam_i: &mut Adam,
-        gu: &mut Matrix,
-        gi: &mut Matrix,
-        grads: &GradBuffer,
-        hp: Hyper,
-        pool: Option<&WorkerPool>,
-    ) {
-        // Coupled L2 on the batch's ego rows (the standard minibatch
-        // regularizer) — gradient rows elsewhere come only from propagation.
-        for &u in grads.touched_users() {
-            let r = u as usize;
-            bsl_linalg::kernels::axpy(hp.l2, user_base.row(r), gu.row_mut(r));
-        }
-        for &i in grads.touched_items() {
-            let r = i as usize;
-            bsl_linalg::kernels::axpy(hp.l2, item_base.row(r), gi.row_mut(r));
-        }
-        adam_u.step_dense_on(user_base, gu, hp.lr, pool);
-        adam_i.step_dense_on(item_base, gi, hp.lr, pool);
-    }
-
-    /// The base-gradient pair `grad_u`/`grad_i` from `grads`: the backward
-    /// is the forward map (see [`Self::backward_base`]).
+    /// The base-gradient pair `grad_u`/`grad_i` from `grads`: the
+    /// operator is symmetric, so the backward is the forward map.
     pub(crate) fn propagate_grads(&mut self, grads: &GradBuffer, pool: Option<&WorkerPool>) {
         let (gu, gi) = (grads.users(), grads.items());
         self.prop.forward_into(gu, gi, &mut self.hops, &mut self.grad_u, &mut self.grad_i, pool);
     }
 
-    /// L2 and Adam from the base-gradient pair (see
-    /// [`Self::apply_base_update`]).
+    /// The update from the base-gradient pair: L2 on touched rows (added
+    /// into `grad_u`/`grad_i`), then dense Adam on both embedding tables
+    /// (split over `pool`'s lanes, with the same bits).
     pub(crate) fn apply_grads(&mut self, grads: &GradBuffer, hp: Hyper, pool: Option<&WorkerPool>) {
-        Self::apply_base_update(
-            &mut self.user_base,
-            &mut self.item_base,
-            &mut self.adam_u,
-            &mut self.adam_i,
-            &mut self.grad_u,
-            &mut self.grad_i,
-            grads,
-            hp,
-            pool,
-        );
+        // Coupled L2 on the batch's ego rows (the standard minibatch
+        // regularizer) — gradient rows elsewhere come only from propagation.
+        for &u in grads.touched_users() {
+            let r = u as usize;
+            bsl_linalg::kernels::axpy(hp.l2, self.user_base.row(r), self.grad_u.row_mut(r));
+        }
+        for &i in grads.touched_items() {
+            let r = i as usize;
+            bsl_linalg::kernels::axpy(hp.l2, self.item_base.row(r), self.grad_i.row_mut(r));
+        }
+        self.adam_u.step_dense_on(&mut self.user_base, &self.grad_u, hp.lr, pool);
+        self.adam_i.step_dense_on(&mut self.item_base, &self.grad_i, hp.lr, pool);
     }
 }
 
 impl Backbone for LightGcn {
     fn name(&self) -> &'static str {
-        "LGN"
+        if self.prop.is_residual() {
+            "LR-GCCF"
+        } else {
+            "LGN"
+        }
     }
 
     fn n_users(&self) -> usize {
@@ -202,7 +182,7 @@ mod tests {
     }
 
     /// End-to-end finite-difference check: L = <C, final embeddings> is
-    /// linear, so ∂L/∂base must equal backward_base(C) exactly.
+    /// linear, so ∂L/∂base must equal the propagated C exactly.
     #[test]
     fn base_gradient_matches_finite_difference() {
         let (ds, mut lgn, mut rng) = setup();
@@ -226,7 +206,7 @@ mod tests {
 
         let (gu, gi) = {
             lgn.forward(&mut rng);
-            lgn.backward_base(&grads)
+            lgn.prop.forward(grads.users(), grads.items(), None)
         };
         let h = 1e-2f32;
         for (r, c) in [(0usize, 0usize), (7, 3), (31, 5)] {

@@ -4,9 +4,10 @@
 //! the stacked embedding vector, so its exact backward pass is the operator
 //! itself — the backbones propagate gradients with [`Propagator::forward_into`],
 //! and the `adjointness` test below verifies `<F(x), y> = <x, F(y)>`
-//! numerically.
+//! numerically. LR-GCCF's residual hop `Â·e + e` is the hop of the
+//! symmetric operator `Â + I`, so the same holds for it.
 
-use bsl_linalg::kernels::{axpy, scale};
+use bsl_linalg::kernels::{axpy, cosine_backward_into, scale};
 use bsl_linalg::pool::{Job, WorkerPool};
 use bsl_linalg::simd::scores_block;
 use bsl_linalg::stats::softmax_into;
@@ -14,11 +15,13 @@ use bsl_linalg::Matrix;
 use bsl_sparse::NormAdj;
 use std::ops::Range;
 
-/// K-layer LightGCN propagation with layer-mean readout.
+/// K-layer LightGCN propagation with layer-mean readout, or LR-GCCF's
+/// residual form of it.
 #[derive(Clone, Debug)]
 pub struct Propagator {
     adj: NormAdj,
     layers: usize,
+    residual: bool,
 }
 
 impl Propagator {
@@ -28,7 +31,16 @@ impl Propagator {
     /// Panics if `layers == 0` (use the embeddings directly then).
     pub fn new(adj: NormAdj, layers: usize) -> Self {
         assert!(layers > 0, "propagation needs at least one layer");
-        Self { adj, layers }
+        Self { adj, layers, residual: false }
+    }
+
+    /// LR-GCCF's propagation (Chen et al., AAAI'20): every hop adds its
+    /// input back, `e^k = Â·e^{k-1} + e^{k-1}`, under the same layer mean.
+    ///
+    /// # Panics
+    /// Panics if `layers == 0`.
+    pub fn residual(adj: NormAdj, layers: usize) -> Self {
+        Self { residual: true, ..Self::new(adj, layers) }
     }
 
     /// Number of propagation layers `K`.
@@ -37,15 +49,16 @@ impl Propagator {
         self.layers
     }
 
+    /// Whether each hop adds its input back ([`Self::residual`]).
+    #[inline]
+    pub(crate) fn is_residual(&self) -> bool {
+        self.residual
+    }
+
     /// The underlying normalized adjacency.
     #[inline]
     pub fn adj(&self) -> &NormAdj {
         &self.adj
-    }
-
-    /// One propagation hop `Â·[u; i]`.
-    pub fn hop(&self, u: &Matrix, i: &Matrix) -> (Matrix, Matrix) {
-        self.adj.propagate(u, i)
     }
 
     /// Hop buffers for [`Self::forward_into`] over embeddings `dim` wide.
@@ -57,9 +70,10 @@ impl Propagator {
         }
     }
 
-    /// Full forward: `final = (1/(K+1)) Σ_{k=0..K} Â^k [u0; i0]`, each hop
-    /// split over `pool`'s lanes (see [`Self::forward_into`]); the same
-    /// bits at any lane count.
+    /// Full forward: `final = (1/(K+1)) Σ_{k=0..K} Â^k [u0; i0]` (with
+    /// `Â + I` in place of `Â` when residual), each hop split over
+    /// `pool`'s lanes (see [`Self::forward_into`]); the same bits at any
+    /// lane count.
     pub fn forward(&self, u0: &Matrix, i0: &Matrix, pool: Option<&WorkerPool>) -> (Matrix, Matrix) {
         let mut hops = self.hops(u0.cols());
         let mut out_u = Matrix::zeros(u0.rows(), u0.cols());
@@ -77,10 +91,11 @@ impl Propagator {
     /// `[u0; i0]`, add each hop, then scale by `1/(K+1)`. With a pool of
     /// `n > 1` lanes each hop is one round: lane `k` owns a contiguous run
     /// of rows of *both* blocks, cut by [`Csr::balanced_row_cut`], and
-    /// fills those rows of the next hop (each row one `gather_sum` chain),
-    /// then adds them into the output rows. The first hop's lanes also copy
-    /// their rows of `[u0; i0]` in and the last hop's scale theirs, so the
-    /// bits do not depend on the split.
+    /// fills those rows of the next hop (each row one `gather_sum` chain,
+    /// plus the hop's input rows when residual), then adds them into the
+    /// output rows. The first hop's lanes also copy their rows of
+    /// `[u0; i0]` in and the last hop's scale theirs, so the bits do not
+    /// depend on the split.
     ///
     /// [`Csr::balanced_row_cut`]: bsl_sparse::Csr::balanced_row_cut
     ///
@@ -107,7 +122,7 @@ impl Propagator {
                 ((&mut *u_b, &mut *i_b), (&*u_a, &*i_a))
             };
             let hop = Hop {
-                adj: &self.adj,
+                prop: self,
                 src: if k == 0 { (u0, i0) } else { prev },
                 init: (k == 0).then_some((u0, i0)),
                 coef: (k + 1 == self.layers).then_some(coef),
@@ -117,11 +132,12 @@ impl Propagator {
     }
 }
 
-/// One hop of [`Propagator::forward_into`]: `Â · src` into the next hop
-/// buffers, added into the output, with the input copied in first on the
-/// first hop and the mean's scale applied on the last.
+/// One hop of [`Propagator::forward_into`]: `Â · src` (`+ src` when
+/// residual) into the next hop buffers, added into the output, with the
+/// input copied in first on the first hop and the mean's scale applied on
+/// the last.
 struct Hop<'a> {
-    adj: &'a NormAdj,
+    prop: &'a Propagator,
     /// The previous hop's users and items (the input on the first hop).
     src: (&'a Matrix, &'a Matrix),
     /// `[u0; i0]`, copied into the output before the first hop's add.
@@ -149,7 +165,7 @@ impl Hop<'_> {
             return self.rows(0..nu, 0..ni, next_u, next_i, out_u, out_i);
         };
         let n = pool.n_workers();
-        let (ui, iu) = (&self.adj.user_item, &self.adj.item_user);
+        let (ui, iu) = (&self.prop.adj.user_item, &self.prop.adj.item_user);
         let mut jobs: Vec<Job> = Vec::with_capacity(n);
         let (mut u_lo, mut i_lo) = (0, 0);
         for lane in 1..=n {
@@ -180,8 +196,13 @@ impl Hop<'_> {
         let (src_u, src_i) = self.src;
         let init_u = self.init.map(|(u0, _)| rows_of(u0, &ur));
         let init_i = self.init.map(|(_, i0)| rows_of(i0, &ir));
-        self.adj.user_item.spmm_rows_into(src_i, ur, next_u);
-        self.adj.item_user.spmm_rows_into(src_u, ir, next_i);
+        let residual = self.prop.residual.then(|| (rows_of(src_u, &ur), rows_of(src_i, &ir)));
+        self.prop.adj.user_item.spmm_rows_into(src_i, ur, next_u);
+        self.prop.adj.item_user.spmm_rows_into(src_u, ir, next_i);
+        if let Some((res_u, res_i)) = residual {
+            axpy(1.0, res_u, next_u);
+            axpy(1.0, res_i, next_i);
+        }
         self.accumulate(out_u, next_u, init_u);
         self.accumulate(out_i, next_i, init_i);
     }
@@ -212,6 +233,29 @@ pub struct Hops {
     items: [Matrix; 2],
 }
 
+/// Scratch that [`info_nce_grad`] keeps across calls: grown to the
+/// largest node set seen and never shrunk, so a warm call allocates
+/// nothing. Whatever it holds is never read.
+#[derive(Clone, Debug, Default)]
+pub struct InfoNceScratch {
+    /// Normalized view rows, `B × d` per view.
+    h: [Vec<f32>; 2],
+    /// Their norms, `B` per view.
+    norms: [Vec<f32>; 2],
+    /// `B × B` cosine similarities.
+    sims: Vec<f32>,
+    /// One row's softmax.
+    probs: Vec<f32>,
+}
+
+/// The first `n` floats of `v`, grown to hold them if it is shorter.
+fn grown(v: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if v.len() < n {
+        v.resize(n, 0.0);
+    }
+    &mut v[..n]
+}
+
 /// In-batch InfoNCE between two embedding views, restricted to `nodes`
 /// (row indices into both views).
 ///
@@ -221,13 +265,14 @@ pub struct Hops {
 ///
 /// Gradients w.r.t. the *raw* (unnormalized) view rows are **accumulated**
 /// into `g1`/`g2` scaled by `weight`. Returns the loss value (times
-/// `weight`).
+/// `weight`). The gathered rows, norms and similarities live in `scratch`.
 ///
 /// Cost is `O(B²·d)` — callers subsample `nodes` (SGL caps the auxiliary
 /// batch) to keep this tractable.
 ///
 /// # Panics
 /// Panics if `tau <= 0`, `nodes` is empty, or shapes disagree.
+#[allow(clippy::too_many_arguments)]
 pub fn info_nce_grad(
     z1: &Matrix,
     z2: &Matrix,
@@ -236,6 +281,7 @@ pub fn info_nce_grad(
     weight: f32,
     g1: &mut Matrix,
     g2: &mut Matrix,
+    scratch: &mut InfoNceScratch,
 ) -> f64 {
     assert!(tau > 0.0, "temperature must be positive, got {tau}");
     assert!(!nodes.is_empty(), "empty node set");
@@ -244,26 +290,25 @@ pub fn info_nce_grad(
     assert_eq!(z2.shape(), g2.shape(), "gradient shape mismatch");
     let b = nodes.len();
     let d = z1.cols();
+    let InfoNceScratch { h: [h1, h2], norms: [n1, n2], sims, probs } = scratch;
 
     // Gather normalized rows and their norms (blocked gather kernels).
-    let mut h1 = Matrix::zeros(b, d);
-    let mut h2 = Matrix::zeros(b, d);
-    let mut n1 = vec![0.0f32; b];
-    let mut n2 = vec![0.0f32; b];
-    bsl_linalg::simd::normalize_gather_into(z1, nodes, h1.as_mut_slice(), &mut n1);
-    bsl_linalg::simd::normalize_gather_into(z2, nodes, h2.as_mut_slice(), &mut n2);
+    let (h1, h2) = (grown(h1, b * d), grown(h2, b * d));
+    let (n1, n2) = (grown(n1, b), grown(n2, b));
+    bsl_linalg::simd::normalize_gather_into(z1, nodes, h1, n1);
+    bsl_linalg::simd::normalize_gather_into(z2, nodes, h2, n2);
 
     // Similarity matrix (one blocked matvec per row) and row softmax.
-    let mut sims = Matrix::zeros(b, b);
-    for a in 0..b {
-        scores_block(h1.row(a), h2.as_slice(), sims.row_mut(a));
+    let sims = grown(sims, b * b);
+    for (a, row) in sims.chunks_exact_mut(b).enumerate() {
+        scores_block(&h1[a * d..(a + 1) * d], h2, row);
     }
     let mut loss = 0.0f64;
     let inv_b = 1.0 / b as f64;
-    let mut probs = vec![0.0f32; b];
+    let probs = grown(probs, b);
     for a in 0..b {
-        let row = sims.row(a);
-        let lse = softmax_into(row, tau, &mut probs);
+        let row = &sims[a * b..(a + 1) * b];
+        let lse = softmax_into(row, tau, probs);
         loss += inv_b * (lse - (row[a] / tau) as f64);
         // dL/ds_ab = (1/(Bτ))(p_ab − δ_ab), times the external weight.
         let coef = (weight as f64 * inv_b / tau as f64) as f32;
@@ -274,43 +319,33 @@ pub fn info_nce_grad(
             }
             let s_ab = row[bb];
             // Chain through both cosine normalizations.
-            let (h1a, h2b) = (h1.row(a), h2.row(bb));
-            bsl_linalg::kernels::cosine_backward_into(
-                g_ab,
-                s_ab,
-                h1a,
-                h2b,
-                n1[a],
-                g1.row_mut(nodes[a] as usize),
-            );
-            bsl_linalg::kernels::cosine_backward_into(
-                g_ab,
-                s_ab,
-                h2b,
-                h1a,
-                n2[bb],
-                g2.row_mut(nodes[bb] as usize),
-            );
+            let (h1a, h2b) = (&h1[a * d..(a + 1) * d], &h2[bb * d..(bb + 1) * d]);
+            cosine_backward_into(g_ab, s_ab, h1a, h2b, n1[a], g1.row_mut(nodes[a] as usize));
+            cosine_backward_into(g_ab, s_ab, h2b, h1a, n2[bb], g2.row_mut(nodes[bb] as usize));
         }
     }
     loss * weight as f64
 }
 
-/// Deduplicates `nodes` (keeping first occurrences) and truncates to `cap`
-/// — contrastive auxiliaries run on a bounded node subset because InfoNCE
-/// is `O(B²·d)`.
-pub fn dedup_cap(nodes: &[u32], cap: usize) -> Vec<u32> {
-    let mut seen = std::collections::HashSet::with_capacity(nodes.len());
-    let mut out = Vec::with_capacity(cap.min(nodes.len()));
+/// Deduplicates `nodes` into `out` (keeping first occurrences) and
+/// truncates to `cap` — contrastive auxiliaries run on a bounded node
+/// subset because InfoNCE is `O(B²·d)`. `seen` flags the ids already
+/// taken: it must be all `false` and longer than every id, and is left all
+/// `false` again.
+///
+/// # Panics
+/// Panics if an id is out of `seen`'s range.
+pub fn dedup_cap(nodes: &[u32], cap: usize, seen: &mut [bool], out: &mut Vec<u32>) {
+    out.clear();
     for &n in nodes {
-        if seen.insert(n) {
+        if out.len() == cap {
+            break;
+        }
+        if !std::mem::replace(&mut seen[n as usize], true) {
             out.push(n);
-            if out.len() == cap {
-                break;
-            }
         }
     }
-    out
+    out.iter().for_each(|&n| seen[n as usize] = false);
 }
 
 #[cfg(test)]
@@ -321,45 +356,67 @@ mod tests {
 
     #[test]
     fn dedup_cap_keeps_order_and_caps() {
-        assert_eq!(dedup_cap(&[3, 1, 3, 2, 1, 4], 3), vec![3, 1, 2]);
-        assert_eq!(dedup_cap(&[5, 5], 10), vec![5]);
-        assert!(dedup_cap(&[], 4).is_empty());
+        let mut seen = vec![false; 6];
+        let mut dedup = |nodes: &[u32], cap| {
+            let mut out = vec![7; 9]; // stale contents are dropped
+            dedup_cap(nodes, cap, &mut seen, &mut out);
+            out
+        };
+        assert_eq!(dedup(&[3, 1, 3, 2, 1, 4], 3), vec![3, 1, 2]);
+        assert_eq!(dedup(&[5, 5], 10), vec![5]);
+        assert!(dedup(&[], 4).is_empty());
+        assert_eq!(dedup(&[4, 3, 4, 5], 10), vec![4, 3, 5]);
+        assert!(seen.iter().all(|&f| !f), "flags left set");
     }
 
     fn toy_adj() -> NormAdj {
         NormAdj::from_interactions(3, 2, &[(0, 0), (0, 1), (1, 0), (2, 1)])
     }
 
+    /// The two propagations: LightGCN's and LR-GCCF's residual one.
+    const KINDS: [fn(NormAdj, usize) -> Propagator; 2] = [Propagator::new, Propagator::residual];
+
+    /// The forward has the bits of the layer loop on whole tables, plain
+    /// (`e ← Â·e`) and residual (`e ← Â·e + e`): `out += e` each layer,
+    /// then the mean's scale.
     #[test]
-    fn forward_layer_mean_hand_check_one_layer() {
-        let adj = toy_adj();
-        let prop = Propagator::new(adj.clone(), 1);
-        let u0 = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
-        let i0 = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32);
-        let (fu, fi) = prop.forward(&u0, &i0, None);
-        let (pu, pi) = adj.propagate(&u0, &i0);
-        for r in 0..3 {
-            for c in 0..2 {
-                let want = 0.5 * (u0.get(r, c) + pu.get(r, c));
-                assert!((fu.get(r, c) - want).abs() < 1e-6);
+    fn forward_matches_the_layer_loop_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(8);
+        for (layers, kind) in (1..=3).flat_map(|l| KINDS.map(|k| (l, k))) {
+            let prop = kind(toy_adj(), layers);
+            let e0 =
+                [Matrix::gaussian(3, 11, 1.0, &mut rng), Matrix::gaussian(2, 11, 1.0, &mut rng)];
+            let (mut cur, mut want) = (e0.clone(), e0.clone());
+            for _ in 0..layers {
+                let (pu, pi) = prop.adj().propagate(&cur[0], &cur[1]);
+                for (k, p) in [pu, pi].into_iter().enumerate() {
+                    if prop.is_residual() {
+                        cur[k].add_assign(&p);
+                    } else {
+                        cur[k] = p;
+                    }
+                    want[k].add_assign(&cur[k]);
+                }
             }
-        }
-        for r in 0..2 {
-            for c in 0..2 {
-                let want = 0.5 * (i0.get(r, c) + pi.get(r, c));
-                assert!((fi.get(r, c) - want).abs() < 1e-6);
+            let (fu, fi) = prop.forward(&e0[0], &e0[1], None);
+            let label = format!("{layers} layers, residual {}", prop.is_residual());
+            for (got, want) in [fu, fi].iter().zip(&mut want) {
+                want.scale(1.0 / (layers + 1) as f32);
+                assert_eq!(bits(got), bits(want), "{label}");
             }
         }
     }
 
     /// Hop and output buffers full of garbage (NaN, huge values, stale
-    /// results of another input) must not reach a single bit of the result.
+    /// results of another input) must not reach a single bit of the
+    /// result, plain or residual.
     #[test]
     fn forward_into_over_garbage_buffers_matches_fresh_forward_bit_for_bit() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(5);
-        for layers in 1..=3 {
-            let prop = Propagator::new(toy_adj(), layers);
+        for (layers, kind) in (1..=3).flat_map(|l| KINDS.map(|k| (l, k))) {
+            let prop = kind(toy_adj(), layers);
             let mut hops = prop.hops(9);
             for (k, m) in hops.users.iter_mut().chain(hops.items.iter_mut()).enumerate() {
                 m.fill(if k % 2 == 0 { f32::NAN } else { 3.0e38 });
@@ -380,7 +437,8 @@ mod tests {
 
     /// A pool of 1, 2 or 3 lanes gives the inline call's bits, whatever
     /// the buffers held: skewed degrees, empty rows, a block with fewer
-    /// rows than lanes (either side), a width off the 8-float grid.
+    /// rows than lanes (either side), a width off the 8-float grid, with
+    /// and without the residual.
     #[test]
     fn pooled_forward_into_matches_inline_bit_for_bit() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -393,8 +451,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for (n_users, n_items, edges) in graphs {
             let adj = NormAdj::from_interactions(n_users, n_items, &edges);
-            for (layers, dim) in [(1, 13), (2, 64), (3, 13), (3, 9)] {
-                let prop = Propagator::new(adj.clone(), layers);
+            for (layers, dim, kind) in [(1, 13, 0), (2, 64, 1), (3, 13, 0), (3, 9, 1)] {
+                let prop = KINDS[kind](adj.clone(), layers);
                 let u0 = Matrix::gaussian(n_users, dim, 1.0, &mut rng);
                 let i0 = Matrix::gaussian(n_items, dim, 1.0, &mut rng);
                 let (want_u, want_i) = prop.forward(&u0, &i0, None);
@@ -406,7 +464,8 @@ mod tests {
                     out_i.fill(f32::NAN);
                     prop.forward_into(&u0, &i0, &mut hops, &mut out_u, &mut out_i, Some(pool));
                     let label = format!(
-                        "{n_users}x{n_items}, {layers} layers, d = {dim}, {} lanes",
+                        "{n_users}x{n_items}, {layers} layers, d = {dim}, residual {}, {} lanes",
+                        prop.is_residual(),
                         pool.n_workers()
                     );
                     assert_eq!(bits(&out_u), bits(&want_u), "{label}: users");
@@ -449,16 +508,17 @@ mod tests {
 
     #[test]
     fn identical_views_minimize_info_nce() {
+        let mut s = InfoNceScratch::default();
         let mut rng = StdRng::seed_from_u64(1);
         let z = Matrix::gaussian(6, 4, 1.0, &mut rng);
         let nodes: Vec<u32> = (0..6).collect();
         let mut g1 = Matrix::zeros(6, 4);
         let mut g2 = Matrix::zeros(6, 4);
-        let aligned = info_nce_grad(&z, &z, &nodes, 0.2, 1.0, &mut g1, &mut g2);
+        let aligned = info_nce_grad(&z, &z, &nodes, 0.2, 1.0, &mut g1, &mut g2, &mut s);
         let other = Matrix::gaussian(6, 4, 1.0, &mut rng);
         g1.fill(0.0);
         g2.fill(0.0);
-        let misaligned = info_nce_grad(&z, &other, &nodes, 0.2, 1.0, &mut g1, &mut g2);
+        let misaligned = info_nce_grad(&z, &other, &nodes, 0.2, 1.0, &mut g1, &mut g2, &mut s);
         assert!(aligned < misaligned, "{aligned} vs {misaligned}");
     }
 
@@ -466,6 +526,7 @@ mod tests {
     /// cosine normalization.
     #[test]
     fn info_nce_gradcheck() {
+        let mut s = InfoNceScratch::default();
         let mut rng = StdRng::seed_from_u64(9);
         let z1 = Matrix::gaussian(4, 3, 1.0, &mut rng);
         let z2 = Matrix::gaussian(4, 3, 1.0, &mut rng);
@@ -473,13 +534,13 @@ mod tests {
         let tau = 0.3;
         let mut g1 = Matrix::zeros(4, 3);
         let mut g2 = Matrix::zeros(4, 3);
-        let _ = info_nce_grad(&z1, &z2, &nodes, tau, 1.0, &mut g1, &mut g2);
+        let _ = info_nce_grad(&z1, &z2, &nodes, tau, 1.0, &mut g1, &mut g2, &mut s);
 
         let h = 1e-3f32;
-        let loss_of = |z1: &Matrix, z2: &Matrix| {
+        let mut loss_of = |z1: &Matrix, z2: &Matrix| {
             let mut d1 = Matrix::zeros(4, 3);
             let mut d2 = Matrix::zeros(4, 3);
-            info_nce_grad(z1, z2, &nodes, tau, 1.0, &mut d1, &mut d2)
+            info_nce_grad(z1, z2, &nodes, tau, 1.0, &mut d1, &mut d2, &mut s)
         };
         for &node in &nodes {
             for c in 0..3 {
@@ -509,30 +570,51 @@ mod tests {
 
     #[test]
     fn untouched_rows_get_no_gradient() {
+        let mut s = InfoNceScratch::default();
         let mut rng = StdRng::seed_from_u64(2);
         let z1 = Matrix::gaussian(5, 3, 1.0, &mut rng);
         let z2 = Matrix::gaussian(5, 3, 1.0, &mut rng);
         let mut g1 = Matrix::zeros(5, 3);
         let mut g2 = Matrix::zeros(5, 3);
-        let _ = info_nce_grad(&z1, &z2, &[1, 3], 0.2, 1.0, &mut g1, &mut g2);
+        let _ = info_nce_grad(&z1, &z2, &[1, 3], 0.2, 1.0, &mut g1, &mut g2, &mut s);
         for r in [0usize, 2, 4] {
             assert!(g1.row(r).iter().all(|&x| x == 0.0));
             assert!(g2.row(r).iter().all(|&x| x == 0.0));
         }
     }
 
+    /// A scratch kept across calls of different sizes gives a fresh
+    /// scratch's bits: the stale rows past a smaller set are never read.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(6);
+        let z1 = Matrix::gaussian(9, 5, 1.0, &mut rng);
+        let z2 = Matrix::gaussian(9, 5, 1.0, &mut rng);
+        let mut kept = InfoNceScratch::default();
+        for nodes in [vec![0u32, 2, 4, 6, 8, 1, 3], vec![5, 1], vec![7, 0, 3]] {
+            let run = |scratch: &mut InfoNceScratch| {
+                let (mut g1, mut g2) = (Matrix::zeros(9, 5), Matrix::zeros(9, 5));
+                let loss = info_nce_grad(&z1, &z2, &nodes, 0.3, 0.7, &mut g1, &mut g2, scratch);
+                (loss.to_bits(), bits(&g1), bits(&g2))
+            };
+            assert_eq!(run(&mut kept), run(&mut InfoNceScratch::default()), "{nodes:?}");
+        }
+    }
+
     #[test]
     fn weight_scales_loss_and_grads() {
+        let mut s = InfoNceScratch::default();
         let mut rng = StdRng::seed_from_u64(3);
         let z1 = Matrix::gaussian(4, 3, 1.0, &mut rng);
         let z2 = Matrix::gaussian(4, 3, 1.0, &mut rng);
         let nodes = vec![0, 1, 2, 3];
         let mut a1 = Matrix::zeros(4, 3);
         let mut a2 = Matrix::zeros(4, 3);
-        let l1 = info_nce_grad(&z1, &z2, &nodes, 0.2, 1.0, &mut a1, &mut a2);
+        let l1 = info_nce_grad(&z1, &z2, &nodes, 0.2, 1.0, &mut a1, &mut a2, &mut s);
         let mut b1 = Matrix::zeros(4, 3);
         let mut b2 = Matrix::zeros(4, 3);
-        let l2 = info_nce_grad(&z1, &z2, &nodes, 0.2, 2.0, &mut b1, &mut b2);
+        let l2 = info_nce_grad(&z1, &z2, &nodes, 0.2, 2.0, &mut b1, &mut b2, &mut s);
         assert!((l2 - 2.0 * l1).abs() < 1e-9);
         for (x, y) in a1.as_slice().iter().zip(b1.as_slice()) {
             assert!((2.0 * x - y).abs() < 1e-6);

@@ -38,13 +38,60 @@ impl TrainBatch {
     }
 }
 
+/// One epoch's batches: the shuffled pair order and the batch shape, the
+/// one producer under [`BatchIter`] and [`SamplerPool`](crate::SamplerPool).
+pub(crate) struct Epoch {
+    pairs: Vec<(u32, u32)>,
+    batch_size: usize,
+    m: usize,
+}
+
+impl Epoch {
+    /// `ds`'s training pairs in a Fisher–Yates shuffle on the stream `seed`
+    /// starts, with that stream where the shuffle left it.
+    ///
+    /// # Panics
+    /// Panics if `batch_size == 0` or `m == 0`.
+    pub(crate) fn new(ds: &Dataset, batch_size: usize, m: usize, seed: u64) -> (Self, StdRng) {
+        assert!(batch_size > 0, "batch_size must be positive");
+        assert!(m > 0, "need at least one negative per row");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pairs = ds.train_pairs();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+        (Self { pairs, batch_size, m }, rng)
+    }
+
+    /// Number of batches in the epoch.
+    pub(crate) fn n_batches(&self) -> usize {
+        self.pairs.len().div_ceil(self.batch_size)
+    }
+
+    /// Batch `bi`, each row's `m` negatives drawn from `sampler` on `rng`
+    /// in row order.
+    pub(crate) fn batch(
+        &self,
+        bi: usize,
+        sampler: &dyn NegativeSampler,
+        rng: &mut StdRng,
+    ) -> TrainBatch {
+        let start = bi * self.batch_size;
+        let rows = &self.pairs[start..(start + self.batch_size).min(self.pairs.len())];
+        let mut negs = Vec::with_capacity(rows.len() * self.m);
+        for &(u, _) in rows {
+            sampler.sample_into(u, self.m, rng, &mut negs);
+        }
+        let (users, pos) = rows.iter().copied().unzip();
+        TrainBatch { users, pos, negs, m: self.m }
+    }
+}
+
 /// Iterates one epoch of shuffled `(user, positive)` pairs, attaching `m`
 /// freshly-sampled negatives per row.
 pub struct BatchIter<'a> {
-    pairs: Vec<(u32, u32)>,
-    cursor: usize,
-    batch_size: usize,
-    m: usize,
+    epoch: Epoch,
+    next: usize,
     sampler: &'a dyn NegativeSampler,
     rng: StdRng,
 }
@@ -62,19 +109,13 @@ impl<'a> BatchIter<'a> {
         m: usize,
         seed: u64,
     ) -> Self {
-        assert!(batch_size > 0, "batch_size must be positive");
-        assert!(m > 0, "need at least one negative per row");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pairs = ds.train_pairs();
-        for i in (1..pairs.len()).rev() {
-            pairs.swap(i, rng.gen_range(0..=i));
-        }
-        Self { pairs, cursor: 0, batch_size, m, sampler, rng }
+        let (epoch, rng) = Epoch::new(ds, batch_size, m, seed);
+        Self { epoch, next: 0, sampler, rng }
     }
 
     /// Total number of batches this epoch will yield.
     pub fn n_batches(&self) -> usize {
-        self.pairs.len().div_ceil(self.batch_size)
+        self.epoch.n_batches()
     }
 }
 
@@ -82,21 +123,11 @@ impl Iterator for BatchIter<'_> {
     type Item = TrainBatch;
 
     fn next(&mut self) -> Option<TrainBatch> {
-        if self.cursor >= self.pairs.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.pairs.len());
-        let rows = &self.pairs[self.cursor..end];
-        self.cursor = end;
-        let mut users = Vec::with_capacity(rows.len());
-        let mut pos = Vec::with_capacity(rows.len());
-        let mut negs = Vec::with_capacity(rows.len() * self.m);
-        for &(u, i) in rows {
-            users.push(u);
-            pos.push(i);
-            self.sampler.sample_into(u, self.m, &mut self.rng, &mut negs);
-        }
-        Some(TrainBatch { users, pos, negs, m: self.m })
+        let bi = self.next;
+        (bi < self.epoch.n_batches()).then(|| {
+            self.next += 1;
+            self.epoch.batch(bi, self.sampler, &mut self.rng)
+        })
     }
 }
 

@@ -1,11 +1,12 @@
 //! Tests of the sharded epoch stream that
 //! [`SamplerPool::start_epoch`](crate::SamplerPool::start_epoch) yields:
-//! one shard against [`BatchIter`](crate::BatchIter), and the pair and negative
-//! streams across shard counts. The contract they check is in the
+//! the pair and negative streams across shard counts (the one-shard replay
+//! of [`BatchIter`](crate::BatchIter) and the pool's reuse are tested in
+//! [`pool`](crate::pool)). The contract they check is in the
 //! [`pool`](crate::pool) module docs.
 
 mod tests {
-    use crate::batch::{BatchIter, TrainBatch};
+    use crate::batch::TrainBatch;
     use crate::negative::{NegativeSampler, UniformSampler};
     use crate::pool::SamplerPool;
     use bsl_data::synth::{generate, SynthConfig};
@@ -22,20 +23,6 @@ mod tests {
 
     fn collect(ds: &Arc<Dataset>, bs: usize, m: usize, seed: u64, k: usize) -> Vec<TrainBatch> {
         SamplerPool::new(k).start_epoch(ds, &uniform(ds), bs, m, seed).collect()
-    }
-
-    #[test]
-    fn one_shard_matches_serial_iterator_exactly() {
-        let ds = ds();
-        let sampler = UniformSampler::new(ds.clone());
-        let serial: Vec<TrainBatch> = BatchIter::new(&ds, &sampler, 37, 4, 99).collect();
-        let par = collect(&ds, 37, 4, 99, 1);
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(par.iter()) {
-            assert_eq!(a.users, b.users);
-            assert_eq!(a.pos, b.pos);
-            assert_eq!(a.negs, b.negs, "n_shards = 1 must replay the serial negative stream");
-        }
     }
 
     #[test]
@@ -95,15 +82,5 @@ mod tests {
         let n = iter.n_batches();
         assert_eq!(iter.size_hint(), (n, Some(n)));
         assert_eq!(n, iter.count());
-    }
-
-    #[test]
-    fn early_drop_joins_workers_without_hanging() {
-        let ds = ds();
-        let pool = SamplerPool::new(4);
-        let mut iter = pool.start_epoch(&ds, &uniform(&ds), 8, 2, 1);
-        let _ = iter.next();
-        drop(iter);
-        drop(pool); // workers blocked on full channels must exit and join
     }
 }

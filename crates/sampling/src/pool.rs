@@ -22,11 +22,11 @@
 //!   changing the seed would; re-running with the same `(seed, n_shards)`
 //!   replays the epoch exactly, on the same pool or a fresh one.
 
-use crate::batch::TrainBatch;
+use crate::batch::{Epoch, TrainBatch};
 use crate::negative::NegativeSampler;
 use bsl_data::Dataset;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,10 +48,8 @@ pub(crate) fn shard_seed(seed: u64, shard: u64) -> u64 {
 
 /// Everything one shard worker needs to produce its share of an epoch.
 struct EpochJob {
-    pairs: Arc<Vec<(u32, u32)>>,
+    epoch: Arc<Epoch>,
     sampler: Arc<dyn NegativeSampler>,
-    batch_size: usize,
-    m: usize,
     shard: usize,
     n_shards: usize,
     rng: StdRng,
@@ -114,18 +112,11 @@ impl SamplerPool {
         m: usize,
         seed: u64,
     ) -> PooledEpochIter {
-        assert!(batch_size > 0, "batch_size must be positive");
-        assert!(m > 0, "need at least one negative per row");
         let n_shards = self.n_shards();
-
-        // Identical shuffle to BatchIter: same RNG, same Fisher–Yates.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pairs = ds.train_pairs();
-        for i in (1..pairs.len()).rev() {
-            pairs.swap(i, rng.gen_range(0..=i));
-        }
-        let pairs = Arc::new(pairs);
-        let n_batches = pairs.len().div_ceil(batch_size);
+        // BatchIter's epoch, and the stream its shuffle leaves for shard 0.
+        let (epoch, rng) = Epoch::new(ds, batch_size, m, seed);
+        let n_batches = epoch.n_batches();
+        let epoch = Arc::new(epoch);
 
         let mut rxs = Vec::with_capacity(n_shards);
         for (s, job_tx) in self.txs.iter().enumerate() {
@@ -142,10 +133,8 @@ impl SamplerPool {
             };
             job_tx
                 .send(EpochJob {
-                    pairs: Arc::clone(&pairs),
+                    epoch: Arc::clone(&epoch),
                     sampler: Arc::clone(sampler),
-                    batch_size,
-                    m,
                     shard: s,
                     n_shards,
                     rng: shard_rng,
@@ -173,21 +162,9 @@ impl Drop for SamplerPool {
 /// Builds every `n_shards`-th batch starting at `shard`, in order, until
 /// the epoch ends or the consumer goes away.
 fn run_shard(job: EpochJob) {
-    let EpochJob { pairs, sampler, batch_size, m, shard, n_shards, mut rng, tx } = job;
-    let n_batches = pairs.len().div_ceil(batch_size);
-    for bi in (shard..n_batches).step_by(n_shards) {
-        let start = bi * batch_size;
-        let end = (start + batch_size).min(pairs.len());
-        let rows = &pairs[start..end];
-        let mut users = Vec::with_capacity(rows.len());
-        let mut pos = Vec::with_capacity(rows.len());
-        let mut negs = Vec::with_capacity(rows.len() * m);
-        for &(u, i) in rows {
-            users.push(u);
-            pos.push(i);
-            sampler.sample_into(u, m, &mut rng, &mut negs);
-        }
-        if tx.send(TrainBatch { users, pos, negs, m }).is_err() {
+    let EpochJob { epoch, sampler, shard, n_shards, mut rng, tx } = job;
+    for bi in (shard..epoch.n_batches()).step_by(n_shards) {
+        if tx.send(epoch.batch(bi, sampler.as_ref(), &mut rng)).is_err() {
             return; // consumer dropped the epoch iterator mid-epoch
         }
     }

@@ -281,3 +281,40 @@ fn contrastive_paths_match_pinned_bits() {
         assert_eq!(ndcg, want_ndcg, "{label}: ndcg bits {ndcg:#018x}");
     }
 }
+
+/// LR-GCCF (LightGCN's hop with the hop's input added back) on the sampled
+/// path, serial and sharded, and on the in-batch path. Its propagation is
+/// `spmm` plus adds and one scale, so the bits are libm-free.
+#[test]
+fn lrgccf_paths_match_pinned_bits() {
+    force_scalar();
+    let backbone = BackboneConfig::LrGccf { layers: 2 };
+    let sampled = TrainConfig { backbone, epochs: 3, ..TrainConfig::smoke() };
+    let in_batch = TrainConfig { sampling: SamplingConfig::InBatch, batch_size: 64, ..sampled };
+    const SAMPLED_1: [u32; 8] = [
+        3169227104, 3198119114, 3200637756, 3186431375, 3204578003, 1057572251, 1015809867,
+        1050980410,
+    ];
+    const SAMPLED_3: [u32; 8] = [
+        3163869724, 3197344396, 3200504672, 3187121088, 3204552024, 1057680688, 1017785046,
+        1049926386,
+    ];
+    const IN_BATCH_1: [u32; 8] = [
+        3173603264, 3203451728, 3206436196, 3168526600, 3207174482, 1060605984, 1040342858,
+        1052787332,
+    ];
+    for (label, cfg, want_head, want_ndcg) in [
+        ("sampled, 1 thread", sampled, SAMPLED_1, 0x3fe36248b24c4fb5),
+        (
+            "sampled, 3 threads",
+            TrainConfig { threads: 3, ..sampled },
+            SAMPLED_3,
+            0x3fe32000ec2ef6a4,
+        ),
+        ("in-batch, 1 thread", in_batch, IN_BATCH_1, 0x3fe389280190c3a6),
+    ] {
+        let (ndcg, head) = fingerprint(cfg);
+        assert_eq!(head, want_head, "{label}: user embedding bits drifted");
+        assert_eq!(ndcg, want_ndcg, "{label}: ndcg bits {ndcg:#018x}");
+    }
+}
